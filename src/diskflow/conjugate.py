@@ -23,8 +23,10 @@ from .abel import (
 )
 from .errors import (
     CornerUndeterminedError,
+    DiskflowError,
     InversionFailureError,
     NotContainedError,
+    SingularEvaluationError,
     StripNotContainedError,
 )
 from .expr import Expr, compile_expr
@@ -192,7 +194,7 @@ def _radial_limit_at(fn, zeta: complex, tol=1e-6):
         r = 1 - 2.0 ** (-k)
         try:
             vals.append(fn(r * zeta))
-        except Exception:
+        except SingularEvaluationError:
             continue
         if len(vals) >= 3 and all(abs(v) > 1e8 for v in vals[-3:]):
             return vals[-1], True, True
@@ -223,7 +225,7 @@ def _polish_null_point(fn, zeta: complex) -> complex:
             fz = fn(z)
             deriv = (fn(z * cmath.exp(1j * step)) - fn(z * cmath.exp(-1j * step)))
             deriv /= 2j * step * z
-        except Exception:
+        except SingularEvaluationError:
             return start
         if deriv == 0:
             break
@@ -253,7 +255,7 @@ def _derivative_limit(fn, zeta: complex):
         z = zeta * (1 - 2.0 ** (-k))
         try:
             vals.append(fn(z) / (z - zeta))
-        except Exception:
+        except SingularEvaluationError:
             return _radial_limit_at(lambda w: fn(w) / (w - zeta), zeta)
         if len(vals) >= 3 and all(abs(v) > 1e8 for v in vals[-3:]):
             return vals[-1], True, True
@@ -282,7 +284,7 @@ def find_boundary_null_points(f: Expr, samples: int = 256) -> list:
     def mag(theta: float) -> float:
         try:
             return abs(fn(r0 * cmath.exp(1j * theta)))
-        except Exception:
+        except SingularEvaluationError:
             return math.inf
 
     thetas = [2 * math.pi * j / samples for j in range(samples)]
@@ -513,7 +515,7 @@ def _backward_base(f: Expr, zeta: complex, probes=RESIDUAL_GRID):
     for z0 in probes:
         try:
             report = backward_extendability(f, complex(z0))
-        except Exception:
+        except DiskflowError:
             continue
         if report["extendable"] and abs(report["limit_point"] - zeta) < 1e-3:
             return complex(z0)

@@ -47,10 +47,6 @@ class StiffFailureError(DiskflowError):
         self.trajectory = trajectory
 
 
-class QuadratureFailureError(DiskflowError):
-    code = "quadrature-failure"
-
-
 class InversionFailureError(DiskflowError):
     code = "inversion-failure"
 

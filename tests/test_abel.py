@@ -1,12 +1,18 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import diskflow
+from diskflow import catalog
 from diskflow.abel import (
     abel_flow,
     abel_h,
     bloch_norm,
+    estimate_alpha_mu,
     invert_h,
     linearize,
     planar_domain_stats,
@@ -21,19 +27,34 @@ GRID = [0.25 * cmath.exp(2j * math.pi * k / 7) for k in range(7)] + [
 ]
 
 
-def test_abel_h_closed_form_parabolic():
-    # f = i(1-z)^2 has h(z) = (i/1) z/(1-z) up to normalization h(0)=0
-    fn = compile_expr(parse("i*(1-z)^2"))
-    for z in GRID:
-        assert abel_h(fn, z) == pytest.approx(1j * z / (1 - z), abs=1e-11)
+RING = [0.9 * cmath.exp(2j * math.pi * k / 8) for k in range(8)]
+H_TEXT_IDS = [i for i in catalog.DEFAULT_IDS if catalog.get(i).h_text is not None]
 
 
-def test_abel_h_closed_form_power():
-    # h' = -1/f with f = -(1-z)^3 gives h = ((1-z)^-2 - 1)/2
-    fn = compile_expr(parse("-(1-z)^3"))
-    for z in GRID:
-        ref = 0.5 * ((1 - z) ** -2 - 1)
-        assert abel_h(fn, z) == pytest.approx(ref, abs=1e-11)
+@pytest.mark.parametrize("entry_id", H_TEXT_IDS)
+def test_abel_h_closed_form(entry_id):
+    # the catalog's closed form, normalized to h(0) = 0, is an oracle the
+    # quadrature did not produce; one ulp of z moves h by about eps/|f(z)|,
+    # so that term is the floor invert_h also accepts
+    entry = catalog.get(entry_id)
+    fn = compile_expr(parse(entry.f_text))
+    h_ref = compile_expr(parse(entry.h_text))
+    for z in GRID + RING:
+        ref = h_ref(z) - h_ref(0j)
+        tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
+        assert abs(abel_h(fn, z) - ref) <= tol, z
+
+
+def test_import_needs_no_scipy():
+    src = os.path.dirname(os.path.dirname(diskflow.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, diskflow; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_abel_h_near_boundary_point():
@@ -56,6 +77,15 @@ def test_estimate_alpha_mu_hyperbolic():
     assert model.alpha == 0.0
     assert model.mu == pytest.approx(1.0, abs=1e-8)
     assert model.mu_class == "Sigma0"
+
+
+@pytest.mark.parametrize("entry_id, tag", [
+    ("angular-only(0.5)", "SigmaAlpha-angular"),  # catalog truth: angular
+    ("quadrant", "SigmaAlpha-unrestricted"),
+])
+def test_estimate_alpha_mu_class_tag(entry_id, tag):
+    _, _, got = estimate_alpha_mu(parse(catalog.get(entry_id).f_text))
+    assert got == tag
 
 
 def test_not_in_class_rejected():

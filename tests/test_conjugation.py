@@ -6,6 +6,7 @@ import pytest
 from diskflow.abel import linearize
 from diskflow.conjugate import (
     MobiusGroup,
+    _radial_limit_at,
     bfid_report,
     corner_opening,
     find_boundary_null_points,
@@ -127,3 +128,12 @@ def test_corner_opening_automorphism():
     certs = [c for c in bfid_report(f) if c.bfid_type == "p-type"]
     assert len(certs) == 1
     assert certs[0].corner_gamma == pytest.approx(1.0, abs=1e-3)
+
+
+def test_radial_limit_propagates_bugs():
+    # only singular evaluations are skipped; a bug in the callable surfaces
+    def broken(z):
+        raise TypeError("not a singular evaluation")
+
+    with pytest.raises(TypeError):
+        _radial_limit_at(broken, 1 + 0j)
