@@ -15,15 +15,39 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InversionFailureError, NotInClassError, SingularEvaluationError
-from .expr import Expr, boundary_limit, compile_expr
-from .extrapolate import INFINITE_THRESHOLD, looks_divergent, sequence_limit
+from .expr import BoundaryLimitEstimate, Expr, as_callable, boundary_limit
+from .extrapolate import (
+    INFINITE_THRESHOLD,
+    golden_min,
+    line_fit,
+    looks_divergent,
+    sequence_limit,
+)
 
-# plain floats: numpy float64 nodes would make every panel's arithmetic
-# run as numpy scalar operations, about 2.5x slower
-_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(16))
+# the 16-point Gauss-Legendre rule on [-1, 1] as plain floats, digit for
+# digit numpy.polynomial.legendre.leggauss(16); numpy float64 nodes would
+# make every panel's arithmetic run as numpy scalar operations
+_GL_NODES = (
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499,
+)
+_GL_WEIGHTS = (
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176,
+)
+
+MAX_SUBSTEPS = 64  # continuation sub-targets per inversion
+STATS_RAYS = 96  # rays of the planar_domain_stats fan
+BLOCH_GRID = 64  # angles per circle in bloch_norm
 
 
 def _segment_integral(recip, z0: complex, z1: complex, depth: int = 0) -> complex:
@@ -92,7 +116,7 @@ def _near_boundary_h(recip, z: complex) -> complex:
 def abel_h(f, z: complex) -> complex:
     """h(z) = -integral from 0 to z of dz/f, along the straight segment
     (a chord chain for points within 0.05 of the boundary point 1)."""
-    fn = compile_expr(f) if isinstance(f, Expr) else f
+    fn = as_callable(f)
     if z == 0:
         return 0j
     zc = complex(z)
@@ -108,7 +132,8 @@ class LinearizationModel:
 
     ``h_cache`` memoizes h at the exact points asked for through
     :meth:`h`; :func:`invert_h` does not consult it and continues from
-    the seed its caller passes.
+    the seed its caller passes.  ``domain_stats`` holds the result of
+    :func:`planar_domain_stats` once it has been computed.
     """
 
     f: Expr
@@ -116,9 +141,10 @@ class LinearizationModel:
     mu: complex
     mu_class: str  # Sigma0 | SigmaAlpha-angular | SigmaAlpha-unrestricted
     h_cache: dict = field(default_factory=dict, repr=False)
+    domain_stats: PlanarDomainStats | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self._fn = compile_expr(self.f) if isinstance(self.f, Expr) else self.f
+        self._fn = as_callable(self.f)
         self._recip = lambda z: -1.0 / self._fn(z)
         self.h_cache.setdefault(0j, 0j)
 
@@ -138,8 +164,7 @@ class LinearizationModel:
         return abel_flow(self, z, t)
 
 
-def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j,
-             max_substeps: int = 64) -> complex:
+def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> complex:
     """Solve h(z) = w by Newton continuation from the seed point.
 
     The target is approached through sub-targets spaced so each jump
@@ -156,7 +181,7 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j,
     recip = model._recip
     tol = max(1e-12, 1e-15 * abs(w))
 
-    for _ in range(max_substeps):
+    for _ in range(MAX_SUBSTEPS):
         remaining = w - h_cur
         if abs(remaining) <= max(tol, _machine_floor(fn, z)):
             return z
@@ -261,7 +286,7 @@ def abel_flow(model: LinearizationModel, z: complex, t: float) -> complex:
 # --- (alpha, mu) estimation --------------------------------------------------
 
 
-def estimate_alpha_mu(f, classify: bool = True):
+def estimate_alpha_mu(f):
     """Estimate (alpha, mu, class) from the growth of h' = -1/f at 1.
 
     |h'(r)| ~ |mu| (1-r)^-(1+alpha) on the radius, so consecutive ratios
@@ -272,7 +297,7 @@ def estimate_alpha_mu(f, classify: bool = True):
     curve (unrestricted), only along rays (angular), or has alpha = 0
     (the hyperbolic/strip case Sigma0).
     """
-    fn = compile_expr(f) if isinstance(f, Expr) else f
+    fn = as_callable(f)
 
     ks = list(range(6, 27))
     s_vals = []
@@ -284,18 +309,7 @@ def estimate_alpha_mu(f, classify: bool = True):
     slope = slope.real
 
     # least-squares cross-check over the window k = 8..24
-    xs = [float(k) for k in ks[2:-2]]
-    ys = s_vals[2:-2]
-    n = len(xs)
-    xbar, ybar = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    ls_slope = sxy / sxx
-    ss_res = sum(
-        (y - ybar - ls_slope * (x - xbar)) ** 2 for x, y in zip(xs, ys)
-    )
-    ss_tot = sum((y - ybar) ** 2 for y in ys) or 1e-300
-    r2 = 1.0 - ss_res / ss_tot
+    ls_slope, r2 = line_fit([float(k) for k in ks[2:-2]], s_vals[2:-2])
     if not converged or abs(slope - ls_slope) > 0.05:
         if r2 < 0.9999:
             raise NotInClassError(
@@ -320,9 +334,6 @@ def estimate_alpha_mu(f, classify: bool = True):
 
     radial = boundary_limit(mu_fn, "radial", tol=1e-8)
     mu = radial.value
-    if not classify:
-        return alpha, mu, "Sigma0" if alpha < 0.025 else "SigmaAlpha-angular"
-
     if alpha < 0.025:
         return 0.0, mu, "Sigma0"
 
@@ -337,9 +348,9 @@ def estimate_alpha_mu(f, classify: bool = True):
     return alpha, mu, tag
 
 
-def linearize(f, classify: bool = True) -> LinearizationModel:
+def linearize(f) -> LinearizationModel:
     """Build the linearization model of a generator."""
-    alpha, mu, tag = estimate_alpha_mu(f, classify=classify)
+    alpha, mu, tag = estimate_alpha_mu(f)
     return LinearizationModel(f=f, alpha=alpha, mu=mu, mu_class=tag)
 
 
@@ -355,21 +366,26 @@ class PlanarDomainStats:
     midline_level: float
 
 
-def planar_domain_stats(model: LinearizationModel,
-                        boundary_density: int = 96) -> PlanarDomainStats:
+def planar_domain_stats(model: LinearizationModel) -> PlanarDomainStats:
     """Extremes of Im h over the disk, by extrapolation over shrinking
-    boundary gaps.
+    boundary gaps; computed once per model and kept in
+    ``model.domain_stats``.
 
-    Integrates h outward along ``boundary_density`` rays with checkpoints
-    at r = 1 - 2^-k (k <= 24), records per-circle extremes of Im h with a
+    Integrates h outward along ``STATS_RAYS`` rays with checkpoints at
+    r = 1 - 2^-k (k <= 24), records per-circle extremes of Im h with a
     three-point parabolic refinement, then extrapolates the per-circle
     extremes in k; geometric growth or values past 1e8 report an infinite
     bound.
     """
-    recip = model._recip
+    if model.domain_stats is None:
+        model.domain_stats = _planar_domain_stats(model._recip)
+    return model.domain_stats
+
+
+def _planar_domain_stats(recip) -> PlanarDomainStats:
     ks = list(range(2, 25))
     radii = [1.0 - 2.0**-k for k in ks]
-    n = boundary_density
+    n = STATS_RAYS
     thetas = [2.0 * math.pi * j / n - math.pi for j in range(n)]
     # rows[ki] collects (theta, Im h) on the circle radii[ki]
     rows = [[] for _ in ks]
@@ -469,7 +485,7 @@ def _extrapolate_bound(sup_k) -> float:
     return math.inf if abs(v) > INFINITE_THRESHOLD else v
 
 
-def bloch_norm(model: LinearizationModel, grid_density: int = 64) -> float:
+def bloch_norm(model: LinearizationModel) -> float:
     """sup over the disk of (1-|z|^2)|h'(z)|, or inf when it diverges.
 
     Finite exactly for the strip case alpha = 0; divergence is detected
@@ -482,8 +498,8 @@ def bloch_norm(model: LinearizationModel, grid_density: int = 64) -> float:
     for k in range(1, 31):
         r = 1.0 - 2.0**-k
         circle_best = 0.0
-        for j in range(grid_density):
-            theta = 2.0 * math.pi * j / grid_density
+        for j in range(BLOCH_GRID):
+            theta = 2.0 * math.pi * j / BLOCH_GRID
             z = r * cmath.exp(1j * theta)
             try:
                 v = (1.0 - r * r) * abs(1.0 / fn(z))
@@ -503,33 +519,19 @@ def bloch_norm(model: LinearizationModel, grid_density: int = 64) -> float:
     r = abs(best_point)
     if r > 0:
         theta0 = cmath.phase(best_point)
-        span = 2.0 * math.pi / grid_density
+        span = 2.0 * math.pi / BLOCH_GRID
 
-        def g(theta):
+        def neg_g(theta):
             try:
-                return (1.0 - r * r) * abs(1.0 / fn(r * cmath.exp(1j * theta)))
+                return -(1.0 - r * r) * abs(1.0 / fn(r * cmath.exp(1j * theta)))
             except SingularEvaluationError:
                 return 0.0
 
-        best = max(best, _golden_max(g, theta0 - span, theta0 + span))
+        # maximize by minimizing -g over the reversed bracket, which
+        # visits the same angles in the same order as a maximizer
+        _, low = golden_min(neg_g, theta0 + span, theta0 - span, 40)
+        best = max(best, -low)
     return best
-
-
-def _golden_max(g, a: float, b: float, iters: int = 40) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = g(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = g(x1)
-    return max(f1, f2)
 
 
 def visser_ostrovskii(model: LinearizationModel):
@@ -539,8 +541,6 @@ def visser_ostrovskii(model: LinearizationModel):
     -1/alpha for the explicit half-plane models); callers should assert
     on the modulus.
     """
-    from .expr import BoundaryLimitEstimate
-
     fn = model._fn
     recip = model._recip
     h_val = 0j

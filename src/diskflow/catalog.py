@@ -13,12 +13,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import UnknownCatalogIdError
+from .errors import DiskflowError, UnknownCatalogIdError
 from .expr import compile_expr, differentiate, evaluate, parse, validate_generator
 
 PI = math.pi
 _EXP_PI4 = "exp(0.78539816339744831*i)"      # e^{i pi/4}
 _EXPM_PI4 = "exp(-0.78539816339744831*i)"    # e^{-i pi/4}
+CONSISTENCY_POINTS = 50
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,7 @@ def get(entry_id: str) -> CatalogEntry:
                 )
             try:
                 args = [_num(p) for p in parts]
-            except Exception as exc:
+            except DiskflowError as exc:  # syntax or singular evaluation
                 raise UnknownCatalogIdError(
                     f"bad argument in {entry_id!r}: {exc}"
                 ) from exc
@@ -322,24 +323,27 @@ def list_ids() -> tuple:
     return DEFAULT_IDS
 
 
-def consistency_error(entry: CatalogEntry, points: int = 50) -> float:
-    """Max of |f(z) + 1/h'(z)| over an interior grid (0 when no h_text)."""
+def consistency_error(entry: CatalogEntry) -> float:
+    """Max of |f(z) + 1/h'(z)| over CONSISTENCY_POINTS interior points
+    (0 when no h_text)."""
     if entry.h_text is None:
         return 0.0
     f = compile_expr(parse(entry.f_text))
     hp = compile_expr(differentiate(parse(entry.h_text)))
+    n = CONSISTENCY_POINTS
     worst = 0.0
-    for j in range(points):
-        z = 0.7 * cmath.exp(2j * PI * j / points) * (0.5 + 0.5 * (j % 2))
+    for j in range(n):
+        z = 0.7 * cmath.exp(2j * PI * j / n) * (0.5 + 0.5 * (j % 2))
         worst = max(worst, abs(f(z) + 1.0 / hp(z)))
     return worst
 
 
-def validate_all(ids=DEFAULT_IDS) -> dict:
+def validate_all() -> dict:
     """Run the (f, h) consistency invariant and the generator grid check
-    on every entry; returns a per-id report with an overall flag."""
+    on every DEFAULT_IDS entry; returns a per-id report with an overall
+    flag."""
     report = {}
-    for entry_id in ids:
+    for entry_id in DEFAULT_IDS:
         entry = get(entry_id)
         item = {"consistency_error": None, "generator": None, "errors": []}
         try:
@@ -347,7 +351,7 @@ def validate_all(ids=DEFAULT_IDS) -> dict:
             item["consistency_error"] = err
             if err > 1e-10:
                 item["errors"].append(f"f vs -1/h' mismatch {err:.3e}")
-        except Exception as exc:
+        except (DiskflowError, ZeroDivisionError) as exc:  # the latter when h'(z) = 0
             item["errors"].append(f"consistency check failed: {exc}")
         try:
             res = validate_generator(parse(entry.f_text))
@@ -357,7 +361,7 @@ def validate_all(ids=DEFAULT_IDS) -> dict:
                 item["errors"].append(
                     f"generator check = {res['is_generator']}, expected {expected}"
                 )
-        except Exception as exc:
+        except DiskflowError as exc:
             item["errors"].append(f"generator check failed: {exc}")
         item["ok"] = not item["errors"]
         report[entry.id] = item

@@ -18,6 +18,7 @@ from .flow import ConvergenceDiagnostics, convergence_profile
 
 BETA_THRESHOLD = 1e-8
 ANGLE_SLACK = 0.02
+M_GRID = (0j, 0.4 + 0j, -0.3 + 0.2j, 0.1 - 0.4j)  # start points of the M statistic
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,10 @@ def tangency_criterion(profile: AsymptoticProfile) -> dict:
     }
 
 
-def halfplane_criterion_M(f: Expr, z_grid=None, horizon: float = 1e5,
+def halfplane_criterion_M(f: Expr, horizon: float = 1e5,
                           model: LinearizationModel | None = None) -> dict:
-    """Boundedness of the statistic M(z) = sup_t t(1-|F_t|)/|1-F_t|.
+    """Boundedness of the statistic M(z) = sup_t t(1-|F_t|)/|1-F_t| for
+    z in M_GRID.
 
     The image h(Delta) lies in a horizontal half-plane exactly when the
     statistic stays bounded; a statistic still growing at the horizon is
@@ -121,12 +123,10 @@ def halfplane_criterion_M(f: Expr, z_grid=None, horizon: float = 1e5,
     """
     if model is None:
         model = linearize(f)
-    if z_grid is None:
-        z_grid = [0j, 0.4 + 0j, -0.3 + 0.2j, 0.1 - 0.4j]
     overall_bounded = True
     inconclusive = False
     worst = 0.0
-    for z0 in z_grid:
+    for z0 in M_GRID:
         stats = []
         t = 1.0
         while t <= horizon * (1 + 1e-9):

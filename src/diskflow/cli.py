@@ -334,7 +334,9 @@ def main(argv=None) -> int:
     except DiskflowError as exc:
         sys.stdout.write(jsonio.dumps({
             "error": type(exc).__name__,
+            "code": exc.code,
             "message": str(exc),
+            "context": exc.context,
         }))
         return 3
 

@@ -30,7 +30,7 @@ from .errors import (
     StripNotContainedError,
 )
 from .expr import Expr, compile_expr
-from .extrapolate import sequence_limit
+from .extrapolate import golden_min, line_fit, sequence_limit
 from .flow import backward_extendability
 
 RESIDUAL_TIMES = (1.0, 5.0, 25.0)
@@ -45,6 +45,7 @@ RESIDUAL_GRID = (
     0.1 + 0.1j,
 )
 CONTAINMENT_MARGIN = 1e-3
+NULL_SCAN_SAMPLES = 256  # angles of the |f| scan for boundary null points
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class MobiusGroup:
         return wt * (1 - eta) / (wt - 1)
 
     def linearizer(self, z: complex) -> complex:
-        """k with k(G_t(z)) = k(z) + t, normalized k -> 0 at z = 0... (up
-        to the additive constant supplied by the caller).
+        """The linearizer k of the group: k(G_t(z)) = k(z) + t, with
+        k(0) = 0 (callers add their own constant).
 
         Hyperbolic case: k = -(1/2a)[Log(1-z) - Log(1-conj(eta) z)],
         image the horizontal strip of width pi/(2a) centered on R.
@@ -121,12 +122,6 @@ class MobiusGroup:
         return math.pi / (4 * self.a)
 
 
-def parabolic_group_apply(b: float, t: float, z: complex) -> complex:
-    """G_t(z) = (ibz + t(1-z))/(ib + t(1-z)); a group in t for fixed b."""
-    d = 1j * b + t * (1 - z)
-    return (1j * b * z + t * (1 - z)) / d
-
-
 @dataclass(frozen=True)
 class ConjugationCertificate:
     kind: str  # outer | inner
@@ -138,10 +133,10 @@ class ConjugationCertificate:
     base_point: complex | None = None
 
 
-def _residual_sup(left, right, grid=RESIDUAL_GRID, times=RESIDUAL_TIMES) -> float:
+def _residual_sup(left, right) -> float:
     worst = 0.0
-    for z in grid:
-        for t in times:
+    for z in RESIDUAL_GRID:
+        for t in RESIDUAL_TIMES:
             worst = max(worst, abs(left(t, z) - right(t, z)))
     return worst
 
@@ -187,7 +182,7 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
     )
 
 
-def _radial_limit_at(fn, zeta: complex, tol=1e-6):
+def _radial_limit_at(fn, zeta: complex):
     """Radial limit of fn along r*zeta, r -> 1; (value, converged, infinite)."""
     vals = []
     for k in range(6, 31):
@@ -200,7 +195,7 @@ def _radial_limit_at(fn, zeta: complex, tol=1e-6):
             return vals[-1], True, True
     if not vals:
         return 0j, False, False
-    value, converged, _ = sequence_limit(vals, tol=tol)
+    value, converged, _ = sequence_limit(vals, tol=1e-6)
     if not converged:
         # slow sqrt-type tails stall around 1e-4; that accuracy is still
         # far below the decision thresholds used by the callers
@@ -269,15 +264,15 @@ def _derivative_limit(fn, zeta: complex):
     return _radial_limit_at(lambda w: fn(w) / (w - zeta), zeta)
 
 
-def find_boundary_null_points(f: Expr, samples: int = 256) -> list:
+def find_boundary_null_points(f: Expr) -> list:
     """Boundary null points of f with their angular derivatives.
 
-    Scans |f| on the circle r = 1 - 1e-4, refines each local minimum by
-    golden-section in angle, then takes radial limits of f and of
-    f/(z - zeta).  ``regular`` means f -> 0 and f/(z - zeta) finite.
+    Scans |f| at NULL_SCAN_SAMPLES angles on the circle r = 1 - 1e-4,
+    refines each local minimum by golden-section in angle, then takes
+    radial limits of f and of f/(z - zeta).  ``regular`` means f -> 0
+    and f/(z - zeta) finite.
     """
-    if samples < 64:
-        raise ValueError("samples must be at least 64")
+    samples = NULL_SCAN_SAMPLES
     fn = compile_expr(f)
     r0 = 1 - 1e-4
 
@@ -289,28 +284,13 @@ def find_boundary_null_points(f: Expr, samples: int = 256) -> list:
 
     thetas = [2 * math.pi * j / samples for j in range(samples)]
     mags = [mag(t) for t in thetas]
-    invphi = (math.sqrt(5) - 1) / 2
     results = []
     for j in range(samples):
         prev, nxt = mags[j - 1], mags[(j + 1) % samples]
         if not (mags[j] <= prev and mags[j] <= nxt):
             continue
-        # golden-section refinement of the bracketed minimum
-        lo = thetas[j] - 2 * math.pi / samples
-        hi = thetas[j] + 2 * math.pi / samples
-        c = hi - invphi * (hi - lo)
-        d = lo + invphi * (hi - lo)
-        fc, fd = mag(c), mag(d)
-        for _ in range(60):
-            if fc < fd:
-                hi, d, fd = d, c, fc
-                c = hi - invphi * (hi - lo)
-                fc = mag(c)
-            else:
-                lo, c, fc = c, d, fd
-                d = lo + invphi * (hi - lo)
-                fd = mag(d)
-        theta = (lo + hi) / 2
+        theta, _ = golden_min(mag, thetas[j] - 2 * math.pi / samples,
+                              thetas[j] + 2 * math.pi / samples, 60)
         zeta = _polish_null_point(fn, cmath.exp(1j * theta))
         f_lim, f_conv, f_inf = _radial_limit_at(fn, zeta)
         if not f_conv or f_inf or abs(f_lim) > 1e-6:
@@ -457,16 +437,9 @@ def corner_opening(certificate: ConjugationCertificate, f: Expr) -> dict:
     gamma = float(gamma.real) if isinstance(gamma, complex) else float(gamma)
     if not converged:
         # least-squares fallback over the sampled tail
-        n = len(logs)
-        xs = list(range(n))
-        xm = sum(xs) / n
-        ym = sum(logs) / n
-        sxx = sum((x - xm) ** 2 for x in xs)
-        sxy = sum((x - xm) * (y - ym) for x, y in zip(xs, logs))
-        gamma = -sxy / sxx
-        resid = sum((y - ym + gamma * (x - xm)) ** 2 for x, y in zip(xs, logs))
-        syy = sum((y - ym) ** 2 for y in logs)
-        if syy > 0 and resid / syy > 1e-4:
+        slope, r2 = line_fit(range(len(logs)), logs)
+        gamma = -slope
+        if r2 < 0.9999:
             raise CornerUndeterminedError("log-log fit quality gate failed")
     if not (0.5 - 0.02 <= gamma <= 1 + 0.02):
         raise CornerUndeterminedError(f"gamma = {gamma} outside [1/2, 1]")
@@ -476,7 +449,7 @@ def corner_opening(certificate: ConjugationCertificate, f: Expr) -> dict:
     return {"gamma": gamma, "m": m}
 
 
-def bfid_report(f: Expr, samples: int = 256) -> list:
+def bfid_report(f: Expr) -> list:
     """All backward flow invariant domains found at probe resolution.
 
     One h-type certificate per regular repelling null point whose strip
@@ -486,7 +459,7 @@ def bfid_report(f: Expr, samples: int = 256) -> list:
     model = linearize(f)
     certificates = []
 
-    for null in find_boundary_null_points(f, samples=samples):
+    for null in find_boundary_null_points(f):
         if not null["regular"] or abs(null["zeta"] - 1) < 1e-6:
             continue
         fp = null["f_prime"]
@@ -510,9 +483,10 @@ def bfid_report(f: Expr, samples: int = 256) -> list:
     return certificates
 
 
-def _backward_base(f: Expr, zeta: complex, probes=RESIDUAL_GRID):
-    """A point whose backward trajectory ends at zeta, or None."""
-    for z0 in probes:
+def _backward_base(f: Expr, zeta: complex):
+    """A point of RESIDUAL_GRID whose backward trajectory ends at zeta,
+    or None."""
+    for z0 in RESIDUAL_GRID:
         try:
             report = backward_extendability(f, complex(z0))
         except DiskflowError:

@@ -335,51 +335,21 @@ def _pow(base: complex, exponent: complex) -> complex:
 
 def evaluate(node: Expr, z: complex) -> complex:
     """Evaluate at z with principal branches; singularities raise."""
-    try:
-        v = _eval(node, complex(z))
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
-        raise SingularEvaluationError(
-            f"singular evaluation at z = {complex(z)}: {exc}"
-        ) from exc
-    if v != v:  # NaN propagated from a library call
-        raise SingularEvaluationError(f"evaluation produced NaN at z = {complex(z)}")
-    return v
-
-
-def _eval(node: Expr, z: complex) -> complex:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return z
-    if isinstance(node, Neg):
-        return -_eval(node.arg, z)
-    if isinstance(node, Add):
-        return _eval(node.left, z) + _eval(node.right, z)
-    if isinstance(node, Sub):
-        return _eval(node.left, z) - _eval(node.right, z)
-    if isinstance(node, Mul):
-        return _eval(node.left, z) * _eval(node.right, z)
-    if isinstance(node, Div):
-        return _eval(node.left, z) / _eval(node.right, z)
-    if isinstance(node, Pow):
-        return _pow(_eval(node.base, z), _eval(node.exponent, z))
-    if isinstance(node, Func):
-        v = _eval(node.arg, z)
-        if node.name == "sqrt":
-            return cmath.sqrt(v)
-        if node.name == "exp":
-            return cmath.exp(v)
-        return cmath.log(v)
-    raise TypeError(f"not an expression node: {node!r}")
+    return compile_expr(node)(z)
 
 
 def compile_expr(node: Expr):
     """Return a fast ``z -> complex`` callable for the expression.
 
-    Generates a python lambda over cmath primitives; identical semantics
-    to :func:`evaluate` including the singular-evaluation wrapping.
+    Generates a python lambda over cmath primitives.  A constant is
+    written as its ``repr`` when Python reads that text back exactly (so
+    constant subexpressions fold at compile time); otherwise, e.g. for
+    signed zeros or infinities, it is a name bound to the exact value.
+    Division by zero, domain errors, overflow and NaN results raise
+    SingularEvaluationError.
     """
-    source = _codegen(node)
+    consts: list = []
+    source = _codegen(node, consts)
     raw = eval(  # noqa: S307 - source is generated from our own AST
         f"lambda z: ({source})",
         {
@@ -388,6 +358,7 @@ def compile_expr(node: Expr):
             "log": cmath.log,
             "_pow": _pow,
             "__builtins__": {},
+            **{f"_c{j}": value for j, value in enumerate(consts)},
         },
     )
 
@@ -408,30 +379,52 @@ def compile_expr(node: Expr):
     return call
 
 
-def _codegen(node: Expr) -> str:
+def as_callable(f):
+    """Compile an expression; any other callable is returned as is."""
+    return compile_expr(f) if isinstance(f, Expr) else f
+
+
+def _literal(value: complex):
+    """``repr(value)`` if Python evaluates that text to exactly
+    ``value``, signs of zero included; else None."""
+    text = repr(value)
+    try:
+        back = eval(text, {"__builtins__": {}})  # noqa: S307 - repr of a complex
+    except NameError:  # inf and nan parts
+        return None
+    same = all(a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+               for a, b in ((back.real, value.real), (back.imag, value.imag)))
+    return text if same else None
+
+
+def _codegen(node: Expr, consts: list) -> str:
     if isinstance(node, Const):
-        return repr(node.value)
+        text = _literal(node.value)
+        if text is not None:
+            return text
+        consts.append(node.value)
+        return f"_c{len(consts) - 1}"
     if isinstance(node, Var):
         return "z"
     if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg)})"
+        return f"(-{_codegen(node.arg, consts)})"
     if isinstance(node, Add):
-        return f"({_codegen(node.left)}+{_codegen(node.right)})"
+        return f"({_codegen(node.left, consts)}+{_codegen(node.right, consts)})"
     if isinstance(node, Sub):
-        return f"({_codegen(node.left)}-{_codegen(node.right)})"
+        return f"({_codegen(node.left, consts)}-{_codegen(node.right, consts)})"
     if isinstance(node, Mul):
-        return f"({_codegen(node.left)}*{_codegen(node.right)})"
+        return f"({_codegen(node.left, consts)}*{_codegen(node.right, consts)})"
     if isinstance(node, Div):
-        return f"({_codegen(node.left)}/{_codegen(node.right)})"
+        return f"({_codegen(node.left, consts)}/{_codegen(node.right, consts)})"
     if isinstance(node, Pow):
         exp = node.exponent
         if isinstance(exp, Const) and exp.value.imag == 0:
             n = exp.value.real
-            if n == int(n) and 0 <= n <= 64:
-                return f"({_codegen(node.base)}**{int(n)})"
-        return f"_pow({_codegen(node.base)},{_codegen(node.exponent)})"
+            if n.is_integer() and 0 <= n <= 64:
+                return f"({_codegen(node.base, consts)}**{int(n)})"
+        return f"_pow({_codegen(node.base, consts)},{_codegen(node.exponent, consts)})"
     if isinstance(node, Func):
-        return f"{node.name}({_codegen(node.arg)})"
+        return f"{node.name}({_codegen(node.arg, consts)})"
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -562,33 +555,36 @@ def differentiate(node: Expr) -> Expr:
 # --- generator structure -----------------------------------------------------
 
 
+GENERATOR_GRID = 24  # radii and angles of the validate_generator grid
+
+
 def berkson_porta_p(f: Expr) -> Expr:
     """The factor p with f(z) = -(1-z)^2 p(z), i.e. p = -f/(1-z)^2."""
     one_minus_z = Sub(ONE, Var())
     return div(neg(f), power(one_minus_z, const(2)))
 
 
-def validate_generator(f: Expr, grid_density: int = 24) -> dict:
-    """Check Re p >= 0 on a polar grid; the semigroup generator criterion.
+def validate_generator(f: Expr) -> dict:
+    """Check Re p >= 0 on a GENERATOR_GRID x GENERATOR_GRID polar grid;
+    the semigroup generator criterion.
 
     Returns ``{"min_re_p", "is_generator", "witness", "skipped"}``.  Grid
     points where evaluation is singular are skipped; more than 10% skips
     raises GridUnreliableError.
     """
-    if grid_density < 8:
-        raise ValueError("grid_density must be at least 8")
+    n = GENERATOR_GRID
     p = compile_expr(berkson_porta_p(f))
     total = 0
     skipped = 0
     min_re = math.inf
     witness = 0j
-    for j in range(grid_density):
-        r = (j + 0.5) / grid_density
+    for j in range(n):
+        r = (j + 0.5) / n
         # push a few rings very close to the circle where Re p bottoms out
-        if j >= grid_density - 3:
-            r = 1.0 - 10.0 ** -(j - grid_density + 4)
-        for k in range(grid_density):
-            theta = 2 * math.pi * (k + 0.5) / grid_density
+        if j >= n - 3:
+            r = 1.0 - 10.0 ** -(j - n + 4)
+        for k in range(n):
+            theta = 2 * math.pi * (k + 0.5) / n
             z = r * cmath.exp(1j * theta)
             total += 1
             try:
@@ -662,7 +658,7 @@ def boundary_limit(g, approach: str = "radial", tol: float = 1e-6) -> BoundaryLi
     three consecutive accelerated values within ``tol``.  Values past
     1e8 in modulus are reported as numerically infinite.
     """
-    fn = compile_expr(g) if isinstance(g, Expr) else g
+    fn = as_callable(g)
     values = []
     for z in _approach_points(approach):
         try:

@@ -1,4 +1,5 @@
-"""Sequence acceleration used by every limit estimator in the package.
+"""Sequence acceleration used by every limit estimator in the package,
+plus the one least-squares line fit and the one golden-section search.
 
 The samplers in this package produce values along geometric schedules
 (z_k = 1 - 2^-k e^{i theta}, t_k = t0 * 2^k, ...), so the raw sequences
@@ -9,8 +10,10 @@ three consecutive accelerated values agree within the tolerance.
 
 from __future__ import annotations
 
+import math
+
 INFINITE_THRESHOLD = 1e8
-ZERO_THRESHOLD = 1e-10
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def aitken(seq):
@@ -65,8 +68,9 @@ def sequence_limit(seq, tol=1e-6):
     return acc[-1] if acc else seq[-1], False, n
 
 
-def looks_divergent(seq, growth=1.05):
-    """True when the (real) sequence grows geometrically or beyond 1e8."""
+def looks_divergent(seq):
+    """True when the (real) sequence grows geometrically (three ratios
+    past 1.05) or beyond 1e8."""
     seq = [abs(s) for s in seq]
     if not seq:
         return False
@@ -76,4 +80,37 @@ def looks_divergent(seq, growth=1.05):
     if len(tail) < 4:
         return False
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
-    return len(ratios) == 3 and all(r > growth for r in ratios)
+    return len(ratios) == 3 and all(r > 1.05 for r in ratios)
+
+
+def line_fit(xs, ys):
+    """Least-squares line through the points; returns ``(slope, r2)``."""
+    n = len(xs)
+    xbar, ybar = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - xbar) ** 2 for x in xs)
+    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    ss_res = sum((y - ybar - slope * (x - xbar)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - ybar) ** 2 for y in ys) or 1e-300
+    return slope, 1.0 - ss_res / ss_tot
+
+
+def golden_min(g, lo: float, hi: float, iters: int):
+    """Golden-section search for a minimum of g on the bracket between
+    ``lo`` and ``hi`` (either order; on ties the bracket keeps its ``hi``
+    end).  Returns ``(midpoint of the final bracket, smallest value at
+    its two inner points)``.
+    """
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = g(c), g(d)
+    for _ in range(iters):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = g(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = g(d)
+    return (lo + hi) / 2, min(fc, fd)

@@ -10,12 +10,13 @@ limit, the M and L statistics, the argument limit) feed the classifier.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import StiffFailureError
-from .expr import Expr, compile_expr
+from .errors import NotInDiskError, SingularEvaluationError, StiffFailureError
+from .expr import as_callable
 from .extrapolate import INFINITE_THRESHOLD, looks_divergent, sequence_limit
 from .geometry import horocycle_distance
 
@@ -23,6 +24,8 @@ ATOL = 1e-10
 EXIT_MARGIN = 1e-9
 STAGNATION_SPEED = 1e-14
 MAX_GROWTH = 5.0
+MAX_SAMPLES = 2_000_000  # accepted steps before a run counts as stalled
+BACKWARD_HORIZON = 50.0  # backward time probed by backward_extendability
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -78,22 +81,16 @@ class ConvergenceDiagnostics:
     samples: tuple = field(default=(), repr=False)
 
 
-def _as_callable(f):
-    return compile_expr(f) if isinstance(f, Expr) else f
-
-
 def integrate(f, z0: complex, t_end: float, generator_id: str = "",
-              atol: float = ATOL, max_samples: int = 2_000_000) -> Trajectory:
+              atol: float = ATOL) -> Trajectory:
     """Adaptive integration of u' = -f(u) from u(0) = z0 to t = t_end.
 
     Negative ``t_end`` integrates backward.  Forward runs raise on any
     disk exit (a validated generator cannot leave); backward runs stop
     with termination "boundary-exit" at |u| > 1 - 1e-9.
     """
-    fn = _as_callable(f)
+    fn = as_callable(f)
     if abs(z0) >= 1.0:
-        from .errors import NotInDiskError
-
         raise NotInDiskError(f"initial point |z0| = {abs(z0)} not inside the disk")
     direction = "backward" if t_end < 0 else "forward"
     sign = -1.0 if t_end < 0 else 1.0
@@ -103,10 +100,9 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
         return Trajectory(tuple(samples), "forward", "horizon-reached",
                           generator_id, atol)
 
-    speed = abs(fn(u))
-    h = sign * min(1e-2, abs(t_end) / 10) / max(speed, 1.0)
     k = [0j] * 7
     k[0] = -fn(u)
+    h = sign * min(1e-2, abs(t_end) / 10) / max(abs(k[0]), 1.0)
     termination = "horizon-reached"
     while sign * (t_end - t) > 0:
         if abs(h) > abs(t_end - t):
@@ -132,7 +128,7 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
             scale = 0.05 * min(1.0, max(abs(1.0 - u) ** 2, 1e-5))
             err = abs(u5 - u4) / scale
             bad = not (err == err)  # NaN guard
-        except Exception:
+        except (SingularEvaluationError, OverflowError):
             bad = True
             err = math.inf
             u5 = u
@@ -145,7 +141,7 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
         t += h
         u = u5
         samples.append((t, u))
-        if len(samples) > max_samples:
+        if len(samples) > MAX_SAMPLES:
             raise StiffFailureError(
                 f"sample budget exhausted at t = {t}",
                 trajectory=Trajectory(tuple(samples), direction,
@@ -178,7 +174,7 @@ def flow_point(f, z0: complex, t: float) -> complex:
 
 def semigroup_residual(f, z: complex, t: float, s: float) -> float:
     """|F_{t+s}(z) - F_t(F_s(z))|; the one-parameter group law defect."""
-    fn = _as_callable(f)
+    fn = as_callable(f)
     once = flow_point(fn, z, t + s)
     twice = flow_point(fn, flow_point(fn, z, s), t)
     return abs(once - twice)
@@ -201,7 +197,7 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     callable must be supplied (exact flow through the Abel function),
     since raw stepping stalls once 1 - u decays polynomially.
     """
-    fn = _as_callable(f)
+    fn = as_callable(f)
     ode_cap = min(horizon, 1e4)
     times = [t for t in _geometric_times(horizon)]
     d_vals, ratio_vals, m_vals, arg_vals = [], [], [], []
@@ -263,8 +259,9 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     )
 
 
-def backward_extendability(f, z0: complex, horizon: float = 50.0) -> dict:
-    """Probe whether the orbit through z0 extends to all negative times.
+def backward_extendability(f, z0: complex) -> dict:
+    """Probe whether the orbit through z0 extends to all negative times
+    (integrating back to t = -BACKWARD_HORIZON).
 
     A backward orbit that exists for all t < 0 converges to a boundary
     null point of f, so the trajectory reaches the boundary margin with
@@ -272,8 +269,8 @@ def backward_extendability(f, z0: complex, horizon: float = 50.0) -> dict:
     time with |f| of order one.  Returns ``{extendable, limit_point,
     exit_time}``.
     """
-    fn = _as_callable(f)
-    traj = integrate(fn, z0, -horizon)
+    fn = as_callable(f)
+    traj = integrate(fn, z0, -BACKWARD_HORIZON)
     t_end, u_end = traj.end
     if traj.termination == "horizon-reached" or traj.termination == "stagnation":
         limit = _direction_limit(traj)
@@ -281,7 +278,7 @@ def backward_extendability(f, z0: complex, horizon: float = 50.0) -> dict:
     # boundary-exit: distinguish asymptotic approach from a transversal crossing
     try:
         speed = abs(fn(u_end))
-    except Exception:
+    except SingularEvaluationError:
         speed = math.inf
     if speed < 1e-6:
         return {
@@ -306,8 +303,6 @@ def _direction_limit(traj: Trajectory):
     targets = [t_last / 2.0**j for j in range(14)][::-1]
     dirs = []
     times = [abs(t) for t, _ in samples]
-    import bisect
-
     for target in targets:
         idx = min(bisect.bisect_left(times, target), len(samples) - 1)
         if 0 < idx < len(samples):

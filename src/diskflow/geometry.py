@@ -1,67 +1,15 @@
-"""Elementary geometry of the unit disk.
-
-Points, the Cayley transform to the right half-plane, the horocycle
-distance to the boundary point 1, and Stolz (nontangential approach)
-regions with vertex on the unit circle.
+"""Elementary geometry of the unit disk: the Cayley transform onto the
+right half-plane and the horocycle distance to the boundary point 1.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-DISK_TOL = 1e-12
-NEAR_BOUNDARY = 1.0 - DISK_TOL
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the open unit disk.
-
-    Construction rejects points with ``|value| >= 1`` (tolerance 1e-12);
-    points within 1e-12 of the circle are accepted but flagged
-    ``near_boundary`` so limit estimators can weight them down.
-    """
-
-    value: complex
-    near_boundary: bool = False
-
-    def __post_init__(self):
-        r = abs(self.value)
-        if r >= 1.0:
-            from .errors import NotInDiskError
-
-            raise NotInDiskError(f"|z| = {r} is not inside the unit disk")
-        if r >= NEAR_BOUNDARY:
-            object.__setattr__(self, "near_boundary", True)
-
-
-@dataclass(frozen=True)
-class StolzRegion:
-    """Nontangential approach region with a unimodular vertex.
-
-    ``aperture`` is the half-angle (strictly between 0 and pi/2);
-    ``radius_cap`` bounds the distance from the vertex.
-    """
-
-    vertex: complex = 1.0 + 0.0j
-    aperture: float = math.pi / 4
-    radius_cap: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.aperture < math.pi / 2:
-            raise ValueError("aperture must lie strictly between 0 and pi/2")
-        if abs(abs(self.vertex) - 1.0) > DISK_TOL:
-            raise ValueError("vertex must be unimodular")
-        if not 0.0 < self.radius_cap <= 2.0:
-            raise ValueError("radius_cap must lie in (0, 2]")
+from .errors import NotInDiskError, PoleAtOneError
 
 
 def cayley(z: complex) -> complex:
     """Map the disk onto the right half-plane: z -> (1+z)/(1-z)."""
     if z == 1:
-        from .errors import PoleAtOneError
-
         raise PoleAtOneError("cayley transform has a pole at z = 1")
     return (1 + z) / (1 - z)
 
@@ -69,8 +17,6 @@ def cayley(z: complex) -> complex:
 def inverse_cayley(w: complex) -> complex:
     """Inverse of :func:`cayley`: w -> (w-1)/(w+1)."""
     if w == -1:
-        from .errors import PoleAtOneError
-
         raise PoleAtOneError("inverse cayley transform has a pole at w = -1")
     return (w - 1) / (w + 1)
 
@@ -82,25 +28,5 @@ def horocycle_distance(z: complex) -> float:
     """
     denom = 1.0 - abs(z) ** 2
     if denom <= 0.0:
-        from .errors import NotInDiskError
-
         raise NotInDiskError(f"horocycle distance needs |z| < 1, got |z| = {abs(z)}")
     return abs(1 - z) ** 2 / denom
-
-
-def in_stolz(z: complex, region: StolzRegion | None = None) -> bool:
-    """True when z lies in the given Stolz region.
-
-    The defining inequality is |vertex - z| <= sec(aperture) * (1 - |z|),
-    additionally capped by ``radius_cap``.
-    """
-    if region is None:
-        region = StolzRegion()
-    if abs(z) >= 1.0:
-        from .errors import NotInDiskError
-
-        raise NotInDiskError("in_stolz expects an interior point")
-    gap = abs(region.vertex - z)
-    if gap > region.radius_cap:
-        return False
-    return gap <= (1.0 - abs(z)) / math.cos(region.aperture)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from .errors import DiskflowError
+
 
 def _fmt_float(v: float) -> str:
     if math.isnan(v):
@@ -161,7 +163,7 @@ def render_phase_portrait(f, trajectories=(), bfid_maps=(), grid_density: int = 
     for z in _chebyshev_nodes(grid_density):
         try:
             v = -f(z)
-        except Exception:
+        except DiskflowError:
             continue
         if not (v == v):  # nan
             continue
@@ -180,7 +182,7 @@ def render_phase_portrait(f, trajectories=(), bfid_maps=(), grid_density: int = 
             z = 0.985 * cmath.exp(2j * math.pi * k / 96)
             try:
                 pts.append(_xy(phi(z)))
-            except Exception:
+            except DiskflowError:
                 if len(pts) >= 2:
                     parts.append(_polyline(pts, "#06a", 1.2, dashed=True))
                 pts = []

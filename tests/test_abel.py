@@ -9,6 +9,8 @@ import pytest
 import diskflow
 from diskflow import catalog
 from diskflow.abel import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     abel_flow,
     abel_h,
     bloch_norm,
@@ -45,16 +47,31 @@ def test_abel_h_closed_form(entry_id):
         assert abs(abel_h(fn, z) - ref) <= tol, z
 
 
+def test_gauss_legendre_table():
+    # the stored floats against 30-digit roots of P_16 and the weights
+    # 2 / ((1 - x^2) P_16'(x)^2)
+    mpmath = pytest.importorskip("mpmath")
+    assert len(_GL_NODES) == len(_GL_WEIGHTS) == 16
+    assert list(_GL_NODES) == sorted(_GL_NODES)
+    with mpmath.workdps(30):
+        p16 = lambda x: mpmath.legendre(16, x)  # noqa: E731
+        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+            root = mpmath.findroot(p16, mpmath.mpf(x))
+            weight = 2 / ((1 - root**2) * mpmath.diff(p16, root) ** 2)
+            assert abs(x - root) <= 2 * sys.float_info.epsilon
+            assert abs(w - weight) <= 2 * sys.float_info.epsilon
+
+
 def test_import_needs_no_scipy():
     src = os.path.dirname(os.path.dirname(diskflow.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, diskflow; print('scipy' in sys.modules)"],
+         "import sys, diskflow; print([m for m in ('scipy', 'numpy') if m in sys.modules])"],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_abel_h_near_boundary_point():
@@ -118,6 +135,13 @@ def test_planar_stats_halfplane():
     assert stats.inf_im == pytest.approx(-0.5, abs=1e-3)
     assert math.isinf(stats.sup_im)
     assert stats.half_plane.startswith("above")
+
+
+def test_planar_stats_computed_once_per_model():
+    model = linearize(parse("i*(1-z)^2"))
+    first = planar_domain_stats(model)
+    assert planar_domain_stats(model) is first
+    assert model.domain_stats is first
 
 
 def test_planar_stats_strip():

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from diskflow import cli
 from diskflow.cli import main
-from diskflow.conjugate import parabolic_group_apply
+from diskflow.errors import InversionFailureError
 
 
 def _load(path):
@@ -54,7 +55,9 @@ def test_trace_matches_group_closed_form(tmp_path):
     rows = list(csv.reader(open(out_csv)))
     assert rows[0] == ["t", "re", "im", "horocycle", "gap"]
     end = complex(float(rows[-1][1]), float(rows[-1][2]))
-    ref = parabolic_group_apply(-1.0, 10.0, 0j)
+    # the group with generator ib(1-z)^2, b = -1: (ibz + t(1-z))/(ib + t(1-z))
+    b, t, z = -1.0, 10.0, 0j
+    ref = (1j * b * z + t * (1 - z)) / (1j * b + t * (1 - z))
     assert abs(end - ref) < 1e-9
 
 
@@ -76,11 +79,27 @@ def test_missing_source_exits_2():
     assert main(["classify"]) == 2
 
 
-def test_numeric_failure_exits_3(capsys):
+def test_numeric_failure_exits_3(capsys, monkeypatch):
     code = main(["conjugate", "--catalog", "no-halfplane"])
     assert code == 3
     report = json.loads(capsys.readouterr().out)
-    assert "error" in report and "message" in report
+    assert list(report) == ["error", "code", "message", "context"]
+    assert report["error"] == "DiskflowError"
+    assert report["code"] == "error"
+    assert report["context"] == {}
+
+    def fail(model, b):
+        raise InversionFailureError("planted", last_iterate=0.5j, target=1 - 2j)
+
+    monkeypatch.setattr(cli, "outer_conjugator", fail)
+    assert main(["conjugate", "--catalog", "parabolic-auto(1)"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "inversion-failure"
+    assert report["message"] == "planted"
+    assert report["context"] == {
+        "last_iterate": {"re": 0.0, "im": 0.5},
+        "target": {"re": 1.0, "im": -2.0},
+    }
 
 
 def test_conjugate_verb(tmp_path):

@@ -12,7 +12,6 @@ from diskflow.conjugate import (
     find_boundary_null_points,
     inner_conjugator,
     outer_conjugator,
-    parabolic_group_apply,
 )
 from diskflow.errors import NotContainedError
 from diskflow.expr import compile_expr, parse
@@ -40,13 +39,12 @@ def test_mobius_group_generator_consistency():
 
 
 def test_parabolic_group_formula():
-    # closed form (ibz + t(1-z)) / (ib + t(1-z)) at b=1, t=3, z=0
-    assert parabolic_group_apply(1.0, 3.0, 0j) == pytest.approx(3.0 / (1j + 3.0))
+    # closed form (ibz + t(1-z)) / (ib + t(1-z)) at b=1, t=3
     group = MobiusGroup(a=0.0, b=1.0)
+    assert group.apply(3.0, 0j) == pytest.approx(3.0 / (1j + 3.0))
     for z in GRID:
-        assert group.apply(3.0, z) == pytest.approx(
-            parabolic_group_apply(1.0, 3.0, z), abs=1e-12
-        )
+        ref = (1j * z + 3.0 * (1 - z)) / (1j + 3.0 * (1 - z))
+        assert group.apply(3.0, z) == pytest.approx(ref, abs=1e-12)
 
 
 def test_mobius_group_rejects_trivial():

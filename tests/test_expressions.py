@@ -5,11 +5,14 @@ import pytest
 
 from diskflow.errors import ExpressionSyntaxError, SingularEvaluationError
 from diskflow.expr import (
+    ONE,
+    Func,
     berkson_porta_p,
     boundary_limit,
     compile_expr,
     differentiate,
     evaluate,
+    neg,
     parse,
     validate_generator,
 )
@@ -64,10 +67,22 @@ def test_compile_matches_evaluate():
         assert fn(z) == pytest.approx(evaluate(node, z))
 
 
+def test_constants_keep_their_exact_value():
+    # a folded -1 carries the imaginary part -0.0, which selects the
+    # lower side of the sqrt cut; a literal past the float range is an
+    # infinite constant, not a crash
+    minus_one = neg(ONE)
+    assert compile_expr(Func("sqrt", minus_one))(0j) == cmath.sqrt(minus_one.value)
+    assert evaluate(parse("1e999"), 0j) == complex(math.inf, 0.0)
+    assert compile_expr(parse("z-1e999"))(0.5) == complex(-math.inf, 0.0)
+
+
 def test_singular_evaluation_raises():
     fn = compile_expr(parse("1/(1-z)"))
     with pytest.raises(SingularEvaluationError):
         fn(1.0 + 0j)
+    with pytest.raises(SingularEvaluationError):
+        evaluate(parse("z^1e999"), 0.5)
 
 
 def test_syntax_error_position():

@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from diskflow.conjugate import parabolic_group_apply
 from diskflow.expr import compile_expr, parse
 from diskflow.flow import (
     backward_extendability,
@@ -21,7 +20,23 @@ def test_automorphism_flow_matches_closed_form():
     for z0 in (0j, 0.4 - 0.3j):
         for t in (0.5, 3.0, 10.0):
             u = flow_point(AUTO, z0, t)
-            assert u == pytest.approx(parabolic_group_apply(1.0, t, z0), abs=1e-10)
+            ref = (1j * z0 + t * (1 - z0)) / (1j + t * (1 - z0))
+            assert u == pytest.approx(ref, abs=1e-10)
+
+
+def test_integrate_propagates_bugs():
+    # only singular evaluations and overflow shrink the step; a bug in
+    # the callable once integration is under way must surface
+    calls = []
+
+    def flaky(z):
+        calls.append(z)
+        if len(calls) > 2:
+            raise TypeError("not a singular evaluation")
+        return 1j * (1 - z) ** 2
+
+    with pytest.raises(TypeError):
+        integrate(flaky, 0j, 1.0)
 
 
 def test_semigroup_property():

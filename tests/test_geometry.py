@@ -1,16 +1,7 @@
-import math
-
 import pytest
 
-from diskflow.errors import NotInDiskError
-from diskflow.geometry import (
-    DiskPoint,
-    StolzRegion,
-    cayley,
-    horocycle_distance,
-    in_stolz,
-    inverse_cayley,
-)
+from diskflow.errors import NotInDiskError, PoleAtOneError
+from diskflow.geometry import cayley, horocycle_distance, inverse_cayley
 
 
 def test_cayley_roundtrip():
@@ -34,20 +25,10 @@ def test_horocycle_distance_values():
     assert horocycle_distance(z) == pytest.approx(abs(1 - z) ** 2 / (1 - abs(z) ** 2))
 
 
-def test_disk_point_rejects_outside():
-    DiskPoint(0.5 + 0.1j)
+def test_geometry_rejects_points_off_the_disk():
     with pytest.raises(NotInDiskError):
-        DiskPoint(1.5 + 0j)
-
-
-def test_stolz_region_membership():
-    region = StolzRegion(aperture=1.0)
-    assert in_stolz(0.9 + 0j, region)
-    # a point creeping along the circle toward the vertex is outside
-    tangential = (1 - 1e-4) * complex(math.cos(0.02), math.sin(0.02))
-    assert not in_stolz(tangential, region)
-
-
-def test_stolz_aperture_validation():
-    with pytest.raises(ValueError):
-        StolzRegion(aperture=2.0)
+        horocycle_distance(1.5 + 0j)
+    with pytest.raises(PoleAtOneError):
+        cayley(1.0 + 0j)
+    with pytest.raises(PoleAtOneError):
+        inverse_cayley(-1.0 + 0j)
