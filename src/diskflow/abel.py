@@ -141,7 +141,9 @@ class LinearizationModel:
     mu: complex
     mu_class: str  # Sigma0 | SigmaAlpha-angular | SigmaAlpha-unrestricted
     h_cache: dict = field(default_factory=dict, repr=False)
-    domain_stats: PlanarDomainStats | None = field(default=None, repr=False)
+    domain_stats: PlanarDomainStats | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self._fn = as_callable(self.f)

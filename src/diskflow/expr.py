@@ -258,7 +258,12 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse an expression string into an immutable tree."""
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError as exc:  # the parser recurses once per nesting level
+        raise ExpressionSyntaxError(
+            "expression too deeply nested", position=None
+        ) from exc
 
 
 # --- printing ----------------------------------------------------------------
@@ -346,21 +351,32 @@ def compile_expr(node: Expr):
     constant subexpressions fold at compile time); otherwise, e.g. for
     signed zeros or infinities, it is a name bound to the exact value.
     Division by zero, domain errors, overflow and NaN results raise
-    SingularEvaluationError.
+    SingularEvaluationError.  The callable is built once per node and
+    kept on it, so repeated ``evaluate`` calls do not recompile.
     """
+    try:
+        return node._compiled
+    except AttributeError:
+        pass
     consts: list = []
-    source = _codegen(node, consts)
-    raw = eval(  # noqa: S307 - source is generated from our own AST
-        f"lambda z: ({source})",
-        {
-            "sqrt": cmath.sqrt,
-            "exp": cmath.exp,
-            "log": cmath.log,
-            "_pow": _pow,
-            "__builtins__": {},
-            **{f"_c{j}": value for j, value in enumerate(consts)},
-        },
-    )
+    try:
+        source = _codegen(node, consts)
+        raw = eval(  # noqa: S307 - source is generated from our own AST
+            f"lambda z: {source}",
+            {
+                "sqrt": cmath.sqrt,
+                "exp": cmath.exp,
+                "log": cmath.log,
+                "_pow": _pow,
+                "__builtins__": {},
+                **{f"_c{j}": value for j, value in enumerate(consts)},
+            },
+        )
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # Python limits the nesting of parentheses (200) and of the tree
+        raise ExpressionSyntaxError(
+            f"expression too deeply nested to compile: {exc}", position=None
+        ) from exc
 
     def call(z: complex) -> complex:
         try:
@@ -376,6 +392,7 @@ def compile_expr(node: Expr):
         return v
 
     call.source = source
+    object.__setattr__(node, "_compiled", call)  # nodes are frozen
     return call
 
 
@@ -397,34 +414,43 @@ def _literal(value: complex):
     return text if same else None
 
 
-def _codegen(node: Expr, consts: list) -> str:
+# Python precedence of the generated text, as in _print_prec: sum 1,
+# product 2, unary minus 3, ** 4, atom or call 5.  A child is wrapped in
+# parentheses only where Python would otherwise group it differently, so
+# a long chain such as z+z+...+z compiles without nesting.
+def _codegen(node: Expr, consts: list, min_prec: int = 0) -> str:
+    text, prec = _codegen_prec(node, consts)
+    return f"({text})" if prec < min_prec else text
+
+
+_BINARY = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
+
+
+def _codegen_prec(node: Expr, consts: list) -> tuple[str, int]:
     if isinstance(node, Const):
         text = _literal(node.value)
-        if text is not None:
-            return text
-        consts.append(node.value)
-        return f"_c{len(consts) - 1}"
+        if text is None:
+            consts.append(node.value)
+            return f"_c{len(consts) - 1}", 5
+        return text, 3 if text.startswith("-") else 5
     if isinstance(node, Var):
-        return "z"
+        return "z", 5
     if isinstance(node, Neg):
-        return f"(-{_codegen(node.arg, consts)})"
-    if isinstance(node, Add):
-        return f"({_codegen(node.left, consts)}+{_codegen(node.right, consts)})"
-    if isinstance(node, Sub):
-        return f"({_codegen(node.left, consts)}-{_codegen(node.right, consts)})"
-    if isinstance(node, Mul):
-        return f"({_codegen(node.left, consts)}*{_codegen(node.right, consts)})"
-    if isinstance(node, Div):
-        return f"({_codegen(node.left, consts)}/{_codegen(node.right, consts)})"
+        return "-" + _codegen(node.arg, consts, 3), 3
+    if type(node) in _BINARY:
+        op, prec = _BINARY[type(node)]
+        left = _codegen(node.left, consts, prec)
+        return left + op + _codegen(node.right, consts, prec + 1), prec
     if isinstance(node, Pow):
         exp = node.exponent
         if isinstance(exp, Const) and exp.value.imag == 0:
             n = exp.value.real
             if n.is_integer() and 0 <= n <= 64:
-                return f"({_codegen(node.base, consts)}**{int(n)})"
-        return f"_pow({_codegen(node.base, consts)},{_codegen(node.exponent, consts)})"
+                return f"{_codegen(node.base, consts, 5)}**{int(n)}", 4
+        base = _codegen(node.base, consts)
+        return f"_pow({base},{_codegen(node.exponent, consts)})", 5
     if isinstance(node, Func):
-        return f"{node.name}({_codegen(node.arg, consts)})"
+        return f"{node.name}({_codegen(node.arg, consts)})", 5
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import os
 import subprocess
@@ -142,6 +143,8 @@ def test_planar_stats_computed_once_per_model():
     first = planar_domain_stats(model)
     assert planar_domain_stats(model) is first
     assert model.domain_stats is first
+    # a cache slot, not a constructor argument
+    assert "domain_stats" not in inspect.signature(type(model)).parameters
 
 
 def test_planar_stats_strip():

@@ -20,6 +20,13 @@ def test_unknown_id_raises():
         catalog.get("nonsense")
     with pytest.raises(UnknownCatalogIdError):
         catalog.get("power(oops)")
+    with pytest.raises(UnknownCatalogIdError):
+        catalog.get("parabolic-auto(" + "sqrt(" * 250 + "1" + ")" * 250 + ")")
+
+
+def test_long_argument_chain():
+    entry = catalog.get("parabolic-auto(" + "+".join(["0.01"] * 250) + ")")
+    assert evaluate(parse(entry.f_text), 0j) == pytest.approx(2.5j)
 
 
 def test_parametrized_families():

@@ -186,6 +186,6 @@ def test_compile_matches_mpmath(node, z):
 def test_print_parse_round_trip(node):
     again = parse(str(node))
     assert again == node
-    # the generated code is fully parenthesized, so equal sources mean
-    # equal trees, not just equal printouts
+    # the generated code keeps every grouping of the tree, so equal
+    # sources mean equal trees, not just equal printouts
     assert compile_expr(again).source == compile_expr(node).source

@@ -61,10 +61,35 @@ def test_differentiate_matches_finite_differences():
 
 
 def test_compile_matches_evaluate():
+    # both against the closed form written in Python
     node = parse("(1-z)^2*(1+z)/(1+z^2)")
     fn = compile_expr(node)
     for z in POINTS:
-        assert fn(z) == pytest.approx(evaluate(node, z))
+        exact = (1 - z) ** 2 * (1 + z) / (1 + z**2)
+        assert fn(z) == pytest.approx(exact)
+        assert evaluate(node, z) == pytest.approx(exact)
+
+
+def test_compile_once_per_node():
+    node = parse("exp(z)/(2-z)")
+    assert compile_expr(node) is compile_expr(node)
+
+
+def test_long_chain_evaluates():
+    # a left-deep sum compiles without nested parentheses
+    chain = parse("+".join(["z"] * 250))
+    assert evaluate(chain, 0) == 0
+    assert evaluate(chain, 0.5) == pytest.approx(125)
+
+
+def test_too_deep_nesting_is_a_syntax_error():
+    with pytest.raises(ExpressionSyntaxError):
+        parse("sqrt(" * 250 + "z" + ")" * 250)
+    node = parse("z")
+    for _ in range(250):  # past Python's limit on nested parentheses
+        node = Func("sqrt", node)
+    with pytest.raises(ExpressionSyntaxError):
+        evaluate(node, 0.25)
 
 
 def test_constants_keep_their_exact_value():
