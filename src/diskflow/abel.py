@@ -2,11 +2,15 @@
 the exact flow F_t = h^{-1}(h(z) + t), the (alpha, mu) boundary exponents,
 and the geometry of the image domain h(Delta).
 
-h is computed by quadrature along straight segments (f is zero-free on the
-disk, so -1/f is holomorphic there and the segment integral is path
-independent).  Inversion runs a Newton continuation that tracks h
-incrementally with Gauss-Legendre panels, so each inversion costs a
-handful of evaluations of f rather than a fresh quadrature per iterate.
+f is zero-free on the disk, so -1/f is holomorphic there and h may be
+integrated along any path.  One adaptive Gauss-Legendre engine serves
+two path geometries: h(z) itself is one straight segment from 0 to
+log(1 - z) in the log-gap coordinate s = log(1 - w), where the boundary
+growth of h' becomes smooth, and h is carried between nearby points
+(Newton increments, the planar_domain_stats fans, the visser_ostrovskii
+chain) along straight chords in z.  Inversion runs a Newton continuation
+that tracks h incrementally, so each inversion costs a handful of
+evaluations of f rather than a fresh quadrature per iterate.
 """
 
 from __future__ import annotations
@@ -50,80 +54,65 @@ STATS_RAYS = 96  # rays of the planar_domain_stats fan
 BLOCH_GRID = 64  # angles per circle in bloch_norm
 
 
-def _segment_integral(recip, z0: complex, z1: complex, depth: int = 0) -> complex:
-    """Adaptive Gauss-Legendre integral of ``recip`` along [z0, z1].
+def _segment_integral(dh, t0: complex, t1: complex, depth: int = 0) -> complex:
+    """Adaptive Gauss-Legendre integral of a path integrand over [t0, t1].
 
-    The acceptance test tracks the evaluation noise of the integrand:
-    near the boundary the reconstruction of 1-z inside the expression
-    loses eps/|1-z| relative accuracy, so demanding a fixed relative
-    tolerance would recurse forever on roundoff.
+    ``dh(t)`` returns (dh/dt, z(t)): the derivative of h along a path
+    parametrized by t and the disk point the path reaches there.  The
+    acceptance test tracks the evaluation noise of the integrand: near
+    the boundary the reconstruction of 1-z inside the expression loses
+    eps/|1-z| relative accuracy, so demanding a fixed relative tolerance
+    would recurse forever on roundoff.
     """
-    mid = 0.5 * (z0 + z1)
-    whole, _ = _gl_panel(recip, z0, z1)
-    left, nl = _gl_panel(recip, z0, mid)
-    right, nr = _gl_panel(recip, mid, z1)
+    mid = 0.5 * (t0 + t1)
+    whole, _ = _gl_panel(dh, t0, t1)
+    left, nl = _gl_panel(dh, t0, mid)
+    right, nr = _gl_panel(dh, mid, t1)
     halves = left + right
     noise = nl + nr
     tol = max(1e-13 * max(1.0, abs(halves)), 8.0 * noise)
     if abs(whole - halves) <= tol or depth >= 12:
         return halves
     return (
-        _segment_integral(recip, z0, mid, depth + 1)
-        + _segment_integral(recip, mid, z1, depth + 1)
+        _segment_integral(dh, t0, mid, depth + 1)
+        + _segment_integral(dh, mid, t1, depth + 1)
     )
 
 
-def _gl_panel(recip, z0: complex, z1: complex):
+def _gl_panel(dh, t0: complex, t1: complex):
     """16-node panel; returns (integral, roundoff noise estimate)."""
-    half = 0.5 * (z1 - z0)
-    mid = 0.5 * (z0 + z1)
+    half = 0.5 * (t1 - t0)
+    mid = 0.5 * (t0 + t1)
     acc = 0j
     rough = 0.0
     for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        node = mid + half * x
-        v = recip(node)
+        v, node = dh(mid + half * x)
         acc += w * v
         gap = abs(1.0 - node)
         rough += w * abs(v) * (1.0 + (abs(node) / gap if gap > 0 else 1e16))
     return acc * half, rough * abs(half) * 2.3e-16
 
 
-def _near_boundary_h(recip, z: complex) -> complex:
-    """Integrate ``recip`` from 0 to a point close to the boundary at 1.
-
-    A single straight segment cannot resolve the integrand near such an
-    endpoint: the argument of 1 - w only swings to its final value
-    inside a window of width |1 - z|, and global quadrature misses that
-    spike while still reporting a small error.  Chords whose endpoint
-    gaps shrink geometrically keep the spike resolved at every scale.
-    """
-    g = 1.0 - z
-    direction = g / abs(g)
-    # keep every anchor 1 - rho*direction inside the disk
-    rho = min(0.25, max(direction.real, 0.0))
-    if rho <= abs(g):
-        return _segment_integral(recip, 0j, z)
-    prev = 1.0 - rho * direction
-    total = _segment_integral(recip, 0j, prev)
-    while rho > abs(g):
-        rho = max(rho / 2.0, abs(g))
-        nxt = z if rho <= abs(g) else 1.0 - rho * direction
-        total += _segment_integral(recip, prev, nxt)
-        prev = nxt
-    return total
-
-
 def abel_h(f, z: complex) -> complex:
-    """h(z) = -integral from 0 to z of dz/f, along the straight segment
-    (a chord chain for points within 0.05 of the boundary point 1)."""
+    """h(z) = -integral from 0 to z of dw/f, along the straight segment
+    from 0 to log(1 - z) in the log-gap coordinate s = log(1 - w).
+
+    For the generators of the class h'(w) ~ mu (1 - w)^-(1+alpha) at the
+    boundary point 1, so dh/ds ~ -mu e^(-alpha s) is smooth at every
+    scale and one segment resolves radial, Stolz and tangential
+    approaches alike.  The segment stays in the disk: the disk is the
+    convex set Re s < log(2 cos(Im s)) in s.
+    """
     fn = as_callable(f)
     if z == 0:
         return 0j
-    zc = complex(z)
-    recip = lambda u: -1.0 / fn(u)  # noqa: E731
-    if abs(1.0 - zc) < 0.05:
-        return _near_boundary_h(recip, zc)
-    return _segment_integral(recip, 0j, zc)
+
+    def dh(s):  # dh/ds = -e^s h'(w) = e^s / f(1 - e^s)
+        gap = cmath.exp(s)
+        w = 1.0 - gap
+        return gap / fn(w), w
+
+    return _segment_integral(dh, 0j, cmath.log(1.0 - complex(z)))
 
 
 @dataclass
@@ -140,15 +129,16 @@ class LinearizationModel:
     alpha: float
     mu: complex
     mu_class: str  # Sigma0 | SigmaAlpha-angular | SigmaAlpha-unrestricted
-    h_cache: dict = field(default_factory=dict, repr=False)
+    h_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     domain_stats: PlanarDomainStats | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
         self._fn = as_callable(self.f)
-        self._recip = lambda z: -1.0 / self._fn(z)
-        self.h_cache.setdefault(0j, 0j)
+        # path integrand of straight chords in z: (dh/dz, z)
+        self._chord = lambda z: (-1.0 / self._fn(z), z)
+        self.h_cache[0j] = 0j
 
     def h(self, z: complex) -> complex:
         z = complex(z)
@@ -160,7 +150,7 @@ class LinearizationModel:
         return value
 
     def h_prime(self, z: complex) -> complex:
-        return self._recip(z)
+        return -1.0 / self._fn(z)
 
     def flow(self, z: complex, t: float) -> complex:
         return abel_flow(self, z, t)
@@ -180,7 +170,6 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
     z = complex(seed)
     h_cur = model.h(z)
     fn = model._fn
-    recip = model._recip
     tol = max(1e-12, 1e-15 * abs(w))
 
     for _ in range(MAX_SUBSTEPS):
@@ -197,7 +186,7 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
             w_sub = h_cur + remaining / abs(remaining) * cap
         else:
             w_sub = w
-        z, h_cur = _newton_level(fn, recip, z, h_cur, w_sub, tol, w)
+        z, h_cur = _newton_level(fn, model._chord, z, h_cur, w_sub, tol, w)
     if abs(w - h_cur) <= max(tol, _machine_floor(fn, z)):
         return z
     raise InversionFailureError(
@@ -225,7 +214,7 @@ def _inside_disk_s(s: complex) -> bool:
     return s.real < math.log(2.0 * math.cos(s.imag)) - 1e-14
 
 
-def _newton_level(fn, recip, z, h_cur, w_sub, tol, w_final):
+def _newton_level(fn, chord, z, h_cur, w_sub, tol, w_final):
     # Newton runs in s = log(1-z) (principal branch; Re(1-z) > 0 on the
     # disk), where the step is a relative change of 1-z.  Near the
     # boundary this stays well conditioned where a raw z-step overshoots.
@@ -258,7 +247,7 @@ def _newton_level(fn, recip, z, h_cur, w_sub, tol, w_final):
             s_new = complex(-36.0, s_new.imag)
         z_new = 1.0 - cmath.exp(s_new)
         try:
-            h_new = h_cur + _segment_integral(recip, z, z_new)
+            h_new = h_cur + _segment_integral(chord, z, z_new)
         except SingularEvaluationError as exc:
             raise InversionFailureError(
                 f"quadrature broke during inversion toward {w_final}: {exc}",
@@ -365,7 +354,6 @@ class PlanarDomainStats:
     inf_im: float  # -math.inf when unbounded
     strip_width: float
     half_plane: str  # "above(c)" | "below(c)" | "none"
-    midline_level: float
 
 
 def planar_domain_stats(model: LinearizationModel) -> PlanarDomainStats:
@@ -380,11 +368,11 @@ def planar_domain_stats(model: LinearizationModel) -> PlanarDomainStats:
     bound.
     """
     if model.domain_stats is None:
-        model.domain_stats = _planar_domain_stats(model._recip)
+        model.domain_stats = _planar_domain_stats(model._chord)
     return model.domain_stats
 
 
-def _planar_domain_stats(recip) -> PlanarDomainStats:
+def _planar_domain_stats(chord) -> PlanarDomainStats:
     ks = list(range(2, 25))
     radii = [1.0 - 2.0**-k for k in ks]
     n = STATS_RAYS
@@ -398,7 +386,7 @@ def _planar_domain_stats(recip) -> PlanarDomainStats:
         prev = 0j
         for ki, r in enumerate(radii):
             z = r * direction
-            h_val += _segment_integral(recip, prev, z)
+            h_val += _segment_integral(chord, prev, z)
             prev = z
             rows[ki].append((theta, h_val.imag))
             if theta == 0.0:
@@ -419,7 +407,7 @@ def _planar_domain_stats(recip) -> PlanarDomainStats:
                 if abs(theta) >= 1.2:
                     break
                 z = r * cmath.exp(1j * theta)
-                h_val += _segment_integral(recip, prev, z)
+                h_val += _segment_integral(chord, prev, z)
                 prev = z
                 rows[ki].append((theta, h_val.imag))
     for row in rows:
@@ -440,8 +428,7 @@ def _planar_domain_stats(recip) -> PlanarDomainStats:
         half_plane = f"above({inf_im:.12g})"
     else:
         half_plane = "none"
-    midline = (sup_im + inf_im) / 2.0 if both else 0.0
-    return PlanarDomainStats(sup_im, inf_im, strip_width, half_plane, midline)
+    return PlanarDomainStats(sup_im, inf_im, strip_width, half_plane)
 
 
 def _refined_extreme(row, sign: int) -> float:
@@ -544,13 +531,12 @@ def visser_ostrovskii(model: LinearizationModel):
     on the modulus.
     """
     fn = model._fn
-    recip = model._recip
     h_val = 0j
     prev = 0j
     values = []
     for k in range(4, 27):
         r = 1.0 - 2.0**-k
-        h_val += _segment_integral(recip, prev, complex(r))
+        h_val += _segment_integral(model._chord, prev, complex(r))
         prev = complex(r)
         values.append(h_val * fn(r) / (1.0 - r))
     value, converged, used = sequence_limit(values, tol=1e-6)

@@ -45,17 +45,17 @@ def _parse_z0(text: str) -> complex:
 
 def _resolve_f(args):
     """The generator expression and a label for reports."""
-    if getattr(args, "catalog", None):
+    if args.catalog:
         entry = catalog.get(args.catalog)
         return parse(entry.f_text), entry.id
-    if getattr(args, "f", None):
+    if args.f:
         return parse(args.f), args.f
     raise _ConfigError("one of --f or --catalog is required")
 
 
 def _emit(args, report) -> None:
     text = jsonio.dumps(report)
-    if getattr(args, "json", None):
+    if args.json:
         with open(args.json, "w") as fh:
             fh.write(text)
     else:
@@ -63,7 +63,7 @@ def _emit(args, report) -> None:
 
 
 def _maybe_svg(args, fn, trajectories=(), bfid_maps=()) -> None:
-    if getattr(args, "svg", None):
+    if args.svg:
         svg = jsonio.render_phase_portrait(
             fn, trajectories=trajectories, bfid_maps=bfid_maps,
             grid_density=args.seed_grid,
@@ -259,19 +259,10 @@ def _cmd_verify_paper(args) -> int:
     return 0 if report["ok"] else 1
 
 
-def _add_common(sub, with_z0: bool = False) -> None:
-    sub.add_argument("--f", help="generator expression in z")
-    sub.add_argument("--catalog", help="catalog entry id")
-    sub.add_argument("--horizon", type=float, default=1e6)
-    sub.add_argument("--tol", type=float, default=1e-12)
-    sub.add_argument("--json", help="write the JSON report to this path")
-    sub.add_argument("--csv", help="write the trajectory CSV to this path")
+def _add_svg(sub) -> None:
     sub.add_argument("--svg", help="write an SVG phase portrait to this path")
     sub.add_argument("--seed-grid", type=int, default=10,
                      help="polar grid density for the SVG vector field")
-    if with_z0:
-        sub.add_argument("--z0", default="0,0", help="start point as re,im")
-        sub.add_argument("--t", type=float, default=10.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,17 +271,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="semigroups of holomorphic self-maps of the unit disk",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn, with_z0 in (
-        ("validate", _cmd_validate, False),
-        ("classify", _cmd_classify, False),
-        ("trace", _cmd_trace, True),
-        ("linearize", _cmd_linearize, False),
-        ("conjugate", _cmd_conjugate, False),
-        ("bfid", _cmd_bfid, False),
+    # each subcommand declares only the flags it reads
+    cmds = {}
+    for name, fn in (
+        ("validate", _cmd_validate),
+        ("classify", _cmd_classify),
+        ("trace", _cmd_trace),
+        ("linearize", _cmd_linearize),
+        ("conjugate", _cmd_conjugate),
+        ("bfid", _cmd_bfid),
     ):
-        sub = subs.add_parser(name)
-        _add_common(sub, with_z0=with_z0)
+        sub = cmds[name] = subs.add_parser(name)
+        sub.add_argument("--f", help="generator expression in z")
+        sub.add_argument("--catalog", help="catalog entry id")
+        sub.add_argument("--json", help="write the JSON report to this path")
         sub.set_defaults(handler=fn)
+    cmds["classify"].add_argument("--horizon", type=float, default=1e6)
+    trace = cmds["trace"]
+    trace.add_argument("--z0", default="0,0", help="start point as re,im")
+    trace.add_argument("--t", type=float, default=10.0)
+    trace.add_argument("--tol", type=float, default=1e-12)
+    trace.add_argument("--csv", help="write the trajectory CSV to this path")
+    for name in ("classify", "trace", "bfid"):
+        _add_svg(cmds[name])
     cat = subs.add_parser("catalog")
     cat.add_argument("action", choices=("list", "show"))
     cat.add_argument("id", nargs="?")

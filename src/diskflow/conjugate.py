@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abel import (
     LinearizationModel,
@@ -330,12 +330,12 @@ def _strip_contained(model: LinearizationModel, mid: float, half_width: float,
     for im in levels:
         # chain the probes: the strip is convex, so seeding each
         # inversion with its neighbour keeps the continuation path inside
-        z_cur = seed
         try:
-            for x in (0.0, x_back / 2, x_back):
+            z_axis = invert_h(model, complex(0.0, im), seed=seed)
+            z_cur = z_axis
+            for x in (x_back / 2, x_back):
                 z_cur = invert_h(model, complex(x, im), seed=z_cur)
-            z_cur = invert_h(model, complex(0.0, im), seed=seed)
-            invert_h(model, complex(x_fwd, im), seed=z_cur)
+            invert_h(model, complex(x_fwd, im), seed=z_axis)
         except InversionFailureError:
             return False
     return True
@@ -412,7 +412,7 @@ def inner_conjugator(f: Expr, group: MobiusGroup, base: complex,
     )
 
 
-def corner_opening(certificate: ConjugationCertificate, f: Expr) -> dict:
+def corner_opening(certificate: ConjugationCertificate) -> dict:
     """Opening angle of the image of phi at z = 1.
 
     The image boundary meets z = 1 in a corner of opening pi*gamma with
@@ -532,16 +532,7 @@ def _p_type_certificate(f: Expr, model: LinearizationModel, side: int):
     except (StripNotContainedError, InversionFailureError):
         return None
     try:
-        corner = corner_opening(cert, f)
-        gamma = corner["gamma"]
+        gamma = corner_opening(cert)["gamma"]
     except CornerUndeterminedError:
         gamma = None
-    return ConjugationCertificate(
-        kind="inner",
-        map=cert.map,
-        group=group,
-        residual_sup=cert.residual_sup,
-        bfid_type="p-type",
-        corner_gamma=gamma,
-        base_point=base,
-    )
+    return replace(cert, corner_gamma=gamma)

@@ -5,7 +5,7 @@ Dormand-Prince 5(4) pair on the complex scalar, forward or backward in
 time.  Forward trajectories of a generator must stay inside the disk;
 backward trajectories terminate when they reach the boundary margin or
 stagnate at a null point.  Convergence diagnostics (horocycle distance
-limit, the M and L statistics, the argument limit) feed the classifier.
+limit, argument limit, approach regime) feed the classifier.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotInDiskError, SingularEvaluationError, StiffFailureError
 from .expr import as_callable
-from .extrapolate import INFINITE_THRESHOLD, looks_divergent, sequence_limit
+from .extrapolate import sequence_limit
 from .geometry import horocycle_distance
 
 ATOL = 1e-10
@@ -73,8 +73,6 @@ class Trajectory:
 @dataclass(frozen=True)
 class ConvergenceDiagnostics:
     d_limit: float
-    M_estimate: float
-    L_estimate: float  # math.inf when divergent
     arg_limit: float
     regime: str  # nontangential | tangential | strongly-tangential | undetermined
     horizon: float = 0.0
@@ -200,7 +198,7 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     fn = as_callable(f)
     ode_cap = min(horizon, 1e4)
     times = [t for t in _geometric_times(horizon)]
-    d_vals, ratio_vals, m_vals, arg_vals = [], [], [], []
+    d_vals, ratio_vals, arg_vals = [], [], []
     t_prev, u = 0.0, complex(z0)
     for t in times:
         if t <= ode_cap or abel_flow is None:
@@ -217,21 +215,12 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
         ratio = (1.0 - abs(u)) / abs(one_minus)
         d_vals.append(horocycle_distance(u))
         ratio_vals.append(ratio)
-        m_vals.append(t * ratio)
         arg_vals.append(cmath.phase(one_minus))
     if not d_vals:
-        return ConvergenceDiagnostics(0.0, 0.0, 0.0, 0.0, "undetermined", horizon)
+        return ConvergenceDiagnostics(0.0, 0.0, "undetermined", horizon)
 
     d_limit, d_conv, _ = sequence_limit(d_vals, tol=1e-6)
     d_limit = max(d_limit.real, 0.0)
-    M_estimate = max(m_vals)
-    if looks_divergent(m_vals):
-        L_estimate = math.inf
-    else:
-        L_val, L_conv, _ = sequence_limit(m_vals, tol=1e-3)
-        L_estimate = L_val.real if L_conv else m_vals[-1]
-        if abs(L_estimate) > INFINITE_THRESHOLD:
-            L_estimate = math.inf
     arg_limit, arg_conv, _ = sequence_limit(arg_vals, tol=1e-4)
     arg_limit = arg_limit.real
 
@@ -250,8 +239,6 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
         regime = "undetermined"
     return ConvergenceDiagnostics(
         d_limit=d_limit,
-        M_estimate=M_estimate,
-        L_estimate=L_estimate,
         arg_limit=arg_limit,
         regime=regime,
         horizon=horizon,

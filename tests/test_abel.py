@@ -2,6 +2,7 @@ import cmath
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -34,18 +35,62 @@ RING = [0.9 * cmath.exp(2j * math.pi * k / 8) for k in range(8)]
 H_TEXT_IDS = [i for i in catalog.DEFAULT_IDS if catalog.get(i).h_text is not None]
 
 
+def _ladder(gap):
+    # the gaps 1 - z of the radial, Stolz +-pi/3 and level-1 horocycle
+    # (|1 - z|^2 = 1 - |z|^2, i.e. cos arg(1 - z) = |1 - z|) approaches
+    yield gap
+    yield gap * cmath.exp(1j * math.pi / 3)
+    yield gap * cmath.exp(-1j * math.pi / 3)
+    if gap >= 2.0**-24:
+        yield gap * complex(gap, math.sqrt(1.0 - gap * gap))
+        yield gap * complex(gap, -math.sqrt(1.0 - gap * gap))
+
+
+LADDER = [1.0 - g for k in range(4, 41, 4) for g in _ladder(2.0**-k)]
+_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
+
+
+def _mp_eval(mpmath, text, z):
+    """Printed expression text evaluated by mpmath, with every number
+    read as the double the parser makes of it (``^`` becomes ``**``)."""
+    source = _NUMBER.sub(lambda m: f"_n({m.group()!r})", text).replace("^", "**")
+    namespace = {
+        "_n": lambda s: mpmath.mpf(float(s)),
+        "z": mpmath.mpc(z),
+        "i": mpmath.mpc(0, 1),
+        "sqrt": mpmath.sqrt,
+        "exp": mpmath.exp,
+        "log": mpmath.log,
+        "__builtins__": {},
+    }
+    return eval(source, namespace)  # noqa: S307 - catalog text
+
+
 @pytest.mark.parametrize("entry_id", H_TEXT_IDS)
 def test_abel_h_closed_form(entry_id):
-    # the catalog's closed form, normalized to h(0) = 0, is an oracle the
-    # quadrature did not produce; one ulp of z moves h by about eps/|f(z)|,
-    # so that term is the floor invert_h also accepts
+    # the catalog's closed form, normalized to h(0) = 0 and evaluated by
+    # mpmath at 30 digits on the exact double z, is an oracle the
+    # quadrature did not produce; one ulp of z moves h by about
+    # eps/|f(z)|, so that term is the floor invert_h also accepts
+    mpmath = pytest.importorskip("mpmath")
     entry = catalog.get(entry_id)
     fn = compile_expr(parse(entry.f_text))
-    h_ref = compile_expr(parse(entry.h_text))
-    for z in GRID + RING:
-        ref = h_ref(z) - h_ref(0j)
-        tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
-        assert abs(abel_h(fn, z) - ref) <= tol, z
+    evals = 0
+
+    def counted(z):
+        nonlocal evals
+        evals += 1
+        return fn(z)
+
+    with mpmath.workdps(30):
+        h0 = _mp_eval(mpmath, entry.h_text, 0j)
+        for z in GRID + RING + LADDER:
+            ref = complex(_mp_eval(mpmath, entry.h_text, z) - h0)
+            tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
+            evals = 0
+            assert abs(abel_h(counted, z) - ref) <= tol, z
+            # one log-gap segment resolves every approach in a few panels
+            assert evals <= 320, z
 
 
 def test_gauss_legendre_table():
@@ -143,8 +188,13 @@ def test_planar_stats_computed_once_per_model():
     first = planar_domain_stats(model)
     assert planar_domain_stats(model) is first
     assert model.domain_stats is first
-    # a cache slot, not a constructor argument
-    assert "domain_stats" not in inspect.signature(type(model)).parameters
+    # cache slots, not constructor arguments, and not compared
+    params = inspect.signature(type(model)).parameters
+    assert "domain_stats" not in params and "h_cache" not in params
+    other = linearize(parse("i*(1-z)^2"))
+    assert model == other
+    model.h(0.3)
+    assert model == other
 
 
 def test_planar_stats_strip():

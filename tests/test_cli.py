@@ -123,3 +123,19 @@ def test_linearize_verb(tmp_path):
     assert main(["linearize", "--catalog", "hyperbolic-auto(0.5,0)", "--json", str(out)]) == 0
     report = _load(out)
     assert abs(report["strip_width"] - 3.14159) < 0.01
+
+
+@pytest.mark.parametrize("argv", [
+    ["linearize", "--catalog", "parabolic-auto(1)", "--svg", "x.svg", "--tol", "5"],
+    ["validate", "--f", "i*(1-z)^2", "--horizon", "5"],
+    ["conjugate", "--catalog", "parabolic-auto(1)", "--seed-grid", "3"],
+    ["classify", "--catalog", "parabolic-auto(1)", "--csv", "x.csv"],
+    ["bfid", "--catalog", "parabolic-auto(1)", "--tol", "5"],
+])
+def test_unread_flag_exits_2(argv, tmp_path, monkeypatch):
+    # every subcommand declares only the flags it reads
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
