@@ -7,10 +7,10 @@ integrated along any path.  One adaptive Gauss-Legendre engine serves
 two path geometries: h(z) itself is one straight segment from 0 to
 log(1 - z) in the log-gap coordinate s = log(1 - w), where the boundary
 growth of h' becomes smooth, and h is carried between nearby points
-(Newton increments, the planar_domain_stats fans, the visser_ostrovskii
-chain) along straight chords in z.  Inversion runs a Newton continuation
-that tracks h incrementally, so each inversion costs a handful of
-evaluations of f rather than a fresh quadrature per iterate.
+(Newton increments, the planar_domain_stats fans) along straight chords
+in z.  Inversion runs a Newton continuation that tracks h
+incrementally, so each inversion costs a handful of evaluations of f
+rather than a fresh quadrature per iterate.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import InversionFailureError, NotInClassError, SingularEvaluationError
 from .expr import BoundaryLimitEstimate, Expr, as_callable, boundary_limit
-from .extrapolate import (
-    INFINITE_THRESHOLD,
-    golden_min,
-    line_fit,
-    looks_divergent,
-    sequence_limit,
-)
+from .extrapolate import INFINITE_THRESHOLD, golden_min, looks_divergent, sequence_limit
 
 # the 16-point Gauss-Legendre rule on [-1, 1] as plain floats, digit for
 # digit numpy.polynomial.legendre.leggauss(16); numpy float64 nodes would
@@ -280,35 +274,25 @@ def abel_flow(model: LinearizationModel, z: complex, t: float) -> complex:
 def estimate_alpha_mu(f):
     """Estimate (alpha, mu, class) from the growth of h' = -1/f at 1.
 
-    |h'(r)| ~ |mu| (1-r)^-(1+alpha) on the radius, so consecutive ratios
-    of log2 |h'(1 - 2^-k)| converge to 1 + alpha; the sequence is
-    accelerated and cross-checked by a least-squares fit.  mu is the
+    |h'(z)| ~ |mu| |1-z|^-(1+alpha) at the boundary point, and
+    1 - (1+z)/2 = (1-z)/2 exactly, so the pointwise slope
+    log2 |h'((1+z)/2) / h'(z)| tends to 1 + alpha; a slope that does not
+    converge is no power law and lies outside the class.  mu is the
     extrapolated value of (1-z)^(1+alpha) h'(z).  The class tag records
     whether the mu limit also exists along Stolz rays and a tangential
     curve (unrestricted), only along rays (angular), or has alpha = 0
     (the hyperbolic/strip case Sigma0).
     """
     fn = as_callable(f)
-
-    ks = list(range(6, 27))
-    s_vals = []
-    for k in ks:
-        r = 1.0 - 2.0**-k
-        s_vals.append(math.log2(abs(1.0 / fn(r))))
-    diffs = [b - a for a, b in zip(s_vals, s_vals[1:])]
-    slope, converged, _ = sequence_limit(diffs, tol=1e-4)
-    slope = slope.real
-
-    # least-squares cross-check over the window k = 8..24
-    ls_slope, r2 = line_fit([float(k) for k in ks[2:-2]], s_vals[2:-2])
-    if not converged or abs(slope - ls_slope) > 0.05:
-        if r2 < 0.9999:
-            raise NotInClassError(
-                f"growth of h' at the boundary is not a clean power law "
-                f"(fit R^2 = {r2:.6f})"
-            )
-        slope = ls_slope
-    alpha = slope - 1.0
+    growth = boundary_limit(
+        lambda z: math.log2(abs(fn(z) / fn(0.5 * (1.0 + z)))), "radial", tol=1e-4
+    )
+    if not growth.converged:
+        raise NotInClassError(
+            f"growth of h' at the boundary is not a clean power law "
+            f"(slope {growth.value.real:.6g} did not converge)"
+        )
+    alpha = growth.value.real - 1.0
     if not -0.05 <= alpha <= 2.05:
         raise NotInClassError(f"estimated alpha = {alpha} outside [0, 2]")
     alpha = min(max(alpha, 0.0), 2.0)
@@ -523,7 +507,7 @@ def bloch_norm(model: LinearizationModel) -> float:
     return best
 
 
-def visser_ostrovskii(model: LinearizationModel):
+def visser_ostrovskii(model: LinearizationModel) -> BoundaryLimitEstimate:
     """Radial limit of h(z)/((z-1)h'(z)); its modulus equals 1/alpha.
 
     The sign of the limit is reported as measured (the quotient tends to
@@ -531,15 +515,4 @@ def visser_ostrovskii(model: LinearizationModel):
     on the modulus.
     """
     fn = model._fn
-    h_val = 0j
-    prev = 0j
-    values = []
-    for k in range(4, 27):
-        r = 1.0 - 2.0**-k
-        h_val += _segment_integral(model._chord, prev, complex(r))
-        prev = complex(r)
-        values.append(h_val * fn(r) / (1.0 - r))
-    value, converged, used = sequence_limit(values, tol=1e-6)
-    return BoundaryLimitEstimate(
-        value=value, converged=converged, approach="radial", samples_used=used
-    )
+    return boundary_limit(lambda z: model.h(z) * fn(z) / (1.0 - z), "radial", tol=1e-6)

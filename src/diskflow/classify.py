@@ -111,8 +111,7 @@ def tangency_criterion(profile: AsymptoticProfile) -> dict:
     }
 
 
-def halfplane_criterion_M(f: Expr, horizon: float = 1e5,
-                          model: LinearizationModel | None = None) -> dict:
+def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> dict:
     """Boundedness of the statistic M(z) = sup_t t(1-|F_t|)/|1-F_t| for
     z in M_GRID.
 
@@ -121,8 +120,6 @@ def halfplane_criterion_M(f: Expr, horizon: float = 1e5,
     reported unbounded, sublinear undecided growth is flagged
     inconclusive.
     """
-    if model is None:
-        model = linearize(f)
     overall_bounded = True
     inconclusive = False
     worst = 0.0

@@ -112,8 +112,7 @@ def _cmd_classify(args) -> int:
     profile = classify(f, horizon=args.horizon)
     criteria = _criteria_block(profile)
     if profile.type == "parabolic" and 0 < profile.alpha <= 2:
-        m = halfplane_criterion_M(f, horizon=min(args.horizon, 1e5),
-                                  model=profile.model)
+        m = halfplane_criterion_M(profile.model, horizon=min(args.horizon, 1e5))
         criteria["halfplane_M"] = {
             "verdict": m["bounded"],
             "margin": m["max_statistic"],

@@ -29,8 +29,8 @@ from .errors import (
     SingularEvaluationError,
     StripNotContainedError,
 )
-from .expr import Expr, compile_expr
-from .extrapolate import golden_min, line_fit, sequence_limit
+from .expr import BoundaryLimitEstimate, Expr, boundary_limit, compile_expr
+from .extrapolate import INFINITE_THRESHOLD, golden_min, line_fit, sequence_limit
 from .flow import backward_extendability
 
 RESIDUAL_TIMES = (1.0, 5.0, 25.0)
@@ -182,27 +182,6 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
     )
 
 
-def _radial_limit_at(fn, zeta: complex):
-    """Radial limit of fn along r*zeta, r -> 1; (value, converged, infinite)."""
-    vals = []
-    for k in range(6, 31):
-        r = 1 - 2.0 ** (-k)
-        try:
-            vals.append(fn(r * zeta))
-        except SingularEvaluationError:
-            continue
-        if len(vals) >= 3 and all(abs(v) > 1e8 for v in vals[-3:]):
-            return vals[-1], True, True
-    if not vals:
-        return 0j, False, False
-    value, converged, _ = sequence_limit(vals, tol=1e-6)
-    if not converged:
-        # slow sqrt-type tails stall around 1e-4; that accuracy is still
-        # far below the decision thresholds used by the callers
-        value, converged, _ = sequence_limit(vals, tol=1e-4)
-    return value, converged, abs(value) > 1e8
-
-
 def _polish_null_point(fn, zeta: complex) -> complex:
     """Newton-polish a boundary null point from just inside the circle.
 
@@ -236,32 +215,43 @@ def _polish_null_point(fn, zeta: complex) -> complex:
     return zeta
 
 
-def _derivative_limit(fn, zeta: complex):
+def _derivative_limit(fn, zeta: complex) -> BoundaryLimitEstimate:
     """Radial limit of f/(z - zeta) at a polished null point.
 
     The quotient's error ladder is geometric in powers of (1-r)^(1/2)
-    on the dyadic radii, so eliminating the known ratios 2^(-m/2)
-    exactly leaves a residual far below the sampling noise.  Returns
-    (value, converged, infinite), falling back to plain acceleration
-    when any sample fails.
+    on the dyadic radii k = 6..22, so eliminating the known ratios
+    2^(-m/2) exactly leaves a residual far below the sampling noise.
+    This ladder stays separate from boundary_limit on purpose: f'(zeta)
+    sets the group parameter a, and at the null points 1 and -1 of
+    bfid-hyp boundary_limit's Aitken acceleration leaves |f'(1) - 2| =
+    4.8e-7 and |f'(-1) + 4| = 9.5e-7, the elimination 1.3e-14 and 1.5e-14.
+    Falls back to boundary_limit when any sample fails or the eliminated
+    tail does not settle.
     """
+    def quotient(w: complex) -> complex:
+        return fn(w) / (w - zeta)
+
     vals = []
     for k in range(6, 23):
-        z = zeta * (1 - 2.0 ** (-k))
         try:
-            vals.append(fn(z) / (z - zeta))
+            vals.append(quotient(zeta * (1 - 2.0 ** (-k))))
         except SingularEvaluationError:
-            return _radial_limit_at(lambda w: fn(w) / (w - zeta), zeta)
-        if len(vals) >= 3 and all(abs(v) > 1e8 for v in vals[-3:]):
-            return vals[-1], True, True
+            return boundary_limit(lambda z: quotient(zeta * z), "radial")
+        if len(vals) >= 3 and all(abs(v) > INFINITE_THRESHOLD for v in vals[-3:]):
+            return BoundaryLimitEstimate(
+                vals[-1], True, "radial", len(vals), infinite=True
+            )
+    used = len(vals)
     for m in range(1, 6):
         q = 2.0 ** (-0.5 * m)
         vals = [(b - q * a) / (1.0 - q) for a, b in zip(vals, vals[1:])]
     tail = vals[-3:]
-    scale = max(1.0, abs(tail[-1]))
-    if max(abs(u - tail[-1]) for u in tail) < 1e-6 * scale:
-        return tail[-1], True, abs(tail[-1]) > 1e8
-    return _radial_limit_at(lambda w: fn(w) / (w - zeta), zeta)
+    value = tail[-1]
+    if max(abs(u - value) for u in tail) < 1e-6 * max(1.0, abs(value)):
+        return BoundaryLimitEstimate(
+            value, True, "radial", used, infinite=abs(value) > INFINITE_THRESHOLD
+        )
+    return boundary_limit(lambda z: quotient(zeta * z), "radial")
 
 
 def find_boundary_null_points(f: Expr) -> list:
@@ -292,15 +282,15 @@ def find_boundary_null_points(f: Expr) -> list:
         theta, _ = golden_min(mag, thetas[j] - 2 * math.pi / samples,
                               thetas[j] + 2 * math.pi / samples, 60)
         zeta = _polish_null_point(fn, cmath.exp(1j * theta))
-        f_lim, f_conv, f_inf = _radial_limit_at(fn, zeta)
-        if not f_conv or f_inf or abs(f_lim) > 1e-6:
+        f_lim = boundary_limit(lambda z: fn(zeta * z), "radial")
+        if not f_lim.converged or abs(f_lim.value) > 1e-6:
             continue
-        q_lim, q_conv, q_inf = _derivative_limit(fn, zeta)
-        regular = q_conv and not q_inf
+        q_lim = _derivative_limit(fn, zeta)
+        regular = q_lim.converged and not q_lim.infinite
         results.append(
             {
                 "zeta": zeta,
-                "f_prime": q_lim if regular else None,
+                "f_prime": q_lim.value if regular else None,
                 "regular": regular,
             }
         )
@@ -364,8 +354,8 @@ def _halfplane_contained(model: LinearizationModel, level: float, side: int,
     return True
 
 
-def inner_conjugator(f: Expr, group: MobiusGroup, base: complex,
-                     model: LinearizationModel | None = None) -> ConjugationCertificate:
+def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
+                     base: complex) -> ConjugationCertificate:
     """phi = h^{-1}(k(z) + h(base)) intertwines the group with the flow:
     F_t o phi = phi o G_t; phi(0) = base.
 
@@ -373,8 +363,6 @@ def inner_conjugator(f: Expr, group: MobiusGroup, base: complex,
     a = 0) must sit inside h(Delta); membership is certified by probe
     inversions before the residual is measured.
     """
-    if model is None:
-        model = linearize(f)
     C = model.h(base)
     if group.a != 0:
         if not _strip_contained(model, C.imag, group.strip_half_width(),
@@ -412,12 +400,16 @@ def inner_conjugator(f: Expr, group: MobiusGroup, base: complex,
     )
 
 
-def corner_opening(certificate: ConjugationCertificate) -> dict:
-    """Opening angle of the image of phi at z = 1.
+def corner_opening(certificate: ConjugationCertificate) -> float:
+    """Opening gamma of the image of phi at z = 1.
 
     The image boundary meets z = 1 in a corner of opening pi*gamma with
     1 - phi(z) ~ m (1-z)^gamma along the radius; gamma is fitted by the
-    dyadic log-log scheme and must land in [0.48, 1.02].
+    dyadic log-log scheme and must land in [0.48, 1.02].  The ladder
+    k = 3..18 is its own rather than boundary_limit's k = 4..40 because
+    every sample is an inversion: the longer ladder costs about four
+    times as much per corner (0.2 -> 0.8 s on bfid-par), and there the
+    inversions at k >= 38 fail.
     """
     if certificate.kind != "inner" or certificate.bfid_type != "p-type":
         raise ValueError("corner opening applies to inner p-type certificates")
@@ -443,10 +435,7 @@ def corner_opening(certificate: ConjugationCertificate) -> dict:
             raise CornerUndeterminedError("log-log fit quality gate failed")
     if not (0.5 - 0.02 <= gamma <= 1 + 0.02):
         raise CornerUndeterminedError(f"gamma = {gamma} outside [1/2, 1]")
-    k_last = len(logs) + 2
-    z = 1 - 2.0 ** (-k_last)
-    m = (1 - phi(z)) / (1 - z) ** gamma
-    return {"gamma": gamma, "m": m}
+    return gamma
 
 
 def bfid_report(f: Expr) -> list:
@@ -471,13 +460,13 @@ def bfid_report(f: Expr) -> list:
         if base is None:
             continue
         try:
-            cert = inner_conjugator(f, group, base, model=model)
+            cert = inner_conjugator(model, group, base)
         except (StripNotContainedError, InversionFailureError):
             continue
         certificates.append(cert)
 
     for side in (1, -1):
-        cert = _p_type_certificate(f, model, side)
+        cert = _p_type_certificate(model, side)
         if cert is not None:
             certificates.append(cert)
     return certificates
@@ -496,7 +485,7 @@ def _backward_base(f: Expr, zeta: complex):
     return None
 
 
-def _p_type_certificate(f: Expr, model: LinearizationModel, side: int):
+def _p_type_certificate(model: LinearizationModel, side: int):
     """Certificate for a contained half-plane {side * Im w > c}, if any."""
     # arg mu sign rule: for alpha < 2 only the side matching arg mu works
     if model.alpha < 2 - 1e-9:
@@ -528,11 +517,11 @@ def _p_type_certificate(f: Expr, model: LinearizationModel, side: int):
         return None
     group = MobiusGroup(a=0.0, b=b)
     try:
-        cert = inner_conjugator(f, group, base, model=model)
+        cert = inner_conjugator(model, group, base)
     except (StripNotContainedError, InversionFailureError):
         return None
     try:
-        gamma = corner_opening(cert)["gamma"]
+        gamma = corner_opening(cert)
     except CornerUndeterminedError:
         gamma = None
     return replace(cert, corner_gamma=gamma)

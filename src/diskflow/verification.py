@@ -175,7 +175,7 @@ def criterion_5() -> dict:
     # compared against the stored closed form pointwise
     phi_ref = compile_expr(parse(entry.phi_text))
     group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
-    cert = inner_conjugator(f, group, phi_ref(0j), model=_model("bfid-hyp"))
+    cert = inner_conjugator(_model("bfid-hyp"), group, phi_ref(0j))
     phi_dev = max(abs(cert.map(z) - phi_ref(z)) for z in _grid20())
     ok = ok and phi_dev <= 1e-6
     detail = (
@@ -199,7 +199,7 @@ def criterion_6() -> dict:
     ok = ok and res < 1e-6
     gammas = [c.corner_gamma for c in p_certs]
     ok = ok and all(g is not None and abs(g - 0.5) <= 0.05 for g in gammas)
-    mrep = halfplane_criterion_M(f, horizon=1e5, model=model)
+    mrep = halfplane_criterion_M(model, horizon=1e5)
     ok = ok and not mrep["bounded"] and mrep["max_statistic"] > 1e3
     detail = (
         f"alpha={model.alpha:.3f}, mu_err={abs(model.mu - 1):.1e}, "

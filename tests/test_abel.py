@@ -152,9 +152,16 @@ def test_estimate_alpha_mu_class_tag(entry_id, tag):
 
 
 def test_not_in_class_rejected():
-    # an elliptic automorphism generator does not fix the boundary point 1
-    with pytest.raises(NotInClassError):
-        linearize(parse("i*z"))
+    for f_text in (
+        # an elliptic automorphism generator does not fix the boundary point 1
+        "i*z",
+        # h' grows like a power times a log: the growth slope creeps
+        # toward 2 like 1/log and never settles on a power law
+        "-(1-z)^2/(1-0.5*log(1-z))",
+        "-(1-z)^2*(1-0.5*log(1-z))",
+    ):
+        with pytest.raises(NotInClassError):
+            linearize(parse(f_text))
 
 
 def test_invert_h_roundtrip():
@@ -209,8 +216,11 @@ def test_bloch_norm_strip():
     assert bloch_norm(model) == pytest.approx(2.0, abs=1e-2)
 
 
-def test_visser_ostrovskii_modulus():
-    model = linearize(parse("i*(1-z)^2"))
+@pytest.mark.parametrize("entry_id", H_TEXT_IDS)
+def test_visser_ostrovskii_modulus(entry_id):
+    # h/((z-1)h') -> -1/alpha on every entry with a closed-form h (alpha > 0)
+    model = linearize(parse(catalog.get(entry_id).f_text))
+    assert model.alpha > 0
     est = visser_ostrovskii(model)
     assert est.converged
-    assert abs(est.value) == pytest.approx(1.0, abs=1e-3)
+    assert abs(est.value + 1.0 / model.alpha) <= 1e-6 / model.alpha

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from diskflow.abel import linearize
 from diskflow.classify import (
     classify,
     halfplane_criterion_M,
@@ -62,13 +63,13 @@ def test_rigidity_criterion_cases():
 
 
 def test_halfplane_M_bounded_for_quadrant():
-    report = halfplane_criterion_M(_f("quadrant"))
+    report = halfplane_criterion_M(linearize(_f("quadrant")))
     assert report["bounded"]
     assert not report["inconclusive"]
 
 
 def test_halfplane_M_unbounded_for_bfid_par():
-    report = halfplane_criterion_M(_f("bfid-par"))
+    report = halfplane_criterion_M(linearize(_f("bfid-par")))
     assert not report["bounded"]
     assert report["max_statistic"] > 1e3
 

@@ -52,7 +52,8 @@ def test_trace_matches_group_closed_form(tmp_path):
         "--csv", str(out_csv), "--json", str(tmp_path / "t.json"),
     ])
     assert code == 0
-    rows = list(csv.reader(open(out_csv)))
+    with open(out_csv, newline="") as handle:
+        rows = list(csv.reader(handle))
     assert rows[0] == ["t", "re", "im", "horocycle", "gap"]
     end = complex(float(rows[-1][1]), float(rows[-1][2]))
     # the group with generator ib(1-z)^2, b = -1: (ibz + t(1-z))/(ib + t(1-z))

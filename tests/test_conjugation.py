@@ -6,7 +6,6 @@ import pytest
 from diskflow.abel import linearize
 from diskflow.conjugate import (
     MobiusGroup,
-    _radial_limit_at,
     bfid_report,
     corner_opening,
     find_boundary_null_points,
@@ -14,7 +13,7 @@ from diskflow.conjugate import (
     outer_conjugator,
 )
 from diskflow.errors import NotContainedError
-from diskflow.expr import compile_expr, parse
+from diskflow.expr import boundary_limit, compile_expr, parse
 from diskflow import catalog
 
 GRID = [0.45 * cmath.exp(2j * math.pi * k / 9) for k in range(9)]
@@ -100,7 +99,7 @@ def test_inner_conjugator_matches_closed_form():
     f = parse(entry.f_text)
     phi_ref = compile_expr(parse(entry.phi_text))
     group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
-    cert = inner_conjugator(f, group, phi_ref(0j))
+    cert = inner_conjugator(linearize(f), group, phi_ref(0j))
     assert cert.bfid_type == "h-type"
     assert cert.residual_sup < 1e-9
     for z in GRID:
@@ -134,4 +133,4 @@ def test_radial_limit_propagates_bugs():
         raise TypeError("not a singular evaluation")
 
     with pytest.raises(TypeError):
-        _radial_limit_at(broken, 1 + 0j)
+        boundary_limit(broken, "radial")
