@@ -6,11 +6,13 @@ f is zero-free on the disk, so -1/f is holomorphic there and h may be
 integrated along any path.  One adaptive Gauss-Legendre engine serves
 two path geometries: h(z) itself is one straight segment from 0 to
 log(1 - z) in the log-gap coordinate s = log(1 - w), where the boundary
-growth of h' becomes smooth, and h is carried between nearby points
-(Newton increments, the planar_domain_stats fans) along straight chords
-in z.  Inversion runs a Newton continuation that tracks h
-incrementally, so each inversion costs a handful of evaluations of f
-rather than a fresh quadrature per iterate.
+growth of h' becomes smooth, and the Newton increments of the inversion
+carry h between nearby points along straight chords in z.  Inversion
+runs a Newton continuation that tracks h incrementally, so each
+inversion costs a handful of evaluations of f rather than a fresh
+quadrature per iterate.  The extremes of Im h, a harmonic function, are
+boundary values: planar_domain_stats reads them on the unit circle and
+along dyadic ladders at 1, each value one log-gap segment from 0.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ _GL_WEIGHTS = (
 )
 
 MAX_SUBSTEPS = 64  # continuation sub-targets per inversion
-STATS_RAYS = 96  # rays of the planar_domain_stats fan
+STATS_GRID = 96  # circle angles of planar_domain_stats
 BLOCH_GRID = 64  # angles per circle in bloch_norm
 
 
-def _segment_integral(dh, t0: complex, t1: complex, depth: int = 0) -> complex:
+def _segment_integral(dh, t0: complex, t1: complex) -> complex:
     """Adaptive Gauss-Legendre integral of a path integrand over [t0, t1].
 
     ``dh(t)`` returns (dh/dt, z(t)): the derivative of h along a path
@@ -58,8 +60,13 @@ def _segment_integral(dh, t0: complex, t1: complex, depth: int = 0) -> complex:
     eps/|1-z| relative accuracy, so demanding a fixed relative tolerance
     would recurse forever on roundoff.
     """
+    return _refine(dh, t0, t1, _gl_panel(dh, t0, t1)[0], 0)
+
+
+def _refine(dh, t0: complex, t1: complex, whole: complex, depth: int) -> complex:
+    # ``whole`` is the panel over [t0, t1], computed once by the caller;
+    # each half is passed down as its child's whole
     mid = 0.5 * (t0 + t1)
-    whole, _ = _gl_panel(dh, t0, t1)
     left, nl = _gl_panel(dh, t0, mid)
     right, nr = _gl_panel(dh, mid, t1)
     halves = left + right
@@ -68,8 +75,8 @@ def _segment_integral(dh, t0: complex, t1: complex, depth: int = 0) -> complex:
     if abs(whole - halves) <= tol or depth >= 12:
         return halves
     return (
-        _segment_integral(dh, t0, mid, depth + 1)
-        + _segment_integral(dh, mid, t1, depth + 1)
+        _refine(dh, t0, mid, left, depth + 1)
+        + _refine(dh, mid, t1, right, depth + 1)
     )
 
 
@@ -97,16 +104,34 @@ def abel_h(f, z: complex) -> complex:
     approaches alike.  The segment stays in the disk: the disk is the
     convex set Re s < log(2 cos(Im s)) in s.
     """
-    fn = as_callable(f)
     if z == 0:
         return 0j
+    return _h_at_gap(as_callable(f), cmath.log(1.0 - complex(z)))
 
-    def dh(s):  # dh/ds = -e^s h'(w) = e^s / f(1 - e^s)
-        gap = cmath.exp(s)
+
+def _h_at_gap(fn, s: complex) -> complex:
+    """h at 1 - e^s: the segment from 0 to s in the log-gap coordinate.
+
+    s may lie on the boundary Re s = log(2 cos(Im s)) of the disk's
+    s-image; the Gauss-Legendre nodes are interior, so the boundary
+    value of h is reached without evaluating f on the circle.
+    """
+
+    def dh(t):  # dh/ds = -e^s h'(w) = e^s / f(1 - e^s)
+        gap = cmath.exp(t)
         w = 1.0 - gap
         return gap / fn(w), w
 
-    return _segment_integral(dh, 0j, cmath.log(1.0 - complex(z)))
+    return _segment_integral(dh, 0j, s)
+
+
+def _circle_gap(theta: float) -> complex:
+    # log(1 - e^{i theta}) for 0 < |theta| <= pi, free of the cancellation
+    # in 1 - e^{i theta}: 1 - e^{i theta} = 2 sin(theta/2) e^{i(theta - pi)/2}
+    return complex(
+        math.log(2.0 * abs(math.sin(0.5 * theta))),
+        0.5 * theta - math.copysign(0.5 * math.pi, theta),
+    )
 
 
 @dataclass
@@ -341,67 +366,39 @@ class PlanarDomainStats:
 
 
 def planar_domain_stats(model: LinearizationModel) -> PlanarDomainStats:
-    """Extremes of Im h over the disk, by extrapolation over shrinking
-    boundary gaps; computed once per model and kept in
-    ``model.domain_stats``.
+    """Extremes of Im h over the disk; computed once per model and kept
+    in ``model.domain_stats``.
 
-    Integrates h outward along ``STATS_RAYS`` rays with checkpoints at
-    r = 1 - 2^-k (k <= 24), records per-circle extremes of Im h with a
-    three-point parabolic refinement, then extrapolates the per-circle
-    extremes in k; geometric growth or values past 1e8 report an infinite
-    bound.
+    Im h is harmonic on the disk, so its extremes are boundary values.
+    They are read on the unit circle at ``STATS_GRID`` midpoint angles
+    and, at the boundary point 1 where h blows up, as the limits of five
+    dyadic ladders: along the circle from either side, where finite
+    bounds at 1 are reached tangentially, and along the radius and the
+    Stolz rays +-pi/3, where an unbounded Im h may show only inside the
+    disk.  Every h value is one log-gap segment from 0.
     """
     if model.domain_stats is None:
-        model.domain_stats = _planar_domain_stats(model._chord)
+        model.domain_stats = _planar_domain_stats(model._fn)
     return model.domain_stats
 
 
-def _planar_domain_stats(chord) -> PlanarDomainStats:
-    ks = list(range(2, 25))
-    radii = [1.0 - 2.0**-k for k in ks]
-    n = STATS_RAYS
-    thetas = [2.0 * math.pi * j / n - math.pi for j in range(n)]
-    # rows[ki] collects (theta, Im h) on the circle radii[ki]
-    rows = [[] for _ in ks]
-    axis_h = [0j] * len(ks)
-    for j, theta in enumerate(thetas):
-        direction = cmath.exp(1j * theta)
-        h_val = 0j
-        prev = 0j
-        for ki, r in enumerate(radii):
-            z = r * direction
-            h_val += _segment_integral(chord, prev, z)
-            prev = z
-            rows[ki].append((theta, h_val.imag))
-            if theta == 0.0:
-                axis_h[ki] = h_val
-    # the extremes of Im h live at angles shrinking with the boundary gap
-    # (like 1-r for the blow-up direction, sqrt(1-r) for the tangential
-    # one); a uniform grid never sees them, so add a geometric cluster of
-    # angles around theta = 0 on each circle covering every scale
-    multipliers = [2.0**j for j in range(-2, 25)]
-    for ki, r in enumerate(radii):
-        for sgn in (1.0, -1.0):
-            # chain outward from the axis so each chord joins
-            # geometrically adjacent angles and stays cheap to resolve
-            h_val = axis_h[ki]
-            prev = complex(r)
-            for m in multipliers:
-                theta = sgn * m * (1.0 - r)
-                if abs(theta) >= 1.2:
-                    break
-                z = r * cmath.exp(1j * theta)
-                h_val += _segment_integral(chord, prev, z)
-                prev = z
-                rows[ki].append((theta, h_val.imag))
-    for row in rows:
-        row.sort()
+def _planar_domain_stats(fn) -> PlanarDomainStats:
+    n = STATS_GRID
+    grid = [
+        _h_at_gap(fn, _circle_gap(2.0 * math.pi * (j + 0.5) / n - math.pi)).imag
+        for j in range(n)
+    ]
+    ks = range(1, 41)
+    ladders = [[_circle_gap(side * 2.0**-k) for k in ks] for side in (1.0, -1.0)]
+    ladders += [
+        [complex(-k * math.log(2.0), phi) for k in ks]
+        for phi in (0.0, math.pi / 3, -math.pi / 3)
+    ]
+    limits = [_ladder_limit(fn, gaps) for gaps in ladders]
+    finite = grid + [v for v in limits if math.isfinite(v)]
+    sup_im = math.inf if math.inf in limits else max(finite)
+    inf_im = -math.inf if -math.inf in limits else min(finite)
 
-    sup_k = [_refined_extreme(row, sign=+1) for row in rows]
-    inf_k = [_refined_extreme(row, sign=-1) for row in rows]
-
-    sup_im = _extrapolate_bound(sup_k)
-    inf_im = -_extrapolate_bound([-v for v in inf_k])
     both = math.isfinite(sup_im) and math.isfinite(inf_im)
     strip_width = sup_im - inf_im if both else math.inf
     if math.isfinite(inf_im) and not math.isfinite(sup_im):
@@ -415,47 +412,46 @@ def _planar_domain_stats(chord) -> PlanarDomainStats:
     return PlanarDomainStats(sup_im, inf_im, strip_width, half_plane)
 
 
-def _refined_extreme(row, sign: int) -> float:
-    """Max (sign=+1) or min (sign=-1) of Im h over a circle row of
-    (theta, value) pairs, refined by a parabola through the winning
-    point and its neighbours (the spacing is non-uniform)."""
-    n = len(row)
-    best = max(range(n), key=lambda j: sign * row[j][1])
-    if best == 0 or best == n - 1:
-        return row[best][1]
-    (x0, y0), (x1, y1), (x2, y2) = row[best - 1], row[best], row[best + 1]
-    d0, d2 = x0 - x1, x2 - x1
-    denom = d0 * d2 * (d0 - d2)
-    if abs(denom) < 1e-300:
-        return y1
-    # quadratic q(x) = y1 + b (x-x1) + c (x-x1)^2 through the three points
-    c = (d2 * (y0 - y1) - d0 * (y2 - y1)) / denom
-    b = (d2 * d2 * (y0 - y1) - d0 * d0 * (y2 - y1)) / -denom
-    if sign * c >= 0:  # wrong curvature: no interior vertex on this side
-        return y1
-    vertex = y1 - b * b / (4.0 * c)
-    # a bracketed extremum cannot beat the winner by more than the local
-    # variation; ill-spaced neighbours would otherwise launch the vertex
-    cap = max(abs(y0 - y1), abs(y2 - y1))
-    if abs(vertex - y1) > cap:
-        vertex = y1 + sign * cap
-    return vertex if sign * vertex >= sign * y1 else y1
+def _ladder_limit(fn, gaps) -> float:
+    """Limit of Im h along log-gaps s_k approaching the boundary point 1.
 
-
-def _extrapolate_bound(sup_k) -> float:
-    if looks_divergent(sup_k) or abs(sup_k[-1]) > INFINITE_THRESHOLD:
-        return math.inf
-    value, converged, _ = sequence_limit(sup_k, tol=1e-4)
-    if not converged:
-        # monotone growth that has not settled: decide by growth rate
-        tail = sup_k[-6:]
-        if all(b >= a for a, b in zip(tail, tail[1:])) and (
-            tail[-1] - tail[0]
-        ) > 0.05 * max(1.0, abs(tail[-1])):
+    The ladder stops where one ulp of z = 1 - e^s moves h by more than
+    1e-8 max(1, |Im h|) (eps/|f| > 1e-8 for Im h of order one, the skip
+    rule of the linearizer residuals); past that point the rungs are
+    rounding noise.  Rungs where f is singular are skipped.  Geometric
+    growth is tested before the acceleration, which would turn a
+    divergent ladder into its finite antilimit.  Returns +-inf for an
+    unbounded ladder (it stops at the first rung past 1e8), and nan when
+    no rung lies above the floor.
+    """
+    values = []
+    for s in gaps:
+        try:
+            v = _h_at_gap(fn, s).imag
+        except SingularEvaluationError:
+            continue
+        if _machine_floor(fn, 1.0 - cmath.exp(s)) > 3.2e-7 * max(1.0, abs(v)):
+            break
+        values.append(v)
+        if abs(v) > INFINITE_THRESHOLD:
+            break
+    if not values:
+        return math.nan
+    last = values[-1]
+    if looks_divergent(values) or abs(last) > INFINITE_THRESHOLD:
+        return math.copysign(math.inf, last)
+    value, converged = sequence_limit(values, tol=1e-6)
+    if converged:
+        v = value.real
+        return math.copysign(math.inf, v) if abs(v) > INFINITE_THRESHOLD else v
+    # monotone growth that has not settled: decide by growth rate
+    tail = values[-6:]
+    if abs(tail[-1] - tail[0]) > 0.05 * max(1.0, abs(tail[-1])):
+        if all(b >= a for a, b in zip(tail, tail[1:])):
             return math.inf
-        value = complex(sup_k[-1])
-    v = value.real
-    return math.inf if abs(v) > INFINITE_THRESHOLD else v
+        if all(b <= a for a, b in zip(tail, tail[1:])):
+            return -math.inf
+    return last
 
 
 def bloch_norm(model: LinearizationModel) -> float:

@@ -143,7 +143,7 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
         if looks_divergent(stats):
             overall_bounded = False
             continue
-        value, converged, _ = sequence_limit(stats, tol=1e-3)
+        value, converged = sequence_limit(stats, tol=1e-3)
         if not converged:
             tail = stats[-5:]
             growing = all(b > a for a, b in zip(tail, tail[1:]))

@@ -238,10 +238,7 @@ def _derivative_limit(fn, zeta: complex) -> BoundaryLimitEstimate:
         except SingularEvaluationError:
             return boundary_limit(lambda z: quotient(zeta * z), "radial")
         if len(vals) >= 3 and all(abs(v) > INFINITE_THRESHOLD for v in vals[-3:]):
-            return BoundaryLimitEstimate(
-                vals[-1], True, "radial", len(vals), infinite=True
-            )
-    used = len(vals)
+            return BoundaryLimitEstimate(vals[-1], True, infinite=True)
     for m in range(1, 6):
         q = 2.0 ** (-0.5 * m)
         vals = [(b - q * a) / (1.0 - q) for a, b in zip(vals, vals[1:])]
@@ -249,7 +246,7 @@ def _derivative_limit(fn, zeta: complex) -> BoundaryLimitEstimate:
     value = tail[-1]
     if max(abs(u - value) for u in tail) < 1e-6 * max(1.0, abs(value)):
         return BoundaryLimitEstimate(
-            value, True, "radial", used, infinite=abs(value) > INFINITE_THRESHOLD
+            value, True, infinite=abs(value) > INFINITE_THRESHOLD
         )
     return boundary_limit(lambda z: quotient(zeta * z), "radial")
 
@@ -425,7 +422,7 @@ def corner_opening(certificate: ConjugationCertificate) -> float:
     if len(logs) < 8:
         raise CornerUndeterminedError("too few usable radial samples")
     diffs = [-(b - a) for a, b in zip(logs, logs[1:])]
-    gamma, converged, _ = sequence_limit(diffs, tol=1e-3)
+    gamma, converged = sequence_limit(diffs, tol=1e-3)
     gamma = float(gamma.real) if isinstance(gamma, complex) else float(gamma)
     if not converged:
         # least-squares fallback over the sampled tail

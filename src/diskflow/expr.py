@@ -642,8 +642,6 @@ class BoundaryLimitEstimate:
 
     value: complex
     converged: bool
-    approach: str
-    samples_used: int
     infinite: bool = False
 
 
@@ -679,10 +677,13 @@ def _approach_points(approach: str):
 def boundary_limit(g, approach: str = "radial", tol: float = 1e-6) -> BoundaryLimitEstimate:
     """Estimate the limit of g along an approach to the boundary point 1.
 
-    ``g`` is an expression or any complex-valued callable.  Samples along
-    the geometric schedule, accelerates, and stops at the first window of
-    three consecutive accelerated values within ``tol``.  Values past
-    1e8 in modulus are reported as numerically infinite.
+    ``g`` is an expression or any complex-valued callable.  Samples all
+    37 rungs k = 4..40 of the geometric schedule, skipping rungs where g
+    is singular, then hands the samples to :func:`sequence_limit`, which
+    reports convergence at the first window of three consecutive
+    accelerated values within ``tol``.  The only early exit is three
+    samples in a row past 1e8 in modulus; that limit, like any estimate
+    past 1e8, is reported as numerically infinite.
     """
     fn = as_callable(g)
     values = []
@@ -694,19 +695,9 @@ def boundary_limit(g, approach: str = "radial", tol: float = 1e-6) -> BoundaryLi
         values.append(v)
         if abs(v) > INFINITE_THRESHOLD and len(values) >= 3:
             if all(abs(u) > INFINITE_THRESHOLD for u in values[-3:]):
-                return BoundaryLimitEstimate(
-                    value=v,
-                    converged=True,
-                    approach=approach,
-                    samples_used=len(values),
-                    infinite=True,
-                )
-    value, converged, used = sequence_limit(values, tol=tol)
+                return BoundaryLimitEstimate(value=v, converged=True, infinite=True)
+    value, converged = sequence_limit(values, tol=tol)
     infinite = abs(value) > INFINITE_THRESHOLD
     return BoundaryLimitEstimate(
-        value=value,
-        converged=converged and not infinite,
-        approach=approach,
-        samples_used=used,
-        infinite=infinite,
+        value=value, converged=converged and not infinite, infinite=infinite
     )

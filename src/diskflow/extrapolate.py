@@ -29,20 +29,19 @@ def aitken(seq):
 
 
 def sequence_limit(seq, tol=1e-6):
-    """Estimate the limit of ``seq``; returns ``(value, converged, used)``.
+    """Estimate the limit of ``seq``; returns ``(value, converged)``.
 
     Scans the accelerated sequence for the first window of three
-    consecutive values that agree within ``tol``; ``used`` is the number
-    of raw samples consumed up to that point.  Falls back to the plain
-    sequence when it settles on its own (constant tails defeat Aitken
-    because the denominator degenerates).
+    consecutive values that agree within ``tol``.  Falls back to the
+    plain sequence when it settles on its own (constant tails defeat
+    Aitken because the denominator degenerates).
     """
     seq = list(seq)
     n = len(seq)
     if n == 0:
-        return 0j, False, 0
+        return 0j, False
     if n < 4:
-        return seq[-1], False, n
+        return seq[-1], False
 
     # Constant tail short-circuit: noise-level differences would only be
     # amplified by acceleration.
@@ -51,21 +50,21 @@ def sequence_limit(seq, tol=1e-6):
         spread = max(abs(window[0] - window[2]), abs(window[1] - window[2]))
         scale = max(1.0, abs(window[2]))
         if spread <= 1e-13 * scale:
-            return window[2], True, i + 1
+            return window[2], True
 
     acc = aitken(seq)
     for i in range(2, len(acc)):
         a, b, c = acc[i - 2], acc[i - 1], acc[i]
         if max(abs(a - c), abs(b - c)) <= tol * max(1.0, abs(c)):
-            return c, True, i + 3
+            return c, True
 
     # Last resort: the raw sequence itself may meet the tolerance.
     for i in range(2, n):
         a, b, c = seq[i - 2], seq[i - 1], seq[i]
         if max(abs(a - c), abs(b - c)) <= tol * max(1.0, abs(c)):
-            return c, True, i + 1
+            return c, True
 
-    return acc[-1] if acc else seq[-1], False, n
+    return acc[-1] if acc else seq[-1], False
 
 
 def looks_divergent(seq):

@@ -219,12 +219,12 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     if not d_vals:
         return ConvergenceDiagnostics(0.0, 0.0, "undetermined", horizon)
 
-    d_limit, d_conv, _ = sequence_limit(d_vals, tol=1e-6)
+    d_limit, d_conv = sequence_limit(d_vals, tol=1e-6)
     d_limit = max(d_limit.real, 0.0)
-    arg_limit, arg_conv, _ = sequence_limit(arg_vals, tol=1e-4)
+    arg_limit, arg_conv = sequence_limit(arg_vals, tol=1e-4)
     arg_limit = arg_limit.real
 
-    ratio_limit, ratio_conv, _ = sequence_limit(ratio_vals, tol=1e-4)
+    ratio_limit, ratio_conv = sequence_limit(ratio_vals, tol=1e-4)
     ratio_to_zero = ratio_vals[-1] < 1e-3 or (
         ratio_conv and abs(ratio_limit) < 1e-3
     )
@@ -305,7 +305,7 @@ def _direction_limit(traj: Trajectory):
         return None
     if len(dirs) >= 3 and max(abs(d - dirs[-1]) for d in dirs[-3:]) < 1e-9:
         return dirs[-1]
-    value, _, _ = sequence_limit(dirs, tol=1e-9)
+    value, _ = sequence_limit(dirs, tol=1e-9)
     if abs(value) == 0:
         return None
     return value / abs(value)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import inspect
 import math
 import os
@@ -13,6 +14,9 @@ from diskflow import catalog
 from diskflow.abel import (
     _GL_NODES,
     _GL_WEIGHTS,
+    STATS_GRID,
+    _circle_gap,
+    _h_at_gap,
     abel_flow,
     abel_h,
     bloch_norm,
@@ -47,6 +51,8 @@ def _ladder(gap):
 
 
 LADDER = [1.0 - g for k in range(4, 41, 4) for g in _ladder(2.0**-k)]
+# the circle angles of planar_domain_stats
+CIRCLE = [2.0 * math.pi * (j + 0.5) / STATS_GRID - math.pi for j in range(STATS_GRID)]
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 
 
@@ -91,6 +97,15 @@ def test_abel_h_closed_form(entry_id):
             assert abs(abel_h(counted, z) - ref) <= tol, z
             # one log-gap segment resolves every approach in a few panels
             assert evals <= 320, z
+        # boundary values: the segment ends on the circle, at the exact
+        # point 1 - e^s of its float endpoint s
+        for theta in CIRCLE:
+            s = _circle_gap(theta)
+            z_mp = 1 - mpmath.exp(mpmath.mpc(s))
+            ref = complex(_mp_eval(mpmath, entry.h_text, z_mp) - h0)
+            z = complex(z_mp)
+            tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
+            assert abs(_h_at_gap(fn, s) - ref) <= tol, theta
 
 
 def test_gauss_legendre_table():
@@ -182,12 +197,51 @@ def test_abel_flow_matches_ode():
                 )
 
 
-def test_planar_stats_halfplane():
-    model = linearize(parse("i*(1-z)^2"))
-    stats = planar_domain_stats(model)
-    assert stats.inf_im == pytest.approx(-0.5, abs=1e-3)
-    assert math.isinf(stats.sup_im)
-    assert stats.half_plane.startswith("above")
+@pytest.mark.parametrize("entry_id, sup_im, inf_im", [
+    # h = i z/(b(1-z)) has Im h = -1/(2b) on the circle, and Im h tends
+    # to +inf (b > 0) or -inf (b < 0) along the radius
+    ("parabolic-auto(1)", math.inf, -0.5),
+    ("parabolic-auto(-2)", 0.25, -math.inf),
+    # h scaled by 1e7 and 1e8: the rounding floor of a ladder scales too
+    ("parabolic-auto(1e-7)", math.inf, -5e6),
+    ("power(1,1e8)", math.inf, -math.inf),
+    ("quadrant", math.inf, -math.sqrt(0.5)),
+    # reached tangentially at 1, as theta -> 0-
+    ("perturbed-parabolic", math.inf, -(1.0 + math.pi - math.atan(2.0)) / 2.0),
+    ("hyperbolic-auto(0.5,0)", math.pi / 2, -math.pi / 2),
+    ("bfid-hyp", math.pi / 4, -math.pi / 4),
+    ("no-halfplane", math.inf, -math.inf),
+    ("bfid-par", math.inf, -math.inf),
+    ("power(1,1)", math.inf, -math.inf),
+    ("angular-only(0.5)", math.inf, -math.inf),
+])
+def test_planar_stats_closed_form(entry_id, sup_im, inf_im):
+    stats = planar_domain_stats(linearize(parse(catalog.get(entry_id).f_text)))
+    assert stats.sup_im == pytest.approx(sup_im, abs=1e-6)
+    assert stats.inf_im == pytest.approx(inf_im, abs=1e-6)
+    if math.isfinite(inf_im):
+        assert stats.half_plane.startswith("above")
+        assert stats.strip_width == stats.sup_im - stats.inf_im
+    elif math.isfinite(sup_im):
+        assert stats.half_plane.startswith("below")
+    else:
+        assert stats.half_plane == "none"
+
+
+@pytest.mark.parametrize("entry_id", catalog.DEFAULT_IDS)
+def test_planar_stats_cost(entry_id):
+    # a circle grid and five ladders of at most 40 log-gap segments each
+    model = linearize(parse(catalog.get(entry_id).f_text))
+    fn = compile_expr(model.f)
+    evals = 0
+
+    def counted(z):
+        nonlocal evals
+        evals += 1
+        return fn(z)
+
+    planar_domain_stats(dataclasses.replace(model, f=counted))
+    assert evals <= 50_000
 
 
 def test_planar_stats_computed_once_per_model():
@@ -202,12 +256,6 @@ def test_planar_stats_computed_once_per_model():
     assert model == other
     model.h(0.3)
     assert model == other
-
-
-def test_planar_stats_strip():
-    model = linearize(parse("0.5*(z^2-1)"))
-    stats = planar_domain_stats(model)
-    assert stats.strip_width == pytest.approx(math.pi, abs=1e-2)
 
 
 def test_bloch_norm_strip():
