@@ -197,7 +197,7 @@ def test_abel_flow_matches_ode():
                 )
 
 
-@pytest.mark.parametrize("entry_id, sup_im, inf_im", [
+STATS_CASES = [
     # h = i z/(b(1-z)) has Im h = -1/(2b) on the circle, and Im h tends
     # to +inf (b > 0) or -inf (b < 0) along the radius
     ("parabolic-auto(1)", math.inf, -0.5),
@@ -214,7 +214,12 @@ def test_abel_flow_matches_ode():
     ("bfid-par", math.inf, -math.inf),
     ("power(1,1)", math.inf, -math.inf),
     ("angular-only(0.5)", math.inf, -math.inf),
-])
+]
+
+
+@pytest.mark.parametrize(
+    "entry_id, sup_im, inf_im", STATS_CASES, ids=[case[0] for case in STATS_CASES]
+)
 def test_planar_stats_closed_form(entry_id, sup_im, inf_im):
     stats = planar_domain_stats(linearize(parse(catalog.get(entry_id).f_text)))
     assert stats.sup_im == pytest.approx(sup_im, abs=1e-6)
