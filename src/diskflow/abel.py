@@ -45,7 +45,6 @@ _GL_WEIGHTS = (
     0.027152459411754176,
 )
 
-MAX_SUBSTEPS = 64  # continuation sub-targets per inversion
 STATS_GRID = 96  # circle angles of planar_domain_stats
 BLOCH_GRID = 64  # angles per circle in bloch_norm
 
@@ -184,14 +183,21 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
     quadrature along the iterate segments.  Divergence or an iterate
     leaving the disk raises InversionFailureError, which doubles as the
     membership oracle for h(Delta).
+
+    A jump grows 1 + |h| at most 1.5-fold outward and halves it at most
+    inward, so twice log(1 + |w| + |h(seed)|)/log(1.5) sub-targets cover
+    a path in toward 0 and out to w; a continuation that stalls (the
+    machine floor exceeding the jump) ends there.
     """
     w = complex(w)
     z = complex(seed)
     h_cur = model.h(z)
     fn = model._fn
     tol = max(1e-12, 1e-15 * abs(w))
+    budget = (2 * math.ceil(math.log(1.0 + abs(w) + abs(h_cur)) / math.log(1.5))
+              if cmath.isfinite(w) else 0)
 
-    for _ in range(MAX_SUBSTEPS):
+    for _ in range(budget):
         remaining = w - h_cur
         if abs(remaining) <= max(tol, _machine_floor(fn, z)):
             return z

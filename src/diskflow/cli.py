@@ -23,7 +23,8 @@ from .classify import (
     theorem_argument_bound,
 )
 from .conjugate import bfid_report, outer_conjugator
-from .errors import DiskflowError, ExpressionSyntaxError, UnknownCatalogIdError
+from .errors import (DiskflowError, ExpressionSyntaxError, NotContainedError,
+                     UnknownCatalogIdError)
 from .expr import compile_expr, parse, validate_generator
 from .flow import integrate
 from .verification import run_all
@@ -192,7 +193,7 @@ def _cmd_conjugate(args) -> int:
     elif math.isfinite(stats.sup_im):
         b = min(-2.0 * stats.sup_im, -0.5)
     else:
-        raise DiskflowError(
+        raise NotContainedError(
             "the image of the Abel function is not contained in any "
             "horizontal half-plane; no outer conjugation exists"
         )

@@ -75,7 +75,7 @@ class MobiusGroup:
     @classmethod
     def from_repelling(cls, a: float, eta: complex) -> "MobiusGroup":
         # invert eta = -(a - ib)/(a + ib) for b; real for unimodular eta
-        b = (a * (1 + eta) / (1j * (eta - 1))).real if eta != 1 else 0.0
+        b = (-a * (1 + eta) / (1j * (eta - 1))).real if eta != 1 else 0.0
         return cls(a=a, b=b)
 
     def generator(self, z: complex) -> complex:
@@ -101,9 +101,9 @@ class MobiusGroup:
         k(0) = 0 (callers add their own constant).
 
         Hyperbolic case: k = -(1/2a)[Log(1-z) - Log(1-conj(eta) z)],
-        image the horizontal strip of width pi/(2a) centered on R.
-        Parabolic case: k = ib z/(1-z), image the half-plane
-        {Im w > -b/2} for b > 0 ({Im w < -b/2} for b < 0).
+        image the horizontal strip that :meth:`strip` describes.
+        Parabolic case: k = ib z/(1-z), image the half-plane that
+        :meth:`half_plane` describes.
         """
         return self.linearizer_gap(1 - z)
 
@@ -116,10 +116,18 @@ class MobiusGroup:
         # 1 - conj(eta) z = (1 - conj(eta)) + conj(eta) gap, cancellation-free
         return -(cmath.log(gap) - cmath.log((1 - e) + e * gap)) / (2 * self.a)
 
-    def strip_half_width(self) -> float:
-        if self.a == 0:
-            return math.inf
-        return math.pi / (4 * self.a)
+    def strip(self) -> tuple:
+        """(centre, half-width) of the strip k(Delta) for a != 0.
+
+        Im k is constant on each arc of the circle between 1 and eta, and
+        the two values differ by pi/(2a); with eta = -e^(-2i atan2(b, a))
+        they are atan2(b, a)/(2a) -+ pi/(4a)."""
+        return math.atan2(self.b, self.a) / (2 * self.a), math.pi / (4 * self.a)
+
+    def half_plane(self) -> tuple:
+        """(edge, side) of the half-plane k(Delta) = {side (Im w - edge) > 0}
+        for a = 0: Re z/(1 - z) = -1/2 on the circle."""
+        return -self.b / 2.0, 1 if self.b > 0 else -1
 
 
 @dataclass(frozen=True)
@@ -299,56 +307,29 @@ def find_boundary_null_points(f: Expr) -> list:
     return deduped
 
 
-def _strip_contained(model: LinearizationModel, mid: float, half_width: float,
-                     a: float, seed: complex) -> bool:
-    """Probe whether {|Im w - mid| < half_width} lies in h(Delta) using
-    inversion success as the membership oracle.
+def _rows_contained(model: LinearizationModel, rows, x_left: float,
+                   seed: complex) -> bool:
+    """Probe whether every row {Im w = y, Re w >= x_left}, y in ``rows``,
+    lies in h(Delta), using inversion success as the membership oracle.
 
-    Probes are capped to the range where the preimage gap 1 - z stays
-    representable (it decays like e^{-2a|x|} toward the repelling point
-    and like e^{-x/|mu|} toward the attracting one).  Larger Re is
-    covered by forward flow invariance: w in h(Delta) implies w + t in
-    h(Delta), so a vertical probe segment certifies everything to its
-    right.
+    h(Delta) + t lies in h(Delta) for t >= 0 (forward flow invariance),
+    so a row lies in h(Delta) once its left end does.  Each row inverts
+    its axis point (0, y), continuing from the previous row's axis point,
+    then its left end from that axis point; the region being certified is
+    convex, so every continuation path stays inside it.
     """
-    x_back = -min(25.0, 12.0 / max(a, 0.05))
-    x_fwd = min(5.0, 20.0 * abs(model.mu))
-    levels = (mid, mid + 0.9 * half_width, mid - 0.9 * half_width)
-    for im in levels:
-        # chain the probes: the strip is convex, so seeding each
-        # inversion with its neighbour keeps the continuation path inside
+    for y in rows:
         try:
-            z_axis = invert_h(model, complex(0.0, im), seed=seed)
-            z_cur = z_axis
-            for x in (x_back / 2, x_back):
-                z_cur = invert_h(model, complex(x, im), seed=z_cur)
-            invert_h(model, complex(x_fwd, im), seed=z_axis)
+            seed = invert_h(model, complex(0.0, y), seed=seed)
+            invert_h(model, complex(x_left, y), seed=seed)
         except InversionFailureError:
             return False
     return True
 
 
-def _halfplane_contained(model: LinearizationModel, level: float, side: int,
-                         seed: complex) -> bool:
-    """Membership probe for {Im w > level} (side=+1) or {Im w < level}.
-
-    Probes are chained along each horizontal row (the half-plane is
-    convex) so every continuation path stays inside the probed region.
-    """
-    row_seed = seed
-    for dy in (0.1, 1.0, 10.0, 100.0):
-        im = level + side * dy
-        try:
-            row_seed = invert_h(model, complex(0.0, im), seed=row_seed)
-            z_cur = row_seed
-            for x in (-50.0, -200.0):
-                z_cur = invert_h(model, complex(x, im), seed=z_cur)
-            z_cur = row_seed
-            for x in (50.0, 200.0):
-                z_cur = invert_h(model, complex(x, im), seed=z_cur)
-        except InversionFailureError:
-            return False
-    return True
+def _halfplane_rows(level: float, side: int) -> list:
+    # rows of {Im w > level} (side = +1) or {Im w < level} (side = -1)
+    return [level + side * dy for dy in (0.1, 1.0, 10.0, 100.0)]
 
 
 def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
@@ -357,21 +338,28 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
     F_t o phi = phi o G_t; phi(0) = base.
 
     The image of k + h(base) (a strip for a != 0, a half-plane for
-    a = 0) must sit inside h(Delta); membership is certified by probe
-    inversions before the residual is measured.
+    a = 0) must sit inside h(Delta); membership is certified row by row
+    before the residual is measured.  The strip rows are its centre line
+    and the lines 0.9 half-widths to either side, probed leftward to
+    where the preimage gap 1 - z stays representable (it decays like
+    e^(-2a|x|) toward the repelling point); the half-plane rows lie
+    0.1, 1, 10 and 100 inside its edge and are probed to Re w = -200.
     """
     C = model.h(base)
     if group.a != 0:
-        if not _strip_contained(model, C.imag, group.strip_half_width(),
-                                group.a, base):
+        centre, half_width = group.strip()
+        mid = C.imag + centre
+        rows = (mid, mid + 0.9 * half_width, mid - 0.9 * half_width)
+        x_back = -min(25.0, 12.0 / max(group.a, 0.05))
+        if not _rows_contained(model, rows, x_back, base):
             raise StripNotContainedError(
                 "linearizer strip is not inside the image of the Abel function"
             )
         bfid_type = "h-type"
     else:
-        level = C.imag - group.b / 2.0
-        side = 1 if group.b > 0 else -1
-        if not _halfplane_contained(model, level, side, base):
+        edge, side = group.half_plane()
+        level = C.imag + edge
+        if not _rows_contained(model, _halfplane_rows(level, side), -200.0, base):
             raise StripNotContainedError(
                 "linearizer half-plane is not inside the image of the Abel function"
             )
@@ -491,7 +479,7 @@ def _p_type_certificate(model: LinearizationModel, side: int):
             return None
     level = None
     for c in (0.5, 1.0, 2.0, 4.0, 8.0):
-        if _halfplane_contained(model, side * c, side, 0j):
+        if _rows_contained(model, _halfplane_rows(side * c, side), -200.0, 0j):
             level = side * c
             break
     if level is None:

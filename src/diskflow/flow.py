@@ -268,9 +268,11 @@ def backward_extendability(f, z0: complex) -> dict:
     except SingularEvaluationError:
         speed = math.inf
     if speed < 1e-6:
+        # the run ends at the exit margin next to the null point it
+        # approaches, so its last direction is already the limit
         return {
             "extendable": True,
-            "limit_point": _direction_limit(traj),
+            "limit_point": u_end / abs(u_end),
             "exit_time": None,
         }
     return {"extendable": False, "limit_point": None, "exit_time": t_end}

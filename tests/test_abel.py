@@ -179,11 +179,33 @@ def test_not_in_class_rejected():
             linearize(parse(f_text))
 
 
+# far targets |w| >> 1.5^64 ~ 1.9e11, past any fixed budget of 64
+# sub-targets: bfid-par (alpha = 2) on the radius at gap 2^-28, and the
+# alpha = 1 entries on Stolz rays at gap 2^-40
+FAR_TARGETS = [("bfid-par", 1.0 - 2.0**-28)] + [
+    (entry_id, 1.0 - 2.0**-40 * cmath.exp(1j * theta))
+    for entry_id in ("parabolic-auto(1)", "power(1,1)", "no-halfplane")
+    for theta in (math.pi / 4, -math.pi / 3)
+]
+
+
 def test_invert_h_roundtrip():
     for f_text in ("i*(1-z)^2", "-(1-z)^3", "0.5*(z^2-1)"):
         model = linearize(parse(f_text))
         for z in GRID:
             assert invert_h(model, model.h(z)) == pytest.approx(z, abs=1e-11)
+    for entry_id, z in FAR_TARGETS:
+        entry = catalog.get(entry_id)
+        model = linearize(parse(entry.f_text))
+        h_ref = compile_expr(parse(entry.h_text))
+        fn = compile_expr(model.f)
+        w = h_ref(z)
+        assert abs(w) > 1e12
+        out = invert_h(model, w)
+        # the closed form at the answer, to the rounding floor of h there:
+        # one ulp of z moves h by about eps/|f(z)|
+        floor = 32 * 2.3e-16 / abs(fn(out))
+        assert abs(h_ref(out) - w) <= 1e-9 * abs(w) + floor
 
 
 def test_abel_flow_matches_ode():

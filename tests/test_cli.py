@@ -85,9 +85,9 @@ def test_numeric_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     report = json.loads(capsys.readouterr().out)
     assert list(report) == ["error", "code", "message", "context"]
-    assert report["error"] == "DiskflowError"
-    assert report["code"] == "error"
-    assert report["context"] == {}
+    assert report["error"] == "NotContainedError"
+    assert report["code"] == "not-contained"
+    assert report["context"] == {"witness": None}
 
     def fail(model, b):
         raise InversionFailureError("planted", last_iterate=0.5j, target=1 - 2j)

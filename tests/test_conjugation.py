@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -51,6 +52,13 @@ def test_mobius_group_rejects_trivial():
         MobiusGroup(a=0.0, b=0.0)
 
 
+def test_from_repelling_round_trip():
+    for a, b in ((0.3, 0.2), (0.3, -0.2), (0.8, 0.3), (0.4, -0.9), (2.0, 1e-3)):
+        group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
+        assert group.a == a
+        assert group.b == pytest.approx(b, abs=1e-12)
+
+
 def test_repelling_point_is_null():
     group = MobiusGroup(a=0.5, b=0.2)
     assert abs(group.generator(group.eta)) < 1e-12
@@ -99,11 +107,34 @@ def test_inner_conjugator_matches_closed_form():
     f = parse(entry.f_text)
     phi_ref = compile_expr(parse(entry.phi_text))
     group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
-    cert = inner_conjugator(linearize(f), group, phi_ref(0j))
+    fn = compile_expr(f)
+    evals = 0
+
+    def counted(z):
+        nonlocal evals
+        evals += 1
+        return fn(z)
+
+    model = dataclasses.replace(linearize(f), f=counted)
+    cert = inner_conjugator(model, group, phi_ref(0j))
+    # the strip rows are probed at their axis point and left end only
+    assert evals <= 1_000_000
     assert cert.bfid_type == "h-type"
     assert cert.residual_sup < 1e-9
     for z in GRID:
         assert cert.map(z) == pytest.approx(phi_ref(z), abs=1e-8)
+
+
+def test_inner_conjugator_off_centre_strip():
+    # k(Delta) for a(z^2-1) + ib(1-z)^2 is centred at Im w = atan2(b, a)/(2a),
+    # here 0.98, and the Abel function of the group is its own linearizer
+    a, b = 0.3, 0.2
+    model = linearize(parse(catalog.get(f"hyperbolic-auto({a},{b})").f_text))
+    group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
+    assert group.strip()[0] == pytest.approx(0.98, abs=1e-4)
+    cert = inner_conjugator(model, group, 0j)
+    assert cert.bfid_type == "h-type"
+    assert cert.residual_sup < 1e-9
 
 
 def test_bfid_report_counts():

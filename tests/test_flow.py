@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from diskflow import catalog
 from diskflow.expr import compile_expr, parse
 from diskflow.flow import (
     backward_extendability,
@@ -71,6 +72,14 @@ def test_backward_extendability_hyperbolic():
     report = backward_extendability(fn, 0j)
     assert report["extendable"]
     assert report["limit_point"] == pytest.approx(-1.0, abs=1e-6)
+    # a(z^2-1) + ib(1-z)^2 runs back to eta = -(a - ib)/(a + ib); the run
+    # stops at the exit margin, where u/|u| already is the limit
+    a, b = 0.8, 0.3
+    fn = compile_expr(parse(catalog.get(f"hyperbolic-auto({a},{b})").f_text))
+    report = backward_extendability(fn, 0j)
+    assert report["extendable"]
+    eta = -(a - 1j * b) / (a + 1j * b)
+    assert report["limit_point"] == pytest.approx(eta, abs=1e-6)
 
 
 def test_backward_extendability_fails_off_axis():
