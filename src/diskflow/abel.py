@@ -7,7 +7,9 @@ integrated along any path.  One adaptive Gauss-Legendre engine serves
 two path geometries: h(z) itself is one straight segment from 0 to
 log(1 - z) in the log-gap coordinate s = log(1 - w), where the boundary
 growth of h' becomes smooth, and the Newton increments of the inversion
-carry h between nearby points along straight chords in z.  Inversion
+carry h between nearby points along straight chords in z.  Panel roundoff
+is scaled by each node's distance to the nearest singular boundary point
+of h': 1, and on chords also every boundary null point of f.  Inversion
 runs a Newton continuation that tracks h incrementally, so each
 inversion costs a handful of evaluations of f rather than a fresh
 quadrature per iterate.  The extremes of Im h, a harmonic function, are
@@ -46,18 +48,19 @@ _GL_WEIGHTS = (
 )
 
 STATS_GRID = 96  # circle angles of planar_domain_stats
+NULL_SCAN_SAMPLES = 256  # angles of the |f| scan for boundary null points
 BLOCH_GRID = 64  # angles per circle in bloch_norm
 
 
 def _segment_integral(dh, t0: complex, t1: complex) -> complex:
     """Adaptive Gauss-Legendre integral of a path integrand over [t0, t1].
 
-    ``dh(t)`` returns (dh/dt, z(t)): the derivative of h along a path
-    parametrized by t and the disk point the path reaches there.  The
-    acceptance test tracks the evaluation noise of the integrand: near
-    the boundary the reconstruction of 1-z inside the expression loses
-    eps/|1-z| relative accuracy, so demanding a fixed relative tolerance
-    would recurse forever on roundoff.
+    ``dh(t)`` returns (dh/dt, z(t), gap): the derivative of h along a
+    path parametrized by t, the disk point it reaches, and that point's
+    distance to the nearest singular boundary point of h'.  A node z is
+    itself rounded, so the integrand carries eps |z|/gap relative noise;
+    the acceptance test tracks it, where a fixed relative tolerance
+    would refine to the depth cap on roundoff.
     """
     return _refine(dh, t0, t1, _gl_panel(dh, t0, t1)[0], 0)
 
@@ -86,9 +89,8 @@ def _gl_panel(dh, t0: complex, t1: complex):
     acc = 0j
     rough = 0.0
     for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        v, node = dh(mid + half * x)
+        v, node, gap = dh(mid + half * x)
         acc += w * v
-        gap = abs(1.0 - node)
         rough += w * abs(v) * (1.0 + (abs(node) / gap if gap > 0 else 1e16))
     return acc * half, rough * abs(half) * 2.3e-16
 
@@ -119,7 +121,7 @@ def _h_at_gap(fn, s: complex) -> complex:
     def dh(t):  # dh/ds = -e^s h'(w) = e^s / f(1 - e^s)
         gap = cmath.exp(t)
         w = 1.0 - gap
-        return gap / fn(w), w
+        return gap / fn(w), w, abs(1.0 - w)
 
     return _segment_integral(dh, 0j, s)
 
@@ -139,8 +141,8 @@ class LinearizationModel:
 
     ``h_cache`` memoizes h at the exact points asked for through
     :meth:`h`; :func:`invert_h` does not consult it and continues from
-    the seed its caller passes.  ``domain_stats`` holds the result of
-    :func:`planar_domain_stats` once it has been computed.
+    the seed its caller passes.  ``domain_stats`` and ``null_points``
+    cache :func:`planar_domain_stats` and :func:`boundary_null_points`.
     """
 
     f: Expr
@@ -151,11 +153,10 @@ class LinearizationModel:
     domain_stats: PlanarDomainStats | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    null_points: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._fn = as_callable(self.f)
-        # path integrand of straight chords in z: (dh/dz, z)
-        self._chord = lambda z: (-1.0 / self._fn(z), z)
         self.h_cache[0j] = 0j
 
     def h(self, z: complex) -> complex:
@@ -190,12 +191,13 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
     machine floor exceeding the jump) ends there.
     """
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise InversionFailureError(f"target w = {w} is not finite", target=w)
     z = complex(seed)
     h_cur = model.h(z)
     fn = model._fn
     tol = max(1e-12, 1e-15 * abs(w))
-    budget = (2 * math.ceil(math.log(1.0 + abs(w) + abs(h_cur)) / math.log(1.5))
-              if cmath.isfinite(w) else 0)
+    budget = 2 * math.ceil(math.log(1.0 + abs(w) + abs(h_cur)) / math.log(1.5))
 
     for _ in range(budget):
         remaining = w - h_cur
@@ -211,7 +213,7 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
             w_sub = h_cur + remaining / abs(remaining) * cap
         else:
             w_sub = w
-        z, h_cur = _newton_level(fn, model._chord, z, h_cur, w_sub, tol, w)
+        z, h_cur = _newton_level(model, z, h_cur, w_sub, tol, w)
     if abs(w - h_cur) <= max(tol, _machine_floor(fn, z)):
         return z
     raise InversionFailureError(
@@ -239,10 +241,26 @@ def _inside_disk_s(s: complex) -> bool:
     return s.real < math.log(2.0 * math.cos(s.imag)) - 1e-14
 
 
-def _newton_level(fn, chord, z, h_cur, w_sub, tol, w_final):
+def _chord(model: LinearizationModel):
+    """Path integrand of straight chords in z: (dh/dz, z, gap), the gap
+    taken to 1 and to every other boundary null point of f."""
+    fn = model._fn
+    zetas = [p["zeta"] for p in boundary_null_points(model) if abs(p["zeta"] - 1) > 1e-6]
+
+    def dh(z):
+        gap = abs(1.0 - z)
+        for zeta in zetas:
+            gap = min(gap, abs(z - zeta))
+        return -1.0 / fn(z), z, gap
+
+    return dh
+
+
+def _newton_level(model, z, h_cur, w_sub, tol, w_final):
     # Newton runs in s = log(1-z) (principal branch; Re(1-z) > 0 on the
     # disk), where the step is a relative change of 1-z.  Near the
     # boundary this stays well conditioned where a raw z-step overshoots.
+    fn, chord = model._fn, _chord(model)
     s = cmath.log(1.0 - z)
     for _ in range(50):
         residual = h_cur - w_sub
@@ -358,6 +376,133 @@ def linearize(f) -> LinearizationModel:
     """Build the linearization model of a generator."""
     alpha, mu, tag = estimate_alpha_mu(f)
     return LinearizationModel(f=f, alpha=alpha, mu=mu, mu_class=tag)
+
+
+# --- boundary null points ---------------------------------------------------
+
+
+def boundary_null_points(model: LinearizationModel) -> list:
+    """:func:`find_boundary_null_points` of f, computed once per model."""
+    if model.null_points is None:
+        model.null_points = find_boundary_null_points(model._fn)
+    return model.null_points
+
+
+def _polish_null_point(fn, zeta: complex) -> complex:
+    """Newton-polish a boundary null point from just inside the circle.
+
+    Golden-section leaves an angular error near 1e-12, which the
+    quotient f/(z - zeta) amplifies by 2^k; a few Newton steps with a
+    centered difference along the circle push that error to rounding
+    level.  The polish is abandoned if it tries to move the point by
+    more than the bracket could justify.
+    """
+    start = zeta
+    for _ in range(4):
+        z = (1 - 1e-6) * zeta
+        step = 1e-5
+        try:
+            fz = fn(z)
+            deriv = (fn(z * cmath.exp(1j * step)) - fn(z * cmath.exp(-1j * step)))
+            deriv /= 2j * step * z
+        except SingularEvaluationError:
+            return start
+        if deriv == 0:
+            break
+        root = z - fz / deriv
+        if root == 0:
+            break
+        new = root / abs(root)
+        if abs(new - start) > 1e-6:
+            return start
+        if abs(new - zeta) < 1e-15:
+            return new
+        zeta = new
+    return zeta
+
+
+def _derivative_limit(fn, zeta: complex) -> BoundaryLimitEstimate:
+    """Radial limit of f/(z - zeta) at a polished null point.
+
+    The quotient's error ladder is geometric in powers of (1-r)^(1/2)
+    on the dyadic radii k = 6..22, so eliminating the known ratios
+    2^(-m/2) exactly leaves a residual far below the sampling noise.
+    This ladder stays separate from boundary_limit on purpose: f'(zeta)
+    sets the group parameter a, and at the null points 1 and -1 of
+    bfid-hyp boundary_limit's Aitken acceleration leaves |f'(1) - 2| =
+    4.8e-7 and |f'(-1) + 4| = 9.5e-7, the elimination 1.3e-14 and 1.5e-14.
+    Falls back to boundary_limit when any sample fails or the eliminated
+    tail does not settle.
+    """
+    def quotient(w: complex) -> complex:
+        return fn(w) / (w - zeta)
+
+    vals = []
+    for k in range(6, 23):
+        try:
+            vals.append(quotient(zeta * (1 - 2.0 ** (-k))))
+        except SingularEvaluationError:
+            return boundary_limit(lambda z: quotient(zeta * z), "radial")
+        if len(vals) >= 3 and all(abs(v) > INFINITE_THRESHOLD for v in vals[-3:]):
+            return BoundaryLimitEstimate(vals[-1], True, infinite=True)
+    for m in range(1, 6):
+        q = 2.0 ** (-0.5 * m)
+        vals = [(b - q * a) / (1.0 - q) for a, b in zip(vals, vals[1:])]
+    tail = vals[-3:]
+    value = tail[-1]
+    if max(abs(u - value) for u in tail) < 1e-6 * max(1.0, abs(value)):
+        return BoundaryLimitEstimate(
+            value, True, infinite=abs(value) > INFINITE_THRESHOLD
+        )
+    return boundary_limit(lambda z: quotient(zeta * z), "radial")
+
+
+def find_boundary_null_points(f) -> list:
+    """Boundary null points of f (an Expr or a callable) with their angular derivatives.
+
+    Scans |f| at NULL_SCAN_SAMPLES angles on the circle r = 1 - 1e-4,
+    refines each local minimum by golden-section in angle, then takes
+    radial limits of f and of f/(z - zeta).  ``regular`` means f -> 0
+    and f/(z - zeta) finite.
+    """
+    samples = NULL_SCAN_SAMPLES
+    fn = as_callable(f)
+    r0 = 1 - 1e-4
+
+    def mag(theta: float) -> float:
+        try:
+            return abs(fn(r0 * cmath.exp(1j * theta)))
+        except SingularEvaluationError:
+            return math.inf
+
+    thetas = [2 * math.pi * j / samples for j in range(samples)]
+    mags = [mag(t) for t in thetas]
+    results = []
+    for j in range(samples):
+        prev, nxt = mags[j - 1], mags[(j + 1) % samples]
+        if not (mags[j] <= prev and mags[j] <= nxt):
+            continue
+        theta, _ = golden_min(mag, thetas[j] - 2 * math.pi / samples,
+                              thetas[j] + 2 * math.pi / samples, 60)
+        zeta = _polish_null_point(fn, cmath.exp(1j * theta))
+        f_lim = boundary_limit(lambda z: fn(zeta * z), "radial")
+        if not f_lim.converged or abs(f_lim.value) > 1e-6:
+            continue
+        q_lim = _derivative_limit(fn, zeta)
+        regular = q_lim.converged and not q_lim.infinite
+        results.append(
+            {
+                "zeta": zeta,
+                "f_prime": q_lim.value if regular else None,
+                "regular": regular,
+            }
+        )
+    # dedupe minima that refined to the same point
+    deduped = []
+    for r in results:
+        if all(abs(r["zeta"] - d["zeta"]) > 1e-6 for d in deduped):
+            deduped.append(r)
+    return deduped
 
 
 # --- image-domain geometry ---------------------------------------------------

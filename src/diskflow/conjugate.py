@@ -11,12 +11,14 @@ a half-plane preimage when it is parabolic (p-type).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
-from .abel import (
+from .abel import (  # noqa: F401 - find_boundary_null_points is public here too
     LinearizationModel,
-    abel_flow,
+    boundary_null_points,
+    find_boundary_null_points,
     invert_h,
     linearize,
     planar_domain_stats,
@@ -26,11 +28,10 @@ from .errors import (
     DiskflowError,
     InversionFailureError,
     NotContainedError,
-    SingularEvaluationError,
     StripNotContainedError,
 )
-from .expr import BoundaryLimitEstimate, Expr, boundary_limit, compile_expr
-from .extrapolate import INFINITE_THRESHOLD, golden_min, line_fit, sequence_limit
+from .expr import Expr
+from .extrapolate import line_fit, sequence_limit
 from .flow import backward_extendability
 
 RESIDUAL_TIMES = (1.0, 5.0, 25.0)
@@ -45,7 +46,6 @@ RESIDUAL_GRID = (
     0.1 + 0.1j,
 )
 CONTAINMENT_MARGIN = 1e-3
-NULL_SCAN_SAMPLES = 256  # angles of the |f| scan for boundary null points
 
 
 @dataclass(frozen=True)
@@ -190,123 +190,6 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
     )
 
 
-def _polish_null_point(fn, zeta: complex) -> complex:
-    """Newton-polish a boundary null point from just inside the circle.
-
-    Golden-section leaves an angular error near 1e-12, which the
-    quotient f/(z - zeta) amplifies by 2^k; a few Newton steps with a
-    centered difference along the circle push that error to rounding
-    level.  The polish is abandoned if it tries to move the point by
-    more than the bracket could justify.
-    """
-    start = zeta
-    for _ in range(4):
-        z = (1 - 1e-6) * zeta
-        step = 1e-5
-        try:
-            fz = fn(z)
-            deriv = (fn(z * cmath.exp(1j * step)) - fn(z * cmath.exp(-1j * step)))
-            deriv /= 2j * step * z
-        except SingularEvaluationError:
-            return start
-        if deriv == 0:
-            break
-        root = z - fz / deriv
-        if root == 0:
-            break
-        new = root / abs(root)
-        if abs(new - start) > 1e-6:
-            return start
-        if abs(new - zeta) < 1e-15:
-            return new
-        zeta = new
-    return zeta
-
-
-def _derivative_limit(fn, zeta: complex) -> BoundaryLimitEstimate:
-    """Radial limit of f/(z - zeta) at a polished null point.
-
-    The quotient's error ladder is geometric in powers of (1-r)^(1/2)
-    on the dyadic radii k = 6..22, so eliminating the known ratios
-    2^(-m/2) exactly leaves a residual far below the sampling noise.
-    This ladder stays separate from boundary_limit on purpose: f'(zeta)
-    sets the group parameter a, and at the null points 1 and -1 of
-    bfid-hyp boundary_limit's Aitken acceleration leaves |f'(1) - 2| =
-    4.8e-7 and |f'(-1) + 4| = 9.5e-7, the elimination 1.3e-14 and 1.5e-14.
-    Falls back to boundary_limit when any sample fails or the eliminated
-    tail does not settle.
-    """
-    def quotient(w: complex) -> complex:
-        return fn(w) / (w - zeta)
-
-    vals = []
-    for k in range(6, 23):
-        try:
-            vals.append(quotient(zeta * (1 - 2.0 ** (-k))))
-        except SingularEvaluationError:
-            return boundary_limit(lambda z: quotient(zeta * z), "radial")
-        if len(vals) >= 3 and all(abs(v) > INFINITE_THRESHOLD for v in vals[-3:]):
-            return BoundaryLimitEstimate(vals[-1], True, infinite=True)
-    for m in range(1, 6):
-        q = 2.0 ** (-0.5 * m)
-        vals = [(b - q * a) / (1.0 - q) for a, b in zip(vals, vals[1:])]
-    tail = vals[-3:]
-    value = tail[-1]
-    if max(abs(u - value) for u in tail) < 1e-6 * max(1.0, abs(value)):
-        return BoundaryLimitEstimate(
-            value, True, infinite=abs(value) > INFINITE_THRESHOLD
-        )
-    return boundary_limit(lambda z: quotient(zeta * z), "radial")
-
-
-def find_boundary_null_points(f: Expr) -> list:
-    """Boundary null points of f with their angular derivatives.
-
-    Scans |f| at NULL_SCAN_SAMPLES angles on the circle r = 1 - 1e-4,
-    refines each local minimum by golden-section in angle, then takes
-    radial limits of f and of f/(z - zeta).  ``regular`` means f -> 0
-    and f/(z - zeta) finite.
-    """
-    samples = NULL_SCAN_SAMPLES
-    fn = compile_expr(f)
-    r0 = 1 - 1e-4
-
-    def mag(theta: float) -> float:
-        try:
-            return abs(fn(r0 * cmath.exp(1j * theta)))
-        except SingularEvaluationError:
-            return math.inf
-
-    thetas = [2 * math.pi * j / samples for j in range(samples)]
-    mags = [mag(t) for t in thetas]
-    results = []
-    for j in range(samples):
-        prev, nxt = mags[j - 1], mags[(j + 1) % samples]
-        if not (mags[j] <= prev and mags[j] <= nxt):
-            continue
-        theta, _ = golden_min(mag, thetas[j] - 2 * math.pi / samples,
-                              thetas[j] + 2 * math.pi / samples, 60)
-        zeta = _polish_null_point(fn, cmath.exp(1j * theta))
-        f_lim = boundary_limit(lambda z: fn(zeta * z), "radial")
-        if not f_lim.converged or abs(f_lim.value) > 1e-6:
-            continue
-        q_lim = _derivative_limit(fn, zeta)
-        regular = q_lim.converged and not q_lim.infinite
-        results.append(
-            {
-                "zeta": zeta,
-                "f_prime": q_lim.value if regular else None,
-                "regular": regular,
-            }
-        )
-    # dedupe minima that refined to the same point
-    deduped = []
-    for r in results:
-        if all(abs(r["zeta"] - d["zeta"]) > 1e-6 for d in deduped):
-            deduped.append(r)
-    return deduped
-
-
 def _rows_contained(model: LinearizationModel, rows, x_left: float,
                    seed: complex) -> bool:
     """Probe whether every row {Im w = y, Re w >= x_left}, y in ``rows``,
@@ -374,7 +257,8 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
         gap = group.gap_apply(t, z)
         return invert_h(model, group.linearizer_gap(gap) + C, seed=base)
 
-    res = _residual_sup(lambda t, z: model.flow(phi(z), t), right)
+    image = functools.cache(phi)  # one inversion per point, for all times
+    res = _residual_sup(lambda t, z: model.flow(image(z), t), right)
     return ConjugationCertificate(
         kind="inner",
         map=phi,
@@ -433,7 +317,7 @@ def bfid_report(f: Expr) -> list:
     model = linearize(f)
     certificates = []
 
-    for null in find_boundary_null_points(f):
+    for null in boundary_null_points(model):
         if not null["regular"] or abs(null["zeta"] - 1) < 1e-6:
             continue
         fp = null["f_prime"]

@@ -17,6 +17,7 @@ from .expr import boundary_limit, compile_expr, parse, validate_generator
 from .abel import (
     abel_flow,
     bloch_norm,
+    boundary_null_points,
     invert_h,
     linearize,
     planar_domain_stats,
@@ -27,7 +28,6 @@ from .classify import classify, halfplane_criterion_M, rigidity_criterion
 from .conjugate import (
     MobiusGroup,
     bfid_report,
-    find_boundary_null_points,
     inner_conjugator,
 )
 
@@ -159,7 +159,7 @@ def criterion_5() -> dict:
     entry = catalog.get("bfid-hyp")
     f = parse(entry.f_text)
     nulls = {}
-    for item in find_boundary_null_points(f):
+    for item in boundary_null_points(_model("bfid-hyp")):
         if item["regular"]:
             nulls[round(item["zeta"].real)] = item["f_prime"]
     d1 = abs(nulls.get(1, 1e9) - 2.0)

@@ -20,13 +20,15 @@ from diskflow.abel import (
     abel_flow,
     abel_h,
     bloch_norm,
+    boundary_null_points,
     estimate_alpha_mu,
+    find_boundary_null_points,
     invert_h,
     linearize,
     planar_domain_stats,
     visser_ostrovskii,
 )
-from diskflow.errors import NotInClassError
+from diskflow.errors import InversionFailureError, NotInClassError
 from diskflow.expr import compile_expr, parse
 from diskflow.flow import flow_point
 
@@ -206,6 +208,29 @@ def test_invert_h_roundtrip():
         # one ulp of z moves h by about eps/|f(z)|
         floor = 32 * 2.3e-16 / abs(fn(out))
         assert abs(h_ref(out) - w) <= 1e-9 * abs(w) + floor
+
+
+def test_invert_h_rejects_infinite_target():
+    model = linearize(parse("i*(1-z)^2"))
+    with pytest.raises(InversionFailureError):
+        invert_h(model, complex(math.inf, 0.0))
+    with pytest.raises(InversionFailureError):
+        abel_flow(model, 0.2, math.inf)
+
+
+def test_null_points_filled_on_first_chord():
+    f = parse(catalog.get("bfid-hyp").f_text)
+    model = linearize(f)
+    assert model.null_points is None
+    model.h(0.3)
+    assert model.null_points is None
+    abel_flow(model, 0.3, 1.0)
+    points = model.null_points
+    assert boundary_null_points(model) is points
+    assert sorted(round(p["zeta"].real) for p in points) == [-1, 1]
+    # the scan takes an expression or any callable alike
+    assert find_boundary_null_points(compile_expr(f)) == points
+    assert "null_points" not in inspect.signature(type(model)).parameters
 
 
 def test_abel_flow_matches_ode():

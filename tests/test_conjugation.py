@@ -1,9 +1,11 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
+from diskflow import abel, conjugate
 from diskflow.abel import linearize
 from diskflow.conjugate import (
     MobiusGroup,
@@ -102,27 +104,87 @@ def test_null_points_bfid_hyp():
     assert all(p["regular"] for p in points)
 
 
-def test_inner_conjugator_matches_closed_form():
-    entry = catalog.get("bfid-hyp")
-    f = parse(entry.f_text)
-    phi_ref = compile_expr(parse(entry.phi_text))
-    group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
+def _counted_model(f):
+    """The linearization model of f, with a counter of its f-evaluations."""
     fn = compile_expr(f)
-    evals = 0
+    evals = [0]
 
     def counted(z):
-        nonlocal evals
-        evals += 1
+        evals[0] += 1
         return fn(z)
 
-    model = dataclasses.replace(linearize(f), f=counted)
+    return dataclasses.replace(linearize(f), f=counted), evals
+
+
+def test_inner_conjugator_matches_closed_form():
+    entry = catalog.get("bfid-hyp")
+    phi_ref = compile_expr(parse(entry.phi_text))
+    group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
+    model, evals = _counted_model(parse(entry.f_text))
     cert = inner_conjugator(model, group, phi_ref(0j))
-    # the strip rows are probed at their axis point and left end only
-    assert evals <= 1_000_000
+    # the strip rows are probed at their axis point and left end only, and
+    # chords next to the repelling point -1 stop refining at its roundoff
+    assert evals[0] <= 200_000
     assert cert.bfid_type == "h-type"
     assert cert.residual_sup < 1e-9
     for z in GRID:
         assert cert.map(z) == pytest.approx(phi_ref(z), abs=1e-8)
+
+
+def test_inner_conjugator_cost_next_to_repelling_point():
+    a, b = 0.8, 0.3
+    model, evals = _counted_model(parse(catalog.get(f"hyperbolic-auto({a},{b})").f_text))
+    group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
+    cert = inner_conjugator(model, group, 0j)
+    assert evals[0] <= 200_000
+    assert cert.bfid_type == "h-type"
+    assert cert.residual_sup < 1e-9
+
+
+def _strip_linearizer(a, eta, z):
+    # -(1/2a)[Log(1 - z) - Log(1 - conj(eta) z)] at the double z, with both
+    # gaps formed exactly before one rounding each
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    er, ei = Fraction(eta.real), -Fraction(eta.imag)
+    gap = complex(1 - zr, -zi)
+    gap_eta = complex(1 - (er * zr - ei * zi), -(er * zi + ei * zr))
+    return -(cmath.log(gap) - cmath.log(gap_eta)) / (2 * a)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.0), (0.3, 0.2)])
+def test_strip_row_left_ends(monkeypatch, a, b):
+    # the left end of each strip row lies next to the repelling point eta;
+    # h is its own group's linearizer there, and no quadrature panel may
+    # reach the depth cap
+    entry = catalog.get(f"hyperbolic-auto({a:g},{b:g})")
+    model = linearize(parse(entry.f_text))
+    fn = compile_expr(model.f)
+    group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
+    x_back = -min(25.0, 12.0 / a)
+    ends, capped = [], []
+    invert, refine = conjugate.invert_h, abel._refine
+
+    def recording_invert(model, w, seed=0j):
+        z = invert(model, w, seed=seed)
+        if w.real == x_back:
+            ends.append((w, z))
+        return z
+
+    def recording_refine(dh, t0, t1, whole, depth):
+        if depth >= 12:
+            capped.append((t0, t1))
+        return refine(dh, t0, t1, whole, depth)
+
+    monkeypatch.setattr(conjugate, "invert_h", recording_invert)
+    monkeypatch.setattr(abel, "_refine", recording_refine)
+    cert = inner_conjugator(model, group, 0j)
+    assert cert.bfid_type == "h-type"
+    assert len(ends) == 3
+    assert capped == []
+    for w, z in ends:
+        # the rounding floor: one ulp of z moves h by about eps |z|/|f(z)|
+        floor = 32 * 2.3e-16 * max(1.0, abs(z)) / abs(fn(z))
+        assert abs(_strip_linearizer(a, group.eta, z) - w) <= 1e-9 * abs(w) + floor
 
 
 def test_inner_conjugator_off_centre_strip():
