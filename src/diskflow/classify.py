@@ -125,17 +125,18 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
     worst = 0.0
     for z0 in M_GRID:
         stats = []
+        t_prev, u = 0.0, complex(z0)
         t = 1.0
         while t <= horizon * (1 + 1e-9):
             try:
-                u = abel_flow(model, complex(z0), t)
+                u = abel_flow(model, u, t - t_prev)
             except InversionFailureError:
                 break
             gap = abs(1.0 - u)
             if gap < 1e-14:
                 break
             stats.append(t * (1.0 - abs(u)) / gap)
-            t *= 2.0
+            t_prev, t = t, 2.0 * t
         if not stats:
             inconclusive = True
             continue

@@ -31,7 +31,7 @@ from .errors import (
     StripNotContainedError,
 )
 from .expr import Expr
-from .extrapolate import line_fit, sequence_limit
+from .extrapolate import sequence_limit
 from .flow import backward_extendability
 
 RESIDUAL_TIMES = (1.0, 5.0, 25.0)
@@ -210,11 +210,6 @@ def _rows_contained(model: LinearizationModel, rows, x_left: float,
     return True
 
 
-def _halfplane_rows(level: float, side: int) -> list:
-    # rows of {Im w > level} (side = +1) or {Im w < level} (side = -1)
-    return [level + side * dy for dy in (0.1, 1.0, 10.0, 100.0)]
-
-
 def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
                      base: complex) -> ConjugationCertificate:
     """phi = h^{-1}(k(z) + h(base)) intertwines the group with the flow:
@@ -241,8 +236,8 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
         bfid_type = "h-type"
     else:
         edge, side = group.half_plane()
-        level = C.imag + edge
-        if not _rows_contained(model, _halfplane_rows(level, side), -200.0, base):
+        rows = [C.imag + edge + side * dy for dy in (0.1, 1.0, 10.0, 100.0)]
+        if not _rows_contained(model, rows, -200.0, base):
             raise StripNotContainedError(
                 "linearizer half-plane is not inside the image of the Abel function"
             )
@@ -273,8 +268,11 @@ def corner_opening(certificate: ConjugationCertificate) -> float:
     """Opening gamma of the image of phi at z = 1.
 
     The image boundary meets z = 1 in a corner of opening pi*gamma with
-    1 - phi(z) ~ m (1-z)^gamma along the radius; gamma is fitted by the
-    dyadic log-log scheme and must land in [0.48, 1.02].  The ladder
+    1 - phi(z) ~ m (1-z)^gamma along the radius, so the slopes
+    log2|1 - phi(z_k)| - log2|1 - phi(z_(k+1))| at z_k = 1 - 2^-k tend to
+    gamma.  gamma is their sequence_limit; slopes that do not settle
+    within 1e-3, or a gamma outside [0.48, 1.02], leave the corner
+    undetermined (CornerUndeterminedError).  The ladder
     k = 3..18 is its own rather than boundary_limit's k = 4..40 because
     every sample is an inversion: the longer ladder costs about four
     times as much per corner (0.2 -> 0.8 s on bfid-par), and there the
@@ -295,26 +293,23 @@ def corner_opening(certificate: ConjugationCertificate) -> float:
         raise CornerUndeterminedError("too few usable radial samples")
     diffs = [-(b - a) for a, b in zip(logs, logs[1:])]
     gamma, converged = sequence_limit(diffs, tol=1e-3)
-    gamma = float(gamma.real) if isinstance(gamma, complex) else float(gamma)
     if not converged:
-        # least-squares fallback over the sampled tail
-        slope, r2 = line_fit(range(len(logs)), logs)
-        gamma = -slope
-        if r2 < 0.9999:
-            raise CornerUndeterminedError("log-log fit quality gate failed")
+        raise CornerUndeterminedError("radial log-log slopes did not settle")
     if not (0.5 - 0.02 <= gamma <= 1 + 0.02):
         raise CornerUndeterminedError(f"gamma = {gamma} outside [1/2, 1]")
     return gamma
 
 
-def bfid_report(f: Expr) -> list:
+def bfid_report(f: LinearizationModel | Expr) -> list:
     """All backward flow invariant domains found at probe resolution.
 
+    ``f`` is a LinearizationModel, or an Expr that is linearized first.
     One h-type certificate per regular repelling null point whose strip
     fits in h(Delta); one p-type certificate per half-plane side
-    contained in h(Delta).
+    contained in h(Delta).  Each candidate domain is probed once, by the
+    row check of :func:`inner_conjugator`.
     """
-    model = linearize(f)
+    model = f if isinstance(f, LinearizationModel) else linearize(f)
     certificates = []
 
     for null in boundary_null_points(model):
@@ -325,7 +320,7 @@ def bfid_report(f: Expr) -> list:
             continue  # not repelling
         a = -fp.real / 2.0
         group = MobiusGroup.from_repelling(a, null["zeta"])
-        base = _backward_base(f, null["zeta"])
+        base = _backward_base(model.f, null["zeta"])
         if base is None:
             continue
         try:
@@ -341,7 +336,7 @@ def bfid_report(f: Expr) -> list:
     return certificates
 
 
-def _backward_base(f: Expr, zeta: complex):
+def _backward_base(f, zeta: complex):
     """A point of RESIDUAL_GRID whose backward trajectory ends at zeta,
     or None."""
     for z0 in RESIDUAL_GRID:
@@ -355,42 +350,40 @@ def _backward_base(f: Expr, zeta: complex):
 
 
 def _p_type_certificate(model: LinearizationModel, side: int):
-    """Certificate for a contained half-plane {side * Im w > c}, if any."""
+    """Certificate for a contained half-plane {side * Im w > c}, if any.
+
+    The levels c = 0.5, 1, 2, 4, 8 are tried in turn and the first whose
+    certificate succeeds wins.  Each puts the base point two units inside
+    the half-plane, checks that the horizontal trajectory through it
+    emanates from the boundary point 1, and leaves the containment check
+    to the row probe of :func:`inner_conjugator`.
+    """
     # arg mu sign rule: for alpha < 2 only the side matching arg mu works
     if model.alpha < 2 - 1e-9:
         arg_mu = cmath.phase(model.mu)
         if arg_mu * side <= 0:
             return None
-    level = None
     for c in (0.5, 1.0, 2.0, 4.0, 8.0):
-        if _rows_contained(model, _halfplane_rows(side * c, side), -200.0, 0j):
-            level = side * c
-            break
-    if level is None:
-        return None
-    # place the base two units inside the certified half-plane
-    try:
-        base = invert_h(model, complex(0.0, level + 2.0 * side), seed=0j)
-    except InversionFailureError:
-        return None
-    # backward completeness along the horizontal trajectory (Im const)
-    try:
-        probe = invert_h(model, complex(-300.0, level + 2.0 * side), seed=base)
-    except InversionFailureError:
-        return None
-    if abs(1 - probe) > 0.5:
-        return None  # trajectory does not emanate from the boundary point 1
-    C = model.h(base)
-    b = side * 2.0 * (abs(C.imag - level) - CONTAINMENT_MARGIN)
-    if b * side <= 0:
-        return None
-    group = MobiusGroup(a=0.0, b=b)
-    try:
-        cert = inner_conjugator(model, group, base)
-    except (StripNotContainedError, InversionFailureError):
-        return None
-    try:
-        gamma = corner_opening(cert)
-    except CornerUndeterminedError:
-        gamma = None
-    return replace(cert, corner_gamma=gamma)
+        level = side * c
+        try:
+            base = invert_h(model, complex(0.0, level + 2.0 * side), seed=0j)
+            # backward completeness along the horizontal trajectory (Im const)
+            probe = invert_h(model, complex(-300.0, level + 2.0 * side), seed=base)
+        except InversionFailureError:
+            continue
+        if abs(1 - probe) > 0.5:
+            continue  # trajectory does not emanate from the boundary point 1
+        C = model.h(base)
+        b = side * 2.0 * (abs(C.imag - level) - CONTAINMENT_MARGIN)
+        if b * side <= 0:
+            continue
+        try:
+            cert = inner_conjugator(model, MobiusGroup(a=0.0, b=b), base)
+        except (StripNotContainedError, InversionFailureError):
+            continue
+        try:
+            gamma = corner_opening(cert)
+        except CornerUndeterminedError:
+            gamma = None
+        return replace(cert, corner_gamma=gamma)
+    return None

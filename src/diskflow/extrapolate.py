@@ -1,5 +1,5 @@
 """Sequence acceleration used by every limit estimator in the package,
-plus the one least-squares line fit and the one golden-section search.
+plus the one golden-section search.
 
 The samplers in this package produce values along geometric schedules
 (z_k = 1 - 2^-k e^{i theta}, t_k = t0 * 2^k, ...), so the raw sequences
@@ -80,18 +80,6 @@ def looks_divergent(seq):
         return False
     ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
     return len(ratios) == 3 and all(r > 1.05 for r in ratios)
-
-
-def line_fit(xs, ys):
-    """Least-squares line through the points; returns ``(slope, r2)``."""
-    n = len(xs)
-    xbar, ybar = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    ss_res = sum((y - ybar - slope * (x - xbar)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - ybar) ** 2 for y in ys) or 1e-300
-    return slope, 1.0 - ss_res / ss_tot
 
 
 def golden_min(g, lo: float, hi: float, iters: int):

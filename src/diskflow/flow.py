@@ -10,7 +10,6 @@ limit, argument limit, approach regime) feed the classifier.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -190,10 +189,11 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
                         abel_flow=None) -> ConvergenceDiagnostics:
     """Diagnose how the trajectory from z0 approaches the boundary point 1.
 
-    Samples F_t at geometric times up to ``horizon``.  Direct ODE
-    integration is used for t <= 1e4; beyond that an ``abel_flow(z, t)``
-    callable must be supplied (exact flow through the Abel function),
-    since raw stepping stalls once 1 - u decays polynomially.
+    Samples F_t at geometric times up to ``horizon``, each sample flowed
+    on from the previous one.  Direct ODE integration is used for
+    t <= 1e4; beyond that an ``abel_flow(z, t)`` callable must be
+    supplied (exact flow through the Abel function), since raw stepping
+    stalls once 1 - u decays polynomially.
     """
     fn = as_callable(f)
     ode_cap = min(horizon, 1e4)
@@ -201,13 +201,13 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     d_vals, ratio_vals, arg_vals = [], [], []
     t_prev, u = 0.0, complex(z0)
     for t in times:
-        if t <= ode_cap or abel_flow is None:
-            if t > ode_cap:
-                break
+        if t <= ode_cap:
             u = flow_point(fn, u, t - t_prev)
-            t_prev = t
+        elif abel_flow is not None:
+            u = abel_flow(u, t - t_prev)
         else:
-            u = abel_flow(complex(z0), t)
+            break
+        t_prev = t
         one_minus = 1.0 - u
         # once the gap reaches machine noise the quotients below are garbage
         if abs(one_minus) < 1e-15 or 1.0 - abs(u) < 4e-16:
@@ -251,63 +251,21 @@ def backward_extendability(f, z0: complex) -> dict:
     (integrating back to t = -BACKWARD_HORIZON).
 
     A backward orbit that exists for all t < 0 converges to a boundary
-    null point of f, so the trajectory reaches the boundary margin with
-    |f(u)| small; a non-extendable orbit crosses the boundary at finite
-    time with |f| of order one.  Returns ``{extendable, limit_point,
-    exit_time}``.
+    null point of f, so the trajectory reaches the horizon or stagnates,
+    or it reaches the boundary margin with |f(u)| small; a non-extendable
+    orbit crosses the boundary at finite time with |f| of order one.
+    The limit point of an extendable run is the direction u/|u| of its
+    last sample.  Returns ``{extendable, limit_point, exit_time}``.
     """
     fn = as_callable(f)
     traj = integrate(fn, z0, -BACKWARD_HORIZON)
     t_end, u_end = traj.end
-    if traj.termination == "horizon-reached" or traj.termination == "stagnation":
-        limit = _direction_limit(traj)
-        return {"extendable": True, "limit_point": limit, "exit_time": None}
-    # boundary-exit: distinguish asymptotic approach from a transversal crossing
-    try:
-        speed = abs(fn(u_end))
-    except SingularEvaluationError:
-        speed = math.inf
-    if speed < 1e-6:
-        # the run ends at the exit margin next to the null point it
-        # approaches, so its last direction is already the limit
-        return {
-            "extendable": True,
-            "limit_point": u_end / abs(u_end),
-            "exit_time": None,
-        }
-    return {"extendable": False, "limit_point": None, "exit_time": t_end}
-
-
-def _direction_limit(traj: Trajectory):
-    """Unimodular limit direction u/|u| of the trajectory tail.
-
-    Resamples the trajectory at geometric times so the acceleration in
-    :func:`sequence_limit` sees the expected power-law deviation.
-    """
-    samples = traj.samples
-    t_last = abs(samples[-1][0])
-    if t_last == 0:
-        z = samples[-1][1]
-        return z / abs(z) if z != 0 else None
-    targets = [t_last / 2.0**j for j in range(14)][::-1]
-    dirs = []
-    times = [abs(t) for t, _ in samples]
-    for target in targets:
-        idx = min(bisect.bisect_left(times, target), len(samples) - 1)
-        if 0 < idx < len(samples):
-            t0, z0 = abs(samples[idx - 1][0]), samples[idx - 1][1]
-            t1, z1 = abs(samples[idx][0]), samples[idx][1]
-            frac = 0.0 if t1 == t0 else (target - t0) / (t1 - t0)
-            z = z0 + frac * (z1 - z0)
-        else:
-            z = samples[idx][1]
-        if z != 0:
-            dirs.append(z / abs(z))
-    if not dirs:
-        return None
-    if len(dirs) >= 3 and max(abs(d - dirs[-1]) for d in dirs[-3:]) < 1e-9:
-        return dirs[-1]
-    value, _ = sequence_limit(dirs, tol=1e-9)
-    if abs(value) == 0:
-        return None
-    return value / abs(value)
+    if traj.termination == "boundary-exit":
+        # distinguish asymptotic approach from a transversal crossing
+        try:
+            speed = abs(fn(u_end))
+        except SingularEvaluationError:
+            speed = math.inf
+        if speed >= 1e-6:
+            return {"extendable": False, "limit_point": None, "exit_time": t_end}
+    return {"extendable": True, "limit_point": u_end / abs(u_end), "exit_time": None}

@@ -157,15 +157,15 @@ def criterion_4() -> dict:
 def criterion_5() -> dict:
     """bfid-hyp: null points, single h-type domain, conjugator match."""
     entry = catalog.get("bfid-hyp")
-    f = parse(entry.f_text)
+    model = _model("bfid-hyp")
     nulls = {}
-    for item in boundary_null_points(_model("bfid-hyp")):
+    for item in boundary_null_points(model):
         if item["regular"]:
             nulls[round(item["zeta"].real)] = item["f_prime"]
     d1 = abs(nulls.get(1, 1e9) - 2.0)
     d2 = abs(nulls.get(-1, 1e9) - (-4.0))
     ok = d1 <= 1e-5 and d2 <= 1e-5
-    certs = bfid_report(f)
+    certs = bfid_report(model)
     h_certs = [c for c in certs if c.bfid_type == "h-type"]
     p_certs = [c for c in certs if c.bfid_type == "p-type"]
     ok = ok and len(h_certs) == 1 and len(p_certs) == 0
@@ -175,7 +175,7 @@ def criterion_5() -> dict:
     # compared against the stored closed form pointwise
     phi_ref = compile_expr(parse(entry.phi_text))
     group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
-    cert = inner_conjugator(_model("bfid-hyp"), group, phi_ref(0j))
+    cert = inner_conjugator(model, group, phi_ref(0j))
     phi_dev = max(abs(cert.map(z) - phi_ref(z)) for z in _grid20())
     ok = ok and phi_dev <= 1e-6
     detail = (
@@ -190,8 +190,7 @@ def criterion_6() -> dict:
     """bfid-par: exponents, three invariant domains, corner openings."""
     model = _model("bfid-par")
     ok = abs(model.alpha - 2.0) <= 0.02 and abs(model.mu - 1.0) <= 0.01
-    f = parse(catalog.get("bfid-par").f_text)
-    certs = bfid_report(f)
+    certs = bfid_report(model)
     h_certs = [c for c in certs if c.bfid_type == "h-type"]
     p_certs = [c for c in certs if c.bfid_type == "p-type"]
     ok = ok and len(h_certs) == 1 and len(p_certs) == 2

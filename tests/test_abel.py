@@ -17,6 +17,7 @@ from diskflow.abel import (
     STATS_GRID,
     _circle_gap,
     _h_at_gap,
+    _ladder_limit,
     abel_flow,
     abel_h,
     bloch_norm,
@@ -278,6 +279,18 @@ def test_planar_stats_closed_form(entry_id, sup_im, inf_im):
         assert stats.half_plane.startswith("below")
     else:
         assert stats.half_plane == "none"
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_ladder_limit_linear_growth(sign):
+    # fn(w) = +-i(1 - w) gives h = -+i log(1 - z), so Im h = +-k log 2 on
+    # the radial rung 1 - 2^-k: growth too slow to look divergent and a
+    # sequence that never settles; the monotone-growth rule decides
+    def fn(w):
+        return sign * 1j * (1.0 - w)
+
+    gaps = [complex(-k * math.log(2.0), 0.0) for k in range(1, 41)]
+    assert _ladder_limit(fn, gaps) == sign * math.inf
 
 
 @pytest.mark.parametrize("entry_id", catalog.DEFAULT_IDS)

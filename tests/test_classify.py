@@ -5,6 +5,7 @@ import pytest
 
 from diskflow.abel import linearize
 from diskflow.classify import (
+    M_GRID,
     classify,
     halfplane_criterion_M,
     rigidity_criterion,
@@ -66,6 +67,27 @@ def test_halfplane_M_bounded_for_quadrant():
     report = halfplane_criterion_M(linearize(_f("quadrant")))
     assert report["bounded"]
     assert not report["inconclusive"]
+
+
+def test_halfplane_M_quadrant_matches_closed_form():
+    # quadrant's h = e^(i pi/4)(q - 1) with q = sqrt((1+z)/(1-z)) inverts
+    # to 1 - z = 2/(q^2 + 1); the statistic is taken at the same start
+    # points and times, at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    report = halfplane_criterion_M(linearize(_f("quadrant")))
+    with mpmath.workdps(40):
+        rot = mpmath.exp(1j * mpmath.pi / 4)
+        worst = mpmath.mpf(0)
+        for z0 in M_GRID:
+            z = mpmath.mpc(z0)
+            q0 = mpmath.sqrt((1 + z) / (1 - z))
+            for k in range(17):  # t = 2^k <= 1e5
+                t = mpmath.mpf(2) ** k
+                q = q0 + t / rot
+                gap = 2 / (q**2 + 1)
+                u = 1 - gap
+                worst = max(worst, t * (1 - abs(u)) / abs(gap))
+    assert report["max_statistic"] == pytest.approx(float(worst), rel=1e-3)
 
 
 def test_halfplane_M_unbounded_for_bfid_par():

@@ -208,6 +208,25 @@ def test_bfid_report_counts():
     assert all(g == pytest.approx(0.5, abs=0.05) for g in gammas)
 
 
+def test_bfid_report_cost():
+    # each half-plane level is probed once, by the certificate's own rows
+    model, evals = _counted_model(parse(catalog.get("bfid-par").f_text))
+    certs = bfid_report(model)
+    assert sorted(c.bfid_type for c in certs) == ["h-type", "p-type", "p-type"]
+    assert evals[0] < 370_950
+
+
+def test_bfid_report_slow_hyperbolic():
+    # for a = 0.05 the backward run from 0 ends at t = -50 short of the
+    # exit margin; its last direction is 6.8e-4 from eta, inside the 1e-3
+    # that the base-point search allows
+    entry = catalog.get("hyperbolic-auto(0.05,1)")
+    certs = bfid_report(parse(entry.f_text))
+    counts = {kind: sum(c.bfid_type == f"{kind}-type" for c in certs) for kind in "ph"}
+    assert counts == entry.truth["bfid_counts"]
+    assert all(c.residual_sup < 1e-9 for c in certs)
+
+
 def test_bfid_report_empty_for_quadrant():
     assert bfid_report(parse(catalog.get("quadrant").f_text)) == []
 

@@ -82,6 +82,19 @@ def test_backward_extendability_hyperbolic():
     assert report["limit_point"] == pytest.approx(eta, abs=1e-6)
 
 
+def test_backward_extendability_limit_before_exit_margin():
+    # for a = 0.15 the backward run from 0 reaches t = -50 well inside the
+    # exit margin; the direction of its last sample is already within
+    # 1e-6 of the repelling point eta
+    a, b = 0.15, 0.1
+    fn = compile_expr(parse(catalog.get(f"hyperbolic-auto({a},{b})").f_text))
+    assert integrate(fn, 0j, -50.0).termination == "horizon-reached"
+    report = backward_extendability(fn, 0j)
+    assert report["extendable"]
+    eta = -(a - 1j * b) / (a + 1j * b)
+    assert abs(report["limit_point"] - eta) <= 1e-6
+
+
 def test_backward_extendability_fails_off_axis():
     # for the parabolic automorphism no interior point flows backward
     # forever except along the group orbit; perturbed starts exit
