@@ -243,8 +243,10 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
             )
         bfid_type = "p-type"
 
-    def phi(z: complex) -> complex:
-        return invert_h(model, group.linearizer(z) + C, seed=base)
+    def phi(z: complex, seed: complex = base) -> complex:
+        # ``seed`` only starts the continuation; one near the preimage
+        # saves Newton steps
+        return invert_h(model, group.linearizer(z) + C, seed=seed)
 
     def right(t: float, z: complex) -> complex:
         # evaluate through the gap 1 - G_t(z), which stays representable
@@ -272,21 +274,21 @@ def corner_opening(certificate: ConjugationCertificate) -> float:
     log2|1 - phi(z_k)| - log2|1 - phi(z_(k+1))| at z_k = 1 - 2^-k tend to
     gamma.  gamma is their sequence_limit; slopes that do not settle
     within 1e-3, or a gamma outside [0.48, 1.02], leave the corner
-    undetermined (CornerUndeterminedError).  The ladder
-    k = 3..18 is its own rather than boundary_limit's k = 4..40 because
-    every sample is an inversion: the longer ladder costs about four
-    times as much per corner (0.2 -> 0.8 s on bfid-par), and there the
-    inversions at k >= 38 fail.
+    undetermined (CornerUndeterminedError).  The rungs continue one from
+    the next: rung k+1 is inverted from rung k's preimage, not from the
+    base point.  The ladder k = 3..18 is its own rather than
+    boundary_limit's k = 4..40 because every sample is an inversion, and
+    on bfid-par the inversions at k >= 38 fail.
     """
     if certificate.kind != "inner" or certificate.bfid_type != "p-type":
         raise ValueError("corner opening applies to inner p-type certificates")
     phi = certificate.map
-    ks = range(3, 19)
+    point = certificate.base_point
     logs = []
-    for k in ks:
-        z = 1 - 2.0 ** (-k)
+    for k in range(3, 19):
         try:
-            logs.append(math.log2(abs(1 - phi(z))))
+            point = phi(1 - 2.0 ** (-k), seed=point)
+            logs.append(math.log2(abs(1 - point)))
         except (InversionFailureError, ValueError):
             break
     if len(logs) < 8:

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import inspect
 import math
 import os
@@ -8,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import counted_model
 
 import diskflow
 from diskflow import catalog
@@ -15,7 +15,9 @@ from diskflow.abel import (
     _GL_NODES,
     _GL_WEIGHTS,
     STATS_GRID,
+    _chord,
     _circle_gap,
+    _gl_panel,
     _h_at_gap,
     _ladder_limit,
     abel_flow,
@@ -211,6 +213,71 @@ def test_invert_h_roundtrip():
         assert abs(h_ref(out) - w) <= 1e-9 * abs(w) + floor
 
 
+# f-evaluations of inverting h_text at the radial and Stolz(pi/4) gaps
+# 2^-k, k = 4, 8, ..., 40, from 0; short Newton chords take one panel
+INVERT_COST_CAPS = {"quadrant": 60_000, "parabolic-auto(1)": 110_000, "bfid-par": 130_000}
+
+
+@pytest.mark.parametrize("entry_id", sorted(INVERT_COST_CAPS))
+def test_invert_h_cost(entry_id):
+    entry = catalog.get(entry_id)
+    model, evals = counted_model(parse(entry.f_text))
+    h_ref = compile_expr(parse(entry.h_text))
+    fn = compile_expr(parse(entry.f_text))
+    for k in range(4, 41, 4):
+        for ray in (1.0, cmath.exp(0.25j * math.pi)):
+            w = h_ref(1.0 - 2.0**-k * ray) - h_ref(0j)
+            out = invert_h(model, w)
+            floor = 32 * 2.3e-16 / abs(fn(out))
+            assert abs(h_ref(out) - h_ref(0j) - w) <= 1e-9 * abs(w) + floor, (k, ray)
+    assert evals[0] <= INVERT_COST_CAPS[entry_id]
+
+
+SINGLE_PANEL_IDS = [
+    "quadrant", "parabolic-auto(1)", "power(0,i)", "bfid-par", "perturbed-parabolic"
+]
+
+
+@pytest.mark.parametrize("entry_id", SINGLE_PANEL_IDS)
+def test_single_panel_chords_match_closed_form(entry_id):
+    # a Newton chord z0 -> z1 with 2|z1 - z0| <= 1 - max(|z0|, |z1|) is one
+    # 16-node panel; against the catalog's closed form at 30 digits it must
+    # be exact to the rounding of h and the panel's own noise estimate
+    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, example, given, settings
+    from hypothesis import strategies as st
+
+    entry = catalog.get(entry_id)
+    chord = _chord(linearize(parse(entry.f_text)))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.floats(0.0, 40.0),  # the gap 1 - z0 is 2^-k ...
+        st.floats(-1.5, 1.5),  # ... at this angle from the radius
+        st.floats(-math.pi, math.pi),  # direction of the chord
+        st.floats(0.01, 1.0),  # its length, in half the distance to the circle
+    )
+    @example(40.0, 0.0, math.pi, 1.0)  # radially outward, next to 1
+    @example(40.0, 0.0, 0.0, 1.0)  # radially inward, next to 1
+    @example(20.0, 1.5, 0.5, 1.0)  # next to the circle, near 1
+    def check(k, angle, direction, length):
+        z0 = 1.0 - 2.0**-k * cmath.exp(1j * angle)
+        assume(abs(z0) < 1.0)
+        z1 = z0 + 0.5 * length * (1.0 - abs(z0)) * cmath.exp(1j * direction)
+        assume(z1 != z0 and 2.0 * abs(z1 - z0) <= 1.0 - max(abs(z0), abs(z1)))
+        value, noise = _gl_panel(chord, z0, z1)
+        with mpmath.workdps(30):
+            h0 = _mp_eval(mpmath, entry.h_text, 0j)
+            h_z0 = _mp_eval(mpmath, entry.h_text, z0) - h0
+            h_z1 = _mp_eval(mpmath, entry.h_text, z1) - h0
+            ref = complex(h_z1 - h_z0)
+            tol = 64 * sys.float_info.epsilon * float(abs(h_z0) + abs(h_z1)) + noise
+        assert abs(value - ref) <= tol, (z0, z1)
+
+    check()
+
+
 def test_invert_h_rejects_infinite_target():
     model = linearize(parse("i*(1-z)^2"))
     with pytest.raises(InversionFailureError):
@@ -281,6 +348,23 @@ def test_planar_stats_closed_form(entry_id, sup_im, inf_im):
         assert stats.half_plane == "none"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="_ladder_limit and INFINITE_THRESHOLD call any |Im h| past the "
+    "absolute 1e8 infinite, so both images report half_plane 'none'",
+)
+@pytest.mark.parametrize("entry_id, inf_im", [
+    # Im h > -1/(2b) = -5e8, a half-plane
+    ("parabolic-auto(1e-9)", -5e8),
+    # |Im h| < pi/(4a) = 7.9e8, a strip
+    ("hyperbolic-auto(1e-9,0)", -math.pi / 4e-9),
+])
+def test_planar_stats_far_half_plane(entry_id, inf_im):
+    stats = planar_domain_stats(linearize(parse(catalog.get(entry_id).f_text)))
+    assert stats.half_plane.startswith("above")
+    assert stats.inf_im == pytest.approx(inf_im, rel=1e-9)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_ladder_limit_linear_growth(sign):
     # fn(w) = +-i(1 - w) gives h = -+i log(1 - z), so Im h = +-k log 2 on
@@ -296,17 +380,9 @@ def test_ladder_limit_linear_growth(sign):
 @pytest.mark.parametrize("entry_id", catalog.DEFAULT_IDS)
 def test_planar_stats_cost(entry_id):
     # a circle grid and five ladders of at most 40 log-gap segments each
-    model = linearize(parse(catalog.get(entry_id).f_text))
-    fn = compile_expr(model.f)
-    evals = 0
-
-    def counted(z):
-        nonlocal evals
-        evals += 1
-        return fn(z)
-
-    planar_domain_stats(dataclasses.replace(model, f=counted))
-    assert evals <= 50_000
+    model, evals = counted_model(parse(catalog.get(entry_id).f_text))
+    planar_domain_stats(model)
+    assert evals[0] <= 50_000
 
 
 def test_planar_stats_computed_once_per_model():

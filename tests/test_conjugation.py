@@ -1,9 +1,9 @@
 import cmath
-import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from conftest import counted_model
 
 from diskflow import abel, conjugate
 from diskflow.abel import linearize
@@ -104,23 +104,11 @@ def test_null_points_bfid_hyp():
     assert all(p["regular"] for p in points)
 
 
-def _counted_model(f):
-    """The linearization model of f, with a counter of its f-evaluations."""
-    fn = compile_expr(f)
-    evals = [0]
-
-    def counted(z):
-        evals[0] += 1
-        return fn(z)
-
-    return dataclasses.replace(linearize(f), f=counted), evals
-
-
 def test_inner_conjugator_matches_closed_form():
     entry = catalog.get("bfid-hyp")
     phi_ref = compile_expr(parse(entry.phi_text))
     group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
-    model, evals = _counted_model(parse(entry.f_text))
+    model, evals = counted_model(parse(entry.f_text))
     cert = inner_conjugator(model, group, phi_ref(0j))
     # the strip rows are probed at their axis point and left end only, and
     # chords next to the repelling point -1 stop refining at its roundoff
@@ -133,7 +121,7 @@ def test_inner_conjugator_matches_closed_form():
 
 def test_inner_conjugator_cost_next_to_repelling_point():
     a, b = 0.8, 0.3
-    model, evals = _counted_model(parse(catalog.get(f"hyperbolic-auto({a},{b})").f_text))
+    model, evals = counted_model(parse(catalog.get(f"hyperbolic-auto({a},{b})").f_text))
     group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
     cert = inner_conjugator(model, group, 0j)
     assert evals[0] <= 200_000
@@ -209,11 +197,12 @@ def test_bfid_report_counts():
 
 
 def test_bfid_report_cost():
-    # each half-plane level is probed once, by the certificate's own rows
-    model, evals = _counted_model(parse(catalog.get("bfid-par").f_text))
+    # each half-plane level is probed once, by the certificate's own rows,
+    # and each corner rung is inverted from the previous rung's preimage
+    model, evals = counted_model(parse(catalog.get("bfid-par").f_text))
     certs = bfid_report(model)
     assert sorted(c.bfid_type for c in certs) == ["h-type", "p-type", "p-type"]
-    assert evals[0] < 370_950
+    assert evals[0] < 110_000
 
 
 def test_bfid_report_slow_hyperbolic():
