@@ -81,11 +81,14 @@ def write_json(path: str, obj) -> None:
         fh.write(dumps(obj))
 
 
+# one printf-style format per row; %.17g prints what format(v, ".17g") does
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g"
+
+
 def trajectory_csv(trajectory) -> str:
     """CSV text with columns t, re, im, horocycle, gap."""
     lines = ["t,re,im,horocycle,gap"]
-    for row in trajectory.csv_rows():
-        lines.append(",".join(format(v, ".17g") for v in row))
+    lines += [_CSV_ROW % row for row in trajectory.csv_rows()]
     return "\n".join(lines) + "\n"
 
 

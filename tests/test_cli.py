@@ -62,6 +62,17 @@ def test_trace_matches_group_closed_form(tmp_path):
     assert abs(end - ref) < 1e-9
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--t", "nan"], "error"),
+    (["--z0", "nan,0"], "not-in-disk"),
+])
+def test_trace_nan_input_exits_3(flags, code, capsys):
+    # a NaN horizon or start point is reported, not traced
+    assert main(["trace", "--f", "i*(1-z)^2", *flags]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == code
+
+
 def test_trace_svg_artifact(tmp_path):
     svg = tmp_path / "p.svg"
     code = main([

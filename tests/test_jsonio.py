@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from diskflow import jsonio
 from diskflow.expr import compile_expr, parse
 from diskflow.flow import integrate
@@ -51,6 +53,32 @@ def test_trajectory_csv_header_and_rows():
     assert len(lines) == len(traj.samples) + 1
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
+
+
+def test_trajectory_csv_row_format_property():
+    # each row is printed with one %-format; it must give the bytes of
+    # format(v, ".17g") per value, for every float
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    class Rows:
+        def __init__(self, row):
+            self.row = row
+
+        def csv_rows(self):
+            yield self.row
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(allow_subnormal=True)] * 5))
+    @example((math.inf, -math.inf, math.nan, -0.0, 0.0))
+    @example((5e-324, -2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, 0.1))
+    @example((-math.nan, 1e16, 1e17, 123456789012345678.0, -1.5))
+    def check(row):
+        line = jsonio.trajectory_csv(Rows(row)).split("\n")[1]
+        assert line == ",".join(format(v, ".17g") for v in row)
+
+    check()
 
 
 def test_svg_structure():
