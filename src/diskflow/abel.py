@@ -7,19 +7,24 @@ integrated along any path.  One adaptive Gauss-Legendre engine serves
 two path geometries: h(z) itself is one straight segment from 0 to
 log(1 - z) in the log-gap coordinate s = log(1 - w), where the boundary
 growth of h' becomes smooth, and the Newton increments of the inversion
-carry h between nearby points along straight chords in z.  Panel roundoff
-is scaled by each node's distance to the nearest singular boundary point
-of h': 1, and on chords also every boundary null point of f.  Inversion
-runs a Newton continuation that tracks h incrementally, one chord
-integral per iterate rather than a fresh quadrature from 0.  An
-inversion crosses tens of continuation levels (about 35 from 0 to the
-dyadic gaps 2^-4 .. 2^-40) of about 4 Newton steps each; a step costs
-17 evaluations of f on a chord short against its distance to the
-circle (one panel and the new iterate) and about 49 on the others, so
-an inversion takes hundreds to a few thousand evaluations.  The
-extremes of Im h, a harmonic function, are boundary values:
-planar_domain_stats reads them on the unit circle and along dyadic
-ladders at 1, each value one log-gap segment from 0.
+carry h between nearby points along straight chords in z.  Panel
+roundoff is scaled by each node's distance to the nearest singular
+boundary point of h': 1, and on chords also every boundary null point
+of f.  Each panel is a kernel, from the templates _GAP_PANEL and
+_CHORD_PANELS below, which :func:`diskflow.expr.kernel` compiles once
+per generator with the code of f in place of each evaluation, so a node
+makes no Python call; a model builds its chord panels, with its null
+points bound in, on its first inversion and keeps them.  Inversion runs
+a Newton continuation that tracks h incrementally, one chord integral
+per iterate rather than a fresh quadrature from 0.  An inversion crosses
+tens of continuation levels (about 35 from 0 to the dyadic gaps
+2^-4 .. 2^-40) of about 4 Newton steps each; a step costs 17
+evaluations of f on a chord short against its distance to the circle
+(one panel and the new iterate) and about 49 on the others, so an
+inversion takes hundreds to a few thousand evaluations.  The extremes of
+Im h, a harmonic function, are boundary values: planar_domain_stats
+reads them on the unit circle and along dyadic ladders at 1, each value
+one log-gap segment from 0.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InversionFailureError, NotInClassError, SingularEvaluationError
-from .expr import BoundaryLimitEstimate, Expr, as_callable, boundary_limit
+from .expr import BoundaryLimitEstimate, Expr, as_callable, boundary_limit, kernel
 from .extrapolate import INFINITE_THRESHOLD, golden_min, looks_divergent, sequence_limit
 
 # the 16-point Gauss-Legendre rule on [-1, 1] as plain floats, digit for
@@ -57,47 +62,93 @@ NULL_SCAN_SAMPLES = 256  # angles of the |f| scan for boundary null points
 BLOCH_GRID = 64  # angles per circle in bloch_norm
 
 
-def _segment_integral(dh, t0: complex, t1: complex) -> complex:
+_GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
+
+# The 16-node panel over [t0, t1] of the log-gap segment, where
+# dh/ds = e^s / f(1 - e^s); returns (integral, roundoff noise estimate).
+# A node z is itself rounded, so the integrand carries eps |z|/gap
+# relative noise, gap being the distance from z to the boundary point 1.
+# Instantiated per generator by expr.kernel, with f inlined.
+_GAP_PANEL = """
+def gap_panel(t0, t1):
+    half = 0.5 * (t1 - t0)
+    mid = 0.5 * (t0 + t1)
+    acc = 0j
+    rough = 0.0
+    for x, w in GL_RULE:
+        gap = exp(mid + half * x)
+        z = 1.0 - gap
+        v = f(z)
+        v = gap / v
+        acc += w * v
+        gap = abs(1.0 - z)
+        rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
+    return acc * half, rough * abs(half) * 2.3e-16
+"""
+
+# The panels of straight chords in z, where dh/dz = -1/f, with the gap of
+# a node taken to 1 and to every other boundary null point in ``zetas``:
+# ``panel`` returns (integral, roundoff noise estimate) like the log-gap
+# panel, ``chord_sum`` the integral alone, for the single-panel Newton
+# chords that never read the noise.
+_CHORD_PANELS = """
+def chord_panels(zetas):
+    def panel(t0, t1):
+        half = 0.5 * (t1 - t0)
+        mid = 0.5 * (t0 + t1)
+        acc = 0j
+        rough = 0.0
+        for x, w in GL_RULE:
+            z = mid + half * x
+            gap = abs(1.0 - z)
+            for zeta in zetas:
+                gap = min(gap, abs(z - zeta))
+            v = f(z)
+            v = -1.0 / v
+            acc += w * v
+            rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
+        return acc * half, rough * abs(half) * 2.3e-16
+
+    def chord_sum(t0, t1):
+        half = 0.5 * (t1 - t0)
+        mid = 0.5 * (t0 + t1)
+        acc = 0j
+        for x, w in GL_RULE:
+            z = mid + half * x
+            v = f(z)
+            acc += w * (-1.0 / v)
+        return acc * half
+
+    return panel, chord_sum
+"""
+
+
+def _segment_integral(panel, t0: complex, t1: complex) -> complex:
     """Adaptive Gauss-Legendre integral of a path integrand over [t0, t1].
 
-    ``dh(t)`` returns (dh/dt, z(t), gap): the derivative of h along a
-    path parametrized by t, the disk point it reaches, and that point's
-    distance to the nearest singular boundary point of h'.  A node z is
-    itself rounded, so the integrand carries eps |z|/gap relative noise;
-    the acceptance test tracks it, where a fixed relative tolerance
+    ``panel(a, b)`` is a 16-node panel over [a, b] of the path, one of
+    the kernels above: it returns the integral and a roundoff estimate
+    that the acceptance test tracks, where a fixed relative tolerance
     would refine to the depth cap on roundoff.
     """
-    return _refine(dh, t0, t1, _gl_panel(dh, t0, t1)[0], 0)
+    return _refine(panel, t0, t1, panel(t0, t1)[0], 0)
 
 
-def _refine(dh, t0: complex, t1: complex, whole: complex, depth: int) -> complex:
+def _refine(panel, t0: complex, t1: complex, whole: complex, depth: int) -> complex:
     # ``whole`` is the panel over [t0, t1], computed once by the caller;
     # each half is passed down as its child's whole
     mid = 0.5 * (t0 + t1)
-    left, nl = _gl_panel(dh, t0, mid)
-    right, nr = _gl_panel(dh, mid, t1)
+    left, nl = panel(t0, mid)
+    right, nr = panel(mid, t1)
     halves = left + right
     noise = nl + nr
     tol = max(1e-13 * max(1.0, abs(halves)), 8.0 * noise)
     if abs(whole - halves) <= tol or depth >= 12:
         return halves
     return (
-        _refine(dh, t0, mid, left, depth + 1)
-        + _refine(dh, mid, t1, right, depth + 1)
+        _refine(panel, t0, mid, left, depth + 1)
+        + _refine(panel, mid, t1, right, depth + 1)
     )
-
-
-def _gl_panel(dh, t0: complex, t1: complex):
-    """16-node panel; returns (integral, roundoff noise estimate)."""
-    half = 0.5 * (t1 - t0)
-    mid = 0.5 * (t0 + t1)
-    acc = 0j
-    rough = 0.0
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        v, node, gap = dh(mid + half * x)
-        acc += w * v
-        rough += w * abs(v) * (1.0 + (abs(node) / gap if gap > 0 else 1e16))
-    return acc * half, rough * abs(half) * 2.3e-16
 
 
 def abel_h(f, z: complex) -> complex:
@@ -122,13 +173,7 @@ def _h_at_gap(fn, s: complex) -> complex:
     s-image; the Gauss-Legendre nodes are interior, so the boundary
     value of h is reached without evaluating f on the circle.
     """
-
-    def dh(t):  # dh/ds = -e^s h'(w) = e^s / f(1 - e^s)
-        gap = cmath.exp(t)
-        w = 1.0 - gap
-        return gap / fn(w), w, abs(1.0 - w)
-
-    return _segment_integral(dh, 0j, s)
+    return _segment_integral(kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE), 0j, s)
 
 
 def _circle_gap(theta: float) -> complex:
@@ -147,7 +192,8 @@ class LinearizationModel:
     ``h_cache`` memoizes h at the exact points asked for through
     :meth:`h`; :func:`invert_h` does not consult it and continues from
     the seed its caller passes.  ``domain_stats`` and ``null_points``
-    cache :func:`planar_domain_stats` and :func:`boundary_null_points`.
+    cache :func:`planar_domain_stats` and :func:`boundary_null_points`,
+    ``chords`` the chord panels of :func:`invert_h`.
     """
 
     f: Expr
@@ -159,6 +205,7 @@ class LinearizationModel:
         default=None, init=False, repr=False, compare=False
     )
     null_points: list | None = field(default=None, init=False, repr=False, compare=False)
+    chords: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._fn = as_callable(self.f)
@@ -206,7 +253,7 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
         raise InversionFailureError(f"target w = {w} is not finite", target=w)
     z = complex(seed)
     h_cur = model.h(z)
-    fn, chord = model._fn, _chord(model)
+    fn, chords = model._fn, _chord_panels(model)
     fz = _f_or_none(fn, z)
     tol = max(1e-12, 1e-15 * abs(w))
     budget = 2 * math.ceil(math.log(1.0 + abs(w) + abs(h_cur)) / math.log(1.5))
@@ -225,7 +272,7 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
             w_sub = h_cur + remaining / abs(remaining) * cap
         else:
             w_sub = w
-        z, fz, h_cur = _newton_level(fn, chord, z, fz, h_cur, w_sub, tol, w)
+        z, fz, h_cur = _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w)
     if abs(w - h_cur) <= max(tol, _machine_floor(fz, z)):
         return z
     raise InversionFailureError(
@@ -260,22 +307,18 @@ def _inside_disk_s(s: complex) -> bool:
     return s.real < math.log(2.0 * math.cos(s.imag)) - 1e-14
 
 
-def _chord(model: LinearizationModel):
-    """Path integrand of straight chords in z: (dh/dz, z, gap), the gap
-    taken to 1 and to every other boundary null point of f."""
-    fn = model._fn
-    zetas = [p["zeta"] for p in boundary_null_points(model) if abs(p["zeta"] - 1) > 1e-6]
-
-    def dh(z):
-        gap = abs(1.0 - z)
-        for zeta in zetas:
-            gap = min(gap, abs(z - zeta))
-        return -1.0 / fn(z), z, gap
-
-    return dh
+def _chord_panels(model: LinearizationModel) -> tuple:
+    """The chord kernels of the model, (panel, chord_sum) of _CHORD_PANELS,
+    built on its first inversion and kept in ``model.chords``."""
+    if model.chords is None:
+        zetas = tuple(
+            p["zeta"] for p in boundary_null_points(model) if abs(p["zeta"] - 1) > 1e-6
+        )
+        model.chords = kernel(model._fn, _CHORD_PANELS, GL_RULE=_GL_RULE)(zetas)
+    return model.chords
 
 
-def _newton_level(fn, chord, z, fz, h_cur, w_sub, tol, w_final):
+def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
     """Newton iteration toward h = w_sub; returns (z, f(z), h(z)).
 
     Newton runs in s = log(1-z) (principal branch; Re(1-z) > 0 on the
@@ -297,6 +340,7 @@ def _newton_level(fn, chord, z, fz, h_cur, w_sub, tol, w_final):
     reach toward the circle relative to their length, goes through the
     adaptive :func:`_segment_integral`.
     """
+    panel, chord_sum = chords
     s = cmath.log(1.0 - z)
     for _ in range(50):
         residual = h_cur - w_sub
@@ -329,9 +373,9 @@ def _newton_level(fn, chord, z, fz, h_cur, w_sub, tol, w_final):
         z_new = 1.0 - cmath.exp(s_new)
         try:
             if 2.0 * abs(z_new - z) <= 1.0 - max(abs(z), abs(z_new)):
-                dh = _gl_panel(chord, z, z_new)[0]
+                dh = chord_sum(z, z_new)
             else:
-                dh = _segment_integral(chord, z, z_new)
+                dh = _segment_integral(panel, z, z_new)
         except SingularEvaluationError as exc:
             raise InversionFailureError(
                 f"quadrature broke during inversion toward {w_final}: {exc}",

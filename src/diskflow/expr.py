@@ -13,7 +13,9 @@ boundary-limit estimator used for every angular limit in the package.
 
 from __future__ import annotations
 
+import builtins
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -323,19 +325,67 @@ def _print_prec(node: Expr) -> tuple[str, int]:
 
 # --- evaluation --------------------------------------------------------------
 
+_NEGATIVE_POWER = "0 raised to a negative power"
+_NON_POSITIVE_POWER = "0 raised to a non-positive power"
+
 
 def _pow(base: complex, exponent: complex) -> complex:
     if exponent.imag == 0 and exponent.real == int(exponent.real):
         n = int(exponent.real)
         if -64 <= n <= 64:
             if n < 0 and base == 0:
-                raise ZeroDivisionError("0 raised to a negative power")
+                raise ZeroDivisionError(_NEGATIVE_POWER)
             return base**n
     if base == 0:
         if exponent.real > 0 and exponent.imag == 0:
             return 0j
-        raise ZeroDivisionError("0 raised to a non-positive power")
+        raise ZeroDivisionError(_NON_POSITIVE_POWER)
     return cmath.exp(exponent * cmath.log(base))
+
+
+def _zero_power(message: str):
+    # the base-0 branch of a constant-exponent power that _pow would raise
+    raise ZeroDivisionError(message)
+
+
+def _singular(z: complex, exc: Exception | None):
+    # raised from the except block of _CHECKED, so exc is also the context
+    if exc is None:
+        raise SingularEvaluationError(f"evaluation produced NaN at z = {complex(z)}")
+    raise SingularEvaluationError(f"singular evaluation at z = {complex(z)}: {exc}") from exc
+
+
+# the names generated code and kernel templates may use besides their own
+_NAMESPACE = {
+    "__builtins__": builtins,
+    "sqrt": cmath.sqrt,
+    "exp": cmath.exp,
+    "log": cmath.log,
+    "_pow": _pow,
+    "_zero_power": _zero_power,
+    "_singular": _singular,
+}
+
+# A kernel template evaluates f only by this statement, on a line of its own.
+_F_CALL = "v = f(z)"
+
+# ... which a compiled expression replaces by its generated code, checked as
+# the scalar callable checks it; <f> stands for the code
+_CHECKED = """\
+try:
+    v = <f>
+except (ZeroDivisionError, ValueError, OverflowError) as exc:
+    _singular(z, exc)
+if v != v:
+    _singular(z, None)
+"""
+
+_SCALAR = f"""
+def call(z):
+    z = complex(z)
+    {_F_CALL}
+    return v
+"""
 
 
 def evaluate(node: Expr, z: complex) -> complex:
@@ -346,13 +396,20 @@ def evaluate(node: Expr, z: complex) -> complex:
 def compile_expr(node: Expr):
     """Return a fast ``z -> complex`` callable for the expression.
 
-    Generates a python lambda over cmath primitives.  A constant is
-    written as its ``repr`` when Python reads that text back exactly (so
-    constant subexpressions fold at compile time); otherwise, e.g. for
-    signed zeros or infinities, it is a name bound to the exact value.
-    Division by zero, domain errors, overflow and NaN results raise
+    Generates python code over cmath primitives.  A constant is written
+    as its ``repr`` when Python reads that text back exactly (so constant
+    subexpressions fold at compile time); otherwise, e.g. for signed
+    zeros or infinities, it is a name bound to the exact value.  A
+    subtree free of z that calls a function is evaluated once, here, and
+    bound the same way when its value is finite; one that fails stays in
+    the code and raises at evaluation.  A power with a constant exponent
+    is written out, without a call of the generic ``_pow``.  Division by
+    zero, domain errors, overflow and NaN results raise
     SingularEvaluationError.  The callable is built once per node and
     kept on it, so repeated ``evaluate`` calls do not recompile.
+
+    The callable carries the generated ``source``, the ``namespace`` it
+    runs in and the ``kernels`` that :func:`kernel` has built from it.
     """
     try:
         return node._compiled
@@ -361,37 +418,16 @@ def compile_expr(node: Expr):
     consts: list = []
     try:
         source = _codegen(node, consts)
-        raw = eval(  # noqa: S307 - source is generated from our own AST
-            f"lambda z: {source}",
-            {
-                "sqrt": cmath.sqrt,
-                "exp": cmath.exp,
-                "log": cmath.log,
-                "_pow": _pow,
-                "__builtins__": {},
-                **{f"_c{j}": value for j, value in enumerate(consts)},
-            },
-        )
+        namespace = {**_NAMESPACE, **_const_names(consts)}
+        call = _define(_compile(_inline(_SCALAR, source)), namespace)
     except (SyntaxError, RecursionError, MemoryError) as exc:
         # Python limits the nesting of parentheses (200) and of the tree
         raise ExpressionSyntaxError(
             f"expression too deeply nested to compile: {exc}", position=None
         ) from exc
-
-    def call(z: complex) -> complex:
-        try:
-            v = raw(complex(z))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise SingularEvaluationError(
-                f"singular evaluation at z = {complex(z)}: {exc}"
-            ) from exc
-        if v != v:
-            raise SingularEvaluationError(
-                f"evaluation produced NaN at z = {complex(z)}"
-            )
-        return v
-
     call.source = source
+    call.namespace = namespace
+    call.kernels = {}
     object.__setattr__(node, "_compiled", call)  # nodes are frozen
     return call
 
@@ -401,17 +437,126 @@ def as_callable(f):
     return compile_expr(f) if isinstance(f, Expr) else f
 
 
+def kernel(fn, template: str, **names):
+    """The function that ``template`` defines, evaluating f through ``fn``.
+
+    ``template`` is the source of one function definition (it may
+    return inner functions) that evaluates f only by the line
+    ``v = f(z)``.  It may read cmath's ``sqrt``, ``exp`` and ``log``,
+    the builtins and ``names``, its fixed globals such as a quadrature
+    rule; values that vary between calls are its arguments.  Its own
+    names must not start with an underscore, which generated code uses.
+
+    For a callable from :func:`compile_expr` each ``v = f(z)`` becomes
+    the expression's generated code under the scalar callable's checks,
+    so a node evaluates f without a Python call.  That code is compiled
+    on first use and kept in ``fn.kernels``, once per template.  Any
+    other callable, such as a counting wrapper, runs the template as
+    written with ``f`` bound to it, and its own exceptions pass through.
+    Both give the same floats and the same exceptions as calling the
+    compiled expression at every ``v = f(z)``.
+    """
+    kernels = getattr(fn, "kernels", None)
+    if kernels is None:
+        return _define(_template_code(template), {**_NAMESPACE, **names, "f": fn})
+    built = kernels.get(template)
+    if built is None:
+        try:
+            code = _compile(_inline(template, fn.source))
+            built = _define(code, {**fn.namespace, **names})
+        except (SyntaxError, RecursionError, MemoryError):
+            # nested too deeply for the kernel's extra levels: call f
+            built = _define(_template_code(template), {**_NAMESPACE, **names, "f": fn})
+        kernels[template] = built
+    return built
+
+
+def _inline(template: str, source: str) -> str:
+    """``template`` with each ``v = f(z)`` line replaced by the checked
+    evaluation of ``source``."""
+    checked = _CHECKED.replace("<f>", source).splitlines()
+    lines = []
+    for line in template.splitlines():
+        if line.strip() == _F_CALL:
+            indent = line[: len(line) - len(line.lstrip())]
+            lines.extend(indent + part for part in checked)
+        else:
+            lines.append(line)
+    return "\n".join(lines)
+
+
+def _define(code, namespace: dict):
+    """Run ``code``, which defines one function, with ``namespace`` as
+    that function's globals, and return the function."""
+    defined: dict = {}
+    exec(code, namespace, defined)  # noqa: S102 - generated from our own AST
+    (function,) = defined.values()
+    return function
+
+
+def _compile(source: str):
+    return compile(source, "<diskflow kernel>", "exec")
+
+
+# a template runs as written for every callable that is not a compiled
+# expression, so its code is compiled once
+_template_code = functools.lru_cache(maxsize=None)(_compile)
+
+
+def _const_names(consts: list) -> dict:
+    return {f"_c{j}": value for j, value in enumerate(consts)}
+
+
 def _literal(value: complex):
     """``repr(value)`` if Python evaluates that text to exactly
     ``value``, signs of zero included; else None."""
-    text = repr(value)
+    text = repr(value)  # distinct for distinct bits, signed zeros included
+    return text if _reads_back(text) else None
+
+
+@functools.lru_cache(maxsize=4096)
+def _reads_back(text: str) -> bool:
     try:
         back = eval(text, {"__builtins__": {}})  # noqa: S307 - repr of a complex
     except NameError:  # inf and nan parts
-        return None
-    same = all(a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+        return False
+    value = complex(text)
+    return all(a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
                for a, b in ((back.real, value.real), (back.imag, value.imag)))
-    return text if same else None
+
+
+def _constant(value: complex, consts: list) -> tuple[str, int]:
+    # the literal, or a name bound to the exact value
+    text = _literal(value)
+    if text is None:
+        consts.append(value)
+        return f"_c{len(consts) - 1}", 5
+    return text, 3 if text.startswith("-") else 5
+
+
+def _free_of_z(node: Expr) -> bool:
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            return False
+        if isinstance(node, (Neg, Func)):
+            stack.append(node.arg)
+        elif isinstance(node, Pow):
+            stack += (node.base, node.exponent)
+        elif type(node) in _BINARY:
+            stack += (node.left, node.right)
+    return True
+
+
+def _static_value(text: str, consts: list):
+    """The value of generated code free of z, when it is finite; None
+    when it is not or when its evaluation fails."""
+    try:
+        value = eval(text, {**_NAMESPACE, **_const_names(consts)})  # noqa: S307
+    except (ZeroDivisionError, ValueError, OverflowError):
+        return None
+    return value if cmath.isfinite(value) else None
 
 
 # Python precedence of the generated text, as in _print_prec: sum 1,
@@ -419,7 +564,15 @@ def _literal(value: complex):
 # parentheses only where Python would otherwise group it differently, so
 # a long chain such as z+z+...+z compiles without nesting.
 def _codegen(node: Expr, consts: list, min_prec: int = 0) -> str:
+    mark = len(consts)
     text, prec = _codegen_prec(node, consts)
+    if isinstance(node, (Func, Pow)) and _free_of_z(node):
+        # a call free of z is made once, here; a finite value becomes a
+        # constant, which Python folds into the constants around it
+        value = _static_value(text, consts)
+        if value is not None:
+            del consts[mark:]  # names bound for this subtree only
+            text, prec = _constant(value, consts)
     return f"({text})" if prec < min_prec else text
 
 
@@ -428,11 +581,7 @@ _BINARY = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
 
 def _codegen_prec(node: Expr, consts: list) -> tuple[str, int]:
     if isinstance(node, Const):
-        text = _literal(node.value)
-        if text is None:
-            consts.append(node.value)
-            return f"_c{len(consts) - 1}", 5
-        return text, 3 if text.startswith("-") else 5
+        return _constant(node.value, consts)
     if isinstance(node, Var):
         return "z", 5
     if isinstance(node, Neg):
@@ -442,16 +591,38 @@ def _codegen_prec(node: Expr, consts: list) -> tuple[str, int]:
         left = _codegen(node.left, consts, prec)
         return left + op + _codegen(node.right, consts, prec + 1), prec
     if isinstance(node, Pow):
-        exp = node.exponent
-        if isinstance(exp, Const) and exp.value.imag == 0:
-            n = exp.value.real
-            if n.is_integer() and 0 <= n <= 64:
-                return f"{_codegen(node.base, consts, 5)}**{int(n)}", 4
-        base = _codegen(node.base, consts)
-        return f"_pow({base},{_codegen(node.exponent, consts)})", 5
+        mark = len(consts)
+        exponent = _codegen(node.exponent, consts)
+        if isinstance(node.exponent, Const):
+            value = node.exponent.value if cmath.isfinite(node.exponent.value) else None
+        else:
+            value = _static_value(exponent, consts) if _free_of_z(node.exponent) else None
+        if value is None:
+            return f"_pow({_codegen(node.base, consts)},{exponent})", 5
+        del consts[mark:]
+        return _constant_power(node.base, value, consts)
     if isinstance(node, Func):
         return f"{node.name}({_codegen(node.arg, consts)})", 5
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _constant_power(base: Expr, exponent: complex, consts: list) -> tuple[str, int]:
+    """base^exponent for a constant exponent, as _pow computes it, with
+    no call but cmath's exp and log.  The base is bound to ``_b`` while
+    the power reads it; a power inside the base is done with ``_b``
+    before the outer one binds it."""
+    n = exponent.real
+    if exponent.imag == 0 and n.is_integer() and -64 <= n <= 64:
+        if n >= 0:
+            return f"{_codegen(base, consts, 5)}**{int(n)}", 4
+        power, at_zero = f"_b**{int(n)}", f"_zero_power({_NEGATIVE_POWER!r})"
+    else:
+        power = f"exp({_constant(exponent, consts)[0]}*log(_b))"
+        if exponent.imag == 0 and n > 0:
+            at_zero = "0j"
+        else:
+            at_zero = f"_zero_power({_NON_POSITIVE_POWER!r})"
+    return f"({power} if (_b := {_codegen(base, consts)}) else {at_zero})", 5
 
 
 # --- smart constructors (constant folding) ----------------------------------
@@ -585,9 +756,18 @@ GENERATOR_GRID = 24  # radii and angles of the validate_generator grid
 
 
 def berkson_porta_p(f: Expr) -> Expr:
-    """The factor p with f(z) = -(1-z)^2 p(z), i.e. p = -f/(1-z)^2."""
+    """The factor p with f(z) = -(1-z)^2 p(z), i.e. p = -f/(1-z)^2.
+
+    Built once per node of f and kept on it, so that p is compiled once.
+    """
+    try:
+        return f._berkson_porta_p
+    except AttributeError:
+        pass
     one_minus_z = Sub(ONE, Var())
-    return div(neg(f), power(one_minus_z, const(2)))
+    p = div(neg(f), power(one_minus_z, const(2)))
+    object.__setattr__(f, "_berkson_porta_p", p)  # nodes are frozen
+    return p
 
 
 def validate_generator(f: Expr) -> dict:

@@ -4,11 +4,13 @@ Integrates the Cauchy problem  u' = -f(u), u(0) = z0  with an embedded
 Dormand-Prince 5(4) pair on the complex scalar, forward or backward in
 time.  The pair is first same as last: its seventh stage is evaluated at
 the fifth-order point u5 and reused as the first stage of the next step,
-so every attempted step costs six evaluations of f.  Forward trajectories
-of a generator must stay inside the disk; backward trajectories
-terminate when they reach the boundary margin or stagnate at a null
-point.  Convergence diagnostics (horocycle distance limit, argument
-limit, approach regime) feed the classifier.
+so every attempted step costs six evaluations of f.  The attempt is one
+kernel, the template _DP_STEP, which :func:`diskflow.expr.kernel`
+compiles once per generator with the code of f in place of each stage's
+evaluation.  Forward trajectories of a generator must stay inside the
+disk; backward trajectories terminate when they reach the boundary
+margin or stagnate at a null point.  Convergence diagnostics (horocycle
+distance limit, argument limit, approach regime) feed the classifier.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     SingularEvaluationError,
     StiffFailureError,
 )
-from .expr import as_callable
+from .expr import as_callable, kernel
 from .extrapolate import sequence_limit
 from .geometry import horocycle_distance
 
@@ -33,6 +35,42 @@ STAGNATION_SPEED = 1e-14
 MAX_GROWTH = 5.0
 MAX_SAMPLES = 2_000_000  # accepted steps before a run counts as stalled
 BACKWARD_HORIZON = 50.0  # backward time probed by backward_extendability
+
+# One Dormand-Prince 5(4) attempt of u' = -f(u) from u with step h and
+# first stage k0; returns (u5, u4, k6).  The seventh stage k6 is taken at
+# u5, first same as last.  Each stage sum adds its terms left to right,
+# and the tableau fractions fold to constants.  Instantiated per
+# generator by expr.kernel, with f inlined.
+_DP_STEP = """
+def dp_step(u, h, k0):
+    z = u + h * (1 / 5 * k0)
+    v = f(z)
+    k1 = -v
+    z = u + h * (3 / 40 * k0 + 9 / 40 * k1)
+    v = f(z)
+    k2 = -v
+    z = u + h * (44 / 45 * k0 - 56 / 15 * k1 + 32 / 9 * k2)
+    v = f(z)
+    k3 = -v
+    z = u + h * (19372 / 6561 * k0 - 25360 / 2187 * k1
+                 + 64448 / 6561 * k2 - 212 / 729 * k3)
+    v = f(z)
+    k4 = -v
+    z = u + h * (9017 / 3168 * k0 - 355 / 33 * k1
+                 + 46732 / 5247 * k2 + 49 / 176 * k3
+                 - 5103 / 18656 * k4)
+    v = f(z)
+    k5 = -v
+    u5 = u + h * (35 / 384 * k0 + 500 / 1113 * k2 + 125 / 192 * k3
+                  - 2187 / 6784 * k4 + 11 / 84 * k5)
+    z = u5
+    v = f(z)
+    k6 = -v
+    u4 = u + h * (5179 / 57600 * k0 + 7571 / 16695 * k2
+                  + 393 / 640 * k3 - 92097 / 339200 * k4
+                  + 187 / 2100 * k5 + 1 / 40 * k6)
+    return u5, u4, k6
+"""
 
 
 @dataclass(frozen=True)
@@ -90,6 +128,7 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
                           generator_id, atol)
 
     k0 = -fn(u)
+    step = kernel(fn, _DP_STEP)
     h = sign * min(1e-2, abs(t_end) / 10) / max(abs(k0), 1.0)
     termination = "horizon-reached"
     while sign * (t_end - t) > 0:
@@ -102,21 +141,7 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
                                       "stagnation", generator_id, atol),
             )
         try:
-            # Dormand-Prince 5(4); the tableau fractions fold to constants
-            k1 = -fn(u + h * (1 / 5 * k0))
-            k2 = -fn(u + h * (3 / 40 * k0 + 9 / 40 * k1))
-            k3 = -fn(u + h * (44 / 45 * k0 - 56 / 15 * k1 + 32 / 9 * k2))
-            k4 = -fn(u + h * (19372 / 6561 * k0 - 25360 / 2187 * k1
-                              + 64448 / 6561 * k2 - 212 / 729 * k3))
-            k5 = -fn(u + h * (9017 / 3168 * k0 - 355 / 33 * k1
-                              + 46732 / 5247 * k2 + 49 / 176 * k3
-                              - 5103 / 18656 * k4))
-            u5 = u + h * (35 / 384 * k0 + 500 / 1113 * k2 + 125 / 192 * k3
-                          - 2187 / 6784 * k4 + 11 / 84 * k5)
-            k6 = -fn(u5)  # first same as last: the next step's k0
-            u4 = u + h * (5179 / 57600 * k0 + 7571 / 16695 * k2
-                          + 393 / 640 * k3 - 92097 / 339200 * k4
-                          + 187 / 2100 * k5 + 1 / 40 * k6)
+            u5, u4, k6 = step(u, h, k0)
             # tighten near the attracting boundary point: errors there map to
             # errors of size delta/(1-u)^2 in the linearizing coordinate
             # the extra 0.05 keeps the accumulated error over a run well

@@ -15,9 +15,8 @@ from diskflow.abel import (
     _GL_NODES,
     _GL_WEIGHTS,
     STATS_GRID,
-    _chord,
+    _chord_panels,
     _circle_gap,
-    _gl_panel,
     _h_at_gap,
     _ladder_limit,
     abel_flow,
@@ -249,7 +248,7 @@ def test_single_panel_chords_match_closed_form(entry_id):
     from hypothesis import strategies as st
 
     entry = catalog.get(entry_id)
-    chord = _chord(linearize(parse(entry.f_text)))
+    panel, _ = _chord_panels(linearize(parse(entry.f_text)))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -266,7 +265,7 @@ def test_single_panel_chords_match_closed_form(entry_id):
         assume(abs(z0) < 1.0)
         z1 = z0 + 0.5 * length * (1.0 - abs(z0)) * cmath.exp(1j * direction)
         assume(z1 != z0 and 2.0 * abs(z1 - z0) <= 1.0 - max(abs(z0), abs(z1)))
-        value, noise = _gl_panel(chord, z0, z1)
+        value, noise = panel(z0, z1)
         with mpmath.workdps(30):
             h0 = _mp_eval(mpmath, entry.h_text, 0j)
             h_z0 = _mp_eval(mpmath, entry.h_text, z0) - h0

@@ -158,10 +158,10 @@ def test_strip_row_left_ends(monkeypatch, a, b):
             ends.append((w, z))
         return z
 
-    def recording_refine(dh, t0, t1, whole, depth):
+    def recording_refine(panel, t0, t1, whole, depth):
         if depth >= 12:
             capped.append((t0, t1))
-        return refine(dh, t0, t1, whole, depth)
+        return refine(panel, t0, t1, whole, depth)
 
     monkeypatch.setattr(conjugate, "invert_h", recording_invert)
     monkeypatch.setattr(abel, "_refine", recording_refine)

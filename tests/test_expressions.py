@@ -12,6 +12,7 @@ from diskflow.expr import (
     compile_expr,
     differentiate,
     evaluate,
+    _pow,
     neg,
     parse,
     validate_generator,
@@ -108,6 +109,45 @@ def test_singular_evaluation_raises():
         fn(1.0 + 0j)
     with pytest.raises(SingularEvaluationError):
         evaluate(parse("z^1e999"), 0.5)
+
+
+def _signed(v: complex):
+    return v.real.hex(), v.imag.hex()
+
+
+@pytest.mark.parametrize("exponent", [
+    "2", "0", "-2", "0.5", "2.5", "-0.5", "(1/3)", "100", "-70", "i", "(1+i)", "-(3)",
+])
+def test_constant_power_at_zero_base(exponent):
+    # a constant exponent is written out without _pow, and keeps its
+    # verdicts at base 0: 0^c = 0 for real c > 0, ZeroDivisionError
+    # (hence SingularEvaluationError) with _pow's message otherwise
+    fn = compile_expr(parse(f"z^{exponent}"))
+    assert "_pow(" not in fn.source
+    c = evaluate(parse(exponent), 0j)
+    for zero in (0j, complex(-0.0, -0.0)):
+        try:
+            expected = _pow(zero, c)
+        except ZeroDivisionError as exc:
+            with pytest.raises(SingularEvaluationError, match=str(exc)):
+                fn(zero)
+        else:
+            assert _signed(fn(zero)) == _signed(expected)
+        for z in POINTS:
+            assert _signed(fn(z)) == _signed(_pow(complex(z), c))
+
+
+def test_calls_free_of_z_are_made_at_compile_time():
+    fn = compile_expr(parse("-(1-z)^2*exp(-0.78539816339744831*i)"))
+    assert "exp" not in fn.source
+    for z in POINTS:
+        ref = -((1 + 0j) - z) ** 2 * cmath.exp(-(0.7853981633974483 + 0j) * 1j)
+        assert _signed(fn(z)) == _signed(ref)
+    # a call that fails, or whose value is not finite, stays in the code
+    for text in ("z+log(0)", "z*exp(1000)", "z+0^-1"):
+        fn = compile_expr(parse(text))
+        with pytest.raises(SingularEvaluationError):
+            fn(0.5)
 
 
 def test_syntax_error_position():

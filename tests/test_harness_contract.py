@@ -1,14 +1,21 @@
 """The benchmark harness in perfbench/ calls the library by name; these
-tests read its sources and check that every name it uses is still bound
-and that bfid_report still takes the expression it passes."""
+tests read its sources and check that every name it uses is still bound,
+that bfid_report still takes the expression it passes, and that its
+tracer still counts every evaluation of f."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
+from conftest import counted_model
+
 import diskflow
+from diskflow import catalog
+from diskflow.abel import abel_h, invert_h, linearize
 from diskflow.conjugate import bfid_report
 from diskflow.expr import parse
+from diskflow.flow import integrate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +59,42 @@ def test_bfid_report_accepts_an_expression():
     # the bfid workload passes the parsed generator, not a model
     certs = bfid_report(parse("i*(1-z)^2"))
     assert [c.bfid_type for c in certs] == ["p-type"]
+
+
+def _tracer_class():
+    spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def _evals_per_call(model, f, evals):
+    # f-evaluations of each call, read from ``evals()`` before and after
+    calls = [
+        lambda: abel_h(f, 0.5 + 0.3j),
+        lambda: abel_h(f, 1.0 - 2.0**-20),
+        lambda: invert_h(model, 3.0 - 2.0j),
+        lambda: invert_h(model, -0.3 + 0.1j),
+        lambda: integrate(f, 0.2j, 10.0),
+        lambda: integrate(f, 0.2j, -3.0),
+    ]
+    counts = []
+    for call in calls:
+        before = evals()
+        call()
+        counts.append(evals() - before)
+    return counts
+
+
+def test_tracer_counts_every_kernel_evaluation():
+    # kernels compiled with f inlined must never slip past the counter:
+    # under the tracer, the models and callables built from an
+    # expression evaluate f through its counting compile_expr
+    text = catalog.get("bfid-par").f_text
+    model, evals = counted_model(parse(text))
+    expected = _evals_per_call(model, model.f, lambda: evals[0])
+    with _tracer_class()() as trace:
+        f = parse(text)
+        traced = _evals_per_call(linearize(f), f, lambda: trace.f_evals)
+    assert traced == expected
+    assert all(count > 0 for count in expected)
