@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import InversionFailureError, NotInClassError, SingularEvaluationError
 from .expr import BoundaryLimitEstimate, Expr, as_callable, boundary_limit, kernel
-from .extrapolate import INFINITE_THRESHOLD, golden_min, looks_divergent, sequence_limit
+from .extrapolate import golden_min, ladder_limit
 
 # the 16-point Gauss-Legendre rule on [-1, 1] as plain floats, digit for
 # digit numpy.polynomial.legendre.leggauss(16); numpy float64 nodes would
@@ -517,8 +517,10 @@ def _derivative_limit(fn, zeta: complex) -> BoundaryLimitEstimate:
     sets the group parameter a, and at the null points 1 and -1 of
     bfid-hyp boundary_limit's Aitken acceleration leaves |f'(1) - 2| =
     4.8e-7 and |f'(-1) + 4| = 9.5e-7, the elimination 1.3e-14 and 1.5e-14.
-    Falls back to boundary_limit when any sample fails or the eliminated
-    tail does not settle.
+    A settled eliminated tail is finite.  When any sample fails or the
+    tail does not settle (an unbounded quotient never does), the answer
+    is boundary_limit's, which decides divergence from the ladder's own
+    differences.
     """
     def quotient(w: complex) -> complex:
         return fn(w) / (w - zeta)
@@ -529,17 +531,13 @@ def _derivative_limit(fn, zeta: complex) -> BoundaryLimitEstimate:
             vals.append(quotient(zeta * (1 - 2.0 ** (-k))))
         except SingularEvaluationError:
             return boundary_limit(lambda z: quotient(zeta * z), "radial")
-        if len(vals) >= 3 and all(abs(v) > INFINITE_THRESHOLD for v in vals[-3:]):
-            return BoundaryLimitEstimate(vals[-1], True, infinite=True)
     for m in range(1, 6):
         q = 2.0 ** (-0.5 * m)
         vals = [(b - q * a) / (1.0 - q) for a, b in zip(vals, vals[1:])]
     tail = vals[-3:]
     value = tail[-1]
     if max(abs(u - value) for u in tail) < 1e-6 * max(1.0, abs(value)):
-        return BoundaryLimitEstimate(
-            value, True, infinite=abs(value) > INFINITE_THRESHOLD
-        )
+        return BoundaryLimitEstimate(value, True)
     return boundary_limit(lambda z: quotient(zeta * z), "radial")
 
 
@@ -631,7 +629,27 @@ def _planar_domain_stats(fn) -> PlanarDomainStats:
         [complex(-k * math.log(2.0), phi) for k in ks]
         for phi in (0.0, math.pi / 3, -math.pi / 3)
     ]
-    limits = [_ladder_limit(fn, gaps) for gaps in ladders]
+
+    def rungs(gaps):
+        # Im h along the ladder, skipping rungs where f is singular.  It
+        # stops where one ulp of z = 1 - e^s moves h by more than
+        # 1e-8 max(1, |Im h|) (eps/|f| > 1e-8 for Im h of order one, the
+        # skip rule of the linearizer residuals); past that point the
+        # rungs are rounding noise.
+        for s in gaps:
+            try:
+                v = _h_at_gap(fn, s).imag
+            except SingularEvaluationError:
+                continue
+            z = 1.0 - cmath.exp(s)
+            if _machine_floor(_f_or_none(fn, z), z) > 3.2e-7 * max(1.0, abs(v)):
+                return
+            yield v
+
+    limits = []  # +-inf for an unbounded ladder, nan for an empty one
+    for gaps in ladders:
+        value, _, infinite = ladder_limit(rungs(gaps), tol=1e-6)
+        limits.append(math.copysign(math.inf, value.real) if infinite else value.real)
     finite = grid + [v for v in limits if math.isfinite(v)]
     sup_im = math.inf if math.inf in limits else max(finite)
     inf_im = -math.inf if -math.inf in limits else min(finite)
@@ -649,78 +667,37 @@ def _planar_domain_stats(fn) -> PlanarDomainStats:
     return PlanarDomainStats(sup_im, inf_im, strip_width, half_plane)
 
 
-def _ladder_limit(fn, gaps) -> float:
-    """Limit of Im h along log-gaps s_k approaching the boundary point 1.
-
-    The ladder stops where one ulp of z = 1 - e^s moves h by more than
-    1e-8 max(1, |Im h|) (eps/|f| > 1e-8 for Im h of order one, the skip
-    rule of the linearizer residuals); past that point the rungs are
-    rounding noise.  Rungs where f is singular are skipped.  Geometric
-    growth is tested before the acceleration, which would turn a
-    divergent ladder into its finite antilimit.  Returns +-inf for an
-    unbounded ladder (it stops at the first rung past 1e8), and nan when
-    no rung lies above the floor.
-    """
-    values = []
-    for s in gaps:
-        try:
-            v = _h_at_gap(fn, s).imag
-        except SingularEvaluationError:
-            continue
-        z = 1.0 - cmath.exp(s)
-        if _machine_floor(_f_or_none(fn, z), z) > 3.2e-7 * max(1.0, abs(v)):
-            break
-        values.append(v)
-        if abs(v) > INFINITE_THRESHOLD:
-            break
-    if not values:
-        return math.nan
-    last = values[-1]
-    if looks_divergent(values) or abs(last) > INFINITE_THRESHOLD:
-        return math.copysign(math.inf, last)
-    value, converged = sequence_limit(values, tol=1e-6)
-    if converged:
-        v = value.real
-        return math.copysign(math.inf, v) if abs(v) > INFINITE_THRESHOLD else v
-    # monotone growth that has not settled: decide by growth rate
-    tail = values[-6:]
-    if abs(tail[-1] - tail[0]) > 0.05 * max(1.0, abs(tail[-1])):
-        if all(b >= a for a, b in zip(tail, tail[1:])):
-            return math.inf
-        if all(b <= a for a, b in zip(tail, tail[1:])):
-            return -math.inf
-    return last
-
-
 def bloch_norm(model: LinearizationModel) -> float:
     """sup over the disk of (1-|z|^2)|h'(z)|, or inf when it diverges.
 
-    Finite exactly for the strip case alpha = 0; divergence is detected
-    from geometric growth of the per-circle sup as r -> 1.
+    Finite exactly for the strip case alpha = 0.  The per-circle sups on
+    r = 1 - 2^-k form a ladder; when ladder_limit calls it infinite (it
+    grows before it settles), sampling stops at that circle.
     """
     fn = model._fn
     best = 0.0
-    per_circle = []
     best_point = 0j
-    for k in range(1, 31):
-        r = 1.0 - 2.0**-k
-        circle_best = 0.0
-        for j in range(BLOCH_GRID):
-            theta = 2.0 * math.pi * j / BLOCH_GRID
-            z = r * cmath.exp(1j * theta)
-            try:
-                v = (1.0 - r * r) * abs(1.0 / fn(z))
-            except SingularEvaluationError:
-                continue
-            if v > circle_best:
-                circle_best = v
-                if v > best:
-                    best = v
-                    best_point = z
-        per_circle.append(circle_best)
-        if circle_best > INFINITE_THRESHOLD:
-            return math.inf
-    if looks_divergent(per_circle):
+
+    def per_circle():
+        nonlocal best, best_point
+        for k in range(1, 31):
+            r = 1.0 - 2.0**-k
+            circle_best = 0.0
+            for j in range(BLOCH_GRID):
+                theta = 2.0 * math.pi * j / BLOCH_GRID
+                z = r * cmath.exp(1j * theta)
+                try:
+                    v = (1.0 - r * r) * abs(1.0 / fn(z))
+                except SingularEvaluationError:
+                    continue
+                if v > circle_best:
+                    circle_best = v
+                    if v > best:
+                        best = v
+                        best_point = z
+            yield circle_best
+
+    if ladder_limit(per_circle())[2]:
         return math.inf
     # golden-section refinement in angle on the best circle
     r = abs(best_point)

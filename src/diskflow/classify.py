@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .abel import LinearizationModel, abel_flow, linearize
 from .errors import InversionFailureError
-from .expr import Expr, Var, boundary_limit, const, div, mul, power, sub
-from .extrapolate import looks_divergent, sequence_limit
+from .expr import Expr, Var, as_callable, boundary_limit, const, div, power, sub
+from .extrapolate import ladder_limit
 from .flow import ConvergenceDiagnostics, convergence_profile
 
 BETA_THRESHOLD = 1e-8
@@ -60,16 +60,19 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
         profile_horizon = min(horizon, max(50.0, 30.0 / beta))
     diag = convergence_profile(f, 0j, horizon=profile_horizon, abel_flow=model.flow)
 
-    ta_est = boundary_limit(div(f, power(one_minus_z, const(2))), "radial", tol=1e-7)
-    taylor_a = ta_est.value if ta_est.converged and not ta_est.infinite else None
+    square = div(f, power(one_minus_z, const(2)))
+    ta_est = boundary_limit(square, "radial", tol=1e-7)
+    taylor_a = ta_est.value if ta_est.converged else None
     taylor_b = None
     if taylor_a is not None:
-        remainder = div(
-            sub(f, _scaled_square(taylor_a)),
-            power(one_minus_z, const(3)),
+        # g = f/(1-z)^2 = a + b(1-z) + o(1-z), and 1 - (1+z)/2 = (1-z)/2, so
+        # 2(g(z) - g((1+z)/2))/(1-z) tends to b; unlike (f - a(1-z)^2)/(1-z)^3
+        # it carries no error of the estimate a, which (1-z)^-3 would grow
+        g = as_callable(square)
+        tb_est = boundary_limit(
+            lambda z: 2.0 * (g(z) - g(0.5 * (1.0 + z))) / (1.0 - z), "radial", tol=1e-7
         )
-        tb_est = boundary_limit(remainder, "radial", tol=1e-7)
-        if tb_est.converged and not tb_est.infinite:
+        if tb_est.converged:
             taylor_b = tb_est.value
     return AsymptoticProfile(
         beta=beta,
@@ -83,11 +86,6 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
         diagnostics=diag,
         model=model,
     )
-
-
-def _scaled_square(coeff: complex) -> Expr:
-    one_minus_z = sub(const(1), Var())
-    return mul(const(coeff), power(one_minus_z, const(2)))
 
 
 def tangency_criterion(profile: AsymptoticProfile) -> dict:
@@ -141,11 +139,10 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
             inconclusive = True
             continue
         worst = max(worst, max(stats))
-        if looks_divergent(stats):
+        _, converged, infinite = ladder_limit(stats, tol=1e-3)
+        if infinite:
             overall_bounded = False
-            continue
-        value, converged = sequence_limit(stats, tol=1e-3)
-        if not converged:
+        elif not converged:
             tail = stats[-5:]
             growing = all(b > a for a, b in zip(tail, tail[1:]))
             if growing and tail[-1] > 2.0 * tail[0]:

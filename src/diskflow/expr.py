@@ -24,7 +24,7 @@ from .errors import (
     GridUnreliableError,
     SingularEvaluationError,
 )
-from .extrapolate import INFINITE_THRESHOLD, sequence_limit
+from .extrapolate import ladder_limit
 from .geometry import inverse_cayley
 
 
@@ -280,7 +280,7 @@ def _print(node: Expr, parent_prec: int) -> str:
 
 def _format_const(v: complex) -> str:
     def real_part(x: float) -> str:
-        if x == int(x) and abs(x) < 1e15:
+        if abs(x) < 1e15 and x == int(x):
             return str(int(x))
         return repr(x)
 
@@ -857,27 +857,24 @@ def _approach_points(approach: str):
 def boundary_limit(g, approach: str = "radial", tol: float = 1e-6) -> BoundaryLimitEstimate:
     """Estimate the limit of g along an approach to the boundary point 1.
 
-    ``g`` is an expression or any complex-valued callable.  Samples all
-    37 rungs k = 4..40 of the geometric schedule, skipping rungs where g
-    is singular, then hands the samples to :func:`sequence_limit`, which
-    reports convergence at the first window of three consecutive
-    accelerated values within ``tol``.  The only early exit is three
-    samples in a row past 1e8 in modulus; that limit, like any estimate
-    past 1e8, is reported as numerically infinite.
+    ``g`` is an expression or any complex-valued callable.  The rungs
+    k = 4..40 of the geometric schedule are sampled in order, skipping
+    rungs where g is singular, by :func:`~diskflow.extrapolate.ladder_limit`,
+    which decides from the ladder's own differences at any scale.  A
+    ladder that grows before it settles is infinite, and sampling stops
+    at the rung that decides it (``value`` is that sample, ``converged``
+    false).  Any other ladder is sampled to the end and extrapolated; it
+    has converged at the first window of three accelerated values within
+    ``tol``.
     """
     fn = as_callable(g)
-    values = []
-    for z in _approach_points(approach):
-        try:
-            v = fn(z)
-        except SingularEvaluationError:
-            continue
-        values.append(v)
-        if abs(v) > INFINITE_THRESHOLD and len(values) >= 3:
-            if all(abs(u) > INFINITE_THRESHOLD for u in values[-3:]):
-                return BoundaryLimitEstimate(value=v, converged=True, infinite=True)
-    value, converged = sequence_limit(values, tol=tol)
-    infinite = abs(value) > INFINITE_THRESHOLD
-    return BoundaryLimitEstimate(
-        value=value, converged=converged and not infinite, infinite=infinite
-    )
+
+    def rungs():
+        for z in _approach_points(approach):
+            try:
+                v = fn(z)
+            except SingularEvaluationError:
+                continue
+            yield v
+
+    return BoundaryLimitEstimate(*ladder_limit(rungs(), tol))

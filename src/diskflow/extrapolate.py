@@ -6,13 +6,15 @@ The samplers in this package produce values along geometric schedules
 behave like  s_k = L + c q^k  with an unknown ratio q.  A single Aitken
 delta-squared pass removes the leading term; convergence is declared when
 three consecutive accelerated values agree within the tolerance.
+Divergence is decided before any acceleration, from the raw differences
+(Brezinski & Redivo Zaglia, *Extrapolation Methods*, 1991): Aitken maps
+a geometrically growing ladder to its finite antilimit.
 """
 
 from __future__ import annotations
 
 import math
 
-INFINITE_THRESHOLD = 1e8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -67,19 +69,38 @@ def sequence_limit(seq, tol=1e-6):
     return acc[-1] if acc else seq[-1], False
 
 
-def looks_divergent(seq):
-    """True when the (real) sequence grows geometrically (three ratios
-    past 1.05) or beyond 1e8."""
-    seq = [abs(s) for s in seq]
+def ladder_limit(samples, tol=1e-6):
+    """Limit of the rung values ``samples`` (consumed in order) as
+    ``(value, converged, infinite)``.
+
+    The ladder is infinite when, before a window that :func:`sequence_limit`
+    accepts has closed, four differences in a row are above noise
+    (|d| > 1e-10 max(1, |s|)) and none shrinks (|d_{k+1}| >= 0.99 |d_k|):
+    growth like 2^(alpha k) or like k, at any scale.  Sampling stops at
+    that rung, and ``value`` is its sample.  Any other ladder is consumed
+    to the end and its limit is :func:`sequence_limit`'s (nan when empty),
+    so roundoff that grows after the ladder has settled does not count.
+    """
+    seq, acc, settled, run, last = [], [], False, 0, 0.0
+    for s in samples:
+        seq.append(s)
+        if settled or len(seq) < 2:
+            continue
+        d = abs(s - seq[-2])
+        above_noise = d > 1e-10 * max(1.0, abs(s))
+        run = (run + 1 if run and d >= 0.99 * last else 1) if above_noise else 0
+        last = d
+        if run == 4:
+            return s, False, True
+        # the newest raw and accelerated windows, as sequence_limit tests them
+        acc += aitken(seq[-3:])
+        settled = any(
+            len(w) == 3 and max(abs(w[0] - w[2]), abs(w[1] - w[2])) <= b * max(1.0, abs(w[2]))
+            for w, b in ((seq[-3:], max(tol, 1e-13)), (acc[-3:], tol))
+        )
     if not seq:
-        return False
-    if seq[-1] > INFINITE_THRESHOLD:
-        return True
-    tail = seq[-4:]
-    if len(tail) < 4:
-        return False
-    ratios = [b / a for a, b in zip(tail, tail[1:]) if a > 0]
-    return len(ratios) == 3 and all(r > 1.05 for r in ratios)
+        return complex(math.nan), False, False
+    return (*sequence_limit(seq, tol), False)
 
 
 def golden_min(g, lo: float, hi: float, iters: int):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import inspect
 import math
 import os
@@ -14,11 +15,11 @@ from diskflow import catalog
 from diskflow.abel import (
     _GL_NODES,
     _GL_WEIGHTS,
+    BLOCH_GRID,
     STATS_GRID,
     _chord_panels,
     _circle_gap,
     _h_at_gap,
-    _ladder_limit,
     abel_flow,
     abel_h,
     bloch_norm,
@@ -347,11 +348,6 @@ def test_planar_stats_closed_form(entry_id, sup_im, inf_im):
         assert stats.half_plane == "none"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_ladder_limit and INFINITE_THRESHOLD call any |Im h| past the "
-    "absolute 1e8 infinite, so both images report half_plane 'none'",
-)
 @pytest.mark.parametrize("entry_id, inf_im", [
     # Im h > -1/(2b) = -5e8, a half-plane
     ("parabolic-auto(1e-9)", -5e8),
@@ -367,13 +363,15 @@ def test_planar_stats_far_half_plane(entry_id, inf_im):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_ladder_limit_linear_growth(sign):
     # fn(w) = +-i(1 - w) gives h = -+i log(1 - z), so Im h = +-k log 2 on
-    # the radial rung 1 - 2^-k: growth too slow to look divergent and a
-    # sequence that never settles; the monotone-growth rule decides
+    # the rungs 1 - 2^-k: differences that never shrink, at a scale far
+    # below any absolute cut, on the Im h ladders of planar_domain_stats
     def fn(w):
         return sign * 1j * (1.0 - w)
 
-    gaps = [complex(-k * math.log(2.0), 0.0) for k in range(1, 41)]
-    assert _ladder_limit(fn, gaps) == sign * math.inf
+    model = dataclasses.replace(linearize(parse("i*(1-z)^2")), f=fn)
+    stats = planar_domain_stats(model)
+    assert (stats.sup_im if sign > 0 else -stats.inf_im) == math.inf
+    assert math.isfinite(stats.inf_im if sign > 0 else stats.sup_im)
 
 
 @pytest.mark.parametrize("entry_id", catalog.DEFAULT_IDS)
@@ -396,6 +394,29 @@ def test_planar_stats_computed_once_per_model():
     assert model == other
     model.h(0.3)
     assert model == other
+
+
+# f-evaluations of visser_ostrovskii on alpha > 0, whose ladders settle
+# and are sampled to the end; the divergence rule must not lengthen them
+VO_EVALS = {
+    "parabolic-auto(1)": 1813, "quadrant": 2965, "power(-0.5,1)": 1813,
+    "power(0,i)": 1813, "power(0.5,1)": 1813, "power(1,1)": 1813,
+    "bfid-par": 1813, "angular-only(0.5)": 2517, "perturbed-parabolic": 1813,
+    "no-halfplane": 1813,
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(VO_EVALS))
+def test_divergent_ladders_stop_early(entry_id):
+    # the per-circle sup grows like 2^(alpha k); the ladder is decided
+    # infinite on its fifth circle
+    model, evals = counted_model(parse(catalog.get(entry_id).f_text))
+    assert model.alpha > 0
+    assert bloch_norm(model) == math.inf
+    assert evals[0] <= 5 * BLOCH_GRID
+    evals[0] = 0
+    visser_ostrovskii(model)
+    assert evals[0] <= VO_EVALS[entry_id]
 
 
 def test_bloch_norm_strip():

@@ -2,14 +2,27 @@
 
 Each criterion lives in diskflow.verification; a failure message carries
 the measured detail line so the report is auditable from the test log.
+Each line must also match, byte for byte, its line in
+data/verify_paper_details.txt, which holds the criteria as ``verify-paper``
+prints them without the verdict; a change that moves a line updates that
+file and says why.
 """
 
+import pathlib
+
 from diskflow import verification
+
+GOLDEN_LINES = (
+    pathlib.Path(__file__).parent / "data" / "verify_paper_details.txt"
+).read_text().splitlines()
 
 
 def _run(fn):
     result = fn()
-    assert result["passed"], f"{result['name']}: {result['detail']}"
+    line = f"{result['name']}: {result['detail']}"
+    assert result["passed"], line
+    index = int(fn.__name__.rsplit("_", 1)[1])
+    assert f"{index} {line}" == GOLDEN_LINES[index - 1]
 
 
 def test_criterion_01_quadrant_asymptotics():

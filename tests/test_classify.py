@@ -40,7 +40,7 @@ def test_bfid_par_profile():
     assert profile.alpha == pytest.approx(2.0, abs=1e-3)
     assert profile.regime == "nontangential"
     assert profile.taylor_a == pytest.approx(0.0, abs=1e-6)
-    assert profile.taylor_b == pytest.approx(-1.0, abs=1e-6)
+    assert profile.taylor_b == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_tangency_criterion_cases():

@@ -45,6 +45,20 @@ def test_classify_quadrant(tmp_path):
     assert report["regime"] == "tangential"
 
 
+@pytest.mark.parametrize("entry_id, unbounded", [
+    # f/(1-z)^2 = -(1-z)^-0.5
+    ("power(-0.5,1)", "taylor_a"),
+    # f/(1-z)^2 = -(1-z)^0.5, whose b quotient grows like 2^(k/2)
+    ("power(0.5,1)", "taylor_b"),
+])
+def test_classify_unbounded_taylor_coefficients(tmp_path, entry_id, unbounded):
+    out = tmp_path / "c.json"
+    assert main(["classify", "--catalog", entry_id, "--json", str(out)]) == 0
+    report = _load(out)
+    assert report[unbounded] is None and report["taylor_b"] is None
+    assert "rigidity" not in report["criteria"]
+
+
 def test_trace_matches_group_closed_form(tmp_path):
     out_csv = tmp_path / "out.csv"
     code = main([

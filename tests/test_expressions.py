@@ -6,6 +6,7 @@ import pytest
 from diskflow.errors import ExpressionSyntaxError, SingularEvaluationError
 from diskflow.expr import (
     ONE,
+    Const,
     Func,
     berkson_porta_p,
     boundary_limit,
@@ -101,6 +102,21 @@ def test_constants_keep_their_exact_value():
     assert compile_expr(Func("sqrt", minus_one))(0j) == cmath.sqrt(minus_one.value)
     assert evaluate(parse("1e999"), 0j) == complex(math.inf, 0.0)
     assert compile_expr(parse("z-1e999"))(0.5) == complex(-math.inf, 0.0)
+    assert str(parse("z-1e999")) == "z-inf"
+
+
+@pytest.mark.parametrize("value, text", [
+    (complex(math.inf, 0.0), "inf"),
+    (complex(-math.inf, 0.0), "-inf"),
+    (complex(math.nan, 0.0), "nan"),
+    (complex(1.0, math.inf), "(1+inf*i)"),
+])
+def test_non_finite_constants_print(value, text):
+    # printing, hashing and comparing never convert a non-finite part to int
+    node = Const(value)
+    assert str(node) == text
+    assert hash(node) == hash(text)
+    assert node == Const(value)
 
 
 def test_singular_evaluation_raises():
