@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DiskflowError, UnknownCatalogIdError
-from .expr import compile_expr, differentiate, evaluate, parse, validate_generator
+from .expr import compile_expr, constant_value, differentiate, parse, validate_generator
 
 PI = math.pi
 _EXP_PI4 = "exp(0.78539816339744831*i)"      # e^{i pi/4}
@@ -60,7 +60,7 @@ def _id_arg(v) -> str:
 
 def _num(text: str):
     """Evaluate a constant argument such as ``0.5``, ``i``, ``exp(i)``."""
-    return evaluate(parse(text), 0j)
+    return constant_value(parse(text))
 
 
 def power_admissible(K: float, mu: complex) -> bool:

@@ -69,9 +69,16 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
         # 2(g(z) - g((1+z)/2))/(1-z) tends to b; unlike (f - a(1-z)^2)/(1-z)^3
         # it carries no error of the estimate a, which (1-z)^-3 would grow
         g = as_callable(square)
-        tb_est = boundary_limit(
-            lambda z: 2.0 * (g(z) - g(0.5 * (1.0 + z))) / (1.0 - z), "radial", tol=1e-7
-        )
+        last = [None, None]  # the last midpoint (1+z)/2 and g there
+
+        def quotient(z):
+            # on the radial ladder (1+z_k)/2 is exactly z_{k+1}: reuse g there
+            gz = last[1] if z == last[0] else g(z)
+            mid = 0.5 * (1.0 + z)
+            last[:] = mid, g(mid)
+            return 2.0 * (gz - last[1]) / (1.0 - z)
+
+        tb_est = boundary_limit(quotient, "radial", tol=1e-7)
         if tb_est.converged:
             taylor_b = tb_est.value
     return AsymptoticProfile(

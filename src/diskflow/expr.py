@@ -393,6 +393,24 @@ def evaluate(node: Expr, z: complex) -> complex:
     return compile_expr(node)(z)
 
 
+def constant_value(node: Expr) -> complex:
+    """The value of an expression free of z, such as ``exp(i)``.
+
+    A finite value is read from the generated code without compiling a
+    callable; anything else, an expression in z included, goes through
+    :func:`evaluate` at 0, which raises as it always does.
+    """
+    if _free_of_z(node):
+        consts: list = []
+        try:
+            value = _static_value(_codegen(node, consts), consts)
+        except (SyntaxError, RecursionError, MemoryError):
+            value = None  # too deeply nested: compile_expr reports it
+        if value is not None:
+            return value
+    return evaluate(node, 0j)
+
+
 def compile_expr(node: Expr):
     """Return a fast ``z -> complex`` callable for the expression.
 

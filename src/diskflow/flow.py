@@ -1,16 +1,17 @@
 """Semigroup flow integration on the unit disk.
 
-Integrates the Cauchy problem  u' = -f(u), u(0) = z0  with an embedded
-Dormand-Prince 5(4) pair on the complex scalar, forward or backward in
-time.  The pair is first same as last: its seventh stage is evaluated at
-the fifth-order point u5 and reused as the first stage of the next step,
-so every attempted step costs six evaluations of f.  The attempt is one
-kernel, the template _DP_STEP, which :func:`diskflow.expr.kernel`
-compiles once per generator with the code of f in place of each stage's
-evaluation.  Forward trajectories of a generator must stay inside the
-disk; backward trajectories terminate when they reach the boundary
-margin or stagnate at a null point.  Convergence diagnostics (horocycle
-distance limit, argument limit, approach regime) feed the classifier.
+Integrates the Cauchy problem  u' = -f(u), u(0) = z0  with the embedded
+Dormand-Prince 8(5,3) pair (DOP853) on the complex scalar, forward or
+backward in time.  The pair is first same as last: its thirteenth stage
+is evaluated at the eighth-order point u8 and reused as the first stage
+of the next step, so every attempted step costs twelve evaluations of f.
+The attempt is one kernel, the template _DP_STEP, which
+:func:`diskflow.expr.kernel` compiles once per generator with the code
+of f in place of each stage's evaluation.  Forward trajectories of a
+generator must stay inside the disk; backward trajectories terminate
+when they reach the boundary margin or stagnate at a null point.
+Convergence diagnostics (horocycle distance limit, argument limit,
+approach regime) feed the classifier.
 """
 
 from __future__ import annotations
@@ -36,40 +37,120 @@ MAX_GROWTH = 5.0
 MAX_SAMPLES = 2_000_000  # accepted steps before a run counts as stalled
 BACKWARD_HORIZON = 50.0  # backward time probed by backward_extendability
 
-# One Dormand-Prince 5(4) attempt of u' = -f(u) from u with step h and
-# first stage k0; returns (u5, u4, k6).  The seventh stage k6 is taken at
-# u5, first same as last.  Each stage sum adds its terms left to right,
-# and the tableau fractions fold to constants.  Instantiated per
-# generator by expr.kernel, with f inlined.
+# One Dormand-Prince 8(5,3) attempt (DOP853) of u' = -f(u) from u with
+# step h and first stage k0; returns (u8, e5, e3, k12): the eighth-order
+# point, the fifth- and third-order error estimates per unit step, and
+# the thirteenth stage k12, taken at u8, first same as last.  The
+# coefficients are the decimal literals of Hairer's DOP853 table
+# (Hairer, Norsett & Wanner, Solving ODEs I, section II.10); e3 weighs
+# the stages by b_i less Hairer's bhh_i.  Each stage sum adds its terms
+# left to right.  Instantiated per generator by expr.kernel, with f
+# inlined.
 _DP_STEP = """
-def dp_step(u, h, k0):
-    z = u + h * (1 / 5 * k0)
+def dop853_step(u, h, k0):
+    z = u + h * (5.26001519587677318785587544488e-2 * k0)
     v = f(z)
     k1 = -v
-    z = u + h * (3 / 40 * k0 + 9 / 40 * k1)
+    z = u + h * (1.97250569845378994544595329183e-2 * k0
+                 + 5.91751709536136983633785987549e-2 * k1)
     v = f(z)
     k2 = -v
-    z = u + h * (44 / 45 * k0 - 56 / 15 * k1 + 32 / 9 * k2)
+    z = u + h * (2.95875854768068491816892993775e-2 * k0
+                 + 8.87627564304205475450678981324e-2 * k2)
     v = f(z)
     k3 = -v
-    z = u + h * (19372 / 6561 * k0 - 25360 / 2187 * k1
-                 + 64448 / 6561 * k2 - 212 / 729 * k3)
+    z = u + h * (2.41365134159266685502369798665e-1 * k0
+                 - 8.84549479328286085344864962717e-1 * k2
+                 + 9.24834003261792003115737966543e-1 * k3)
     v = f(z)
     k4 = -v
-    z = u + h * (9017 / 3168 * k0 - 355 / 33 * k1
-                 + 46732 / 5247 * k2 + 49 / 176 * k3
-                 - 5103 / 18656 * k4)
+    z = u + h * (3.7037037037037037037037037037e-2 * k0
+                 + 1.70828608729473871279604482173e-1 * k3
+                 + 1.25467687566822425016691814123e-1 * k4)
     v = f(z)
     k5 = -v
-    u5 = u + h * (35 / 384 * k0 + 500 / 1113 * k2 + 125 / 192 * k3
-                  - 2187 / 6784 * k4 + 11 / 84 * k5)
-    z = u5
+    z = u + h * (3.7109375e-2 * k0
+                 + 1.70252211019544039314978060272e-1 * k3
+                 + 6.02165389804559606850219397283e-2 * k4
+                 - 1.7578125e-2 * k5)
     v = f(z)
     k6 = -v
-    u4 = u + h * (5179 / 57600 * k0 + 7571 / 16695 * k2
-                  + 393 / 640 * k3 - 92097 / 339200 * k4
-                  + 187 / 2100 * k5 + 1 / 40 * k6)
-    return u5, u4, k6
+    z = u + h * (3.70920001185047927108779319836e-2 * k0
+                 + 1.70383925712239993810214054705e-1 * k3
+                 + 1.07262030446373284651809199168e-1 * k4
+                 - 1.53194377486244017527936158236e-2 * k5
+                 + 8.27378916381402288758473766002e-3 * k6)
+    v = f(z)
+    k7 = -v
+    z = u + h * (6.24110958716075717114429577812e-1 * k0
+                 - 3.36089262944694129406857109825 * k3
+                 - 8.68219346841726006818189891453e-1 * k4
+                 + 2.75920996994467083049415600797e1 * k5
+                 + 2.01540675504778934086186788979e1 * k6
+                 - 4.34898841810699588477366255144e1 * k7)
+    v = f(z)
+    k8 = -v
+    z = u + h * (4.77662536438264365890433908527e-1 * k0
+                 - 2.48811461997166764192642586468 * k3
+                 - 5.90290826836842996371446475743e-1 * k4
+                 + 2.12300514481811942347288949897e1 * k5
+                 + 1.52792336328824235832596922938e1 * k6
+                 - 3.32882109689848629194453265587e1 * k7
+                 - 2.03312017085086261358222928593e-2 * k8)
+    v = f(z)
+    k9 = -v
+    z = u + h * (-9.3714243008598732571704021658e-1 * k0
+                 + 5.18637242884406370830023853209 * k3
+                 + 1.09143734899672957818500254654 * k4
+                 - 8.14978701074692612513997267357 * k5
+                 - 1.85200656599969598641566180701e1 * k6
+                 + 2.27394870993505042818970056734e1 * k7
+                 + 2.49360555267965238987089396762 * k8
+                 - 3.0467644718982195003823669022 * k9)
+    v = f(z)
+    k10 = -v
+    z = u + h * (2.27331014751653820792359768449 * k0
+                 - 1.05344954667372501984066689879e1 * k3
+                 - 2.00087205822486249909675718444 * k4
+                 - 1.79589318631187989172765950534e1 * k5
+                 + 2.79488845294199600508499808837e1 * k6
+                 - 2.85899827713502369474065508674 * k7
+                 - 8.87285693353062954433549289258 * k8
+                 + 1.23605671757943030647266201528e1 * k9
+                 + 6.43392746015763530355970484046e-1 * k10)
+    v = f(z)
+    k11 = -v
+    u8 = u + h * (5.42937341165687622380535766363e-2 * k0
+                  + 4.45031289275240888144113950566 * k5
+                  + 1.89151789931450038304281599044 * k6
+                  - 5.8012039600105847814672114227 * k7
+                  + 3.1116436695781989440891606237e-1 * k8
+                  - 1.52160949662516078556178806805e-1 * k9
+                  + 2.01365400804030348374776537501e-1 * k10
+                  + 4.47106157277725905176885569043e-2 * k11)
+    z = u8
+    v = f(z)
+    k12 = -v
+    e5 = (0.1312004499419488073250102996e-1 * k0
+          - 0.1225156446376204440720569753e+1 * k5
+          - 0.4957589496572501915214079952 * k6
+          + 0.1664377182454986536961530415e+1 * k7
+          - 0.3503288487499736816886487290 * k8
+          + 0.3341791187130174790297318841 * k9
+          + 0.8192320648511571246570742613e-1 * k10
+          - 0.2235530786388629525884427845e-1 * k11)
+    e3 = ((5.42937341165687622380535766363e-2
+           - 0.244094488188976377952755905512) * k0
+          + 4.45031289275240888144113950566 * k5
+          + 1.89151789931450038304281599044 * k6
+          - 5.8012039600105847814672114227 * k7
+          + (3.1116436695781989440891606237e-1
+             - 0.733846688281611857341361741547) * k8
+          - 1.52160949662516078556178806805e-1 * k9
+          + 2.01365400804030348374776537501e-1 * k10
+          + (4.47106157277725905176885569043e-2
+             - 0.220588235294117647058823529412e-1) * k11)
+    return u8, e5, e3, k12
 """
 
 
@@ -107,11 +188,16 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
     """Adaptive integration of u' = -f(u) from u(0) = z0 to t = t_end.
 
     Negative ``t_end`` integrates backward; a NaN ``t_end`` is rejected
-    before any evaluation.  Forward runs raise on any disk exit (a
-    validated generator cannot leave); backward runs stop with
-    termination "boundary-exit" at |u| > 1 - 1e-9.  The seventh stage is
-    evaluated at u5, and an accepted step reuses it as the next step's
-    first stage.
+    before any evaluation.  An attempt that lands on or outside the
+    circle is rejected and retried with half the step, so a forward run
+    that truly leaves (f is not a generator) ends in step size
+    underflow; backward runs stop with termination "boundary-exit" at
+    |u| > 1 - 1e-9.  Each attempt is one
+    DOP853 step of twelve evaluations of f: its thirteenth stage is
+    evaluated at u8, and an accepted step reuses it as the next step's
+    first stage.  The error of an attempt is Hairer's DOP853 norm of the
+    fifth- and third-order estimates, and the step after a rejected
+    attempt does not grow.
     """
     fn = as_callable(f)
     if not abs(z0) < 1.0:
@@ -131,6 +217,7 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
     step = kernel(fn, _DP_STEP)
     h = sign * min(1e-2, abs(t_end) / 10) / max(abs(k0), 1.0)
     termination = "horizon-reached"
+    rejected = False  # the last attempt was rejected
     while sign * (t_end - t) > 0:
         if abs(h) > abs(t_end - t):
             h = t_end - t
@@ -141,26 +228,33 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
                                       "stagnation", generator_id, atol),
             )
         try:
-            u5, u4, k6 = step(u, h, k0)
+            u8, e5, e3, k12 = step(u, h, k0)
             # tighten near the attracting boundary point: errors there map to
             # errors of size delta/(1-u)^2 in the linearizing coordinate
             # the extra 0.05 keeps the accumulated error over a run well
             # under the per-step budget
             scale = 0.05 * min(1.0, max(abs(1.0 - u) ** 2, 1e-5))
-            err = abs(u5 - u4) / scale
+            err5 = abs(h * e5) / scale
+            err3 = abs(h * e3) / scale
+            # Hairer's DOP853 norm; a NaN denominator passes to the guard
+            deno = err5 * err5 + 0.01 * err3 * err3
+            err = err5 * err5 / math.sqrt(deno) if deno else 0.0
             bad = not (err == err)  # NaN guard
         except (SingularEvaluationError, OverflowError):
             bad = True
             err = math.inf
-            u5 = u
-        if not forward and not bad and abs(u5) >= 1.0:
-            # reject steps that land outside the closed disk
+            u8 = u
+        if not bad and abs(u8) >= 1.0:
+            # reject steps that land on or outside the circle: a forward
+            # run of a generator stays inside, so such a landing is an
+            # overshoot or the rounding of a point within half an ulp of 1
             bad = True
         if bad or err > atol:
-            h *= 0.5 if bad else max(0.2, 0.9 * (atol / err) ** 0.2)
+            h *= 0.5 if bad else max(0.2, 0.9 * (atol / err) ** 0.125)
+            rejected = True
             continue
         t += h
-        u = u5
+        u = u8
         samples.append((t, u))
         if len(samples) > MAX_SAMPLES:
             raise StiffFailureError(
@@ -168,23 +262,23 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
                 trajectory=Trajectory(tuple(samples), direction,
                                       "stagnation", generator_id, atol),
             )
-        if forward and abs(u) >= 1.0:
-            raise StiffFailureError(
-                f"forward trajectory left the disk at t = {t}",
-                trajectory=Trajectory(tuple(samples), direction,
-                                      "boundary-exit", generator_id, atol),
-            )
         if not forward and abs(u) > 1.0 - EXIT_MARGIN:
             termination = "boundary-exit"
             break
-        k0 = k6
+        k0 = k12
         if abs(k0) < STAGNATION_SPEED:
             termination = "stagnation"
             break
         if err > 0:
-            h *= min(MAX_GROWTH, 0.9 * (atol / err) ** 0.2)
+            growth = min(MAX_GROWTH, 0.9 * (atol / err) ** 0.125)
         else:
-            h *= MAX_GROWTH
+            growth = MAX_GROWTH
+        if rejected:
+            # Hairer's rule: no growth right after a rejection, so a step
+            # cut back at the disk edge is not regrown straight into it
+            growth = min(growth, 1.0)
+            rejected = False
+        h *= growth
     return Trajectory(tuple(samples), direction, termination, generator_id, atol)
 
 

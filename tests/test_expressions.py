@@ -11,6 +11,7 @@ from diskflow.expr import (
     berkson_porta_p,
     boundary_limit,
     compile_expr,
+    constant_value,
     differentiate,
     evaluate,
     _pow,
@@ -164,6 +165,20 @@ def test_calls_free_of_z_are_made_at_compile_time():
         fn = compile_expr(parse(text))
         with pytest.raises(SingularEvaluationError):
             fn(0.5)
+
+
+def test_constant_value_matches_evaluate():
+    # a finite value free of z is read without compiling a callable;
+    # anything else goes through evaluate at 0, errors included
+    for text in ("0.5", "-0.7378", "1.1462+0.7873*i", "exp(i)", "-0", "(-1)^0.5"):
+        node = parse(text)
+        assert _signed(constant_value(node)) == _signed(evaluate(parse(text), 0j))
+        assert not hasattr(node, "_compiled")
+    for text in ("1e999", "z"):
+        assert _signed(constant_value(parse(text))) == _signed(evaluate(parse(text), 0j))
+    for text in ("1/0", "log(0)", "0*1e999", "exp(1000)"):
+        with pytest.raises(SingularEvaluationError):
+            constant_value(parse(text))
 
 
 def test_syntax_error_position():
