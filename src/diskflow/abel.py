@@ -262,10 +262,7 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
         remaining = w - h_cur
         if abs(remaining) <= max(tol, _machine_floor(fz, z)):
             return z
-        # saturated at the smallest representable gap with a pure forward
-        # time shift left over: the exact solution rounds to z
-        if (abs(1.0 - z) <= 2.4e-16 and remaining.real > 0
-                and abs(remaining.imag) <= 1e-9 * (1.0 + remaining.real)):
+        if _saturated(z, remaining):
             return z
         cap = 0.5 * (1.0 + abs(h_cur))
         if abs(remaining) > cap:
@@ -278,6 +275,16 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
     raise InversionFailureError(
         f"continuation did not reach w = {w}", last_iterate=z, target=w
     )
+
+
+def _saturated(z: complex, left: complex) -> bool:
+    """Whether the exact solution rounds to the iterate z: z sits at the
+    smallest gap 1 - z that Newton resolves (it clamps Re log(1 - z) at
+    -36, and e^-36 = 2.3e-16), and what is left of the target, ``left`` =
+    w - h(z), is a pure forward time shift (positive real part, imaginary
+    part resolved)."""
+    return (abs(1.0 - z) <= 2.4e-16 and left.real > 0
+            and abs(left.imag) <= 1e-9 * (1.0 + left.real))
 
 
 def _f_or_none(fn, z: complex):
@@ -344,12 +351,8 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
     s = cmath.log(1.0 - z)
     for _ in range(50):
         residual = h_cur - w_sub
-        # Saturation: with the iterate pinned at the smallest representable
-        # gap 1 - z, a leftover that is a forward time shift (positive real,
-        # imaginary part resolved) means the true solution rounds to z.
-        if s.real <= -36.0 and -residual.real > 0:
-            if abs(residual.imag) <= 1e-9 * (1.0 + abs(residual.real)):
-                return z, fz, h_cur
+        if _saturated(z, -residual):
+            return z, fz, h_cur
         if fz is None:
             fz = fn(z)  # singular at the iterate: raises as f does
         step = -residual * fz / (1.0 - z)

@@ -121,8 +121,9 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
     z in M_GRID.
 
     The image h(Delta) lies in a horizontal half-plane exactly when the
-    statistic stays bounded; a statistic still growing at the horizon is
-    reported unbounded, sublinear undecided growth is flagged
+    statistic stays bounded.  :func:`ladder_limit` decides each start
+    point's ladder at the doubling times: an infinite ladder is
+    unbounded, a converged one bounded, and any other is flagged
     inconclusive.
     """
     overall_bounded = True
@@ -150,12 +151,7 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
         if infinite:
             overall_bounded = False
         elif not converged:
-            tail = stats[-5:]
-            growing = all(b > a for a, b in zip(tail, tail[1:]))
-            if growing and tail[-1] > 2.0 * tail[0]:
-                overall_bounded = False
-            else:
-                inconclusive = True
+            inconclusive = True
     return {
         "bounded": overall_bounded,
         "max_statistic": worst,

@@ -309,7 +309,8 @@ def bfid_report(f: LinearizationModel | Expr) -> list:
     One h-type certificate per regular repelling null point whose strip
     fits in h(Delta); one p-type certificate per half-plane side
     contained in h(Delta).  Each candidate domain is probed once, by the
-    row check of :func:`inner_conjugator`.
+    row check of :func:`inner_conjugator`; before it, a half-plane level
+    inverts only its base point.
     """
     model = f if isinstance(f, LinearizationModel) else linearize(f)
     certificates = []
@@ -355,10 +356,9 @@ def _p_type_certificate(model: LinearizationModel, side: int):
     """Certificate for a contained half-plane {side * Im w > c}, if any.
 
     The levels c = 0.5, 1, 2, 4, 8 are tried in turn and the first whose
-    certificate succeeds wins.  Each puts the base point two units inside
-    the half-plane, checks that the horizontal trajectory through it
-    emanates from the boundary point 1, and leaves the containment check
-    to the row probe of :func:`inner_conjugator`.
+    certificate succeeds wins.  Each inverts the base point two units
+    inside the half-plane and leaves the containment check to the row
+    probe of :func:`inner_conjugator`.
     """
     # arg mu sign rule: for alpha < 2 only the side matching arg mu works
     if model.alpha < 2 - 1e-9:
@@ -369,16 +369,10 @@ def _p_type_certificate(model: LinearizationModel, side: int):
         level = side * c
         try:
             base = invert_h(model, complex(0.0, level + 2.0 * side), seed=0j)
-            # backward completeness along the horizontal trajectory (Im const)
-            probe = invert_h(model, complex(-300.0, level + 2.0 * side), seed=base)
         except InversionFailureError:
             continue
-        if abs(1 - probe) > 0.5:
-            continue  # trajectory does not emanate from the boundary point 1
         C = model.h(base)
         b = side * 2.0 * (abs(C.imag - level) - CONTAINMENT_MARGIN)
-        if b * side <= 0:
-            continue
         try:
             cert = inner_conjugator(model, MobiusGroup(a=0.0, b=b), base)
         except (StripNotContainedError, InversionFailureError):

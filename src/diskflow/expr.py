@@ -130,9 +130,14 @@ class _Tokenizer:
                 i += 1
                 continue
             if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+                # one '.' per mantissa: a second one starts the next token
                 j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
+                while j < n and text[j].isdigit():
                     j += 1
+                if j < n and text[j] == ".":
+                    j += 1
+                    while j < n and text[j].isdigit():
+                        j += 1
                 if j < n and text[j] in "eE":
                     k = j + 1
                     if k < n and text[k] in "+-":

@@ -187,8 +187,9 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
               atol: float = ATOL) -> Trajectory:
     """Adaptive integration of u' = -f(u) from u(0) = z0 to t = t_end.
 
-    Negative ``t_end`` integrates backward; a NaN ``t_end`` is rejected
-    before any evaluation.  An attempt that lands on or outside the
+    Negative ``t_end`` integrates backward; a NaN ``t_end``, and an
+    ``atol`` that is not a positive finite number, are rejected before
+    any evaluation.  An attempt that lands on or outside the
     circle is rejected and retried with half the step, so a forward run
     that truly leaves (f is not a generator) ends in step size
     underflow; backward runs stop with termination "boundary-exit" at
@@ -204,6 +205,9 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
         raise NotInDiskError(f"initial point |z0| = {abs(z0)} not inside the disk")
     if t_end != t_end:
         raise DiskflowError(f"horizon t_end = {t_end} is not a number", t_end=t_end)
+    if not 0 < atol < math.inf:
+        raise DiskflowError(f"tolerance atol = {atol} is not positive and finite",
+                            atol=atol)
     forward = not t_end < 0
     direction = "forward" if forward else "backward"
     sign = 1.0 if forward else -1.0
@@ -311,8 +315,12 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     on from the previous one.  Direct ODE integration is used for
     t <= 1e4; beyond that an ``abel_flow(z, t)`` callable must be
     supplied (exact flow through the Abel function), since raw stepping
-    stalls once 1 - u decays polynomially.
+    stalls once 1 - u decays polynomially.  A ``horizon`` that is not a
+    positive finite number is rejected before any evaluation.
     """
+    if not 0 < horizon < math.inf:
+        raise DiskflowError(f"horizon = {horizon} is not positive and finite",
+                            horizon=horizon)
     fn = as_callable(f)
     ode_cap = min(horizon, 1e4)
     times = [t for t in _geometric_times(horizon)]

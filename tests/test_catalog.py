@@ -21,6 +21,8 @@ def test_unknown_id_raises():
     with pytest.raises(UnknownCatalogIdError):
         catalog.get("power(oops)")
     with pytest.raises(UnknownCatalogIdError):
+        catalog.get("power(1.2.3,1)")
+    with pytest.raises(UnknownCatalogIdError):
         catalog.get("parabolic-auto(" + "sqrt(" * 250 + "1" + ")" * 250 + ")")
 
 

@@ -79,12 +79,24 @@ def test_trace_matches_group_closed_form(tmp_path):
 @pytest.mark.parametrize("flags, code", [
     (["--t", "nan"], "error"),
     (["--z0", "nan,0"], "not-in-disk"),
+    (["--tol", "nan"], "error"),
+    (["--tol", "-1"], "error"),
+    (["--tol", "inf"], "error"),
 ])
 def test_trace_nan_input_exits_3(flags, code, capsys):
-    # a NaN horizon or start point is reported, not traced
+    # a NaN horizon or start point, or a tolerance that is not positive
+    # and finite, is reported, not traced
     assert main(["trace", "--f", "i*(1-z)^2", *flags]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["code"] == code
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf", "0"])
+def test_classify_bad_horizon_exits_3(horizon, capsys):
+    assert main(["classify", "--f", "i*(1-z)^2", "--horizon", horizon]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["code"] == "error"
+    assert "horizon" in report["message"]
 
 
 def test_trace_svg_artifact(tmp_path):
@@ -99,6 +111,15 @@ def test_trace_svg_artifact(tmp_path):
 
 def test_parse_error_exits_2():
     assert main(["classify", "--f", "1+*z"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--f", "1.2.3*z"],
+    ["trace", "--catalog", "power(1.2.3,1)"],
+])
+def test_number_with_two_dots_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "unexpected '.3'" in capsys.readouterr().err
 
 
 def test_missing_source_exits_2():

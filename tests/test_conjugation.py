@@ -205,6 +205,22 @@ def test_bfid_report_cost():
     assert evals[0] < 110_000
 
 
+def test_halfplane_rows_are_the_only_probe(monkeypatch):
+    # each half-plane level is probed by the certificate's own rows, whose
+    # left ends lie at Re w = -200; no inversion reaches further left
+    targets = []
+    invert = conjugate.invert_h
+
+    def recording_invert(model, w, seed=0j):
+        targets.append(w)
+        return invert(model, w, seed=seed)
+
+    monkeypatch.setattr(conjugate, "invert_h", recording_invert)
+    certs = bfid_report(parse(catalog.get("bfid-par").f_text))
+    assert sorted(c.bfid_type for c in certs) == ["h-type", "p-type", "p-type"]
+    assert min(w.real for w in targets) == -200.0
+
+
 def test_bfid_report_slow_hyperbolic():
     # for a = 0.05 the backward run from 0 ends at t = -50 short of the
     # exit margin; its last direction is 6.8e-4 from eta, inside the 1e-3

@@ -193,6 +193,14 @@ def test_syntax_error_at_end_of_input():
     assert info.value.position == 1
 
 
+@pytest.mark.parametrize("text, position", [("1.2.3", 3), ("z+1..2", 4), ("1..", 2)])
+def test_second_dot_in_a_number_is_a_syntax_error(text, position):
+    # a mantissa takes one '.'; the rest starts a token the parser rejects
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse(text)
+    assert info.value.position == position
+
+
 def test_berkson_porta_quotient():
     p = berkson_porta_p(parse("i*(1-z)^2"))
     for z in POINTS:

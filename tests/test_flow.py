@@ -298,6 +298,13 @@ def test_integrate_rejects_nan_inputs():
     # a NaN start is not inside the disk
     with pytest.raises(NotInDiskError):
         integrate(counting, complex(math.nan, 0.0), 1.0)
+    # a tolerance or a profile horizon must be positive and finite
+    for atol in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(DiskflowError, match="atol"):
+            integrate(counting, 0.2j, 1.0, atol=atol)
+    for horizon in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(DiskflowError, match="horizon"):
+            convergence_profile(counting, 0.2j, horizon=horizon)
     assert not calls
 
 
