@@ -14,14 +14,18 @@ of f.  Each panel is a kernel, from the templates _GAP_PANEL and
 _CHORD_PANELS below, which :func:`diskflow.expr.kernel` compiles once
 per generator with the code of f in place of each evaluation, so a node
 makes no Python call; a model builds its chord panels, with its null
-points bound in, on its first inversion and keeps them.  Inversion runs
-a Newton continuation that tracks h incrementally, one chord integral
-per iterate rather than a fresh quadrature from 0.  An inversion crosses
-tens of continuation levels (about 35 from 0 to the dyadic gaps
-2^-4 .. 2^-40) of about 4 Newton steps each; a step costs 17
-evaluations of f on a chord short against its distance to the circle
-(one panel and the new iterate) and about 49 on the others, so an
-inversion takes hundreds to a few thousand evaluations.  The extremes of
+points bound in, on its first inversion and keeps them.  Inversion is
+Newton's method, tracking h incrementally, one chord integral per
+iterate rather than a fresh quadrature from 0.  Without a caller's seed
+it starts where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C,
+takes the target value, which along radial and Stolz approaches is a few
+Newton steps of 17 evaluations of f from the root; the seed costs one
+log-gap segment, and C one more per model.  Where that seed is outside
+the disk or its solve fails (tangential targets, slit domains), a detour
+0 -> T -> T + i Im w -> w stays in h(Delta) by forward invariance.  It
+and the seeded callers continue along straight w-segments in levels of
+about 4 Newton steps, about 35 levels from 0 to a dyadic gap 2^-4 ..
+2^-40.  The extremes of
 Im h, a harmonic function, are boundary values: planar_domain_stats
 reads them on the unit circle and along dyadic ladders at 1, each value
 one log-gap segment from 0.
@@ -60,6 +64,7 @@ _GL_WEIGHTS = (
 STATS_GRID = 96  # circle angles of planar_domain_stats
 NULL_SCAN_SAMPLES = 256  # angles of the |f| scan for boundary null points
 BLOCH_GRID = 64  # angles per circle in bloch_norm
+DETOUR_TRIES = 4  # right-hand offsets span * 4^j of the inversion detour
 
 
 _GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
@@ -190,10 +195,10 @@ class LinearizationModel:
     """The Abel function of a generator plus its boundary exponents.
 
     ``h_cache`` memoizes h at the exact points asked for through
-    :meth:`h`; :func:`invert_h` does not consult it and continues from
-    the seed its caller passes.  ``domain_stats`` and ``null_points``
-    cache :func:`planar_domain_stats` and :func:`boundary_null_points`,
-    ``chords`` the chord panels of :func:`invert_h`.
+    :meth:`h`; :func:`invert_h` does not consult it.  ``domain_stats``
+    and ``null_points`` cache :func:`planar_domain_stats` and
+    :func:`boundary_null_points`, ``chords`` the chord panels of
+    :func:`invert_h` and ``asymptote`` the constant C of its seed.
     """
 
     f: Expr
@@ -206,6 +211,7 @@ class LinearizationModel:
     )
     null_points: list | None = field(default=None, init=False, repr=False, compare=False)
     chords: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    asymptote: complex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._fn = as_callable(self.f)
@@ -227,43 +233,72 @@ class LinearizationModel:
         return abel_flow(self, z, t)
 
 
-def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> complex:
-    """Solve h(z) = w by Newton continuation from the seed point.
+def invert_h(model: LinearizationModel, w: complex, seed: complex | None = None) -> complex:
+    """Solve h(z) = w by Newton continuation.
 
-    The target is approached through sub-targets spaced so each jump
-    satisfies |dw| <= 0.5 (1 + |w|); at each sub-target Newton iterates
+    With a ``seed``, the continuation follows the straight w-segment
+    from h(seed): sub-targets spaced so each jump satisfies
+    |dw| <= 0.5 (1 + |h|), at each of which Newton iterates
     z -> z + (h(z) - w) f(z), with h tracked incrementally by panel
-    quadrature along the iterate segments.  Divergence or an iterate
-    leaving the disk raises InversionFailureError, which doubles as the
-    membership oracle for h(Delta).
+    quadrature along the iterate segments (see :func:`_continue`).
 
-    A jump grows 1 + |h| at most 1.5-fold outward and halves it at most
-    inward, so twice log(1 + |w| + |h(seed)|)/log(1.5) sub-targets cover
-    a path in toward 0 and out to w; a continuation that stalls (the
-    machine floor exceeding the jump) ends there.
+    Without one, the inversion starts near its answer: at the point
+    where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C
+    (-mu log(1 - z) + C for alpha = 0), takes the value w.  Along radial
+    and Stolz approaches that seed is within a few Newton steps of the
+    root.  h is univalent, so a converged solve with its residual
+    checked proves w in h(Delta).  When the seed falls outside the disk
+    or its solve fails, the inversion takes a detour that stays in
+    h(Delta): 0 -> T -> T + i Im w -> w.  h(Delta) + t lies in h(Delta)
+    for t >= 0 (forward flow invariance), so the first leg follows the
+    orbit of 0, and the last leg, the ray from w to the right, lies in
+    h(Delta) exactly when w does; only the vertical leg needs T large
+    enough, and it alone is retried further right.  A failed last leg
+    therefore means w is outside h(Delta), and InversionFailureError
+    doubles as the membership oracle for h(Delta).
 
     f is evaluated once per iterate: the value that decides convergence
     at z is also the next Newton quotient.  A chord short against its
     distance to the circle is one 16-node panel (see
-    :func:`_newton_level`), so a sub-target typically costs about 4
-    Newton steps of 17 evaluations each.
+    :func:`_newton_level`), so a Newton step typically costs 17
+    evaluations.
     """
     w = complex(w)
     if not cmath.isfinite(w):
         raise InversionFailureError(f"target w = {w} is not finite", target=w)
-    z = complex(seed)
-    h_cur = model.h(z)
-    fn, chords = model._fn, _chord_panels(model)
+    if seed is not None:
+        z = complex(seed)
+        h_z = model.h(z)
+        return _continue(model._fn, _chord_panels(model), z, h_z, w)[0]
+    solved = _from_asymptote(model, w)
+    if solved is not None:
+        return solved[0]
+    try:
+        return _detour(model, w)
+    except SingularEvaluationError as exc:
+        raise InversionFailureError(
+            f"f is singular on the detour toward {w}: {exc}", target=w
+        ) from exc
+
+
+def _continue(fn, chords, z: complex, h_cur: complex, w: complex) -> tuple:
+    """Newton continuation from z, where h = h_cur, to h = w along the
+    straight w-segment; returns (z, h(z)).
+
+    A jump grows 1 + |h| at most 1.5-fold outward and halves it at most
+    inward, so twice log(1 + |w| + |h_cur|)/log(1.5) sub-targets cover a
+    path in toward 0 and out to w; a continuation that stalls (the
+    machine floor exceeding the jump) ends there.
+    """
     fz = _f_or_none(fn, z)
     tol = max(1e-12, 1e-15 * abs(w))
     budget = 2 * math.ceil(math.log(1.0 + abs(w) + abs(h_cur)) / math.log(1.5))
-
     for _ in range(budget):
         remaining = w - h_cur
         if abs(remaining) <= max(tol, _machine_floor(fz, z)):
-            return z
+            return z, h_cur
         if _saturated(z, remaining):
-            return z
+            return z, h_cur
         cap = 0.5 * (1.0 + abs(h_cur))
         if abs(remaining) > cap:
             w_sub = h_cur + remaining / abs(remaining) * cap
@@ -271,9 +306,92 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex = 0j) -> compl
             w_sub = w
         z, fz, h_cur = _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w)
     if abs(w - h_cur) <= max(tol, _machine_floor(fz, z)):
-        return z
+        return z, h_cur
     raise InversionFailureError(
         f"continuation did not reach w = {w}", last_iterate=z, target=w
+    )
+
+
+def _asymptote(model: LinearizationModel) -> complex:
+    """C = h(z1) - H(z1) at z1 = 1 - 2^-6, where H is the leading term
+    of h at 1; computed once per model and kept in ``model.asymptote``,
+    nan where f is singular on the way to z1."""
+    if model.asymptote is None:
+        xi = 2.0**-6
+        if model.alpha > 0:
+            lead = model.mu / model.alpha * xi ** -model.alpha
+        else:
+            lead = -model.mu * math.log(xi)
+        try:
+            model.asymptote = _h_at_gap(model._fn, complex(math.log(xi))) - lead
+        except SingularEvaluationError:
+            model.asymptote = complex(math.nan, math.nan)
+    return model.asymptote
+
+
+def _asymptotic_gap(model: LinearizationModel, w: complex):
+    """s = log(1 - z0) of the point z0 where H + C takes the value w, or
+    None when there is no such point in the disk.
+
+    For alpha > 0 the root is xi = 1 - z0 with principal
+    xi^-alpha = alpha (w - C)/mu; alpha <= 2, so the principal root
+    q^(-1/alpha) is the only candidate with Re xi > 0.  A gap below
+    e^-36 is clamped there, as Newton clamps it.
+    """
+    if model.mu == 0:
+        return None
+    offset = w - _asymptote(model)
+    if model.alpha > 0:
+        q = model.alpha * offset / model.mu
+        if q == 0:
+            return None
+        s = -cmath.log(q) / model.alpha
+    else:
+        s = -offset / model.mu
+    if not (cmath.isfinite(s) and _inside_disk_s(s)):
+        return None
+    return complex(max(s.real, -36.0), s.imag)
+
+
+def _from_asymptote(model: LinearizationModel, w: complex):
+    """(z, h(z)) with h(z) = w, solved by Newton from the asymptotic
+    preimage of w; None where that is outside the disk or the solve
+    fails."""
+    s = _asymptotic_gap(model, w)
+    if s is None:
+        return None
+    fn = model._fn
+    try:
+        return _continue(fn, _chord_panels(model), 1.0 - cmath.exp(s), _h_at_gap(fn, s), w)
+    except (InversionFailureError, SingularEvaluationError):
+        return None
+
+
+def _detour(model: LinearizationModel, w: complex) -> complex:
+    """Invert w along 0 -> T -> T + i Im w -> w, T = max(0, Re w) + span 4^j.
+
+    The first leg is the forward orbit of 0 and the last the ray from w
+    to the right, which lie in h(Delta) (the last exactly when w does).
+    The corner T is solved from its asymptotic preimage where that
+    converges (h is univalent, so it is the same point of the orbit), and
+    continued along the axis otherwise.  A failed vertical leg is retried
+    from the axis further right; a failed last leg raises: w is not in
+    h(Delta).
+    """
+    fn, chords = model._fn, _chord_panels(model)
+    z, h_cur = 0j, 0j
+    span = 1.0 + abs(w.imag)
+    for j in range(DETOUR_TRIES):
+        corner = max(0.0, w.real) + span * 4.0**j
+        z, h_cur = (_from_asymptote(model, complex(corner, 0.0))
+                    or _continue(fn, chords, z, h_cur, complex(corner, 0.0)))
+        try:
+            z_up, h_up = _continue(fn, chords, z, h_cur, complex(corner, w.imag))
+        except (InversionFailureError, SingularEvaluationError):
+            continue
+        return _continue(fn, chords, z_up, h_up, w)[0]
+    raise InversionFailureError(
+        f"no vertical leg reached Im w = {w.imag} up to Re w = {corner}", target=w
     )
 
 

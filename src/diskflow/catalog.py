@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DiskflowError, UnknownCatalogIdError
-from .expr import compile_expr, constant_value, differentiate, parse, validate_generator
+from .expr import compile_expr, constant_value, differentiate, parse
 
 PI = math.pi
 _EXP_PI4 = "exp(0.78539816339744831*i)"      # e^{i pi/4}
@@ -336,34 +336,3 @@ def consistency_error(entry: CatalogEntry) -> float:
         z = 0.7 * cmath.exp(2j * PI * j / n) * (0.5 + 0.5 * (j % 2))
         worst = max(worst, abs(f(z) + 1.0 / hp(z)))
     return worst
-
-
-def validate_all() -> dict:
-    """Run the (f, h) consistency invariant and the generator grid check
-    on every DEFAULT_IDS entry; returns a per-id report with an overall
-    flag."""
-    report = {}
-    for entry_id in DEFAULT_IDS:
-        entry = get(entry_id)
-        item = {"consistency_error": None, "generator": None, "errors": []}
-        try:
-            err = consistency_error(entry)
-            item["consistency_error"] = err
-            if err > 1e-10:
-                item["errors"].append(f"f vs -1/h' mismatch {err:.3e}")
-        except (DiskflowError, ZeroDivisionError) as exc:  # the latter when h'(z) = 0
-            item["errors"].append(f"consistency check failed: {exc}")
-        try:
-            res = validate_generator(parse(entry.f_text))
-            item["generator"] = res["is_generator"]
-            expected = entry.truth.get("generator", True)
-            if res["is_generator"] != expected:
-                item["errors"].append(
-                    f"generator check = {res['is_generator']}, expected {expected}"
-                )
-        except DiskflowError as exc:
-            item["errors"].append(f"generator check failed: {exc}")
-        item["ok"] = not item["errors"]
-        report[entry.id] = item
-    report["ok"] = all(v["ok"] for v in report.values() if isinstance(v, dict))
-    return report

@@ -11,7 +11,7 @@ import pytest
 from conftest import counted_model
 
 import diskflow
-from diskflow import catalog
+from diskflow import abel, catalog
 from diskflow.abel import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -256,23 +256,82 @@ def test_invert_h_roundtrip():
 
 
 # f-evaluations of inverting h_text at the radial and Stolz(pi/4) gaps
-# 2^-k, k = 4, 8, ..., 40, from 0; short Newton chords take one panel
-INVERT_COST_CAPS = {"quadrant": 60_000, "parabolic-auto(1)": 110_000, "bfid-par": 130_000}
+# 2^-k, k = 4, 8, ..., 40, with no seed: each starts at the asymptotic
+# preimage of w, a few Newton steps from the root
+INVERT_COST_CAPS = {
+    "quadrant": 3_300,
+    "parabolic-auto(1)": 1_800,
+    "bfid-par": 2_400,
+    "power(0.5,1)": 1_800,
+    "perturbed-parabolic": 2_300,
+}
+
+
+def _assert_inverts(entry_id, model, points):
+    # invert h_text at each point, graded against the closed form to
+    # the rounding floor of h at the answer: one ulp of z moves h by
+    # about eps/|f(z)|
+    entry = catalog.get(entry_id)
+    h_ref = compile_expr(parse(entry.h_text))
+    fn = compile_expr(parse(entry.f_text))
+    for z in points:
+        w = h_ref(z) - h_ref(0j)
+        out = invert_h(model, w)
+        floor = 32 * 2.3e-16 / abs(fn(out))
+        assert abs(h_ref(out) - h_ref(0j) - w) <= 1e-9 * abs(w) + floor, z
 
 
 @pytest.mark.parametrize("entry_id", sorted(INVERT_COST_CAPS))
 def test_invert_h_cost(entry_id):
-    entry = catalog.get(entry_id)
-    model, evals = counted_model(parse(entry.f_text))
-    h_ref = compile_expr(parse(entry.h_text))
-    fn = compile_expr(parse(entry.f_text))
-    for k in range(4, 41, 4):
-        for ray in (1.0, cmath.exp(0.25j * math.pi)):
-            w = h_ref(1.0 - 2.0**-k * ray) - h_ref(0j)
-            out = invert_h(model, w)
-            floor = 32 * 2.3e-16 / abs(fn(out))
-            assert abs(h_ref(out) - h_ref(0j) - w) <= 1e-9 * abs(w) + floor, (k, ray)
+    model, evals = counted_model(parse(catalog.get(entry_id).f_text))
+    points = [
+        1.0 - 2.0**-k * ray
+        for k in range(4, 41, 4)
+        for ray in (1.0, cmath.exp(0.25j * math.pi))
+    ]
+    _assert_inverts(entry_id, model, points)
     assert evals[0] <= INVERT_COST_CAPS[entry_id]
+
+
+# tangential targets (the level-1 horocycle points of _ladder), where
+# the leading term of h misses the next one, and interior targets, where
+# it is far from h; bfid-par's z* lies past the slit of h(Delta) along
+# Im w = pi/8, Re w <= -0.25 from h(0) = 0
+SWEEP = [1.0 - g for k in range(4, 25) for g in list(_ladder(2.0**-k))[3:]] + [
+    1.0 - r * cmath.exp(1j * arg) for r in (0.5, 0.25, 0.125) for arg in (0.0, 1.0, -1.0)
+]
+
+
+@pytest.mark.parametrize("entry_id", H_TEXT_IDS)
+def test_invert_h_sweep(entry_id):
+    points = SWEEP + ([0.3228 + 0.8538j] if entry_id == "bfid-par" else [])
+    _assert_inverts(entry_id, linearize(parse(catalog.get(entry_id).f_text)), points)
+
+
+def test_invert_h_outside_targets_fail(monkeypatch):
+    # h = i z/(1 - z) maps the disk onto the half-plane Im w > -1/2; its
+    # leading term at 1 is exact, so the seed of a target below the edge
+    # is outside the disk and the detour answers.  With mu doubled the
+    # seed lands in the disk, its solve fails, and the detour still answers.
+    detours = []
+    detour = abel._detour
+
+    def recording_detour(model, w):
+        detours.append(w)
+        return detour(model, w)
+
+    monkeypatch.setattr(abel, "_detour", recording_detour)
+    model = linearize(parse(catalog.get("parabolic-auto(1)").f_text))
+    scaled = dataclasses.replace(model, mu=2.0 * model.mu)
+    targets = [3.0 - 1.0j, -0.5 - 0.5001j, -40.0 - 2.0j, 1e6 - 0.6j]
+    for m, seeded in ((model, False), (scaled, True)):
+        for w in targets:
+            assert (abel._asymptotic_gap(m, w) is not None) == seeded, w
+            with pytest.raises(InversionFailureError):
+                invert_h(m, w)
+    assert detours == targets + targets
+    # just inside the edge the same model still inverts
+    assert model.h(invert_h(model, 3.0 - 0.4999j)) == pytest.approx(3.0 - 0.4999j, abs=1e-12)
 
 
 SINGLE_PANEL_IDS = [

@@ -5,7 +5,7 @@ import pytest
 
 from diskflow import catalog
 from diskflow.errors import UnknownCatalogIdError
-from diskflow.expr import evaluate, parse
+from diskflow.expr import evaluate, parse, validate_generator
 
 
 def test_default_ids_resolve():
@@ -69,5 +69,10 @@ def test_consistency_error_small():
 
 
 def test_validate_all_passes():
-    report = catalog.validate_all()
-    assert report["ok"], report
+    # the (f, h) consistency invariant and the generator grid check on
+    # every DEFAULT_IDS entry
+    for entry_id in catalog.DEFAULT_IDS:
+        entry = catalog.get(entry_id)
+        assert catalog.consistency_error(entry) <= 1e-10, entry_id
+        report = validate_generator(parse(entry.f_text))
+        assert report["is_generator"] == entry.truth.get("generator", True), entry_id

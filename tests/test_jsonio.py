@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -43,6 +44,48 @@ def test_nested_round_trips_via_stdlib():
     }
     parsed = json.loads(jsonio.dumps(obj))
     assert parsed["nested"]["deep"][0]["k"] == {"re": 0.0, "im": 1.0}
+
+
+def test_dumps_same_bytes_property():
+    # a report renders to the same bytes on every call and from a deep
+    # copy; keys keep the report's own order (the CLI fixes it in code),
+    # so the same report built in another key order parses to the same
+    # object and renders the same lines, in another order
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.complex_numbers() | st.text())
+    reports = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=20,
+    )
+
+    def shuffled(obj, rnd):
+        if isinstance(obj, dict):
+            keys = list(obj)
+            rnd.shuffle(keys)
+            return {k: shuffled(obj[k], rnd) for k in keys}
+        if isinstance(obj, list):
+            return [shuffled(v, rnd) for v in obj]
+        return obj
+
+    def lines(text):
+        return sorted(line.removesuffix(",") for line in text.splitlines())
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(), reports, max_size=6), st.randoms())
+    def check(report, rnd):
+        text = jsonio.dumps(report)
+        assert jsonio.dumps(report) == text
+        assert jsonio.dumps(copy.deepcopy(report)) == text
+        other = jsonio.dumps(shuffled(report, rnd))
+        assert json.loads(other) == json.loads(text)
+        assert lines(other) == lines(text)
+
+    check()
 
 
 def test_trajectory_csv_header_and_rows():
