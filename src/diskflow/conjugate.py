@@ -11,7 +11,6 @@ a half-plane preimage when it is parabolic (p-type).
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -142,11 +141,31 @@ class ConjugationCertificate:
 
 
 def _residual_sup(left, right) -> float:
+    """The largest |left - right| over RESIDUAL_GRID and RESIDUAL_TIMES;
+    each side maps a grid point to its values at all RESIDUAL_TIMES."""
     worst = 0.0
     for z in RESIDUAL_GRID:
-        for t in RESIDUAL_TIMES:
-            worst = max(worst, abs(left(t, z) - right(t, z)))
+        for lhs, rhs in zip(left(z), right(z)):
+            worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def _orbit(model: LinearizationModel, seed: complex, targets) -> list:
+    """The preimages under h of ``targets`` in turn, as one continuation:
+    the first solve starts from ``seed``, each later one from the answer
+    before it."""
+    points = []
+    for w in targets:
+        seed = invert_h(model, w, seed=seed)
+        points.append(seed)
+    return points
+
+
+def _flow_orbit(model: LinearizationModel, z: complex) -> list:
+    """F_t(z) at RESIDUAL_TIMES, walking the forward ray h(z) + t once and
+    stopping at each time (the targets are those of abel_flow)."""
+    h0 = model.h(z)
+    return _orbit(model, z, [h0 + t for t in RESIDUAL_TIMES])
 
 
 def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertificate:
@@ -154,7 +173,11 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
     psi o F_t = G_t o psi.
 
     Requires h(Delta) inside the half-plane image of ibz/(1-z); the sign
-    of b must put that half-plane on the bounded side of Im h.
+    of b must put that half-plane on the bounded side of Im h.  The
+    residual compares both sides at each grid point for t = 1, 5, 25;
+    the three flow points F_t(z) are one continuation along the ray
+    h(z) + t, each solve seeded by the point before, whose h psi needs
+    anyway (``model.h_cache`` keeps it).
     """
     if b == 0:
         raise ValueError("b must be nonzero")
@@ -179,8 +202,8 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
 
     group = MobiusGroup(a=0.0, b=b)
     res = _residual_sup(
-        lambda t, z: psi(model.flow(z, t)),
-        lambda t, z: group.apply(t, psi(z)),
+        lambda z: [psi(u) for u in _flow_orbit(model, z)],
+        lambda z: [group.apply(t, psi(z)) for t in RESIDUAL_TIMES],
     )
     for z in RESIDUAL_GRID:
         if abs(psi(z)) >= 1:
@@ -222,6 +245,15 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
     where the preimage gap 1 - z stays representable (it decays like
     e^(-2a|x|) toward the repelling point); the half-plane rows lie
     0.1, 1, 10 and 100 inside its edge and are probed to Re w = -200.
+
+    The residual then compares F_t(phi(z)) with phi(G_t(z)) at each grid
+    point for t = 1, 5, 25, and each side's three times form one
+    continuation: the flow side walks the ray h(phi(z)) + t, and the
+    group side solves k(G_t z) + h(base) from base, then from its own
+    previous answer.  The group side's path h(base) -> w_1 -> w_5 ->
+    w_25 lies in the strip or half-plane just certified, which is
+    convex, and it never starts from a flow-side point, so the two sides
+    stay independent.
     """
     C = model.h(base)
     if group.a != 0:
@@ -248,14 +280,15 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
         # saves Newton steps
         return invert_h(model, group.linearizer(z) + C, seed=seed)
 
-    def right(t: float, z: complex) -> complex:
+    def right(z: complex) -> list:
         # evaluate through the gap 1 - G_t(z), which stays representable
-        # after the group orbit collapses onto 1 in z-coordinates
-        gap = group.gap_apply(t, z)
-        return invert_h(model, group.linearizer_gap(gap) + C, seed=base)
+        # after the group orbit collapses onto 1 in z-coordinates; the
+        # orbit starts from base, never from a flow-side point
+        targets = [group.linearizer_gap(group.gap_apply(t, z)) + C
+                   for t in RESIDUAL_TIMES]
+        return _orbit(model, base, targets)
 
-    image = functools.cache(phi)  # one inversion per point, for all times
-    res = _residual_sup(lambda t, z: model.flow(image(z), t), right)
+    res = _residual_sup(lambda z: _flow_orbit(model, phi(z)), right)
     return ConjugationCertificate(
         kind="inner",
         map=phi,

@@ -31,6 +31,7 @@ from diskflow.abel import (
     planar_domain_stats,
     visser_ostrovskii,
 )
+from diskflow.conjugate import MobiusGroup
 from diskflow.errors import InversionFailureError, NotInClassError
 from diskflow.expr import compile_expr, parse
 from diskflow.flow import flow_point
@@ -306,6 +307,23 @@ SWEEP = [1.0 - g for k in range(4, 25) for g in list(_ladder(2.0**-k))[3:]] + [
 def test_invert_h_sweep(entry_id):
     points = SWEEP + ([0.3228 + 0.8538j] if entry_id == "bfid-par" else [])
     _assert_inverts(entry_id, linearize(parse(catalog.get(entry_id).f_text)), points)
+
+
+def test_invert_h_sweep_phi_text():
+    # bfid-hyp has no h_text; its phi_text is h^-1(k + C) for the group
+    # of the repelling point -1, so inverting k(zeta) + C with no seed
+    # must give phi(zeta), graded like _assert_inverts carried to z by
+    # |dz| = |f| |dh|
+    entry = catalog.get("bfid-hyp")
+    phi_ref = compile_expr(parse(entry.phi_text))
+    fn = compile_expr(parse(entry.f_text))
+    model = linearize(parse(entry.f_text))
+    group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
+    C = model.h(phi_ref(0j))
+    for zeta in SWEEP:
+        w = group.linearizer(zeta) + C
+        out = invert_h(model, w)
+        assert abs(out - phi_ref(zeta)) <= 1e-9 * abs(w) * abs(fn(out)) + 32 * 2.3e-16, zeta
 
 
 def test_invert_h_outside_targets_fail(monkeypatch):

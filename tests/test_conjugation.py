@@ -6,7 +6,7 @@ import pytest
 from conftest import counted_model
 
 from diskflow import abel, conjugate
-from diskflow.abel import linearize
+from diskflow.abel import linearize, planar_domain_stats
 from diskflow.conjugate import (
     MobiusGroup,
     bfid_report,
@@ -83,6 +83,45 @@ def test_outer_conjugator_quadrant():
     assert cert.residual_sup < 1e-9
 
 
+def test_outer_conjugator_cost():
+    # counted after the domain stats, which outer_conjugator reads from
+    # the model: what is left is the residual, one continuation per point
+    model, evals = counted_model(parse(catalog.get("quadrant").f_text))
+    planar_domain_stats(model)
+    before = evals[0]
+    cert = outer_conjugator(model, 2.0)
+    assert cert.residual_sup < 1e-9
+    assert evals[0] - before <= 13_500
+
+
+@pytest.mark.parametrize("entry_id", ["bfid-hyp", "quadrant"])
+def test_residual_orbits_match_abel_flow(monkeypatch, entry_id):
+    # the residual's flow points are chained, t = 5 from t = 1 and t = 25
+    # from t = 5; each must agree with a fresh abel_flow from its start
+    orbits = []
+    flow_orbit = conjugate._flow_orbit
+
+    def recording_flow_orbit(model, z):
+        points = flow_orbit(model, z)
+        orbits.append((z, points))
+        return points
+
+    monkeypatch.setattr(conjugate, "_flow_orbit", recording_flow_orbit)
+    f = parse(catalog.get(entry_id).f_text)
+    if entry_id == "bfid-hyp":
+        phi_ref = compile_expr(parse(catalog.get(entry_id).phi_text))
+        group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
+        cert = inner_conjugator(linearize(f), group, phi_ref(0j))
+    else:
+        cert = outer_conjugator(linearize(f), 2.0)
+    assert cert.residual_sup < 1e-9
+    assert len(orbits) == len(conjugate.RESIDUAL_GRID)
+    oracle = linearize(f)
+    for start, points in orbits:
+        for t, point in zip(conjugate.RESIDUAL_TIMES, points, strict=True):
+            assert abs(point - abel.abel_flow(oracle, start, t)) <= 1e-12, (start, t)
+
+
 def test_outer_conjugator_rejects_unbounded_image():
     model = linearize(parse(catalog.get("bfid-par").f_text))
     with pytest.raises(NotContainedError):
@@ -110,9 +149,10 @@ def test_inner_conjugator_matches_closed_form():
     group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
     model, evals = counted_model(parse(entry.f_text))
     cert = inner_conjugator(model, group, phi_ref(0j))
-    # the strip rows are probed at their axis point and left end only, and
-    # chords next to the repelling point -1 stop refining at its roundoff
-    assert evals[0] <= 200_000
+    # the strip rows are probed at their axis point and left end only,
+    # chords next to the repelling point -1 stop refining at its roundoff,
+    # and each residual orbit is one continuation through t = 1, 5, 25
+    assert evals[0] <= 52_000
     assert cert.bfid_type == "h-type"
     assert cert.residual_sup < 1e-9
     for z in GRID:
@@ -124,7 +164,7 @@ def test_inner_conjugator_cost_next_to_repelling_point():
     model, evals = counted_model(parse(catalog.get(f"hyperbolic-auto({a},{b})").f_text))
     group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
     cert = inner_conjugator(model, group, 0j)
-    assert evals[0] <= 200_000
+    assert evals[0] <= 48_000
     assert cert.bfid_type == "h-type"
     assert cert.residual_sup < 1e-9
 
@@ -198,11 +238,12 @@ def test_bfid_report_counts():
 
 def test_bfid_report_cost():
     # each half-plane level is probed once, by the certificate's own rows,
-    # and each corner rung is inverted from the previous rung's preimage
+    # each corner rung is inverted from the previous rung's preimage, and
+    # each residual orbit is one continuation through t = 1, 5, 25
     model, evals = counted_model(parse(catalog.get("bfid-par").f_text))
     certs = bfid_report(model)
     assert sorted(c.bfid_type for c in certs) == ["h-type", "p-type", "p-type"]
-    assert evals[0] < 110_000
+    assert evals[0] < 75_000
 
 
 def test_halfplane_rows_are_the_only_probe(monkeypatch):
