@@ -778,6 +778,42 @@ def differentiate(node: Expr) -> Expr:
 GENERATOR_GRID = 24  # radii and angles of the validate_generator grid
 
 
+def _generator_grid(n: int) -> tuple:
+    """The n x n polar grid of validate_generator, ring by ring."""
+    points = []
+    for j in range(n):
+        r = (j + 0.5) / n
+        # push a few rings very close to the circle where Re p bottoms out
+        if j >= n - 3:
+            r = 1.0 - 10.0 ** -(j - n + 4)
+        for k in range(n):
+            theta = 2 * math.pi * (k + 0.5) / n
+            points.append(r * cmath.exp(1j * theta))
+    return tuple(points)
+
+
+_GENERATOR_POINTS = _generator_grid(GENERATOR_GRID)
+
+# The smallest Re p over the grid, where p evaluates, and the points where
+# it does not; instantiated per p by kernel, with p inlined.
+_GRID_SCAN = """
+def grid_scan():
+    skipped = 0
+    min_re = inf
+    witness = 0j
+    for z in points:
+        try:
+            v = f(z)
+        except SingularEvaluationError:
+            skipped += 1
+            continue
+        if v.real < min_re:
+            min_re = v.real
+            witness = z
+    return min_re, witness, skipped
+"""
+
+
 def berkson_porta_p(f: Expr) -> Expr:
     """The factor p with f(z) = -(1-z)^2 p(z), i.e. p = -f/(1-z)^2.
 
@@ -801,29 +837,11 @@ def validate_generator(f: Expr) -> dict:
     points where evaluation is singular are skipped; more than 10% skips
     raises GridUnreliableError.
     """
-    n = GENERATOR_GRID
     p = compile_expr(berkson_porta_p(f))
-    total = 0
-    skipped = 0
-    min_re = math.inf
-    witness = 0j
-    for j in range(n):
-        r = (j + 0.5) / n
-        # push a few rings very close to the circle where Re p bottoms out
-        if j >= n - 3:
-            r = 1.0 - 10.0 ** -(j - n + 4)
-        for k in range(n):
-            theta = 2 * math.pi * (k + 0.5) / n
-            z = r * cmath.exp(1j * theta)
-            total += 1
-            try:
-                value = p(z)
-            except SingularEvaluationError:
-                skipped += 1
-                continue
-            if value.real < min_re:
-                min_re = value.real
-                witness = z
+    scan = kernel(p, _GRID_SCAN, points=_GENERATOR_POINTS, inf=math.inf,
+                  SingularEvaluationError=SingularEvaluationError)
+    min_re, witness, skipped = scan()
+    total = len(_GENERATOR_POINTS)
     if skipped > 0.10 * total:
         raise GridUnreliableError(
             f"{skipped}/{total} grid points were singular"

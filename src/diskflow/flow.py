@@ -11,7 +11,9 @@ of f in place of each stage's evaluation.  Forward trajectories of a
 generator must stay inside the disk; backward trajectories terminate
 when they reach the boundary margin or stagnate at a null point.
 Convergence diagnostics (horocycle distance limit, argument limit,
-approach regime) feed the classifier.
+approach regime) feed the classifier; they read the flow at geometric
+checkpoints from one run that lands on each of them.  That run and
+:func:`integrate` take their steps from the same loop, :func:`_steps`.
 """
 
 from __future__ import annotations
@@ -189,16 +191,10 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
 
     Negative ``t_end`` integrates backward; a NaN ``t_end``, and an
     ``atol`` that is not a positive finite number, are rejected before
-    any evaluation.  An attempt that lands on or outside the
-    circle is rejected and retried with half the step, so a forward run
-    that truly leaves (f is not a generator) ends in step size
-    underflow; backward runs stop with termination "boundary-exit" at
-    |u| > 1 - 1e-9.  Each attempt is one
-    DOP853 step of twelve evaluations of f: its thirteenth stage is
-    evaluated at u8, and an accepted step reuses it as the next step's
-    first stage.  The error of an attempt is Hairer's DOP853 norm of the
-    fifth- and third-order estimates, and the step after a rejected
-    attempt does not grow.
+    any evaluation.  The run keeps every accepted step of
+    :func:`_steps`, which holds the step rules: forward runs stay inside
+    the disk, and backward runs stop with termination "boundary-exit"
+    at |u| > 1 - 1e-9.
     """
     fn = as_callable(f)
     if not abs(z0) < 1.0:
@@ -208,38 +204,71 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
     if not 0 < atol < math.inf:
         raise DiskflowError(f"tolerance atol = {atol} is not positive and finite",
                             atol=atol)
-    forward = not t_end < 0
-    direction = "forward" if forward else "backward"
-    sign = 1.0 if forward else -1.0
+    direction = "backward" if t_end < 0 else "forward"
     samples = [(0.0, complex(z0))]
-    t, u = 0.0, complex(z0)
     if t_end == 0:
         return Trajectory(tuple(samples), "forward", "horizon-reached",
                           generator_id, atol)
+    try:
+        for t, u, _, termination in _steps(fn, complex(z0), (t_end,), atol):
+            samples.append((t, u))
+    except StiffFailureError as exc:
+        exc.trajectory = Trajectory(tuple(samples), direction, "stagnation",
+                                    generator_id, atol)
+        raise
+    return Trajectory(tuple(samples), direction, termination, generator_id, atol)
 
+
+def _steps(fn, u: complex, stops: tuple, atol: float):
+    """The accepted steps of one run of u' = -f(u) from u(0) = u through
+    the times ``stops``, all of one sign and increasing in modulus.
+
+    Yields ``(t, u, reached, termination)`` after each accepted step:
+    ``reached`` counts the stops the run has landed on, and
+    ``termination`` is None until the last step, which carries
+    "horizon-reached" (the last stop), "boundary-exit" (a backward run
+    past |u| > 1 - EXIT_MARGIN) or "stagnation" (|f(u)| below
+    STAGNATION_SPEED); the last two win over the first.
+
+    Each attempt is one DOP853 step of twelve evaluations of f: its
+    thirteenth stage is evaluated at u8, and an accepted step reuses it
+    as the next step's first stage.  The error of an attempt is Hairer's
+    DOP853 norm of the fifth- and third-order estimates, and the step
+    after a rejected attempt does not grow.  A step that would pass the
+    next stop is cut to land on it; the step after it starts from the
+    uncut size, so the step size is carried across stops (Hairer,
+    Norsett & Wanner, Solving ODEs I, section II.4).  An attempt that
+    lands on or outside the circle is rejected and retried with half the
+    step, so a forward run that truly leaves (f is not a generator) ends
+    in step size underflow.  On a backward run, such a landing by an
+    attempt that passes the error test shows that the orbit reaches the
+    exit margin before the attempt's end; from then on no step goes more
+    than half way there, so the exit time is bisected at one attempt per
+    halving, not two.
+    """
+    sign = -1.0 if stops[0] < 0 else 1.0
+    t = 0.0
     k0 = -fn(u)
     step = kernel(fn, _DP_STEP)
-    h = sign * min(1e-2, abs(t_end) / 10) / max(abs(k0), 1.0)
-    termination = "horizon-reached"
+    h = sign * min(1e-2, abs(stops[0]) / 10) / max(abs(k0), 1.0)
+    reached, accepted = 0, 0
     rejected = False  # the last attempt was rejected
-    while sign * (t_end - t) > 0:
-        if abs(h) > abs(t_end - t):
-            h = t_end - t
-        if abs(h) < 1e-13 * max(1.0, abs(t)):
-            raise StiffFailureError(
-                f"step size underflow at t = {t}",
-                trajectory=Trajectory(tuple(samples), direction,
-                                      "stagnation", generator_id, atol),
-            )
+    exit_by = None  # backward: the end of an accurate attempt that left the disk
+    while True:
+        stop = stops[reached]
+        cut = abs(h) > abs(stop - t)
+        dt = stop - t if cut else h
+        if abs(dt) < 1e-13 * max(1.0, abs(t)):
+            raise StiffFailureError(f"step size underflow at t = {t}")
         try:
-            u8, e5, e3, k12 = step(u, h, k0)
+            u8, e5, e3, k12 = step(u, dt, k0)
             # tighten near the attracting boundary point: errors there map to
             # errors of size delta/(1-u)^2 in the linearizing coordinate
             # the extra 0.05 keeps the accumulated error over a run well
             # under the per-step budget
             scale = 0.05 * min(1.0, max(abs(1.0 - u) ** 2, 1e-5))
-            err5 = abs(h * e5) / scale
-            err3 = abs(h * e3) / scale
+            err5 = abs(dt * e5) / scale
+            err3 = abs(dt * e3) / scale
             # Hairer's DOP853 norm; a NaN denominator passes to the guard
             deno = err5 * err5 + 0.01 * err3 * err3
             err = err5 * err5 / math.sqrt(deno) if deno else 0.0
@@ -253,26 +282,31 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
             # run of a generator stays inside, so such a landing is an
             # overshoot or the rounding of a point within half an ulp of 1
             bad = True
+            if sign < 0 and err <= atol:
+                # the orbit itself reaches the exit margin before t + dt
+                exit_by = t + dt
         if bad or err > atol:
-            h *= 0.5 if bad else max(0.2, 0.9 * (atol / err) ** 0.125)
+            h = dt * (0.5 if bad else max(0.2, 0.9 * (atol / err) ** 0.125))
             rejected = True
             continue
-        t += h
+        t += dt
         u = u8
-        samples.append((t, u))
-        if len(samples) > MAX_SAMPLES:
-            raise StiffFailureError(
-                f"sample budget exhausted at t = {t}",
-                trajectory=Trajectory(tuple(samples), direction,
-                                      "stagnation", generator_id, atol),
-            )
-        if not forward and abs(u) > 1.0 - EXIT_MARGIN:
+        if cut or sign * (stop - t) <= 0:
+            reached += 1
+        termination = None
+        if sign < 0 and abs(u) > 1.0 - EXIT_MARGIN:
             termination = "boundary-exit"
-            break
-        k0 = k12
-        if abs(k0) < STAGNATION_SPEED:
+        elif abs(k12) < STAGNATION_SPEED:
             termination = "stagnation"
-            break
+        elif reached == len(stops):
+            termination = "horizon-reached"
+        yield t, u, reached, termination
+        accepted += 1
+        if accepted >= MAX_SAMPLES:
+            raise StiffFailureError(f"sample budget exhausted at t = {t}")
+        if termination is not None:
+            return
+        k0 = k12
         if err > 0:
             growth = min(MAX_GROWTH, 0.9 * (atol / err) ** 0.125)
         else:
@@ -282,8 +316,12 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
             # cut back at the disk edge is not regrown straight into it
             growth = min(growth, 1.0)
             rejected = False
-        h *= growth
-    return Trajectory(tuple(samples), direction, termination, generator_id, atol)
+        if not cut:
+            h = dt * growth
+        if exit_by is not None and abs(h) > 0.5 * abs(exit_by - t):
+            # bisect the exit time: a step as long as the one just accepted
+            # would leave the disk again
+            h = 0.5 * (exit_by - t)
 
 
 def flow_point(f, z0: complex, t: float) -> complex:
@@ -307,37 +345,58 @@ def _geometric_times(horizon: float, per_decade: int = 8):
         t *= ratio
 
 
+def _checkpoints(fn, z0: complex, times: tuple, ode_cap: float, abel_flow):
+    """F_t(z0) at each of the increasing ``times``: one ODE run through
+    those up to ``ode_cap``, then ``abel_flow`` from each point to the
+    next, or nothing past ``ode_cap`` without it."""
+    stops = tuple(t for t in times if t <= ode_cap)
+    u = z0
+    if stops:
+        landed = 0
+        for _, u, reached, _ in _steps(fn, z0, stops, ATOL):
+            if reached > landed:
+                landed = reached
+                yield u
+        # a run that stagnates reads its last point at every later stop
+        for _ in range(landed, len(stops)):
+            yield u
+    if abel_flow is None:
+        return
+    t_prev = stops[-1] if stops else 0.0
+    for t in times[len(stops):]:
+        u = abel_flow(u, t - t_prev)
+        t_prev = t
+        yield u
+
+
 def convergence_profile(f, z0: complex, horizon: float = 1e4,
                         abel_flow=None) -> ConvergenceDiagnostics:
     """Diagnose how the trajectory from z0 approaches the boundary point 1.
 
-    Samples F_t at geometric times up to ``horizon``, each sample flowed
-    on from the previous one.  Direct ODE integration is used for
-    t <= 1e4; beyond that an ``abel_flow(z, t)`` callable must be
-    supplied (exact flow through the Abel function), since raw stepping
-    stalls once 1 - u decays polynomially.  A ``horizon`` that is not a
-    positive finite number is rejected before any evaluation.
+    Samples F_t at geometric times up to ``horizon``.  The times up to
+    1e4 are the stops of one ODE run from z0, which lands on each of them
+    and carries its step size across them; a run that stagnates reads
+    its last point at every later stop.  Beyond 1e4 an
+    ``abel_flow(z, t)`` callable must be supplied (exact flow through
+    the Abel function), since raw stepping stalls once 1 - u decays
+    polynomially; it flows each sample on from the previous one.
+    Sampling ends once 1 - |u| is within a few ulps of 0.  A ``horizon``
+    that is not a positive finite number is rejected before any
+    evaluation.
     """
     if not 0 < horizon < math.inf:
         raise DiskflowError(f"horizon = {horizon} is not positive and finite",
                             horizon=horizon)
+    if not abs(z0) < 1.0:
+        raise NotInDiskError(f"initial point |z0| = {abs(z0)} not inside the disk")
     fn = as_callable(f)
-    ode_cap = min(horizon, 1e4)
-    times = [t for t in _geometric_times(horizon)]
+    times = tuple(_geometric_times(horizon))
     d_vals, ratio_vals, arg_vals = [], [], []
-    t_prev, u = 0.0, complex(z0)
-    for t in times:
-        if t <= ode_cap:
-            u = flow_point(fn, u, t - t_prev)
-        elif abel_flow is not None:
-            u = abel_flow(u, t - t_prev)
-        else:
-            break
-        t_prev = t
-        one_minus = 1.0 - u
+    for u in _checkpoints(fn, complex(z0), times, min(horizon, 1e4), abel_flow):
         # once the gap reaches machine noise the quotients below are garbage
-        if abs(one_minus) < 1e-15 or 1.0 - abs(u) < 4e-16:
+        if 1.0 - abs(u) < 1e-15:
             break
+        one_minus = 1.0 - u
         ratio = (1.0 - abs(u)) / abs(one_minus)
         d_vals.append(horocycle_distance(u))
         ratio_vals.append(ratio)

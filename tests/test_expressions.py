@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from diskflow import expr
 from diskflow.errors import ExpressionSyntaxError, SingularEvaluationError
 from diskflow.expr import (
+    GENERATOR_GRID,
     ONE,
     Const,
     Func,
@@ -238,3 +240,30 @@ def test_boundary_limit_stolz_ray():
 def test_boundary_limit_unknown_approach():
     with pytest.raises(ValueError):
         boundary_limit(parse("z"), "spiral")
+
+
+@pytest.mark.parametrize("text", [
+    "i*(1-z)^2",
+    "(1-z)^2",
+    "-(1-z)^2*sqrt((1+z)/(1-z))",
+    # overflows at 4 grid points next to 1, which are skipped
+    "-(1-z)^2*exp(1/(1-z)^4)",
+])
+def test_validate_generator_same_under_an_opaque_callable(monkeypatch, text):
+    # the grid scan is a kernel: a compiled p is inlined into it, and any
+    # other callable, such as a counting wrapper, is called at each point
+    compiled = validate_generator(parse(text))
+    calls = []
+
+    def counting_compile(node):
+        call = compile_expr(node)
+
+        def counted(z):
+            calls.append(z)
+            return call(z)
+
+        return counted
+
+    monkeypatch.setattr(expr, "compile_expr", counting_compile)
+    assert validate_generator(parse(text)) == compiled
+    assert len(calls) == GENERATOR_GRID ** 2

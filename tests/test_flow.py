@@ -12,6 +12,7 @@ from diskflow.errors import (
     StiffFailureError,
 )
 from diskflow.expr import compile_expr, kernel, parse
+from diskflow.geometry import horocycle_distance
 from diskflow.flow import (
     ATOL,
     EXIT_MARGIN,
@@ -58,7 +59,9 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
     stage from the tableau rows, and the first stage evaluated afresh
     after each accepted step.
 
-    Same step control and termination rules as ``integrate``; returns
+    Same step control and termination rules as ``integrate``, including
+    the bisection of a backward run's exit time once an accurate attempt
+    has left the disk; returns
     ``(samples, termination, rejected steps)``.
     """
     rows, b8, b5, b3 = _dop853_tableau()
@@ -67,6 +70,7 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
     samples = [(t, u)]
     rejected = 0
     last_rejected = False
+    exit_by = None
     k = [0j] * len(rows)
     k[0] = -fn(u)
     h = sign * min(1e-2, abs(t_end) / 10) / max(abs(k[0]), 1.0)
@@ -90,6 +94,8 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
             bad, err, u8 = True, math.inf, u
         if not bad and abs(u8) >= 1.0:
             bad = True
+            if sign < 0 and err <= atol:
+                exit_by = t + h
         if bad or err > atol:
             rejected += 1
             last_rejected = True
@@ -109,6 +115,8 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
         if last_rejected:
             growth, last_rejected = min(growth, 1.0), False
         h *= growth
+        if exit_by is not None and abs(h) > 0.5 * abs(exit_by - t):
+            h = 0.5 * (exit_by - t)
     return samples, termination, rejected
 
 
@@ -217,8 +225,10 @@ def test_integrate_rejection_does_not_regrow_into_the_boundary():
     # the backward quadrant run halves h at each landing outside the disk;
     # regrown by up to 5x after each cut, the next attempt landed outside
     # again, 985 evaluations in 82 attempts.  With no growth right after a
-    # rejection it takes 52 attempts of 12 (the fifth-order stepper made
-    # 100 attempts of 6, 601 evaluations)
+    # rejection it took 52 attempts of 12, 27 of them rejected: each
+    # accepted step was tried again at the same size and left the disk.
+    # Bisecting the exit time takes one attempt per halving, 37 in all,
+    # with the same 25 accepted steps
     fn = _catalog_fn("quadrant")
     calls = []
 
@@ -228,7 +238,8 @@ def test_integrate_rejection_does_not_regrow_into_the_boundary():
 
     traj = integrate(counting, 0.3 + 0.2j, -5.0)
     assert traj.termination == "boundary-exit"
-    assert len(calls) <= 1 + 12 * 52
+    assert len(traj.samples) == 1 + 25
+    assert len(calls) <= 1 + 12 * 37
 
 
 @pytest.mark.parametrize("entry_id, z0, t_end", [
@@ -402,3 +413,60 @@ def test_convergence_profile_strongly_tangential():
     prof = convergence_profile(parse("i*(1-z)^2"), 0j, horizon=1e4)
     assert prof.regime == "strongly-tangential"
     assert prof.d_limit == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("entry_id", ["parabolic-auto(1)", "quadrant", "bfid-par"])
+def test_convergence_profile_starts_as_integrate(entry_id):
+    # the profile is one run through its checkpoints, and up to the first,
+    # t = 1, it is the run integrate makes to t = 1
+    fn = _catalog_fn(entry_id)
+    z0 = 0.3 + 0.2j
+    u = integrate(fn, z0, 1.0).end[1]
+    prof = convergence_profile(fn, z0, horizon=1e4)
+    assert prof.samples[0] == (1.0, horocycle_distance(u), (1.0 - abs(u)) / abs(1.0 - u))
+
+
+@pytest.mark.parametrize("b", [1.0, -2.0])
+@pytest.mark.parametrize("z0", [0j, 0.3 + 0.2j, -0.5 + 0.6j])
+def test_convergence_profile_keeps_the_horocycle_of_an_automorphism(b, z0):
+    # the flow of i b (1-z)^2 moves each point along its horocycle, so d
+    # stays at d(z0) at every checkpoint, to 1e-9 plus the rounding of
+    # u: one ulp of u moves d by about eps / (2 ratio^2), 1.1e-8 at
+    # t = 1e4, where the exact F_t rounded to a double misses by 1.8e-8
+    fn = _catalog_fn(f"parabolic-auto({b:g})")
+    d0 = horocycle_distance(z0)
+    prof = convergence_profile(fn, z0, horizon=1e4)
+    assert len(prof.samples) == 33
+    for _, d, ratio in prof.samples:
+        assert abs(d - d0) <= 1e-9 + 4 * 2.2e-16 / ratio ** 2
+
+
+@pytest.mark.parametrize("entry_id, cap", [
+    # one run through the 33 checkpoints; restarting integrate at each
+    # took 4,425, 4,725, 3,573 and 2,349 evaluations
+    ("parabolic-auto(1)", 3000),
+    ("quadrant", 3000),
+    ("bfid-par", 2300),
+    ("hyperbolic-auto(0.5,0)", 1900),
+])
+def test_convergence_profile_cost(entry_id, cap):
+    fn = _catalog_fn(entry_id)
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return fn(z)
+
+    prof = convergence_profile(counting, 0j, horizon=1e4)
+    assert len(prof.samples) == 33
+    assert len(calls) <= cap
+
+
+def test_convergence_profile_stops_at_the_rounding_floor():
+    # this orbit reaches 1 - |u| of a few ulps by t = 24; flowing such a
+    # point on to t = 1e4 only sampled rounding noise
+    fn = _catalog_fn("hyperbolic-auto(0.7631,-0.2771)")
+    prof = convergence_profile(fn, -0.13341380158923524 + 0.88106148390791006j,
+                               horizon=1e4)
+    assert prof.regime == "nontangential"
+    assert prof.samples[-1][0] < 100.0
