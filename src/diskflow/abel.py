@@ -19,13 +19,15 @@ Newton's method, tracking h incrementally, one chord integral per
 iterate rather than a fresh quadrature from 0.  Without a caller's seed
 it starts where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C,
 takes the target value, which along radial and Stolz approaches is a few
-Newton steps of 17 evaluations of f from the root; the seed costs one
-log-gap segment, and C one more per model.  Where that seed is outside
+Newton steps from the root, each one panel of 1 to 16 nodes (fewer as
+the steps shrink) plus the evaluation at the new iterate; the seed costs
+one log-gap segment, and C one more per model.  Where that seed is outside
 the disk or its solve fails (tangential targets, slit domains), a detour
 0 -> T -> T + i Im w -> w stays in h(Delta) by forward invariance.  It
 and the seeded callers continue along straight w-segments in levels of
 about 4 Newton steps, about 35 levels from 0 to a dyadic gap 2^-4 ..
-2^-40.  The extremes of
+2^-40; callers that chain solves carry h from one answer to the next
+rather than integrate it afresh.  The extremes of
 Im h, a harmonic function, are boundary values: planar_domain_stats
 reads them on the unit circle and along dyadic ladders at 1, each value
 one log-gap segment from 0.
@@ -69,33 +71,86 @@ DETOUR_TRIES = 4  # right-hand offsets span * 4^j of the inversion detour
 
 _GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
 
-# The 16-node panel over [t0, t1] of the log-gap segment, where
-# dh/ds = e^s / f(1 - e^s); returns (integral, roundoff noise estimate).
-# A node z is itself rounded, so the integrand carries eps |z|/gap
-# relative noise, gap being the distance from z to the boundary point 1.
+# the 1-, 2-, 4- and 8-point Gauss-Legendre rules as (node, weight) pairs,
+# each float the nearest double to the root of P_n or its weight (numpy's
+# leggauss is a few ulps off in the 4- and 8-point weights), for the
+# short Newton chords of _CHORD_RULES
+_GL1_RULE = ((0.0, 2.0),)
+_GL2_RULE = ((-0.5773502691896257, 1.0), (0.5773502691896257, 1.0))
+_GL4_RULE = (
+    (-0.8611363115940526, 0.34785484513745385),
+    (-0.33998104358485626, 0.6521451548625461),
+    (0.33998104358485626, 0.6521451548625461),
+    (0.8611363115940526, 0.34785484513745385),
+)
+_GL8_RULE = (
+    (-0.9602898564975363, 0.10122853629037626),
+    (-0.7966664774136267, 0.22238103445337448),
+    (-0.525532409916329, 0.31370664587788727),
+    (-0.1834346424956498, 0.362683783378362),
+    (0.1834346424956498, 0.362683783378362),
+    (0.525532409916329, 0.31370664587788727),
+    (0.7966664774136267, 0.22238103445337448),
+    (0.9602898564975363, 0.10122853629037626),
+)
+
+# (q_max, rule): a Newton chord z -> z_new with q = |z_new - z|/d at
+# most q_max, d = 1 - max(|z|, |z_new|), is one panel of ``rule``; each
+# q_max is the largest q, rounded down, at which that rule's Bernstein
+# bound is no weaker than the 16-node bound at q = 1/2 (see
+# _newton_level); longer chords go through _segment_integral
+_CHORD_RULES = (
+    (1.914e-10, _GL1_RULE),
+    (1.956e-5, _GL2_RULE),
+    (6.255e-3, _GL4_RULE),
+    (0.1121, _GL8_RULE),
+    (0.5, _GL_RULE),
+)
+
+# The panels of the log-gap segment, where dh/ds = e^s / f(1 - e^s):
+# ``panel(t0, t1)`` is the 16-node panel over [t0, t1], returning
+# (integral, roundoff noise estimate), and ``total`` its integral alone,
+# for the root of an adaptive segment, whose noise nothing reads.  A node
+# z is itself rounded, so the integrand carries eps |z|/gap relative
+# noise, gap being the distance from z to the boundary point 1.
 # Instantiated per generator by expr.kernel, with f inlined.
 _GAP_PANEL = """
-def gap_panel(t0, t1):
-    half = 0.5 * (t1 - t0)
-    mid = 0.5 * (t0 + t1)
-    acc = 0j
-    rough = 0.0
-    for x, w in GL_RULE:
-        gap = exp(mid + half * x)
-        z = 1.0 - gap
-        v = f(z)
-        v = gap / v
-        acc += w * v
-        gap = abs(1.0 - z)
-        rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
-    return acc * half, rough * abs(half) * 2.3e-16
+def gap_panels():
+    def panel(t0, t1):
+        half = 0.5 * (t1 - t0)
+        mid = 0.5 * (t0 + t1)
+        acc = 0j
+        rough = 0.0
+        for x, w in GL_RULE:
+            gap = exp(mid + half * x)
+            z = 1.0 - gap
+            v = f(z)
+            v = gap / v
+            acc += w * v
+            gap = abs(1.0 - z)
+            rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
+        return acc * half, rough * abs(half) * 2.3e-16
+
+    def total(t0, t1):
+        half = 0.5 * (t1 - t0)
+        mid = 0.5 * (t0 + t1)
+        acc = 0j
+        for x, w in GL_RULE:
+            gap = exp(mid + half * x)
+            z = 1.0 - gap
+            v = f(z)
+            acc += w * (gap / v)
+        return acc * half
+
+    return panel, total
 """
 
 # The panels of straight chords in z, where dh/dz = -1/f, with the gap of
 # a node taken to 1 and to every other boundary null point in ``zetas``:
 # ``panel`` returns (integral, roundoff noise estimate) like the log-gap
-# panel, ``chord_sum`` the integral alone, for the single-panel Newton
-# chords that never read the noise.
+# panel, ``chord_sum(t0, t1, rule)`` the integral alone by the (node,
+# weight) pairs of ``rule``, for the short Newton chords and the root of
+# an adaptive chord (with GL_RULE), which never read the noise.
 _CHORD_PANELS = """
 def chord_panels(zetas):
     def panel(t0, t1):
@@ -114,11 +169,11 @@ def chord_panels(zetas):
             rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
         return acc * half, rough * abs(half) * 2.3e-16
 
-    def chord_sum(t0, t1):
+    def chord_sum(t0, t1, rule):
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
         acc = 0j
-        for x, w in GL_RULE:
+        for x, w in rule:
             z = mid + half * x
             v = f(z)
             acc += w * (-1.0 / v)
@@ -128,20 +183,23 @@ def chord_panels(zetas):
 """
 
 
-def _segment_integral(panel, t0: complex, t1: complex) -> complex:
+def _segment_integral(panel, t0: complex, t1: complex, whole: complex) -> complex:
     """Adaptive Gauss-Legendre integral of a path integrand over [t0, t1].
 
     ``panel(a, b)`` is a 16-node panel over [a, b] of the path, one of
     the kernels above: it returns the integral and a roundoff estimate
     that the acceptance test tracks, where a fixed relative tolerance
-    would refine to the depth cap on roundoff.
+    would refine to the depth cap on roundoff.  ``whole`` is the 16-node
+    integral over [t0, t1] itself, from the noise-free sum of the same
+    panel (``total`` or ``chord_sum``): the test reads only the noise of
+    the halves, so the root panel needs none.
     """
-    return _refine(panel, t0, t1, panel(t0, t1)[0], 0)
+    return _refine(panel, t0, t1, whole, 0)
 
 
 def _refine(panel, t0: complex, t1: complex, whole: complex, depth: int) -> complex:
-    # ``whole`` is the panel over [t0, t1], computed once by the caller;
-    # each half is passed down as its child's whole
+    # ``whole`` is the integral over [t0, t1], computed once by the
+    # caller; each half is passed down as its child's whole
     mid = 0.5 * (t0 + t1)
     left, nl = panel(t0, mid)
     right, nr = panel(mid, t1)
@@ -178,7 +236,8 @@ def _h_at_gap(fn, s: complex) -> complex:
     s-image; the Gauss-Legendre nodes are interior, so the boundary
     value of h is reached without evaluating f on the circle.
     """
-    return _segment_integral(kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE), 0j, s)
+    panel, total = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE)()
+    return _segment_integral(panel, 0j, s, total(0j, s))
 
 
 def _circle_gap(theta: float) -> complex:
@@ -259,17 +318,15 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex | None = None)
 
     f is evaluated once per iterate: the value that decides convergence
     at z is also the next Newton quotient.  A chord short against its
-    distance to the circle is one 16-node panel (see
-    :func:`_newton_level`), so a Newton step typically costs 17
-    evaluations.
+    distance to the circle is one panel of 1, 2, 4, 8 or 16 nodes, the
+    fewest its error bound allows (see :func:`_newton_level`), so a
+    Newton step costs 2 to 17 evaluations, and the short steps that end
+    a quadratically converging level cost the fewest.
     """
-    w = complex(w)
-    if not cmath.isfinite(w):
-        raise InversionFailureError(f"target w = {w} is not finite", target=w)
+    w = _finite_target(w)
     if seed is not None:
         z = complex(seed)
-        h_z = model.h(z)
-        return _continue(model._fn, _chord_panels(model), z, h_z, w)[0]
+        return _invert_from(model, z, model.h(z), w)[0]
     solved = _from_asymptote(model, w)
     if solved is not None:
         return solved[0]
@@ -279,6 +336,24 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex | None = None)
         raise InversionFailureError(
             f"f is singular on the detour toward {w}: {exc}", target=w
         ) from exc
+
+
+def _finite_target(w) -> complex:
+    w = complex(w)
+    if not cmath.isfinite(w):
+        raise InversionFailureError(f"target w = {w} is not finite", target=w)
+    return w
+
+
+def _invert_from(model: LinearizationModel, z: complex, h_z: complex, w: complex) -> tuple:
+    """(z', h(z')) with h(z') = w, continued from z, where h = h_z.
+
+    The seeded solve of :func:`invert_h`, for callers that chain solves:
+    they pass the (z, h) pair of the previous answer, whose h the
+    continuation has already tracked, instead of a fresh quadrature of h
+    at it.
+    """
+    return _continue(model._fn, _chord_panels(model), z, h_z, _finite_target(w))
 
 
 def _continue(fn, chords, z: complex, h_cur: complex, w: complex) -> tuple:
@@ -443,6 +518,16 @@ def _chord_panels(model: LinearizationModel) -> tuple:
     return model.chords
 
 
+def _chord_rule(z: complex, z_new: complex):
+    """The rule of _CHORD_RULES for the Newton chord z -> z_new, or None
+    for a chord too long against its distance to the circle."""
+    chord, d = abs(z_new - z), 1.0 - max(abs(z), abs(z_new))
+    for q_max, rule in _CHORD_RULES:
+        if chord <= q_max * d:
+            return rule
+    return None
+
+
 def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
     """Newton iteration toward h = w_sub; returns (z, f(z), h(z)).
 
@@ -450,19 +535,32 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
     disk), where the step is a relative change of 1-z.  Near the
     boundary this stays well conditioned where a raw z-step overshoots.
 
-    A chord z -> z_new with 2|z_new - z| <= d = 1 - max(|z|, |z_new|) is
-    integrated by one Gauss-Legendre panel.  |.| is convex, so every
-    point of the chord is at least d from the circle, and its half-length
-    is L <= d/4.  The Bernstein ellipse of the chord with rho = 2 + 5^(1/2)
-    ~ 4.2 has semi-axes 5^(1/2) L and 2L, so it stays within 2L <= d/2
-    of the chord and inside the disk, where h' = -1/f is holomorphic.  There the 16-node error is at most (64/15) M
-    rho^-32 / (rho^2 - 1) L ~ 3e-21 M L (Trefethen, "Is Gauss quadrature
-    better than Clenshaw-Curtis?", SIAM Rev. 2008, Thm 4.5), with M the
+    A chord z -> z_new with q = |z_new - z|/d <= 1/2, d = 1 - max(|z|,
+    |z_new|), is integrated by one n-node Gauss-Legendre panel.  |.| is
+    convex, so every point of the chord is at least d from the circle;
+    its half-length is L = q d/2.  The Bernstein ellipse of the chord
+    with rho - 1/rho = 2/q has semi-minor axis L (rho - 1/rho)/2 = d/2
+    and reaches past either end by less than that, so it stays within
+    d/2 of the chord and inside the disk, where h' = -1/f is holomorphic.
+    There the n-node error is at most (64/15) M rho^-2(n-1) / (rho^2 - 1) L
+    (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
+    Rev. 2008, Thm 4.5, whose I_n is the (n+1)-node rule), with M the
     maximum of |h'| on the ellipse.  h is univalent, and each ellipse
     point lies within pseudo-hyperbolic distance 1/2 of the chord, so
-    Koebe distortion bounds M by 12 max |h'| on the chord: the error is
-    far below the roundoff of the sum.  Every other chord, those that
-    reach toward the circle relative to their length, goes through the
+    Koebe distortion bounds M by 12 max |h'| on the chord.  At q = 1/2,
+    rho0 = 2 + 5^(1/2) ~ 4.2 and 16 nodes give
+    (64/15) rho0^-30 / (rho0^2 - 1) L ~ 4e-20 M L, far below the
+    roundoff of the sum.  rho^-2(n-1) / (rho^2 - 1) grows with q, so each
+    n has a largest q at which it is no larger than
+    rho0^-30 / (rho0^2 - 1); a chord takes the fewest nodes whose
+    cut-off it meets (_CHORD_RULES, the cut-offs rounded down):
+
+        q at most   1.914e-10  1.956e-5  6.255e-3  0.1121  0.5
+        nodes n     1          2         4         8       16
+
+    Newton converges quadratically, so the chords of a level shrink
+    through these bands in turn.  Every other chord, those that reach
+    toward the circle relative to their length, goes through the
     adaptive :func:`_segment_integral`.
     """
     panel, chord_sum = chords
@@ -492,11 +590,12 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
         if s_new.real < -36.0:
             s_new = complex(-36.0, s_new.imag)
         z_new = 1.0 - cmath.exp(s_new)
+        rule = _chord_rule(z, z_new)
         try:
-            if 2.0 * abs(z_new - z) <= 1.0 - max(abs(z), abs(z_new)):
-                dh = chord_sum(z, z_new)
+            if rule is not None:
+                dh = chord_sum(z, z_new, rule)
             else:
-                dh = _segment_integral(panel, z, z_new)
+                dh = _segment_integral(panel, z, z_new, chord_sum(z, z_new, _GL_RULE))
         except SingularEvaluationError as exc:
             raise InversionFailureError(
                 f"quadrature broke during inversion toward {w_final}: {exc}",

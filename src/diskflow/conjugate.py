@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from .abel import (  # noqa: F401 - find_boundary_null_points is public here too
     LinearizationModel,
+    _invert_from,
     boundary_null_points,
     find_boundary_null_points,
     invert_h,
@@ -152,12 +153,13 @@ def _residual_sup(left, right) -> float:
 
 def _orbit(model: LinearizationModel, seed: complex, targets) -> list:
     """The preimages under h of ``targets`` in turn, as one continuation:
-    the first solve starts from ``seed``, each later one from the answer
-    before it."""
+    the first solve starts from ``seed`` and a fresh h(seed), each later
+    one from the answer before it and the h its solve tracked."""
+    point = (seed, model.h(seed))
     points = []
     for w in targets:
-        seed = invert_h(model, w, seed=seed)
-        points.append(seed)
+        point = _invert_from(model, *point, w)
+        points.append(point[0])
     return points
 
 
@@ -176,8 +178,9 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
     of b must put that half-plane on the bounded side of Im h.  The
     residual compares both sides at each grid point for t = 1, 5, 25;
     the three flow points F_t(z) are one continuation along the ray
-    h(z) + t, each solve seeded by the point before, whose h psi needs
-    anyway (``model.h_cache`` keeps it).
+    h(z) + t, each solve continued from the point before and the h its
+    solve tracked.  psi reads a fresh h at each flow point, so the
+    residual checks the continuation rather than repeating it.
     """
     if b == 0:
         raise ValueError("b must be nonzero")
@@ -220,14 +223,17 @@ def _rows_contained(model: LinearizationModel, rows, x_left: float,
 
     h(Delta) + t lies in h(Delta) for t >= 0 (forward flow invariance),
     so a row lies in h(Delta) once its left end does.  Each row inverts
-    its axis point (0, y), continuing from the previous row's axis point,
-    then its left end from that axis point; the region being certified is
-    convex, so every continuation path stays inside it.
+    its axis point (0, y), continuing from the previous row's axis point
+    (from ``seed`` and a fresh h(seed) for the first row), then its left
+    end from that axis point, each from the h its solve tracked; the
+    region being certified is convex, so every continuation path stays
+    inside it.
     """
+    axis = (seed, model.h(seed))
     for y in rows:
         try:
-            seed = invert_h(model, complex(0.0, y), seed=seed)
-            invert_h(model, complex(x_left, y), seed=seed)
+            axis = _invert_from(model, *axis, complex(0.0, y))
+            _invert_from(model, *axis, complex(x_left, y))
         except InversionFailureError:
             return False
     return True

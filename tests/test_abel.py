@@ -13,7 +13,9 @@ from conftest import counted_model
 import diskflow
 from diskflow import abel, catalog
 from diskflow.abel import (
+    _CHORD_RULES,
     _GL_NODES,
+    _GL_RULE,
     _GL_WEIGHTS,
     BLOCH_GRID,
     STATS_GRID,
@@ -157,18 +159,50 @@ def test_abel_h_matches_quadrature_oracle(entry_id, points):
 
 
 def test_gauss_legendre_table():
-    # the stored floats against 30-digit roots of P_16 and the weights
-    # 2 / ((1 - x^2) P_16'(x)^2)
+    # the stored floats of every rule, the 16-node panel's and the chord
+    # rules', against 30-digit roots of P_n and the weights
+    # 2 / ((1 - x^2) P_n'(x)^2)
     mpmath = pytest.importorskip("mpmath")
     assert len(_GL_NODES) == len(_GL_WEIGHTS) == 16
-    assert list(_GL_NODES) == sorted(_GL_NODES)
+    assert _GL_RULE == tuple(zip(_GL_NODES, _GL_WEIGHTS))
+    rules = [rule for _, rule in _CHORD_RULES]
+    assert [len(rule) for rule in rules] == [1, 2, 4, 8, 16]
+    assert rules[-1] is _GL_RULE
     with mpmath.workdps(30):
-        p16 = lambda x: mpmath.legendre(16, x)  # noqa: E731
-        for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-            root = mpmath.findroot(p16, mpmath.mpf(x))
-            weight = 2 / ((1 - root**2) * mpmath.diff(p16, root) ** 2)
-            assert abs(x - root) <= 2 * sys.float_info.epsilon
-            assert abs(w - weight) <= 2 * sys.float_info.epsilon
+        for rule in rules:
+            n = len(rule)
+            nodes = [x for x, _ in rule]
+            assert nodes == sorted(nodes)
+            p_n = lambda x: mpmath.legendre(n, x)  # noqa: E731, B023
+            for x, w in rule:
+                root = mpmath.findroot(p_n, mpmath.mpf(x))
+                weight = 2 / ((1 - root**2) * mpmath.diff(p_n, root) ** 2)
+                assert abs(x - root) <= 2 * sys.float_info.epsilon
+                assert abs(w - weight) <= 2 * sys.float_info.epsilon
+
+
+def _bernstein_factor(q, n):
+    # rho^-2(n-1) / (rho^2 - 1), the n-node Gauss-Legendre error factor,
+    # for the Bernstein ellipse that keeps within d/2 of a chord of
+    # length q d: rho - 1/rho = 2/q
+    rho = 1.0 / q + math.sqrt(1.0 / q**2 + 1.0)
+    return rho ** (-2 * (n - 1)) / (rho * rho - 1.0)
+
+
+def test_chord_rule_cutoffs_from_bernstein_bound():
+    # each cut-off is the largest q at which its rule's error factor is
+    # no larger than the 16-node factor at q = 1/2, rounded down by less
+    # than 0.1 %; the 16-node cut-off is 1/2 itself
+    budget = _bernstein_factor(0.5, 16)
+    for q_max, rule in _CHORD_RULES:
+        n = len(rule)
+        lo, hi = 0.0, 0.5
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _bernstein_factor(mid, n) <= budget else (lo, mid)
+        assert _bernstein_factor(q_max, n) <= budget * (1.0 + 1e-12), n
+        assert 0.999 * lo <= q_max <= lo * (1.0 + 1e-12), n
+    assert _CHORD_RULES[-1][0] == 0.5
 
 
 def test_import_needs_no_scipy():
@@ -268,7 +302,7 @@ INVERT_COST_CAPS = {
 }
 
 
-def _assert_inverts(entry_id, model, points):
+def _assert_inverts(entry_id, model, points, seed=None):
     # invert h_text at each point, graded against the closed form to
     # the rounding floor of h at the answer: one ulp of z moves h by
     # about eps/|f(z)|
@@ -277,7 +311,7 @@ def _assert_inverts(entry_id, model, points):
     fn = compile_expr(parse(entry.f_text))
     for z in points:
         w = h_ref(z) - h_ref(0j)
-        out = invert_h(model, w)
+        out = invert_h(model, w, seed=seed)
         floor = 32 * 2.3e-16 / abs(fn(out))
         assert abs(h_ref(out) - h_ref(0j) - w) <= 1e-9 * abs(w) + floor, z
 
@@ -292,6 +326,29 @@ def test_invert_h_cost(entry_id):
     ]
     _assert_inverts(entry_id, model, points)
     assert evals[0] <= INVERT_COST_CAPS[entry_id]
+
+
+# counted f-evals of the seeded sweep below
+SEEDED_COST_CAPS = {
+    "quadrant": 32_000,
+    "bfid-par": 47_500,
+    "perturbed-parabolic": 54_000,
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(SEEDED_COST_CAPS))
+def test_invert_h_seeded_cost(entry_id):
+    # the radial and pi/4 rungs of test_invert_h_cost, each continued
+    # from 0 along its straight w-segment: dozens of Newton levels whose
+    # chords shrink through every band of _CHORD_RULES
+    model, evals = counted_model(parse(catalog.get(entry_id).f_text))
+    points = [
+        1.0 - 2.0**-k * ray
+        for k in range(4, 41, 4)
+        for ray in (1.0, cmath.exp(0.25j * math.pi))
+    ]
+    _assert_inverts(entry_id, model, points, seed=0j)
+    assert evals[0] <= SEEDED_COST_CAPS[entry_id]
 
 
 # tangential targets (the level-1 horocycle points of _ladder), where
@@ -359,33 +416,53 @@ SINGLE_PANEL_IDS = [
 
 @pytest.mark.parametrize("entry_id", SINGLE_PANEL_IDS)
 def test_single_panel_chords_match_closed_form(entry_id):
-    # a Newton chord z0 -> z1 with 2|z1 - z0| <= 1 - max(|z0|, |z1|) is one
-    # 16-node panel; against the catalog's closed form at 30 digits it must
-    # be exact to the rounding of h and the panel's own noise estimate
+    # a Newton chord z0 -> z1 with q = |z1 - z0|/(1 - max(|z0|, |z1|))
+    # <= 1/2 is one panel of the rule of its band of _CHORD_RULES, 1 to 16
+    # nodes; against the catalog's closed form at 30 digits it must be
+    # exact to the rounding of h and the 16-node panel's noise estimate
     mpmath = pytest.importorskip("mpmath")
     pytest.importorskip("hypothesis")
     from hypothesis import assume, example, given, settings
     from hypothesis import strategies as st
 
     entry = catalog.get(entry_id)
-    panel, _ = _chord_panels(linearize(parse(entry.f_text)))
+    model, evals = counted_model(parse(entry.f_text))
+    panel, chord_sum = _chord_panels(model)
+    cuts = [0.0] + [q_max for q_max, _ in _CHORD_RULES]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
         st.floats(0.0, 40.0),  # the gap 1 - z0 is 2^-k ...
         st.floats(-1.5, 1.5),  # ... at this angle from the radius
         st.floats(-math.pi, math.pi),  # direction of the chord
-        st.floats(0.01, 1.0),  # its length, in half the distance to the circle
+        st.integers(0, len(_CHORD_RULES) - 1),  # the band of q ...
+        # ... and where in it; in the one-node band q >= 1.9e-13, where
+        # 30 digits still resolve h(z1) - h(z0)
+        st.floats(1e-3, 1.0),
     )
-    @example(40.0, 0.0, math.pi, 1.0)  # radially outward, next to 1
-    @example(40.0, 0.0, 0.0, 1.0)  # radially inward, next to 1
-    @example(20.0, 1.5, 0.5, 1.0)  # next to the circle, near 1
-    def check(k, angle, direction, length):
+    @example(40.0, 0.0, math.pi, 4, 0.999)  # radially outward, next to 1
+    @example(40.0, 0.0, 0.0, 4, 0.999)  # radially inward, next to 1
+    @example(20.0, 1.5, 0.5, 4, 0.999)  # next to the circle, near 1
+    @example(20.0, 1.5, 0.5, 0, 0.999)  # the one-node band, there
+    def check(k, angle, direction, band, where):
         z0 = 1.0 - 2.0**-k * cmath.exp(1j * angle)
         assume(abs(z0) < 1.0)
-        z1 = z0 + 0.5 * length * (1.0 - abs(z0)) * cmath.exp(1j * direction)
-        assume(z1 != z0 and 2.0 * abs(z1 - z0) <= 1.0 - max(abs(z0), abs(z1)))
-        value, noise = panel(z0, z1)
+        lo, hi = cuts[band], cuts[band + 1]
+        q = lo + where * (hi - lo)
+        # the length r = q (1 - max(|z0|, |z0 + r u|)), a contraction in r
+        u = cmath.exp(1j * direction)
+        r = q * (1.0 - abs(z0))
+        for _ in range(80):
+            r = q * (1.0 - max(abs(z0), abs(z0 + r * u)))
+        z1 = z0 + r * u
+        d = 1.0 - max(abs(z0), abs(z1))
+        assume(z1 != z0 and lo * d < abs(z1 - z0) <= hi * d)
+        rule = abel._chord_rule(z0, z1)
+        assert rule is _CHORD_RULES[band][1]
+        before = evals[0]
+        value = chord_sum(z0, z1, rule)
+        assert evals[0] - before == len(rule) == 2**band
+        noise = panel(z0, z1)[1]
         with mpmath.workdps(30):
             h0 = _mp_eval(mpmath, entry.h_text, 0j)
             h_z0 = _mp_eval(mpmath, entry.h_text, z0) - h0

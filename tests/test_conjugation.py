@@ -91,7 +91,7 @@ def test_outer_conjugator_cost():
     before = evals[0]
     cert = outer_conjugator(model, 2.0)
     assert cert.residual_sup < 1e-9
-    assert evals[0] - before <= 13_500
+    assert evals[0] - before <= 9_800
 
 
 @pytest.mark.parametrize("entry_id", ["bfid-hyp", "quadrant"])
@@ -152,7 +152,7 @@ def test_inner_conjugator_matches_closed_form():
     # the strip rows are probed at their axis point and left end only,
     # chords next to the repelling point -1 stop refining at its roundoff,
     # and each residual orbit is one continuation through t = 1, 5, 25
-    assert evals[0] <= 52_000
+    assert evals[0] <= 41_500
     assert cert.bfid_type == "h-type"
     assert cert.residual_sup < 1e-9
     for z in GRID:
@@ -164,7 +164,7 @@ def test_inner_conjugator_cost_next_to_repelling_point():
     model, evals = counted_model(parse(catalog.get(f"hyperbolic-auto({a},{b})").f_text))
     group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
     cert = inner_conjugator(model, group, 0j)
-    assert evals[0] <= 48_000
+    assert evals[0] <= 37_500
     assert cert.bfid_type == "h-type"
     assert cert.residual_sup < 1e-9
 
@@ -190,20 +190,20 @@ def test_strip_row_left_ends(monkeypatch, a, b):
     group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
     x_back = -min(25.0, 12.0 / a)
     ends, capped = [], []
-    invert, refine = conjugate.invert_h, abel._refine
+    invert, refine = conjugate._invert_from, abel._refine
 
-    def recording_invert(model, w, seed=0j):
-        z = invert(model, w, seed=seed)
+    def recording_invert(model, z, h_z, w):
+        point = invert(model, z, h_z, w)
         if w.real == x_back:
-            ends.append((w, z))
-        return z
+            ends.append((w, point[0]))
+        return point
 
     def recording_refine(panel, t0, t1, whole, depth):
         if depth >= 12:
             capped.append((t0, t1))
         return refine(panel, t0, t1, whole, depth)
 
-    monkeypatch.setattr(conjugate, "invert_h", recording_invert)
+    monkeypatch.setattr(conjugate, "_invert_from", recording_invert)
     monkeypatch.setattr(abel, "_refine", recording_refine)
     cert = inner_conjugator(model, group, 0j)
     assert cert.bfid_type == "h-type"
@@ -236,27 +236,44 @@ def test_bfid_report_counts():
     assert all(g == pytest.approx(0.5, abs=0.05) for g in gammas)
 
 
+# counted f-evals of bfid_report, and the certificates it finds
+BFID_REPORT_CAPS = {
+    "bfid-par": (40_000, ["h-type", "p-type", "p-type"]),
+    "bfid-hyp": (39_000, ["h-type"]),
+}
+
+
 def test_bfid_report_cost():
     # each half-plane level is probed once, by the certificate's own rows,
-    # each corner rung is inverted from the previous rung's preimage, and
-    # each residual orbit is one continuation through t = 1, 5, 25
-    model, evals = counted_model(parse(catalog.get("bfid-par").f_text))
-    certs = bfid_report(model)
-    assert sorted(c.bfid_type for c in certs) == ["h-type", "p-type", "p-type"]
-    assert evals[0] < 75_000
+    # each corner rung is inverted from the previous rung's preimage, each
+    # residual orbit is one continuation through t = 1, 5, 25, chained
+    # solves carry h from one answer to the next, and each short Newton
+    # chord takes the fewest nodes its error bound allows
+    for entry_id, (cap, kinds) in BFID_REPORT_CAPS.items():
+        model, evals = counted_model(parse(catalog.get(entry_id).f_text))
+        certs = bfid_report(model)
+        assert sorted(c.bfid_type for c in certs) == kinds, entry_id
+        assert evals[0] <= cap, entry_id
 
 
 def test_halfplane_rows_are_the_only_probe(monkeypatch):
     # each half-plane level is probed by the certificate's own rows, whose
-    # left ends lie at Re w = -200; no inversion reaches further left
+    # left ends lie at Re w = -200; no inversion reaches further left.
+    # Chained solves (rows, residual orbits) continue through
+    # _invert_from, the rest through invert_h
     targets = []
-    invert = conjugate.invert_h
+    invert, invert_from = conjugate.invert_h, conjugate._invert_from
 
-    def recording_invert(model, w, seed=0j):
+    def recording_invert(model, w, seed=None):
         targets.append(w)
         return invert(model, w, seed=seed)
 
+    def recording_invert_from(model, z, h_z, w):
+        targets.append(w)
+        return invert_from(model, z, h_z, w)
+
     monkeypatch.setattr(conjugate, "invert_h", recording_invert)
+    monkeypatch.setattr(conjugate, "_invert_from", recording_invert_from)
     certs = bfid_report(parse(catalog.get("bfid-par").f_text))
     assert sorted(c.bfid_type for c in certs) == ["h-type", "p-type", "p-type"]
     assert min(w.real for w in targets) == -200.0

@@ -21,6 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from diskflow import catalog, expr  # noqa: E402
 from diskflow.abel import (  # noqa: E402
     _CHORD_PANELS,
+    _CHORD_RULES,
     _GAP_PANEL,
     _GL_NODES,
     _GL_RULE,
@@ -75,6 +76,20 @@ def _reference_panel(dh, t0, t1):
     return acc * half, rough * abs(half) * 2.3e-16
 
 
+def _reference_sum(dh, t0, t1, rule):
+    half = 0.5 * (t1 - t0)
+    mid = 0.5 * (t0 + t1)
+    acc = 0j
+    for x, w in rule:
+        acc += w * dh(mid + half * x)[0]
+    return acc * half
+
+
+def _integral(outcome):
+    # the integral of a panel's outcome, or its exception
+    return ("value", outcome[1][0]) if outcome[0] == "value" else outcome
+
+
 def _gap_integrand(fn):
     def dh(t):
         gap = cmath.exp(t)
@@ -102,21 +117,31 @@ def test_panels_match_reference_loops(entry_id):
     fn = compile_expr(parse(text))
     opaque = _opaque(fn)
     zetas = (1j, -1.0 + 0j)
-    gap = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE)
-    gap_opaque = kernel(opaque, _GAP_PANEL, GL_RULE=_GL_RULE)
+    gap, total = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE)()
+    gap_opaque, total_opaque = kernel(opaque, _GAP_PANEL, GL_RULE=_GL_RULE)()
     panel, chord_sum = kernel(fn, _CHORD_PANELS, GL_RULE=_GL_RULE)(zetas)
     panel_opaque, sum_opaque = kernel(opaque, _CHORD_PANELS, GL_RULE=_GL_RULE)(zetas)
     assert gap is not gap_opaque and panel is not panel_opaque
+    chord = _chord_integrand(fn, zetas)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(LOG_GAP, LOG_GAP, COMPLEX, COMPLEX)
     def check(s0, s1, z0, z1):
         ref = _outcome(_reference_panel, _gap_integrand(fn), s0, s1)
         assert _outcome(gap, s0, s1) == _outcome(gap_opaque, s0, s1) == ref
-        ref = _outcome(_reference_panel, _chord_integrand(fn, zetas), z0, z1)
+        # the noise-free sums are their panel's integral, bit for bit
+        whole = _integral(ref)
+        assert _outcome(total, s0, s1) == _outcome(total_opaque, s0, s1) == whole
+        ref = _outcome(_reference_panel, chord, z0, z1)
         assert _outcome(panel, z0, z1) == _outcome(panel_opaque, z0, z1) == ref
-        whole = ("value", ref[1][0]) if ref[0] == "value" else ref
-        assert _outcome(chord_sum, z0, z1) == _outcome(sum_opaque, z0, z1) == whole
+        whole = _integral(ref)
+        assert (_outcome(chord_sum, z0, z1, _GL_RULE)
+                == _outcome(sum_opaque, z0, z1, _GL_RULE) == whole)
+        # each graded rule of the Newton chords, against its own loop
+        for _, rule in _CHORD_RULES:
+            ref = _outcome(_reference_sum, chord, z0, z1, rule)
+            assert (_outcome(chord_sum, z0, z1, rule)
+                    == _outcome(sum_opaque, z0, z1, rule) == ref)
 
     check()
 
@@ -200,7 +225,8 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(expr, "_compile", too_deep)
-    gap = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE)
-    assert fn.kernels[_GAP_PANEL] is gap
+    gap_panels = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE)
+    assert fn.kernels[_GAP_PANEL] is gap_panels
+    gap, _ = gap_panels()
     ref = _outcome(_reference_panel, _gap_integrand(fn), 0j, -1.0 + 0.2j)
     assert _outcome(gap, 0j, -1.0 + 0.2j) == ref
