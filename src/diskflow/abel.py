@@ -16,18 +16,19 @@ per generator with the code of f in place of each evaluation, so a node
 makes no Python call; a model builds its chord panels, with its null
 points bound in, on its first inversion and keeps them.  Inversion is
 Newton's method, tracking h incrementally, one chord integral per
-iterate rather than a fresh quadrature from 0.  Without a caller's seed
-it starts where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C,
+iterate rather than a fresh quadrature from 0.  A solve from scratch
+starts where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C,
 takes the target value, which along radial and Stolz approaches is a few
 Newton steps from the root, each one panel of 1 to 16 nodes (fewer as
 the steps shrink) plus the evaluation at the new iterate; the seed costs
 one log-gap segment, and C one more per model.  Where that seed is outside
 the disk or its solve fails (tangential targets, slit domains), a detour
 0 -> T -> T + i Im w -> w stays in h(Delta) by forward invariance.  It
-and the seeded callers continue along straight w-segments in levels of
-about 4 Newton steps, about 35 levels from 0 to a dyadic gap 2^-4 ..
-2^-40; callers that chain solves carry h from one answer to the next
-rather than integrate it afresh.  The extremes of
+continues along straight w-segments in levels of about 4 Newton steps,
+about 35 levels from 0 to a dyadic gap 2^-4 .. 2^-40.  An orbit, or any
+chain of targets, is one such continuation (_walk): each solve starts
+from the answer before it and the h its solve tracked, so h is never
+integrated afresh along the way.  The extremes of
 Im h, a harmonic function, are boundary values: planar_domain_stats
 reads them on the unit circle and along dyadic ladders at 1, each value
 one log-gap segment from 0.
@@ -254,7 +255,8 @@ class LinearizationModel:
     """The Abel function of a generator plus its boundary exponents.
 
     ``h_cache`` memoizes h at the exact points asked for through
-    :meth:`h`; :func:`invert_h` does not consult it.  ``domain_stats``
+    :meth:`h`; :func:`invert_h` does not consult it.  :meth:`orbit`
+    walks the forward ray h(z) + t as one continuation.  ``domain_stats``
     and ``null_points`` cache :func:`planar_domain_stats` and
     :func:`boundary_null_points`, ``chords`` the chord panels of
     :func:`invert_h` and ``asymptote`` the constant C of its seed.
@@ -288,21 +290,20 @@ class LinearizationModel:
     def h_prime(self, z: complex) -> complex:
         return -1.0 / self._fn(z)
 
-    def flow(self, z: complex, t: float) -> complex:
-        return abel_flow(self, z, t)
+    def orbit(self, z: complex, times):
+        """F_t(z) at each of the increasing ``times``, in turn: one
+        continuation along the ray h(z) + t (see :func:`_walk`), so h is
+        integrated once, at z.  A failed solve raises at its time."""
+        h_z = self.h(z)
+        for u, _ in _walk(self, z, h_z, (h_z + t for t in times)):
+            yield u
 
 
-def invert_h(model: LinearizationModel, w: complex, seed: complex | None = None) -> complex:
-    """Solve h(z) = w by Newton continuation.
+def invert_h(model: LinearizationModel, w: complex) -> complex:
+    """Solve h(z) = w by Newton's method, from scratch.
 
-    With a ``seed``, the continuation follows the straight w-segment
-    from h(seed): sub-targets spaced so each jump satisfies
-    |dw| <= 0.5 (1 + |h|), at each of which Newton iterates
-    z -> z + (h(z) - w) f(z), with h tracked incrementally by panel
-    quadrature along the iterate segments (see :func:`_continue`).
-
-    Without one, the inversion starts near its answer: at the point
-    where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C
+    The inversion starts near its answer: at the point where the
+    leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C
     (-mu log(1 - z) + C for alpha = 0), takes the value w.  Along radial
     and Stolz approaches that seed is within a few Newton steps of the
     root.  h is univalent, so a converged solve with its residual
@@ -324,9 +325,6 @@ def invert_h(model: LinearizationModel, w: complex, seed: complex | None = None)
     a quadratically converging level cost the fewest.
     """
     w = _finite_target(w)
-    if seed is not None:
-        z = complex(seed)
-        return _invert_from(model, z, model.h(z), w)[0]
     solved = _from_asymptote(model, w)
     if solved is not None:
         return solved[0]
@@ -345,25 +343,32 @@ def _finite_target(w) -> complex:
     return w
 
 
-def _invert_from(model: LinearizationModel, z: complex, h_z: complex, w: complex) -> tuple:
-    """(z', h(z')) with h(z') = w, continued from z, where h = h_z.
+def _walk(model: LinearizationModel, z: complex, h_z: complex, targets):
+    """Yield (z', h(z')) with h(z') = w for each w of ``targets`` in turn,
+    as one continuation from z, where h = h_z.
 
-    The seeded solve of :func:`invert_h`, for callers that chain solves:
-    they pass the (z, h) pair of the previous answer, whose h the
-    continuation has already tracked, instead of a fresh quadrature of h
-    at it.
+    Each solve starts from the answer before it and the h its solve
+    tracked, never from a fresh quadrature of h.  A failed solve raises
+    at its target, which ends the walk there.
     """
-    return _continue(model._fn, _chord_panels(model), z, h_z, _finite_target(w))
+    fn, chords = model._fn, _chord_panels(model)
+    point = (complex(z), h_z)
+    for w in targets:
+        point = _continue(fn, chords, *point, _finite_target(w))
+        yield point
 
 
 def _continue(fn, chords, z: complex, h_cur: complex, w: complex) -> tuple:
     """Newton continuation from z, where h = h_cur, to h = w along the
     straight w-segment; returns (z, h(z)).
 
-    A jump grows 1 + |h| at most 1.5-fold outward and halves it at most
-    inward, so twice log(1 + |w| + |h_cur|)/log(1.5) sub-targets cover a
-    path in toward 0 and out to w; a continuation that stalls (the
-    machine floor exceeding the jump) ends there.
+    Sub-targets are spaced so each jump satisfies |dw| <= 0.5 (1 + |h|),
+    and at each Newton iterates z -> z + (h(z) - w) f(z), with h tracked
+    along the iterate chords (see :func:`_newton_level`).  A jump grows
+    1 + |h| at most 1.5-fold outward and halves it at most inward, so
+    twice log(1 + |w| + |h_cur|)/log(1.5) sub-targets cover a path in
+    toward 0 and out to w; a continuation that stalls (the machine floor
+    exceeding the jump) ends there.
     """
     fz = _f_or_none(fn, z)
     tol = max(1e-12, 1e-15 * abs(w))
@@ -614,13 +619,13 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
 
 
 def abel_flow(model: LinearizationModel, z: complex, t: float) -> complex:
-    """F_t(z) = h^{-1}(h(z) + t); valid for negative t exactly when the
-    backward orbit exists (otherwise the inversion fails, signalling that
-    h(z) + t lies outside h(Delta))."""
+    """F_t(z) = h^{-1}(h(z) + t), the one-time case of
+    :meth:`LinearizationModel.orbit`; valid for negative t exactly when
+    the backward orbit exists (otherwise the inversion fails, signalling
+    that h(z) + t lies outside h(Delta))."""
     if t == 0:
         return complex(z)
-    w = model.h(z) + t
-    return invert_h(model, w, seed=z)
+    return next(model.orbit(z, (t,)))
 
 
 # --- (alpha, mu) estimation --------------------------------------------------

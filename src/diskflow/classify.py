@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .abel import LinearizationModel, abel_flow, linearize
+from .abel import LinearizationModel, linearize
 from .errors import InversionFailureError
 from .expr import Expr, Var, as_callable, boundary_limit, const, div, power, sub
 from .extrapolate import ladder_limit
@@ -58,7 +58,7 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
     profile_horizon = horizon
     if kind == "hyperbolic":
         profile_horizon = min(horizon, max(50.0, 30.0 / beta))
-    diag = convergence_profile(f, 0j, horizon=profile_horizon, abel_flow=model.flow)
+    diag = convergence_profile(f, 0j, horizon=profile_horizon, orbit=model.orbit)
 
     square = div(f, power(one_minus_z, const(2)))
     ta_est = boundary_limit(square, "radial", tol=1e-7)
@@ -121,28 +121,29 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
     z in M_GRID.
 
     The image h(Delta) lies in a horizontal half-plane exactly when the
-    statistic stays bounded.  :func:`ladder_limit` decides each start
-    point's ladder at the doubling times: an infinite ladder is
-    unbounded, a converged one bounded, and any other is flagged
-    inconclusive.
+    statistic stays bounded.  Each start point's orbit is one
+    continuation through the doubling times t = 1, 2, 4, ... <= horizon,
+    ended by the first failed inversion.  :func:`ladder_limit` decides
+    each ladder: an infinite ladder is unbounded, a converged one
+    bounded, and any other is flagged inconclusive.
     """
+    times, t = [], 1.0
+    while t <= horizon * (1 + 1e-9):
+        times.append(t)
+        t *= 2.0
     overall_bounded = True
     inconclusive = False
     worst = 0.0
     for z0 in M_GRID:
         stats = []
-        t_prev, u = 0.0, complex(z0)
-        t = 1.0
-        while t <= horizon * (1 + 1e-9):
-            try:
-                u = abel_flow(model, u, t - t_prev)
-            except InversionFailureError:
-                break
-            gap = abs(1.0 - u)
-            if gap < 1e-14:
-                break
-            stats.append(t * (1.0 - abs(u)) / gap)
-            t_prev, t = t, 2.0 * t
+        try:
+            for t, u in zip(times, model.orbit(z0, times)):
+                gap = abs(1.0 - u)
+                if gap < 1e-14:
+                    break
+                stats.append(t * (1.0 - abs(u)) / gap)
+        except InversionFailureError:
+            pass
         if not stats:
             inconclusive = True
             continue

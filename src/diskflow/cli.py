@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 
 from . import catalog, jsonio
 from .abel import (
-    abel_flow,
     bloch_norm,
     linearize,
     planar_domain_stats,

@@ -16,10 +16,9 @@ from dataclasses import dataclass, replace
 
 from .abel import (  # noqa: F401 - find_boundary_null_points is public here too
     LinearizationModel,
-    _invert_from,
+    _walk,
     boundary_null_points,
     find_boundary_null_points,
-    invert_h,
     linearize,
     planar_domain_stats,
 )
@@ -151,23 +150,11 @@ def _residual_sup(left, right) -> float:
     return worst
 
 
-def _orbit(model: LinearizationModel, seed: complex, targets) -> list:
-    """The preimages under h of ``targets`` in turn, as one continuation:
-    the first solve starts from ``seed`` and a fresh h(seed), each later
-    one from the answer before it and the h its solve tracked."""
-    point = (seed, model.h(seed))
-    points = []
-    for w in targets:
-        point = _invert_from(model, *point, w)
-        points.append(point[0])
-    return points
-
-
 def _flow_orbit(model: LinearizationModel, z: complex) -> list:
     """F_t(z) at RESIDUAL_TIMES, walking the forward ray h(z) + t once and
     stopping at each time (the targets are those of abel_flow)."""
     h0 = model.h(z)
-    return _orbit(model, z, [h0 + t for t in RESIDUAL_TIMES])
+    return [u for u, _ in _walk(model, z, h0, [h0 + t for t in RESIDUAL_TIMES])]
 
 
 def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertificate:
@@ -217,25 +204,23 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
 
 
 def _rows_contained(model: LinearizationModel, rows, x_left: float,
-                   seed: complex) -> bool:
+                   base: complex) -> bool:
     """Probe whether every row {Im w = y, Re w >= x_left}, y in ``rows``,
     lies in h(Delta), using inversion success as the membership oracle.
 
     h(Delta) + t lies in h(Delta) for t >= 0 (forward flow invariance),
-    so a row lies in h(Delta) once its left end does.  Each row inverts
-    its axis point (0, y), continuing from the previous row's axis point
-    (from ``seed`` and a fresh h(seed) for the first row), then its left
-    end from that axis point, each from the h its solve tracked; the
-    region being certified is convex, so every continuation path stays
-    inside it.
+    so a row lies in h(Delta) once its left end does.  The axis points
+    (0, y) of the rows are one continuation from ``base`` and a fresh
+    h(base), and each row's left end is continued from its axis point;
+    the region being certified is convex, so every continuation path
+    stays inside it.
     """
-    axis = (seed, model.h(seed))
-    for y in rows:
-        try:
-            axis = _invert_from(model, *axis, complex(0.0, y))
-            _invert_from(model, *axis, complex(x_left, y))
-        except InversionFailureError:
-            return False
+    axis = _walk(model, base, model.h(base), (complex(0.0, y) for y in rows))
+    try:
+        for y, point in zip(rows, axis):
+            next(_walk(model, *point, (complex(x_left, y),)))
+    except InversionFailureError:
+        return False
     return True
 
 
@@ -281,10 +266,9 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
             )
         bfid_type = "p-type"
 
-    def phi(z: complex, seed: complex = base) -> complex:
-        # ``seed`` only starts the continuation; one near the preimage
-        # saves Newton steps
-        return invert_h(model, group.linearizer(z) + C, seed=seed)
+    def phi(z: complex) -> complex:
+        # one solve, continued from base, where h = C
+        return next(_walk(model, base, C, (group.linearizer(z) + C,)))[0]
 
     def right(z: complex) -> list:
         # evaluate through the gap 1 - G_t(z), which stays representable
@@ -292,7 +276,7 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
         # orbit starts from base, never from a flow-side point
         targets = [group.linearizer_gap(group.gap_apply(t, z)) + C
                    for t in RESIDUAL_TIMES]
-        return _orbit(model, base, targets)
+        return [u for u, _ in _walk(model, base, C, targets)]
 
     res = _residual_sup(lambda z: _flow_orbit(model, phi(z)), right)
     return ConjugationCertificate(
@@ -305,31 +289,33 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
     )
 
 
-def corner_opening(certificate: ConjugationCertificate) -> float:
-    """Opening gamma of the image of phi at z = 1.
+def corner_opening(model: LinearizationModel,
+                   certificate: ConjugationCertificate) -> float:
+    """Opening gamma of the image of phi at z = 1, for an inner p-type
+    certificate of ``model``.
 
     The image boundary meets z = 1 in a corner of opening pi*gamma with
     1 - phi(z) ~ m (1-z)^gamma along the radius, so the slopes
     log2|1 - phi(z_k)| - log2|1 - phi(z_(k+1))| at z_k = 1 - 2^-k tend to
     gamma.  gamma is their sequence_limit; slopes that do not settle
     within 1e-3, or a gamma outside [0.48, 1.02], leave the corner
-    undetermined (CornerUndeterminedError).  The rungs continue one from
-    the next: rung k+1 is inverted from rung k's preimage, not from the
-    base point.  The ladder k = 3..18 is its own rather than
-    boundary_limit's k = 4..40 because every sample is an inversion, and
-    on bfid-par the inversions at k >= 38 fail.
+    undetermined (CornerUndeterminedError).  The rungs phi(z_k) are one
+    continuation from (base, h(base)), the first failed rung ending the
+    ladder.  The ladder k = 3..18 is its own rather than boundary_limit's
+    k = 4..40 because every sample is an inversion, and on bfid-par the
+    inversions at k >= 38 fail.
     """
     if certificate.kind != "inner" or certificate.bfid_type != "p-type":
         raise ValueError("corner opening applies to inner p-type certificates")
-    phi = certificate.map
-    point = certificate.base_point
+    group, base = certificate.group, certificate.base_point
+    C = model.h(base)
+    rungs = [group.linearizer(1 - 2.0 ** (-k)) + C for k in range(3, 19)]
     logs = []
-    for k in range(3, 19):
-        try:
-            point = phi(1 - 2.0 ** (-k), seed=point)
+    try:
+        for point, _ in _walk(model, base, C, rungs):
             logs.append(math.log2(abs(1 - point)))
-        except (InversionFailureError, ValueError):
-            break
+    except (InversionFailureError, ValueError):
+        pass
     if len(logs) < 8:
         raise CornerUndeterminedError("too few usable radial samples")
     diffs = [-(b - a) for a, b in zip(logs, logs[1:])]
@@ -396,8 +382,8 @@ def _p_type_certificate(model: LinearizationModel, side: int):
 
     The levels c = 0.5, 1, 2, 4, 8 are tried in turn and the first whose
     certificate succeeds wins.  Each inverts the base point two units
-    inside the half-plane and leaves the containment check to the row
-    probe of :func:`inner_conjugator`.
+    inside the half-plane, continued from 0, and leaves the containment
+    check to the row probe of :func:`inner_conjugator`.
     """
     # arg mu sign rule: for alpha < 2 only the side matching arg mu works
     if model.alpha < 2 - 1e-9:
@@ -407,7 +393,7 @@ def _p_type_certificate(model: LinearizationModel, side: int):
     for c in (0.5, 1.0, 2.0, 4.0, 8.0):
         level = side * c
         try:
-            base = invert_h(model, complex(0.0, level + 2.0 * side), seed=0j)
+            base = next(_walk(model, 0j, 0j, (complex(0.0, level + 2.0 * side),)))[0]
         except InversionFailureError:
             continue
         C = model.h(base)
@@ -417,7 +403,7 @@ def _p_type_certificate(model: LinearizationModel, side: int):
         except (StripNotContainedError, InversionFailureError):
             continue
         try:
-            gamma = corner_opening(cert)
+            gamma = corner_opening(model, cert)
         except CornerUndeterminedError:
             gamma = None
         return replace(cert, corner_gamma=gamma)

@@ -12,7 +12,8 @@ generator must stay inside the disk; backward trajectories terminate
 when they reach the boundary margin or stagnate at a null point.
 Convergence diagnostics (horocycle distance limit, argument limit,
 approach regime) feed the classifier; they read the flow at geometric
-checkpoints from one run that lands on each of them.  That run and
+checkpoints from one run that lands on each of them, and past 1e4 from
+one walk along the Abel orbit of its last point.  That run and
 :func:`integrate` take their steps from the same loop, :func:`_steps`.
 """
 
@@ -345,10 +346,11 @@ def _geometric_times(horizon: float, per_decade: int = 8):
         t *= ratio
 
 
-def _checkpoints(fn, z0: complex, times: tuple, ode_cap: float, abel_flow):
+def _checkpoints(fn, z0: complex, times: tuple, ode_cap: float, orbit=None):
     """F_t(z0) at each of the increasing ``times``: one ODE run through
-    those up to ``ode_cap``, then ``abel_flow`` from each point to the
-    next, or nothing past ``ode_cap`` without it."""
+    those up to ``ode_cap``, then one ``orbit(z, times)`` walk from the
+    run's last point through the rest, or nothing past ``ode_cap``
+    without it."""
     stops = tuple(t for t in times if t <= ode_cap)
     u = z0
     if stops:
@@ -360,29 +362,27 @@ def _checkpoints(fn, z0: complex, times: tuple, ode_cap: float, abel_flow):
         # a run that stagnates reads its last point at every later stop
         for _ in range(landed, len(stops)):
             yield u
-    if abel_flow is None:
+    if orbit is None or len(stops) == len(times):
         return
     t_prev = stops[-1] if stops else 0.0
-    for t in times[len(stops):]:
-        u = abel_flow(u, t - t_prev)
-        t_prev = t
-        yield u
+    yield from orbit(u, [t - t_prev for t in times[len(stops):]])
 
 
 def convergence_profile(f, z0: complex, horizon: float = 1e4,
-                        abel_flow=None) -> ConvergenceDiagnostics:
+                        orbit=None) -> ConvergenceDiagnostics:
     """Diagnose how the trajectory from z0 approaches the boundary point 1.
 
     Samples F_t at geometric times up to ``horizon``.  The times up to
     1e4 are the stops of one ODE run from z0, which lands on each of them
     and carries its step size across them; a run that stagnates reads
     its last point at every later stop.  Beyond 1e4 an
-    ``abel_flow(z, t)`` callable must be supplied (exact flow through
-    the Abel function), since raw stepping stalls once 1 - u decays
-    polynomially; it flows each sample on from the previous one.
-    Sampling ends once 1 - |u| is within a few ulps of 0.  A ``horizon``
-    that is not a positive finite number is rejected before any
-    evaluation.
+    ``orbit(z, times)`` callable must be supplied, yielding F_t(z) at
+    each of the increasing ``times`` (the exact flow through the Abel
+    function, such as :meth:`LinearizationModel.orbit`), since raw
+    stepping stalls once 1 - u decays polynomially; it is called once,
+    from the point at 1e4.  Sampling ends once 1 - |u| is within a few
+    ulps of 0.  A ``horizon`` that is not a positive finite number is
+    rejected before any evaluation.
     """
     if not 0 < horizon < math.inf:
         raise DiskflowError(f"horizon = {horizon} is not positive and finite",
@@ -392,7 +392,7 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     fn = as_callable(f)
     times = tuple(_geometric_times(horizon))
     d_vals, ratio_vals, arg_vals = [], [], []
-    for u in _checkpoints(fn, complex(z0), times, min(horizon, 1e4), abel_flow):
+    for u in _checkpoints(fn, complex(z0), times, min(horizon, 1e4), orbit):
         # once the gap reaches machine noise the quotients below are garbage
         if 1.0 - abs(u) < 1e-15:
             break

@@ -23,7 +23,7 @@ from .abel import (
     planar_domain_stats,
     visser_ostrovskii,
 )
-from .flow import convergence_profile, flow_point, semigroup_residual
+from .flow import _checkpoints, convergence_profile, semigroup_residual
 from .classify import classify, halfplane_criterion_M, rigidity_criterion
 from .conjugate import (
     MobiusGroup,
@@ -72,10 +72,7 @@ def criterion_1() -> dict:
     val = t * (1.0 - abel_flow(model, 0j, t)) ** 0.5
     dev = abs(val - target)
     ok = ok and dev < 0.04
-    prof = convergence_profile(
-        model.f, 0j, horizon=1e6,
-        abel_flow=lambda z, tt: abel_flow(model, z, tt),
-    )
+    prof = convergence_profile(model.f, 0j, horizon=1e6, orbit=model.orbit)
     ok = ok and prof.regime == "tangential"
     ok = ok and abs(prof.arg_limit - math.pi / 2) <= 0.02
     detail = (
@@ -119,16 +116,14 @@ def criterion_3() -> dict:
     worst = 0.0
     skipped = 0
     total = 0
+    times = (1.0, 10.0, 100.0)
     for cid in catalog.DEFAULT_IDS:
         model = _model(cid)
         fn = compile_expr(model.f)
         for z in _grid20():
             hz = model.h(z)
-            u = complex(z)
-            t_prev = 0.0
-            for t in (1.0, 10.0, 100.0):
-                u = flow_point(fn, u, t - t_prev)
-                t_prev = t
+            # one ODE run from z, landing on each time
+            for t, u in zip(times, _checkpoints(fn, z, times, math.inf)):
                 total += 1
                 # rounding u to the float grid already perturbs h by
                 # eps * |h'(u)| = eps / |f(u)|; once that approaches the
@@ -232,17 +227,11 @@ def criterion_7() -> dict:
 def criterion_8() -> dict:
     """Strong tangency: horocycle levels across the three regimes."""
     model = _model("parabolic-auto(1)")
-    prof = convergence_profile(
-        model.f, 0j, horizon=1e6,
-        abel_flow=lambda z, t: abel_flow(model, z, t),
-    )
+    prof = convergence_profile(model.f, 0j, horizon=1e6, orbit=model.orbit)
     auto_ok = abs(prof.d_limit - 1.0) <= 1e-9 and prof.regime == "strongly-tangential"
 
     pmodel = _model("perturbed-parabolic")
-    pprof = convergence_profile(
-        pmodel.f, 0j, horizon=1e6,
-        abel_flow=lambda z, t: abel_flow(pmodel, z, t),
-    )
+    pprof = convergence_profile(pmodel.f, 0j, horizon=1e6, orbit=pmodel.orbit)
     stats = planar_domain_stats(pmodel)
     finite = [v for v in (stats.sup_im, stats.inf_im) if math.isfinite(v)]
     pert_ok = pprof.d_limit > 1e-3 and len(finite) == 1
@@ -341,15 +330,12 @@ def criterion_11() -> dict:
     checks.append(("semigroup", worst_sg < 1e-8, f"{worst_sg:.1e}"))
 
     mono_ok = True
+    times = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
     for cid in ("quadrant", "bfid-par", "parabolic-auto(1)", "hyperbolic-auto(0.5,0)"):
         fn = compile_expr(_model(cid).f)
         for z0 in (0j, 0.3 + 0.4j):
-            u = complex(z0)
-            prev = abs(1 - u) ** 2 / (1 - abs(u) ** 2)
-            t_prev = 0.0
-            for t in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0):
-                u = flow_point(fn, u, t - t_prev)
-                t_prev = t
+            prev = abs(1 - z0) ** 2 / (1 - abs(z0) ** 2)
+            for u in _checkpoints(fn, z0, times, math.inf):
                 if 1.0 - abs(u) < 1e-14:
                     break
                 d = abs(1 - u) ** 2 / (1 - abs(u) ** 2)

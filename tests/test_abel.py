@@ -305,13 +305,16 @@ INVERT_COST_CAPS = {
 def _assert_inverts(entry_id, model, points, seed=None):
     # invert h_text at each point, graded against the closed form to
     # the rounding floor of h at the answer: one ulp of z moves h by
-    # about eps/|f(z)|
+    # about eps/|f(z)|; with a seed, each solve is continued from it
     entry = catalog.get(entry_id)
     h_ref = compile_expr(parse(entry.h_text))
     fn = compile_expr(parse(entry.f_text))
     for z in points:
         w = h_ref(z) - h_ref(0j)
-        out = invert_h(model, w, seed=seed)
+        if seed is None:
+            out = invert_h(model, w)
+        else:
+            out = next(abel._walk(model, seed, model.h(seed), (w,)))[0]
         floor = 32 * 2.3e-16 / abs(fn(out))
         assert abs(h_ref(out) - h_ref(0j) - w) <= 1e-9 * abs(w) + floor, z
 

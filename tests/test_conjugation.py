@@ -7,6 +7,7 @@ from conftest import counted_model
 
 from diskflow import abel, conjugate
 from diskflow.abel import linearize, planar_domain_stats
+from diskflow.classify import halfplane_criterion_M
 from diskflow.conjugate import (
     MobiusGroup,
     bfid_report,
@@ -17,6 +18,7 @@ from diskflow.conjugate import (
 )
 from diskflow.errors import NotContainedError
 from diskflow.expr import boundary_limit, compile_expr, parse
+from diskflow.flow import convergence_profile
 from diskflow import catalog
 
 GRID = [0.45 * cmath.exp(2j * math.pi * k / 9) for k in range(9)]
@@ -94,20 +96,16 @@ def test_outer_conjugator_cost():
     assert evals[0] - before <= 9_800
 
 
-@pytest.mark.parametrize("entry_id", ["bfid-hyp", "quadrant"])
-def test_residual_orbits_match_abel_flow(monkeypatch, entry_id):
-    # the residual's flow points are chained, t = 5 from t = 1 and t = 25
-    # from t = 5; each must agree with a fresh abel_flow from its start
+def _residual_orbits(monkeypatch, f, entry_id):
     orbits = []
     flow_orbit = conjugate._flow_orbit
 
     def recording_flow_orbit(model, z):
         points = flow_orbit(model, z)
-        orbits.append((z, points))
+        orbits.append((z, conjugate.RESIDUAL_TIMES, points))
         return points
 
     monkeypatch.setattr(conjugate, "_flow_orbit", recording_flow_orbit)
-    f = parse(catalog.get(entry_id).f_text)
     if entry_id == "bfid-hyp":
         phi_ref = compile_expr(parse(catalog.get(entry_id).phi_text))
         group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
@@ -116,10 +114,64 @@ def test_residual_orbits_match_abel_flow(monkeypatch, entry_id):
         cert = outer_conjugator(linearize(f), 2.0)
     assert cert.residual_sup < 1e-9
     assert len(orbits) == len(conjugate.RESIDUAL_GRID)
+    return orbits
+
+
+def _model_orbits(monkeypatch, f, caller):
+    # every walk of LinearizationModel.orbit, with the points it yielded
+    orbits = []
+    orbit = abel.LinearizationModel.orbit
+
+    def recording_orbit(model, z, times):
+        points = []
+        orbits.append((z, times, points))
+        for u in orbit(model, z, times):
+            points.append(u)
+            yield u
+
+    monkeypatch.setattr(abel.LinearizationModel, "orbit", recording_orbit)
+    model = linearize(f)
+    if caller == "profile":
+        prof = convergence_profile(f, 0j, horizon=1e6, orbit=model.orbit)
+        assert prof.samples[-1][0] > 1e5
+    else:
+        assert not halfplane_criterion_M(model)["bounded"]
+    monkeypatch.undo()
+    assert orbits
+    return orbits
+
+
+@pytest.mark.parametrize("entry_id, caller", [
+    pytest.param("bfid-hyp", "residual", id="bfid-hyp"),
+    pytest.param("quadrant", "residual", id="quadrant"),
+    pytest.param("quadrant", "profile", id="quadrant-profile"),
+    pytest.param("perturbed-parabolic", "profile", id="perturbed-parabolic-profile"),
+    pytest.param("bfid-par", "halfplane-M", id="bfid-par-halfplane-M"),
+])
+def test_residual_orbits_match_abel_flow(monkeypatch, entry_id, caller):
+    # chained orbits: the residual's flow points (t = 5 from t = 1, t = 25
+    # from t = 5), the Abel leg of a profile to 1e6 (from its ODE point
+    # at 1e4) and the doubling times of halfplane_criterion_M; each point
+    # must agree with a fresh abel_flow from its orbit's start
+    f = parse(catalog.get(entry_id).f_text)
+    if caller == "residual":
+        orbits = _residual_orbits(monkeypatch, f, entry_id)
+    else:
+        orbits = _model_orbits(monkeypatch, f, caller)
     oracle = linearize(f)
-    for start, points in orbits:
-        for t, point in zip(conjugate.RESIDUAL_TIMES, points, strict=True):
-            assert abs(point - abel.abel_flow(oracle, start, t)) <= 1e-12, (start, t)
+    fn = compile_expr(f)
+    for start, times, points in orbits:
+        # a residual orbit reaches all its times; the others may end early
+        for t, point in zip(times, points, strict=caller == "residual"):
+            fresh = abel.abel_flow(oracle, start, t)
+            if caller == "residual":
+                assert abs(point - fresh) <= 1e-12, (start, t)
+            else:
+                # the rounding floor of _assert_inverts in test_abel,
+                # carried to z by |dz| = |f| |dh|
+                w = oracle.h(start) + t
+                floor = 1e-9 * abs(w) * abs(fn(point)) + 32 * 2.3e-16
+                assert abs(point - fresh) <= floor, (start, t)
 
 
 def test_outer_conjugator_rejects_unbounded_image():
@@ -190,20 +242,21 @@ def test_strip_row_left_ends(monkeypatch, a, b):
     group = MobiusGroup.from_repelling(a, MobiusGroup(a, b).eta)
     x_back = -min(25.0, 12.0 / a)
     ends, capped = [], []
-    invert, refine = conjugate._invert_from, abel._refine
+    walk, refine = conjugate._walk, abel._refine
 
-    def recording_invert(model, z, h_z, w):
-        point = invert(model, z, h_z, w)
-        if w.real == x_back:
-            ends.append((w, point[0]))
-        return point
+    def recording_walk(model, z, h_z, targets):
+        targets = list(targets)
+        for w, point in zip(targets, walk(model, z, h_z, targets)):
+            if w.real == x_back:
+                ends.append((w, point[0]))
+            yield point
 
     def recording_refine(panel, t0, t1, whole, depth):
         if depth >= 12:
             capped.append((t0, t1))
         return refine(panel, t0, t1, whole, depth)
 
-    monkeypatch.setattr(conjugate, "_invert_from", recording_invert)
+    monkeypatch.setattr(conjugate, "_walk", recording_walk)
     monkeypatch.setattr(abel, "_refine", recording_refine)
     cert = inner_conjugator(model, group, 0j)
     assert cert.bfid_type == "h-type"
@@ -245,7 +298,7 @@ BFID_REPORT_CAPS = {
 
 def test_bfid_report_cost():
     # each half-plane level is probed once, by the certificate's own rows,
-    # each corner rung is inverted from the previous rung's preimage, each
+    # the corner rungs are one continuation from the base point, each
     # residual orbit is one continuation through t = 1, 5, 25, chained
     # solves carry h from one answer to the next, and each short Newton
     # chord takes the fewest nodes its error bound allows
@@ -259,21 +312,17 @@ def test_bfid_report_cost():
 def test_halfplane_rows_are_the_only_probe(monkeypatch):
     # each half-plane level is probed by the certificate's own rows, whose
     # left ends lie at Re w = -200; no inversion reaches further left.
-    # Chained solves (rows, residual orbits) continue through
-    # _invert_from, the rest through invert_h
+    # Every inversion of conjugate (base points, rows, phi, residual
+    # orbits, corner rungs) is a walk of _walk
     targets = []
-    invert, invert_from = conjugate.invert_h, conjugate._invert_from
+    walk = conjugate._walk
 
-    def recording_invert(model, w, seed=None):
-        targets.append(w)
-        return invert(model, w, seed=seed)
+    def recording_walk(model, z, h_z, ws):
+        ws = list(ws)
+        targets.extend(ws)
+        return walk(model, z, h_z, ws)
 
-    def recording_invert_from(model, z, h_z, w):
-        targets.append(w)
-        return invert_from(model, z, h_z, w)
-
-    monkeypatch.setattr(conjugate, "invert_h", recording_invert)
-    monkeypatch.setattr(conjugate, "_invert_from", recording_invert_from)
+    monkeypatch.setattr(conjugate, "_walk", recording_walk)
     certs = bfid_report(parse(catalog.get("bfid-par").f_text))
     assert sorted(c.bfid_type for c in certs) == ["h-type", "p-type", "p-type"]
     assert min(w.real for w in targets) == -200.0
@@ -292,6 +341,35 @@ def test_bfid_report_slow_hyperbolic():
 
 def test_bfid_report_empty_for_quadrant():
     assert bfid_report(parse(catalog.get("quadrant").f_text)) == []
+
+
+@pytest.mark.parametrize("entry_id, count", [("bfid-par", 2), ("parabolic-auto(1)", 1)])
+def test_corner_rungs_carry_h(monkeypatch, entry_id, count):
+    # the rungs are one continuation from (base, h(base)), and the
+    # certificate already read h(base): no rung integrates h afresh.
+    # The abel_h calls made inside corner_opening are counted
+    inside, calls = [], []
+    corner, abel_h = conjugate.corner_opening, abel.abel_h
+
+    def counted_corner(*args):
+        inside.append(True)
+        try:
+            return corner(*args)
+        finally:
+            inside.pop()
+
+    def counted_abel_h(f, z):
+        if inside:
+            calls.append(z)
+        return abel_h(f, z)
+
+    monkeypatch.setattr(conjugate, "corner_opening", counted_corner)
+    monkeypatch.setattr(abel, "abel_h", counted_abel_h)
+    certs = [c for c in bfid_report(parse(catalog.get(entry_id).f_text))
+             if c.bfid_type == "p-type"]
+    assert len(certs) == count
+    assert all(c.corner_gamma is not None for c in certs)
+    assert calls == []
 
 
 def test_corner_opening_automorphism():

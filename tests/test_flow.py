@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from diskflow import catalog, flow
+from diskflow import abel, catalog, flow
+from diskflow.abel import linearize
 from diskflow.errors import (
     DiskflowError,
     NotInDiskError,
@@ -460,6 +461,23 @@ def test_convergence_profile_cost(entry_id, cap):
     prof = convergence_profile(counting, 0j, horizon=1e4)
     assert len(prof.samples) == 33
     assert len(calls) <= cap
+
+
+def test_convergence_profile_abel_leg_is_one_walk(monkeypatch):
+    # past 1e4 the profile walks one orbit from its ODE point, so h is
+    # integrated once, at that point, not once per checkpoint
+    model = linearize(parse(catalog.get("quadrant").f_text))
+    calls = []
+    abel_h = abel.abel_h
+
+    def counted_abel_h(f, z):
+        calls.append(z)
+        return abel_h(f, z)
+
+    monkeypatch.setattr(abel, "abel_h", counted_abel_h)
+    prof = convergence_profile(model.f, 0j, horizon=1e6, orbit=model.orbit)
+    assert len(prof.samples) > 40
+    assert len(calls) == 1
 
 
 def test_convergence_profile_stops_at_the_rounding_floor():
