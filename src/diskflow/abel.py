@@ -26,9 +26,12 @@ the disk or its solve fails (tangential targets, slit domains), a detour
 0 -> T -> T + i Im w -> w stays in h(Delta) by forward invariance.  It
 continues along straight w-segments in levels of about 4 Newton steps,
 about 35 levels from 0 to a dyadic gap 2^-4 .. 2^-40.  An orbit, or any
-chain of targets, is one such continuation (_walk): each solve starts
-from the answer before it and the h its solve tracked, so h is never
-integrated afresh along the way.  The extremes of
+chain of targets, is one walk (_walk) with one rule for far targets: a
+target within 1 + |h| of the answer before it (twice the continuation's
+sub-target cap) is continued from that answer and the h its solve
+tracked, with no fresh quadrature; a farther one is solved from its
+asymptotic seed, and continued only where that seed is outside the disk
+or its solve fails.  The extremes of
 Im h, a harmonic function, are boundary values: planar_domain_stats
 reads them on the unit circle and along dyadic ladders at 1, each value
 one log-gap segment from 0.
@@ -256,7 +259,7 @@ class LinearizationModel:
 
     ``h_cache`` memoizes h at the exact points asked for through
     :meth:`h`; :func:`invert_h` does not consult it.  :meth:`orbit`
-    walks the forward ray h(z) + t as one continuation.  ``domain_stats``
+    walks the forward ray h(z) + t.  ``domain_stats``
     and ``null_points`` cache :func:`planar_domain_stats` and
     :func:`boundary_null_points`, ``chords`` the chord panels of
     :func:`invert_h` and ``asymptote`` the constant C of its seed.
@@ -291,9 +294,11 @@ class LinearizationModel:
         return -1.0 / self._fn(z)
 
     def orbit(self, z: complex, times):
-        """F_t(z) at each of the increasing ``times``, in turn: one
-        continuation along the ray h(z) + t (see :func:`_walk`), so h is
-        integrated once, at z.  A failed solve raises at its time."""
+        """F_t(z) at each of the increasing ``times``, in turn: one walk
+        along the ray h(z) + t (see :func:`_walk`), where h is integrated
+        at z and at the asymptotic seed of each time more than 1 + |h|
+        past the one before; a nearer time is continued from the answer
+        before it.  A failed solve raises at its time."""
         h_z = self.h(z)
         for u, _ in _walk(self, z, h_z, (h_z + t for t in times)):
             yield u
@@ -345,17 +350,46 @@ def _finite_target(w) -> complex:
 
 def _walk(model: LinearizationModel, z: complex, h_z: complex, targets):
     """Yield (z', h(z')) with h(z') = w for each w of ``targets`` in turn,
-    as one continuation from z, where h = h_z.
+    starting from z, where h = h_z.
 
-    Each solve starts from the answer before it and the h its solve
-    tracked, never from a fresh quadrature of h.  A failed solve raises
-    at its target, which ends the walk there.
+    Each target is one :func:`_step` from the answer before it: a near
+    target is continued from that answer and the h its solve tracked, a
+    far one solved from its asymptotic seed where that converges.  A
+    failed solve raises at its target, which ends the walk there.
     """
-    fn, chords = model._fn, _chord_panels(model)
     point = (complex(z), h_z)
     for w in targets:
-        point = _continue(fn, chords, *point, _finite_target(w))
+        point = _step(model, *point, _finite_target(w))
         yield point
+
+
+def _step(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> tuple:
+    """(z', h(z')) with h(z') = w, reached from z, where h = h_cur.
+
+    A target more than twice the continuation's sub-target cap away,
+    |w - h_cur| > 1 + |h_cur|, is first solved from its asymptotic
+    preimage (:func:`_from_asymptote`); a nearer target, or one whose
+    seed is outside the disk or whose seed solve fails, is continued
+    from z.  Either answer is a converged Newton solve with its residual
+    checked, and h is univalent, so both are the same point, and only a
+    failed continuation raises: inversion failure stays a membership
+    answer for h(Delta).
+
+    The threshold k = 1 of |w - h_cur| > k (1 + |h_cur|) comes from a
+    sweep of counted bfid_report f-evals on six catalog entries (see the
+    README): k = 1/2, which seeds every jump of more than one sub-target,
+    costs bfid-par more and moves the quadrant M statistic of
+    halfplane_criterion_M off its closed form, and k = 2 and 8 cost no
+    less on every entry but bfid-par.  A seed costs one log-gap segment
+    and a few Newton steps, where a continuation takes up to 35 levels:
+    abel_flow on quadrant from 0 to t = 1e6 takes 49 f-evals in place of
+    4,933 once the model's chord panels and C are built.
+    """
+    if abs(w - h_cur) > 1.0 + abs(h_cur):
+        solved = _from_asymptote(model, w)
+        if solved is not None:
+            return solved
+    return _continue(model._fn, _chord_panels(model), z, h_cur, w)
 
 
 def _continue(fn, chords, z: complex, h_cur: complex, w: complex) -> tuple:
@@ -452,19 +486,19 @@ def _detour(model: LinearizationModel, w: complex) -> complex:
 
     The first leg is the forward orbit of 0 and the last the ray from w
     to the right, which lie in h(Delta) (the last exactly when w does).
-    The corner T is solved from its asymptotic preimage where that
+    The corner T is one :func:`_step` from the corner before it, or from
+    0: a far corner is solved from its asymptotic preimage where that
     converges (h is univalent, so it is the same point of the orbit), and
-    continued along the axis otherwise.  A failed vertical leg is retried
-    from the axis further right; a failed last leg raises: w is not in
-    h(Delta).
+    any other is continued along the axis.  A failed vertical leg is
+    retried from the axis further right; a failed last leg raises: w is
+    not in h(Delta).
     """
     fn, chords = model._fn, _chord_panels(model)
     z, h_cur = 0j, 0j
     span = 1.0 + abs(w.imag)
     for j in range(DETOUR_TRIES):
         corner = max(0.0, w.real) + span * 4.0**j
-        z, h_cur = (_from_asymptote(model, complex(corner, 0.0))
-                    or _continue(fn, chords, z, h_cur, complex(corner, 0.0)))
+        z, h_cur = _step(model, z, h_cur, complex(corner, 0.0))
         try:
             z_up, h_up = _continue(fn, chords, z, h_cur, complex(corner, w.imag))
         except (InversionFailureError, SingularEvaluationError):
@@ -620,7 +654,9 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
 
 def abel_flow(model: LinearizationModel, z: complex, t: float) -> complex:
     """F_t(z) = h^{-1}(h(z) + t), the one-time case of
-    :meth:`LinearizationModel.orbit`; valid for negative t exactly when
+    :meth:`LinearizationModel.orbit`: solved from the asymptotic seed of
+    h(z) + t when |t| > 1 + |h(z)| and that converges, else continued
+    from z.  Valid for negative t exactly when
     the backward orbit exists (otherwise the inversion fails, signalling
     that h(z) + t lies outside h(Delta))."""
     if t == 0:
@@ -657,17 +693,21 @@ def estimate_alpha_mu(f):
         raise NotInClassError(f"estimated alpha = {alpha} outside [0, 2]")
     alpha = min(max(alpha, 0.0), 2.0)
 
-    # snap to an exact exponent when extremely close; the mu limit below
-    # is only clean when the power matches
-    for snap in (0.0, 0.5, 1.0, 1.5, 2.0):
-        if abs(alpha - snap) < 5e-3:
-            alpha = snap
-            break
-
     def mu_fn(z: complex) -> complex:
         return (1.0 - z) ** (1.0 + alpha) * (-1.0 / fn(z))
 
+    # snap to an exact exponent when extremely close, but only where the
+    # mu ladder then settles: the mu limit is only clean when the power
+    # matches, and a snap off the true exponent leaves a factor
+    # (1-z)^(measured - snap) that no ladder decides
+    measured = alpha
+    snap = min((0.0, 0.5, 1.0, 1.5, 2.0), key=lambda s: abs(measured - s))
+    if abs(measured - snap) < 5e-3:
+        alpha = snap
     radial = boundary_limit(mu_fn, "radial", tol=1e-8)
+    if not radial.converged and alpha != measured:
+        alpha = measured
+        radial = boundary_limit(mu_fn, "radial", tol=1e-8)
     mu = radial.value
     if alpha < 0.025:
         return 0.0, mu, "Sigma0"

@@ -121,8 +121,9 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
     z in M_GRID.
 
     The image h(Delta) lies in a horizontal half-plane exactly when the
-    statistic stays bounded.  Each start point's orbit is one
-    continuation through the doubling times t = 1, 2, 4, ... <= horizon,
+    statistic stays bounded.  Each start point's orbit is one walk
+    through the doubling times t = 1, 2, 4, ... <= horizon (see
+    :meth:`~diskflow.abel.LinearizationModel.orbit`),
     ended by the first failed inversion.  :func:`ladder_limit` decides
     each ladder: an infinite ladder is unbounded, a converged one
     bounded, and any other is flagged inconclusive.

@@ -152,7 +152,9 @@ def _residual_sup(left, right) -> float:
 
 def _flow_orbit(model: LinearizationModel, z: complex) -> list:
     """F_t(z) at RESIDUAL_TIMES, walking the forward ray h(z) + t once and
-    stopping at each time (the targets are those of abel_flow)."""
+    stopping at each time (the targets are those of abel_flow): a time
+    more than 1 + |h| past the point before is solved from its
+    asymptotic seed, any other continued from that point."""
     h0 = model.h(z)
     return [u for u, _ in _walk(model, z, h0, [h0 + t for t in RESIDUAL_TIMES])]
 
@@ -164,10 +166,11 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
     Requires h(Delta) inside the half-plane image of ibz/(1-z); the sign
     of b must put that half-plane on the bounded side of Im h.  The
     residual compares both sides at each grid point for t = 1, 5, 25;
-    the three flow points F_t(z) are one continuation along the ray
-    h(z) + t, each solve continued from the point before and the h its
-    solve tracked.  psi reads a fresh h at each flow point, so the
-    residual checks the continuation rather than repeating it.
+    the three flow points F_t(z) are one walk along the ray h(z) + t
+    (:func:`_flow_orbit`), each solve continued from the point before and
+    the h its solve tracked, or solved from its asymptotic seed when far.
+    psi reads a fresh h at each flow point, so the residual checks the
+    walk rather than repeating it.
     """
     if b == 0:
         raise ValueError("b must be nonzero")
@@ -210,10 +213,12 @@ def _rows_contained(model: LinearizationModel, rows, x_left: float,
 
     h(Delta) + t lies in h(Delta) for t >= 0 (forward flow invariance),
     so a row lies in h(Delta) once its left end does.  The axis points
-    (0, y) of the rows are one continuation from ``base`` and a fresh
-    h(base), and each row's left end is continued from its axis point;
-    the region being certified is convex, so every continuation path
-    stays inside it.
+    (0, y) of the rows are one walk from ``base`` and a fresh h(base),
+    and each row's left end is one step from its axis point.  A far
+    target is first solved from its asymptotic seed, and a converged
+    solve of a univalent h proves membership; every other target is
+    continued, and the region being certified is convex, so each
+    continuation path stays inside it.
     """
     axis = _walk(model, base, model.h(base), (complex(0.0, y) for y in rows))
     try:
@@ -238,13 +243,13 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
     0.1, 1, 10 and 100 inside its edge and are probed to Re w = -200.
 
     The residual then compares F_t(phi(z)) with phi(G_t(z)) at each grid
-    point for t = 1, 5, 25, and each side's three times form one
-    continuation: the flow side walks the ray h(phi(z)) + t, and the
-    group side solves k(G_t z) + h(base) from base, then from its own
-    previous answer.  The group side's path h(base) -> w_1 -> w_5 ->
-    w_25 lies in the strip or half-plane just certified, which is
-    convex, and it never starts from a flow-side point, so the two sides
-    stay independent.
+    point for t = 1, 5, 25, and each side's three times form one walk:
+    the flow side walks the ray h(phi(z)) + t, and the group side solves
+    k(G_t z) + h(base) from base, then from its own previous answer, or
+    from its asymptotic seed when far.  The group side's continued path
+    h(base) -> w_1 -> w_5 -> w_25 lies in the strip or half-plane just
+    certified, which is convex, and it never starts from a flow-side
+    point, so the two sides stay independent.
     """
     C = model.h(base)
     if group.a != 0:
@@ -267,7 +272,7 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
         bfid_type = "p-type"
 
     def phi(z: complex) -> complex:
-        # one solve, continued from base, where h = C
+        # one step of a walk from base, where h = C
         return next(_walk(model, base, C, (group.linearizer(z) + C,)))[0]
 
     def right(z: complex) -> list:
@@ -300,7 +305,7 @@ def corner_opening(model: LinearizationModel,
     gamma.  gamma is their sequence_limit; slopes that do not settle
     within 1e-3, or a gamma outside [0.48, 1.02], leave the corner
     undetermined (CornerUndeterminedError).  The rungs phi(z_k) are one
-    continuation from (base, h(base)), the first failed rung ending the
+    walk from (base, h(base)), the first failed rung ending the
     ladder.  The ladder k = 3..18 is its own rather than boundary_limit's
     k = 4..40 because every sample is an inversion, and on bfid-par the
     inversions at k >= 38 fail.
@@ -382,7 +387,7 @@ def _p_type_certificate(model: LinearizationModel, side: int):
 
     The levels c = 0.5, 1, 2, 4, 8 are tried in turn and the first whose
     certificate succeeds wins.  Each inverts the base point two units
-    inside the half-plane, continued from 0, and leaves the containment
+    inside the half-plane by a walk from 0, and leaves the containment
     check to the row probe of :func:`inner_conjugator`.
     """
     # arg mu sign rule: for alpha < 2 only the side matching arg mu works

@@ -289,10 +289,15 @@ def test_bfid_report_counts():
     assert all(g == pytest.approx(0.5, abs=0.05) for g in gammas)
 
 
-# counted f-evals of bfid_report, and the certificates it finds
+# counted f-evals of bfid_report, and the certificates it finds; each cap
+# is the count measured with far walk targets solved from their
+# asymptotic seed (bfid-par 37,044, bfid-hyp 14,417, parabolic-auto(1)
+# 5,727, perturbed-parabolic 7,101) plus about 10 %, rounded up to 500
 BFID_REPORT_CAPS = {
     "bfid-par": (40_000, ["h-type", "p-type", "p-type"]),
-    "bfid-hyp": (39_000, ["h-type"]),
+    "bfid-hyp": (16_000, ["h-type"]),
+    "parabolic-auto(1)": (6_500, ["p-type"]),
+    "perturbed-parabolic": (8_000, ["p-type"]),
 }
 
 
