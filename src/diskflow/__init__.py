@@ -21,7 +21,6 @@ from .expr import (
     berkson_porta_p,
     boundary_limit,
     compile_expr,
-    differentiate,
     evaluate,
     parse,
     validate_generator,
@@ -100,7 +99,6 @@ __all__ = [
     "compile_expr",
     "convergence_profile",
     "corner_opening",
-    "differentiate",
     "evaluate",
     "find_boundary_null_points",
     "flow_point",

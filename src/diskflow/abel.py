@@ -27,9 +27,10 @@ the disk or its solve fails (tangential targets, slit domains), a detour
 continues along straight w-segments in levels of about 4 Newton steps,
 about 35 levels from 0 to a dyadic gap 2^-4 .. 2^-40.  An orbit, or any
 chain of targets, is one walk (_walk) with one rule for far targets: a
-target within 1 + |h| of the answer before it (twice the continuation's
-sub-target cap) is continued from that answer and the h its solve
-tracked, with no fresh quadrature; a farther one is solved from its
+target w within 1 + min(|h|, |w|) of the answer before it, where h is
+that answer's (twice the continuation's sub-target cap at the smaller
+end), is continued from that answer and the h its solve tracked, with
+no fresh quadrature; a farther one is solved from its
 asymptotic seed, and continued only where that seed is outside the disk
 or its solve fails.  The extremes of
 Im h, a harmonic function, are boundary values: planar_domain_stats
@@ -116,8 +117,12 @@ _CHORD_RULES = (
 # (integral, roundoff noise estimate), and ``total`` its integral alone,
 # for the root of an adaptive segment, whose noise nothing reads.  A node
 # z is itself rounded, so the integrand carries eps |z|/gap relative
-# noise, gap being the distance from z to the boundary point 1.
-# Instantiated per generator by expr.kernel, with f inlined.
+# noise, gap being the distance from z to the boundary point 1.  The
+# integral's arithmetic is complex throughout, with no float on the left
+# of a complex operand, which on CPython 3.11 first fails in the float
+# slot: (1+0j) - gap and v * w, bit for bit 1.0 - gap and w * v; the
+# noise estimate stays in floats.  Instantiated per generator by
+# expr.kernel, with f inlined.
 _GAP_PANEL = """
 def gap_panels():
     def panel(t0, t1):
@@ -127,10 +132,10 @@ def gap_panels():
         rough = 0.0
         for x, w in GL_RULE:
             gap = exp(mid + half * x)
-            z = 1.0 - gap
+            z = (1+0j) - gap
             v = f(z)
             v = gap / v
-            acc += w * v
+            acc += v * w
             gap = abs(1.0 - z)
             rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
         return acc * half, rough * abs(half) * 2.3e-16
@@ -141,9 +146,9 @@ def gap_panels():
         acc = 0j
         for x, w in GL_RULE:
             gap = exp(mid + half * x)
-            z = 1.0 - gap
+            z = (1+0j) - gap
             v = f(z)
-            acc += w * (gap / v)
+            acc += (gap / v) * w
         return acc * half
 
     return panel, total
@@ -154,7 +159,9 @@ def gap_panels():
 # ``panel`` returns (integral, roundoff noise estimate) like the log-gap
 # panel, ``chord_sum(t0, t1, rule)`` the integral alone by the (node,
 # weight) pairs of ``rule``, for the short Newton chords and the root of
-# an adaptive chord (with GL_RULE), which never read the noise.
+# an adaptive chord (with GL_RULE), which never read the noise.  As in
+# the log-gap panel, (-1+0j) / v and v * w keep floats off the left of
+# complex operands.
 _CHORD_PANELS = """
 def chord_panels(zetas):
     def panel(t0, t1):
@@ -168,8 +175,8 @@ def chord_panels(zetas):
             for zeta in zetas:
                 gap = min(gap, abs(z - zeta))
             v = f(z)
-            v = -1.0 / v
-            acc += w * v
+            v = (-1+0j) / v
+            acc += v * w
             rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
         return acc * half, rough * abs(half) * 2.3e-16
 
@@ -180,7 +187,7 @@ def chord_panels(zetas):
         for x, w in rule:
             z = mid + half * x
             v = f(z)
-            acc += w * (-1.0 / v)
+            acc += ((-1+0j) / v) * w
         return acc * half
 
     return panel, chord_sum
@@ -296,9 +303,10 @@ class LinearizationModel:
     def orbit(self, z: complex, times):
         """F_t(z) at each of the increasing ``times``, in turn: one walk
         along the ray h(z) + t (see :func:`_walk`), where h is integrated
-        at z and at the asymptotic seed of each time more than 1 + |h|
-        past the one before; a nearer time is continued from the answer
-        before it.  A failed solve raises at its time."""
+        at z and at the asymptotic seed of each time more than
+        1 + min(|h|, |w|) past the one before, w being its target and h
+        that of the answer before it; a nearer time is continued from
+        that answer.  A failed solve raises at its time."""
         h_z = self.h(z)
         for u, _ in _walk(self, z, h_z, (h_z + t for t in times)):
             yield u
@@ -366,26 +374,34 @@ def _walk(model: LinearizationModel, z: complex, h_z: complex, targets):
 def _step(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> tuple:
     """(z', h(z')) with h(z') = w, reached from z, where h = h_cur.
 
-    A target more than twice the continuation's sub-target cap away,
-    |w - h_cur| > 1 + |h_cur|, is first solved from its asymptotic
-    preimage (:func:`_from_asymptote`); a nearer target, or one whose
-    seed is outside the disk or whose seed solve fails, is continued
-    from z.  Either answer is a converged Newton solve with its residual
-    checked, and h is univalent, so both are the same point, and only a
-    failed continuation raises: inversion failure stays a membership
-    answer for h(Delta).
+    A target more than twice the continuation's sub-target cap away
+    at the smaller end of the jump, |w - h_cur| > 1 + min(|h_cur|, |w|),
+    is first solved from its asymptotic preimage (:func:`_from_asymptote`);
+    a nearer target, or one whose seed is outside the disk or whose seed
+    solve fails, is continued from z.  Either answer is a converged
+    Newton solve with its residual checked, and h is univalent, so both
+    are the same point, and only a failed continuation raises: inversion
+    failure stays a membership answer for h(Delta).
 
-    The threshold k = 1 of |w - h_cur| > k (1 + |h_cur|) comes from a
-    sweep of counted bfid_report f-evals on six catalog entries (see the
-    README): k = 1/2, which seeds every jump of more than one sub-target,
-    costs bfid-par more and moves the quadrant M statistic of
-    halfplane_criterion_M off its closed form, and k = 2 and 8 cost no
-    less on every entry but bfid-par.  A seed costs one log-gap segment
-    and a few Newton steps, where a continuation takes up to 35 levels:
-    abel_flow on quadrant from 0 to t = 1e6 takes 49 f-evals in place of
-    4,933 once the model's chord panels and C are built.
+    The smaller end sets the scale because z carries the error of its
+    own machine floor, which grows with |h_cur|, and a continuation
+    from z carries it into the answer: on quadrant from 0.3+0.2i, the
+    inward jump h0 + 1e5 -> h0 + 50 continued lands 5.0e-3 off the
+    closed form (from h0 + 1e6 it pins at the boundary), where the seed
+    solve is 3.6e-12 off.
+
+    The threshold k = 1 of |w - h_cur| > k (1 + min(|h_cur|, |w|)) comes
+    from a sweep of counted bfid_report f-evals on six catalog entries,
+    taken with the scale 1 + |h_cur| (see the README): k = 1/2, which
+    seeds every outward jump of more than one sub-target, costs bfid-par
+    more and moves the quadrant M statistic of halfplane_criterion_M off
+    its closed form, and k = 2 and 8 cost no less on every entry but
+    bfid-par.  A seed costs one log-gap segment and a few Newton steps,
+    where a continuation takes up to 35 levels: abel_flow on quadrant
+    from 0 to t = 1e6 takes 49 f-evals in place of 4,933 once the
+    model's chord panels and C are built.
     """
-    if abs(w - h_cur) > 1.0 + abs(h_cur):
+    if abs(w - h_cur) > 1.0 + min(abs(h_cur), abs(w)):
         solved = _from_asymptote(model, w)
         if solved is not None:
             return solved
@@ -655,9 +671,9 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
 def abel_flow(model: LinearizationModel, z: complex, t: float) -> complex:
     """F_t(z) = h^{-1}(h(z) + t), the one-time case of
     :meth:`LinearizationModel.orbit`: solved from the asymptotic seed of
-    h(z) + t when |t| > 1 + |h(z)| and that converges, else continued
-    from z.  Valid for negative t exactly when
-    the backward orbit exists (otherwise the inversion fails, signalling
+    h(z) + t when |t| > 1 + min(|h(z)|, |h(z) + t|) and that converges,
+    else continued from z.  Valid for negative t exactly when the
+    backward orbit exists (otherwise the inversion fails, signalling
     that h(z) + t lies outside h(Delta))."""
     if t == 0:
         return complex(z)

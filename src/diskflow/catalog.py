@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DiskflowError, UnknownCatalogIdError
-from .expr import compile_expr, constant_value, differentiate, parse
+from .expr import constant_value, parse
 
 PI = math.pi
 _EXP_PI4 = "exp(0.78539816339744831*i)"      # e^{i pi/4}
 _EXPM_PI4 = "exp(-0.78539816339744831*i)"    # e^{-i pi/4}
-CONSISTENCY_POINTS = 50
 
 
 @dataclass(frozen=True)
@@ -321,18 +320,3 @@ def get(entry_id: str) -> CatalogEntry:
 
 def list_ids() -> tuple:
     return DEFAULT_IDS
-
-
-def consistency_error(entry: CatalogEntry) -> float:
-    """Max of |f(z) + 1/h'(z)| over CONSISTENCY_POINTS interior points
-    (0 when no h_text)."""
-    if entry.h_text is None:
-        return 0.0
-    f = compile_expr(parse(entry.f_text))
-    hp = compile_expr(differentiate(parse(entry.h_text)))
-    n = CONSISTENCY_POINTS
-    worst = 0.0
-    for j in range(n):
-        z = 0.7 * cmath.exp(2j * PI * j / n) * (0.5 + 0.5 * (j % 2))
-        worst = max(worst, abs(f(z) + 1.0 / hp(z)))
-    return worst

@@ -153,7 +153,7 @@ def _residual_sup(left, right) -> float:
 def _flow_orbit(model: LinearizationModel, z: complex) -> list:
     """F_t(z) at RESIDUAL_TIMES, walking the forward ray h(z) + t once and
     stopping at each time (the targets are those of abel_flow): a time
-    more than 1 + |h| past the point before is solved from its
+    more than 1 + min(|h|, |w|) past the point before is solved from its
     asymptotic seed, any other continued from that point."""
     h0 = model.h(z)
     return [u for u, _ in _walk(model, z, h0, [h0 + t for t in RESIDUAL_TIMES])]

@@ -1,4 +1,4 @@
-"""Holomorphic expression trees: parsing, evaluation, differentiation.
+"""Holomorphic expression trees: parsing and evaluation.
 
 The grammar covers everything the rest of the package needs: rational
 arithmetic, powers (principal branch for non-integer exponents), sqrt,
@@ -478,6 +478,15 @@ def kernel(fn, template: str, **names):
     written with ``f`` bound to it, and its own exceptions pass through.
     Both give the same floats and the same exceptions as calling the
     compiled expression at every ``v = f(z)``.
+
+    Kernels do plain complex arithmetic.  On CPython 3.11 a float on
+    the left of a complex operand (``0.5*x``, ``1.0 - x``) first fails
+    in the float slot: 49 ns against 27 ns for ``(0.5+0j)*x`` and 40 ns
+    for ``x*0.5`` (loop overhead subtracted).  So a template writes its
+    constants as complex literals such as ``(0.5+0j)`` and puts float
+    variables on the right; the generated code of f writes every
+    constant as a complex literal already, and its integer powers 2 to
+    4 as products (see :func:`_constant_power`).
     """
     kernels = getattr(fn, "kernels", None)
     if kernels is None:
@@ -582,10 +591,11 @@ def _static_value(text: str, consts: list):
     return value if cmath.isfinite(value) else None
 
 
-# Python precedence of the generated text, as in _print_prec: sum 1,
-# product 2, unary minus 3, ** 4, atom or call 5.  A child is wrapped in
-# parentheses only where Python would otherwise group it differently, so
-# a long chain such as z+z+...+z compiles without nesting.
+# Python precedence of the generated text, as in _print_prec: conditional
+# 0 (a guarded integer power), sum 1, product 2, unary minus 3, ** 4, atom
+# or call 5.  A child is wrapped in parentheses only where Python would
+# otherwise group it differently, so a long chain such as z+z+...+z
+# compiles without nesting.
 def _codegen(node: Expr, consts: list, min_prec: int = 0) -> str:
     mark = len(consts)
     text, prec = _codegen_prec(node, consts)
@@ -629,16 +639,47 @@ def _codegen_prec(node: Expr, consts: list) -> tuple[str, int]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# b**n for n = 2, 3 and 4 as the products that CPython's c_powu forms:
+# b*b, (1*b)*(b*b) and 1*((b*b)*(b*b)), less the leading products by 1;
+# and the largest |b|, a power of 2, below which no part of any partial
+# product can overflow
+_PRODUCTS = {
+    2: ("_b*_b", 2.0**511),
+    3: ("_b*(_b*_b)", 2.0**340),
+    4: ("(_b := _b*_b)*_b", 2.0**255),
+}
+
+
 def _constant_power(base: Expr, exponent: complex, consts: list) -> tuple[str, int]:
     """base^exponent for a constant exponent, as _pow computes it, with
     no call but cmath's exp and log.  The base is bound to ``_b`` while
     the power reads it; a power inside the base is done with ``_b``
-    before the outer one binds it."""
+    before the outer one binds it.
+
+    n = 2, 3 and 4 are the products of ``_PRODUCTS``, which cost plain
+    complex multiplications: on CPython 3.11, ``b**2`` goes through
+    complex_pow and c_powu and takes 84 ns, ``b*b`` 27 ns.
+    They equal ``b**n`` in value, and in bits up to the sign of a zero
+    part, which the products by 1 that c_powu leads with normalize:
+    ``z**2`` at real z < 0 has the imaginary part +0.0 under ``**`` and
+    -0.0 here, so ``sqrt(-z^2)`` there takes the other side of its cut.
+    Where ``**`` overflows it raises, and a product would return inf, so
+    the products run only below the bound of ``_PRODUCTS`` on ``abs(_b)``
+    and ``_b**n`` runs above it, NaN bases included.  The bound test
+    costs about 40 ns: a guarded square takes 66 ns.
+    """
     n = exponent.real
     if exponent.imag == 0 and n.is_integer() and -64 <= n <= 64:
+        n = int(n)
+        if n in _PRODUCTS:
+            product, bound = _PRODUCTS[n]
+            # unwrapped, so that a chain of powers nests one call deep
+            # per power; an operator around it wraps it
+            return (f"{product} if abs(_b := {_codegen(base, consts)}) < {bound!r} "
+                    f"else _b**{n}"), 0
         if n >= 0:
-            return f"{_codegen(base, consts, 5)}**{int(n)}", 4
-        power, at_zero = f"_b**{int(n)}", f"_zero_power({_NEGATIVE_POWER!r})"
+            return f"{_codegen(base, consts, 5)}**{n}", 4
+        power, at_zero = f"_b**{n}", f"_zero_power({_NEGATIVE_POWER!r})"
     else:
         power = f"exp({_constant(exponent, consts)[0]}*log(_b))"
         if exponent.imag == 0 and n > 0:
@@ -665,16 +706,6 @@ def _is_const(node: Expr, v=None) -> bool:
     return v is None or node.value == v
 
 
-def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
-        return b
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Add(a, b)
-
-
 def sub(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 0):
         return a
@@ -693,18 +724,6 @@ def neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0) or _is_const(b, 0):
-        return ZERO
-    if _is_const(a, 1):
-        return b
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    return Mul(a, b)
-
-
 def div(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0):
         return ZERO
@@ -721,55 +740,6 @@ def power(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 0):
         return ONE
     return Pow(a, b)
-
-
-# --- differentiation ---------------------------------------------------------
-
-
-def differentiate(node: Expr) -> Expr:
-    """Symbolic derivative with respect to z, with constant folding."""
-    if isinstance(node, Const):
-        return ZERO
-    if isinstance(node, Var):
-        return ONE
-    if isinstance(node, Neg):
-        return neg(differentiate(node.arg))
-    if isinstance(node, Add):
-        return add(differentiate(node.left), differentiate(node.right))
-    if isinstance(node, Sub):
-        return sub(differentiate(node.left), differentiate(node.right))
-    if isinstance(node, Mul):
-        return add(
-            mul(differentiate(node.left), node.right),
-            mul(node.left, differentiate(node.right)),
-        )
-    if isinstance(node, Div):
-        return div(
-            sub(
-                mul(differentiate(node.left), node.right),
-                mul(node.left, differentiate(node.right)),
-            ),
-            power(node.right, const(2)),
-        )
-    if isinstance(node, Pow):
-        u, v = node.base, node.exponent
-        du = differentiate(u)
-        if isinstance(v, Const):
-            return mul(mul(v, power(u, const(v.value - 1))), du)
-        dv = differentiate(v)
-        # u^v * (v' log u + v u'/u)
-        return mul(
-            node,
-            add(mul(dv, Func("log", u)), mul(v, div(du, u))),
-        )
-    if isinstance(node, Func):
-        du = differentiate(node.arg)
-        if node.name == "sqrt":
-            return div(du, mul(const(2), node))
-        if node.name == "exp":
-            return mul(node, du)
-        return div(du, node.arg)
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # --- generator structure -----------------------------------------------------

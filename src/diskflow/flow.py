@@ -47,112 +47,118 @@ BACKWARD_HORIZON = 50.0  # backward time probed by backward_extendability
 # coefficients are the decimal literals of Hairer's DOP853 table
 # (Hairer, Norsett & Wanner, Solving ODEs I, section II.10); e3 weighs
 # the stages by b_i less Hairer's bhh_i.  Each stage sum adds its terms
-# left to right.  Instantiated per generator by expr.kernel, with f
-# inlined.
+# left to right.  The arithmetic is complex throughout: each weight is
+# written (c+0j), which the compiler folds to one complex constant, and h
+# is made complex once, because on CPython 3.11 a float on the left of a
+# complex operand first fails in the float slot (49 ns for 0.5*k against
+# 27 ns for (0.5+0j)*k, about 86 such products an attempt); the bits are
+# those of the float weights, which Python widens to (c, 0.0) anyway.
+# Instantiated per generator by expr.kernel, with f inlined.
 _DP_STEP = """
 def dop853_step(u, h, k0):
-    z = u + h * (5.26001519587677318785587544488e-2 * k0)
+    h = complex(h)
+    z = u + h * ((5.26001519587677318785587544488e-2+0j) * k0)
     v = f(z)
     k1 = -v
-    z = u + h * (1.97250569845378994544595329183e-2 * k0
-                 + 5.91751709536136983633785987549e-2 * k1)
+    z = u + h * ((1.97250569845378994544595329183e-2+0j) * k0
+                 + (5.91751709536136983633785987549e-2+0j) * k1)
     v = f(z)
     k2 = -v
-    z = u + h * (2.95875854768068491816892993775e-2 * k0
-                 + 8.87627564304205475450678981324e-2 * k2)
+    z = u + h * ((2.95875854768068491816892993775e-2+0j) * k0
+                 + (8.87627564304205475450678981324e-2+0j) * k2)
     v = f(z)
     k3 = -v
-    z = u + h * (2.41365134159266685502369798665e-1 * k0
-                 - 8.84549479328286085344864962717e-1 * k2
-                 + 9.24834003261792003115737966543e-1 * k3)
+    z = u + h * ((2.41365134159266685502369798665e-1+0j) * k0
+                 - (8.84549479328286085344864962717e-1+0j) * k2
+                 + (9.24834003261792003115737966543e-1+0j) * k3)
     v = f(z)
     k4 = -v
-    z = u + h * (3.7037037037037037037037037037e-2 * k0
-                 + 1.70828608729473871279604482173e-1 * k3
-                 + 1.25467687566822425016691814123e-1 * k4)
+    z = u + h * ((3.7037037037037037037037037037e-2+0j) * k0
+                 + (1.70828608729473871279604482173e-1+0j) * k3
+                 + (1.25467687566822425016691814123e-1+0j) * k4)
     v = f(z)
     k5 = -v
-    z = u + h * (3.7109375e-2 * k0
-                 + 1.70252211019544039314978060272e-1 * k3
-                 + 6.02165389804559606850219397283e-2 * k4
-                 - 1.7578125e-2 * k5)
+    z = u + h * ((3.7109375e-2+0j) * k0
+                 + (1.70252211019544039314978060272e-1+0j) * k3
+                 + (6.02165389804559606850219397283e-2+0j) * k4
+                 - (1.7578125e-2+0j) * k5)
     v = f(z)
     k6 = -v
-    z = u + h * (3.70920001185047927108779319836e-2 * k0
-                 + 1.70383925712239993810214054705e-1 * k3
-                 + 1.07262030446373284651809199168e-1 * k4
-                 - 1.53194377486244017527936158236e-2 * k5
-                 + 8.27378916381402288758473766002e-3 * k6)
+    z = u + h * ((3.70920001185047927108779319836e-2+0j) * k0
+                 + (1.70383925712239993810214054705e-1+0j) * k3
+                 + (1.07262030446373284651809199168e-1+0j) * k4
+                 - (1.53194377486244017527936158236e-2+0j) * k5
+                 + (8.27378916381402288758473766002e-3+0j) * k6)
     v = f(z)
     k7 = -v
-    z = u + h * (6.24110958716075717114429577812e-1 * k0
-                 - 3.36089262944694129406857109825 * k3
-                 - 8.68219346841726006818189891453e-1 * k4
-                 + 2.75920996994467083049415600797e1 * k5
-                 + 2.01540675504778934086186788979e1 * k6
-                 - 4.34898841810699588477366255144e1 * k7)
+    z = u + h * ((6.24110958716075717114429577812e-1+0j) * k0
+                 - (3.36089262944694129406857109825+0j) * k3
+                 - (8.68219346841726006818189891453e-1+0j) * k4
+                 + (2.75920996994467083049415600797e1+0j) * k5
+                 + (2.01540675504778934086186788979e1+0j) * k6
+                 - (4.34898841810699588477366255144e1+0j) * k7)
     v = f(z)
     k8 = -v
-    z = u + h * (4.77662536438264365890433908527e-1 * k0
-                 - 2.48811461997166764192642586468 * k3
-                 - 5.90290826836842996371446475743e-1 * k4
-                 + 2.12300514481811942347288949897e1 * k5
-                 + 1.52792336328824235832596922938e1 * k6
-                 - 3.32882109689848629194453265587e1 * k7
-                 - 2.03312017085086261358222928593e-2 * k8)
+    z = u + h * ((4.77662536438264365890433908527e-1+0j) * k0
+                 - (2.48811461997166764192642586468+0j) * k3
+                 - (5.90290826836842996371446475743e-1+0j) * k4
+                 + (2.12300514481811942347288949897e1+0j) * k5
+                 + (1.52792336328824235832596922938e1+0j) * k6
+                 - (3.32882109689848629194453265587e1+0j) * k7
+                 - (2.03312017085086261358222928593e-2+0j) * k8)
     v = f(z)
     k9 = -v
-    z = u + h * (-9.3714243008598732571704021658e-1 * k0
-                 + 5.18637242884406370830023853209 * k3
-                 + 1.09143734899672957818500254654 * k4
-                 - 8.14978701074692612513997267357 * k5
-                 - 1.85200656599969598641566180701e1 * k6
-                 + 2.27394870993505042818970056734e1 * k7
-                 + 2.49360555267965238987089396762 * k8
-                 - 3.0467644718982195003823669022 * k9)
+    z = u + h * ((-9.3714243008598732571704021658e-1+0j) * k0
+                 + (5.18637242884406370830023853209+0j) * k3
+                 + (1.09143734899672957818500254654+0j) * k4
+                 - (8.14978701074692612513997267357+0j) * k5
+                 - (1.85200656599969598641566180701e1+0j) * k6
+                 + (2.27394870993505042818970056734e1+0j) * k7
+                 + (2.49360555267965238987089396762+0j) * k8
+                 - (3.0467644718982195003823669022+0j) * k9)
     v = f(z)
     k10 = -v
-    z = u + h * (2.27331014751653820792359768449 * k0
-                 - 1.05344954667372501984066689879e1 * k3
-                 - 2.00087205822486249909675718444 * k4
-                 - 1.79589318631187989172765950534e1 * k5
-                 + 2.79488845294199600508499808837e1 * k6
-                 - 2.85899827713502369474065508674 * k7
-                 - 8.87285693353062954433549289258 * k8
-                 + 1.23605671757943030647266201528e1 * k9
-                 + 6.43392746015763530355970484046e-1 * k10)
+    z = u + h * ((2.27331014751653820792359768449+0j) * k0
+                 - (1.05344954667372501984066689879e1+0j) * k3
+                 - (2.00087205822486249909675718444+0j) * k4
+                 - (1.79589318631187989172765950534e1+0j) * k5
+                 + (2.79488845294199600508499808837e1+0j) * k6
+                 - (2.85899827713502369474065508674+0j) * k7
+                 - (8.87285693353062954433549289258+0j) * k8
+                 + (1.23605671757943030647266201528e1+0j) * k9
+                 + (6.43392746015763530355970484046e-1+0j) * k10)
     v = f(z)
     k11 = -v
-    u8 = u + h * (5.42937341165687622380535766363e-2 * k0
-                  + 4.45031289275240888144113950566 * k5
-                  + 1.89151789931450038304281599044 * k6
-                  - 5.8012039600105847814672114227 * k7
-                  + 3.1116436695781989440891606237e-1 * k8
-                  - 1.52160949662516078556178806805e-1 * k9
-                  + 2.01365400804030348374776537501e-1 * k10
-                  + 4.47106157277725905176885569043e-2 * k11)
+    u8 = u + h * ((5.42937341165687622380535766363e-2+0j) * k0
+                  + (4.45031289275240888144113950566+0j) * k5
+                  + (1.89151789931450038304281599044+0j) * k6
+                  - (5.8012039600105847814672114227+0j) * k7
+                  + (3.1116436695781989440891606237e-1+0j) * k8
+                  - (1.52160949662516078556178806805e-1+0j) * k9
+                  + (2.01365400804030348374776537501e-1+0j) * k10
+                  + (4.47106157277725905176885569043e-2+0j) * k11)
     z = u8
     v = f(z)
     k12 = -v
-    e5 = (0.1312004499419488073250102996e-1 * k0
-          - 0.1225156446376204440720569753e+1 * k5
-          - 0.4957589496572501915214079952 * k6
-          + 0.1664377182454986536961530415e+1 * k7
-          - 0.3503288487499736816886487290 * k8
-          + 0.3341791187130174790297318841 * k9
-          + 0.8192320648511571246570742613e-1 * k10
-          - 0.2235530786388629525884427845e-1 * k11)
+    e5 = ((0.1312004499419488073250102996e-1+0j) * k0
+          - (0.1225156446376204440720569753e+1+0j) * k5
+          - (0.4957589496572501915214079952+0j) * k6
+          + (0.1664377182454986536961530415e+1+0j) * k7
+          - (0.3503288487499736816886487290+0j) * k8
+          + (0.3341791187130174790297318841+0j) * k9
+          + (0.8192320648511571246570742613e-1+0j) * k10
+          - (0.2235530786388629525884427845e-1+0j) * k11)
     e3 = ((5.42937341165687622380535766363e-2
-           - 0.244094488188976377952755905512) * k0
-          + 4.45031289275240888144113950566 * k5
-          + 1.89151789931450038304281599044 * k6
-          - 5.8012039600105847814672114227 * k7
+           - 0.244094488188976377952755905512+0j) * k0
+          + (4.45031289275240888144113950566+0j) * k5
+          + (1.89151789931450038304281599044+0j) * k6
+          - (5.8012039600105847814672114227+0j) * k7
           + (3.1116436695781989440891606237e-1
-             - 0.733846688281611857341361741547) * k8
-          - 1.52160949662516078556178806805e-1 * k9
-          + 2.01365400804030348374776537501e-1 * k10
+             - 0.733846688281611857341361741547+0j) * k8
+          - (1.52160949662516078556178806805e-1+0j) * k9
+          + (2.01365400804030348374776537501e-1+0j) * k10
           + (4.47106157277725905176885569043e-2
-             - 0.220588235294117647058823529412e-1) * k11)
+             - 0.220588235294117647058823529412e-1+0j) * k11)
     return u8, e5, e3, k12
 """
 

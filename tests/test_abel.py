@@ -3,12 +3,11 @@ import dataclasses
 import inspect
 import math
 import os
-import re
 import subprocess
 import sys
 
 import pytest
-from conftest import counted_model
+from conftest import counted_model, mp_function
 
 import diskflow
 from diskflow import abel, catalog
@@ -61,27 +60,8 @@ def _ladder(gap):
 LADDER = [1.0 - g for k in range(4, 41, 4) for g in _ladder(2.0**-k)]
 # the circle angles of planar_domain_stats
 CIRCLE = [2.0 * math.pi * (j + 0.5) / STATS_GRID - math.pi for j in range(STATS_GRID)]
-_NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
-
-
-def _mp_function(mpmath, text):
-    """Printed expression text as a function of z evaluated by mpmath,
-    with every number read as the double the parser makes of it (``^``
-    becomes ``**``)."""
-    source = _NUMBER.sub(lambda m: f"_n({m.group()!r})", text).replace("^", "**")
-    namespace = {
-        "_n": lambda s: mpmath.mpf(float(s)),
-        "i": mpmath.mpc(0, 1),
-        "sqrt": mpmath.sqrt,
-        "exp": mpmath.exp,
-        "log": mpmath.log,
-        "__builtins__": {},
-    }
-    return eval(f"lambda z: {source}", namespace)  # noqa: S307 - catalog text
-
-
 def _mp_eval(mpmath, text, z):
-    return _mp_function(mpmath, text)(mpmath.mpc(z))
+    return mp_function(mpmath, text)(mpmath.mpc(z))
 
 
 @pytest.mark.parametrize("entry_id", H_TEXT_IDS)
@@ -149,7 +129,7 @@ def test_abel_h_matches_quadrature_oracle(entry_id, points):
     assert catalog.get(entry_id).h_text is None
     mpmath = pytest.importorskip("mpmath")
     text = catalog.get(entry_id).f_text
-    fn, f_mp = compile_expr(parse(text)), _mp_function(mpmath, text)
+    fn, f_mp = compile_expr(parse(text)), mp_function(mpmath, text)
     with mpmath.workdps(30):
         for z in points:
             z_mp = mpmath.mpc(z)
@@ -598,6 +578,26 @@ def test_walk_falls_back_to_continuation(entry_id, monkeypatch):
     for w, (z, h_z), (z_c, h_c) in zip(targets, walked, continued):
         assert abs(h_z - w) <= 1e-9 * abs(w) + 32 * 2.3e-16 / abs(fn(z)), w
         assert abs(z - z_c) <= 1e-9 * abs(w) * abs(fn(z)) + 32 * 2.3e-16, w
+
+
+@pytest.mark.parametrize("far", [1e5, 1e6])
+def test_walk_inward_jump_is_seeded(far):
+    # the deep point h0 + far is solved only to its machine floor (its
+    # tracked h is 0.04 off at 1e5, 4.2 at 1e6); a jump inward from it is
+    # measured against the smaller end, 1 + |w|, so h0 + 50 + 0.2i is
+    # solved from its seed.  Continued from the deep point, it carried
+    # that floor: 5.0e-3 off the closed form after 1e5, and after 1e6
+    # the continuation pinned at the boundary
+    entry = catalog.get("quadrant")
+    h_ref = compile_expr(parse(entry.h_text))
+    fn = compile_expr(parse(entry.f_text))
+    model = linearize(parse(entry.f_text))
+    z0 = 0.3 + 0.2j
+    h0 = model.h(z0)
+    step = 50.0 + 0.2j
+    _, (z, _) = abel._walk(model, z0, h0, (h0 + far, h0 + step))
+    floor = 32 * 2.3e-16 / abs(fn(z))
+    assert abs(h_ref(z) - h_ref(z0) - step) <= 1e-9 * abs(step) + floor
 
 
 STATS_CASES = [

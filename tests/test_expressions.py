@@ -14,7 +14,6 @@ from diskflow.expr import (
     boundary_limit,
     compile_expr,
     constant_value,
-    differentiate,
     evaluate,
     _pow,
     neg,
@@ -47,22 +46,6 @@ def test_roundtrip_through_printer():
         again = parse(str(node))
         for z in POINTS:
             assert evaluate(again, z) == pytest.approx(evaluate(node, z))
-
-
-def test_differentiate_matches_finite_differences():
-    h = 1e-6
-    for text in (
-        "i*(1-z)^2",
-        "(1-z)^2*sqrt((1+z)/(1-z))",
-        "exp(2*z)/(1+z)",
-        "log(1-z) + z^3",
-    ):
-        node = parse(text)
-        d = compile_expr(differentiate(node))
-        g = compile_expr(node)
-        for z in POINTS:
-            fd = (g(z + h) - g(z - h)) / (2 * h)
-            assert d(z) == pytest.approx(fd, abs=1e-7)
 
 
 def test_compile_matches_evaluate():

@@ -154,7 +154,14 @@ def _literal_tableau(mpmath):
             return mpmath.mpf(ast.get_source_segment(text, node))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return -number(node.operand)
-        assert isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        assert isinstance(node, ast.BinOp)
+        if isinstance(node.op, ast.Add):  # a weight written (c+0j)
+            assert isinstance(node.right, ast.Constant)
+            imag = node.right.value
+            assert type(imag) is complex and imag == 0j
+            assert math.copysign(1.0, imag.real) == math.copysign(1.0, imag.imag) == 1.0
+            return number(node.left)
+        assert isinstance(node.op, ast.Sub)
         return number(node.left) - number(node.right)
 
     def weights(node, sign, out):

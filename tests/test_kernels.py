@@ -7,9 +7,11 @@ panel and integrand closures the kernels replaced; a kernel that adds in
 another order, or checks f differently, fails here.
 """
 
+import ast
 import cmath
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -32,8 +34,20 @@ from diskflow.abel import (  # noqa: E402
     invert_h,
     linearize,
 )
-from diskflow.expr import compile_expr, kernel, parse  # noqa: E402
-from diskflow.flow import integrate  # noqa: E402
+from diskflow.errors import SingularEvaluationError  # noqa: E402
+from diskflow.expr import (  # noqa: E402
+    Add,
+    Const,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    compile_expr,
+    kernel,
+    parse,
+)
+from diskflow.flow import _DP_STEP, integrate  # noqa: E402
 
 IDS = list(catalog.DEFAULT_IDS)
 # overflow of exp(800 z), and NaN from 0 * inf, for Re z > 0.89
@@ -230,3 +244,131 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
     gap, _ = gap_panels()
     ref = _outcome(_reference_panel, _gap_integrand(fn), 0j, -1.0 + 0.2j)
     assert _outcome(gap, 0j, -1.0 + 0.2j) == ref
+
+
+# --- plain complex arithmetic -------------------------------------------------
+
+# f inlined by expr.kernel, with nothing around it
+_VALUE = """
+def value(z):
+    v = f(z)
+    return v
+"""
+
+POLYNOMIALS = st.recursive(
+    st.one_of(
+        st.just(Var()),
+        st.builds(lambda a, b: Const(complex(a, b)),
+                  st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -3.25]),
+                  st.sampled_from([0.0, 1.0, -0.5, 0.75])),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Add, inner, inner),
+        st.builds(Sub, inner, inner),
+        st.builds(Mul, inner, inner),
+        st.builds(Neg, inner),
+        st.builds(lambda b, n: Pow(b, Const(complex(n))), inner, st.sampled_from([2, 3, 4])),
+    ),
+    max_leaves=8,
+)
+
+
+def _power_reference(node, z):
+    """The value of a polynomial tree with every power taken by ``**``."""
+    if isinstance(node, Var):
+        return z
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Neg):
+        return -_power_reference(node.arg, z)
+    if isinstance(node, Pow):
+        return _power_reference(node.base, z) ** int(node.exponent.value.real)
+    left, right = _power_reference(node.left, z), _power_reference(node.right, z)
+    return {Add: left + right, Sub: left - right, Mul: left * right}[type(node)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(POLYNOMIALS, st.sampled_from([2, 3, 4]), st.floats(0.0, 0.999),
+       st.floats(-math.pi, math.pi))
+def test_integer_powers_equal_pow(base, n, r, theta):
+    # the products that stand for b**2, b**3 and b**4 equal ** in value,
+    # in the scalar callable and in a kernel, however the powers nest
+    z = r * complex(math.cos(theta), math.sin(theta))
+    node = Pow(base, Const(complex(n)))
+    fn = compile_expr(node)
+    expected = _power_reference(node, z)
+    assert fn(z) == expected
+    assert kernel(fn, _VALUE)(z) == expected
+
+
+@pytest.mark.parametrize("text, z", [
+    ("((1-z)^-12)^2", complex(1.0 - 1e-14)),  # a base of 1e168
+    ("(1-z)^2", complex(1e200)),
+    ("z^3", complex(1e200)),
+    ("(z+1)^4", complex(1e100)),
+])
+def test_integer_power_overflow_is_singular(text, z):
+    # where ** overflows, the product would return inf; past the bound on
+    # |b| the power is taken by ** and raises, as it always did
+    fn = compile_expr(parse(text))
+    for call in (fn, kernel(fn, _VALUE)):
+        with pytest.raises(SingularEvaluationError, match="complex exponentiation"):
+            call(z)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 2.0**511), (3, 2.0**340), (4, 2.0**255)])
+def test_integer_power_bound(n, bound):
+    # just below the bound the products run and cannot overflow; just
+    # above it ** runs, and returns what ** returns
+    fn = compile_expr(parse(f"(1-z)^{n}"))
+    for scale in (0.75, 1.5):
+        b = complex(bound * scale, bound * scale / 3)
+        z = 1.0 - b
+        assert 1.0 - z == b
+        expected = b**n
+        assert cmath.isfinite(expected)
+        assert fn(z) == kernel(fn, _VALUE)(z) == expected
+
+
+def _constant_value(node):
+    # the value of a subexpression free of names, as Python folds it
+    try:
+        return eval(compile(ast.Expression(node), "<operand>", "eval"),  # noqa: S307
+                    {"__builtins__": {}})
+    except NameError:
+        return None
+
+
+def _complex_operand(node) -> bool:
+    # a name that holds a complex value of f in the templates, or an
+    # operation on one
+    if isinstance(node, ast.BinOp):
+        return _complex_operand(node.left) or _complex_operand(node.right)
+    return isinstance(node, ast.Name) and re.fullmatch(r"v|gap|k\d+", node.id) is not None
+
+
+@pytest.mark.parametrize("template", [_DP_STEP, _GAP_PANEL, _CHORD_PANELS, expr._GRID_SCAN],
+                         ids=["dop853_step", "gap_panels", "chord_panels", "grid_scan"])
+def test_no_float_left_of_a_complex_operand(template):
+    # a float on the left of a complex operand first fails in the float
+    # slot; constants are complex literals and the rule weights w and
+    # nodes x stand on the right
+    for node in ast.walk(ast.parse(template)):
+        if isinstance(node, ast.BinOp) and _complex_operand(node.right):
+            value = _constant_value(node.left)
+            assert value is None or type(value) is complex, ast.unparse(node)
+            assert not (isinstance(node.left, ast.Name) and node.left.id in ("w", "x")), \
+                ast.unparse(node)
+
+
+def test_dop853_weights_are_complex_constants():
+    (step,) = ast.parse(_DP_STEP).body
+    assert ast.unparse(step.body[0]) == "h = complex(h)"
+    weights = [node.left for node in ast.walk(step)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+               and isinstance(node.right, ast.Name) and node.right.id.startswith("k")]
+    assert len(weights) == 74  # 50 stage weights, 8 each of u8, e5 and e3
+    assert all(type(_constant_value(w)) is complex for w in weights)
+    # and none is left a float in the compiled step
+    (code,) = [c for c in compile(_DP_STEP, "<step>", "exec").co_consts if hasattr(c, "co_consts")]
+    assert not any(isinstance(c, float) for c in code.co_consts)
