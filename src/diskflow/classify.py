@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .abel import LinearizationModel, linearize
 from .errors import InversionFailureError
-from .expr import Expr, Var, as_callable, boundary_limit, const, div, power, sub
+from .expr import Const, Div, Expr, Pow, Sub, Var, as_callable, boundary_limit
 from .extrapolate import ladder_limit
 from .flow import ConvergenceDiagnostics, convergence_profile
 
@@ -44,8 +44,7 @@ class AsymptoticProfile:
 
 def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
     """Full asymptotic profile of a validated generator."""
-    one_minus_z = sub(const(1), Var())
-    beta_est = boundary_limit(div(f, sub(Var(), const(1))), "radial", tol=1e-8)
+    beta_est = boundary_limit(Div(f, Sub(Var(), Const(1 + 0j))), "radial", tol=1e-8)
     beta = max(beta_est.value.real, 0.0)
     kind = "hyperbolic" if beta > BETA_THRESHOLD else "parabolic"
 
@@ -60,7 +59,7 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
         profile_horizon = min(horizon, max(50.0, 30.0 / beta))
     diag = convergence_profile(f, 0j, horizon=profile_horizon, orbit=model.orbit)
 
-    square = div(f, power(one_minus_z, const(2)))
+    square = Div(f, Pow(Sub(Const(1 + 0j), Var()), Const(2 + 0j)))
     ta_est = boundary_limit(square, "radial", tol=1e-7)
     taylor_a = ta_est.value if ta_est.converged else None
     taylor_b = None

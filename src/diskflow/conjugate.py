@@ -150,15 +150,6 @@ def _residual_sup(left, right) -> float:
     return worst
 
 
-def _flow_orbit(model: LinearizationModel, z: complex) -> list:
-    """F_t(z) at RESIDUAL_TIMES, walking the forward ray h(z) + t once and
-    stopping at each time (the targets are those of abel_flow): a time
-    more than 1 + min(|h|, |w|) past the point before is solved from its
-    asymptotic seed, any other continued from that point."""
-    h0 = model.h(z)
-    return [u for u, _ in _walk(model, z, h0, [h0 + t for t in RESIDUAL_TIMES])]
-
-
 def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertificate:
     """psi = h/(ib + h) semi-conjugates F_t onto the parabolic group:
     psi o F_t = G_t o psi.
@@ -167,7 +158,7 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
     of b must put that half-plane on the bounded side of Im h.  The
     residual compares both sides at each grid point for t = 1, 5, 25;
     the three flow points F_t(z) are one walk along the ray h(z) + t
-    (:func:`_flow_orbit`), each solve continued from the point before and
+    (``model.orbit``), each solve continued from the point before and
     the h its solve tracked, or solved from its asymptotic seed when far.
     psi reads a fresh h at each flow point, so the residual checks the
     walk rather than repeating it.
@@ -195,7 +186,7 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
 
     group = MobiusGroup(a=0.0, b=b)
     res = _residual_sup(
-        lambda z: [psi(u) for u in _flow_orbit(model, z)],
+        lambda z: [psi(u) for u in model.orbit(z, RESIDUAL_TIMES)],
         lambda z: [group.apply(t, psi(z)) for t in RESIDUAL_TIMES],
     )
     for z in RESIDUAL_GRID:
@@ -283,7 +274,8 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
                    for t in RESIDUAL_TIMES]
         return [u for u, _ in _walk(model, base, C, targets)]
 
-    res = _residual_sup(lambda z: _flow_orbit(model, phi(z)), right)
+    # the flow side is walked to the end before the group side starts
+    res = _residual_sup(lambda z: list(model.orbit(phi(z), RESIDUAL_TIMES)), right)
     return ConjugationCertificate(
         kind="inner",
         map=phi,

@@ -275,7 +275,11 @@ def parse(text: str) -> Expr:
 
 # --- printing ----------------------------------------------------------------
 
-# precedence levels: add 1, mul 2, unary 3, power 4, atom 5
+# precedence levels: add 1, mul 2, unary 3, power 4, atom 5; the binary
+# operators with their symbol and level, for printing and for codegen
+_BINARY = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
+
+
 def _print(node: Expr, parent_prec: int) -> str:
     text, prec = _print_prec(node)
     if prec < parent_prec:
@@ -312,14 +316,9 @@ def _print_prec(node: Expr) -> tuple[str, int]:
         return "z", 5
     if isinstance(node, Neg):
         return "-" + _print(node.arg, 3), 3
-    if isinstance(node, Add):
-        return _print(node.left, 1) + "+" + _print(node.right, 2), 1
-    if isinstance(node, Sub):
-        return _print(node.left, 1) + "-" + _print(node.right, 2), 1
-    if isinstance(node, Mul):
-        return _print(node.left, 2) + "*" + _print(node.right, 3), 2
-    if isinstance(node, Div):
-        return _print(node.left, 2) + "/" + _print(node.right, 3), 2
+    if type(node) in _BINARY:
+        op, prec = _BINARY[type(node)]
+        return _print(node.left, prec) + op + _print(node.right, prec + 1), prec
     if isinstance(node, Pow):
         # exponent at unary level, base strictly atomic
         return _print(node.base, 5) + "^" + _print(node.exponent, 4), 4
@@ -609,9 +608,6 @@ def _codegen(node: Expr, consts: list, min_prec: int = 0) -> str:
     return f"({text})" if prec < min_prec else text
 
 
-_BINARY = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
-
-
 def _codegen_prec(node: Expr, consts: list) -> tuple[str, int]:
     if isinstance(node, Const):
         return _constant(node.value, consts)
@@ -689,59 +685,6 @@ def _constant_power(base: Expr, exponent: complex, consts: list) -> tuple[str, i
     return f"({power} if (_b := {_codegen(base, consts)}) else {at_zero})", 5
 
 
-# --- smart constructors (constant folding) ----------------------------------
-
-
-def const(v: complex) -> Const:
-    return Const(complex(v))
-
-
-ZERO = Const(0j)
-ONE = Const(1 + 0j)
-
-
-def _is_const(node: Expr, v=None) -> bool:
-    if not isinstance(node, Const):
-        return False
-    return v is None or node.value == v
-
-
-def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(a, 0):
-        return neg(b)
-    return Sub(a, b)
-
-
-def neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
-
-
-def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0):
-        return ZERO
-    if _is_const(b, 1):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(a.value / b.value)
-    return Div(a, b)
-
-
-def power(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1):
-        return a
-    if _is_const(b, 0):
-        return ONE
-    return Pow(a, b)
-
-
 # --- generator structure -----------------------------------------------------
 
 
@@ -793,8 +736,7 @@ def berkson_porta_p(f: Expr) -> Expr:
         return f._berkson_porta_p
     except AttributeError:
         pass
-    one_minus_z = Sub(ONE, Var())
-    p = div(neg(f), power(one_minus_z, const(2)))
+    p = Div(Neg(f), Pow(Sub(Const(1 + 0j), Var()), Const(2 + 0j)))
     object.__setattr__(f, "_berkson_porta_p", p)  # nodes are frozen
     return p
 

@@ -30,6 +30,13 @@ def aitken(seq):
     return out
 
 
+def _settled(window, bound) -> bool:
+    """Whether the three values of ``window`` lie within
+    ``bound * max(1, |last|)`` of the last one."""
+    a, b, c = window
+    return max(abs(a - c), abs(b - c)) <= bound * max(1.0, abs(c))
+
+
 def sequence_limit(seq, tol=1e-6):
     """Estimate the limit of ``seq``; returns ``(value, converged)``.
 
@@ -46,27 +53,14 @@ def sequence_limit(seq, tol=1e-6):
         return seq[-1], False
 
     # Constant tail short-circuit: noise-level differences would only be
-    # amplified by acceleration.
-    for i in range(2, n):
-        window = seq[i - 2 : i + 1]
-        spread = max(abs(window[0] - window[2]), abs(window[1] - window[2]))
-        scale = max(1.0, abs(window[2]))
-        if spread <= 1e-13 * scale:
-            return window[2], True
-
+    # amplified by acceleration.  Then the accelerated values, and last
+    # the raw sequence itself at the tolerance.
     acc = aitken(seq)
-    for i in range(2, len(acc)):
-        a, b, c = acc[i - 2], acc[i - 1], acc[i]
-        if max(abs(a - c), abs(b - c)) <= tol * max(1.0, abs(c)):
-            return c, True
-
-    # Last resort: the raw sequence itself may meet the tolerance.
-    for i in range(2, n):
-        a, b, c = seq[i - 2], seq[i - 1], seq[i]
-        if max(abs(a - c), abs(b - c)) <= tol * max(1.0, abs(c)):
-            return c, True
-
-    return acc[-1] if acc else seq[-1], False
+    for values, bound in ((seq, 1e-13), (acc, tol), (seq, tol)):
+        for i in range(2, len(values)):
+            if _settled(values[i - 2 : i + 1], bound):
+                return values[i], True
+    return acc[-1], False
 
 
 def ladder_limit(samples, tol=1e-6):
@@ -95,7 +89,7 @@ def ladder_limit(samples, tol=1e-6):
         # the newest raw and accelerated windows, as sequence_limit tests them
         acc += aitken(seq[-3:])
         settled = any(
-            len(w) == 3 and max(abs(w[0] - w[2]), abs(w[1] - w[2])) <= b * max(1.0, abs(w[2]))
+            len(w) == 3 and _settled(w, b)
             for w, b in ((seq[-3:], max(tol, 1e-13)), (acc[-3:], tol))
         )
     if not seq:

@@ -272,10 +272,11 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
             # tighten near the attracting boundary point: errors there map to
             # errors of size delta/(1-u)^2 in the linearizing coordinate
             # the extra 0.05 keeps the accumulated error over a run well
-            # under the per-step budget
-            scale = 0.05 * min(1.0, max(abs(1.0 - u) ** 2, 1e-5))
-            err5 = abs(dt * e5) / scale
-            err3 = abs(dt * e3) / scale
+            # under the per-step budget; the complex operand goes left, so
+            # no float slot is tried first (the bits are the same)
+            scale = 0.05 * min(1.0, max(abs((1+0j) - u) ** 2, 1e-5))
+            err5 = abs(e5 * dt) / scale
+            err3 = abs(e3 * dt) / scale
             # Hairer's DOP853 norm; a NaN denominator passes to the guard
             deno = err5 * err5 + 0.01 * err3 * err3
             err = err5 * err5 / math.sqrt(deno) if deno else 0.0

@@ -10,9 +10,11 @@ table.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 from . import catalog
+from .geometry import horocycle_distance
 from .expr import boundary_limit, compile_expr, parse, validate_generator
 from .abel import (
     abel_flow,
@@ -31,20 +33,15 @@ from .conjugate import (
     inner_conjugator,
 )
 
-_MODELS: dict = {}
-_PROFILES: dict = {}
 
-
+@functools.cache
 def _model(cid: str):
-    if cid not in _MODELS:
-        _MODELS[cid] = linearize(parse(catalog.get(cid).f_text))
-    return _MODELS[cid]
+    return linearize(parse(catalog.get(cid).f_text))
 
 
+@functools.cache
 def _profile(cid: str):
-    if cid not in _PROFILES:
-        _PROFILES[cid] = classify(parse(catalog.get(cid).f_text))
-    return _PROFILES[cid]
+    return classify(parse(catalog.get(cid).f_text))
 
 
 def _ring(n: int, r: float):
@@ -244,7 +241,7 @@ def criterion_8() -> dict:
     d_vals = []
     for t in (1e2, 1e3, 1e4, 1e5):
         u = abel_flow(qmodel, 0j, t)
-        d_vals.append(abs(1.0 - u) ** 2 / (1.0 - abs(u) ** 2))
+        d_vals.append(horocycle_distance(u))
     mono = all(b <= a * 1.05 for a, b in zip(d_vals, d_vals[1:]))
     quad_ok = d_vals[-1] < 1e-3 and mono
 
@@ -334,11 +331,11 @@ def criterion_11() -> dict:
     for cid in ("quadrant", "bfid-par", "parabolic-auto(1)", "hyperbolic-auto(0.5,0)"):
         fn = compile_expr(_model(cid).f)
         for z0 in (0j, 0.3 + 0.4j):
-            prev = abs(1 - z0) ** 2 / (1 - abs(z0) ** 2)
+            prev = horocycle_distance(z0)
             for u in _checkpoints(fn, z0, times, math.inf):
                 if 1.0 - abs(u) < 1e-14:
                     break
-                d = abs(1 - u) ** 2 / (1 - abs(u) ** 2)
+                d = horocycle_distance(u)
                 if d > prev * (1 + 1e-9) + 1e-12:
                     mono_ok = False
                 prev = d

@@ -96,28 +96,7 @@ def test_outer_conjugator_cost():
     assert evals[0] - before <= 9_800
 
 
-def _residual_orbits(monkeypatch, f, entry_id):
-    orbits = []
-    flow_orbit = conjugate._flow_orbit
-
-    def recording_flow_orbit(model, z):
-        points = flow_orbit(model, z)
-        orbits.append((z, conjugate.RESIDUAL_TIMES, points))
-        return points
-
-    monkeypatch.setattr(conjugate, "_flow_orbit", recording_flow_orbit)
-    if entry_id == "bfid-hyp":
-        phi_ref = compile_expr(parse(catalog.get(entry_id).phi_text))
-        group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
-        cert = inner_conjugator(linearize(f), group, phi_ref(0j))
-    else:
-        cert = outer_conjugator(linearize(f), 2.0)
-    assert cert.residual_sup < 1e-9
-    assert len(orbits) == len(conjugate.RESIDUAL_GRID)
-    return orbits
-
-
-def _model_orbits(monkeypatch, f, caller):
+def _record_orbits(monkeypatch):
     # every walk of LinearizationModel.orbit, with the points it yielded
     orbits = []
     orbit = abel.LinearizationModel.orbit
@@ -130,6 +109,26 @@ def _model_orbits(monkeypatch, f, caller):
             yield u
 
     monkeypatch.setattr(abel.LinearizationModel, "orbit", recording_orbit)
+    return orbits
+
+
+def _residual_orbits(monkeypatch, f, entry_id):
+    orbits = _record_orbits(monkeypatch)
+    if entry_id == "bfid-hyp":
+        phi_ref = compile_expr(parse(catalog.get(entry_id).phi_text))
+        group = MobiusGroup.from_repelling(2.0, -1.0 + 0j)
+        cert = inner_conjugator(linearize(f), group, phi_ref(0j))
+    else:
+        cert = outer_conjugator(linearize(f), 2.0)
+    monkeypatch.undo()
+    assert cert.residual_sup < 1e-9
+    assert len(orbits) == len(conjugate.RESIDUAL_GRID)
+    assert all(times == conjugate.RESIDUAL_TIMES for _, times, _ in orbits)
+    return orbits
+
+
+def _model_orbits(monkeypatch, f, caller):
+    orbits = _record_orbits(monkeypatch)
     model = linearize(f)
     if caller == "profile":
         prof = convergence_profile(f, 0j, horizon=1e6, orbit=model.orbit)
@@ -328,6 +327,7 @@ def test_halfplane_rows_are_the_only_probe(monkeypatch):
         return walk(model, z, h_z, ws)
 
     monkeypatch.setattr(conjugate, "_walk", recording_walk)
+    monkeypatch.setattr(abel, "_walk", recording_walk)  # model.orbit's
     certs = bfid_report(parse(catalog.get("bfid-par").f_text))
     assert sorted(c.bfid_type for c in certs) == ["h-type", "p-type", "p-type"]
     assert min(w.real for w in targets) == -200.0

@@ -7,7 +7,6 @@ from diskflow import expr
 from diskflow.errors import ExpressionSyntaxError, SingularEvaluationError
 from diskflow.expr import (
     GENERATOR_GRID,
-    ONE,
     Const,
     Func,
     berkson_porta_p,
@@ -16,7 +15,6 @@ from diskflow.expr import (
     constant_value,
     evaluate,
     _pow,
-    neg,
     parse,
     validate_generator,
 )
@@ -84,7 +82,7 @@ def test_constants_keep_their_exact_value():
     # a folded -1 carries the imaginary part -0.0, which selects the
     # lower side of the sqrt cut; a literal past the float range is an
     # infinite constant, not a crash
-    minus_one = neg(ONE)
+    minus_one = Const(-(1 + 0j))
     assert compile_expr(Func("sqrt", minus_one))(0j) == cmath.sqrt(minus_one.value)
     assert evaluate(parse("1e999"), 0j) == complex(math.inf, 0.0)
     assert compile_expr(parse("z-1e999"))(0.5) == complex(-math.inf, 0.0)
@@ -187,9 +185,11 @@ def test_second_dot_in_a_number_is_a_syntax_error(text, position):
 
 
 def test_berkson_porta_quotient():
-    p = berkson_porta_p(parse("i*(1-z)^2"))
-    for z in POINTS:
-        assert evaluate(p, z) == pytest.approx(-1j)
+    # also a generator whose top node is a minus sign, and the zero one
+    for text, value in (("i*(1-z)^2", -1j), ("-(1-z)^2", 1), ("0", 0)):
+        p = berkson_porta_p(parse(text))
+        for z in POINTS:
+            assert evaluate(p, z) == pytest.approx(value)
 
 
 def test_validate_generator_verdicts():

@@ -1,9 +1,14 @@
-"""Every name that a module of the package imports is read there.
+"""Every name that a module of the package imports is read there, and
+every top-level function or class of the package is read somewhere.
 
-No linter runs on this repository, so this test reads each module's AST:
-an imported name must be loaded somewhere in its module or listed in its
-``__all__``.  ``from __future__`` imports and import statements marked
-``# noqa: F401`` (a deliberate re-export) are exempt.
+No linter runs on this repository, so these tests read each module's
+AST: an imported name must be loaded somewhere in its module or listed
+in its ``__all__``.  ``from __future__`` imports and import statements
+marked ``# noqa: F401`` (a deliberate re-export) are exempt.  A
+definition must be loaded in its module, imported by name from it
+(``from .mod import name``), read as ``mod.name`` where ``mod`` is the
+package module imported by ``from . import mod``, or listed in
+``diskflow.__all__``: code with no library caller gets deleted.
 """
 
 import ast
@@ -24,17 +29,59 @@ def _unused_imports(source: str) -> list:
         if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
             continue
         imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
-    read = {
+    read = _loads(tree) | _exported(tree)
+    return [name for name in imported if name not in read]
+
+
+def _loads(tree) -> set:
+    return {
         node.id
         for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
+
+
+def _exported(tree) -> set:
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            read |= set(ast.literal_eval(node.value))
-    return [name for name in imported if name not in read]
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def _unread_definitions(sources: dict) -> list:
+    """``module.name`` of each top-level function or class in ``sources``
+    (module name -> source text, the package being ``__init__``) that
+    no module reads and ``__all__`` of ``__init__`` does not list."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()  # (module, name)
+    for module, tree in trees.items():
+        read |= {(module, name) for name in _loads(tree)}
+        modules = {}  # local name -> package module, from "from . import"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    modules |= {a.asname or a.name: a.name for a in node.names}
+                else:
+                    read |= {(node.module, a.name) for a in node.names}
+        read |= {
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        }
+    exported = _exported(trees["__init__"])
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and (module, node.name) not in read
+        and node.name not in exported
+    ]
 
 
 def test_no_unused_imports():
@@ -56,3 +103,28 @@ def test_no_unused_imports():
         if (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def test_no_unread_definitions():
+    # the scan itself: each way of reading a definition counts, and an
+    # unread function or class is caught
+    probe = {
+        "__init__": (
+            "from . import a\n"
+            "from .a import imported\n"
+            "__all__ = ['public']\n"
+            "def public(): ...\n"
+        ),
+        "a": (
+            "def imported(): ...\n"
+            "def local(): ...\n"
+            "def by_attribute(): ...\n"
+            "def dead(): ...\n"
+            "class Dead: ...\n"
+            "local()\n"
+        ),
+        "b": "from . import a as mod\nmod.by_attribute()\ndead()\n",
+    }
+    assert _unread_definitions(probe) == ["a.dead", "a.Dead"]
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unread_definitions(sources) == []
