@@ -7,15 +7,17 @@ integrated along any path.  One adaptive Gauss-Legendre engine serves
 two path geometries: h(z) itself is one straight segment from 0 to
 log(1 - z) in the log-gap coordinate s = log(1 - w), where the boundary
 growth of h' becomes smooth, and the Newton increments of the inversion
-carry h between nearby points along straight chords in z.  Panel
-roundoff is scaled by each node's distance to the nearest singular
-boundary point of h': 1, and on chords also every boundary null point
-of f.  Each panel is a kernel, from the templates _GAP_PANEL and
-_CHORD_PANELS below, which :func:`diskflow.expr.kernel` compiles once
-per generator with the code of f in place of each evaluation, so a node
-makes no Python call; a model builds its chord panels, with its null
-points bound in, on its first inversion and keeps them.  Inversion is
-Newton's method, tracking h incrementally, one chord integral per
+carry h between nearby points along straight chords in z.  A segment
+whose root panel has settled, by the Legendre tail of its own 16
+values, stops there at 16 evaluations; any other is refined until two
+halves agree.  Panel roundoff is scaled by each node's distance to the
+nearest singular boundary point of h': 1, and on chords also every
+boundary null point of f.  Each panel is a kernel, from the templates
+_GAP_PANEL and _CHORD_PANELS below, which :func:`diskflow.expr.kernel`
+compiles once per generator with the code of f in place of each
+evaluation, so a node makes no Python call; a model builds its chord
+panels, with its null points bound in, on its first inversion and keeps
+them.  Inversion is Newton's method, tracking h incrementally, one chord integral per
 iterate rather than a fresh quadrature from 0.  A solve from scratch
 starts where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C,
 takes the target value, which along radial and Stolz approaches is a few
@@ -76,6 +78,33 @@ DETOUR_TRIES = 4  # right-hand offsets span * 4^j of the inversion detour
 
 _GL_RULE = tuple(zip(_GL_NODES, _GL_WEIGHTS))
 
+# (2n+1)/2 w_j P_n(x_j) for n = 10, 11, 14 and 15 at each node of the
+# 16-point rule, each float the nearest double to its value at the roots
+# of P_16: the sum of a column times the panel's integrand values is the
+# Legendre coefficient c_n of their degree-15 interpolant, which the
+# rule integrates exactly
+_GL_TAIL = (
+    (0.14127275587308694, -0.12875900151871053, 0.06270545045312347, -0.03278130486396174),
+    (-0.25201541416293205, 0.2910139422600961, -0.20493540387013992, 0.1122209124505884),
+    (-0.004145262192304828, -0.17862718973786104, 0.3541214949557947, -0.21159853063188444),
+    (0.3629370293395895, -0.1752711653511037, -0.46284478766452636, 0.31691961779722083),
+    (-0.32776977024340653, 0.448263465263729, 0.49770223675171826, -0.41664037702596135),
+    (-0.13219978340747982, -0.3501669169395512, -0.4435406121078921, 0.5008933497159644),
+    (0.47690655506715196, -0.07255887482241537, 0.305833437439604, -0.5617461448292791),
+    (-0.2649861102737051, 0.45656586322525095, -0.10904181595768207, 0.5936159289428018),
+    (-0.2649861102737051, -0.45656586322525095, -0.10904181595768207, -0.5936159289428018),
+    (0.47690655506715196, 0.07255887482241537, 0.305833437439604, 0.5617461448292791),
+    (-0.13219978340747982, 0.3501669169395512, -0.4435406121078921, -0.5008933497159644),
+    (-0.32776977024340653, -0.448263465263729, 0.49770223675171826, 0.41664037702596135),
+    (0.3629370293395895, 0.1752711653511037, -0.46284478766452636, -0.31691961779722083),
+    (-0.004145262192304828, 0.17862718973786104, 0.3541214949557947, 0.21159853063188444),
+    (-0.25201541416293205, -0.2910139422600961, -0.20493540387013992, -0.1122209124505884),
+    (0.14127275587308694, 0.12875900151871053, 0.06270545045312347, 0.03278130486396174),
+)
+# the root rule of an adaptive segment: (node, weight, c10, c11, c14 and
+# c15 columns) per node
+_GL_ROOT = tuple(rule + tail for rule, tail in zip(_GL_RULE, _GL_TAIL))
+
 # the 1-, 2-, 4- and 8-point Gauss-Legendre rules as (node, weight) pairs,
 # each float the nearest double to the root of P_n or its weight (numpy's
 # leggauss is a few ulps off in the 4- and 8-point weights), for the
@@ -114,14 +143,15 @@ _CHORD_RULES = (
 
 # The panels of the log-gap segment, where dh/ds = e^s / f(1 - e^s):
 # ``panel(t0, t1)`` is the 16-node panel over [t0, t1], returning
-# (integral, roundoff noise estimate), and ``total`` its integral alone,
-# for the root of an adaptive segment, whose noise nothing reads.  A node
-# z is itself rounded, so the integrand carries eps |z|/gap relative
-# noise, gap being the distance from z to the boundary point 1.  The
-# integral's arithmetic is complex throughout, with no float on the left
-# of a complex operand, which on CPython 3.11 first fails in the float
-# slot: (1+0j) - gap and v * w, bit for bit 1.0 - gap and w * v; the
-# noise estimate stays in floats.  Instantiated per generator by
+# (integral, roundoff noise estimate), and ``root`` the same rule's
+# integral with its Legendre tail estimate in place of the noise, for
+# the root of an adaptive segment (see _segment_integral).  A node z is
+# itself rounded, so the integrand carries eps |z|/gap relative noise,
+# gap being the distance from z to the boundary point 1.  The integral's
+# arithmetic is complex throughout, with no float on the left of a
+# complex operand, which on CPython 3.11 first fails in the float slot:
+# (1+0j) - gap and v * w, bit for bit 1.0 - gap and w * v; the noise and
+# tail estimates stay in floats.  Instantiated per generator by
 # expr.kernel, with f inlined.
 _GAP_PANEL = """
 def gap_panels():
@@ -136,32 +166,41 @@ def gap_panels():
             v = f(z)
             v = gap / v
             acc += v * w
-            gap = abs(1.0 - z)
+            gap = abs((1+0j) - z)
             rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
         return acc * half, rough * abs(half) * 2.3e-16
 
-    def total(t0, t1):
+    def root(t0, t1):
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
-        acc = 0j
-        for x, w in GL_RULE:
+        acc = c10 = c11 = c14 = c15 = 0j
+        for x, w, p10, p11, p14, p15 in ROOT_RULE:
             gap = exp(mid + half * x)
             z = (1+0j) - gap
             v = f(z)
-            acc += (gap / v) * w
-        return acc * half
+            v = gap / v
+            acc += v * w
+            c10 += v * p10
+            c11 += v * p11
+            c14 += v * p14
+            c15 += v * p15
+        hi = max(abs(c14), abs(c15))
+        lo = max(abs(c10), abs(c11))
+        if hi < lo:
+            hi *= (hi / lo) * (hi / lo)
+        return acc * half, 2.0 * abs(half) * hi
 
-    return panel, total
+    return panel, root
 """
 
 # The panels of straight chords in z, where dh/dz = -1/f, with the gap of
 # a node taken to 1 and to every other boundary null point in ``zetas``:
-# ``panel`` returns (integral, roundoff noise estimate) like the log-gap
-# panel, ``chord_sum(t0, t1, rule)`` the integral alone by the (node,
-# weight) pairs of ``rule``, for the short Newton chords and the root of
-# an adaptive chord (with GL_RULE), which never read the noise.  As in
-# the log-gap panel, (-1+0j) / v and v * w keep floats off the left of
-# complex operands.
+# ``panel`` and ``root`` return (integral, roundoff noise estimate) and
+# (integral, Legendre tail estimate) like the log-gap kernels, and
+# ``chord_sum(t0, t1, rule)`` the integral alone by the (node, weight)
+# pairs of ``rule``, for the short Newton chords.  As in the log-gap
+# panel, (-1+0j) / v and v * w keep floats off the left of complex
+# operands.
 _CHORD_PANELS = """
 def chord_panels(zetas):
     def panel(t0, t1):
@@ -171,7 +210,7 @@ def chord_panels(zetas):
         rough = 0.0
         for x, w in GL_RULE:
             z = mid + half * x
-            gap = abs(1.0 - z)
+            gap = abs((1+0j) - z)
             for zeta in zetas:
                 gap = min(gap, abs(z - zeta))
             v = f(z)
@@ -179,6 +218,25 @@ def chord_panels(zetas):
             acc += v * w
             rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
         return acc * half, rough * abs(half) * 2.3e-16
+
+    def root(t0, t1):
+        half = 0.5 * (t1 - t0)
+        mid = 0.5 * (t0 + t1)
+        acc = c10 = c11 = c14 = c15 = 0j
+        for x, w, p10, p11, p14, p15 in ROOT_RULE:
+            z = mid + half * x
+            v = f(z)
+            v = (-1+0j) / v
+            acc += v * w
+            c10 += v * p10
+            c11 += v * p11
+            c14 += v * p14
+            c15 += v * p15
+        hi = max(abs(c14), abs(c15))
+        lo = max(abs(c10), abs(c11))
+        if hi < lo:
+            hi *= (hi / lo) * (hi / lo)
+        return acc * half, 2.0 * abs(half) * hi
 
     def chord_sum(t0, t1, rule):
         half = 0.5 * (t1 - t0)
@@ -190,21 +248,35 @@ def chord_panels(zetas):
             acc += ((-1+0j) / v) * w
         return acc * half
 
-    return panel, chord_sum
+    return panel, root, chord_sum
 """
 
 
-def _segment_integral(panel, t0: complex, t1: complex, whole: complex) -> complex:
+def _segment_integral(panel, root, t0: complex, t1: complex) -> complex:
     """Adaptive Gauss-Legendre integral of a path integrand over [t0, t1].
 
-    ``panel(a, b)`` is a 16-node panel over [a, b] of the path, one of
-    the kernels above: it returns the integral and a roundoff estimate
-    that the acceptance test tracks, where a fixed relative tolerance
-    would refine to the depth cap on roundoff.  ``whole`` is the 16-node
-    integral over [t0, t1] itself, from the noise-free sum of the same
-    panel (``total`` or ``chord_sum``): the test reads only the noise of
-    the halves, so the root panel needs none.
+    ``root(t0, t1)`` is the 16-node integral over the whole segment with
+    the Legendre tail estimate of its own 16 values,
+    2 |half| hi min(1, hi/lo)^2, where hi = max(|c14|, |c15|) and
+    lo = max(|c10|, |c11|) (Gonnet, ACM TOMS 37(3), 2010): a segment
+    whose estimate is at most 1e-13 max(1, |I|) is that integral, after
+    16 evaluations.  Any other is refined from the root as its whole.
+    ``panel(a, b)`` is a 16-node panel over [a, b] of the same rule, one
+    of the kernels above: it returns the integral and a roundoff estimate
+    that the test of the halves tracks, where a fixed relative tolerance
+    would refine to the depth cap on roundoff.
+
+    The root's integral is the panel's bit for bit, so a segment that
+    falls back costs and returns exactly what the halves alone would.
+    The test reads the root only, with the square of hi/lo and no
+    roundoff term: a steeper law accepts roots that angular-only's end
+    layer fools (at 1 - 2^-8, (hi/lo)^3 is 8.6 tolerances off), the test
+    on every leaf fails the closed-form checks at any exponent, and a
+    roundoff term would need the noise of the costlier panel at the root.
     """
+    whole, tail = root(t0, t1)
+    if tail <= 1e-13 * max(1.0, abs(whole)):
+        return whole
     return _refine(panel, t0, t1, whole, 0)
 
 
@@ -247,8 +319,8 @@ def _h_at_gap(fn, s: complex) -> complex:
     s-image; the Gauss-Legendre nodes are interior, so the boundary
     value of h is reached without evaluating f on the circle.
     """
-    panel, total = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE)()
-    return _segment_integral(panel, 0j, s, total(0j, s))
+    panel, root = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE, ROOT_RULE=_GL_ROOT)()
+    return _segment_integral(panel, root, 0j, s)
 
 
 def _circle_gap(theta: float) -> complex:
@@ -563,13 +635,16 @@ def _inside_disk_s(s: complex) -> bool:
 
 
 def _chord_panels(model: LinearizationModel) -> tuple:
-    """The chord kernels of the model, (panel, chord_sum) of _CHORD_PANELS,
-    built on its first inversion and kept in ``model.chords``."""
+    """The chord kernels of the model, (panel, root, chord_sum) of
+    _CHORD_PANELS, built on its first inversion and kept in
+    ``model.chords``."""
     if model.chords is None:
         zetas = tuple(
             p["zeta"] for p in boundary_null_points(model) if abs(p["zeta"] - 1) > 1e-6
         )
-        model.chords = kernel(model._fn, _CHORD_PANELS, GL_RULE=_GL_RULE)(zetas)
+        model.chords = kernel(
+            model._fn, _CHORD_PANELS, GL_RULE=_GL_RULE, ROOT_RULE=_GL_ROOT
+        )(zetas)
     return model.chords
 
 
@@ -618,7 +693,7 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
     toward the circle relative to their length, goes through the
     adaptive :func:`_segment_integral`.
     """
-    panel, chord_sum = chords
+    panel, root, chord_sum = chords
     s = cmath.log(1.0 - z)
     for _ in range(50):
         residual = h_cur - w_sub
@@ -650,7 +725,7 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
             if rule is not None:
                 dh = chord_sum(z, z_new, rule)
             else:
-                dh = _segment_integral(panel, z, z_new, chord_sum(z, z_new, _GL_RULE))
+                dh = _segment_integral(panel, root, z, z_new)
         except SingularEvaluationError as exc:
             raise InversionFailureError(
                 f"quadrature broke during inversion toward {w_final}: {exc}",

@@ -13,8 +13,11 @@ import diskflow
 from diskflow import abel, catalog
 from diskflow.abel import (
     _CHORD_RULES,
+    _GAP_PANEL,
     _GL_NODES,
+    _GL_ROOT,
     _GL_RULE,
+    _GL_TAIL,
     _GL_WEIGHTS,
     BLOCH_GRID,
     STATS_GRID,
@@ -33,8 +36,8 @@ from diskflow.abel import (
     visser_ostrovskii,
 )
 from diskflow.conjugate import MobiusGroup
-from diskflow.errors import InversionFailureError, NotInClassError
-from diskflow.expr import compile_expr, parse
+from diskflow.errors import InversionFailureError, NotInClassError, SingularEvaluationError
+from diskflow.expr import compile_expr, kernel, parse
 from diskflow.flow import flow_point
 
 GRID = [0.25 * cmath.exp(2j * math.pi * k / 7) for k in range(7)] + [
@@ -101,44 +104,135 @@ def test_abel_h_closed_form(entry_id):
 
 
 # the rungs k = 4, 8, 12 of LADDER, split by approach: each k gives the
-# radial and two Stolz points, then the two horocycle points
+# radial and two Stolz points, then the two horocycle points; the
+# angular-only horocycle goes on to k = 16 and 20
 RUNGS = [z for k in range(3) for z in LADDER[5 * k : 5 * k + 3]]
 HOROCYCLE_RUNGS = [z for k in range(3) for z in LADDER[5 * k + 3 : 5 * k + 5]]
+DEEP_HOROCYCLE_RUNGS = [z for k in range(5) for z in LADDER[5 * k + 3 : 5 * k + 5]]
 NO_H_TEXT_IDS = ["hyperbolic-auto(0.5,0)", "bfid-hyp", "angular-only(0.5)"]
 
 
-@pytest.mark.parametrize("entry_id, points", [
-    *[pytest.param(i, GRID + RUNGS, id=f"{i}-grid") for i in NO_H_TEXT_IDS],
-    *[pytest.param(i, HOROCYCLE_RUNGS, id=f"{i}-horocycle") for i in NO_H_TEXT_IDS[:2]],
+def _z_segment_oracle(mpmath, f_mp, z):
+    # mpmath's own Gauss-Legendre quadrature of -1/f at 30 digits along
+    # the z-segment from 0 to z, split at t = 1 - 2^-j so each piece
+    # stays short against its distance to the singular point 1
+    with mpmath.workdps(30):
+        z_mp = mpmath.mpc(z)
+        depth = max(2, math.ceil(-math.log2(abs(1.0 - z))) + 2)
+        cuts = [0] + [1 - mpmath.mpf(2) ** -j for j in range(1, depth)] + [1]
+        return complex(mpmath.quad(lambda t: -z_mp / f_mp(t * z_mp), cuts,
+                                   method="gauss-legendre"))
+
+
+def _w_path_oracle(mpmath, f_mp, z):
+    # h at 40 digits along 1 -> 80 -> 80 + i Im w -> w in the chart
+    # w = (1 + z)/(1 - z), where dz = 2 dw/(w + 1)^2, the vertical leg cut
+    # at Im = 80 * 2^j.  Next to the horocycle, where f's factor
+    # exp(-(1+z)/(1-z)) = exp(-w) oscillates along the z-segment, it is
+    # below the working precision on Re w = 80 and does not oscillate
+    # along the horizontal legs; mpmath's error estimate must be a small
+    # fraction of the test's tolerance
+    with mpmath.workdps(40):
+        w = (1 + mpmath.mpc(z)) / (1 - mpmath.mpc(z))
+        path, y = [mpmath.mpf(1), mpmath.mpf(80)], mpmath.mpf(80)
+        while y < abs(w.imag):
+            path.append(mpmath.mpc(80, math.copysign(y, w.imag)))
+            y *= 2
+        path += [mpmath.mpc(80, w.imag), w]
+        value, error = mpmath.quad(
+            lambda u: -2 / ((u + 1) ** 2 * f_mp((u - 1) / (u + 1))), path, error=True
+        )
+    assert error <= 1e-20 * max(1.0, abs(value))
+    return complex(value)
+
+
+@pytest.mark.parametrize("entry_id, points, oracle", [
+    *[pytest.param(i, GRID + RUNGS, _z_segment_oracle, id=f"{i}-grid") for i in NO_H_TEXT_IDS],
+    *[pytest.param(i, HOROCYCLE_RUNGS, _z_segment_oracle, id=f"{i}-horocycle")
+      for i in NO_H_TEXT_IDS[:2]],
     pytest.param(
-        "angular-only(0.5)", HOROCYCLE_RUNGS, id="angular-only(0.5)-horocycle",
+        "angular-only(0.5)", DEEP_HOROCYCLE_RUNGS, _w_path_oracle,
+        id="angular-only(0.5)-horocycle",
         marks=pytest.mark.xfail(
             reason="next to the horocycle the factor exp(-(1+z)/(1-z)) of f is "
             "away from 0 only in an end layer of the log-gap segment about "
             "|1-z| wide, where it oscillates, and no node of a 16-point panel "
-            "lands in it, so abel_h is 2.6 tolerances off at |1-z| = 2^-12; "
-            "this oracle's own z-segment quadrature does not converge there "
-            "either (its error estimate is 1.3e5 tolerances at 2^-12)"),
+            "lands in it, so abel_h is 2.58, 3,047 and 11.4 tolerances off the "
+            "w-path oracle at |1-z| = 2^-12, 2^-16 and 2^-20 (the oracle's own "
+            "error estimate is below 1e-33 tolerances there)"),
     ),
 ])
-def test_abel_h_matches_quadrature_oracle(entry_id, points):
-    # where the catalog has no closed form, mpmath's own Gauss-Legendre
-    # quadrature of -1/f at 30 digits along the z-segment from 0 to z is
-    # the oracle; the segment is split at t = 1 - 2^-j so each piece stays
-    # short against its distance to the singular point 1
+def test_abel_h_matches_quadrature_oracle(entry_id, points, oracle):
+    # where the catalog has no closed form, an mpmath quadrature of -1/f
+    # along a path from 0 to z is the oracle
     assert catalog.get(entry_id).h_text is None
     mpmath = pytest.importorskip("mpmath")
     text = catalog.get(entry_id).f_text
     fn, f_mp = compile_expr(parse(text)), mp_function(mpmath, text)
-    with mpmath.workdps(30):
-        for z in points:
-            z_mp = mpmath.mpc(z)
-            depth = max(2, math.ceil(-math.log2(abs(1.0 - z))) + 2)
-            cuts = [0] + [1 - mpmath.mpf(2) ** -j for j in range(1, depth)] + [1]
-            ref = complex(mpmath.quad(lambda t: -z_mp / f_mp(t * z_mp), cuts,
-                                      method="gauss-legendre"))
-            tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
-            assert abs(abel_h(fn, z) - ref) <= tol, z
+    for z in points:
+        ref = oracle(mpmath, f_mp, z)
+        tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
+        assert abs(abel_h(fn, z) - ref) <= tol, z
+
+
+def _outcome_bits(call, *args):
+    # a complex value by its bit patterns, or the exception's type
+    try:
+        value = call(*args)
+    except SingularEvaluationError as exc:
+        return type(exc).__name__
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("entry_id", catalog.DEFAULT_IDS)
+def test_root_tail_never_costs_more(entry_id):
+    # every log-gap segment of the test points and circle angles against
+    # the whole-versus-halves rule alone (_refine from the same root): the
+    # tail test on the root spends no more f-evals, a root it accepts
+    # costs 16, and a root that falls back returns that rule's value bit
+    # for bit
+    fn = compile_expr(parse(catalog.get(entry_id).f_text))
+    evals = [0]
+
+    def counted(z):
+        evals[0] += 1
+        return fn(z)
+
+    panel, root = kernel(counted, _GAP_PANEL, GL_RULE=_GL_RULE, ROOT_RULE=_GL_ROOT)()
+
+    def halves_only(s):
+        return abel._refine(panel, 0j, s, root(0j, s)[0], 0)
+
+    gaps = [cmath.log(1.0 - z) for z in GRID + RING + LADDER] + [_circle_gap(t) for t in CIRCLE]
+    for s in gaps:
+        evals[0] = 0
+        got = _outcome_bits(_h_at_gap, counted, s)
+        cost = evals[0]
+        evals[0] = 0
+        expected = _outcome_bits(halves_only, s)
+        assert cost <= evals[0], s
+        if cost > 16 or isinstance(got, str):
+            assert got == expected, s
+        else:
+            whole, tail = root(0j, s)
+            assert tail <= 1e-13 * max(1.0, abs(whole)), s
+            assert got == (whole.real.hex(), whole.imag.hex()), s
+
+
+def test_root_falls_back_at_the_angular_end_layer():
+    # angular-only(0.5) at the radial 1 - 2^-8 and the level-1 horocycle
+    # rungs: an end layer of the log-gap segment makes the root read
+    # settled under a steeper tail law than (hi/lo)^2 (at 1 - 2^-8,
+    # (hi/lo)^3 accepts a root 8.6 tolerances off), so these roots must
+    # fall back to the halves
+    fn = compile_expr(parse(catalog.get("angular-only(0.5)").f_text))
+    _, root = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE, ROOT_RULE=_GL_ROOT)()
+    points = [1.0 - 2.0**-8] + [
+        1.0 - g for k in range(4, 25) for g in list(_ladder(2.0**-k))[3:]
+    ]
+    for z in points:
+        whole, tail = root(0j, cmath.log(1.0 - z))
+        assert tail > 1e-13 * max(1.0, abs(whole)), z
 
 
 def test_gauss_legendre_table():
@@ -162,6 +256,14 @@ def test_gauss_legendre_table():
                 weight = 2 / ((1 - root**2) * mpmath.diff(p_n, root) ** 2)
                 assert abs(x - root) <= 2 * sys.float_info.epsilon
                 assert abs(w - weight) <= 2 * sys.float_info.epsilon
+        # the root's Legendre columns (2n+1)/2 w P_n(x), n = 10, 11, 14, 15
+        p_16 = lambda x: mpmath.legendre(16, x)  # noqa: E731
+        for x, tail in zip(_GL_NODES, _GL_TAIL):
+            root = mpmath.findroot(p_16, mpmath.mpf(x))
+            weight = 2 / ((1 - root**2) * mpmath.diff(p_16, root) ** 2)
+            for n, column in zip((10, 11, 14, 15), tail):
+                exact = (2 * n + 1) * weight * mpmath.legendre(n, root) / 2
+                assert abs(column - exact) <= sys.float_info.epsilon * abs(exact)
 
 
 def _bernstein_factor(q, n):
@@ -288,12 +390,14 @@ def test_invert_h_roundtrip():
 
 # f-evaluations of inverting h_text at the radial and Stolz(pi/4) gaps
 # 2^-k, k = 4, 8, ..., 40, with no seed: each starts at the asymptotic
-# preimage of w, a few Newton steps from the root
+# preimage of w, a few Newton steps from the root; about 25 % over the
+# counts (quadrant 2,355, parabolic-auto(1) 1,252, bfid-par 1,578,
+# power(0.5,1) 1,316, perturbed-parabolic 1,512)
 INVERT_COST_CAPS = {
     "quadrant": 3_300,
-    "parabolic-auto(1)": 1_800,
-    "bfid-par": 2_400,
-    "power(0.5,1)": 1_800,
+    "parabolic-auto(1)": 1_600,
+    "bfid-par": 2_000,
+    "power(0.5,1)": 1_700,
     "perturbed-parabolic": 2_300,
 }
 
@@ -327,11 +431,12 @@ def test_invert_h_cost(entry_id):
     assert evals[0] <= INVERT_COST_CAPS[entry_id]
 
 
-# counted f-evals of the seeded sweep below
+# counted f-evals of the seeded sweep below (quadrant 29,292, bfid-par
+# 44,616, perturbed-parabolic 34,419), rounded up to 500 with 1 % to spare
 SEEDED_COST_CAPS = {
-    "quadrant": 32_000,
-    "bfid-par": 47_500,
-    "perturbed-parabolic": 54_000,
+    "quadrant": 30_000,
+    "bfid-par": 45_500,
+    "perturbed-parabolic": 35_000,
 }
 
 
@@ -429,7 +534,7 @@ def test_single_panel_chords_match_closed_form(entry_id):
 
     entry = catalog.get(entry_id)
     model, evals = counted_model(parse(entry.f_text))
-    panel, chord_sum = _chord_panels(model)
+    panel, _, chord_sum = _chord_panels(model)
     cuts = [0.0] + [q_max for q_max, _ in _CHORD_RULES]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -523,12 +628,13 @@ def test_abel_flow_saturates_at_the_smallest_gap():
 # model's chord panels and seed constant C are built: a time far past
 # 1 + |h(0)| is solved from its asymptotic seed, one log-gap segment
 # plus a few Newton steps, where the continuation took 30 to 35 levels
-# (1,263 to 5,464 f-evals)
+# (1,263 to 5,464 f-evals); the t = 1e2 solve of the three alpha = 1
+# entries has its long Newton chord accepted on the root
 FAR_FLOW_CAPS = {
     "quadrant": (200, 70, 60),
-    "power(0.5,1)": (60, 60, 60),
-    "parabolic-auto(1)": (60, 60, 60),
-    "perturbed-parabolic": (120, 120, 120),
+    "power(0.5,1)": (30, 60, 60),
+    "parabolic-auto(1)": (30, 60, 60),
+    "perturbed-parabolic": (90, 120, 120),
 }
 
 
@@ -662,12 +768,31 @@ def test_ladder_limit_linear_growth(sign):
     assert math.isfinite(stats.inf_im if sign > 0 else stats.sup_im)
 
 
+# counted f-evals of planar_domain_stats, about 10 % over the counts
+# rounded up to 500: a segment whose root settles costs 16, so on the
+# power-law entries most circle angles take 16 and not 48
+STATS_COST_CAPS = {
+    "parabolic-auto(1)": 3_000,  # 2,361
+    "hyperbolic-auto(0.5,0)": 33_500,  # 30,052
+    "quadrant": 11_000,  # 9,734
+    "power(-0.5,1)": 2_500,  # 2,165
+    "power(0,i)": 3_000,  # 2,361
+    "power(0.5,1)": 2_500,  # 2,191
+    "power(1,1)": 2_500,  # 2,157
+    "bfid-hyp": 34_000,  # 30,519
+    "bfid-par": 10_000,  # 8,821
+    "angular-only(0.5)": 18_000,  # 15,983
+    "perturbed-parabolic": 4_000,  # 3,353
+    "no-halfplane": 2_500,  # 2,161
+}
+
+
 @pytest.mark.parametrize("entry_id", catalog.DEFAULT_IDS)
 def test_planar_stats_cost(entry_id):
     # a circle grid and five ladders of at most 40 log-gap segments each
     model, evals = counted_model(parse(catalog.get(entry_id).f_text))
     planar_domain_stats(model)
-    assert evals[0] <= 50_000
+    assert evals[0] <= STATS_COST_CAPS[entry_id]
 
 
 def test_planar_stats_computed_once_per_model():
@@ -687,10 +812,10 @@ def test_planar_stats_computed_once_per_model():
 # f-evaluations of visser_ostrovskii on alpha > 0, whose ladders settle
 # and are sampled to the end; the divergence rule must not lengthen them
 VO_EVALS = {
-    "parabolic-auto(1)": 1813, "quadrant": 2965, "power(-0.5,1)": 1813,
-    "power(0,i)": 1813, "power(0.5,1)": 1813, "power(1,1)": 1813,
-    "bfid-par": 1813, "angular-only(0.5)": 2517, "perturbed-parabolic": 1813,
-    "no-halfplane": 1813,
+    "parabolic-auto(1)": 1557, "quadrant": 2965, "power(-0.5,1)": 1205,
+    "power(0,i)": 1557, "power(0.5,1)": 1685, "power(1,1)": 1749,
+    "bfid-par": 1781, "angular-only(0.5)": 2517, "perturbed-parabolic": 1717,
+    "no-halfplane": 1557,
 }
 
 

@@ -26,7 +26,9 @@ from diskflow.abel import (  # noqa: E402
     _CHORD_RULES,
     _GAP_PANEL,
     _GL_NODES,
+    _GL_ROOT,
     _GL_RULE,
+    _GL_TAIL,
     _GL_WEIGHTS,
     LinearizationModel,
     _chord_panels,
@@ -99,6 +101,28 @@ def _reference_sum(dh, t0, t1, rule):
     return acc * half
 
 
+def _reference_root(dh, t0, t1):
+    # the 16-node integral and the Legendre tail estimate
+    # 2 |half| hi min(1, hi/lo)^2 of its values, hi = max(|c14|, |c15|)
+    # and lo = max(|c10|, |c11|)
+    half = 0.5 * (t1 - t0)
+    mid = 0.5 * (t0 + t1)
+    acc = 0j
+    c10 = c11 = c14 = c15 = 0j
+    for x, w, (p10, p11, p14, p15) in zip(_GL_NODES, _GL_WEIGHTS, _GL_TAIL):
+        v = dh(mid + half * x)[0]
+        acc += w * v
+        c10 += p10 * v
+        c11 += p11 * v
+        c14 += p14 * v
+        c15 += p15 * v
+    hi = max(abs(c14), abs(c15))
+    lo = max(abs(c10), abs(c11))
+    if hi < lo:
+        hi *= (hi / lo) * (hi / lo)
+    return acc * half, 2.0 * abs(half) * hi
+
+
 def _integral(outcome):
     # the integral of a panel's outcome, or its exception
     return ("value", outcome[1][0]) if outcome[0] == "value" else outcome
@@ -131,10 +155,11 @@ def test_panels_match_reference_loops(entry_id):
     fn = compile_expr(parse(text))
     opaque = _opaque(fn)
     zetas = (1j, -1.0 + 0j)
-    gap, total = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE)()
-    gap_opaque, total_opaque = kernel(opaque, _GAP_PANEL, GL_RULE=_GL_RULE)()
-    panel, chord_sum = kernel(fn, _CHORD_PANELS, GL_RULE=_GL_RULE)(zetas)
-    panel_opaque, sum_opaque = kernel(opaque, _CHORD_PANELS, GL_RULE=_GL_RULE)(zetas)
+    rules = {"GL_RULE": _GL_RULE, "ROOT_RULE": _GL_ROOT}
+    gap, root = kernel(fn, _GAP_PANEL, **rules)()
+    gap_opaque, root_opaque = kernel(opaque, _GAP_PANEL, **rules)()
+    panel, chord_root, chord_sum = kernel(fn, _CHORD_PANELS, **rules)(zetas)
+    panel_opaque, chord_root_opaque, sum_opaque = kernel(opaque, _CHORD_PANELS, **rules)(zetas)
     assert gap is not gap_opaque and panel is not panel_opaque
     chord = _chord_integrand(fn, zetas)
 
@@ -143,14 +168,18 @@ def test_panels_match_reference_loops(entry_id):
     def check(s0, s1, z0, z1):
         ref = _outcome(_reference_panel, _gap_integrand(fn), s0, s1)
         assert _outcome(gap, s0, s1) == _outcome(gap_opaque, s0, s1) == ref
-        # the noise-free sums are their panel's integral, bit for bit
+        # the roots are their panel's integral, bit for bit, and the tail
+        # estimate of their own values
         whole = _integral(ref)
-        assert _outcome(total, s0, s1) == _outcome(total_opaque, s0, s1) == whole
+        ref = _outcome(_reference_root, _gap_integrand(fn), s0, s1)
+        assert _outcome(root, s0, s1) == _outcome(root_opaque, s0, s1) == ref
+        assert _integral(ref) == whole
         ref = _outcome(_reference_panel, chord, z0, z1)
         assert _outcome(panel, z0, z1) == _outcome(panel_opaque, z0, z1) == ref
         whole = _integral(ref)
-        assert (_outcome(chord_sum, z0, z1, _GL_RULE)
-                == _outcome(sum_opaque, z0, z1, _GL_RULE) == whole)
+        ref = _outcome(_reference_root, chord, z0, z1)
+        assert _outcome(chord_root, z0, z1) == _outcome(chord_root_opaque, z0, z1) == ref
+        assert _integral(ref) == whole
         # each graded rule of the Newton chords, against its own loop
         for _, rule in _CHORD_RULES:
             ref = _outcome(_reference_sum, chord, z0, z1, rule)
@@ -204,7 +233,7 @@ def test_opaque_exceptions_pass_through():
 
     def flaky(z):
         calls.append(z)
-        if len(calls) > 20:
+        if len(calls) > 10:
             raise KeyError("a bug, not a singular evaluation")
         return fn(z)
 
@@ -239,7 +268,7 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(expr, "_compile", too_deep)
-    gap_panels = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE)
+    gap_panels = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE, ROOT_RULE=_GL_ROOT)
     assert fn.kernels[_GAP_PANEL] is gap_panels
     gap, _ = gap_panels()
     ref = _outcome(_reference_panel, _gap_integrand(fn), 0j, -1.0 + 0.2j)
