@@ -45,6 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InversionFailureError, NotInClassError, SingularEvaluationError
 from .expr import BoundaryLimitEstimate, Expr, as_callable, boundary_limit, kernel
@@ -142,25 +143,26 @@ _CHORD_RULES = (
 )
 
 # The panels of the log-gap segment, where dh/ds = e^s / f(1 - e^s):
-# ``panel(t0, t1)`` is the 16-node panel over [t0, t1], returning
-# (integral, roundoff noise estimate), and ``root`` the same rule's
-# integral with its Legendre tail estimate in place of the noise, for
-# the root of an adaptive segment (see _segment_integral).  A node z is
-# itself rounded, so the integrand carries eps |z|/gap relative noise,
-# gap being the distance from z to the boundary point 1.  The integral's
-# arithmetic is complex throughout, with no float on the left of a
-# complex operand, which on CPython 3.11 first fails in the float slot:
-# (1+0j) - gap and v * w, bit for bit 1.0 - gap and w * v; the noise and
-# tail estimates stay in floats.  Instantiated per generator by
-# expr.kernel, with f inlined.
+# ``panel(t0, t1)`` is the 16-node panel of ``panel_rule`` over [t0, t1],
+# returning (integral, roundoff noise estimate), and ``root`` the same
+# rule's integral with the Legendre coefficients (c10, c11, c14, c15) of
+# its values by the columns of ``root_rule``, for the root of an adaptive
+# segment (see _segment_integral).  A node z is itself rounded, so the
+# integrand carries eps |z|/gap relative noise, gap being the distance
+# from z to the boundary point 1.  The integral's arithmetic is complex
+# throughout, with no float on the left of a complex operand, which on
+# CPython 3.11 first fails in the float slot: (1+0j) - gap and v * w,
+# bit for bit 1.0 - gap and w * v; the noise estimate stays in floats.
+# Instantiated per generator by expr.kernel, with f inlined; the rules
+# are its arguments.
 _GAP_PANEL = """
-def gap_panels():
+def gap_panels(panel_rule, root_rule):
     def panel(t0, t1):
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
         acc = 0j
         rough = 0.0
-        for x, w in GL_RULE:
+        for x, w in panel_rule:
             gap = exp(mid + half * x)
             z = (1+0j) - gap
             v = f(z)
@@ -174,7 +176,7 @@ def gap_panels():
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
         acc = c10 = c11 = c14 = c15 = 0j
-        for x, w, p10, p11, p14, p15 in ROOT_RULE:
+        for x, w, p10, p11, p14, p15 in root_rule:
             gap = exp(mid + half * x)
             z = (1+0j) - gap
             v = f(z)
@@ -184,11 +186,7 @@ def gap_panels():
             c11 += v * p11
             c14 += v * p14
             c15 += v * p15
-        hi = max(abs(c14), abs(c15))
-        lo = max(abs(c10), abs(c11))
-        if hi < lo:
-            hi *= (hi / lo) * (hi / lo)
-        return acc * half, 2.0 * abs(half) * hi
+        return acc * half, (c10, c11, c14, c15)
 
     return panel, root
 """
@@ -196,19 +194,19 @@ def gap_panels():
 # The panels of straight chords in z, where dh/dz = -1/f, with the gap of
 # a node taken to 1 and to every other boundary null point in ``zetas``:
 # ``panel`` and ``root`` return (integral, roundoff noise estimate) and
-# (integral, Legendre tail estimate) like the log-gap kernels, and
+# (integral, Legendre coefficients) like the log-gap kernels, and
 # ``chord_sum(t0, t1, rule)`` the integral alone by the (node, weight)
 # pairs of ``rule``, for the short Newton chords.  As in the log-gap
 # panel, (-1+0j) / v and v * w keep floats off the left of complex
 # operands.
 _CHORD_PANELS = """
-def chord_panels(zetas):
+def chord_panels(zetas, panel_rule, root_rule):
     def panel(t0, t1):
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
         acc = 0j
         rough = 0.0
-        for x, w in GL_RULE:
+        for x, w in panel_rule:
             z = mid + half * x
             gap = abs((1+0j) - z)
             for zeta in zetas:
@@ -223,7 +221,7 @@ def chord_panels(zetas):
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
         acc = c10 = c11 = c14 = c15 = 0j
-        for x, w, p10, p11, p14, p15 in ROOT_RULE:
+        for x, w, p10, p11, p14, p15 in root_rule:
             z = mid + half * x
             v = f(z)
             v = (-1+0j) / v
@@ -232,11 +230,7 @@ def chord_panels(zetas):
             c11 += v * p11
             c14 += v * p14
             c15 += v * p15
-        hi = max(abs(c14), abs(c15))
-        lo = max(abs(c10), abs(c11))
-        if hi < lo:
-            hi *= (hi / lo) * (hi / lo)
-        return acc * half, 2.0 * abs(half) * hi
+        return acc * half, (c10, c11, c14, c15)
 
     def chord_sum(t0, t1, rule):
         half = 0.5 * (t1 - t0)
@@ -252,15 +246,27 @@ def chord_panels(zetas):
 """
 
 
+def _root_tail(t0: complex, t1: complex, coefficients) -> float:
+    """The Legendre tail estimate of a root over [t0, t1] from its
+    coefficients (c10, c11, c14, c15): 2 |half| hi min(1, hi/lo)^2, where
+    hi = max(|c14|, |c15|) and lo = max(|c10|, |c11|) (Gonnet, ACM TOMS
+    37(3), 2010)."""
+    c10, c11, c14, c15 = coefficients
+    hi = max(abs(c14), abs(c15))
+    lo = max(abs(c10), abs(c11))
+    if hi < lo:
+        hi *= (hi / lo) * (hi / lo)
+    return 2.0 * abs(0.5 * (t1 - t0)) * hi
+
+
 def _segment_integral(panel, root, t0: complex, t1: complex) -> complex:
     """Adaptive Gauss-Legendre integral of a path integrand over [t0, t1].
 
     ``root(t0, t1)`` is the 16-node integral over the whole segment with
-    the Legendre tail estimate of its own 16 values,
-    2 |half| hi min(1, hi/lo)^2, where hi = max(|c14|, |c15|) and
-    lo = max(|c10|, |c11|) (Gonnet, ACM TOMS 37(3), 2010): a segment
-    whose estimate is at most 1e-13 max(1, |I|) is that integral, after
-    16 evaluations.  Any other is refined from the root as its whole.
+    the Legendre coefficients of its own 16 values, whose tail estimate
+    is :func:`_root_tail`: a segment whose estimate is at most
+    1e-13 max(1, |I|) is that integral, after 16 evaluations.  Any other
+    is refined from the root as its whole.
     ``panel(a, b)`` is a 16-node panel over [a, b] of the same rule, one
     of the kernels above: it returns the integral and a roundoff estimate
     that the test of the halves tracks, where a fixed relative tolerance
@@ -274,8 +280,8 @@ def _segment_integral(panel, root, t0: complex, t1: complex) -> complex:
     on every leaf fails the closed-form checks at any exponent, and a
     roundoff term would need the noise of the costlier panel at the root.
     """
-    whole, tail = root(t0, t1)
-    if tail <= 1e-13 * max(1.0, abs(whole)):
+    whole, coefficients = root(t0, t1)
+    if _root_tail(t0, t1, coefficients) <= 1e-13 * max(1.0, abs(whole)):
         return whole
     return _refine(panel, t0, t1, whole, 0)
 
@@ -319,7 +325,7 @@ def _h_at_gap(fn, s: complex) -> complex:
     s-image; the Gauss-Legendre nodes are interior, so the boundary
     value of h is reached without evaluating f on the circle.
     """
-    panel, root = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE, ROOT_RULE=_GL_ROOT)()
+    panel, root = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT)
     return _segment_integral(panel, root, 0j, s)
 
 
@@ -338,10 +344,13 @@ class LinearizationModel:
 
     ``h_cache`` memoizes h at the exact points asked for through
     :meth:`h`; :func:`invert_h` does not consult it.  :meth:`orbit`
-    walks the forward ray h(z) + t.  ``domain_stats``
-    and ``null_points`` cache :func:`planar_domain_stats` and
-    :func:`boundary_null_points`, ``chords`` the chord panels of
-    :func:`invert_h` and ``asymptote`` the constant C of its seed.
+    walks the forward ray h(z) + t.  The other parts of the model are
+    cached properties, each computed on first use and kept:
+    ``domain_stats``, the extremes of Im h (:func:`planar_domain_stats`);
+    ``null_points``, the boundary null points of f
+    (:func:`find_boundary_null_points`); ``chords``, the chord kernels of
+    :func:`invert_h` with the null points other than 1 bound in; and
+    ``asymptote``, the constant C of its asymptotic seed.
     """
 
     f: Expr
@@ -349,16 +358,38 @@ class LinearizationModel:
     mu: complex
     mu_class: str  # Sigma0 | SigmaAlpha-angular | SigmaAlpha-unrestricted
     h_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    domain_stats: PlanarDomainStats | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    null_points: list | None = field(default=None, init=False, repr=False, compare=False)
-    chords: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    asymptote: complex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._fn = as_callable(self.f)
         self.h_cache[0j] = 0j
+
+    @cached_property
+    def domain_stats(self) -> PlanarDomainStats:
+        return _planar_domain_stats(self._fn)
+
+    @cached_property
+    def null_points(self) -> list:
+        return find_boundary_null_points(self._fn)
+
+    @cached_property
+    def chords(self) -> tuple:
+        # (panel, root, chord_sum) of _CHORD_PANELS
+        zetas = tuple(p["zeta"] for p in self.null_points if abs(p["zeta"] - 1) > 1e-6)
+        return kernel(self._fn, _CHORD_PANELS)(zetas, _GL_RULE, _GL_ROOT)
+
+    @cached_property
+    def asymptote(self) -> complex:
+        """C = h(z1) - H(z1) at z1 = 1 - 2^-6, where H is the leading term
+        of h at 1; nan where f is singular on the way to z1."""
+        xi = 2.0**-6
+        if self.alpha > 0:
+            lead = self.mu / self.alpha * xi ** -self.alpha
+        else:
+            lead = -self.mu * math.log(xi)
+        try:
+            return _h_at_gap(self._fn, complex(math.log(xi))) - lead
+        except SingularEvaluationError:
+            return complex(math.nan, math.nan)
 
     def h(self, z: complex) -> complex:
         z = complex(z)
@@ -477,7 +508,7 @@ def _step(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> 
         solved = _from_asymptote(model, w)
         if solved is not None:
             return solved
-    return _continue(model._fn, _chord_panels(model), z, h_cur, w)
+    return _continue(model._fn, model.chords, z, h_cur, w)
 
 
 def _continue(fn, chords, z: complex, h_cur: complex, w: complex) -> tuple:
@@ -514,23 +545,6 @@ def _continue(fn, chords, z: complex, h_cur: complex, w: complex) -> tuple:
     )
 
 
-def _asymptote(model: LinearizationModel) -> complex:
-    """C = h(z1) - H(z1) at z1 = 1 - 2^-6, where H is the leading term
-    of h at 1; computed once per model and kept in ``model.asymptote``,
-    nan where f is singular on the way to z1."""
-    if model.asymptote is None:
-        xi = 2.0**-6
-        if model.alpha > 0:
-            lead = model.mu / model.alpha * xi ** -model.alpha
-        else:
-            lead = -model.mu * math.log(xi)
-        try:
-            model.asymptote = _h_at_gap(model._fn, complex(math.log(xi))) - lead
-        except SingularEvaluationError:
-            model.asymptote = complex(math.nan, math.nan)
-    return model.asymptote
-
-
 def _asymptotic_gap(model: LinearizationModel, w: complex):
     """s = log(1 - z0) of the point z0 where H + C takes the value w, or
     None when there is no such point in the disk.
@@ -542,7 +556,7 @@ def _asymptotic_gap(model: LinearizationModel, w: complex):
     """
     if model.mu == 0:
         return None
-    offset = w - _asymptote(model)
+    offset = w - model.asymptote
     if model.alpha > 0:
         q = model.alpha * offset / model.mu
         if q == 0:
@@ -564,7 +578,7 @@ def _from_asymptote(model: LinearizationModel, w: complex):
         return None
     fn = model._fn
     try:
-        return _continue(fn, _chord_panels(model), 1.0 - cmath.exp(s), _h_at_gap(fn, s), w)
+        return _continue(fn, model.chords, 1.0 - cmath.exp(s), _h_at_gap(fn, s), w)
     except (InversionFailureError, SingularEvaluationError):
         return None
 
@@ -581,7 +595,7 @@ def _detour(model: LinearizationModel, w: complex) -> complex:
     retried from the axis further right; a failed last leg raises: w is
     not in h(Delta).
     """
-    fn, chords = model._fn, _chord_panels(model)
+    fn, chords = model._fn, model.chords
     z, h_cur = 0j, 0j
     span = 1.0 + abs(w.imag)
     for j in range(DETOUR_TRIES):
@@ -632,20 +646,6 @@ def _inside_disk_s(s: complex) -> bool:
     if not -math.pi / 2 < s.imag < math.pi / 2:
         return False
     return s.real < math.log(2.0 * math.cos(s.imag)) - 1e-14
-
-
-def _chord_panels(model: LinearizationModel) -> tuple:
-    """The chord kernels of the model, (panel, root, chord_sum) of
-    _CHORD_PANELS, built on its first inversion and kept in
-    ``model.chords``."""
-    if model.chords is None:
-        zetas = tuple(
-            p["zeta"] for p in boundary_null_points(model) if abs(p["zeta"] - 1) > 1e-6
-        )
-        model.chords = kernel(
-            model._fn, _CHORD_PANELS, GL_RULE=_GL_RULE, ROOT_RULE=_GL_ROOT
-        )(zetas)
-    return model.chords
 
 
 def _chord_rule(z: complex, z_new: complex):
@@ -823,13 +823,6 @@ def linearize(f) -> LinearizationModel:
 # --- boundary null points ---------------------------------------------------
 
 
-def boundary_null_points(model: LinearizationModel) -> list:
-    """:func:`find_boundary_null_points` of f, computed once per model."""
-    if model.null_points is None:
-        model.null_points = find_boundary_null_points(model._fn)
-    return model.null_points
-
-
 def _polish_null_point(fn, zeta: complex) -> complex:
     """Newton-polish a boundary null point from just inside the circle.
 
@@ -957,8 +950,8 @@ class PlanarDomainStats:
 
 
 def planar_domain_stats(model: LinearizationModel) -> PlanarDomainStats:
-    """Extremes of Im h over the disk; computed once per model and kept
-    in ``model.domain_stats``.
+    """Extremes of Im h over the disk: ``model.domain_stats``, computed
+    once per model.
 
     Im h is harmonic on the disk, so its extremes are boundary values.
     They are read on the unit circle at ``STATS_GRID`` midpoint angles
@@ -968,8 +961,6 @@ def planar_domain_stats(model: LinearizationModel) -> PlanarDomainStats:
     Stolz rays +-pi/3, where an unbounded Im h may show only inside the
     disk.  Every h value is one log-gap segment from 0.
     """
-    if model.domain_stats is None:
-        model.domain_stats = _planar_domain_stats(model._fn)
     return model.domain_stats
 
 

@@ -53,12 +53,10 @@ def _resolve_f(args):
 
 
 def _emit(args, report) -> None:
-    text = jsonio.dumps(report)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text)
+        jsonio.write_json(args.json, report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(jsonio.dumps(report))
 
 
 def _maybe_svg(args, fn, trajectories=(), bfid_maps=()) -> None:

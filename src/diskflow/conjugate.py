@@ -17,10 +17,8 @@ from dataclasses import dataclass, replace
 from .abel import (  # noqa: F401 - find_boundary_null_points is public here too
     LinearizationModel,
     _walk,
-    boundary_null_points,
     find_boundary_null_points,
     linearize,
-    planar_domain_stats,
 )
 from .errors import (
     CornerUndeterminedError,
@@ -165,7 +163,7 @@ def outer_conjugator(model: LinearizationModel, b: float) -> ConjugationCertific
     """
     if b == 0:
         raise ValueError("b must be nonzero")
-    stats = planar_domain_stats(model)
+    stats = model.domain_stats
     level = -b / 2.0
     # equality is allowed: h(Delta) may coincide with the half-plane
     if b > 0:
@@ -337,7 +335,7 @@ def bfid_report(f: LinearizationModel | Expr) -> list:
     model = f if isinstance(f, LinearizationModel) else linearize(f)
     certificates = []
 
-    for null in boundary_null_points(model):
+    for null in model.null_points:
         if not null["regular"] or abs(null["zeta"] - 1) < 1e-6:
             continue
         fp = null["f_prime"]

@@ -42,9 +42,6 @@ class Expr:
     def __str__(self) -> str:
         return _print(self, 0)
 
-    def __repr__(self) -> str:
-        return f"parse({str(self)!r})"
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Expr) and str(self) == str(other)
 
@@ -368,6 +365,7 @@ _NAMESPACE = {
     "_pow": _pow,
     "_zero_power": _zero_power,
     "_singular": _singular,
+    "SingularEvaluationError": SingularEvaluationError,
 }
 
 # A kernel template evaluates f only by this statement, on a line of its own.
@@ -459,15 +457,17 @@ def as_callable(f):
     return compile_expr(f) if isinstance(f, Expr) else f
 
 
-def kernel(fn, template: str, **names):
+def kernel(fn, template: str):
     """The function that ``template`` defines, evaluating f through ``fn``.
 
     ``template`` is the source of one function definition (it may
     return inner functions) that evaluates f only by the line
-    ``v = f(z)``.  It may read cmath's ``sqrt``, ``exp`` and ``log``,
-    the builtins and ``names``, its fixed globals such as a quadrature
-    rule; values that vary between calls are its arguments.  Its own
-    names must not start with an underscore, which generated code uses.
+    ``v = f(z)``.  Besides its arguments it reads only cmath's ``sqrt``,
+    ``exp`` and ``log``, ``SingularEvaluationError`` and the builtins:
+    all its data, fixed tables such as a quadrature rule included, are
+    arguments of the function it defines, so the kernel depends on
+    ``fn`` and the template text alone.  Its own names must not start
+    with an underscore, which generated code uses.
 
     For a callable from :func:`compile_expr` each ``v = f(z)`` becomes
     the expression's generated code under the scalar callable's checks,
@@ -489,15 +489,14 @@ def kernel(fn, template: str, **names):
     """
     kernels = getattr(fn, "kernels", None)
     if kernels is None:
-        return _define(_template_code(template), {**_NAMESPACE, **names, "f": fn})
+        return _define(_template_code(template), {**_NAMESPACE, "f": fn})
     built = kernels.get(template)
     if built is None:
         try:
-            code = _compile(_inline(template, fn.source))
-            built = _define(code, {**fn.namespace, **names})
+            built = _define(_compile(_inline(template, fn.source)), fn.namespace)
         except (SyntaxError, RecursionError, MemoryError):
             # nested too deeply for the kernel's extra levels: call f
-            built = _define(_template_code(template), {**_NAMESPACE, **names, "f": fn})
+            built = _define(_template_code(template), {**_NAMESPACE, "f": fn})
         kernels[template] = built
     return built
 
@@ -710,9 +709,9 @@ _GENERATOR_POINTS = _generator_grid(GENERATOR_GRID)
 # The smallest Re p over the grid, where p evaluates, and the points where
 # it does not; instantiated per p by kernel, with p inlined.
 _GRID_SCAN = """
-def grid_scan():
+def grid_scan(points):
     skipped = 0
-    min_re = inf
+    min_re = float("inf")
     witness = 0j
     for z in points:
         try:
@@ -750,9 +749,7 @@ def validate_generator(f: Expr) -> dict:
     raises GridUnreliableError.
     """
     p = compile_expr(berkson_porta_p(f))
-    scan = kernel(p, _GRID_SCAN, points=_GENERATOR_POINTS, inf=math.inf,
-                  SingularEvaluationError=SingularEvaluationError)
-    min_re, witness, skipped = scan()
+    min_re, witness, skipped = kernel(p, _GRID_SCAN)(_GENERATOR_POINTS)
     total = len(_GENERATOR_POINTS)
     if skipped > 0.10 * total:
         raise GridUnreliableError(

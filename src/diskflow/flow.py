@@ -39,6 +39,7 @@ STAGNATION_SPEED = 1e-14
 MAX_GROWTH = 5.0
 MAX_SAMPLES = 2_000_000  # accepted steps before a run counts as stalled
 BACKWARD_HORIZON = 50.0  # backward time probed by backward_extendability
+TIMES_PER_DECADE = 8  # geometric checkpoints of convergence_profile
 
 # One Dormand-Prince 8(5,3) attempt (DOP853) of u' = -f(u) from u with
 # step h and first stage k0; returns (u8, e5, e3, k12): the eighth-order
@@ -345,9 +346,9 @@ def semigroup_residual(f, z: complex, t: float, s: float) -> float:
     return abs(once - twice)
 
 
-def _geometric_times(horizon: float, per_decade: int = 8):
+def _geometric_times(horizon: float):
     t = 1.0
-    ratio = 10.0 ** (1.0 / per_decade)
+    ratio = 10.0 ** (1.0 / TIMES_PER_DECADE)
     while t <= horizon * (1 + 1e-12):
         yield t
         t *= ratio

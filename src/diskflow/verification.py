@@ -19,10 +19,8 @@ from .expr import boundary_limit, compile_expr, parse, validate_generator
 from .abel import (
     abel_flow,
     bloch_norm,
-    boundary_null_points,
     invert_h,
     linearize,
-    planar_domain_stats,
     visser_ostrovskii,
 )
 from .flow import _checkpoints, convergence_profile, semigroup_residual
@@ -137,7 +135,7 @@ def criterion_3() -> dict:
 def criterion_4() -> dict:
     """Hyperbolic one-parameter group: strip width and Bloch seminorm."""
     model = _model("hyperbolic-auto(0.5,0)")
-    stats = planar_domain_stats(model)
+    stats = model.domain_stats
     width_ok = abs(stats.strip_width - math.pi) <= 0.01
     bn = bloch_norm(model)
     bloch_ok = abs(bn - 2.0) <= 0.01 and 2.0 - 0.01 <= bn <= 4.0 + 0.01
@@ -151,7 +149,7 @@ def criterion_5() -> dict:
     entry = catalog.get("bfid-hyp")
     model = _model("bfid-hyp")
     nulls = {}
-    for item in boundary_null_points(model):
+    for item in model.null_points:
         if item["regular"]:
             nulls[round(item["zeta"].real)] = item["f_prime"]
     d1 = abs(nulls.get(1, 1e9) - 2.0)
@@ -229,7 +227,7 @@ def criterion_8() -> dict:
 
     pmodel = _model("perturbed-parabolic")
     pprof = convergence_profile(pmodel.f, 0j, horizon=1e6, orbit=pmodel.orbit)
-    stats = planar_domain_stats(pmodel)
+    stats = pmodel.domain_stats
     finite = [v for v in (stats.sup_im, stats.inf_im) if math.isfinite(v)]
     pert_ok = pprof.d_limit > 1e-3 and len(finite) == 1
 
@@ -258,8 +256,8 @@ def criterion_9() -> dict:
     """Half-plane rigidity from the cubic coefficient pairing."""
     pprof = _profile("perturbed-parabolic")
     prig = rigidity_criterion(pprof)
-    pstats = planar_domain_stats(_model("perturbed-parabolic"))
-    p_re = (pprof.taylor_a.conjugate() * pprof.taylor_b).real
+    pstats = _model("perturbed-parabolic").domain_stats
+    p_re = prig["re_ab"]
     p_ok = (
         p_re <= 1e-9
         and prig["halfplane_predicted"]
@@ -268,8 +266,8 @@ def criterion_9() -> dict:
 
     nprof = _profile("no-halfplane")
     nrig = rigidity_criterion(nprof)
-    nstats = planar_domain_stats(_model("no-halfplane"))
-    n_re = (nprof.taylor_a.conjugate() * nprof.taylor_b).real
+    nstats = _model("no-halfplane").domain_stats
+    n_re = nrig["re_ab"]
     n_ok = (
         abs(n_re - 0.5) <= 1e-6
         and not nrig["halfplane_predicted"]

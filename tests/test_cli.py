@@ -59,6 +59,22 @@ def test_classify_unbounded_taylor_coefficients(tmp_path, entry_id, unbounded):
     assert "rigidity" not in report["criteria"]
 
 
+@pytest.mark.parametrize("entry_id, verdict, margin", [
+    # f = a (1-z)^2 + b (1-z)^3 with a = i, b = -0.5: Re(conj(a) b) = 0,
+    # and b != 0 is no automorphism group
+    ("perturbed-parabolic", True, 0.0),
+    # a = -1, b = -0.5: Re(conj(a) b) = 0.5 > 0, no half-plane
+    ("no-halfplane", False, 0.5),
+])
+def test_classify_rigidity_block(tmp_path, entry_id, verdict, margin):
+    out = tmp_path / "c.json"
+    assert main(["classify", "--catalog", entry_id, "--json", str(out)]) == 0
+    rigidity = _load(out)["criteria"]["rigidity"]
+    assert rigidity["verdict"] is verdict
+    assert rigidity["automorphism_group"] is False
+    assert rigidity["margin"] == pytest.approx(margin, abs=1e-9)
+
+
 def test_trace_matches_group_closed_form(tmp_path):
     out_csv = tmp_path / "out.csv"
     code = main([
@@ -150,11 +166,15 @@ def test_numeric_failure_exits_3(capsys, monkeypatch):
 
 
 def test_conjugate_verb(tmp_path):
+    # h(Delta) is a half-plane above for b = 1 and below for b = -1, and
+    # the group's b takes the sign of its side
     out = tmp_path / "conj.json"
-    assert main(["conjugate", "--catalog", "parabolic-auto(1)", "--json", str(out)]) == 0
-    report = _load(out)
-    assert report["residual_sup"] < 1e-9
-    assert report["group"]["a"] == 0
+    for entry_id, side in (("parabolic-auto(1)", 1), ("parabolic-auto(-1)", -1)):
+        assert main(["conjugate", "--catalog", entry_id, "--json", str(out)]) == 0
+        report = _load(out)
+        assert report["residual_sup"] < 1e-9
+        assert report["group"]["a"] == 0
+        assert report["group"]["b"] * side > 0
 
 
 def test_bfid_verb(tmp_path):

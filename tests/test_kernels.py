@@ -31,7 +31,6 @@ from diskflow.abel import (  # noqa: E402
     _GL_TAIL,
     _GL_WEIGHTS,
     LinearizationModel,
-    _chord_panels,
     abel_h,
     invert_h,
     linearize,
@@ -102,9 +101,8 @@ def _reference_sum(dh, t0, t1, rule):
 
 
 def _reference_root(dh, t0, t1):
-    # the 16-node integral and the Legendre tail estimate
-    # 2 |half| hi min(1, hi/lo)^2 of its values, hi = max(|c14|, |c15|)
-    # and lo = max(|c10|, |c11|)
+    # the 16-node integral and the Legendre coefficients c10, c11, c14
+    # and c15 of its values
     half = 0.5 * (t1 - t0)
     mid = 0.5 * (t0 + t1)
     acc = 0j
@@ -116,11 +114,7 @@ def _reference_root(dh, t0, t1):
         c11 += p11 * v
         c14 += p14 * v
         c15 += p15 * v
-    hi = max(abs(c14), abs(c15))
-    lo = max(abs(c10), abs(c11))
-    if hi < lo:
-        hi *= (hi / lo) * (hi / lo)
-    return acc * half, 2.0 * abs(half) * hi
+    return acc * half, (c10, c11, c14, c15)
 
 
 def _integral(outcome):
@@ -155,11 +149,11 @@ def test_panels_match_reference_loops(entry_id):
     fn = compile_expr(parse(text))
     opaque = _opaque(fn)
     zetas = (1j, -1.0 + 0j)
-    rules = {"GL_RULE": _GL_RULE, "ROOT_RULE": _GL_ROOT}
-    gap, root = kernel(fn, _GAP_PANEL, **rules)()
-    gap_opaque, root_opaque = kernel(opaque, _GAP_PANEL, **rules)()
-    panel, chord_root, chord_sum = kernel(fn, _CHORD_PANELS, **rules)(zetas)
-    panel_opaque, chord_root_opaque, sum_opaque = kernel(opaque, _CHORD_PANELS, **rules)(zetas)
+    gap, root = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT)
+    gap_opaque, root_opaque = kernel(opaque, _GAP_PANEL)(_GL_RULE, _GL_ROOT)
+    panel, chord_root, chord_sum = kernel(fn, _CHORD_PANELS)(zetas, _GL_RULE, _GL_ROOT)
+    panel_opaque, chord_root_opaque, sum_opaque = kernel(opaque, _CHORD_PANELS)(
+        zetas, _GL_RULE, _GL_ROOT)
     assert gap is not gap_opaque and panel is not panel_opaque
     chord = _chord_integrand(fn, zetas)
 
@@ -168,8 +162,8 @@ def test_panels_match_reference_loops(entry_id):
     def check(s0, s1, z0, z1):
         ref = _outcome(_reference_panel, _gap_integrand(fn), s0, s1)
         assert _outcome(gap, s0, s1) == _outcome(gap_opaque, s0, s1) == ref
-        # the roots are their panel's integral, bit for bit, and the tail
-        # estimate of their own values
+        # the roots are their panel's integral, bit for bit, and the
+        # Legendre coefficients of their own values
         whole = _integral(ref)
         ref = _outcome(_reference_root, _gap_integrand(fn), s0, s1)
         assert _outcome(root, s0, s1) == _outcome(root_opaque, s0, s1) == ref
@@ -246,7 +240,10 @@ def test_kernels_built_lazily_once(monkeypatch):
     fn = compile_expr(f)
     model = linearize(f)
     assert fn.kernels == {}  # linearize compiles no kernel
+    parts = ("chords", "null_points", "asymptote")
+    assert not any(part in vars(model) for part in parts)
     invert_h(model, model.h(0.5 + 0.3j))
+    assert all(part in vars(model) for part in parts)
     built, chords = dict(fn.kernels), model.chords
     assert set(built) == {_GAP_PANEL, _CHORD_PANELS}
     compiled = []
@@ -256,7 +253,6 @@ def test_kernels_built_lazily_once(monkeypatch):
     assert model.chords is chords
     assert fn.kernels.keys() == built.keys()
     assert all(fn.kernels[key] is built[key] for key in built)
-    assert _chord_panels(model) is chords
 
 
 def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
@@ -268,9 +264,9 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(expr, "_compile", too_deep)
-    gap_panels = kernel(fn, _GAP_PANEL, GL_RULE=_GL_RULE, ROOT_RULE=_GL_ROOT)
+    gap_panels = kernel(fn, _GAP_PANEL)
     assert fn.kernels[_GAP_PANEL] is gap_panels
-    gap, _ = gap_panels()
+    gap, _ = gap_panels(_GL_RULE, _GL_ROOT)
     ref = _outcome(_reference_panel, _gap_integrand(fn), 0j, -1.0 + 0.2j)
     assert _outcome(gap, 0j, -1.0 + 0.2j) == ref
 
