@@ -4,6 +4,8 @@ linearization (Abel functions), boundary asymptotics, conjugations with
 Mobius groups, and backward flow invariant domains.
 """
 
+import importlib
+
 from .errors import (
     CornerUndeterminedError,
     DiskflowError,
@@ -63,9 +65,18 @@ from .conjugate import (
     inner_conjugator,
     outer_conjugator,
 )
-from . import catalog, jsonio, verification
+from . import catalog, jsonio
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: the verify-paper suite is imported on first access, so
+    # that ``import diskflow`` does not pay for it
+    if name == "verification":
+        return importlib.import_module(f"{__name__}.verification")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsymptoticProfile",

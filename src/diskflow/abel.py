@@ -4,26 +4,36 @@ and the geometry of the image domain h(Delta).
 
 f is zero-free on the disk, so -1/f is holomorphic there and h may be
 integrated along any path.  One adaptive Gauss-Legendre engine serves
-two path geometries: h(z) itself is one straight segment from 0 to
-log(1 - z) in the log-gap coordinate s = log(1 - w), where the boundary
-growth of h' becomes smooth, and the Newton increments of the inversion
-carry h between nearby points along straight chords in z.  A segment
-whose root panel has settled, by the Legendre tail of its own 16
-values, stops there at 16 evaluations; any other is refined until two
-halves agree.  Panel roundoff is scaled by each node's distance to the
-nearest singular boundary point of h': 1, and on chords also every
-boundary null point of f.  Each panel is a kernel, from the templates
-_GAP_PANEL and _CHORD_PANELS below, which :func:`diskflow.expr.kernel`
-compiles once per generator with the code of f in place of each
-evaluation, so a node makes no Python call; a model builds its chord
-panels, with its null points bound in, on its first inversion and keeps
-them.  Inversion is Newton's method, tracking h incrementally, one chord integral per
+two path geometries: h(z) itself is integrated in the log-gap
+coordinate s = log(1 - w), where the boundary growth of h' becomes
+smooth, and the Newton increments of the inversion carry h between
+nearby points along straight chords in z.  In s, h at a point with
+Re s > -L, L = 4 log 2, is one straight segment from 0; h at a deeper
+point is h at its dyadic anchor a_j = -jL on the radius plus one
+segment from there, the anchors chained along the radius once per
+generator (see _h_at_gap), so every h value depends on f and the point
+alone.  f there is evaluated in the gap d = 1 - z
+(:func:`diskflow.expr.gap_form`), exact next to 1 where the rounded
+point z = 1 - d is not.  A segment whose root panel has settled, by the
+Legendre tail of its own 16 values, stops there at 16 evaluations; any
+other is refined until two halves agree.  A segment that ends closer to
+the circle than its last node is probed there first, and graded toward
+its end where f changes unseen (_end_segment).  Panel roundoff is the
+roundoff of the sum, and on chords, whose nodes are rounded points,
+also scaled by each node's distance to the nearest singular boundary
+point of h': 1 and every boundary null point of f.  Each panel is a
+kernel, from the templates _GAP_PANEL and _CHORD_PANELS below, which
+:func:`diskflow.expr.kernel` compiles once per generator with the code
+of f in place of each evaluation, so a node makes no Python call; a
+model builds its chord panels, with its null points bound in, on its
+first inversion and keeps them.  Inversion is Newton's method, tracking h incrementally, one chord integral per
 iterate rather than a fresh quadrature from 0.  A solve from scratch
 starts where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C,
 takes the target value, which along radial and Stolz approaches is a few
 Newton steps from the root, each one panel of 1 to 16 nodes (fewer as
 the steps shrink) plus the evaluation at the new iterate; the seed costs
-one log-gap segment, and C one more per model.  Where that seed is outside
+one log-gap segment from its anchor, and C, with the anchors of every
+seed, a few more per model.  Where that seed is outside
 the disk or its solve fails (tangential targets, slit domains), a detour
 0 -> T -> T + i Im w -> w stays in h(Delta) by forward invariance.  It
 continues along straight w-segments in levels of about 4 Newton steps,
@@ -37,7 +47,7 @@ asymptotic seed, and continued only where that seed is outside the disk
 or its solve fails.  The extremes of
 Im h, a harmonic function, are boundary values: planar_domain_stats
 reads them on the unit circle and along dyadic ladders at 1, each value
-one log-gap segment from 0.
+h at its anchor plus one log-gap segment.
 """
 
 from __future__ import annotations
@@ -48,7 +58,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InversionFailureError, NotInClassError, SingularEvaluationError
-from .expr import BoundaryLimitEstimate, Expr, as_callable, boundary_limit, kernel
+from .expr import (
+    BoundaryLimitEstimate,
+    Expr,
+    as_callable,
+    boundary_limit,
+    gap_form,
+    kernel,
+)
 from .extrapolate import golden_min, ladder_limit
 
 # the 16-point Gauss-Legendre rule on [-1, 1] as plain floats, digit for
@@ -105,6 +122,15 @@ _GL_TAIL = (
 # the root rule of an adaptive segment: (node, weight, c10, c11, c14 and
 # c15 columns) per node
 _GL_ROOT = tuple(rule + tail for rule, tail in zip(_GL_RULE, _GL_TAIL))
+# ... and with the barycentric weight (-1)^j ((1 - x_j^2) w_j)^(1/2) of
+# each node, those of interpolation in the Gauss-Legendre nodes (Wang,
+# Huybrechs & Vandewalle, Math. Comp. 83, 2014), for the probe of a
+# segment's end
+_GL_PROBE = tuple(row + ((-1) ** j * math.sqrt((1.0 - row[0] ** 2) * row[1]),)
+                  for j, row in enumerate(_GL_ROOT))
+# the distance of the last node of the 16-point rule from the end of its
+# interval, as a fraction of the interval
+_END_NODE = 0.5 * (1.0 - _GL_NODES[-1])
 
 # the 1-, 2-, 4- and 8-point Gauss-Legendre rules as (node, weight) pairs,
 # each float the nearest double to the root of P_n or its weight (numpy's
@@ -142,34 +168,42 @@ _CHORD_RULES = (
     (0.5, _GL_RULE),
 )
 
-# The panels of the log-gap segment, where dh/ds = e^s / f(1 - e^s):
-# ``panel(t0, t1)`` is the 16-node panel of ``panel_rule`` over [t0, t1],
-# returning (integral, roundoff noise estimate), and ``root`` the same
-# rule's integral with the Legendre coefficients (c10, c11, c14, c15) of
-# its values by the columns of ``root_rule``, for the root of an adaptive
-# segment (see _segment_integral).  A node z is itself rounded, so the
-# integrand carries eps |z|/gap relative noise, gap being the distance
-# from z to the boundary point 1.  The integral's arithmetic is complex
-# throughout, with no float on the left of a complex operand, which on
-# CPython 3.11 first fails in the float slot: (1+0j) - gap and v * w,
-# bit for bit 1.0 - gap and w * v; the noise estimate stays in floats.
-# Instantiated per generator by expr.kernel, with f inlined; the rules
-# are its arguments.
+# The panels of the log-gap segment, where dh/ds = d / f(1 - d) at the
+# gap d = e^s: ``panel(t0, t1)`` is the 16-node panel of ``panel_rule``
+# over [t0, t1], returning (integral, roundoff noise estimate), and
+# ``root`` the same rule's integral with the Legendre coefficients (c10,
+# c11, c14, c15) of its values by the columns of ``root_rule``, for the
+# root of an adaptive segment (see _segment_integral); ``probed_root(t0,
+# t1, xp)`` is ``root`` with the integrand at the point xp of [-1, 1] and
+# the barycentric interpolant of the 16 values there, by the columns of
+# ``probe_rule`` (see _end_segment).  f is evaluated in
+# the gap (expr.gap_form), so a node is exact next to 1 and its integrand
+# carries only the roundoff of the sum; a callable with no gap form
+# (``rounded``) is evaluated at the rounded point z = 1 - d, whose
+# integrand carries eps |z|/|1 - z| relative noise more.  The integral's
+# arithmetic is complex throughout, with no float on the left of a
+# complex operand, which on CPython 3.11 first fails in the float slot:
+# (1+0j) - d and v * w, bit for bit 1.0 - d and w * v; the noise estimate
+# stays in floats.  Instantiated per generator by expr.kernel, with f
+# inlined; the rules are its arguments.
 _GAP_PANEL = """
-def gap_panels(panel_rule, root_rule):
+def gap_panels(panel_rule, root_rule, probe_rule, rounded):
     def panel(t0, t1):
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
         acc = 0j
         rough = 0.0
         for x, w in panel_rule:
-            gap = exp(mid + half * x)
-            z = (1+0j) - gap
-            v = f(z)
-            v = gap / v
+            d = exp(mid + half * x)
+            v = f_gap(d)
+            v = d / v
             acc += v * w
-            gap = abs((1+0j) - z)
-            rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
+            if rounded:
+                z = (1+0j) - d
+                gap = abs((1+0j) - z)
+                rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
+            else:
+                rough += w * abs(v)
         return acc * half, rough * abs(half) * 2.3e-16
 
     def root(t0, t1):
@@ -177,10 +211,9 @@ def gap_panels(panel_rule, root_rule):
         mid = 0.5 * (t0 + t1)
         acc = c10 = c11 = c14 = c15 = 0j
         for x, w, p10, p11, p14, p15 in root_rule:
-            gap = exp(mid + half * x)
-            z = (1+0j) - gap
-            v = f(z)
-            v = gap / v
+            d = exp(mid + half * x)
+            v = f_gap(d)
+            v = d / v
             acc += v * w
             c10 += v * p10
             c11 += v * p11
@@ -188,7 +221,28 @@ def gap_panels(panel_rule, root_rule):
             c15 += v * p15
         return acc * half, (c10, c11, c14, c15)
 
-    return panel, root
+    def probed_root(t0, t1, xp):
+        half = 0.5 * (t1 - t0)
+        mid = 0.5 * (t0 + t1)
+        acc = c10 = c11 = c14 = c15 = near = 0j
+        weights = 0.0
+        for x, w, p10, p11, p14, p15, b in probe_rule + ((xp, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),):
+            d = exp(mid + half * x)
+            v = f_gap(d)
+            v = d / v
+            if x == xp:  # the last row, past every node: the probe
+                break
+            acc += v * w
+            c10 += v * p10
+            c11 += v * p11
+            c14 += v * p14
+            c15 += v * p15
+            b /= xp - x
+            near += v * b
+            weights += b
+        return acc * half, (c10, c11, c14, c15), v, near / weights
+
+    return panel, root, probed_root
 """
 
 # The panels of straight chords in z, where dh/dz = -1/f, with the gap of
@@ -280,7 +334,11 @@ def _segment_integral(panel, root, t0: complex, t1: complex) -> complex:
     on every leaf fails the closed-form checks at any exponent, and a
     roundoff term would need the noise of the costlier panel at the root.
     """
-    whole, coefficients = root(t0, t1)
+    return _settled(panel, t0, t1, *root(t0, t1))
+
+
+def _settled(panel, t0: complex, t1: complex, whole: complex, coefficients) -> complex:
+    # the root's integral where its tail is settled, else refined from it
     if _root_tail(t0, t1, coefficients) <= 1e-13 * max(1.0, abs(whole)):
         return whole
     return _refine(panel, t0, t1, whole, 0)
@@ -304,8 +362,9 @@ def _refine(panel, t0: complex, t1: complex, whole: complex, depth: int) -> comp
 
 
 def abel_h(f, z: complex) -> complex:
-    """h(z) = -integral from 0 to z of dw/f, along the straight segment
-    from 0 to log(1 - z) in the log-gap coordinate s = log(1 - w).
+    """h(z) = -integral from 0 to z of dw/f, in the log-gap coordinate
+    s = log(1 - w): the straight segment from 0 to log(1 - z), or from
+    the anchor of a deeper point (see :func:`_h_at_gap`).
 
     For the generators of the class h'(w) ~ mu (1 - w)^-(1+alpha) at the
     boundary point 1, so dh/ds ~ -mu e^(-alpha s) is smooth at every
@@ -318,15 +377,108 @@ def abel_h(f, z: complex) -> complex:
     return _h_at_gap(as_callable(f), cmath.log(1.0 - complex(z)))
 
 
+# the spacing L = 4 log 2 of the anchors a_j = -j L of the log-gap
+# segments, on the radius at the gaps 16^-j
+_ANCHOR_STEP = 4.0 * math.log(2.0)
+# the anchor of the deepest seed, whose Re s _asymptotic_gap clamps at -36
+_SEED_ANCHOR = round(36.0 / _ANCHOR_STEP)
+
+
 def _h_at_gap(fn, s: complex) -> complex:
-    """h at 1 - e^s: the segment from 0 to s in the log-gap coordinate.
+    """h at 1 - e^s, integrated in the log-gap coordinate.
+
+    A point with Re s > -L, L = _ANCHOR_STEP, is the segment from 0 to s.
+    A deeper one is h at the anchor a_j = -j L, j = round(-Re s / L), plus
+    the segment from a_j to s, which is at most L/2 long in Re s.  The
+    anchors are chained along the real axis, h(a_j) = h(a_(j-1)) + the
+    segment between them, each built once per callable on first use and
+    kept on it (see :func:`_log_gap`), so h at a point depends on f and
+    the point alone, not on the calls before it.
 
     s may lie on the boundary Re s = log(2 cos(Im s)) of the disk's
-    s-image; the Gauss-Legendre nodes are interior, so the boundary
-    value of h is reached without evaluating f on the circle.
+    s-image, which is convex, so every segment stays inside; the
+    Gauss-Legendre nodes are interior, so the boundary value of h is
+    reached without evaluating f on the circle.
     """
-    panel, root = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT)
-    return _segment_integral(panel, root, 0j, s)
+    panels, rounded, anchors = _log_gap(fn)
+    j = _anchor_index(s)
+    if j == 0:
+        return _end_segment(panels, 0j, s, rounded)
+    panel, root, _ = panels
+    while len(anchors) <= j:
+        k = len(anchors)
+        anchors.append(anchors[-1] + _segment_integral(panel, root, _anchor(k - 1), _anchor(k)))
+    if s == _anchor(j):
+        return anchors[j]
+    return anchors[j] + _end_segment(panels, _anchor(j), s, rounded)
+
+
+def _end_segment(panels, t0: complex, s: complex, rounded: bool) -> complex:
+    """The log-gap segment from t0 to s, graded toward s where f changes
+    between the segment's last node and the circle.
+
+    In the segment's parameter t in [0, 1], where |dz/dt| = |1 - z| |s - t0|
+    at the end z = 1 - e^s, z lies rho = (1 - |z|^2) / (2 |1 - z| |s - t0|)
+    from the circle.  Where rho is below the distance _END_NODE of the
+    16-point rule's last node from the end, f between that node and the
+    circle is seen by no node, nor by any halving that keeps to the
+    nodes' scale: next to the level-1 horocycle the factor
+    exp(-(1+z)/(1-z)) of angular-only(0.5) is away from 0 only there, and
+    a root from an anchor reads settled 7.6e5 tolerances off at
+    |1 - z| = 2^-12.  Such a segment is probed at t = 1 - min(4 rho,
+    _END_NODE/2): the integrand there against the interpolant of the
+    root's 16 values.  Where they agree to 1e-8 relative (plus the
+    rounding of f at rounded points), the root stands as any other;
+    else the segment is cut at t = 1 - 2^-m, m = 1 .. ceil(log2(1/rho)) + 1,
+    a mesh graded geometrically toward the end (as hp methods grade
+    toward a corner layer; Schwab, p- and hp-Finite Element Methods,
+    1998), and each piece is integrated adaptively.  On the class
+    generators the two agree to 3e-12 at every tangential ladder point,
+    so the probe costs them one evaluation.  A point on the circle
+    (1 - |z|^2 at rounding level) is a boundary value and keeps its one
+    segment.
+    """
+    panel, root, probed_root = panels
+    to_circle = 2.0 * math.cos(s.imag) - math.exp(s.real)  # (1 - |z|^2)/|1 - z|
+    if not 1e-15 < to_circle < 2.0 * _END_NODE * abs(s - t0):
+        return _segment_integral(panel, root, t0, s)
+    rho = 0.5 * to_circle / abs(s - t0)
+    whole, coefficients, value, near = probed_root(
+        t0, s, 1.0 - 2.0 * min(4.0 * rho, 0.5 * _END_NODE))
+    agree = 1e-8 + (64 * 2.3e-16 / math.exp(s.real) if rounded else 0.0)
+    if abs(value - near) <= agree * abs(value):
+        return _settled(panel, t0, s, whole, coefficients)
+    cuts = [t0 + (1.0 - 2.0**-m) * (s - t0) for m in range(1, math.ceil(-math.log2(rho)) + 2)]
+    ends = [t0, *cuts, s]
+    return sum(_segment_integral(panel, root, a, b) for a, b in zip(ends, ends[1:]))
+
+
+def _anchor_index(s: complex) -> int:
+    # j of the anchor a_j that h at 1 - e^s is integrated from (a_0 = 0)
+    return round(-s.real / _ANCHOR_STEP) if s.real <= -_ANCHOR_STEP else 0
+
+
+def _anchor(j: int) -> complex:
+    return complex(-j * _ANCHOR_STEP)
+
+
+def _log_gap(fn) -> tuple:
+    """(panels, rounded, anchors) of the log-gap segments of ``fn``: the
+    kernels of _GAP_PANEL, whether f is evaluated at rounded points (a
+    callable with no gap form), and h(a_0), h(a_1), ... at the anchors
+    built so far.  Made on first use and kept on ``fn`` beside its
+    kernels; a callable that takes no attributes keeps none and rebuilds
+    them on each call."""
+    state = getattr(fn, "log_gap", None)
+    if state is None:
+        rounded = gap_form(fn) is None
+        panels = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT, _GL_PROBE, rounded)
+        state = panels, rounded, [0j]
+        try:
+            fn.log_gap = state
+        except AttributeError:
+            pass
+    return state
 
 
 def _circle_gap(theta: float) -> complex:
@@ -380,16 +532,26 @@ class LinearizationModel:
     @cached_property
     def asymptote(self) -> complex:
         """C = h(z1) - H(z1) at z1 = 1 - 2^-6, where H is the leading term
-        of h at 1; nan where f is singular on the way to z1."""
+        of h at 1; nan where f is singular on the way to z1.
+
+        The seeds that C gives reach Re s = -36 (see _asymptotic_gap),
+        so the anchors of their log-gap segments are built here too, down
+        to that depth, once per generator rather than on the first far
+        solve."""
         xi = 2.0**-6
         if self.alpha > 0:
             lead = self.mu / self.alpha * xi ** -self.alpha
         else:
             lead = -self.mu * math.log(xi)
         try:
-            return _h_at_gap(self._fn, complex(math.log(xi))) - lead
+            constant = _h_at_gap(self._fn, complex(math.log(xi))) - lead
         except SingularEvaluationError:
             return complex(math.nan, math.nan)
+        try:
+            _h_at_gap(self._fn, _anchor(_SEED_ANCHOR))
+        except SingularEvaluationError:
+            pass  # a seed that needs the missing anchors fails its solve
+        return constant
 
     def h(self, z: complex) -> complex:
         z = complex(z)
@@ -499,10 +661,11 @@ def _step(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> 
     seeds every outward jump of more than one sub-target, costs bfid-par
     more and moves the quadrant M statistic of halfplane_criterion_M off
     its closed form, and k = 2 and 8 cost no less on every entry but
-    bfid-par.  A seed costs one log-gap segment and a few Newton steps,
-    where a continuation takes up to 35 levels: abel_flow on quadrant
-    from 0 to t = 1e6 takes 49 f-evals in place of 4,933 once the
-    model's chord panels and C are built.
+    bfid-par.  A seed costs one log-gap segment from its anchor and a
+    few Newton steps, where a continuation takes up to 35 levels:
+    abel_flow on quadrant from 0 to t = 1e6 takes 18 f-evals in place of
+    4,933 once the model's chord panels and C (with the anchors of its
+    seeds) are built.
     """
     if abs(w - h_cur) > 1.0 + min(abs(h_cur), abs(w)):
         solved = _from_asymptote(model, w)
@@ -959,7 +1122,9 @@ def planar_domain_stats(model: LinearizationModel) -> PlanarDomainStats:
     dyadic ladders: along the circle from either side, where finite
     bounds at 1 are reached tangentially, and along the radius and the
     Stolz rays +-pi/3, where an unbounded Im h may show only inside the
-    disk.  Every h value is one log-gap segment from 0.
+    disk.  Every h value is h at its anchor plus one log-gap segment
+    (see :func:`_h_at_gap`), so the rungs of a ladder share the anchors
+    and each costs one segment whatever its depth.
     """
     return model.domain_stats
 

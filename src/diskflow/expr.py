@@ -6,6 +6,9 @@ exp, and log.  On the unit disk all formulas of interest keep the
 arguments of sqrt/log in the right half-plane, so principal branches make
 every expression single-valued.
 
+The same tree is also written in the gap d = 1 - z (:func:`gap_form`),
+which the quadrature of h at the boundary point 1 evaluates.
+
 Also provides the Berkson-Porta factor p(z) = -f(z)/(1-z)^2 of a vector
 field, a grid check that Re p >= 0 (the generator criterion), and the
 boundary-limit estimator used for every angular limit in the package.
@@ -368,24 +371,36 @@ _NAMESPACE = {
     "SingularEvaluationError": SingularEvaluationError,
 }
 
-# A kernel template evaluates f only by this statement, on a line of its own.
+# A kernel template evaluates f only by one of these statements, each on
+# a line of its own: f at the point z, or f at 1 - d written in the gap d
+# (see gap_form), with the name the template calls and the point that an
+# error reports
 _F_CALL = "v = f(z)"
+_GAP_CALL = "v = f_gap(d)"
+_CALLS = {_F_CALL: ("f", "z"), _GAP_CALL: ("f_gap", "(1+0j)-d")}
 
 # ... which a compiled expression replaces by its generated code, checked as
-# the scalar callable checks it; <f> stands for the code
+# the scalar callable checks it; <f> stands for the code, <z> for the point
 _CHECKED = """\
 try:
     v = <f>
 except (ZeroDivisionError, ValueError, OverflowError) as exc:
-    _singular(z, exc)
+    _singular(<z>, exc)
 if v != v:
-    _singular(z, None)
+    _singular(<z>, None)
 """
 
 _SCALAR = f"""
 def call(z):
     z = complex(z)
     {_F_CALL}
+    return v
+"""
+
+_GAP_SCALAR = f"""
+def call_gap(d):
+    d = complex(d)
+    {_GAP_CALL}
     return v
 """
 
@@ -429,26 +444,57 @@ def compile_expr(node: Expr):
     kept on it, so repeated ``evaluate`` calls do not recompile.
 
     The callable carries the generated ``source``, the ``namespace`` it
-    runs in and the ``kernels`` that :func:`kernel` has built from it.
+    runs in, the ``kernels`` that :func:`kernel` has built from it and
+    its ``node``, from which :func:`gap_form` writes f in the gap.
     """
     try:
         return node._compiled
     except AttributeError:
         pass
-    consts: list = []
     try:
-        source = _codegen(node, consts)
-        namespace = {**_NAMESPACE, **_const_names(consts)}
-        call = _define(_compile(_inline(_SCALAR, source)), namespace)
+        call = _callable(node, gap=False)
     except (SyntaxError, RecursionError, MemoryError) as exc:
         # Python limits the nesting of parentheses (200) and of the tree
         raise ExpressionSyntaxError(
             f"expression too deeply nested to compile: {exc}", position=None
         ) from exc
+    call.node = node
+    object.__setattr__(node, "_compiled", call)  # nodes are frozen
+    return call
+
+
+def gap_form(fn):
+    """The callable ``d -> f(1 - d)`` of ``fn`` written in the gap d, or
+    None when ``fn`` has none.
+
+    For a callable from :func:`compile_expr` it is generated from the
+    expression on first use and kept as ``fn.gap``: each polynomial sum
+    in z is a polynomial in d (see :func:`_gap_coefficients`), so
+    ``1 - z`` is d itself and its leading terms cancel in the tree, not
+    in floating point; near 1 it is exact where f at the rounded point
+    z = 1 - d carries a relative error of eps/|d|.  Like the callable it
+    carries ``source``, ``namespace`` and ``kernels``, for the templates
+    that evaluate f by ``v = f_gap(d)``.  Any other callable has the gap
+    form it carries as ``gap``, if any; an expression too deeply nested
+    for the gap code has none.
+    """
+    if not hasattr(fn, "gap") and hasattr(fn, "node"):
+        try:
+            fn.gap = _callable(fn.node, gap=True)
+        except (SyntaxError, RecursionError, MemoryError):
+            fn.gap = None
+    return getattr(fn, "gap", None)
+
+
+def _callable(node: Expr, gap: bool):
+    # the scalar callable of the generated code of node in z or in d
+    consts: list = []
+    source = _codegen(node, consts, gap=gap)
+    namespace = {**_NAMESPACE, **_const_names(consts)}
+    call = _define(_compile(_inline(_GAP_SCALAR if gap else _SCALAR, source)), namespace)
     call.source = source
     call.namespace = namespace
     call.kernels = {}
-    object.__setattr__(node, "_compiled", call)  # nodes are frozen
     return call
 
 
@@ -461,22 +507,27 @@ def kernel(fn, template: str):
     """The function that ``template`` defines, evaluating f through ``fn``.
 
     ``template`` is the source of one function definition (it may
-    return inner functions) that evaluates f only by the line
-    ``v = f(z)``.  Besides its arguments it reads only cmath's ``sqrt``,
-    ``exp`` and ``log``, ``SingularEvaluationError`` and the builtins:
-    all its data, fixed tables such as a quadrature rule included, are
-    arguments of the function it defines, so the kernel depends on
-    ``fn`` and the template text alone.  Its own names must not start
-    with an underscore, which generated code uses.
+    return inner functions) that evaluates f only by the lines
+    ``v = f(z)``, or only by the lines ``v = f_gap(d)``, f at 1 - d.
+    Besides its arguments it reads only cmath's ``sqrt``, ``exp`` and
+    ``log``, ``SingularEvaluationError`` and the builtins: all its data,
+    fixed tables such as a quadrature rule included, are arguments of
+    the function it defines, so the kernel depends on ``fn`` and the
+    template text alone.  Its own names must not start with an
+    underscore, which generated code uses.
 
     For a callable from :func:`compile_expr` each ``v = f(z)`` becomes
     the expression's generated code under the scalar callable's checks,
-    so a node evaluates f without a Python call.  That code is compiled
-    on first use and kept in ``fn.kernels``, once per template.  Any
-    other callable, such as a counting wrapper, runs the template as
-    written with ``f`` bound to it, and its own exceptions pass through.
-    Both give the same floats and the same exceptions as calling the
-    compiled expression at every ``v = f(z)``.
+    and each ``v = f_gap(d)`` the code of its :func:`gap_form`, so a
+    node evaluates f without a Python call.  That code is compiled on
+    first use and kept in the ``kernels`` of the callable or of its gap
+    form, once per template.  Any other callable, such as a counting
+    wrapper, runs the template as written with ``f`` bound to it, and
+    ``f_gap`` to the gap form it carries; one that carries none
+    evaluates ``v = f(z)`` at the rounded point ``z = (1+0j) - d``
+    instead.  Its own exceptions pass through.  Either way the kernel
+    gives the same floats and the same exceptions as calling the scalar
+    callable at every line that evaluates f.
 
     Kernels do plain complex arithmetic.  On CPython 3.11 a float on
     the left of a complex operand (``0.5*x``, ``1.0 - x``) first fails
@@ -487,31 +538,59 @@ def kernel(fn, template: str):
     constant as a complex literal already, and its integer powers 2 to
     4 as products (see :func:`_constant_power`).
     """
+    line = _F_CALL
+    if _evaluates_gap(template):
+        gap = gap_form(fn)
+        if gap is None:
+            template = _at_rounded_point(template)
+        else:
+            fn, line = gap, _GAP_CALL
+    name = _CALLS[line][0]
     kernels = getattr(fn, "kernels", None)
     if kernels is None:
-        return _define(_template_code(template), {**_NAMESPACE, "f": fn})
+        return _define(_template_code(template), {**_NAMESPACE, name: fn})
     built = kernels.get(template)
     if built is None:
         try:
             built = _define(_compile(_inline(template, fn.source)), fn.namespace)
         except (SyntaxError, RecursionError, MemoryError):
             # nested too deeply for the kernel's extra levels: call f
-            built = _define(_template_code(template), {**_NAMESPACE, "f": fn})
+            built = _define(_template_code(template), {**_NAMESPACE, name: fn})
         kernels[template] = built
     return built
 
 
-def _inline(template: str, source: str) -> str:
-    """``template`` with each ``v = f(z)`` line replaced by the checked
-    evaluation of ``source``."""
-    checked = _CHECKED.replace("<f>", source).splitlines()
+@functools.lru_cache(maxsize=None)
+def _evaluates_gap(template: str) -> bool:
+    # whether the template evaluates f in the gap, read once per template
+    return _GAP_CALL in template
+
+
+def _at_rounded_point(template: str) -> str:
+    """``template`` with each ``v = f_gap(d)`` line evaluating f at the
+    rounded point z = 1 - d."""
     lines = []
     for line in template.splitlines():
-        if line.strip() == _F_CALL:
+        if line.strip() == _GAP_CALL:
             indent = line[: len(line) - len(line.lstrip())]
-            lines.extend(indent + part for part in checked)
+            lines += [indent + "z = (1+0j) - d", indent + _F_CALL]
         else:
             lines.append(line)
+    return "\n".join(lines)
+
+
+def _inline(template: str, source: str) -> str:
+    """``template`` with each line that evaluates f replaced by the
+    checked evaluation of ``source``, the code of f in z or in d."""
+    lines = []
+    for line in template.splitlines():
+        call = _CALLS.get(line.strip())
+        if call is None:
+            lines.append(line)
+            continue
+        checked = _CHECKED.replace("<f>", source).replace("<z>", call[1])
+        indent = line[: len(line) - len(line.lstrip())]
+        lines.extend(indent + part for part in checked.splitlines())
     return "\n".join(lines)
 
 
@@ -593,10 +672,11 @@ def _static_value(text: str, consts: list):
 # 0 (a guarded integer power), sum 1, product 2, unary minus 3, ** 4, atom
 # or call 5.  A child is wrapped in parentheses only where Python would
 # otherwise group it differently, so a long chain such as z+z+...+z
-# compiles without nesting.
-def _codegen(node: Expr, consts: list, min_prec: int = 0) -> str:
+# compiles without nesting.  With ``gap`` the code is written in the gap
+# d = 1 - z (see gap_form).
+def _codegen(node: Expr, consts: list, min_prec: int = 0, gap: bool = False) -> str:
     mark = len(consts)
-    text, prec = _codegen_prec(node, consts)
+    text, prec = _codegen_prec(node, consts, gap)
     if isinstance(node, (Func, Pow)) and _free_of_z(node):
         # a call free of z is made once, here; a finite value becomes a
         # constant, which Python folds into the constants around it
@@ -607,31 +687,148 @@ def _codegen(node: Expr, consts: list, min_prec: int = 0) -> str:
     return f"({text})" if prec < min_prec else text
 
 
-def _codegen_prec(node: Expr, consts: list) -> tuple[str, int]:
+def _codegen_prec(node: Expr, consts: list, gap: bool) -> tuple[str, int]:
+    if gap and isinstance(node, (Var, Add, Sub)) and not _free_of_z(node):
+        coefficients = _gap_coefficients(node)
+        if coefficients is not None:
+            return _horner(coefficients, consts)
     if isinstance(node, Const):
         return _constant(node.value, consts)
     if isinstance(node, Var):
         return "z", 5
     if isinstance(node, Neg):
-        return "-" + _codegen(node.arg, consts, 3), 3
+        return "-" + _codegen(node.arg, consts, 3, gap), 3
     if type(node) in _BINARY:
         op, prec = _BINARY[type(node)]
-        left = _codegen(node.left, consts, prec)
-        return left + op + _codegen(node.right, consts, prec + 1), prec
+        left = _codegen(node.left, consts, prec, gap)
+        return left + op + _codegen(node.right, consts, prec + 1, gap), prec
     if isinstance(node, Pow):
         mark = len(consts)
-        exponent = _codegen(node.exponent, consts)
+        exponent = _codegen(node.exponent, consts, gap=gap)
         if isinstance(node.exponent, Const):
             value = node.exponent.value if cmath.isfinite(node.exponent.value) else None
         else:
             value = _static_value(exponent, consts) if _free_of_z(node.exponent) else None
         if value is None:
-            return f"_pow({_codegen(node.base, consts)},{exponent})", 5
+            return f"_pow({_codegen(node.base, consts, gap=gap)},{exponent})", 5
         del consts[mark:]
-        return _constant_power(node.base, value, consts)
+        return _constant_power(node.base, value, consts, gap)
     if isinstance(node, Func):
-        return f"{node.name}({_codegen(node.arg, consts)})", 5
+        return f"{node.name}({_codegen(node.arg, consts, gap=gap)})", 5
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# the largest degree of a polynomial sum that the gap code re-expands
+_GAP_DEGREE = 8
+
+
+def _gap_coefficients(node: Expr):
+    """The coefficients of a polynomial sum in z (or z itself) as a
+    polynomial in the gap d = 1 - z, lowest degree first, or None.
+
+    ``node`` qualifies when it is built from finite constants, z, +, -,
+    * and powers with constant exponents 0, 1, 2, ..., up to degree
+    _GAP_DEGREE.  The coefficients are expanded exactly, in integers over
+    a power of 2, and each is rounded once: z^2 - 1 becomes d^2 - 2d and
+    1 + z^2 becomes 2 - 2d + d^2, so a zero at z = 1 is the factor d
+    itself.  Products and powers of sums stay factored (their factors
+    are re-expanded one by one), which keeps (1 + z)^4 as (2 - d)^4.
+    """
+    expanded = _z_polynomial(node)
+    if expanded is None:
+        return None
+    in_z, shift = expanded
+    scale = 1 << shift
+    in_d = []
+    # z^k = (1 - d)^k = sum over j of C(k, j) (-d)^j
+    for j in range(len(in_z)):
+        weights = [(-1) ** j * math.comb(k, j) for k in range(j, len(in_z))]
+        re = sum(w * a for w, (a, _) in zip(weights, in_z[j:]))
+        im = sum(w * b for w, (_, b) in zip(weights, in_z[j:]))
+        try:
+            in_d.append(complex(re / scale, im / scale))  # correctly rounded
+        except OverflowError:
+            return None
+    return in_d
+
+
+def _z_polynomial(node: Expr):
+    """``node`` as a polynomial in z, ``(coefficients, shift)``: the
+    coefficient of z^k is (a_k + i b_k) / 2^shift for the integer pair
+    (a_k, b_k), lowest degree first; None where _gap_coefficients says."""
+    if isinstance(node, Const):
+        if not cmath.isfinite(node.value):
+            return None
+        (a, p), (b, q) = node.value.real.as_integer_ratio(), node.value.imag.as_integer_ratio()
+        scale = max(p, q)  # p and q are powers of 2
+        return [(a * (scale // p), b * (scale // q))], scale.bit_length() - 1
+    if isinstance(node, Var):
+        return [(0, 0), (1, 0)], 0
+    if isinstance(node, Neg):
+        p = _z_polynomial(node.arg)
+        return None if p is None else ([(-a, -b) for a, b in p[0]], p[1])
+    if isinstance(node, Pow):
+        n = node.exponent.value if isinstance(node.exponent, Const) else None
+        if n is None or n.imag != 0 or not (n.real.is_integer() and 0 <= n.real <= _GAP_DEGREE):
+            return None
+        base = _z_polynomial(node.base)
+        if base is None:
+            return None
+        power = [(1, 0)], 0
+        for _ in range(int(n.real)):
+            power = _times(power, base)
+        return power if len(power[0]) <= _GAP_DEGREE + 1 else None
+    if type(node) in (Add, Sub, Mul):
+        p, q = _z_polynomial(node.left), _z_polynomial(node.right)
+        if p is None or q is None:
+            return None
+        if isinstance(node, Mul):
+            product = _times(p, q)
+            return product if len(product[0]) <= _GAP_DEGREE + 1 else None
+        shift = max(p[1], q[1])
+        p, q = ([(a << (shift - s), b << (shift - s)) for a, b in c] for c, s in (p, q))
+        p, q = p + [(0, 0)] * (len(q) - len(p)), q + [(0, 0)] * (len(p) - len(q))
+        sign = 1 if isinstance(node, Add) else -1
+        return [(a + sign * c, b + sign * e) for (a, b), (c, e) in zip(p, q)], shift
+    return None
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    # the product of two polynomials of _z_polynomial
+    (pc, ps), (qc, qs) = p, q
+    out = [(0, 0)] * (len(pc) + len(qc) - 1)
+    for i, (a, b) in enumerate(pc):
+        for j, (c, e) in enumerate(qc):
+            re, im = out[i + j]
+            out[i + j] = (re + a * c - b * e, im + a * e + b * c)
+    return out, ps + qs
+
+
+def _horner(coefficients: list, consts: list) -> tuple[str, int]:
+    """The code of sum c_j d^j: d^m q(d), m the lowest degree, with q by
+    Horner's rule from its leading coefficient; a leading 1 or -1 is
+    written as no product."""
+    low = next((j for j, c in enumerate(coefficients) if c != 0), None)
+    if low is None:
+        return _constant(0j, consts)
+    *rest, lead = coefficients[low:]
+    if lead in (1, -1) and (rest or low):
+        text, prec = None, 5  # the product by d writes the sign
+    else:
+        text, prec = _constant(lead, consts)
+    for c in reversed(rest):
+        text, prec = _times_d(text, prec, lead)
+        if c != 0:
+            text, prec = f"{text}+{_constant(c, consts)[0]}", 1
+    for _ in range(low):
+        text, prec = _times_d(text, prec, lead)
+    return text, prec
+
+
+def _times_d(text, prec: int, lead: complex) -> tuple[str, int]:
+    if text is None:
+        return ("d", 5) if lead == 1 else ("-d", 3)
+    return (f"({text})" if prec < 2 else text) + "*d", 2
 
 
 # b**n for n = 2, 3 and 4 as the products that CPython's c_powu forms:
@@ -645,7 +842,8 @@ _PRODUCTS = {
 }
 
 
-def _constant_power(base: Expr, exponent: complex, consts: list) -> tuple[str, int]:
+def _constant_power(base: Expr, exponent: complex, consts: list,
+                    gap: bool) -> tuple[str, int]:
     """base^exponent for a constant exponent, as _pow computes it, with
     no call but cmath's exp and log.  The base is bound to ``_b`` while
     the power reads it; a power inside the base is done with ``_b``
@@ -670,10 +868,10 @@ def _constant_power(base: Expr, exponent: complex, consts: list) -> tuple[str, i
             product, bound = _PRODUCTS[n]
             # unwrapped, so that a chain of powers nests one call deep
             # per power; an operator around it wraps it
-            return (f"{product} if abs(_b := {_codegen(base, consts)}) < {bound!r} "
+            return (f"{product} if abs(_b := {_codegen(base, consts, gap=gap)}) < {bound!r} "
                     f"else _b**{n}"), 0
         if n >= 0:
-            return f"{_codegen(base, consts, 5)}**{n}", 4
+            return f"{_codegen(base, consts, 5, gap)}**{n}", 4
         power, at_zero = f"_b**{n}", f"_zero_power({_NEGATIVE_POWER!r})"
     else:
         power = f"exp({_constant(exponent, consts)[0]}*log(_b))"
@@ -681,7 +879,7 @@ def _constant_power(base: Expr, exponent: complex, consts: list) -> tuple[str, i
             at_zero = "0j"
         else:
             at_zero = f"_zero_power({_NON_POSITIVE_POWER!r})"
-    return f"({power} if (_b := {_codegen(base, consts)}) else {at_zero})", 5
+    return f"({power} if (_b := {_codegen(base, consts, gap=gap)}) else {at_zero})", 5
 
 
 # --- generator structure -----------------------------------------------------

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from conftest import counted_model, mp_function
+from conftest import counted_callable, counted_model, mp_function
 
 import diskflow
 from diskflow import abel, catalog
@@ -15,6 +15,7 @@ from diskflow.abel import (
     _CHORD_RULES,
     _GAP_PANEL,
     _GL_NODES,
+    _GL_PROBE,
     _GL_ROOT,
     _GL_RULE,
     _GL_TAIL,
@@ -74,22 +75,18 @@ def test_abel_h_closed_form(entry_id):
     mpmath = pytest.importorskip("mpmath")
     entry = catalog.get(entry_id)
     fn = compile_expr(parse(entry.f_text))
-    evals = 0
-
-    def counted(z):
-        nonlocal evals
-        evals += 1
-        return fn(z)
+    counted, evals = counted_callable(fn)
 
     with mpmath.workdps(30):
         h0 = _mp_eval(mpmath, entry.h_text, 0j)
         for z in GRID + RING + LADDER:
             ref = complex(_mp_eval(mpmath, entry.h_text, z) - h0)
             tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
-            evals = 0
+            evals[0] = 0
             assert abs(abel_h(counted, z) - ref) <= tol, z
-            # one log-gap segment resolves every approach in a few panels
-            assert evals <= 320, z
+            # one log-gap segment from 0 or from the point's anchor resolves
+            # every approach in a few panels, the anchors built on the way
+            assert evals[0] <= 195, z
         # boundary values: the segment ends on the circle, at the exact
         # point 1 - e^s of its float endpoint s
         for theta in CIRCLE:
@@ -99,6 +96,56 @@ def test_abel_h_closed_form(entry_id):
             z = complex(z_mp)
             tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
             assert abs(_h_at_gap(fn, s) - ref) <= tol, theta
+
+
+# exact ladder points 1 - g of every rung k = 4..40 of the radial and
+# Stolz +-pi/3 approaches and of the level-1 horocycle to k = 24
+EXACT_LADDER = [1.0 - g for k in range(4, 41) for g in _ladder(2.0**-k)]
+
+
+@pytest.mark.parametrize("entry_id", H_TEXT_IDS)
+def test_abel_h_closed_form_at_exact_ladder_points(entry_id):
+    # f is evaluated in the gap, so h at an exact gap carries no eps/|f|
+    # rounding of the point: 1e-12 relative to the closed form, with no
+    # floor (with f at the rounded nodes z = 1 - d, quadrant's radial
+    # rung k = 40 was 1.8e-7 off)
+    mpmath = pytest.importorskip("mpmath")
+    entry = catalog.get(entry_id)
+    fn = compile_expr(parse(entry.f_text))
+    h_mp = mp_function(mpmath, entry.h_text)
+    with mpmath.workdps(30):
+        h0 = h_mp(mpmath.mpc(0))
+        for z in EXACT_LADDER:
+            ref = complex(h_mp(mpmath.mpc(z)) - h0)
+            assert abs(abel_h(fn, z) - ref) <= 1e-12 * abs(ref), z
+
+
+def test_abel_h_does_not_depend_on_call_order():
+    # h at a deep tangential point is h at its anchor plus one segment,
+    # and the anchors are chained from 0 whoever asks first: the same
+    # double from a fresh parse, after a visser_ostrovskii ladder has
+    # built the anchors, and through model.h
+    text = catalog.get("quadrant").f_text
+    z = 1.0 - 2.0**-20 * complex(2.0**-20, math.sqrt(1.0 - 2.0**-40))
+    fresh = abel_h(parse(text), z)
+    f = parse(text)
+    model = linearize(f)
+    visser_ostrovskii(model)
+    assert len(compile_expr(f).log_gap[2]) > abel._anchor_index(cmath.log(1.0 - z))
+    after_ladder = abel_h(f, z)
+    through_model = model.h(z)
+    assert _bits(fresh) == _bits(after_ladder) == _bits(through_model)
+
+
+def _bits(value):
+    return value.real.hex(), value.imag.hex()
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan)])
+def test_abel_h_at_nan_is_singular(z):
+    # a NaN point picks no anchor: its segment from 0 evaluates f at NaN
+    with pytest.raises(SingularEvaluationError):
+        abel_h(parse("-(1-z)^2"), z)
 
 
 # the rungs k = 4, 8, 12 of LADDER, split by approach: each k gives the
@@ -148,17 +195,8 @@ def _w_path_oracle(mpmath, f_mp, z):
     *[pytest.param(i, GRID + RUNGS, _z_segment_oracle, id=f"{i}-grid") for i in NO_H_TEXT_IDS],
     *[pytest.param(i, HOROCYCLE_RUNGS, _z_segment_oracle, id=f"{i}-horocycle")
       for i in NO_H_TEXT_IDS[:2]],
-    pytest.param(
-        "angular-only(0.5)", DEEP_HOROCYCLE_RUNGS, _w_path_oracle,
-        id="angular-only(0.5)-horocycle",
-        marks=pytest.mark.xfail(
-            reason="next to the horocycle the factor exp(-(1+z)/(1-z)) of f is "
-            "away from 0 only in an end layer of the log-gap segment about "
-            "|1-z| wide, where it oscillates, and no node of a 16-point panel "
-            "lands in it, so abel_h is 2.58, 3,047 and 11.4 tolerances off the "
-            "w-path oracle at |1-z| = 2^-12, 2^-16 and 2^-20 (the oracle's own "
-            "error estimate is below 1e-33 tolerances there)"),
-    ),
+    pytest.param("angular-only(0.5)", DEEP_HOROCYCLE_RUNGS, _w_path_oracle,
+                 id="angular-only(0.5)-horocycle"),
 ])
 def test_abel_h_matches_quadrature_oracle(entry_id, points, oracle):
     # where the catalog has no closed form, an mpmath quadrature of -1/f
@@ -182,6 +220,14 @@ def _outcome_bits(call, *args):
     return value.real.hex(), value.imag.hex()
 
 
+def _segments(gaps):
+    # the log-gap segments that _h_at_gap integrates for the gaps s: the
+    # anchor chain down to the deepest seed, and each s from its anchor
+    segments = [(abel._anchor(j - 1), abel._anchor(j)) for j in range(1, abel._SEED_ANCHOR + 1)]
+    segments += [(abel._anchor(abel._anchor_index(s)), s) for s in gaps]
+    return [(t0, t1) for t0, t1 in segments if t0 != t1]
+
+
 @pytest.mark.parametrize("entry_id", catalog.DEFAULT_IDS)
 def test_root_tail_never_costs_more(entry_id):
     # every log-gap segment of the test points and circle angles against
@@ -189,49 +235,57 @@ def test_root_tail_never_costs_more(entry_id):
     # tail test on the root spends no more f-evals, a root it accepts
     # costs 16, and a root that falls back returns that rule's value bit
     # for bit
-    fn = compile_expr(parse(catalog.get(entry_id).f_text))
-    evals = [0]
+    fn, evals = counted_callable(compile_expr(parse(catalog.get(entry_id).f_text)))
+    panel, root, _ = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT, _GL_PROBE, False)
 
-    def counted(z):
-        evals[0] += 1
-        return fn(z)
-
-    panel, root = kernel(counted, _GAP_PANEL)(_GL_RULE, _GL_ROOT)
-
-    def halves_only(s):
-        return abel._refine(panel, 0j, s, root(0j, s)[0], 0)
+    def halves_only(t0, t1):
+        return abel._refine(panel, t0, t1, root(t0, t1)[0], 0)
 
     gaps = [cmath.log(1.0 - z) for z in GRID + RING + LADDER] + [_circle_gap(t) for t in CIRCLE]
-    for s in gaps:
+    for t0, t1 in _segments(gaps):
         evals[0] = 0
-        got = _outcome_bits(_h_at_gap, counted, s)
+        got = _outcome_bits(abel._segment_integral, panel, root, t0, t1)
         cost = evals[0]
         evals[0] = 0
-        expected = _outcome_bits(halves_only, s)
-        assert cost <= evals[0], s
+        expected = _outcome_bits(halves_only, t0, t1)
+        assert cost <= evals[0], (t0, t1)
         if cost > 16 or isinstance(got, str):
-            assert got == expected, s
+            assert got == expected, (t0, t1)
         else:
-            whole, coefficients = root(0j, s)
-            assert abel._root_tail(0j, s, coefficients) <= 1e-13 * max(1.0, abs(whole)), s
-            assert got == (whole.real.hex(), whole.imag.hex()), s
+            whole, coefficients = root(t0, t1)
+            assert abel._root_tail(t0, t1, coefficients) <= 1e-13 * max(1.0, abs(whole))
+            assert got == (whole.real.hex(), whole.imag.hex()), (t0, t1)
 
 
-def test_root_falls_back_at_the_angular_end_layer():
+def test_root_falls_back_at_the_angular_end_layer(monkeypatch):
     # angular-only(0.5) at the radial 1 - 2^-8 and the level-1 horocycle
-    # rungs: an end layer of the log-gap segment makes the root read
-    # settled under a steeper tail law than (hi/lo)^2 (at 1 - 2^-8,
-    # (hi/lo)^3 accepts a root 8.6 tolerances off), so these roots must
-    # fall back to the halves
+    # rungs: where the factor exp(-(1+z)/(1-z)) of f is away from 0 only
+    # in a layer that no node sees, a root reads settled that is not (at
+    # 1 - 2^-8 a tail law steeper than (hi/lo)^2 accepts the segment from
+    # 0 8.6 tolerances off; at the horocycle rung 2^-12 the root from the
+    # point's anchor reads settled 7.6e5 tolerances off).  So no root over
+    # a whole segment that h at these points integrates may stand: it
+    # falls back to the halves, or the end probe sees the layer and the
+    # segment is graded.  1 - 2^-8 is the anchor a_2, whose chain crosses
+    # the layer on its first link
     fn = compile_expr(parse(catalog.get("angular-only(0.5)").f_text))
-    _, root = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT)
-    points = [1.0 - 2.0**-8] + [
-        1.0 - g for k in range(4, 25) for g in list(_ladder(2.0**-k))[3:]
-    ]
-    for z in points:
+    accepted = []
+    settled = abel._settled
+
+    def recording(panel, t0, t1, whole, coefficients):
+        value = settled(panel, t0, t1, whole, coefficients)
+        if value is whole:  # the root stood; a refinement is a new sum
+            accepted.append((t0, t1))
+        return value
+
+    monkeypatch.setattr(abel, "_settled", recording)
+    abel_h(fn, 1.0 - 2.0**-8)
+    assert (0j, abel._anchor(1)) not in accepted
+    for z in [1.0 - g for k in range(4, 25) for g in list(_ladder(2.0**-k))[3:]]:
         s = cmath.log(1.0 - z)
-        whole, coefficients = root(0j, s)
-        assert abel._root_tail(0j, s, coefficients) > 1e-13 * max(1.0, abs(whole)), z
+        accepted.clear()
+        abel_h(fn, z)
+        assert (abel._anchor(abel._anchor_index(s)), s) not in accepted, z
 
 
 def test_gauss_legendre_table():
@@ -255,6 +309,13 @@ def test_gauss_legendre_table():
                 weight = 2 / ((1 - root**2) * mpmath.diff(p_n, root) ** 2)
                 assert abs(x - root) <= 2 * sys.float_info.epsilon
                 assert abs(w - weight) <= 2 * sys.float_info.epsilon
+        # the probe's barycentric weights interpolate every polynomial of
+        # degree 15 through the 16 nodes, here P_15 past the last node
+        p_15 = lambda x: mpmath.legendre(15, x)  # noqa: E731
+        for xp in (0.995, 0.9999):
+            terms = [row[-1] / (xp - x) for x, row in zip(_GL_NODES, _GL_PROBE)]
+            near = sum(t * float(p_15(x)) for t, x in zip(terms, _GL_NODES)) / sum(terms)
+            assert abs(near - float(p_15(xp))) <= 1e-13
         # the root's Legendre columns (2n+1)/2 w P_n(x), n = 10, 11, 14, 15
         p_16 = lambda x: mpmath.legendre(16, x)  # noqa: E731
         for x, tail in zip(_GL_NODES, _GL_TAIL):
@@ -389,15 +450,16 @@ def test_invert_h_roundtrip():
 
 # f-evaluations of inverting h_text at the radial and Stolz(pi/4) gaps
 # 2^-k, k = 4, 8, ..., 40, with no seed: each starts at the asymptotic
-# preimage of w, a few Newton steps from the root; about 25 % over the
-# counts (quadrant 2,355, parabolic-auto(1) 1,252, bfid-par 1,578,
-# power(0.5,1) 1,316, perturbed-parabolic 1,512)
+# preimage of w, a few Newton steps from the root; about 10 % over the
+# counts (quadrant 1,283, parabolic-auto(1) 804, bfid-par 1,210,
+# power(0.5,1) 820, perturbed-parabolic 1,112), which include the
+# anchors of the seeds
 INVERT_COST_CAPS = {
-    "quadrant": 3_300,
-    "parabolic-auto(1)": 1_600,
-    "bfid-par": 2_000,
-    "power(0.5,1)": 1_700,
-    "perturbed-parabolic": 2_300,
+    "quadrant": 1_420,
+    "parabolic-auto(1)": 890,
+    "bfid-par": 1_340,
+    "power(0.5,1)": 910,
+    "perturbed-parabolic": 1_230,
 }
 
 
@@ -647,16 +709,17 @@ def test_abel_flow_forward_times_saturate(t):
 
 
 # counted f-evals of abel_flow from 0 at t = 1e2, 1e4 and 1e6, once the
-# model's chord panels and seed constant C are built: a time far past
-# 1 + |h(0)| is solved from its asymptotic seed, one log-gap segment
-# plus a few Newton steps, where the continuation took 30 to 35 levels
-# (1,263 to 5,464 f-evals); the t = 1e2 solve of the three alpha = 1
-# entries has its long Newton chord accepted on the root
+# model's chord panels and seed constant C are built (C builds the
+# anchors of every seed): a time far past 1 + |h(0)| is solved from its
+# asymptotic seed, one log-gap segment from its anchor plus a few Newton
+# steps, where the continuation took 30 to 35 levels (1,263 to 5,464
+# f-evals); about 10 % over the counts (quadrant 29, 27, 18; power(0.5,1)
+# 17 each; parabolic-auto(1) 18 each; perturbed-parabolic 43, 72, 67)
 FAR_FLOW_CAPS = {
-    "quadrant": (200, 70, 60),
-    "power(0.5,1)": (30, 60, 60),
-    "parabolic-auto(1)": (30, 60, 60),
-    "perturbed-parabolic": (90, 120, 120),
+    "quadrant": (32, 30, 20),
+    "power(0.5,1)": (19, 19, 19),
+    "parabolic-auto(1)": (20, 20, 20),
+    "perturbed-parabolic": (48, 80, 74),
 }
 
 
@@ -790,22 +853,23 @@ def test_ladder_limit_linear_growth(sign):
     assert math.isfinite(stats.inf_im if sign > 0 else stats.sup_im)
 
 
-# counted f-evals of planar_domain_stats, about 10 % over the counts
-# rounded up to 500: a segment whose root settles costs 16, so on the
-# power-law entries most circle angles take 16 and not 48
+# counted f-evals of planar_domain_stats, about 10 % over the counts: a
+# segment whose root settles costs 16, so on the power-law entries most
+# circle angles take 16 and not 48, and a ladder rung past the first
+# anchor is one segment from its anchor, not from 0
 STATS_COST_CAPS = {
-    "parabolic-auto(1)": 3_000,  # 2,361
-    "hyperbolic-auto(0.5,0)": 33_500,  # 30,052
-    "quadrant": 11_000,  # 9,734
+    "parabolic-auto(1)": 2_500,  # 2,265
+    "hyperbolic-auto(0.5,0)": 10_830,  # 9,844
+    "quadrant": 8_530,  # 7,750
     "power(-0.5,1)": 2_500,  # 2,165
-    "power(0,i)": 3_000,  # 2,361
-    "power(0.5,1)": 2_500,  # 2,191
-    "power(1,1)": 2_500,  # 2,157
-    "bfid-hyp": 34_000,  # 30,519
-    "bfid-par": 10_000,  # 8,821
-    "angular-only(0.5)": 18_000,  # 15,983
-    "perturbed-parabolic": 4_000,  # 3,353
-    "no-halfplane": 2_500,  # 2,161
+    "power(0,i)": 2_500,  # 2,265
+    "power(0.5,1)": 2_290,  # 2,079
+    "power(1,1)": 2_240,  # 2,029
+    "bfid-hyp": 10_890,  # 9,895
+    "bfid-par": 9_000,  # 8,181
+    "angular-only(0.5)": 15_100,  # 13,727
+    "perturbed-parabolic": 2_950,  # 2,681
+    "no-halfplane": 2_310,  # 2,097
 }
 
 
@@ -832,12 +896,15 @@ def test_planar_stats_computed_once_per_model():
 
 
 # f-evaluations of visser_ostrovskii on alpha > 0, whose ladders settle
-# and are sampled to the end; the divergence rule must not lengthen them
+# and are sampled to the end; the divergence rule must not lengthen them.
+# Each rung is h at its anchor, built once along the radial ladder, and
+# its f: about 10 % over the counts, 629 (661 on quadrant, bfid-par,
+# angular-only(0.5) and perturbed-parabolic)
 VO_EVALS = {
-    "parabolic-auto(1)": 1557, "quadrant": 2965, "power(-0.5,1)": 1205,
-    "power(0,i)": 1557, "power(0.5,1)": 1685, "power(1,1)": 1749,
-    "bfid-par": 1781, "angular-only(0.5)": 2517, "perturbed-parabolic": 1717,
-    "no-halfplane": 1557,
+    "parabolic-auto(1)": 700, "quadrant": 730, "power(-0.5,1)": 700,
+    "power(0,i)": 700, "power(0.5,1)": 700, "power(1,1)": 700,
+    "bfid-par": 730, "angular-only(0.5)": 730, "perturbed-parabolic": 730,
+    "no-halfplane": 700,
 }
 
 

@@ -21,6 +21,9 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conftest import mp_function  # noqa: E402
+
+from diskflow import catalog  # noqa: E402
 from diskflow.errors import SingularEvaluationError  # noqa: E402
 from diskflow.expr import (  # noqa: E402
     Add,
@@ -33,6 +36,7 @@ from diskflow.expr import (  # noqa: E402
     Sub,
     Var,
     compile_expr,
+    gap_form,
     parse,
 )
 
@@ -189,3 +193,40 @@ def test_print_parse_round_trip(node):
     # the generated code keeps every grouping of the tree, so equal
     # sources mean equal trees, not just equal printouts
     assert compile_expr(again).source == compile_expr(node).source
+
+
+# the catalog generators, and two expressions that overflow or give NaN
+# next to 1 (Re z > 0.89), whose gap form must raise where they do
+GAP_TEXTS = [catalog.get(i).f_text for i in catalog.DEFAULT_IDS] + [
+    "-(1-z)^2*exp(800*z)", "-(1-z)^2 + 0*(exp(400*z)*exp(400*z))"]
+
+
+@pytest.mark.parametrize("text", GAP_TEXTS)
+def test_gap_form_matches_mpmath(text):
+    # f written in the gap d = 1 - z, at small complex d with 1 - d in
+    # the disk, against mpmath's f(1 - d) at 30 digits on the exact d:
+    # within a few ulps, plus the ulps that exp(p log d) takes from the
+    # rounding of p log d in a power d^p (about |p log d| of them).  The
+    # z form at the rounded point 1 - d is up to eps/|d| off instead
+    fn = compile_expr(parse(text))
+    gap, f_mp = gap_form(fn), mp_function(mpmath, text)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.0, 40.0), st.floats(-0.5 * math.pi, 0.5 * math.pi))
+    def check(k, phi):
+        d = 2.0**-k * complex(math.cos(phi), math.sin(phi))
+        assume(abs(1.0 - d) < 1.0)
+        try:
+            fn(1.0 - d)
+        except SingularEvaluationError:
+            with pytest.raises(SingularEvaluationError):
+                gap(d)
+            return
+        if text not in GAP_TEXTS[: len(catalog.DEFAULT_IDS)]:
+            return
+        with mpmath.workdps(30):
+            ref = f_mp(1 - mpmath.mpc(d))
+            err = abs(mpmath.mpc(gap(d)) - ref) / abs(ref)
+        assert err <= EPS * (8 + 4 * abs(math.log(abs(d)))), (d, float(err / EPS))
+
+    check()

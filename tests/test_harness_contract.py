@@ -4,17 +4,16 @@ that bfid_report still takes the expression it passes, and that its
 tracer still counts every evaluation of f."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
-
-from conftest import counted_model
 
 import diskflow
 from diskflow import catalog
 from diskflow.abel import abel_h, invert_h, linearize
 from diskflow.conjugate import bfid_report
-from diskflow.expr import parse
+from diskflow.expr import compile_expr, parse
 from diskflow.flow import integrate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -69,14 +68,15 @@ def _tracer_class():
 
 
 def _evals_per_call(model, f, evals):
-    # f-evaluations of each call, read from ``evals()`` before and after
+    # f-evaluations of each call, read from ``evals()`` before and after;
+    # ``f()`` is the f that a call of abel_h or integrate receives
     calls = [
-        lambda: abel_h(f, 0.5 + 0.3j),
-        lambda: abel_h(f, 1.0 - 2.0**-20),
+        lambda: abel_h(f(), 0.5 + 0.3j),
+        lambda: abel_h(f(), 1.0 - 2.0**-20),
         lambda: invert_h(model, 3.0 - 2.0j),
         lambda: invert_h(model, -0.3 + 0.1j),
-        lambda: integrate(f, 0.2j, 10.0),
-        lambda: integrate(f, 0.2j, -3.0),
+        lambda: integrate(f(), 0.2j, 10.0),
+        lambda: integrate(f(), 0.2j, -3.0),
     ]
     counts = []
     for call in calls:
@@ -89,12 +89,27 @@ def _evals_per_call(model, f, evals):
 def test_tracer_counts_every_kernel_evaluation():
     # kernels compiled with f inlined must never slip past the counter:
     # under the tracer, the models and callables built from an
-    # expression evaluate f through its counting compile_expr
+    # expression evaluate f through its counting compile_expr.  That
+    # returns a new counting callable on each call, which carries the
+    # expression's source but no gap form, so the log-gap panels evaluate
+    # it at the rounded points z = 1 - d, and what a callable keeps (its
+    # anchors of h) is kept per call: the reference counts through
+    # callables made the same way
     text = catalog.get("bfid-par").f_text
-    model, evals = counted_model(parse(text))
-    expected = _evals_per_call(model, model.f, lambda: evals[0])
+    f = parse(text)
+    fn = compile_expr(f)
+    evals = [0]
+
+    def counting():
+        def counted(z):
+            evals[0] += 1
+            return fn(z)
+        return counted
+
+    model = dataclasses.replace(linearize(f), f=counting())
+    expected = _evals_per_call(model, counting, lambda: evals[0])
     with _tracer_class()() as trace:
         f = parse(text)
-        traced = _evals_per_call(linearize(f), f, lambda: trace.f_evals)
+        traced = _evals_per_call(linearize(f), lambda: f, lambda: trace.f_evals)
     assert traced == expected
     assert all(count > 0 for count in expected)

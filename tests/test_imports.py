@@ -8,10 +8,14 @@ marked ``# noqa: F401`` (a deliberate re-export) are exempt.  A
 definition must be loaded in its module, imported by name from it
 (``from .mod import name``), read as ``mod.name`` where ``mod`` is the
 package module imported by ``from . import mod``, or listed in
-``diskflow.__all__``: code with no library caller gets deleted.
+``diskflow.__all__``: code with no library caller gets deleted.  A
+module's ``__getattr__`` (PEP 562) is read by the interpreter.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "diskflow"
@@ -51,6 +55,10 @@ def _exported(tree) -> set:
     return names
 
 
+# module-level functions that the interpreter calls by name (PEP 562)
+_MODULE_HOOKS = ("__getattr__", "__dir__")
+
+
 def _unread_definitions(sources: dict) -> list:
     """``module.name`` of each top-level function or class in ``sources``
     (module name -> source text, the package being ``__init__``) that
@@ -81,6 +89,7 @@ def _unread_definitions(sources: dict) -> list:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and (module, node.name) not in read
         and node.name not in exported
+        and node.name not in _MODULE_HOOKS
     ]
 
 
@@ -114,6 +123,7 @@ def test_no_unread_definitions():
             "from .a import imported\n"
             "__all__ = ['public']\n"
             "def public(): ...\n"
+            "def __getattr__(name): ...\n"
         ),
         "a": (
             "def imported(): ...\n"
@@ -128,3 +138,21 @@ def test_no_unread_definitions():
     assert _unread_definitions(probe) == ["a.dead", "a.Dead"]
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _unread_definitions(sources) == []
+
+
+def test_verification_is_imported_on_first_access():
+    # import diskflow leaves the verify-paper suite out; reading
+    # diskflow.verification imports it, and __all__ still lists it
+    src = os.path.dirname(str(SRC))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, diskflow\n"
+        "print('diskflow.verification' in sys.modules)\n"
+        "suite = diskflow.verification\n"
+        "print('diskflow.verification' in sys.modules, suite is sys.modules['diskflow.verification'])\n"
+        "print('verification' in diskflow.__all__)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False", "True", "True", "True"]

@@ -26,6 +26,7 @@ from diskflow.abel import (  # noqa: E402
     _CHORD_RULES,
     _GAP_PANEL,
     _GL_NODES,
+    _GL_PROBE,
     _GL_ROOT,
     _GL_RULE,
     _GL_TAIL,
@@ -75,19 +76,29 @@ def _outcome(call, *args):
 
 
 def _opaque(fn):
-    # the same f, as a callable the kernels cannot inline
+    # the same f, and its gap form, as callables the kernels cannot inline
+    gap = expr.gap_form(fn)
+    opaque = lambda z: fn(z)  # noqa: E731
+    opaque.gap = lambda d: gap(d)
+    return opaque
+
+
+def _rounded(fn):
+    # the same f with no gap form: the log-gap panels evaluate it at the
+    # rounded point z = 1 - d
     return lambda z: fn(z)
 
 
 def _reference_panel(dh, t0, t1):
+    # dh(t) is the integrand and the factor of its noise estimate
     half = 0.5 * (t1 - t0)
     mid = 0.5 * (t0 + t1)
     acc = 0j
     rough = 0.0
     for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-        v, node, gap = dh(mid + half * x)
+        v, scale = dh(mid + half * x)
         acc += w * v
-        rough += w * abs(v) * (1.0 + (abs(node) / gap if gap > 0 else 1e16))
+        rough += w * abs(v) * scale
     return acc * half, rough * abs(half) * 2.3e-16
 
 
@@ -117,16 +128,42 @@ def _reference_root(dh, t0, t1):
     return acc * half, (c10, c11, c14, c15)
 
 
+def _reference_probe(dh, t0, t1, xp):
+    # the root, the integrand at xp and the barycentric interpolant of the
+    # root's values there, sum b_j v_j / (xp - x_j) / sum b_j / (xp - x_j)
+    near, weights = 0j, 0.0
+    for x, row in zip(_GL_NODES, _GL_PROBE):
+        b = row[-1] / (xp - x)
+        near += dh(0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x)[0] * b
+        weights += b
+    value = dh(0.5 * (t0 + t1) + 0.5 * (t1 - t0) * xp)[0]
+    return (*_reference_root(dh, t0, t1), value, near / weights)
+
+
 def _integral(outcome):
     # the integral of a panel's outcome, or its exception
     return ("value", outcome[1][0]) if outcome[0] == "value" else outcome
 
 
-def _gap_integrand(fn):
+def _noise_scale(z, gap):
+    # the relative noise of f at a rounded point z, gap from the nearest
+    # singular point
+    return 1.0 + (abs(z) / gap if gap > 0 else 1e16)
+
+
+def _gap_integrand(gap_fn):
+    # d / f(1 - d) with f written in the gap: no rounded point
     def dh(t):
-        gap = cmath.exp(t)
-        w = 1.0 - gap
-        return gap / fn(w), w, abs(1.0 - w)
+        d = cmath.exp(t)
+        return d / gap_fn(d), 1.0
+    return dh
+
+
+def _rounded_gap_integrand(fn):
+    def dh(t):
+        d = cmath.exp(t)
+        w = 1.0 - d
+        return d / fn(w), _noise_scale(w, abs(1.0 - w))
     return dh
 
 
@@ -135,7 +172,7 @@ def _chord_integrand(fn, zetas):
         gap = abs(1.0 - z)
         for zeta in zetas:
             gap = min(gap, abs(z - zeta))
-        return -1.0 / fn(z), z, gap
+        return -1.0 / fn(z), _noise_scale(z, gap)
     return dh
 
 
@@ -147,10 +184,13 @@ LOG_GAP = st.builds(complex, st.floats(-40.0, 0.7), st.floats(-1.5, 1.5))
 def test_panels_match_reference_loops(entry_id):
     text = catalog.get(entry_id).f_text if entry_id in IDS else entry_id
     fn = compile_expr(parse(text))
-    opaque = _opaque(fn)
+    opaque, rounded = _opaque(fn), _rounded(fn)
     zetas = (1j, -1.0 + 0j)
-    gap, root = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT)
-    gap_opaque, root_opaque = kernel(opaque, _GAP_PANEL)(_GL_RULE, _GL_ROOT)
+    gap, root, probed = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT, _GL_PROBE, False)
+    gap_opaque, root_opaque, probed_opaque = kernel(opaque, _GAP_PANEL)(
+        _GL_RULE, _GL_ROOT, _GL_PROBE, False)
+    gap_rounded, root_rounded, probed_rounded = kernel(rounded, _GAP_PANEL)(
+        _GL_RULE, _GL_ROOT, _GL_PROBE, True)
     panel, chord_root, chord_sum = kernel(fn, _CHORD_PANELS)(zetas, _GL_RULE, _GL_ROOT)
     panel_opaque, chord_root_opaque, sum_opaque = kernel(opaque, _CHORD_PANELS)(
         zetas, _GL_RULE, _GL_ROOT)
@@ -158,16 +198,31 @@ def test_panels_match_reference_loops(entry_id):
     chord = _chord_integrand(fn, zetas)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(LOG_GAP, LOG_GAP, COMPLEX, COMPLEX)
-    def check(s0, s1, z0, z1):
-        ref = _outcome(_reference_panel, _gap_integrand(fn), s0, s1)
+    @given(LOG_GAP, LOG_GAP, COMPLEX, COMPLEX, st.floats(0.995, 0.9999))
+    def check(s0, s1, z0, z1, xp):
+        ref = _outcome(_reference_panel, _gap_integrand(expr.gap_form(fn)), s0, s1)
         assert _outcome(gap, s0, s1) == _outcome(gap_opaque, s0, s1) == ref
         # the roots are their panel's integral, bit for bit, and the
         # Legendre coefficients of their own values
         whole = _integral(ref)
-        ref = _outcome(_reference_root, _gap_integrand(fn), s0, s1)
+        ref = _outcome(_reference_root, _gap_integrand(expr.gap_form(fn)), s0, s1)
         assert _outcome(root, s0, s1) == _outcome(root_opaque, s0, s1) == ref
         assert _integral(ref) == whole
+        # the probed root is the root, with the integrand at xp and the
+        # interpolant of the root's values there
+        ref = _outcome(_reference_probe, _gap_integrand(expr.gap_form(fn)), s0, s1, xp)
+        assert _outcome(probed, s0, s1, xp) == _outcome(probed_opaque, s0, s1, xp) == ref
+        assert ref[0] != "value" or ref[1][:2] == _outcome(root, s0, s1)[1]
+        # a callable with no gap form: f at the rounded point, and the
+        # noise of its rounding
+        ref = _outcome(_reference_panel, _rounded_gap_integrand(fn), s0, s1)
+        assert _outcome(gap_rounded, s0, s1) == ref
+        whole = _integral(ref)
+        ref = _outcome(_reference_root, _rounded_gap_integrand(fn), s0, s1)
+        assert _outcome(root_rounded, s0, s1) == ref
+        assert _integral(ref) == whole
+        ref = _outcome(_reference_probe, _rounded_gap_integrand(fn), s0, s1, xp)
+        assert _outcome(probed_rounded, s0, s1, xp) == ref
         ref = _outcome(_reference_panel, chord, z0, z1)
         assert _outcome(panel, z0, z1) == _outcome(panel_opaque, z0, z1) == ref
         whole = _integral(ref)
@@ -239,36 +294,66 @@ def test_kernels_built_lazily_once(monkeypatch):
     f = parse(catalog.get("bfid-par").f_text)
     fn = compile_expr(f)
     model = linearize(f)
-    assert fn.kernels == {}  # linearize compiles no kernel
+    # linearize compiles no kernel and writes no gap form
+    assert fn.kernels == {} and not hasattr(fn, "gap")
     parts = ("chords", "null_points", "asymptote")
     assert not any(part in vars(model) for part in parts)
     invert_h(model, model.h(0.5 + 0.3j))
     assert all(part in vars(model) for part in parts)
-    built, chords = dict(fn.kernels), model.chords
-    assert set(built) == {_GAP_PANEL, _CHORD_PANELS}
+    gap = fn.gap
+    built, built_gap, chords = dict(fn.kernels), dict(gap.kernels), model.chords
+    assert set(built) == {_CHORD_PANELS} and set(built_gap) == {_GAP_PANEL}
     compiled = []
     monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source))
     invert_h(model, model.h(-0.2 + 0.6j))
     assert compiled == []
-    assert model.chords is chords
-    assert fn.kernels.keys() == built.keys()
-    assert all(fn.kernels[key] is built[key] for key in built)
+    assert model.chords is chords and fn.gap is gap
+    for callable_, kernels in ((fn, built), (gap, built_gap)):
+        assert callable_.kernels.keys() == kernels.keys()
+        assert all(callable_.kernels[key] is kernels[key] for key in kernels)
 
 
 def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
     # with a raised recursion limit, an expression can compile on its own
     # and still be nested too deeply for a kernel's extra levels
     fn = compile_expr(parse("-(1-z)^2*(1+z)"))
+    gap_fn = expr.gap_form(fn)
 
     def too_deep(source):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(expr, "_compile", too_deep)
     gap_panels = kernel(fn, _GAP_PANEL)
-    assert fn.kernels[_GAP_PANEL] is gap_panels
-    gap, _ = gap_panels(_GL_RULE, _GL_ROOT)
-    ref = _outcome(_reference_panel, _gap_integrand(fn), 0j, -1.0 + 0.2j)
+    assert gap_fn.kernels[_GAP_PANEL] is gap_panels
+    gap, _, _ = gap_panels(_GL_RULE, _GL_ROOT, _GL_PROBE, False)
+    ref = _outcome(_reference_panel, _gap_integrand(gap_fn), 0j, -1.0 + 0.2j)
     assert _outcome(gap, 0j, -1.0 + 0.2j) == ref
+    zetas = (-1.0 + 0j,)
+    chord_panels = kernel(fn, _CHORD_PANELS)
+    assert fn.kernels[_CHORD_PANELS] is chord_panels
+    panel, _, _ = chord_panels(zetas, _GL_RULE, _GL_ROOT)
+    ref = _outcome(_reference_panel, _chord_integrand(fn, zetas), 0.1j, 0.5 + 0.2j)
+    assert _outcome(panel, 0.1j, 0.5 + 0.2j) == ref
+
+
+def test_expression_too_deep_for_gap_code_is_evaluated_at_the_rounded_point(monkeypatch):
+    # where the gap code does not compile, the expression has no gap form
+    # and the log-gap panels evaluate f at z = 1 - d, as for any callable
+    # that carries none
+    fn = compile_expr(parse("-(1-z)^2*sqrt((1+z)/(1-z))"))
+    compile_source = expr._compile
+
+    def no_gap_code(source):
+        if "def call_gap(" in source:
+            raise RecursionError("maximum recursion depth exceeded")
+        return compile_source(source)
+
+    monkeypatch.setattr(expr, "_compile", no_gap_code)
+    assert expr.gap_form(fn) is None and fn.gap is None
+    panel, root, _ = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT, _GL_PROBE, True)
+    dh = _rounded_gap_integrand(fn)
+    assert _outcome(panel, 0j, -3.0 + 1.2j) == _outcome(_reference_panel, dh, 0j, -3.0 + 1.2j)
+    assert _outcome(root, 0j, -3.0 + 1.2j) == _outcome(_reference_root, dh, 0j, -3.0 + 1.2j)
 
 
 # --- plain complex arithmetic -------------------------------------------------
@@ -369,7 +454,7 @@ def _complex_operand(node) -> bool:
     # operation on one
     if isinstance(node, ast.BinOp):
         return _complex_operand(node.left) or _complex_operand(node.right)
-    return isinstance(node, ast.Name) and re.fullmatch(r"v|gap|k\d+", node.id) is not None
+    return isinstance(node, ast.Name) and re.fullmatch(r"v|d|gap|k\d+", node.id) is not None
 
 
 @pytest.mark.parametrize("template", [_DP_STEP, _GAP_PANEL, _CHORD_PANELS, expr._GRID_SCAN],
