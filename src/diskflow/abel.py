@@ -978,9 +978,24 @@ def estimate_alpha_mu(f):
 
 
 def linearize(f) -> LinearizationModel:
-    """Build the linearization model of a generator."""
+    """The linearization model of a generator.
+
+    The model of an expression is built once and kept on its node, as
+    :func:`~diskflow.expr.compile_expr` keeps the callable, so every
+    call on that node (classify, bfid_report, the CLI verbs) shares its
+    exponents, null points, chord kernels, asymptote and ``h_cache``.
+    Any other callable gets a fresh model on every call.  An expression
+    outside the class raises NotInClassError on every call: no failure
+    is kept.
+    """
+    kept = isinstance(f, Expr)
+    if kept and hasattr(f, "_model"):
+        return f._model
     alpha, mu, tag = estimate_alpha_mu(f)
-    return LinearizationModel(f=f, alpha=alpha, mu=mu, mu_class=tag)
+    model = LinearizationModel(f=f, alpha=alpha, mu=mu, mu_class=tag)
+    if kept:
+        object.__setattr__(f, "_model", model)  # nodes are frozen
+    return model
 
 
 # --- boundary null points ---------------------------------------------------

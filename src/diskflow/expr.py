@@ -495,6 +495,7 @@ def _callable(node: Expr, gap: bool):
     call.source = source
     call.namespace = namespace
     call.kernels = {}
+    call.uses = {}
     return call
 
 
@@ -527,7 +528,12 @@ def kernel(fn, template: str):
     evaluates ``v = f(z)`` at the rounded point ``z = (1+0j) - d``
     instead.  Its own exceptions pass through.  Either way the kernel
     gives the same floats and the same exceptions as calling the scalar
-    callable at every line that evaluates f.
+    callable at every line that evaluates f.  The panel templates of
+    :mod:`diskflow.abel` and the grid scan of :func:`validate_generator`
+    are inlined here, on their first use; the DOP853 attempt of
+    :mod:`diskflow.flow` comes through :func:`kernel_by_use`, which
+    inlines it only once its callable has made :data:`INLINE_AFTER`
+    attempts.
 
     Kernels do plain complex arithmetic.  On CPython 3.11 a float on
     the left of a complex operand (``0.5*x``, ``1.0 - x``) first fails
@@ -545,19 +551,66 @@ def kernel(fn, template: str):
             template = _at_rounded_point(template)
         else:
             fn, line = gap, _GAP_CALL
-    name = _CALLS[line][0]
     kernels = getattr(fn, "kernels", None)
     if kernels is None:
-        return _define(_template_code(template), {**_NAMESPACE, name: fn})
+        return _as_written(template, line, fn)
     built = kernels.get(template)
     if built is None:
         try:
             built = _define(_compile(_inline(template, fn.source)), fn.namespace)
         except (SyntaxError, RecursionError, MemoryError):
             # nested too deeply for the kernel's extra levels: call f
-            built = _define(_template_code(template), {**_NAMESPACE, name: fn})
+            built = _as_written(template, line, fn)
         kernels[template] = built
     return built
+
+
+def _as_written(template: str, line: str, fn):
+    """The function of ``template`` as written, evaluating f by calling
+    ``fn`` under the name that ``line`` calls."""
+    return _define(_template_code(template), {**_NAMESPACE, _CALLS[line][0]: fn})
+
+
+# A kernel that kernel_by_use gives runs its template as written, with f
+# called through the scalar callable, until the callable has made
+# INLINE_AFTER calls of it; from then on it is the inlined kernel, compiled
+# once.  Sized for the DOP853 attempt of flow, the one template run this
+# way (2 cores, CPython 3.11.7): compiling the inlined attempt costs
+# 1.7-2.3 ms per generator (the template alone 0.77 ms), and inlining saves
+# about 0.22 us per evaluation, 2.6 us per attempt of twelve, so the
+# compile pays back after roughly 650-900 attempts.  classify's ODE leg
+# makes about 212 attempts per generator and the backward probes of one
+# bfid_report about 45 in all, so neither compiles it; a generator that is
+# integrated for longer (about 500 attempts per pass of the trajectories
+# benchmark workload) pays at most 256 x 2.6 us, about 0.7 ms, once before
+# the switch.
+INLINE_AFTER = 256
+
+
+def kernel_by_use(fn, template: str, made: int):
+    """``(kernel, calls)`` for a caller that reports the calls it makes:
+    the kernel of ``template`` for ``fn`` once the caller has made
+    ``made`` more calls of the kernel this function last gave it (0 on
+    its first request), and the number of calls after which it asks
+    again, or -1 when the kernel is final.
+
+    For a callable from :func:`compile_expr` the calls are counted in
+    its ``uses``, per template.  Until they reach :data:`INLINE_AFTER`,
+    the kernel is the template as written with ``f`` bound to the
+    scalar callable, the same code that every other callable runs, so a
+    kernel that is never called often enough to repay its compile is not
+    compiled; after that it is :func:`kernel`'s inlined one.  Both give
+    the same bits and the same exceptions, so the switch may come in the
+    middle of a run.  Any other callable gets :func:`kernel`'s at once.
+    ``template`` evaluates f by ``v = f(z)`` only.
+    """
+    uses = getattr(fn, "uses", None)
+    if uses is None or template in fn.kernels:
+        return kernel(fn, template), -1
+    count = uses[template] = uses.get(template, 0) + made
+    if count >= INLINE_AFTER:
+        return kernel(fn, template), -1
+    return _as_written(template, _F_CALL, fn), INLINE_AFTER - count
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,11 +5,16 @@ Dormand-Prince 8(5,3) pair (DOP853) on the complex scalar, forward or
 backward in time.  The pair is first same as last: its thirteenth stage
 is evaluated at the eighth-order point u8 and reused as the first stage
 of the next step, so every attempted step costs twelve evaluations of f.
-The attempt is one kernel, the template _DP_STEP, which
-:func:`diskflow.expr.kernel` compiles once per generator with the code
-of f in place of each stage's evaluation.  Forward trajectories of a
-generator must stay inside the disk; backward trajectories terminate
-when they reach the boundary margin or stagnate at a null point.
+The attempt is one kernel, the template _DP_STEP.  It runs as written,
+calling the generator's scalar callable at each stage, until that
+callable has made :data:`diskflow.expr.INLINE_AFTER` attempts; then
+:func:`diskflow.expr.kernel_by_use` compiles it once, with the code of f
+in place of each stage's evaluation, and the run goes on with that
+kernel.  Both give the same bits, so a short run (such as the ODE leg
+of classify) does not pay a compile that its attempts would not repay.
+Forward trajectories of a generator must stay inside the disk; backward
+trajectories terminate when they reach the boundary margin or stagnate
+at a null point.
 Convergence diagnostics (horocycle distance limit, argument limit,
 approach regime) feed the classifier; they read the flow at geometric
 checkpoints from one run that lands on each of them, and past 1e4 from
@@ -29,7 +34,7 @@ from .errors import (
     SingularEvaluationError,
     StiffFailureError,
 )
-from .expr import as_callable, kernel
+from .expr import as_callable, kernel_by_use
 from .extrapolate import sequence_limit
 from .geometry import horocycle_distance
 
@@ -54,7 +59,8 @@ TIMES_PER_DECADE = 8  # geometric checkpoints of convergence_profile
 # complex operand first fails in the float slot (49 ns for 0.5*k against
 # 27 ns for (0.5+0j)*k, about 86 such products an attempt); the bits are
 # those of the float weights, which Python widens to (c, 0.0) anyway.
-# Instantiated per generator by expr.kernel, with f inlined.
+# Run as written, or inlined per generator once it repays its compile
+# (expr.kernel_by_use).
 _DP_STEP = """
 def dop853_step(u, h, k0):
     h = complex(h)
@@ -253,84 +259,99 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     exit margin before the attempt's end; from then on no step goes more
     than half way there, so the exit time is bisected at one attempt per
     halving, not two.
+
+    The attempts are reported to :func:`diskflow.expr.kernel_by_use`,
+    which gives _DP_STEP as written until the callable has made
+    INLINE_AFTER of them, over all its runs, and the inlined kernel
+    after that, in the middle of a run if need be; the bits are the
+    same either way.
     """
     sign = -1.0 if stops[0] < 0 else 1.0
     t = 0.0
     k0 = -fn(u)
-    step = kernel(fn, _DP_STEP)
+    step, calls = kernel_by_use(fn, _DP_STEP, 0)
+    made = 0  # attempts made with step
     h = sign * min(1e-2, abs(stops[0]) / 10) / max(abs(k0), 1.0)
     reached, accepted = 0, 0
     rejected = False  # the last attempt was rejected
     exit_by = None  # backward: the end of an accurate attempt that left the disk
-    while True:
-        stop = stops[reached]
-        cut = abs(h) > abs(stop - t)
-        dt = stop - t if cut else h
-        if abs(dt) < 1e-13 * max(1.0, abs(t)):
-            raise StiffFailureError(f"step size underflow at t = {t}")
-        try:
-            u8, e5, e3, k12 = step(u, dt, k0)
-            # tighten near the attracting boundary point: errors there map to
-            # errors of size delta/(1-u)^2 in the linearizing coordinate
-            # the extra 0.05 keeps the accumulated error over a run well
-            # under the per-step budget; the complex operand goes left, so
-            # no float slot is tried first (the bits are the same)
-            scale = 0.05 * min(1.0, max(abs((1+0j) - u) ** 2, 1e-5))
-            err5 = abs(e5 * dt) / scale
-            err3 = abs(e3 * dt) / scale
-            # Hairer's DOP853 norm; a NaN denominator passes to the guard
-            deno = err5 * err5 + 0.01 * err3 * err3
-            err = err5 * err5 / math.sqrt(deno) if deno else 0.0
-            bad = not (err == err)  # NaN guard
-        except (SingularEvaluationError, OverflowError):
-            bad = True
-            err = math.inf
-            u8 = u
-        if not bad and abs(u8) >= 1.0:
-            # reject steps that land on or outside the circle: a forward
-            # run of a generator stays inside, so such a landing is an
-            # overshoot or the rounding of a point within half an ulp of 1
-            bad = True
-            if sign < 0 and err <= atol:
-                # the orbit itself reaches the exit margin before t + dt
-                exit_by = t + dt
-        if bad or err > atol:
-            h = dt * (0.5 if bad else max(0.2, 0.9 * (atol / err) ** 0.125))
-            rejected = True
-            continue
-        t += dt
-        u = u8
-        if cut or sign * (stop - t) <= 0:
-            reached += 1
-        termination = None
-        if sign < 0 and abs(u) > 1.0 - EXIT_MARGIN:
-            termination = "boundary-exit"
-        elif abs(k12) < STAGNATION_SPEED:
-            termination = "stagnation"
-        elif reached == len(stops):
-            termination = "horizon-reached"
-        yield t, u, reached, termination
-        accepted += 1
-        if accepted >= MAX_SAMPLES:
-            raise StiffFailureError(f"sample budget exhausted at t = {t}")
-        if termination is not None:
-            return
-        k0 = k12
-        if err > 0:
-            growth = min(MAX_GROWTH, 0.9 * (atol / err) ** 0.125)
-        else:
-            growth = MAX_GROWTH
-        if rejected:
-            # Hairer's rule: no growth right after a rejection, so a step
-            # cut back at the disk edge is not regrown straight into it
-            growth = min(growth, 1.0)
-            rejected = False
-        if not cut:
-            h = dt * growth
-        if exit_by is not None and abs(h) > 0.5 * abs(exit_by - t):
-            # bisect the exit time: a step as long as the one just accepted
-            # would leave the disk again
-            h = 0.5 * (exit_by - t)
+    try:
+        while True:
+            stop = stops[reached]
+            cut = abs(h) > abs(stop - t)
+            dt = stop - t if cut else h
+            if abs(dt) < 1e-13 * max(1.0, abs(t)):
+                raise StiffFailureError(f"step size underflow at t = {t}")
+            if made == calls:
+                step, calls = kernel_by_use(fn, _DP_STEP, made)
+                made = 0
+            made += 1
+            try:
+                u8, e5, e3, k12 = step(u, dt, k0)
+                # tighten near the attracting boundary point: errors there map to
+                # errors of size delta/(1-u)^2 in the linearizing coordinate
+                # the extra 0.05 keeps the accumulated error over a run well
+                # under the per-step budget; the complex operand goes left, so
+                # no float slot is tried first (the bits are the same)
+                scale = 0.05 * min(1.0, max(abs((1+0j) - u) ** 2, 1e-5))
+                err5 = abs(e5 * dt) / scale
+                err3 = abs(e3 * dt) / scale
+                # Hairer's DOP853 norm; a NaN denominator passes to the guard
+                deno = err5 * err5 + 0.01 * err3 * err3
+                err = err5 * err5 / math.sqrt(deno) if deno else 0.0
+                bad = not (err == err)  # NaN guard
+            except (SingularEvaluationError, OverflowError):
+                bad = True
+                err = math.inf
+                u8 = u
+            if not bad and abs(u8) >= 1.0:
+                # reject steps that land on or outside the circle: a forward
+                # run of a generator stays inside, so such a landing is an
+                # overshoot or the rounding of a point within half an ulp of 1
+                bad = True
+                if sign < 0 and err <= atol:
+                    # the orbit itself reaches the exit margin before t + dt
+                    exit_by = t + dt
+            if bad or err > atol:
+                h = dt * (0.5 if bad else max(0.2, 0.9 * (atol / err) ** 0.125))
+                rejected = True
+                continue
+            t += dt
+            u = u8
+            if cut or sign * (stop - t) <= 0:
+                reached += 1
+            termination = None
+            if sign < 0 and abs(u) > 1.0 - EXIT_MARGIN:
+                termination = "boundary-exit"
+            elif abs(k12) < STAGNATION_SPEED:
+                termination = "stagnation"
+            elif reached == len(stops):
+                termination = "horizon-reached"
+            yield t, u, reached, termination
+            accepted += 1
+            if accepted >= MAX_SAMPLES:
+                raise StiffFailureError(f"sample budget exhausted at t = {t}")
+            if termination is not None:
+                return
+            k0 = k12
+            if err > 0:
+                growth = min(MAX_GROWTH, 0.9 * (atol / err) ** 0.125)
+            else:
+                growth = MAX_GROWTH
+            if rejected:
+                # Hairer's rule: no growth right after a rejection, so a step
+                # cut back at the disk edge is not regrown straight into it
+                growth = min(growth, 1.0)
+                rejected = False
+            if not cut:
+                h = dt * growth
+            if exit_by is not None and abs(h) > 0.5 * abs(exit_by - t):
+                # bisect the exit time: a step as long as the one just accepted
+                # would leave the disk again
+                h = 0.5 * (exit_by - t)
+    finally:
+        if calls > 0:  # still on the template: count this run's attempts
+            kernel_by_use(fn, _DP_STEP, made)
 
 
 def flow_point(f, z0: complex, t: float) -> complex:

@@ -39,7 +39,7 @@ def _model(cid: str):
 
 @functools.cache
 def _profile(cid: str):
-    return classify(parse(catalog.get(cid).f_text))
+    return classify(_model(cid).f)
 
 
 def _ring(n: int, r: float):

@@ -34,7 +34,8 @@ from diskflow.abel import (
     planar_domain_stats,
     visser_ostrovskii,
 )
-from diskflow.conjugate import MobiusGroup
+from diskflow.classify import classify
+from diskflow.conjugate import MobiusGroup, bfid_report
 from diskflow.errors import InversionFailureError, NotInClassError, SingularEvaluationError
 from diskflow.expr import compile_expr, kernel, parse
 from diskflow.flow import flow_point
@@ -415,8 +416,43 @@ def test_not_in_class_rejected():
         "-(1-z)^2/(1-0.5*log(1-z))",
         "-(1-z)^2*(1-0.5*log(1-z))",
     ):
-        with pytest.raises(NotInClassError):
-            linearize(parse(f_text))
+        f = parse(f_text)
+        # no failure is kept on the node: every call measures and raises
+        for _ in range(2):
+            with pytest.raises(NotInClassError):
+                linearize(f)
+
+
+def _count_calls(monkeypatch, *names):
+    # wrap each abel function in ``names`` with a counter of its calls
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(abel, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(abel, name, counted)
+    return calls
+
+
+def test_one_model_per_expression(monkeypatch):
+    calls = _count_calls(monkeypatch, "estimate_alpha_mu", "find_boundary_null_points")
+    f = parse(catalog.get("quadrant").f_text)
+    model = linearize(f)
+    assert linearize(f) is model
+    assert classify(f).model is model
+    bfid_report(f)
+    assert calls == {"estimate_alpha_mu": 1, "find_boundary_null_points": 1}
+
+
+def test_plain_callable_gets_a_fresh_model(monkeypatch):
+    calls = _count_calls(monkeypatch, "estimate_alpha_mu")
+    fn = compile_expr(parse(catalog.get("quadrant").f_text))
+    first, second = linearize(fn), linearize(fn)
+    assert first is not second
+    assert calls == {"estimate_alpha_mu": 2}
 
 
 # far targets |w| >> 1.5^64 ~ 1.9e11, past any fixed budget of 64

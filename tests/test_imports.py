@@ -140,12 +140,19 @@ def test_no_unread_definitions():
     assert _unread_definitions(sources) == []
 
 
-def test_verification_is_imported_on_first_access():
-    # import diskflow leaves the verify-paper suite out; reading
-    # diskflow.verification imports it, and __all__ still lists it
+def _run_fresh(probe: str) -> list:
+    # the words that ``probe`` prints, run in a fresh interpreter
     src = os.path.dirname(str(SRC))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.split()
+
+
+def test_verification_is_imported_on_first_access():
+    # import diskflow leaves the verify-paper suite out; reading
+    # diskflow.verification imports it, and __all__ still lists it
     probe = (
         "import sys, diskflow\n"
         "print('diskflow.verification' in sys.modules)\n"
@@ -153,6 +160,13 @@ def test_verification_is_imported_on_first_access():
         "print('diskflow.verification' in sys.modules, suite is sys.modules['diskflow.verification'])\n"
         "print('verification' in diskflow.__all__)\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.split() == ["False", "True", "True", "True"]
+    assert _run_fresh(probe) == ["False", "True", "True", "True"]
+
+
+def test_import_leaves_the_command_line_out():
+    # only the diskflow command needs argparse and the cli module
+    probe = (
+        "import sys, diskflow\n"
+        "print('argparse' in sys.modules, 'diskflow.cli' in sys.modules)\n"
+    )
+    assert _run_fresh(probe) == ["False", "False"]

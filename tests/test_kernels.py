@@ -36,6 +36,7 @@ from diskflow.abel import (  # noqa: E402
     invert_h,
     linearize,
 )
+from diskflow.classify import classify  # noqa: E402
 from diskflow.errors import SingularEvaluationError  # noqa: E402
 from diskflow.expr import (  # noqa: E402
     Add,
@@ -274,6 +275,50 @@ def test_singular_f_raises_the_same_error(text):
     assert outcome == _outcome(invert_h, model_opaque, 40.0 + 0j)
     assert outcome[0] == "InversionFailureError"
     assert _outcome(integrate, f, 0.5, 20.0) == _outcome(integrate, opaque, 0.5, 20.0)
+
+
+def _run(f, z0, t):
+    # integrate's samples and termination, or its exception with the
+    # partial trajectory it carries
+    try:
+        return "value", _bits(integrate(f, z0, t))
+    except Exception as exc:  # noqa: BLE001 - compared by type and message
+        return type(exc).__name__, str(exc), _bits(getattr(exc, "trajectory", None))
+
+
+@pytest.mark.parametrize("text", [catalog.get(cid).f_text
+                                  for cid in ("quadrant", "bfid-par", "power(0,i)")]
+                         + list(SINGULAR))
+def test_dop853_switch_keeps_the_bits(text):
+    # a callable that switches to the inlined attempt in the middle of a
+    # run, one that had switched before it, and an opaque one agree; the
+    # fresh one is reported three attempts short of the threshold
+    for z0, t in ((0.0, 20.0), (0.0, -5.0)):
+        fresh = compile_expr(parse(text))
+        expr.kernel_by_use(fresh, _DP_STEP, expr.INLINE_AFTER - 3)
+        switched = compile_expr(parse(text))
+        kernel(switched, _DP_STEP)
+        assert _DP_STEP not in fresh.kernels
+        outcome = _run(fresh, z0, t)
+        assert _DP_STEP in fresh.kernels  # the run crossed the threshold
+        assert outcome == _run(switched, z0, t) == _run(_opaque(fresh), z0, t)
+
+
+def test_dop853_compiled_once_repaid(monkeypatch):
+    # classify's ODE leg stays on the template; a run past the threshold
+    # compiles the inlined attempt once, and later runs reuse it
+    compiled = []
+    compile_source = expr._compile
+    monkeypatch.setattr(expr, "_compile",
+                        lambda source: compiled.append(source) or compile_source(source))
+    f = parse(catalog.get("quadrant").f_text)
+    classify(f)
+    steps = sum("def dop853_step" in source for source in compiled)
+    assert steps == 0 and compile_expr(f).uses[_DP_STEP] < expr.INLINE_AFTER
+    for _ in range(2):
+        integrate(f, -0.5 + 0.1j, 1000.0)
+    steps = sum("def dop853_step" in source for source in compiled)
+    assert steps == 1 and _DP_STEP in compile_expr(f).kernels
 
 
 def test_opaque_exceptions_pass_through():
