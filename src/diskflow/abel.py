@@ -21,13 +21,18 @@ the circle than its last node is probed there first, and graded toward
 its end where f changes unseen (_end_segment).  Panel roundoff is the
 roundoff of the sum, and on chords, whose nodes are rounded points,
 also scaled by each node's distance to the nearest singular boundary
-point of h': 1 and every boundary null point of f.  Each panel is a
-kernel, from the templates _GAP_PANEL and _CHORD_PANELS below, which
+point of h': 1 and every boundary null point of f.  Each geometry's
+integrand is one kernel, _GAP_INTEGRAND or _CHORD_INTEGRAND below: a
+single loop over the nodes of any rule, which
 :func:`diskflow.expr.kernel` compiles once per generator with the code
-of f in place of each evaluation, so a node makes no Python call; a
-model builds its chord panels, with its null points bound in, on its
-first inversion and keeps them.  Inversion is Newton's method, tracking h incrementally, one chord integral per
-iterate rather than a fresh quadrature from 0.  A solve from scratch
+of f in place of its one evaluation, so a node makes no Python call.
+It returns the rule's integral and the node values; the Legendre tail,
+the roundoff estimate and the end probe are sums over those values,
+written once in Python for both geometries.  A model builds its chord
+kernel, with the noise scales of its null points, on its first
+inversion and keeps it.  Inversion is Newton's method, tracking h
+incrementally, one chord integral per iterate rather than a fresh
+quadrature from 0.  A solve from scratch
 starts where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C,
 takes the target value, which along radial and Stolz approaches is a few
 Newton steps from the root, each one panel of 1 to 16 nodes (fewer as
@@ -119,15 +124,13 @@ _GL_TAIL = (
     (-0.25201541416293205, -0.2910139422600961, -0.20493540387013992, -0.1122209124505884),
     (0.14127275587308694, 0.12875900151871053, 0.06270545045312347, 0.03278130486396174),
 )
-# the root rule of an adaptive segment: (node, weight, c10, c11, c14 and
-# c15 columns) per node
-_GL_ROOT = tuple(rule + tail for rule, tail in zip(_GL_RULE, _GL_TAIL))
-# ... and with the barycentric weight (-1)^j ((1 - x_j^2) w_j)^(1/2) of
-# each node, those of interpolation in the Gauss-Legendre nodes (Wang,
-# Huybrechs & Vandewalle, Math. Comp. 83, 2014), for the probe of a
-# segment's end
-_GL_PROBE = tuple(row + ((-1) ** j * math.sqrt((1.0 - row[0] ** 2) * row[1]),)
-                  for j, row in enumerate(_GL_ROOT))
+# the barycentric weight (-1)^j ((1 - x_j^2) w_j)^(1/2) of each node, those
+# of interpolation in the Gauss-Legendre nodes (Wang, Huybrechs &
+# Vandewalle, Math. Comp. 83, 2014), for the probe of a segment's end
+_GL_BARYCENTRIC = tuple((-1) ** j * math.sqrt((1.0 - x ** 2) * w)
+                        for j, (x, w) in enumerate(_GL_RULE))
+# the noise scales of a panel whose nodes evaluate f exactly
+_UNIT_SCALES = (1.0,) * len(_GL_RULE)
 # the distance of the last node of the 16-point rule from the end of its
 # interval, as a fraction of the interval
 _END_NODE = 0.5 * (1.0 - _GL_NODES[-1])
@@ -168,144 +171,109 @@ _CHORD_RULES = (
     (0.5, _GL_RULE),
 )
 
-# The panels of the log-gap segment, where dh/ds = d / f(1 - d) at the
-# gap d = e^s: ``panel(t0, t1)`` is the 16-node panel of ``panel_rule``
-# over [t0, t1], returning (integral, roundoff noise estimate), and
-# ``root`` the same rule's integral with the Legendre coefficients (c10,
-# c11, c14, c15) of its values by the columns of ``root_rule``, for the
-# root of an adaptive segment (see _segment_integral); ``probed_root(t0,
-# t1, xp)`` is ``root`` with the integrand at the point xp of [-1, 1] and
-# the barycentric interpolant of the 16 values there, by the columns of
-# ``probe_rule`` (see _end_segment).  f is evaluated in
-# the gap (expr.gap_form), so a node is exact next to 1 and its integrand
-# carries only the roundoff of the sum; a callable with no gap form
-# (``rounded``) is evaluated at the rounded point z = 1 - d, whose
-# integrand carries eps |z|/|1 - z| relative noise more.  The integral's
-# arithmetic is complex throughout, with no float on the left of a
-# complex operand, which on CPython 3.11 first fails in the float slot:
-# (1+0j) - d and v * w, bit for bit 1.0 - d and w * v; the noise estimate
-# stays in floats.  Instantiated per generator by expr.kernel, with f
-# inlined; the rules are its arguments.
-_GAP_PANEL = """
-def gap_panels(panel_rule, root_rule, probe_rule, rounded):
-    def panel(t0, t1):
-        half = 0.5 * (t1 - t0)
-        mid = 0.5 * (t0 + t1)
-        acc = 0j
-        rough = 0.0
-        for x, w in panel_rule:
-            d = exp(mid + half * x)
-            v = f_gap(d)
-            v = d / v
-            acc += v * w
-            if rounded:
-                z = (1+0j) - d
-                gap = abs((1+0j) - z)
-                rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
-            else:
-                rough += w * abs(v)
-        return acc * half, rough * abs(half) * 2.3e-16
-
-    def root(t0, t1):
-        half = 0.5 * (t1 - t0)
-        mid = 0.5 * (t0 + t1)
-        acc = c10 = c11 = c14 = c15 = 0j
-        for x, w, p10, p11, p14, p15 in root_rule:
-            d = exp(mid + half * x)
-            v = f_gap(d)
-            v = d / v
-            acc += v * w
-            c10 += v * p10
-            c11 += v * p11
-            c14 += v * p14
-            c15 += v * p15
-        return acc * half, (c10, c11, c14, c15)
-
-    def probed_root(t0, t1, xp):
-        half = 0.5 * (t1 - t0)
-        mid = 0.5 * (t0 + t1)
-        acc = c10 = c11 = c14 = c15 = near = 0j
-        weights = 0.0
-        for x, w, p10, p11, p14, p15, b in probe_rule + ((xp, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),):
-            d = exp(mid + half * x)
-            v = f_gap(d)
-            v = d / v
-            if x == xp:  # the last row, past every node: the probe
-                break
-            acc += v * w
-            c10 += v * p10
-            c11 += v * p11
-            c14 += v * p14
-            c15 += v * p15
-            b /= xp - x
-            near += v * b
-            weights += b
-        return acc * half, (c10, c11, c14, c15), v, near / weights
-
-    return panel, root, probed_root
+# The integrand of each path geometry, one kernel each: dh/ds =
+# d / f(1 - d) along a log-gap segment, at the gap d = e^s, and dh/dz =
+# -1/f along a chord in z.  ``integrand(t0, t1, rule)`` evaluates it at
+# the nodes of ``rule``, (node, weight) pairs on [-1, 1] mapped onto
+# [t0, t1], and returns the rule's integral, added up in node order,
+# with the value at each node.  f is evaluated on one line, so
+# expr.kernel inlines it once per generator; in the gap (expr.gap_form),
+# so a log-gap node is exact next to 1, or at the rounded point 1 - d by
+# a callable with no gap form.  No float stands on the left of a complex
+# operand, which on CPython 3.11 first fails in the float slot: (-1+0j) / v
+# and v * w are bit for bit -1.0 / v and w * v.  All else the adaptive
+# engine reads of a panel is a sum over the values, written once below.
+_GAP_INTEGRAND = """
+def gap_integrand(t0, t1, rule):
+    half = 0.5 * (t1 - t0)
+    mid = 0.5 * (t0 + t1)
+    acc = 0j
+    values = []
+    keep = values.append
+    for x, w in rule:
+        d = exp(mid + half * x)
+        v = f_gap(d)
+        v = d / v
+        acc += v * w
+        keep(v)
+    return acc * half, values
 """
 
-# The panels of straight chords in z, where dh/dz = -1/f, with the gap of
-# a node taken to 1 and to every other boundary null point in ``zetas``:
-# ``panel`` and ``root`` return (integral, roundoff noise estimate) and
-# (integral, Legendre coefficients) like the log-gap kernels, and
-# ``chord_sum(t0, t1, rule)`` the integral alone by the (node, weight)
-# pairs of ``rule``, for the short Newton chords.  As in the log-gap
-# panel, (-1+0j) / v and v * w keep floats off the left of complex
-# operands.
-_CHORD_PANELS = """
-def chord_panels(zetas, panel_rule, root_rule):
-    def panel(t0, t1):
+_CHORD_INTEGRAND = """
+def chord_integrand(t0, t1, rule):
+    half = 0.5 * (t1 - t0)
+    mid = 0.5 * (t0 + t1)
+    acc = 0j
+    values = []
+    keep = values.append
+    for x, w in rule:
+        z = mid + half * x
+        v = f(z)
+        v = (-1+0j) / v
+        acc += v * w
+        keep(v)
+    return acc * half, values
+"""
+
+
+def _rounding_scales(zetas: tuple, in_gap: bool):
+    """``(t0, t1) ->`` the noise scale 1 + |z|/gap of each node of a panel
+    whose nodes evaluate f at rounded points z, gap the distance from z
+    to 1 or the nearest of ``zetas``: rounding z carries that relative
+    noise into f next to a singular boundary point of h'.  A log-gap
+    node t (``in_gap``) is rounded to z = 1 - e^t, a chord node is z."""
+    def scales(t0: complex, t1: complex) -> list:
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
-        acc = 0j
-        rough = 0.0
-        for x, w in panel_rule:
-            z = mid + half * x
+        points = [mid + half * x for x in _GL_NODES]
+        if in_gap:
+            points = [(1+0j) - cmath.exp(t) for t in points]
+        out = []
+        for z in points:
             gap = abs((1+0j) - z)
             for zeta in zetas:
-                gap = min(gap, abs(z - zeta))
-            v = f(z)
-            v = (-1+0j) / v
-            acc += v * w
-            rough += w * abs(v) * (1.0 + (abs(z) / gap if gap > 0 else 1e16))
-        return acc * half, rough * abs(half) * 2.3e-16
-
-    def root(t0, t1):
-        half = 0.5 * (t1 - t0)
-        mid = 0.5 * (t0 + t1)
-        acc = c10 = c11 = c14 = c15 = 0j
-        for x, w, p10, p11, p14, p15 in root_rule:
-            z = mid + half * x
-            v = f(z)
-            v = (-1+0j) / v
-            acc += v * w
-            c10 += v * p10
-            c11 += v * p11
-            c14 += v * p14
-            c15 += v * p15
-        return acc * half, (c10, c11, c14, c15)
-
-    def chord_sum(t0, t1, rule):
-        half = 0.5 * (t1 - t0)
-        mid = 0.5 * (t0 + t1)
-        acc = 0j
-        for x, w in rule:
-            z = mid + half * x
-            v = f(z)
-            acc += ((-1+0j) / v) * w
-        return acc * half
-
-    return panel, root, chord_sum
-"""
+                far = abs(z - zeta)
+                if far < gap:
+                    gap = far
+            out.append(1.0 + (abs(z) / gap if gap > 0 else 1e16))
+        return out
+    return scales
 
 
-def _root_tail(t0: complex, t1: complex, coefficients) -> float:
-    """The Legendre tail estimate of a root over [t0, t1] from its
-    coefficients (c10, c11, c14, c15): 2 |half| hi min(1, hi/lo)^2, where
-    hi = max(|c14|, |c15|) and lo = max(|c10|, |c11|) (Gonnet, ACM TOMS
-    37(3), 2010)."""
-    c10, c11, c14, c15 = coefficients
+def _panel(path, t0: complex, t1: complex) -> tuple:
+    """The 16-node panel of ``path`` over [t0, t1]: its integral and the
+    roundoff estimate of the sum, 2.3e-16 |half| sum w_j |v_j| s_j.
+
+    ``path`` is (integrand, scales), chosen once per generator
+    (:func:`_log_gap`, ``LinearizationModel.chords``): an integrand
+    kernel above, and the noise scales s_j of its nodes,
+    :func:`_rounding_scales` where f is evaluated at rounded points and
+    None, all 1, where it is exact."""
+    integrand, scales = path
+    whole, values = integrand(t0, t1, _GL_RULE)
+    rough = 0.0
+    for v, w, scale in zip(values, _GL_WEIGHTS, scales(t0, t1) if scales else _UNIT_SCALES):
+        rough += w * abs(v) * scale
+    return whole, rough * abs(0.5 * (t1 - t0)) * 2.3e-16
+
+
+def _legendre_tail(values) -> tuple:
+    # the Legendre coefficients (c10, c11, c14, c15) of a panel's 16
+    # values, by the columns of _GL_TAIL
+    c10 = c11 = c14 = c15 = 0j
+    for v, (p10, p11, p14, p15) in zip(values, _GL_TAIL):
+        c10 += v * p10
+        c11 += v * p11
+        c14 += v * p14
+        c15 += v * p15
+    return c10, c11, c14, c15
+
+
+def _root_tail(t0: complex, t1: complex, values) -> float:
+    """The Legendre tail estimate of a root over [t0, t1] from its 16
+    values: 2 |half| hi min(1, hi/lo)^2, where hi = max(|c14|, |c15|) and
+    lo = max(|c10|, |c11|) (Gonnet, ACM TOMS 37(3), 2010)."""
+    c10, c11, c14, c15 = _legendre_tail(values)
     hi = max(abs(c14), abs(c15))
     lo = max(abs(c10), abs(c11))
     if hi < lo:
@@ -313,18 +281,28 @@ def _root_tail(t0: complex, t1: complex, coefficients) -> float:
     return 2.0 * abs(0.5 * (t1 - t0)) * hi
 
 
-def _segment_integral(panel, root, t0: complex, t1: complex) -> complex:
+def _probe(integrand, t0: complex, t1: complex, values, xp: float) -> tuple:
+    # the integrand at the point xp of [-1, 1] past the last node,
+    # evaluated after the 16 nodes, and the barycentric interpolant there
+    # of their values, sum b_j v_j / (xp - x_j) / sum b_j / (xp - x_j)
+    _, (value,) = integrand(t0, t1, ((xp, 0.0),))
+    near, weights = 0j, 0.0
+    for v, x, b in zip(values, _GL_NODES, _GL_BARYCENTRIC):
+        b /= xp - x
+        near += v * b
+        weights += b
+    return value, near / weights
+
+
+def _segment_integral(path, t0: complex, t1: complex) -> complex:
     """Adaptive Gauss-Legendre integral of a path integrand over [t0, t1].
 
-    ``root(t0, t1)`` is the 16-node integral over the whole segment with
-    the Legendre coefficients of its own 16 values, whose tail estimate
-    is :func:`_root_tail`: a segment whose estimate is at most
-    1e-13 max(1, |I|) is that integral, after 16 evaluations.  Any other
-    is refined from the root as its whole.
-    ``panel(a, b)`` is a 16-node panel over [a, b] of the same rule, one
-    of the kernels above: it returns the integral and a roundoff estimate
-    that the test of the halves tracks, where a fixed relative tolerance
-    would refine to the depth cap on roundoff.
+    The root is the 16-node integral over the whole segment, whose
+    Legendre tail estimate (:func:`_root_tail`, from its own 16 values)
+    decides it: a segment whose estimate is at most 1e-13 max(1, |I|) is
+    that integral, after 16 evaluations.  Any other is refined from the
+    root as its whole by :func:`_panel` halves, which the panel's
+    roundoff estimate lets stop at the noise of the sum.
 
     The root's integral is the panel's bit for bit, so a segment that
     falls back costs and returns exactly what the halves alone would.
@@ -334,30 +312,30 @@ def _segment_integral(panel, root, t0: complex, t1: complex) -> complex:
     on every leaf fails the closed-form checks at any exponent, and a
     roundoff term would need the noise of the costlier panel at the root.
     """
-    return _settled(panel, t0, t1, *root(t0, t1))
+    return _settled(path, t0, t1, *path[0](t0, t1, _GL_RULE))
 
 
-def _settled(panel, t0: complex, t1: complex, whole: complex, coefficients) -> complex:
+def _settled(path, t0: complex, t1: complex, whole: complex, values) -> complex:
     # the root's integral where its tail is settled, else refined from it
-    if _root_tail(t0, t1, coefficients) <= 1e-13 * max(1.0, abs(whole)):
+    if _root_tail(t0, t1, values) <= 1e-13 * max(1.0, abs(whole)):
         return whole
-    return _refine(panel, t0, t1, whole, 0)
+    return _refine(path, t0, t1, whole, 0)
 
 
-def _refine(panel, t0: complex, t1: complex, whole: complex, depth: int) -> complex:
+def _refine(path, t0: complex, t1: complex, whole: complex, depth: int) -> complex:
     # ``whole`` is the integral over [t0, t1], computed once by the
     # caller; each half is passed down as its child's whole
     mid = 0.5 * (t0 + t1)
-    left, nl = panel(t0, mid)
-    right, nr = panel(mid, t1)
+    left, nl = _panel(path, t0, mid)
+    right, nr = _panel(path, mid, t1)
     halves = left + right
     noise = nl + nr
     tol = max(1e-13 * max(1.0, abs(halves)), 8.0 * noise)
     if abs(whole - halves) <= tol or depth >= 12:
         return halves
     return (
-        _refine(panel, t0, mid, left, depth + 1)
-        + _refine(panel, mid, t1, right, depth + 1)
+        _refine(path, t0, mid, left, depth + 1)
+        + _refine(path, mid, t1, right, depth + 1)
     )
 
 
@@ -400,20 +378,19 @@ def _h_at_gap(fn, s: complex) -> complex:
     Gauss-Legendre nodes are interior, so the boundary value of h is
     reached without evaluating f on the circle.
     """
-    panels, rounded, anchors = _log_gap(fn)
+    path, anchors = _log_gap(fn)
     j = _anchor_index(s)
     if j == 0:
-        return _end_segment(panels, 0j, s, rounded)
-    panel, root, _ = panels
+        return _end_segment(path, 0j, s)
     while len(anchors) <= j:
         k = len(anchors)
-        anchors.append(anchors[-1] + _segment_integral(panel, root, _anchor(k - 1), _anchor(k)))
+        anchors.append(anchors[-1] + _segment_integral(path, _anchor(k - 1), _anchor(k)))
     if s == _anchor(j):
         return anchors[j]
-    return anchors[j] + _end_segment(panels, _anchor(j), s, rounded)
+    return anchors[j] + _end_segment(path, _anchor(j), s)
 
 
-def _end_segment(panels, t0: complex, s: complex, rounded: bool) -> complex:
+def _end_segment(path, t0: complex, s: complex) -> complex:
     """The log-gap segment from t0 to s, graded toward s where f changes
     between the segment's last node and the circle.
 
@@ -438,19 +415,19 @@ def _end_segment(panels, t0: complex, s: complex, rounded: bool) -> complex:
     (1 - |z|^2 at rounding level) is a boundary value and keeps its one
     segment.
     """
-    panel, root, probed_root = panels
     to_circle = 2.0 * math.cos(s.imag) - math.exp(s.real)  # (1 - |z|^2)/|1 - z|
     if not 1e-15 < to_circle < 2.0 * _END_NODE * abs(s - t0):
-        return _segment_integral(panel, root, t0, s)
+        return _segment_integral(path, t0, s)
     rho = 0.5 * to_circle / abs(s - t0)
-    whole, coefficients, value, near = probed_root(
-        t0, s, 1.0 - 2.0 * min(4.0 * rho, 0.5 * _END_NODE))
-    agree = 1e-8 + (64 * 2.3e-16 / math.exp(s.real) if rounded else 0.0)
+    integrand = path[0]
+    whole, values = integrand(t0, s, _GL_RULE)
+    value, near = _probe(integrand, t0, s, values, 1.0 - 2.0 * min(4.0 * rho, 0.5 * _END_NODE))
+    agree = 1e-8 + (64 * 2.3e-16 / math.exp(s.real) if path[1] else 0.0)
     if abs(value - near) <= agree * abs(value):
-        return _settled(panel, t0, s, whole, coefficients)
+        return _settled(path, t0, s, whole, values)
     cuts = [t0 + (1.0 - 2.0**-m) * (s - t0) for m in range(1, math.ceil(-math.log2(rho)) + 2)]
     ends = [t0, *cuts, s]
-    return sum(_segment_integral(panel, root, a, b) for a, b in zip(ends, ends[1:]))
+    return sum(_segment_integral(path, a, b) for a, b in zip(ends, ends[1:]))
 
 
 def _anchor_index(s: complex) -> int:
@@ -463,17 +440,16 @@ def _anchor(j: int) -> complex:
 
 
 def _log_gap(fn) -> tuple:
-    """(panels, rounded, anchors) of the log-gap segments of ``fn``: the
-    kernels of _GAP_PANEL, whether f is evaluated at rounded points (a
-    callable with no gap form), and h(a_0), h(a_1), ... at the anchors
-    built so far.  Made on first use and kept on ``fn`` beside its
-    kernels; a callable that takes no attributes keeps none and rebuilds
-    them on each call."""
+    """(path, anchors) of the log-gap segments of ``fn``: the kernel of
+    _GAP_INTEGRAND with its noise scales (see :func:`_panel`), which are
+    None unless f is evaluated at rounded points (a callable with no gap
+    form), and h(a_0), h(a_1), ... at the anchors built so far.  Made on
+    first use and kept on ``fn`` beside its kernels; a callable that
+    takes no attributes keeps none and rebuilds them on each call."""
     state = getattr(fn, "log_gap", None)
     if state is None:
-        rounded = gap_form(fn) is None
-        panels = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT, _GL_PROBE, rounded)
-        state = panels, rounded, [0j]
+        scales = _rounding_scales((), in_gap=True) if gap_form(fn) is None else None
+        state = (kernel(fn, _GAP_INTEGRAND), scales), [0j]
         try:
             fn.log_gap = state
         except AttributeError:
@@ -500,8 +476,9 @@ class LinearizationModel:
     cached properties, each computed on first use and kept:
     ``domain_stats``, the extremes of Im h (:func:`planar_domain_stats`);
     ``null_points``, the boundary null points of f
-    (:func:`find_boundary_null_points`); ``chords``, the chord kernels of
-    :func:`invert_h` with the null points other than 1 bound in; and
+    (:func:`find_boundary_null_points`); ``chords``, the chord path of
+    :func:`invert_h` (see :func:`_panel`), with the noise scales of the
+    null points other than 1; and
     ``asymptote``, the constant C of its asymptotic seed.
     """
 
@@ -525,9 +502,8 @@ class LinearizationModel:
 
     @cached_property
     def chords(self) -> tuple:
-        # (panel, root, chord_sum) of _CHORD_PANELS
         zetas = tuple(p["zeta"] for p in self.null_points if abs(p["zeta"] - 1) > 1e-6)
-        return kernel(self._fn, _CHORD_PANELS)(zetas, _GL_RULE, _GL_ROOT)
+        return kernel(self._fn, _CHORD_INTEGRAND), _rounding_scales(zetas, in_gap=False)
 
     @cached_property
     def asymptote(self) -> complex:
@@ -664,7 +640,7 @@ def _step(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> 
     bfid-par.  A seed costs one log-gap segment from its anchor and a
     few Newton steps, where a continuation takes up to 35 levels:
     abel_flow on quadrant from 0 to t = 1e6 takes 18 f-evals in place of
-    4,933 once the model's chord panels and C (with the anchors of its
+    4,933 once the model's chord kernel and C (with the anchors of its
     seeds) are built.
     """
     if abs(w - h_cur) > 1.0 + min(abs(h_cur), abs(w)):
@@ -856,7 +832,7 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
     toward the circle relative to their length, goes through the
     adaptive :func:`_segment_integral`.
     """
-    panel, root, chord_sum = chords
+    integrand = chords[0]
     s = cmath.log(1.0 - z)
     for _ in range(50):
         residual = h_cur - w_sub
@@ -886,9 +862,9 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
         rule = _chord_rule(z, z_new)
         try:
             if rule is not None:
-                dh = chord_sum(z, z_new, rule)
+                dh = integrand(z, z_new, rule)[0]
             else:
-                dh = _segment_integral(panel, root, z, z_new)
+                dh = _segment_integral(chords, z, z_new)
         except SingularEvaluationError as exc:
             raise InversionFailureError(
                 f"quadrature broke during inversion toward {w_final}: {exc}",
@@ -983,7 +959,7 @@ def linearize(f) -> LinearizationModel:
     The model of an expression is built once and kept on its node, as
     :func:`~diskflow.expr.compile_expr` keeps the callable, so every
     call on that node (classify, bfid_report, the CLI verbs) shares its
-    exponents, null points, chord kernels, asymptote and ``h_cache``.
+    exponents, null points, chord kernel, asymptote and ``h_cache``.
     Any other callable gets a fresh model on every call.  An expression
     outside the class raises NotInClassError on every call: no failure
     is kept.

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .abel import LinearizationModel, linearize
-from .errors import InversionFailureError
-from .expr import Const, Div, Expr, Pow, Sub, Var, as_callable, boundary_limit
+from .errors import InversionFailureError, SingularEvaluationError
+from .expr import Expr, as_callable, boundary_limit
 from .extrapolate import ladder_limit
 from .flow import ConvergenceDiagnostics, convergence_profile
 
@@ -44,7 +44,8 @@ class AsymptoticProfile:
 
 def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
     """Full asymptotic profile of a validated generator."""
-    beta_est = boundary_limit(Div(f, Sub(Var(), Const(1 + 0j))), "radial", tol=1e-8)
+    fn = as_callable(f)  # beta and the Taylor data divide f's own values
+    beta_est = boundary_limit(_quotient(fn, lambda z: z - 1.0), "radial", tol=1e-8)
     beta = max(beta_est.value.real, 0.0)
     kind = "hyperbolic" if beta > BETA_THRESHOLD else "parabolic"
 
@@ -59,15 +60,14 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
         profile_horizon = min(horizon, max(50.0, 30.0 / beta))
     diag = convergence_profile(f, 0j, horizon=profile_horizon, orbit=model.orbit)
 
-    square = Div(f, Pow(Sub(Const(1 + 0j), Var()), Const(2 + 0j)))
-    ta_est = boundary_limit(square, "radial", tol=1e-7)
+    g = _quotient(fn, lambda z: (1.0 - z) * (1.0 - z))
+    ta_est = boundary_limit(g, "radial", tol=1e-7)
     taylor_a = ta_est.value if ta_est.converged else None
     taylor_b = None
     if taylor_a is not None:
         # g = f/(1-z)^2 = a + b(1-z) + o(1-z), and 1 - (1+z)/2 = (1-z)/2, so
         # 2(g(z) - g((1+z)/2))/(1-z) tends to b; unlike (f - a(1-z)^2)/(1-z)^3
         # it carries no error of the estimate a, which (1-z)^-3 would grow
-        g = as_callable(square)
         last = [None, None]  # the last midpoint (1+z)/2 and g there
 
         def quotient(z):
@@ -92,6 +92,17 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
         diagnostics=diag,
         model=model,
     )
+
+
+def _quotient(fn, divisor):
+    # z -> f(z) / divisor(z), singular where f is or the quotient is NaN,
+    # as the scalar callable of the quotient expression is
+    def quotient(z):
+        q = fn(z) / divisor(z)
+        if q != q:
+            raise SingularEvaluationError(f"evaluation produced NaN at z = {z}")
+        return q
+    return quotient
 
 
 def tangency_criterion(profile: AsymptoticProfile) -> dict:

@@ -528,9 +528,10 @@ def kernel(fn, template: str):
     evaluates ``v = f(z)`` at the rounded point ``z = (1+0j) - d``
     instead.  Its own exceptions pass through.  Either way the kernel
     gives the same floats and the same exceptions as calling the scalar
-    callable at every line that evaluates f.  The panel templates of
-    :mod:`diskflow.abel` and the grid scan of :func:`validate_generator`
-    are inlined here, on their first use; the DOP853 attempt of
+    callable at every line that evaluates f.  The integrand templates of
+    :mod:`diskflow.abel`, one per path geometry, each evaluating f on one
+    line, and the grid scan of :func:`validate_generator` are inlined
+    here, on their first use; the DOP853 attempt of
     :mod:`diskflow.flow` comes through :func:`kernel_by_use`, which
     inlines it only once its callable has made :data:`INLINE_AFTER`
     attempts.
@@ -957,8 +958,10 @@ def _generator_grid(n: int) -> tuple:
 
 _GENERATOR_POINTS = _generator_grid(GENERATOR_GRID)
 
-# The smallest Re p over the grid, where p evaluates, and the points where
-# it does not; instantiated per p by kernel, with p inlined.
+# The smallest Re p, p = -f/(1 - z)^2, over the grid, where p evaluates,
+# and the points where it does not: where f is singular or p is NaN, as
+# the scalar callable of p would report them; instantiated per generator
+# by kernel, with f inlined.
 _GRID_SCAN = """
 def grid_scan(points):
     skipped = 0
@@ -970,7 +973,11 @@ def grid_scan(points):
         except SingularEvaluationError:
             skipped += 1
             continue
-        if v.real < min_re:
+        b = (1+0j) - z
+        v = -v / (b * b)
+        if v != v:
+            skipped += 1
+        elif v.real < min_re:
             min_re = v.real
             witness = z
     return min_re, witness, skipped
@@ -978,17 +985,8 @@ def grid_scan(points):
 
 
 def berkson_porta_p(f: Expr) -> Expr:
-    """The factor p with f(z) = -(1-z)^2 p(z), i.e. p = -f/(1-z)^2.
-
-    Built once per node of f and kept on it, so that p is compiled once.
-    """
-    try:
-        return f._berkson_porta_p
-    except AttributeError:
-        pass
-    p = Div(Neg(f), Pow(Sub(Const(1 + 0j), Var()), Const(2 + 0j)))
-    object.__setattr__(f, "_berkson_porta_p", p)  # nodes are frozen
-    return p
+    """The factor p with f(z) = -(1-z)^2 p(z), i.e. p = -f/(1-z)^2."""
+    return Div(Neg(f), Pow(Sub(Const(1 + 0j), Var()), Const(2 + 0j)))
 
 
 def validate_generator(f: Expr) -> dict:
@@ -997,10 +995,10 @@ def validate_generator(f: Expr) -> dict:
 
     Returns ``{"min_re_p", "is_generator", "witness", "skipped"}``.  Grid
     points where evaluation is singular are skipped; more than 10% skips
-    raises GridUnreliableError.
+    raises GridUnreliableError.  p is formed from f's values in the grid
+    scan, as the callable of :func:`berkson_porta_p` computes it.
     """
-    p = compile_expr(berkson_porta_p(f))
-    min_re, witness, skipped = kernel(p, _GRID_SCAN)(_GENERATOR_POINTS)
+    min_re, witness, skipped = kernel(compile_expr(f), _GRID_SCAN)(_GENERATOR_POINTS)
     total = len(_GENERATOR_POINTS)
     if skipped > 0.10 * total:
         raise GridUnreliableError(

@@ -13,10 +13,9 @@ import diskflow
 from diskflow import abel, catalog
 from diskflow.abel import (
     _CHORD_RULES,
-    _GAP_PANEL,
+    _GAP_INTEGRAND,
+    _GL_BARYCENTRIC,
     _GL_NODES,
-    _GL_PROBE,
-    _GL_ROOT,
     _GL_RULE,
     _GL_TAIL,
     _GL_WEIGHTS,
@@ -132,7 +131,7 @@ def test_abel_h_does_not_depend_on_call_order():
     f = parse(text)
     model = linearize(f)
     visser_ostrovskii(model)
-    assert len(compile_expr(f).log_gap[2]) > abel._anchor_index(cmath.log(1.0 - z))
+    assert len(compile_expr(f).log_gap[1]) > abel._anchor_index(cmath.log(1.0 - z))
     after_ladder = abel_h(f, z)
     through_model = model.h(z)
     assert _bits(fresh) == _bits(after_ladder) == _bits(through_model)
@@ -237,15 +236,16 @@ def test_root_tail_never_costs_more(entry_id):
     # costs 16, and a root that falls back returns that rule's value bit
     # for bit
     fn, evals = counted_callable(compile_expr(parse(catalog.get(entry_id).f_text)))
-    panel, root, _ = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT, _GL_PROBE, False)
+    path = (kernel(fn, _GAP_INTEGRAND), None)
+    integrand = path[0]
 
     def halves_only(t0, t1):
-        return abel._refine(panel, t0, t1, root(t0, t1)[0], 0)
+        return abel._refine(path, t0, t1, integrand(t0, t1, _GL_RULE)[0], 0)
 
     gaps = [cmath.log(1.0 - z) for z in GRID + RING + LADDER] + [_circle_gap(t) for t in CIRCLE]
     for t0, t1 in _segments(gaps):
         evals[0] = 0
-        got = _outcome_bits(abel._segment_integral, panel, root, t0, t1)
+        got = _outcome_bits(abel._segment_integral, path, t0, t1)
         cost = evals[0]
         evals[0] = 0
         expected = _outcome_bits(halves_only, t0, t1)
@@ -253,8 +253,8 @@ def test_root_tail_never_costs_more(entry_id):
         if cost > 16 or isinstance(got, str):
             assert got == expected, (t0, t1)
         else:
-            whole, coefficients = root(t0, t1)
-            assert abel._root_tail(t0, t1, coefficients) <= 1e-13 * max(1.0, abs(whole))
+            whole, values = integrand(t0, t1, _GL_RULE)
+            assert abel._root_tail(t0, t1, values) <= 1e-13 * max(1.0, abs(whole))
             assert got == (whole.real.hex(), whole.imag.hex()), (t0, t1)
 
 
@@ -273,8 +273,8 @@ def test_root_falls_back_at_the_angular_end_layer(monkeypatch):
     accepted = []
     settled = abel._settled
 
-    def recording(panel, t0, t1, whole, coefficients):
-        value = settled(panel, t0, t1, whole, coefficients)
+    def recording(path, t0, t1, whole, values):
+        value = settled(path, t0, t1, whole, values)
         if value is whole:  # the root stood; a refinement is a new sum
             accepted.append((t0, t1))
         return value
@@ -314,7 +314,7 @@ def test_gauss_legendre_table():
         # degree 15 through the 16 nodes, here P_15 past the last node
         p_15 = lambda x: mpmath.legendre(15, x)  # noqa: E731
         for xp in (0.995, 0.9999):
-            terms = [row[-1] / (xp - x) for x, row in zip(_GL_NODES, _GL_PROBE)]
+            terms = [b / (xp - x) for x, b in zip(_GL_NODES, _GL_BARYCENTRIC)]
             near = sum(t * float(p_15(x)) for t, x in zip(terms, _GL_NODES)) / sum(terms)
             assert abs(near - float(p_15(xp))) <= 1e-13
         # the root's Legendre columns (2n+1)/2 w P_n(x), n = 10, 11, 14, 15
@@ -631,7 +631,7 @@ def test_single_panel_chords_match_closed_form(entry_id):
 
     entry = catalog.get(entry_id)
     model, evals = counted_model(parse(entry.f_text))
-    panel, _, chord_sum = model.chords
+    integrand = model.chords[0]
     cuts = [0.0] + [q_max for q_max, _ in _CHORD_RULES]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -664,9 +664,9 @@ def test_single_panel_chords_match_closed_form(entry_id):
         rule = abel._chord_rule(z0, z1)
         assert rule is _CHORD_RULES[band][1]
         before = evals[0]
-        value = chord_sum(z0, z1, rule)
+        value = integrand(z0, z1, rule)[0]
         assert evals[0] - before == len(rule) == 2**band
-        noise = panel(z0, z1)[1]
+        noise = abel._panel(model.chords, z0, z1)[1]
         with mpmath.workdps(30):
             h0 = _mp_eval(mpmath, entry.h_text, 0j)
             h_z0 = _mp_eval(mpmath, entry.h_text, z0) - h0

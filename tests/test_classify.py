@@ -6,18 +6,45 @@ import pytest
 from diskflow.abel import linearize
 from diskflow.classify import (
     M_GRID,
+    _quotient,
     classify,
     halfplane_criterion_M,
     rigidity_criterion,
     tangency_criterion,
     theorem_argument_bound,
 )
-from diskflow.expr import parse
+from diskflow.errors import SingularEvaluationError
+from diskflow.expr import _GENERATOR_POINTS, Const, Div, Pow, Sub, Var, compile_expr, parse
 from diskflow import catalog
 
 
 def _f(cid):
     return parse(catalog.get(cid).f_text)
+
+
+def test_quotients_match_the_compiled_quotient():
+    # beta's f/(z - 1) and the Taylor data's f/(1 - z)^2 divide f's own
+    # values: the bits and the singular points of the compiled quotient
+    # expressions, where f overflows to infinite parts without being NaN
+    # and the quotient is NaN included
+    f = parse("-(1-z)^2*(1e308 + 1e308*z)")
+    fn = compile_expr(f)
+
+    def outcome(call, z):
+        try:
+            q = call(z)
+        except SingularEvaluationError:
+            return "singular"
+        return q.real.hex(), q.imag.hex()
+
+    for divisor, node in (
+        (lambda z: z - 1.0, Div(f, Sub(Var(), Const(1 + 0j)))),
+        (lambda z: (1.0 - z) * (1.0 - z), Div(f, Pow(Sub(Const(1 + 0j), Var()), Const(2 + 0j)))),
+    ):
+        quotient, compiled = _quotient(fn, divisor), compile_expr(node)
+        outcomes = [outcome(quotient, z) for z in _GENERATOR_POINTS]
+        assert outcomes == [outcome(compiled, z) for z in _GENERATOR_POINTS]
+        assert "singular" in outcomes
 
 
 def test_hyperbolic_type():

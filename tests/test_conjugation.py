@@ -250,10 +250,10 @@ def test_strip_row_left_ends(monkeypatch, a, b):
                 ends.append((w, point[0]))
             yield point
 
-    def recording_refine(panel, t0, t1, whole, depth):
+    def recording_refine(path, t0, t1, whole, depth):
         if depth >= 12:
             capped.append((t0, t1))
-        return refine(panel, t0, t1, whole, depth)
+        return refine(path, t0, t1, whole, depth)
 
     monkeypatch.setattr(conjugate, "_walk", recording_walk)
     monkeypatch.setattr(abel, "_refine", recording_refine)

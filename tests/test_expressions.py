@@ -225,13 +225,40 @@ def test_boundary_limit_unknown_approach():
         boundary_limit(parse("z"), "spiral")
 
 
-@pytest.mark.parametrize("text", [
+GRID_TEXTS = [
     "i*(1-z)^2",
     "(1-z)^2",
     "-(1-z)^2*sqrt((1+z)/(1-z))",
     # overflows at 4 grid points next to 1, which are skipped
     "-(1-z)^2*exp(1/(1-z)^4)",
+]
+
+
+@pytest.mark.parametrize("text", GRID_TEXTS + [
+    "-(1-z)^2*exp(800*z)",
+    # f overflows to infinite parts at 20 grid points, where it is not NaN
+    # but p = -f/(1-z)^2 is: skipped, as p's callable skips them
+    "-(1-z)^2*(1e308 + 1e308*z)",
+    "0",
 ])
+def test_validate_generator_reads_p_as_its_callable_does(text):
+    # p is formed from f's values in the grid scan, with the bits and
+    # the singular points of the scalar callable of berkson_porta_p
+    f = parse(text)
+    p = compile_expr(berkson_porta_p(f))
+    values = []
+    for z in expr._GENERATOR_POINTS:
+        try:
+            values.append((p(z).real, z))
+        except SingularEvaluationError:
+            pass
+    min_re, witness = min(values, key=lambda pair: pair[0])
+    report = validate_generator(f)
+    assert report["min_re_p"].hex() == min_re.hex() and report["witness"] == witness
+    assert report["skipped"] == GENERATOR_GRID**2 - len(values)
+
+
+@pytest.mark.parametrize("text", GRID_TEXTS)
 def test_validate_generator_same_under_an_opaque_callable(monkeypatch, text):
     # the grid scan is a kernel: a compiled p is inlined into it, and any
     # other callable, such as a counting wrapper, is called at each point

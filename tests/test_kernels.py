@@ -10,8 +10,10 @@ another order, or checks f differently, fails here.
 import ast
 import cmath
 import dataclasses
+import inspect
 import math
 import re
+import textwrap
 
 import pytest
 
@@ -20,14 +22,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from diskflow import catalog, expr  # noqa: E402
+from diskflow import abel, catalog, expr  # noqa: E402
 from diskflow.abel import (  # noqa: E402
-    _CHORD_PANELS,
+    _CHORD_INTEGRAND,
     _CHORD_RULES,
-    _GAP_PANEL,
+    _GAP_INTEGRAND,
+    _GL_BARYCENTRIC,
     _GL_NODES,
-    _GL_PROBE,
-    _GL_ROOT,
     _GL_RULE,
     _GL_TAIL,
     _GL_WEIGHTS,
@@ -133,12 +134,38 @@ def _reference_probe(dh, t0, t1, xp):
     # the root, the integrand at xp and the barycentric interpolant of the
     # root's values there, sum b_j v_j / (xp - x_j) / sum b_j / (xp - x_j)
     near, weights = 0j, 0.0
-    for x, row in zip(_GL_NODES, _GL_PROBE):
-        b = row[-1] / (xp - x)
+    for x, b in zip(_GL_NODES, _GL_BARYCENTRIC):
+        b = b / (xp - x)
         near += dh(0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x)[0] * b
         weights += b
     value = dh(0.5 * (t0 + t1) + 0.5 * (t1 - t0) * xp)[0]
     return (*_reference_root(dh, t0, t1), value, near / weights)
+
+
+def _root(integrand):
+    # the root of an adaptive segment from an integrand kernel: its
+    # integral and the Legendre coefficients of its values
+    def root(t0, t1):
+        whole, values = integrand(t0, t1, _GL_RULE)
+        return whole, abel._legendre_tail(values)
+    return root
+
+
+def _probed(integrand):
+    # the root, with the integrand at xp and the interpolant there
+    def probed(t0, t1, xp):
+        whole, values = integrand(t0, t1, _GL_RULE)
+        return (whole, abel._legendre_tail(values),
+                *abel._probe(integrand, t0, t1, values, xp))
+    return probed
+
+
+def _panel(path):
+    return lambda t0, t1: abel._panel(path, t0, t1)
+
+
+def _sum(integrand):
+    return lambda t0, t1, rule: integrand(t0, t1, rule)[0]
 
 
 def _integral(outcome):
@@ -183,60 +210,78 @@ LOG_GAP = st.builds(complex, st.floats(-40.0, 0.7), st.floats(-1.5, 1.5))
 
 @pytest.mark.parametrize("entry_id", IDS + list(SINGULAR))
 def test_panels_match_reference_loops(entry_id):
+    # the integrand kernels, and the panel, root and probe sums over their
+    # values, on the paths the package builds: the log-gap path of f, of
+    # an opaque f with a gap form and of one with none (_log_gap), and
+    # the chord path with null points besides 1
     text = catalog.get(entry_id).f_text if entry_id in IDS else entry_id
     fn = compile_expr(parse(text))
     opaque, rounded = _opaque(fn), _rounded(fn)
     zetas = (1j, -1.0 + 0j)
-    gap, root, probed = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT, _GL_PROBE, False)
-    gap_opaque, root_opaque, probed_opaque = kernel(opaque, _GAP_PANEL)(
-        _GL_RULE, _GL_ROOT, _GL_PROBE, False)
-    gap_rounded, root_rounded, probed_rounded = kernel(rounded, _GAP_PANEL)(
-        _GL_RULE, _GL_ROOT, _GL_PROBE, True)
-    panel, chord_root, chord_sum = kernel(fn, _CHORD_PANELS)(zetas, _GL_RULE, _GL_ROOT)
-    panel_opaque, chord_root_opaque, sum_opaque = kernel(opaque, _CHORD_PANELS)(
-        zetas, _GL_RULE, _GL_ROOT)
-    assert gap is not gap_opaque and panel is not panel_opaque
-    chord = _chord_integrand(fn, zetas)
+    gap_path, gap_opaque_path, rounded_path = (abel._log_gap(g)[0] for g in (fn, opaque, rounded))
+    assert [scales is None for _, scales in (gap_path, gap_opaque_path, rounded_path)] == [
+        True, True, False]
+    chord_path = (kernel(fn, _CHORD_INTEGRAND), abel._rounding_scales(zetas, False))
+    chord_opaque_path = (kernel(opaque, _CHORD_INTEGRAND), chord_path[1])
+    assert gap_path[0] is not gap_opaque_path[0] and chord_path[0] is not chord_opaque_path[0]
+    gap, gap_opaque, gap_rounded = gap_path[0], gap_opaque_path[0], rounded_path[0]
+    chord, chord_opaque = chord_path[0], chord_opaque_path[0]
+    dh_chord = _chord_integrand(fn, zetas)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(LOG_GAP, LOG_GAP, COMPLEX, COMPLEX, st.floats(0.995, 0.9999))
     def check(s0, s1, z0, z1, xp):
-        ref = _outcome(_reference_panel, _gap_integrand(expr.gap_form(fn)), s0, s1)
-        assert _outcome(gap, s0, s1) == _outcome(gap_opaque, s0, s1) == ref
+        dh = _gap_integrand(expr.gap_form(fn))
+        ref = _outcome(_reference_panel, dh, s0, s1)
+        assert _outcome(_panel(gap_path), s0, s1) == _outcome(_panel(gap_opaque_path), s0, s1) == ref
         # the roots are their panel's integral, bit for bit, and the
         # Legendre coefficients of their own values
         whole = _integral(ref)
-        ref = _outcome(_reference_root, _gap_integrand(expr.gap_form(fn)), s0, s1)
-        assert _outcome(root, s0, s1) == _outcome(root_opaque, s0, s1) == ref
+        ref = _outcome(_reference_root, dh, s0, s1)
+        assert _outcome(_root(gap), s0, s1) == _outcome(_root(gap_opaque), s0, s1) == ref
         assert _integral(ref) == whole
         # the probed root is the root, with the integrand at xp and the
         # interpolant of the root's values there
-        ref = _outcome(_reference_probe, _gap_integrand(expr.gap_form(fn)), s0, s1, xp)
-        assert _outcome(probed, s0, s1, xp) == _outcome(probed_opaque, s0, s1, xp) == ref
-        assert ref[0] != "value" or ref[1][:2] == _outcome(root, s0, s1)[1]
+        ref = _outcome(_reference_probe, dh, s0, s1, xp)
+        assert (_outcome(_probed(gap), s0, s1, xp)
+                == _outcome(_probed(gap_opaque), s0, s1, xp) == ref)
+        assert ref[0] != "value" or ref[1][:2] == _outcome(_root(gap), s0, s1)[1]
         # a callable with no gap form: f at the rounded point, and the
         # noise of its rounding
-        ref = _outcome(_reference_panel, _rounded_gap_integrand(fn), s0, s1)
-        assert _outcome(gap_rounded, s0, s1) == ref
+        dh = _rounded_gap_integrand(fn)
+        ref = _outcome(_reference_panel, dh, s0, s1)
+        assert _outcome(_panel(rounded_path), s0, s1) == ref
         whole = _integral(ref)
-        ref = _outcome(_reference_root, _rounded_gap_integrand(fn), s0, s1)
-        assert _outcome(root_rounded, s0, s1) == ref
+        ref = _outcome(_reference_root, dh, s0, s1)
+        assert _outcome(_root(gap_rounded), s0, s1) == ref
         assert _integral(ref) == whole
-        ref = _outcome(_reference_probe, _rounded_gap_integrand(fn), s0, s1, xp)
-        assert _outcome(probed_rounded, s0, s1, xp) == ref
-        ref = _outcome(_reference_panel, chord, z0, z1)
-        assert _outcome(panel, z0, z1) == _outcome(panel_opaque, z0, z1) == ref
+        ref = _outcome(_reference_probe, dh, s0, s1, xp)
+        assert _outcome(_probed(gap_rounded), s0, s1, xp) == ref
+        ref = _outcome(_reference_panel, dh_chord, z0, z1)
+        assert _outcome(_panel(chord_path), z0, z1) == _outcome(_panel(chord_opaque_path), z0, z1) == ref
         whole = _integral(ref)
-        ref = _outcome(_reference_root, chord, z0, z1)
-        assert _outcome(chord_root, z0, z1) == _outcome(chord_root_opaque, z0, z1) == ref
+        ref = _outcome(_reference_root, dh_chord, z0, z1)
+        assert _outcome(_root(chord), z0, z1) == _outcome(_root(chord_opaque), z0, z1) == ref
         assert _integral(ref) == whole
         # each graded rule of the Newton chords, against its own loop
         for _, rule in _CHORD_RULES:
-            ref = _outcome(_reference_sum, chord, z0, z1, rule)
-            assert (_outcome(chord_sum, z0, z1, rule)
-                    == _outcome(sum_opaque, z0, z1, rule) == ref)
+            ref = _outcome(_reference_sum, dh_chord, z0, z1, rule)
+            assert (_outcome(_sum(chord), z0, z1, rule)
+                    == _outcome(_sum(chord_opaque), z0, z1, rule) == ref)
 
     check()
+
+
+def test_each_path_geometry_evaluates_f_on_one_line():
+    # one integrand template per path geometry, each with one line that
+    # evaluates f, so a kernel inlines f's code once; the sums over its
+    # values are plain Python, written once for both
+    templates = {name: value for name, value in vars(abel).items()
+                 if isinstance(value, str) and "def " in value}
+    assert set(templates) == {"_GAP_INTEGRAND", "_CHORD_INTEGRAND"}
+    for template in templates.values():
+        calls = [line for line in template.splitlines() if line.strip() in expr._CALLS]
+        assert len(calls) == 1, template
 
 
 @pytest.mark.parametrize("entry_id", IDS)
@@ -321,6 +366,20 @@ def test_dop853_compiled_once_repaid(monkeypatch):
     assert steps == 1 and _DP_STEP in compile_expr(f).kernels
 
 
+@pytest.mark.parametrize("entry_id", ["quadrant", "bfid-hyp"])
+def test_classify_and_validate_compile_only_f(monkeypatch, entry_id):
+    # p = -f/(1 - z)^2, beta's f/(z - 1) and the Taylor quotients of
+    # f/(1 - z)^2 are formed from f's own callable, not compiled anew
+    built = []
+    build = expr._callable
+    monkeypatch.setattr(expr, "_callable",
+                        lambda node, gap: built.append(node) or build(node, gap))
+    f = parse(catalog.get(entry_id).f_text)
+    expr.validate_generator(f)
+    classify(f)
+    assert built and all(node is f for node in built)
+
+
 def test_opaque_exceptions_pass_through():
     fn = compile_expr(parse("-(1-z)^2"))
     calls = []
@@ -347,7 +406,8 @@ def test_kernels_built_lazily_once(monkeypatch):
     assert all(part in vars(model) for part in parts)
     gap = fn.gap
     built, built_gap, chords = dict(fn.kernels), dict(gap.kernels), model.chords
-    assert set(built) == {_CHORD_PANELS} and set(built_gap) == {_GAP_PANEL}
+    assert set(built) == {_CHORD_INTEGRAND} and set(built_gap) == {_GAP_INTEGRAND}
+    assert chords[0] is built[_CHORD_INTEGRAND] and fn.log_gap[0][0] is built_gap[_GAP_INTEGRAND]
     compiled = []
     monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source))
     invert_h(model, model.h(-0.2 + 0.6j))
@@ -368,17 +428,20 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(expr, "_compile", too_deep)
-    gap_panels = kernel(fn, _GAP_PANEL)
-    assert gap_fn.kernels[_GAP_PANEL] is gap_panels
-    gap, _, _ = gap_panels(_GL_RULE, _GL_ROOT, _GL_PROBE, False)
+    path, _ = abel._log_gap(fn)
+    assert gap_fn.kernels[_GAP_INTEGRAND] is path[0] and path[1] is None
     ref = _outcome(_reference_panel, _gap_integrand(gap_fn), 0j, -1.0 + 0.2j)
-    assert _outcome(gap, 0j, -1.0 + 0.2j) == ref
+    assert _outcome(_panel(path), 0j, -1.0 + 0.2j) == ref
+    ref = _outcome(_reference_probe, _gap_integrand(gap_fn), 0j, -1.0 + 0.2j, 0.999)
+    assert _outcome(_probed(path[0]), 0j, -1.0 + 0.2j, 0.999) == ref
     zetas = (-1.0 + 0j,)
-    chord_panels = kernel(fn, _CHORD_PANELS)
-    assert fn.kernels[_CHORD_PANELS] is chord_panels
-    panel, _, _ = chord_panels(zetas, _GL_RULE, _GL_ROOT)
+    chord = kernel(fn, _CHORD_INTEGRAND)
+    assert fn.kernels[_CHORD_INTEGRAND] is chord
+    path = (chord, abel._rounding_scales(zetas, False))
     ref = _outcome(_reference_panel, _chord_integrand(fn, zetas), 0.1j, 0.5 + 0.2j)
-    assert _outcome(panel, 0.1j, 0.5 + 0.2j) == ref
+    assert _outcome(_panel(path), 0.1j, 0.5 + 0.2j) == ref
+    ref = _outcome(_reference_sum, _chord_integrand(fn, zetas), 0.1j, 0.5 + 0.2j, _GL_RULE)
+    assert _outcome(_sum(chord), 0.1j, 0.5 + 0.2j, _GL_RULE) == ref
 
 
 def test_expression_too_deep_for_gap_code_is_evaluated_at_the_rounded_point(monkeypatch):
@@ -395,10 +458,13 @@ def test_expression_too_deep_for_gap_code_is_evaluated_at_the_rounded_point(monk
 
     monkeypatch.setattr(expr, "_compile", no_gap_code)
     assert expr.gap_form(fn) is None and fn.gap is None
-    panel, root, _ = kernel(fn, _GAP_PANEL)(_GL_RULE, _GL_ROOT, _GL_PROBE, True)
+    path, _ = abel._log_gap(fn)
+    assert path[1] is not None  # the noise scales of rounded points
     dh = _rounded_gap_integrand(fn)
-    assert _outcome(panel, 0j, -3.0 + 1.2j) == _outcome(_reference_panel, dh, 0j, -3.0 + 1.2j)
-    assert _outcome(root, 0j, -3.0 + 1.2j) == _outcome(_reference_root, dh, 0j, -3.0 + 1.2j)
+    t0, t1 = 0j, -3.0 + 1.2j
+    assert _outcome(_panel(path), t0, t1) == _outcome(_reference_panel, dh, t0, t1)
+    assert _outcome(_root(path[0]), t0, t1) == _outcome(_reference_root, dh, t0, t1)
+    assert _outcome(_probed(path[0]), t0, t1, 0.999) == _outcome(_reference_probe, dh, t0, t1, 0.999)
 
 
 # --- plain complex arithmetic -------------------------------------------------
@@ -502,12 +568,21 @@ def _complex_operand(node) -> bool:
     return isinstance(node, ast.Name) and re.fullmatch(r"v|d|gap|k\d+", node.id) is not None
 
 
-@pytest.mark.parametrize("template", [_DP_STEP, _GAP_PANEL, _CHORD_PANELS, expr._GRID_SCAN],
-                         ids=["dop853_step", "gap_panels", "chord_panels", "grid_scan"])
+# the sums over a panel's values that abel writes in plain Python
+PYTHON_SUMS = (abel._panel, abel._legendre_tail, abel._probe, abel._rounding_scales)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [_DP_STEP, _GAP_INTEGRAND, _CHORD_INTEGRAND, expr._GRID_SCAN]
+    + [textwrap.dedent(inspect.getsource(sums)) for sums in PYTHON_SUMS],
+    ids=["dop853_step", "gap_integrand", "chord_integrand", "grid_scan"]
+    + [sums.__name__ for sums in PYTHON_SUMS])
 def test_no_float_left_of_a_complex_operand(template):
     # a float on the left of a complex operand first fails in the float
     # slot; constants are complex literals and the rule weights w and
-    # nodes x stand on the right
+    # nodes x stand on the right, in the kernels and in the sums over
+    # their values alike
     for node in ast.walk(ast.parse(template)):
         if isinstance(node, ast.BinOp) and _complex_operand(node.right):
             value = _constant_value(node.left)
