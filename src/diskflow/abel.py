@@ -3,56 +3,55 @@ the exact flow F_t = h^{-1}(h(z) + t), the (alpha, mu) boundary exponents,
 and the geometry of the image domain h(Delta).
 
 f is zero-free on the disk, so -1/f is holomorphic there and h may be
-integrated along any path.  One adaptive Gauss-Legendre engine serves
-two path geometries: h(z) itself is integrated in the log-gap
-coordinate s = log(1 - w), where the boundary growth of h' becomes
-smooth, and the Newton increments of the inversion carry h between
-nearby points along straight chords in z.  In s, h at a point with
+integrated along any path.  One adaptive Gauss-Legendre engine
+integrates it along one path geometry, the straight segment in the
+log-gap coordinate s = log(1 - w), where the boundary growth of h'
+becomes smooth: h(z) itself, and the Newton increments of the inversion
+between nearby iterates alike.  h at a point with
 Re s > -L, L = 4 log 2, is one straight segment from 0; h at a deeper
-point is h at its dyadic anchor a_j = -jL on the radius plus one
-segment from there, the anchors chained along the radius once per
-generator (see _h_at_gap), so every h value depends on f and the point
-alone.  f there is evaluated in the gap d = 1 - z
-(:func:`diskflow.expr.gap_form`), exact next to 1 where the rounded
-point z = 1 - d is not.  A segment whose root panel has settled, by the
-Legendre tail of its own 16 values, stops there at 16 evaluations; any
-other is refined until two halves agree.  A segment that ends closer to
-the circle than its last node is probed there first, and graded toward
-its end where f changes unseen (_end_segment).  Panel roundoff is the
-roundoff of the sum, and on chords, whose nodes are rounded points,
-also scaled by each node's distance to the nearest singular boundary
-point of h': 1 and every boundary null point of f.  Each geometry's
-integrand is one kernel, _GAP_INTEGRAND or _CHORD_INTEGRAND below: a
+point is h at its dyadic anchor a_j = -jL on the radius plus one segment
+from there, the anchors chained along the radius once per generator (see
+_h_at_gap), so every h value depends on f and the point alone.  f there
+is evaluated in the gap d = 1 - z (:func:`diskflow.expr.gap_form`),
+exact next to 1 where the rounded point z = 1 - d is not.  A segment
+whose root panel has settled, by the Legendre tail of its own 16 values,
+stops there at 16 evaluations; any other is refined until two halves
+agree.  A segment that ends closer to the circle than its last node is
+probed there first, and graded toward its end where f changes unseen
+(_end_segment).  Panel roundoff is the roundoff of the sum, scaled at
+each node by its distance to the nearest singular boundary point of h'
+that the rounding of the node z = 1 - e^s reaches: every boundary null
+point of f other than 1 on a Newton step, and 1 too for a callable with
+no gap form.  The integrand is one kernel, _GAP_INTEGRAND below: a
 single loop over the nodes of any rule, which
 :func:`diskflow.expr.kernel` compiles once per generator with the code
-of f in place of its one evaluation, so a node makes no Python call.
-It returns the rule's integral and the node values; the Legendre tail,
-the roundoff estimate and the end probe are sums over those values,
-written once in Python for both geometries.  A model builds its chord
-kernel, with the noise scales of its null points, on its first
-inversion and keeps it.  Inversion is Newton's method, tracking h
-incrementally, one chord integral per iterate rather than a fresh
-quadrature from 0.  A solve from scratch
-starts where the leading term of h at 1, (mu/alpha)(1 - z)^-alpha + C,
-takes the target value, which along radial and Stolz approaches is a few
-Newton steps from the root, each one panel of 1 to 16 nodes (fewer as
-the steps shrink) plus the evaluation at the new iterate; the seed costs
-one log-gap segment from its anchor, and C, with the anchors of every
-seed, a few more per model.  Where that seed is outside
-the disk or its solve fails (tangential targets, slit domains), a detour
-0 -> T -> T + i Im w -> w stays in h(Delta) by forward invariance.  It
-continues along straight w-segments in levels of about 4 Newton steps,
-about 35 levels from 0 to a dyadic gap 2^-4 .. 2^-40.  An orbit, or any
-chain of targets, is one walk (_walk) with one rule for far targets: a
-target w within 1 + min(|h|, |w|) of the answer before it, where h is
-that answer's (twice the continuation's sub-target cap at the smaller
-end), is continued from that answer and the h its solve tracked, with
-no fresh quadrature; a farther one is solved from its
-asymptotic seed, and continued only where that seed is outside the disk
-or its solve fails.  The extremes of
-Im h, a harmonic function, are boundary values: planar_domain_stats
-reads them on the unit circle and along dyadic ladders at 1, each value
-h at its anchor plus one log-gap segment.
+of f in place of its one evaluation, so a node makes no Python call.  It
+returns the rule's integral and the node values; the Legendre tail, the
+roundoff estimate and the end probe are sums over those values, written
+once in Python.  A model keeps the noise scales of its Newton steps,
+from its null points, once its first inversion has built them.
+Inversion is Newton's method, tracking h incrementally, one log-gap
+integral per iterate rather than a fresh quadrature from 0.  A solve
+from scratch starts where the leading term of h at 1,
+(mu/alpha)(1 - z)^-alpha + C, takes the target value, which along radial
+and Stolz approaches is a few Newton steps from the root, each one panel
+of 1 to 16 nodes (fewer as the steps shrink) plus the evaluation at the
+new iterate; the seed costs one log-gap segment from its anchor, and C,
+with the anchors of every seed, a few more per model.  Where that seed
+is outside the disk or its solve fails (tangential targets, slit
+domains), a detour 0 -> T -> T + i Im w -> w stays in h(Delta) by
+forward invariance.  It continues along straight w-segments in levels of
+about 4 Newton steps, about 35 levels from 0 to a dyadic gap 2^-4 ..
+2^-40.  An orbit, or any chain of targets, is one walk (_walk) with one
+rule for far targets: a target w within 1 + min(|h|, |w|) of the answer
+before it, where h is that answer's (twice the continuation's sub-target
+cap at the smaller end), is continued from that answer and the h its
+solve tracked, with no fresh quadrature; a farther one is solved from
+its asymptotic seed, and continued only where that seed is outside the
+disk or its solve fails.  The extremes of Im h, a harmonic function, are
+boundary values: planar_domain_stats reads them on the unit circle and
+along dyadic ladders at 1, each value h at its anchor plus one log-gap
+segment.
 """
 
 from __future__ import annotations
@@ -138,7 +137,7 @@ _END_NODE = 0.5 * (1.0 - _GL_NODES[-1])
 # the 1-, 2-, 4- and 8-point Gauss-Legendre rules as (node, weight) pairs,
 # each float the nearest double to the root of P_n or its weight (numpy's
 # leggauss is a few ulps off in the 4- and 8-point weights), for the
-# short Newton chords of _CHORD_RULES
+# short Newton steps of _CHORD_RULES
 _GL1_RULE = ((0.0, 2.0),)
 _GL2_RULE = ((-0.5773502691896257, 1.0), (0.5773502691896257, 1.0))
 _GL4_RULE = (
@@ -158,11 +157,11 @@ _GL8_RULE = (
     (0.9602898564975363, 0.10122853629037626),
 )
 
-# (q_max, rule): a Newton chord z -> z_new with q = |z_new - z|/d at
-# most q_max, d = 1 - max(|z|, |z_new|), is one panel of ``rule``; each
-# q_max is the largest q, rounded down, at which that rule's Bernstein
-# bound is no weaker than the 16-node bound at q = 1/2 (see
-# _newton_level); longer chords go through _segment_integral
+# (q_max, rule): a Newton step s -> s_new with q = |s_new - s|/d at most
+# q_max, d the smaller _to_circle at its ends, is one panel of ``rule``;
+# each q_max is the largest q, rounded down, at which that rule's
+# Bernstein bound is no weaker than the 16-node bound at q = 1/2 (see
+# _newton_level); longer steps go through _segment_integral
 _CHORD_RULES = (
     (1.914e-10, _GL1_RULE),
     (1.956e-5, _GL2_RULE),
@@ -171,18 +170,17 @@ _CHORD_RULES = (
     (0.5, _GL_RULE),
 )
 
-# The integrand of each path geometry, one kernel each: dh/ds =
-# d / f(1 - d) along a log-gap segment, at the gap d = e^s, and dh/dz =
-# -1/f along a chord in z.  ``integrand(t0, t1, rule)`` evaluates it at
-# the nodes of ``rule``, (node, weight) pairs on [-1, 1] mapped onto
-# [t0, t1], and returns the rule's integral, added up in node order,
-# with the value at each node.  f is evaluated on one line, so
+# The integrand of the one path geometry, the log-gap segment: dh/ds =
+# d / f(1 - d) at the gap d = e^s.  ``integrand(t0, t1, rule)``
+# evaluates it at the nodes of ``rule``, (node, weight) pairs on [-1, 1]
+# mapped onto [t0, t1], and returns the rule's integral, added up in node
+# order, with the value at each node.  f is evaluated on one line, so
 # expr.kernel inlines it once per generator; in the gap (expr.gap_form),
-# so a log-gap node is exact next to 1, or at the rounded point 1 - d by
-# a callable with no gap form.  No float stands on the left of a complex
-# operand, which on CPython 3.11 first fails in the float slot: (-1+0j) / v
-# and v * w are bit for bit -1.0 / v and w * v.  All else the adaptive
-# engine reads of a panel is a sum over the values, written once below.
+# so a node is exact next to 1, or at the rounded point 1 - d by a
+# callable with no gap form.  No float stands on the left of a complex
+# operand, which on CPython 3.11 first fails in the float slot: v * w is
+# bit for bit w * v.  All else the adaptive engine reads of a panel is a
+# sum over the values, written once below.
 _GAP_INTEGRAND = """
 def gap_integrand(t0, t1, rule):
     half = 0.5 * (t1 - t0)
@@ -199,38 +197,19 @@ def gap_integrand(t0, t1, rule):
     return acc * half, values
 """
 
-_CHORD_INTEGRAND = """
-def chord_integrand(t0, t1, rule):
-    half = 0.5 * (t1 - t0)
-    mid = 0.5 * (t0 + t1)
-    acc = 0j
-    values = []
-    keep = values.append
-    for x, w in rule:
-        z = mid + half * x
-        v = f(z)
-        v = (-1+0j) / v
-        acc += v * w
-        keep(v)
-    return acc * half, values
-"""
 
-
-def _rounding_scales(zetas: tuple, in_gap: bool):
-    """``(t0, t1) ->`` the noise scale 1 + |z|/gap of each node of a panel
-    whose nodes evaluate f at rounded points z, gap the distance from z
-    to 1 or the nearest of ``zetas``: rounding z carries that relative
-    noise into f next to a singular boundary point of h'.  A log-gap
-    node t (``in_gap``) is rounded to z = 1 - e^t, a chord node is z."""
+def _rounding_scales(zetas: tuple):
+    """``(t0, t1) ->`` the noise scale 1 + |z|/gap of each node t of a
+    log-gap panel, z = 1 - e^t rounded and gap its distance to the
+    nearest of ``zetas``, the singular boundary points of h' whose
+    distance counts: rounding z carries that relative noise into f."""
     def scales(t0: complex, t1: complex) -> list:
         half = 0.5 * (t1 - t0)
         mid = 0.5 * (t0 + t1)
-        points = [mid + half * x for x in _GL_NODES]
-        if in_gap:
-            points = [(1+0j) - cmath.exp(t) for t in points]
         out = []
-        for z in points:
-            gap = abs((1+0j) - z)
+        for x in _GL_NODES:
+            z = (1+0j) - cmath.exp(mid + half * x)
+            gap = math.inf
             for zeta in zetas:
                 far = abs(z - zeta)
                 if far < gap:
@@ -245,10 +224,10 @@ def _panel(path, t0: complex, t1: complex) -> tuple:
     roundoff estimate of the sum, 2.3e-16 |half| sum w_j |v_j| s_j.
 
     ``path`` is (integrand, scales), chosen once per generator
-    (:func:`_log_gap`, ``LinearizationModel.chords``): an integrand
+    (:func:`_log_gap`, ``LinearizationModel.chords``): the integrand
     kernel above, and the noise scales s_j of its nodes,
-    :func:`_rounding_scales` where f is evaluated at rounded points and
-    None, all 1, where it is exact."""
+    :func:`_rounding_scales` where a singular point of h' lies at
+    rounding distance of a node and None, all 1, where none does."""
     integrand, scales = path
     whole, values = integrand(t0, t1, _GL_RULE)
     rough = 0.0
@@ -415,10 +394,10 @@ def _end_segment(path, t0: complex, s: complex) -> complex:
     (1 - |z|^2 at rounding level) is a boundary value and keeps its one
     segment.
     """
-    to_circle = 2.0 * math.cos(s.imag) - math.exp(s.real)  # (1 - |z|^2)/|1 - z|
-    if not 1e-15 < to_circle < 2.0 * _END_NODE * abs(s - t0):
+    to_circle = _to_circle(s)
+    if not 5e-16 < to_circle < _END_NODE * abs(s - t0):
         return _segment_integral(path, t0, s)
-    rho = 0.5 * to_circle / abs(s - t0)
+    rho = to_circle / abs(s - t0)
     integrand = path[0]
     whole, values = integrand(t0, s, _GL_RULE)
     value, near = _probe(integrand, t0, s, values, 1.0 - 2.0 * min(4.0 * rho, 0.5 * _END_NODE))
@@ -448,7 +427,7 @@ def _log_gap(fn) -> tuple:
     takes no attributes keeps none and rebuilds them on each call."""
     state = getattr(fn, "log_gap", None)
     if state is None:
-        scales = _rounding_scales((), in_gap=True) if gap_form(fn) is None else None
+        scales = _rounding_scales((1+0j,)) if gap_form(fn) is None else None
         state = (kernel(fn, _GAP_INTEGRAND), scales), [0j]
         try:
             fn.log_gap = state
@@ -476,9 +455,10 @@ class LinearizationModel:
     cached properties, each computed on first use and kept:
     ``domain_stats``, the extremes of Im h (:func:`planar_domain_stats`);
     ``null_points``, the boundary null points of f
-    (:func:`find_boundary_null_points`); ``chords``, the chord path of
-    :func:`invert_h` (see :func:`_panel`), with the noise scales of the
-    null points other than 1; and
+    (:func:`find_boundary_null_points`); ``chords``, the path of the
+    Newton steps of :func:`invert_h` (see :func:`_panel`): the log-gap
+    kernel with the noise scales of the null points other than 1, and
+    of 1 itself for a callable with no gap form; and
     ``asymptote``, the constant C of its asymptotic seed.
     """
 
@@ -503,7 +483,10 @@ class LinearizationModel:
     @cached_property
     def chords(self) -> tuple:
         zetas = tuple(p["zeta"] for p in self.null_points if abs(p["zeta"] - 1) > 1e-6)
-        return kernel(self._fn, _CHORD_INTEGRAND), _rounding_scales(zetas, in_gap=False)
+        (integrand, rounded), _ = _log_gap(self._fn)
+        if rounded:
+            zetas += (1+0j,)
+        return integrand, _rounding_scales(zetas) if zetas else None
 
     @cached_property
     def asymptote(self) -> complex:
@@ -572,7 +555,7 @@ def invert_h(model: LinearizationModel, w: complex) -> complex:
     doubles as the membership oracle for h(Delta).
 
     f is evaluated once per iterate: the value that decides convergence
-    at z is also the next Newton quotient.  A chord short against its
+    at z is also the next Newton quotient.  A step short against its
     distance to the circle is one panel of 1, 2, 4, 8 or 16 nodes, the
     fewest its error bound allows (see :func:`_newton_level`), so a
     Newton step costs 2 to 17 evaluations, and the short steps that end
@@ -640,7 +623,7 @@ def _step(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> 
     bfid-par.  A seed costs one log-gap segment from its anchor and a
     few Newton steps, where a continuation takes up to 35 levels:
     abel_flow on quadrant from 0 to t = 1e6 takes 18 f-evals in place of
-    4,933 once the model's chord kernel and C (with the anchors of its
+    4,933 once the model's Newton path and C (with the anchors of its
     seeds) are built.
     """
     if abs(w - h_cur) > 1.0 + min(abs(h_cur), abs(w)):
@@ -656,11 +639,11 @@ def _continue(fn, chords, z: complex, h_cur: complex, w: complex) -> tuple:
 
     Sub-targets are spaced so each jump satisfies |dw| <= 0.5 (1 + |h|),
     and at each Newton iterates z -> z + (h(z) - w) f(z), with h tracked
-    along the iterate chords (see :func:`_newton_level`).  A jump grows
-    1 + |h| at most 1.5-fold outward and halves it at most inward, so
-    twice log(1 + |w| + |h_cur|)/log(1.5) sub-targets cover a path in
-    toward 0 and out to w; a continuation that stalls (the machine floor
-    exceeding the jump) ends there.
+    along each step's log-gap segment (see :func:`_newton_level`).  A
+    jump grows 1 + |h| at most 1.5-fold outward and halves it at most
+    inward, so twice log(1 + |w| + |h_cur|)/log(1.5) sub-targets cover a
+    path in toward 0 and out to w; a continuation that stalls (the
+    machine floor exceeding the jump) ends there.
     """
     fz = _f_or_none(fn, z)
     tol = max(1e-12, 1e-15 * abs(w))
@@ -787,12 +770,18 @@ def _inside_disk_s(s: complex) -> bool:
     return s.real < math.log(2.0 * math.cos(s.imag)) - 1e-14
 
 
-def _chord_rule(z: complex, z_new: complex):
-    """The rule of _CHORD_RULES for the Newton chord z -> z_new, or None
-    for a chord too long against its distance to the circle."""
-    chord, d = abs(z_new - z), 1.0 - max(abs(z), abs(z_new))
+def _to_circle(s: complex) -> float:
+    # (1 - |z|^2)/(2 |1 - z|) at z = 1 - e^s, free of the cancellation in
+    # 1 - |z|; at most the distance from s to the circle's s-image
+    return math.cos(s.imag) - 0.5 * math.exp(s.real)
+
+
+def _chord_rule(s: complex, s_new: complex):
+    """The rule of _CHORD_RULES for the Newton step s -> s_new, or None
+    for a step too long against its distance to the circle."""
+    step, d = abs(s_new - s), min(_to_circle(s), _to_circle(s_new))
     for q_max, rule in _CHORD_RULES:
-        if chord <= q_max * d:
+        if step <= q_max * d:
             return rule
     return None
 
@@ -802,33 +791,42 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
 
     Newton runs in s = log(1-z) (principal branch; Re(1-z) > 0 on the
     disk), where the step is a relative change of 1-z.  Near the
-    boundary this stays well conditioned where a raw z-step overshoots.
+    boundary this stays well conditioned where a raw z-step overshoots,
+    and dh along the step is the log-gap segment s -> s_new.
 
-    A chord z -> z_new with q = |z_new - z|/d <= 1/2, d = 1 - max(|z|,
-    |z_new|), is integrated by one n-node Gauss-Legendre panel.  |.| is
-    convex, so every point of the chord is at least d from the circle;
-    its half-length is L = q d/2.  The Bernstein ellipse of the chord
-    with rho - 1/rho = 2/q has semi-minor axis L (rho - 1/rho)/2 = d/2
-    and reaches past either end by less than that, so it stays within
-    d/2 of the chord and inside the disk, where h' = -1/f is holomorphic.
-    There the n-node error is at most (64/15) M rho^-2(n-1) / (rho^2 - 1) L
-    (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM
-    Rev. 2008, Thm 4.5, whose I_n is the (n+1)-node rule), with M the
-    maximum of |h'| on the ellipse.  h is univalent, and each ellipse
-    point lies within pseudo-hyperbolic distance 1/2 of the chord, so
-    Koebe distortion bounds M by 12 max |h'| on the chord.  At q = 1/2,
-    rho0 = 2 + 5^(1/2) ~ 4.2 and 16 nodes give
-    (64/15) rho0^-30 / (rho0^2 - 1) L ~ 4e-20 M L, far below the
-    roundoff of the sum.  rho^-2(n-1) / (rho^2 - 1) grows with q, so each
-    n has a largest q at which it is no larger than
-    rho0^-30 / (rho0^2 - 1); a chord takes the fewest nodes whose
+    The disk's s-image Omega is convex, so along a segment the distance
+    to its boundary is at least its smaller value at the ends, and at s
+    at least d(s) = cos(Im s) - e^(Re s)/2 = (1 - |z|^2)/(2 |1 - z|):
+    the hyperbolic density of a convex domain, here |1 - z|/(1 - |z|^2),
+    is at least 1/(2 dist) (Beardon & Minda, "The hyperbolic metric and
+    geometric function theory", 2007).  A step with q = |s_new - s|/d
+    <= 1/2, d the smaller d(s) at its ends, is one n-node Gauss-Legendre
+    panel.  Its half-length is L = q d/2.  The Bernstein ellipse of the
+    segment with rho - 1/rho = 2/q has semi-minor axis
+    L (rho - 1/rho)/2 = d/2 and reaches past either end by less than
+    that, so it stays within d/2 of the segment and inside Omega, where
+    dh/ds is holomorphic.  There the n-node error is at most
+    (64/15) M rho^-2(n-1) / (rho^2 - 1) L (Trefethen, "Is Gauss
+    quadrature better than Clenshaw-Curtis?", SIAM Rev. 2008, Thm 4.5,
+    whose I_n is the (n+1)-node rule), with M the maximum of |dh/ds| on
+    the ellipse.  s -> 1 - e^s maps Omega conformally onto the disk, so
+    h(1 - e^s) is univalent on Omega; each ellipse point lies within
+    pseudo-hyperbolic distance 1/2 of the segment, in a disk of radius d
+    about a segment point, so Koebe distortion bounds M by
+    12 max |dh/ds| on the segment.  At q = 1/2, rho0 = 2 + 5^(1/2) ~ 4.2
+    and 16 nodes give (64/15) rho0^-30 / (rho0^2 - 1) L ~ 4e-20 M L, far
+    below the roundoff of the sum.  rho^-2(n-1) / (rho^2 - 1) grows with
+    q, so each n has a largest q at which it is no larger than
+    rho0^-30 / (rho0^2 - 1); a step takes the fewest nodes whose
     cut-off it meets (_CHORD_RULES, the cut-offs rounded down):
 
         q at most   1.914e-10  1.956e-5  6.255e-3  0.1121  0.5
         nodes n     1          2         4         8       16
 
-    Newton converges quadratically, so the chords of a level shrink
-    through these bands in turn.  Every other chord, those that reach
+    q measured along the chord in z would not do: from z = 0 to -1/3 it
+    is 1/2 there and 0.71 in s, where the 16-node factor is 6e-16.
+    Newton converges quadratically, so the steps of a level shrink
+    through these bands in turn.  Every other step, those that reach
     toward the circle relative to their length, goes through the
     adaptive :func:`_segment_integral`.
     """
@@ -859,12 +857,12 @@ def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
         if s_new.real < -36.0:
             s_new = complex(-36.0, s_new.imag)
         z_new = 1.0 - cmath.exp(s_new)
-        rule = _chord_rule(z, z_new)
+        rule = _chord_rule(s, s_new)
         try:
             if rule is not None:
-                dh = integrand(z, z_new, rule)[0]
+                dh = integrand(s, s_new, rule)[0]
             else:
-                dh = _segment_integral(chords, z, z_new)
+                dh = _segment_integral(chords, s, s_new)
         except SingularEvaluationError as exc:
             raise InversionFailureError(
                 f"quadrature broke during inversion toward {w_final}: {exc}",
@@ -959,7 +957,7 @@ def linearize(f) -> LinearizationModel:
     The model of an expression is built once and kept on its node, as
     :func:`~diskflow.expr.compile_expr` keeps the callable, so every
     call on that node (classify, bfid_report, the CLI verbs) shares its
-    exponents, null points, chord kernel, asymptote and ``h_cache``.
+    exponents, null points, Newton path, asymptote and ``h_cache``.
     Any other callable gets a fresh model on every call.  An expression
     outside the class raises NotInClassError on every call: no failure
     is kept.

@@ -102,11 +102,7 @@ class MobiusGroup:
         Parabolic case: k = ib z/(1-z), image the half-plane that
         :meth:`half_plane` describes.
         """
-        return self.linearizer_gap(1 - z)
-
-    def linearizer_gap(self, gap: complex) -> complex:
-        """k evaluated from the gap 1 - z; usable for gaps far below the
-        resolution of z itself."""
+        gap = 1 - z
         if self.a == 0:
             return 1j * self.b * (1 - gap) / gap
         e = self.eta.conjugate()
@@ -265,12 +261,12 @@ def inner_conjugator(model: LinearizationModel, group: MobiusGroup,
         return next(_walk(model, base, C, (group.linearizer(z) + C,)))[0]
 
     def right(z: complex) -> list:
-        # evaluate through the gap 1 - G_t(z), which stays representable
-        # after the group orbit collapses onto 1 in z-coordinates; the
-        # orbit starts from base, never from a flow-side point
-        targets = [group.linearizer_gap(group.gap_apply(t, z)) + C
-                   for t in RESIDUAL_TIMES]
-        return [u for u, _ in _walk(model, base, C, targets)]
+        # k(G_t z) = k(z) + t holds exactly, so no point of the group
+        # orbit is formed: its gap 1 - G_t(z) decays like e^(-2at) and
+        # underflows for large a; the orbit starts from base, never from
+        # a flow-side point
+        k = group.linearizer(z) + C
+        return [u for u, _ in _walk(model, base, C, (k + t for t in RESIDUAL_TIMES))]
 
     # the flow side is walked to the end before the group side starts
     res = _residual_sup(lambda z: list(model.orbit(phi(z), RESIDUAL_TIMES)), right)

@@ -528,10 +528,10 @@ def kernel(fn, template: str):
     evaluates ``v = f(z)`` at the rounded point ``z = (1+0j) - d``
     instead.  Its own exceptions pass through.  Either way the kernel
     gives the same floats and the same exceptions as calling the scalar
-    callable at every line that evaluates f.  The integrand templates of
-    :mod:`diskflow.abel`, one per path geometry, each evaluating f on one
-    line, and the grid scan of :func:`validate_generator` are inlined
-    here, on their first use; the DOP853 attempt of
+    callable at every line that evaluates f.  The integrand template of
+    :mod:`diskflow.abel`, one for its one path geometry (the log-gap
+    segment) that evaluates f on one line, and the grid scan of
+    :func:`validate_generator` are inlined here, on their first use; the DOP853 attempt of
     :mod:`diskflow.flow` comes through :func:`kernel_by_use`, which
     inlines it only once its callable has made :data:`INLINE_AFTER`
     attempts.

@@ -620,10 +620,13 @@ SINGLE_PANEL_IDS = [
 
 @pytest.mark.parametrize("entry_id", SINGLE_PANEL_IDS)
 def test_single_panel_chords_match_closed_form(entry_id):
-    # a Newton chord z0 -> z1 with q = |z1 - z0|/(1 - max(|z0|, |z1|))
-    # <= 1/2 is one panel of the rule of its band of _CHORD_RULES, 1 to 16
-    # nodes; against the catalog's closed form at 30 digits it must be
-    # exact to the rounding of h and the 16-node panel's noise estimate
+    # a Newton step s0 -> s1 in the log-gap coordinate with q =
+    # |s1 - s0|/d <= 1/2, d the smaller lower bound of the distance to the
+    # boundary of the disk's s-image at its ends (abel._to_circle), is one
+    # panel of the rule of its band of _CHORD_RULES, 1 to 16 nodes;
+    # against the catalog's closed form at 30 digits, at the exact points
+    # 1 - e^s, it must be exact to the rounding of h and the 16-node
+    # panel's noise estimate
     mpmath = pytest.importorskip("mpmath")
     pytest.importorskip("hypothesis")
     from hypothesis import assume, example, given, settings
@@ -633,47 +636,48 @@ def test_single_panel_chords_match_closed_form(entry_id):
     model, evals = counted_model(parse(entry.f_text))
     integrand = model.chords[0]
     cuts = [0.0] + [q_max for q_max, _ in _CHORD_RULES]
+    to_circle = abel._to_circle
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
         st.floats(0.0, 40.0),  # the gap 1 - z0 is 2^-k ...
         st.floats(-1.5, 1.5),  # ... at this angle from the radius
-        st.floats(-math.pi, math.pi),  # direction of the chord
+        st.floats(-math.pi, math.pi),  # direction of the step
         st.integers(0, len(_CHORD_RULES) - 1),  # the band of q ...
         # ... and where in it; in the one-node band q >= 1.9e-13, where
         # 30 digits still resolve h(z1) - h(z0)
         st.floats(1e-3, 1.0),
     )
-    @example(40.0, 0.0, math.pi, 4, 0.999)  # radially outward, next to 1
-    @example(40.0, 0.0, 0.0, 4, 0.999)  # radially inward, next to 1
+    @example(40.0, 0.0, 0.0, 4, 0.999)  # radially outward, next to 1
+    @example(40.0, 0.0, math.pi, 4, 0.999)  # radially inward, next to 1
     @example(20.0, 1.5, 0.5, 4, 0.999)  # next to the circle, near 1
     @example(20.0, 1.5, 0.5, 0, 0.999)  # the one-node band, there
     def check(k, angle, direction, band, where):
-        z0 = 1.0 - 2.0**-k * cmath.exp(1j * angle)
-        assume(abs(z0) < 1.0)
+        s0 = complex(-k * math.log(2.0), angle)
+        assume(to_circle(s0) > 0.0)
         lo, hi = cuts[band], cuts[band + 1]
         q = lo + where * (hi - lo)
-        # the length r = q (1 - max(|z0|, |z0 + r u|)), a contraction in r
+        # the length r = q min(d(s0), d(s0 + r u)), a contraction in r
         u = cmath.exp(1j * direction)
-        r = q * (1.0 - abs(z0))
+        r = q * to_circle(s0)
         for _ in range(80):
-            r = q * (1.0 - max(abs(z0), abs(z0 + r * u)))
-        z1 = z0 + r * u
-        d = 1.0 - max(abs(z0), abs(z1))
-        assume(z1 != z0 and lo * d < abs(z1 - z0) <= hi * d)
-        rule = abel._chord_rule(z0, z1)
+            r = q * min(to_circle(s0), to_circle(s0 + r * u))
+        s1 = s0 + r * u
+        d = min(to_circle(s0), to_circle(s1))
+        assume(s1 != s0 and lo * d < abs(s1 - s0) <= hi * d)
+        rule = abel._chord_rule(s0, s1)
         assert rule is _CHORD_RULES[band][1]
         before = evals[0]
-        value = integrand(z0, z1, rule)[0]
+        value = integrand(s0, s1, rule)[0]
         assert evals[0] - before == len(rule) == 2**band
-        noise = abel._panel(model.chords, z0, z1)[1]
+        noise = abel._panel(model.chords, s0, s1)[1]
         with mpmath.workdps(30):
             h0 = _mp_eval(mpmath, entry.h_text, 0j)
-            h_z0 = _mp_eval(mpmath, entry.h_text, z0) - h0
-            h_z1 = _mp_eval(mpmath, entry.h_text, z1) - h0
+            h_z0 = _mp_eval(mpmath, entry.h_text, 1 - mpmath.exp(mpmath.mpc(s0))) - h0
+            h_z1 = _mp_eval(mpmath, entry.h_text, 1 - mpmath.exp(mpmath.mpc(s1))) - h0
             ref = complex(h_z1 - h_z0)
             tol = 64 * sys.float_info.epsilon * float(abs(h_z0) + abs(h_z1)) + noise
-        assert abs(value - ref) <= tol, (z0, z1)
+        assert abs(value - ref) <= tol, (s0, s1)
 
     check()
 
@@ -721,26 +725,26 @@ def test_abel_flow_saturates_at_the_smallest_gap():
     assert abs(1 - z) <= 2.4e-16
 
 
-_UNREACHED = pytest.mark.xfail(
-    raises=InversionFailureError,
-    reason="the target h(z) + t lies in h(Delta) for every t >= 0, but its "
-    "preimage is closer to 1 than any double of the disk; at t = 100 and 1e3 "
-    "the continuation stalls short of the saturation test and raises "
-    "'continuation did not reach w' (ROADMAP item 2)")
+# (entry, start, times) whose targets h(start) + t have preimages closer
+# to 1 than any double of the disk
+SATURATING_FLOWS = [
+    ("hyperbolic-auto(0.5,0)", 0.3 + 0.2j, (40.0, 100.0, 1e3, 1e6, 1e12)),
+    ("hyperbolic-auto(0.8,0.3)", 0j, (100.0, 1e3)),
+    ("hyperbolic-auto(0.8,0.3)", -0.5 + 0j, (100.0, 1e3, 1e6)),
+    ("hyperbolic-auto(0.8,0.3)", 0.3 + 0.2j, (100.0, 1e3, 1e6)),
+]
 
 
-@pytest.mark.parametrize("t", [
-    40.0,
-    pytest.param(100.0, marks=_UNREACHED),
-    pytest.param(1e3, marks=_UNREACHED),
-    1e12,
+@pytest.mark.parametrize("entry_id, z0, t", [
+    pytest.param(entry_id, z0, t, id=f"{entry_id}-{z0}-{t}")
+    for entry_id, z0, times in SATURATING_FLOWS for t in times
 ])
-def test_abel_flow_forward_times_saturate(t):
-    # every forward time from 0.3 + 0.2i has a preimage gap below 4.3e-18;
-    # the flow should return a point pinned next to 1, as it does at
-    # t = 40 (|1 - z| = 2.42e-16) and t = 1e12
-    model = linearize(parse(catalog.get("hyperbolic-auto(0.5,0)").f_text))
-    z = abel_flow(model, 0.3 + 0.2j, t)
+def test_abel_flow_forward_times_saturate(entry_id, z0, t):
+    # each target h(z0) + t lies in h(Delta), and its preimage is closer
+    # to 1 than any double of the disk (below 4.3e-18 from 0.3 + 0.2i on
+    # hyperbolic-auto(0.5,0)): the flow returns a point pinned next to 1
+    model = linearize(parse(catalog.get(entry_id).f_text))
+    z = abel_flow(model, z0, t)
     assert abs(1 - z) <= 2.5e-16
 
 

@@ -170,3 +170,13 @@ def test_import_leaves_the_command_line_out():
         "print('argparse' in sys.modules, 'diskflow.cli' in sys.modules)\n"
     )
     assert _run_fresh(probe) == ["False", "False"]
+
+
+def test_command_line_leaves_verification_out():
+    # the cli module imports the verify-paper suite only where that verb
+    # runs
+    probe = (
+        "import sys, diskflow.cli\n"
+        "print('diskflow.verification' in sys.modules)\n"
+    )
+    assert _run_fresh(probe) == ["False"]

@@ -24,7 +24,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from diskflow import abel, catalog, expr  # noqa: E402
 from diskflow.abel import (  # noqa: E402
-    _CHORD_INTEGRAND,
     _CHORD_RULES,
     _GAP_INTEGRAND,
     _GL_BARYCENTRIC,
@@ -179,41 +178,40 @@ def _noise_scale(z, gap):
     return 1.0 + (abs(z) / gap if gap > 0 else 1e16)
 
 
-def _gap_integrand(gap_fn):
-    # d / f(1 - d) with f written in the gap: no rounded point
-    def dh(t):
-        d = cmath.exp(t)
-        return d / gap_fn(d), 1.0
-    return dh
+def _nearest(z, zetas):
+    # the distance from z to the nearest of zetas, inf for none
+    return min((abs(z - zeta) for zeta in zetas), default=math.inf)
 
 
-def _rounded_gap_integrand(fn):
+def _gap_integrand(gap_fn, zetas=()):
+    # d / f(1 - d) with f written in the gap: exact next to 1, and noisy
+    # by the rounded node next to the singular points ``zetas``
     def dh(t):
         d = cmath.exp(t)
         w = 1.0 - d
-        return d / fn(w), _noise_scale(w, abs(1.0 - w))
+        return d / gap_fn(d), _noise_scale(w, _nearest(w, zetas))
     return dh
 
 
-def _chord_integrand(fn, zetas):
-    def dh(z):
-        gap = abs(1.0 - z)
-        for zeta in zetas:
-            gap = min(gap, abs(z - zeta))
-        return -1.0 / fn(z), _noise_scale(z, gap)
+def _rounded_gap_integrand(fn, zetas=()):
+    # f at the rounded point, noisy next to 1 and to ``zetas``
+    def dh(t):
+        d = cmath.exp(t)
+        w = 1.0 - d
+        return d / fn(w), _noise_scale(w, _nearest(w, (*zetas, 1.0)))
     return dh
 
 
-COMPLEX = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 LOG_GAP = st.builds(complex, st.floats(-40.0, 0.7), st.floats(-1.5, 1.5))
 
 
 @pytest.mark.parametrize("entry_id", IDS + list(SINGULAR))
 def test_panels_match_reference_loops(entry_id):
-    # the integrand kernels, and the panel, root and probe sums over their
+    # the integrand kernel, and the panel, root and probe sums over its
     # values, on the paths the package builds: the log-gap path of f, of
     # an opaque f with a gap form and of one with none (_log_gap), and
-    # the chord path with null points besides 1
+    # the same kernels with the noise scales of null points besides 1,
+    # as the Newton steps of a model take them (LinearizationModel.chords)
     text = catalog.get(entry_id).f_text if entry_id in IDS else entry_id
     fn = compile_expr(parse(text))
     opaque, rounded = _opaque(fn), _rounded(fn)
@@ -221,16 +219,15 @@ def test_panels_match_reference_loops(entry_id):
     gap_path, gap_opaque_path, rounded_path = (abel._log_gap(g)[0] for g in (fn, opaque, rounded))
     assert [scales is None for _, scales in (gap_path, gap_opaque_path, rounded_path)] == [
         True, True, False]
-    chord_path = (kernel(fn, _CHORD_INTEGRAND), abel._rounding_scales(zetas, False))
-    chord_opaque_path = (kernel(opaque, _CHORD_INTEGRAND), chord_path[1])
-    assert gap_path[0] is not gap_opaque_path[0] and chord_path[0] is not chord_opaque_path[0]
+    assert gap_path[0] is not gap_opaque_path[0]
     gap, gap_opaque, gap_rounded = gap_path[0], gap_opaque_path[0], rounded_path[0]
-    chord, chord_opaque = chord_path[0], chord_opaque_path[0]
-    dh_chord = _chord_integrand(fn, zetas)
+    null_path = (gap, abel._rounding_scales(zetas))
+    null_opaque_path = (gap_opaque, null_path[1])
+    null_rounded_path = (gap_rounded, abel._rounding_scales((*zetas, 1+0j)))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(LOG_GAP, LOG_GAP, COMPLEX, COMPLEX, st.floats(0.995, 0.9999))
-    def check(s0, s1, z0, z1, xp):
+    @given(LOG_GAP, LOG_GAP, st.floats(0.995, 0.9999))
+    def check(s0, s1, xp):
         dh = _gap_integrand(expr.gap_form(fn))
         ref = _outcome(_reference_panel, dh, s0, s1)
         assert _outcome(_panel(gap_path), s0, s1) == _outcome(_panel(gap_opaque_path), s0, s1) == ref
@@ -246,6 +243,11 @@ def test_panels_match_reference_loops(entry_id):
         assert (_outcome(_probed(gap), s0, s1, xp)
                 == _outcome(_probed(gap_opaque), s0, s1, xp) == ref)
         assert ref[0] != "value" or ref[1][:2] == _outcome(_root(gap), s0, s1)[1]
+        # each graded rule of the Newton steps, against its own loop
+        for _, rule in _CHORD_RULES:
+            ref = _outcome(_reference_sum, dh, s0, s1, rule)
+            assert (_outcome(_sum(gap), s0, s1, rule)
+                    == _outcome(_sum(gap_opaque), s0, s1, rule) == ref)
         # a callable with no gap form: f at the rounded point, and the
         # noise of its rounding
         dh = _rounded_gap_integrand(fn)
@@ -257,28 +259,24 @@ def test_panels_match_reference_loops(entry_id):
         assert _integral(ref) == whole
         ref = _outcome(_reference_probe, dh, s0, s1, xp)
         assert _outcome(_probed(gap_rounded), s0, s1, xp) == ref
-        ref = _outcome(_reference_panel, dh_chord, z0, z1)
-        assert _outcome(_panel(chord_path), z0, z1) == _outcome(_panel(chord_opaque_path), z0, z1) == ref
-        whole = _integral(ref)
-        ref = _outcome(_reference_root, dh_chord, z0, z1)
-        assert _outcome(_root(chord), z0, z1) == _outcome(_root(chord_opaque), z0, z1) == ref
-        assert _integral(ref) == whole
-        # each graded rule of the Newton chords, against its own loop
-        for _, rule in _CHORD_RULES:
-            ref = _outcome(_reference_sum, dh_chord, z0, z1, rule)
-            assert (_outcome(_sum(chord), z0, z1, rule)
-                    == _outcome(_sum(chord_opaque), z0, z1, rule) == ref)
+        # the noise of rounded nodes next to the null points besides 1,
+        # and next to 1 too for a callable with no gap form
+        ref = _outcome(_reference_panel, _gap_integrand(expr.gap_form(fn), zetas), s0, s1)
+        assert (_outcome(_panel(null_path), s0, s1)
+                == _outcome(_panel(null_opaque_path), s0, s1) == ref)
+        ref = _outcome(_reference_panel, _rounded_gap_integrand(fn, zetas), s0, s1)
+        assert _outcome(_panel(null_rounded_path), s0, s1) == ref
 
     check()
 
 
 def test_each_path_geometry_evaluates_f_on_one_line():
-    # one integrand template per path geometry, each with one line that
-    # evaluates f, so a kernel inlines f's code once; the sums over its
-    # values are plain Python, written once for both
+    # one integrand template, for the one path geometry, with one line
+    # that evaluates f, so a kernel inlines f's code once; the sums over
+    # its values are plain Python
     templates = {name: value for name, value in vars(abel).items()
                  if isinstance(value, str) and "def " in value}
-    assert set(templates) == {"_GAP_INTEGRAND", "_CHORD_INTEGRAND"}
+    assert set(templates) == {"_GAP_INTEGRAND"}
     for template in templates.values():
         calls = [line for line in template.splitlines() if line.strip() in expr._CALLS]
         assert len(calls) == 1, template
@@ -406,8 +404,9 @@ def test_kernels_built_lazily_once(monkeypatch):
     assert all(part in vars(model) for part in parts)
     gap = fn.gap
     built, built_gap, chords = dict(fn.kernels), dict(gap.kernels), model.chords
-    assert set(built) == {_CHORD_INTEGRAND} and set(built_gap) == {_GAP_INTEGRAND}
-    assert chords[0] is built[_CHORD_INTEGRAND] and fn.log_gap[0][0] is built_gap[_GAP_INTEGRAND]
+    # the Newton steps take the kernel of the log-gap segments
+    assert built == {} and set(built_gap) == {_GAP_INTEGRAND}
+    assert chords[0] is built_gap[_GAP_INTEGRAND] is fn.log_gap[0][0]
     compiled = []
     monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source))
     invert_h(model, model.h(-0.2 + 0.6j))
@@ -434,14 +433,16 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
     assert _outcome(_panel(path), 0j, -1.0 + 0.2j) == ref
     ref = _outcome(_reference_probe, _gap_integrand(gap_fn), 0j, -1.0 + 0.2j, 0.999)
     assert _outcome(_probed(path[0]), 0j, -1.0 + 0.2j, 0.999) == ref
+    # with the noise scales of the null point -1, which the segment
+    # nears, as a model's Newton steps take it
     zetas = (-1.0 + 0j,)
-    chord = kernel(fn, _CHORD_INTEGRAND)
-    assert fn.kernels[_CHORD_INTEGRAND] is chord
-    path = (chord, abel._rounding_scales(zetas, False))
-    ref = _outcome(_reference_panel, _chord_integrand(fn, zetas), 0.1j, 0.5 + 0.2j)
-    assert _outcome(_panel(path), 0.1j, 0.5 + 0.2j) == ref
-    ref = _outcome(_reference_sum, _chord_integrand(fn, zetas), 0.1j, 0.5 + 0.2j, _GL_RULE)
-    assert _outcome(_sum(chord), 0.1j, 0.5 + 0.2j, _GL_RULE) == ref
+    path = (path[0], abel._rounding_scales(zetas))
+    dh = _gap_integrand(gap_fn, zetas)
+    ref = _outcome(_reference_panel, dh, 0j, 0.6 + 0.1j)
+    assert _outcome(_panel(path), 0j, 0.6 + 0.1j) == ref
+    for _, rule in _CHORD_RULES:
+        ref = _outcome(_reference_sum, dh, 0j, 0.6 + 0.1j, rule)
+        assert _outcome(_sum(path[0]), 0j, 0.6 + 0.1j, rule) == ref
 
 
 def test_expression_too_deep_for_gap_code_is_evaluated_at_the_rounded_point(monkeypatch):
@@ -574,9 +575,9 @@ PYTHON_SUMS = (abel._panel, abel._legendre_tail, abel._probe, abel._rounding_sca
 
 @pytest.mark.parametrize(
     "template",
-    [_DP_STEP, _GAP_INTEGRAND, _CHORD_INTEGRAND, expr._GRID_SCAN]
+    [_DP_STEP, _GAP_INTEGRAND, expr._GRID_SCAN]
     + [textwrap.dedent(inspect.getsource(sums)) for sums in PYTHON_SUMS],
-    ids=["dop853_step", "gap_integrand", "chord_integrand", "grid_scan"]
+    ids=["dop853_step", "gap_integrand", "grid_scan"]
     + [sums.__name__ for sums in PYTHON_SUMS])
 def test_no_float_left_of_a_complex_operand(template):
     # a float on the left of a complex operand first fails in the float
