@@ -137,7 +137,7 @@ _END_NODE = 0.5 * (1.0 - _GL_NODES[-1])
 # the 1-, 2-, 4- and 8-point Gauss-Legendre rules as (node, weight) pairs,
 # each float the nearest double to the root of P_n or its weight (numpy's
 # leggauss is a few ulps off in the 4- and 8-point weights), for the
-# short Newton steps of _CHORD_RULES
+# short Newton steps of _STEP_RULES
 _GL1_RULE = ((0.0, 2.0),)
 _GL2_RULE = ((-0.5773502691896257, 1.0), (0.5773502691896257, 1.0))
 _GL4_RULE = (
@@ -161,8 +161,8 @@ _GL8_RULE = (
 # q_max, d the smaller _to_circle at its ends, is one panel of ``rule``;
 # each q_max is the largest q, rounded down, at which that rule's
 # Bernstein bound is no weaker than the 16-node bound at q = 1/2 (see
-# _newton_level); longer steps go through _segment_integral
-_CHORD_RULES = (
+# _continue); longer steps go through _segment_integral
+_STEP_RULES = (
     (1.914e-10, _GL1_RULE),
     (1.956e-5, _GL2_RULE),
     (6.255e-3, _GL4_RULE),
@@ -224,7 +224,7 @@ def _panel(path, t0: complex, t1: complex) -> tuple:
     roundoff estimate of the sum, 2.3e-16 |half| sum w_j |v_j| s_j.
 
     ``path`` is (integrand, scales), chosen once per generator
-    (:func:`_log_gap`, ``LinearizationModel.chords``): the integrand
+    (:func:`_log_gap`, ``LinearizationModel.newton_path``): the integrand
     kernel above, and the noise scales s_j of its nodes,
     :func:`_rounding_scales` where a singular point of h' lies at
     rounding distance of a node and None, all 1, where none does."""
@@ -455,7 +455,7 @@ class LinearizationModel:
     cached properties, each computed on first use and kept:
     ``domain_stats``, the extremes of Im h (:func:`planar_domain_stats`);
     ``null_points``, the boundary null points of f
-    (:func:`find_boundary_null_points`); ``chords``, the path of the
+    (:func:`find_boundary_null_points`); ``newton_path``, the path of the
     Newton steps of :func:`invert_h` (see :func:`_panel`): the log-gap
     kernel with the noise scales of the null points other than 1, and
     of 1 itself for a callable with no gap form; and
@@ -481,7 +481,7 @@ class LinearizationModel:
         return find_boundary_null_points(self._fn)
 
     @cached_property
-    def chords(self) -> tuple:
+    def newton_path(self) -> tuple:
         zetas = tuple(p["zeta"] for p in self.null_points if abs(p["zeta"] - 1) > 1e-6)
         (integrand, rounded), _ = _log_gap(self._fn)
         if rounded:
@@ -557,7 +557,7 @@ def invert_h(model: LinearizationModel, w: complex) -> complex:
     f is evaluated once per iterate: the value that decides convergence
     at z is also the next Newton quotient.  A step short against its
     distance to the circle is one panel of 1, 2, 4, 8 or 16 nodes, the
-    fewest its error bound allows (see :func:`_newton_level`), so a
+    fewest its error bound allows (see :func:`_continue`), so a
     Newton step costs 2 to 17 evaluations, and the short steps that end
     a quadratically converging level cost the fewest.
     """
@@ -630,36 +630,127 @@ def _step(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> 
         solved = _from_asymptote(model, w)
         if solved is not None:
             return solved
-    return _continue(model._fn, model.chords, z, h_cur, w)
+    return _continue(model, z, h_cur, w)
 
 
-def _continue(fn, chords, z: complex, h_cur: complex, w: complex) -> tuple:
+def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> tuple:
     """Newton continuation from z, where h = h_cur, to h = w along the
     straight w-segment; returns (z, h(z)).
 
     Sub-targets are spaced so each jump satisfies |dw| <= 0.5 (1 + |h|),
     and at each Newton iterates z -> z + (h(z) - w) f(z), with h tracked
-    along each step's log-gap segment (see :func:`_newton_level`).  A
-    jump grows 1 + |h| at most 1.5-fold outward and halves it at most
-    inward, so twice log(1 + |w| + |h_cur|)/log(1.5) sub-targets cover a
-    path in toward 0 and out to w; a continuation that stalls (the
-    machine floor exceeding the jump) ends there.
+    along each step's log-gap segment.  A jump grows 1 + |h| at most
+    1.5-fold outward and halves it at most inward, so twice
+    log(1 + |w| + |h_cur|)/log(1.5) sub-targets cover a path in toward 0
+    and out to w; a continuation that stalls (the machine floor
+    exceeding the jump) ends there.
+
+    Newton runs in s = log(1-z) (principal branch; Re(1-z) > 0 on the
+    disk), where the step is a relative change of 1-z.  Near the
+    boundary this stays well conditioned where a raw z-step overshoots,
+    and dh along the step is the log-gap segment s -> s_new.  Each level
+    starts from s = log(1 - z) and carries s and d(s) (below) from step
+    to step, so a trial point costs one cos and one exp, which serve
+    both the disk test, d > 5e-15 e^(Re s) (that is,
+    Re s < log(2 cos(Im s)) - 1e-14), and the step's rule.
+
+    The disk's s-image Omega is convex, so along a segment the distance
+    to its boundary is at least its smaller value at the ends, and at s
+    at least d(s) = cos(Im s) - e^(Re s)/2 = (1 - |z|^2)/(2 |1 - z|):
+    the hyperbolic density of a convex domain, here |1 - z|/(1 - |z|^2),
+    is at least 1/(2 dist) (Beardon & Minda, "The hyperbolic metric and
+    geometric function theory", 2007).  A step with q = |s_new - s|/d
+    <= 1/2, d the smaller d(s) at its ends, is one n-node Gauss-Legendre
+    panel.  Its half-length is L = q d/2.  The Bernstein ellipse of the
+    segment with rho - 1/rho = 2/q has semi-minor axis
+    L (rho - 1/rho)/2 = d/2 and reaches past either end by less than
+    that, so it stays within d/2 of the segment and inside Omega, where
+    dh/ds is holomorphic.  There the n-node error is at most
+    (64/15) M rho^-2(n-1) / (rho^2 - 1) L (Trefethen, "Is Gauss
+    quadrature better than Clenshaw-Curtis?", SIAM Rev. 2008, Thm 4.5,
+    whose I_n is the (n+1)-node rule), with M the maximum of |dh/ds| on
+    the ellipse.  s -> 1 - e^s maps Omega conformally onto the disk, so
+    h(1 - e^s) is univalent on Omega; each ellipse point lies within
+    pseudo-hyperbolic distance 1/2 of the segment, in a disk of radius d
+    about a segment point, so Koebe distortion bounds M by
+    12 max |dh/ds| on the segment.  At q = 1/2, rho0 = 2 + 5^(1/2) ~ 4.2
+    and 16 nodes give (64/15) rho0^-30 / (rho0^2 - 1) L ~ 4e-20 M L, far
+    below the roundoff of the sum.  rho^-2(n-1) / (rho^2 - 1) grows with
+    q, so each n has a largest q at which it is no larger than
+    rho0^-30 / (rho0^2 - 1); a step takes the fewest nodes whose
+    cut-off it meets (_STEP_RULES, the cut-offs rounded down):
+
+        q at most   1.914e-10  1.956e-5  6.255e-3  0.1121  0.5
+        nodes n     1          2         4         8       16
+
+    q measured along the chord in z would not do: from z = 0 to -1/3 it
+    is 1/2 there and 0.71 in s, where the 16-node factor is 6e-16.
+    Newton converges quadratically, so the steps of a level shrink
+    through these bands in turn.  Every other step, those that reach
+    toward the circle relative to their length, goes through the
+    adaptive :func:`_segment_integral`.
     """
+    fn, path = model._fn, model.newton_path
     fz = _f_or_none(fn, z)
     tol = max(1e-12, 1e-15 * abs(w))
     budget = 2 * math.ceil(math.log(1.0 + abs(w) + abs(h_cur)) / math.log(1.5))
     for _ in range(budget):
         remaining = w - h_cur
-        if abs(remaining) <= max(tol, _machine_floor(fz, z)):
-            return z, h_cur
-        if _saturated(z, remaining):
+        if abs(remaining) <= max(tol, _machine_floor(fz, z)) or _saturated(z, remaining):
             return z, h_cur
         cap = 0.5 * (1.0 + abs(h_cur))
-        if abs(remaining) > cap:
-            w_sub = h_cur + remaining / abs(remaining) * cap
+        w_sub = h_cur + remaining / abs(remaining) * cap if abs(remaining) > cap else w
+        s = cmath.log(1.0 - z)
+        d = _to_circle(s)
+        for _ in range(50):
+            residual = h_cur - w_sub
+            if _saturated(z, -residual):
+                break
+            if fz is None:
+                fz = fn(z)  # singular at the iterate: raises as f does
+            step = -residual * fz / (1.0 - z)
+            if abs(step) > 1.0:
+                step *= 1.0 / abs(step)
+            for _ in range(60):
+                s_new = s + step
+                gap = math.exp(s_new.real)
+                d_new = math.cos(s_new.imag) - 0.5 * gap
+                if d_new > 5e-15 * gap:
+                    break
+                step *= 0.5
+            else:
+                raise InversionFailureError(
+                    f"Newton iterate pinned at the boundary while solving h(z) = {w}",
+                    last_iterate=z,
+                    target=w,
+                )
+            # keep 1 - z representable: below Re s = -36 the iterate would
+            # round to z = 1 exactly and the machine floor already applies
+            if s_new.real < -36.0:
+                s_new = complex(-36.0, s_new.imag)
+                d_new = _to_circle(s_new)
+            rule = _step_rule(abs(s_new - s), min(d, d_new))
+            try:
+                if rule is not None:
+                    dh = path[0](s, s_new, rule)[0]
+                else:
+                    dh = _segment_integral(path, s, s_new)
+            except SingularEvaluationError as exc:
+                raise InversionFailureError(
+                    f"quadrature broke during inversion toward {w}: {exc}",
+                    last_iterate=z,
+                    target=w,
+                ) from exc
+            z, h_cur, s, d = 1.0 - cmath.exp(s_new), h_cur + dh, s_new, d_new
+            fz = _f_or_none(fn, z)
+            if abs(h_cur - w_sub) <= max(tol, _machine_floor(fz, z)):
+                break
         else:
-            w_sub = w
-        z, fz, h_cur = _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w)
+            raise InversionFailureError(
+                f"Newton did not converge at continuation level {w_sub}",
+                last_iterate=z,
+                target=w,
+            )
     if abs(w - h_cur) <= max(tol, _machine_floor(fz, z)):
         return z, h_cur
     raise InversionFailureError(
@@ -686,7 +777,8 @@ def _asymptotic_gap(model: LinearizationModel, w: complex):
         s = -cmath.log(q) / model.alpha
     else:
         s = -offset / model.mu
-    if not (cmath.isfinite(s) and _inside_disk_s(s)):
+    if not (cmath.isfinite(s) and abs(s.imag) < 0.5 * math.pi and s.real < 1.0
+            and _to_circle(s) > 5e-15 * math.exp(s.real)):
         return None
     return complex(max(s.real, -36.0), s.imag)
 
@@ -698,9 +790,8 @@ def _from_asymptote(model: LinearizationModel, w: complex):
     s = _asymptotic_gap(model, w)
     if s is None:
         return None
-    fn = model._fn
     try:
-        return _continue(fn, model.chords, 1.0 - cmath.exp(s), _h_at_gap(fn, s), w)
+        return _continue(model, 1.0 - cmath.exp(s), _h_at_gap(model._fn, s), w)
     except (InversionFailureError, SingularEvaluationError):
         return None
 
@@ -717,17 +808,16 @@ def _detour(model: LinearizationModel, w: complex) -> complex:
     retried from the axis further right; a failed last leg raises: w is
     not in h(Delta).
     """
-    fn, chords = model._fn, model.chords
     z, h_cur = 0j, 0j
     span = 1.0 + abs(w.imag)
     for j in range(DETOUR_TRIES):
         corner = max(0.0, w.real) + span * 4.0**j
         z, h_cur = _step(model, z, h_cur, complex(corner, 0.0))
         try:
-            z_up, h_up = _continue(fn, chords, z, h_cur, complex(corner, w.imag))
+            z_up, h_up = _continue(model, z, h_cur, complex(corner, w.imag))
         except (InversionFailureError, SingularEvaluationError):
             continue
-        return _continue(fn, chords, z_up, h_up, w)[0]
+        return _continue(model, z_up, h_up, w)[0]
     raise InversionFailureError(
         f"no vertical leg reached Im w = {w.imag} up to Re w = {corner}", target=w
     )
@@ -762,122 +852,20 @@ def _machine_floor(fz, z: complex) -> float:
     return 32.0 * 2.3e-16 * max(1.0, abs(z)) / speed
 
 
-def _inside_disk_s(s: complex) -> bool:
-    # z = 1 - e^s lies in the disk iff e^{Re s} < 2 cos(Im s); exact in s,
-    # immune to the 1-|z| cancellation at the boundary
-    if not -math.pi / 2 < s.imag < math.pi / 2:
-        return False
-    return s.real < math.log(2.0 * math.cos(s.imag)) - 1e-14
-
-
 def _to_circle(s: complex) -> float:
     # (1 - |z|^2)/(2 |1 - z|) at z = 1 - e^s, free of the cancellation in
     # 1 - |z|; at most the distance from s to the circle's s-image
     return math.cos(s.imag) - 0.5 * math.exp(s.real)
 
 
-def _chord_rule(s: complex, s_new: complex):
-    """The rule of _CHORD_RULES for the Newton step s -> s_new, or None
-    for a step too long against its distance to the circle."""
-    step, d = abs(s_new - s), min(_to_circle(s), _to_circle(s_new))
-    for q_max, rule in _CHORD_RULES:
-        if step <= q_max * d:
+def _step_rule(length: float, distance: float):
+    """The rule of _STEP_RULES for a Newton step of this length in s whose
+    ends lie at least ``distance`` (see :func:`_to_circle`) from the
+    circle's s-image, or None for a step too long against it."""
+    for q_max, rule in _STEP_RULES:
+        if length <= q_max * distance:
             return rule
     return None
-
-
-def _newton_level(fn, chords, z, fz, h_cur, w_sub, tol, w_final):
-    """Newton iteration toward h = w_sub; returns (z, f(z), h(z)).
-
-    Newton runs in s = log(1-z) (principal branch; Re(1-z) > 0 on the
-    disk), where the step is a relative change of 1-z.  Near the
-    boundary this stays well conditioned where a raw z-step overshoots,
-    and dh along the step is the log-gap segment s -> s_new.
-
-    The disk's s-image Omega is convex, so along a segment the distance
-    to its boundary is at least its smaller value at the ends, and at s
-    at least d(s) = cos(Im s) - e^(Re s)/2 = (1 - |z|^2)/(2 |1 - z|):
-    the hyperbolic density of a convex domain, here |1 - z|/(1 - |z|^2),
-    is at least 1/(2 dist) (Beardon & Minda, "The hyperbolic metric and
-    geometric function theory", 2007).  A step with q = |s_new - s|/d
-    <= 1/2, d the smaller d(s) at its ends, is one n-node Gauss-Legendre
-    panel.  Its half-length is L = q d/2.  The Bernstein ellipse of the
-    segment with rho - 1/rho = 2/q has semi-minor axis
-    L (rho - 1/rho)/2 = d/2 and reaches past either end by less than
-    that, so it stays within d/2 of the segment and inside Omega, where
-    dh/ds is holomorphic.  There the n-node error is at most
-    (64/15) M rho^-2(n-1) / (rho^2 - 1) L (Trefethen, "Is Gauss
-    quadrature better than Clenshaw-Curtis?", SIAM Rev. 2008, Thm 4.5,
-    whose I_n is the (n+1)-node rule), with M the maximum of |dh/ds| on
-    the ellipse.  s -> 1 - e^s maps Omega conformally onto the disk, so
-    h(1 - e^s) is univalent on Omega; each ellipse point lies within
-    pseudo-hyperbolic distance 1/2 of the segment, in a disk of radius d
-    about a segment point, so Koebe distortion bounds M by
-    12 max |dh/ds| on the segment.  At q = 1/2, rho0 = 2 + 5^(1/2) ~ 4.2
-    and 16 nodes give (64/15) rho0^-30 / (rho0^2 - 1) L ~ 4e-20 M L, far
-    below the roundoff of the sum.  rho^-2(n-1) / (rho^2 - 1) grows with
-    q, so each n has a largest q at which it is no larger than
-    rho0^-30 / (rho0^2 - 1); a step takes the fewest nodes whose
-    cut-off it meets (_CHORD_RULES, the cut-offs rounded down):
-
-        q at most   1.914e-10  1.956e-5  6.255e-3  0.1121  0.5
-        nodes n     1          2         4         8       16
-
-    q measured along the chord in z would not do: from z = 0 to -1/3 it
-    is 1/2 there and 0.71 in s, where the 16-node factor is 6e-16.
-    Newton converges quadratically, so the steps of a level shrink
-    through these bands in turn.  Every other step, those that reach
-    toward the circle relative to their length, goes through the
-    adaptive :func:`_segment_integral`.
-    """
-    integrand = chords[0]
-    s = cmath.log(1.0 - z)
-    for _ in range(50):
-        residual = h_cur - w_sub
-        if _saturated(z, -residual):
-            return z, fz, h_cur
-        if fz is None:
-            fz = fn(z)  # singular at the iterate: raises as f does
-        step = -residual * fz / (1.0 - z)
-        if abs(step) > 1.0:
-            step *= 1.0 / abs(step)
-        damping = 0
-        while not _inside_disk_s(s + step) and damping < 60:
-            step *= 0.5
-            damping += 1
-        if damping >= 60:
-            raise InversionFailureError(
-                f"Newton iterate pinned at the boundary while solving h(z) = {w_final}",
-                last_iterate=z,
-                target=w_final,
-            )
-        s_new = s + step
-        # keep 1 - z representable: below Re s = -36 the iterate would
-        # round to z = 1 exactly and the machine floor already applies
-        if s_new.real < -36.0:
-            s_new = complex(-36.0, s_new.imag)
-        z_new = 1.0 - cmath.exp(s_new)
-        rule = _chord_rule(s, s_new)
-        try:
-            if rule is not None:
-                dh = integrand(s, s_new, rule)[0]
-            else:
-                dh = _segment_integral(chords, s, s_new)
-        except SingularEvaluationError as exc:
-            raise InversionFailureError(
-                f"quadrature broke during inversion toward {w_final}: {exc}",
-                last_iterate=z,
-                target=w_final,
-            ) from exc
-        z, h_cur, s = z_new, h_cur + dh, s_new
-        fz = _f_or_none(fn, z)
-        if abs(h_cur - w_sub) <= max(tol, _machine_floor(fz, z)):
-            return z, fz, h_cur
-    raise InversionFailureError(
-        f"Newton did not converge at continuation level {w_sub}",
-        last_iterate=z,
-        target=w_final,
-    )
 
 
 def abel_flow(model: LinearizationModel, z: complex, t: float) -> complex:

@@ -12,7 +12,7 @@ from conftest import counted_callable, counted_model, mp_function
 import diskflow
 from diskflow import abel, catalog
 from diskflow.abel import (
-    _CHORD_RULES,
+    _STEP_RULES,
     _GAP_INTEGRAND,
     _GL_BARYCENTRIC,
     _GL_NODES,
@@ -296,7 +296,7 @@ def test_gauss_legendre_table():
     mpmath = pytest.importorskip("mpmath")
     assert len(_GL_NODES) == len(_GL_WEIGHTS) == 16
     assert _GL_RULE == tuple(zip(_GL_NODES, _GL_WEIGHTS))
-    rules = [rule for _, rule in _CHORD_RULES]
+    rules = [rule for _, rule in _STEP_RULES]
     assert [len(rule) for rule in rules] == [1, 2, 4, 8, 16]
     assert rules[-1] is _GL_RULE
     with mpmath.workdps(30):
@@ -340,7 +340,7 @@ def test_chord_rule_cutoffs_from_bernstein_bound():
     # no larger than the 16-node factor at q = 1/2, rounded down by less
     # than 0.1 %; the 16-node cut-off is 1/2 itself
     budget = _bernstein_factor(0.5, 16)
-    for q_max, rule in _CHORD_RULES:
+    for q_max, rule in _STEP_RULES:
         n = len(rule)
         lo, hi = 0.0, 0.5
         for _ in range(200):
@@ -348,7 +348,7 @@ def test_chord_rule_cutoffs_from_bernstein_bound():
             lo, hi = (mid, hi) if _bernstein_factor(mid, n) <= budget else (lo, mid)
         assert _bernstein_factor(q_max, n) <= budget * (1.0 + 1e-12), n
         assert 0.999 * lo <= q_max <= lo * (1.0 + 1e-12), n
-    assert _CHORD_RULES[-1][0] == 0.5
+    assert _STEP_RULES[-1][0] == 0.5
 
 
 def test_import_needs_no_scipy():
@@ -541,7 +541,7 @@ SEEDED_COST_CAPS = {
 def test_invert_h_seeded_cost(entry_id, monkeypatch):
     # the radial and pi/4 rungs of test_invert_h_cost, each continued
     # from 0 along its straight w-segment: dozens of Newton levels whose
-    # chords shrink through every band of _CHORD_RULES.  A walk solves
+    # steps shrink through every band of _STEP_RULES.  A walk solves
     # these far targets from their asymptotic seed; with the seed
     # switched off it continues, as it does where the seed fails
     monkeypatch.setattr(abel, "_from_asymptote", lambda model, w: None)
@@ -623,7 +623,7 @@ def test_single_panel_chords_match_closed_form(entry_id):
     # a Newton step s0 -> s1 in the log-gap coordinate with q =
     # |s1 - s0|/d <= 1/2, d the smaller lower bound of the distance to the
     # boundary of the disk's s-image at its ends (abel._to_circle), is one
-    # panel of the rule of its band of _CHORD_RULES, 1 to 16 nodes;
+    # panel of the rule of its band of _STEP_RULES, 1 to 16 nodes;
     # against the catalog's closed form at 30 digits, at the exact points
     # 1 - e^s, it must be exact to the rounding of h and the 16-node
     # panel's noise estimate
@@ -634,8 +634,8 @@ def test_single_panel_chords_match_closed_form(entry_id):
 
     entry = catalog.get(entry_id)
     model, evals = counted_model(parse(entry.f_text))
-    integrand = model.chords[0]
-    cuts = [0.0] + [q_max for q_max, _ in _CHORD_RULES]
+    integrand = model.newton_path[0]
+    cuts = [0.0] + [q_max for q_max, _ in _STEP_RULES]
     to_circle = abel._to_circle
 
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -643,7 +643,7 @@ def test_single_panel_chords_match_closed_form(entry_id):
         st.floats(0.0, 40.0),  # the gap 1 - z0 is 2^-k ...
         st.floats(-1.5, 1.5),  # ... at this angle from the radius
         st.floats(-math.pi, math.pi),  # direction of the step
-        st.integers(0, len(_CHORD_RULES) - 1),  # the band of q ...
+        st.integers(0, len(_STEP_RULES) - 1),  # the band of q ...
         # ... and where in it; in the one-node band q >= 1.9e-13, where
         # 30 digits still resolve h(z1) - h(z0)
         st.floats(1e-3, 1.0),
@@ -665,12 +665,12 @@ def test_single_panel_chords_match_closed_form(entry_id):
         s1 = s0 + r * u
         d = min(to_circle(s0), to_circle(s1))
         assume(s1 != s0 and lo * d < abs(s1 - s0) <= hi * d)
-        rule = abel._chord_rule(s0, s1)
-        assert rule is _CHORD_RULES[band][1]
+        rule = abel._step_rule(abs(s1 - s0), d)
+        assert rule is _STEP_RULES[band][1]
         before = evals[0]
         value = integrand(s0, s1, rule)[0]
         assert evals[0] - before == len(rule) == 2**band
-        noise = abel._panel(model.chords, s0, s1)[1]
+        noise = abel._panel(model.newton_path, s0, s1)[1]
         with mpmath.workdps(30):
             h0 = _mp_eval(mpmath, entry.h_text, 0j)
             h_z0 = _mp_eval(mpmath, entry.h_text, 1 - mpmath.exp(mpmath.mpc(s0))) - h0
@@ -772,7 +772,7 @@ def test_abel_flow_far_times(entry_id):
     fn = compile_expr(parse(entry.f_text))
     model, evals = counted_model(parse(entry.f_text))
     # the chord panels and C are built before the count
-    assert model.chords and cmath.isfinite(model.asymptote)
+    assert model.newton_path and cmath.isfinite(model.asymptote)
     for t, cap in zip((1e2, 1e4, 1e6), FAR_FLOW_CAPS[entry_id]):
         evals[0] = 0
         u = abel_flow(model, 0j, t)

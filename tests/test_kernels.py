@@ -24,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from diskflow import abel, catalog, expr  # noqa: E402
 from diskflow.abel import (  # noqa: E402
-    _CHORD_RULES,
+    _STEP_RULES,
     _GAP_INTEGRAND,
     _GL_BARYCENTRIC,
     _GL_NODES,
@@ -211,7 +211,7 @@ def test_panels_match_reference_loops(entry_id):
     # values, on the paths the package builds: the log-gap path of f, of
     # an opaque f with a gap form and of one with none (_log_gap), and
     # the same kernels with the noise scales of null points besides 1,
-    # as the Newton steps of a model take them (LinearizationModel.chords)
+    # as the Newton steps of a model take them (LinearizationModel.newton_path)
     text = catalog.get(entry_id).f_text if entry_id in IDS else entry_id
     fn = compile_expr(parse(text))
     opaque, rounded = _opaque(fn), _rounded(fn)
@@ -244,7 +244,7 @@ def test_panels_match_reference_loops(entry_id):
                 == _outcome(_probed(gap_opaque), s0, s1, xp) == ref)
         assert ref[0] != "value" or ref[1][:2] == _outcome(_root(gap), s0, s1)[1]
         # each graded rule of the Newton steps, against its own loop
-        for _, rule in _CHORD_RULES:
+        for _, rule in _STEP_RULES:
             ref = _outcome(_reference_sum, dh, s0, s1, rule)
             assert (_outcome(_sum(gap), s0, s1, rule)
                     == _outcome(_sum(gap_opaque), s0, s1, rule) == ref)
@@ -398,20 +398,20 @@ def test_kernels_built_lazily_once(monkeypatch):
     model = linearize(f)
     # linearize compiles no kernel and writes no gap form
     assert fn.kernels == {} and not hasattr(fn, "gap")
-    parts = ("chords", "null_points", "asymptote")
+    parts = ("newton_path", "null_points", "asymptote")
     assert not any(part in vars(model) for part in parts)
     invert_h(model, model.h(0.5 + 0.3j))
     assert all(part in vars(model) for part in parts)
     gap = fn.gap
-    built, built_gap, chords = dict(fn.kernels), dict(gap.kernels), model.chords
+    built, built_gap, path = dict(fn.kernels), dict(gap.kernels), model.newton_path
     # the Newton steps take the kernel of the log-gap segments
     assert built == {} and set(built_gap) == {_GAP_INTEGRAND}
-    assert chords[0] is built_gap[_GAP_INTEGRAND] is fn.log_gap[0][0]
+    assert path[0] is built_gap[_GAP_INTEGRAND] is fn.log_gap[0][0]
     compiled = []
     monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source))
     invert_h(model, model.h(-0.2 + 0.6j))
     assert compiled == []
-    assert model.chords is chords and fn.gap is gap
+    assert model.newton_path is path and fn.gap is gap
     for callable_, kernels in ((fn, built), (gap, built_gap)):
         assert callable_.kernels.keys() == kernels.keys()
         assert all(callable_.kernels[key] is kernels[key] for key in kernels)
@@ -440,7 +440,7 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
     dh = _gap_integrand(gap_fn, zetas)
     ref = _outcome(_reference_panel, dh, 0j, 0.6 + 0.1j)
     assert _outcome(_panel(path), 0j, 0.6 + 0.1j) == ref
-    for _, rule in _CHORD_RULES:
+    for _, rule in _STEP_RULES:
         ref = _outcome(_reference_sum, dh, 0j, 0.6 + 0.1j, rule)
         assert _outcome(_sum(path[0]), 0j, 0.6 + 0.1j, rule) == ref
 
