@@ -709,6 +709,17 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
             if fz is None:
                 fz = fn(z)  # singular at the iterate: raises as f does
             step = -residual * fz / (1.0 - z)
+            # keep 1 - z representable: below Re s = -36 the iterate would
+            # round to z = 1 exactly and the machine floor already applies.
+            # A step past it goes to Re s = -36 and takes the imaginary
+            # part that matches Im h there to first order (none where
+            # Re dh/ds = 0), before the unit cap, which would otherwise
+            # shrink that part with a real part the clamp drops
+            if (s + step).real < -36.0:
+                rate = (1.0 - z) / fz  # dh/ds
+                down = -36.0 - s.real
+                match = -(residual.imag + rate.imag * down) / rate.real if rate.real else 0.0
+                step = complex(down, match)
             if abs(step) > 1.0:
                 step *= 1.0 / abs(step)
             for _ in range(60):
@@ -724,11 +735,6 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
                     last_iterate=z,
                     target=w,
                 )
-            # keep 1 - z representable: below Re s = -36 the iterate would
-            # round to z = 1 exactly and the machine floor already applies
-            if s_new.real < -36.0:
-                s_new = complex(-36.0, s_new.imag)
-                d_new = _to_circle(s_new)
             rule = _step_rule(abs(s_new - s), min(d, d_new))
             try:
                 if rule is not None:

@@ -12,13 +12,13 @@ from conftest import counted_callable, counted_model, mp_function
 import diskflow
 from diskflow import abel, catalog
 from diskflow.abel import (
-    _STEP_RULES,
     _GAP_INTEGRAND,
     _GL_BARYCENTRIC,
     _GL_NODES,
     _GL_RULE,
     _GL_TAIL,
     _GL_WEIGHTS,
+    _STEP_RULES,
     BLOCH_GRID,
     STATS_GRID,
     _circle_gap,
@@ -688,6 +688,10 @@ def test_invert_h_rejects_infinite_target():
         invert_h(model, complex(math.inf, 0.0))
     with pytest.raises(InversionFailureError):
         abel_flow(model, 0.2, math.inf)
+    # past the deepest gap on the radius, h = i/(1 - z) has Re dh/ds = 0:
+    # no imaginary step matches Im h there, and the solve fails as one
+    with pytest.raises(InversionFailureError):
+        invert_h(model, 1e18j)
 
 
 def test_null_points_filled_on_first_chord():
@@ -732,6 +736,15 @@ SATURATING_FLOWS = [
     ("hyperbolic-auto(0.8,0.3)", 0j, (100.0, 1e3)),
     ("hyperbolic-auto(0.8,0.3)", -0.5 + 0j, (100.0, 1e3, 1e6)),
     ("hyperbolic-auto(0.8,0.3)", 0.3 + 0.2j, (100.0, 1e3, 1e6)),
+    # Newton steps past the deepest gap keep the imaginary part that
+    # matches Im h; scaled down with the real part that the clamp drops,
+    # the imaginary residual fell about 2 % per iteration
+    ("hyperbolic-auto(40,0)", 0.3 + 0.4j, (1.0,)),
+    ("hyperbolic-auto(40,0)", 0.1 + 0.1j, (1.0,)),
+    # here dh/ds has an imaginary part of order 1e-8 at the deepest gap,
+    # which the imaginary part of the full Newton step carries times
+    # Re(h - w), far past the floor; that step pushed Im h away
+    ("bfid-hyp", 0.1 - 0.5j, (100.0,)),
 ]
 
 
