@@ -720,14 +720,31 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
                 down = -36.0 - s.real
                 match = -(residual.imag + rate.imag * down) / rate.real if rate.real else 0.0
                 step = complex(down, match)
-            if abs(step) > 1.0:
+            # a capped step must lower |h - w_sub|, or it is halved once
+            # (below); Newton then cannot cycle between capped steps
+            capped = abs(step) > 1.0
+            if capped:
                 step *= 1.0 / abs(step)
             for _ in range(60):
                 s_new = s + step
                 gap = math.exp(s_new.real)
                 d_new = math.cos(s_new.imag) - 0.5 * gap
                 if d_new > 5e-15 * gap:
-                    break
+                    rule = _step_rule(abs(s_new - s), min(d, d_new))
+                    try:
+                        if rule is not None:
+                            dh = path[0](s, s_new, rule)[0]
+                        else:
+                            dh = _segment_integral(path, s, s_new)
+                    except SingularEvaluationError as exc:
+                        raise InversionFailureError(
+                            f"quadrature broke during inversion toward {w}: {exc}",
+                            last_iterate=z,
+                            target=w,
+                        ) from exc
+                    if not capped or abs(residual + dh) < abs(residual):
+                        break
+                    capped = False
                 step *= 0.5
             else:
                 raise InversionFailureError(
@@ -735,18 +752,6 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
                     last_iterate=z,
                     target=w,
                 )
-            rule = _step_rule(abs(s_new - s), min(d, d_new))
-            try:
-                if rule is not None:
-                    dh = path[0](s, s_new, rule)[0]
-                else:
-                    dh = _segment_integral(path, s, s_new)
-            except SingularEvaluationError as exc:
-                raise InversionFailureError(
-                    f"quadrature broke during inversion toward {w}: {exc}",
-                    last_iterate=z,
-                    target=w,
-                ) from exc
             z, h_cur, s, d = 1.0 - cmath.exp(s_new), h_cur + dh, s_new, d_new
             fz = _f_or_none(fn, z)
             if abs(h_cur - w_sub) <= max(tol, _machine_floor(fz, z)):

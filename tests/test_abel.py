@@ -694,6 +694,43 @@ def test_invert_h_rejects_infinite_target():
         invert_h(model, 1e18j)
 
 
+def test_abel_flow_through_a_newton_two_cycle():
+    # in the class by construction: p is a sum of two atoms
+    # c (zeta - z)/(zeta + z), c > 0, |zeta| = 1, so Re p >= 0.  On the
+    # first level from 0.1 - 0.5i the capped Newton steps alternated
+    # between about 0.147 - 0.483i and 0.249 + 0.385i, each raising
+    # |h - w| in turn, until the level gave up; a capped step that does
+    # not lower |h - w| is now halved
+    f = parse("-(1-z)^2*(1.7993*(exp(0.4698*i)-z)/(exp(0.4698*i)+z)"
+              " + 1.2305*(exp(5.6451*i)-z)/(exp(5.6451*i)+z))")
+    u = abel_flow(linearize(f), 0.1 - 0.5j, 1.0)
+    assert abs(u - flow_point(f, 0.1 - 0.5j, 1.0)) <= 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NotInClassError,
+    reason="ladder_limit calls the converging slope ladder infinite: in its "
+    "pre-asymptotic stretch four raw differences in a row do not shrink "
+    "(9.8e-5, 7.3e-4, 1.0e-3, 1.08e-3 on the first), though one Aitken pass "
+    "reads 1.75, 1.75 and 1.5 (ROADMAP item 14)",
+)
+@pytest.mark.parametrize("text, alpha", [
+    ("-(1-z)^2*(0.83*exp(0.0911*i)*((1+z)/(1-z))^-0.5 + (-0.6812*i)"
+     " + 1.2516*exp(0.6195*i)*((1+z)/(1-z))^0.25)", 0.75),
+    ("-(1-z)^2*(1.2856*(exp(1.9248*i)+z)/(exp(1.9248*i)-z)"
+     " + 1.5828*exp(0.4099*i)*((1+z)/(1-z))^0.25)", 0.75),
+    ("-(1-z)^2*(1.0543*exp(0.3135*i)*((1+z)/(1-z))^0.25 + (-0.2195*i)"
+     " + 0.6057*exp(0.3717*i)*((1+z)/(1-z))^0.5)", 0.5),
+], ids=["quarter-and-minus-half", "pole-and-quarter", "quarter-and-half"])
+def test_alpha_of_generators_with_a_fractional_second_term(text, alpha):
+    # each is in the class by construction: a sum of ib,
+    # c (zeta + z)/(zeta - z) and c e^(i phi) ((1 + z)/(1 - z))^gamma with
+    # c >= 0 and |phi| <= (1 - |gamma|) pi/2 keeps Re p >= 0; next to the
+    # leading power of p each has a term of fractional order
+    assert abs(linearize(parse(text)).alpha - alpha) <= 1e-3
+
+
 def test_null_points_filled_on_first_chord():
     f = parse(catalog.get("bfid-hyp").f_text)
     model = linearize(f)
