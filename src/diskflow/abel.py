@@ -652,7 +652,10 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
     starts from s = log(1 - z) and carries s and d(s) (below) from step
     to step, so a trial point costs one cos and one exp, which serve
     both the disk test, d > 5e-15 e^(Re s) (that is,
-    Re s < log(2 cos(Im s)) - 1e-14), and the step's rule.
+    Re s < log(2 cos(Im s)) - 1e-14), and the step's rule.  A step is
+    Newton's, clamped at Re s = -36 and then capped at length 1; it is
+    halved while its end lies outside the disk, and a capped step that
+    does not lower |h - w_sub| is halved once more.
 
     The disk's s-image Omega is convex, so along a segment the distance
     to its boundary is at least its smaller value at the ends, and at s
@@ -720,8 +723,10 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
                 down = -36.0 - s.real
                 match = -(residual.imag + rate.imag * down) / rate.real if rate.real else 0.0
                 step = complex(down, match)
-            # a capped step must lower |h - w_sub|, or it is halved once
-            # (below); Newton then cannot cycle between capped steps
+            # a capped step that does not lower |h - w_sub| is halved once
+            # (below), the monotonicity test of damped Newton (Deuflhard,
+            # Newton Methods for Nonlinear Problems, 2004); uncapped steps
+            # near the noise floor are left alone
             capped = abs(step) > 1.0
             if capped:
                 step *= 1.0 / abs(step)
