@@ -650,12 +650,12 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
     boundary this stays well conditioned where a raw z-step overshoots,
     and dh along the step is the log-gap segment s -> s_new.  Each level
     starts from s = log(1 - z) and carries s and d(s) (below) from step
-    to step, so a trial point costs one cos and one exp, which serve
-    both the disk test, d > 5e-15 e^(Re s) (that is,
-    Re s < log(2 cos(Im s)) - 1e-14), and the step's rule.  A step is
-    Newton's, clamped at Re s = -36 and then capped at length 1; it is
-    halved while its end lies outside the disk, and a capped step that
-    does not lower |h - w_sub| is halved once more.
+    to step: one cos and one exp per trial point serve the disk test
+    d > 5e-15 e^(Re s) (Re s < log(2 cos(Im s)) - 1e-14) and the step's
+    rule.  A step is Newton's, clamped at Re s = -36, capped at length 1
+    and halved while outside the disk; a capped step that does not lower
+    |h - w_sub| is halved once more (the monotonicity test of damped
+    Newton; Deuflhard, Newton Methods for Nonlinear Problems, 2004).
 
     The disk's s-image Omega is convex, so along a segment the distance
     to its boundary is at least its smaller value at the ends, and at s
@@ -712,21 +712,13 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
             if fz is None:
                 fz = fn(z)  # singular at the iterate: raises as f does
             step = -residual * fz / (1.0 - z)
-            # keep 1 - z representable: below Re s = -36 the iterate would
-            # round to z = 1 exactly and the machine floor already applies.
-            # A step past it goes to Re s = -36 and takes the imaginary
-            # part that matches Im h there to first order (none where
-            # Re dh/ds = 0), before the unit cap, which would otherwise
-            # shrink that part with a real part the clamp drops
+            # below Re s = -36 the iterate would round to z = 1, and the
+            # floor applies: a step past it stops there, with the imaginary
+            # part that matches Im h to first order (none if Re dh/ds = 0)
             if (s + step).real < -36.0:
-                rate = (1.0 - z) / fz  # dh/ds
-                down = -36.0 - s.real
+                rate, down = (1.0 - z) / fz, -36.0 - s.real  # dh/ds
                 match = -(residual.imag + rate.imag * down) / rate.real if rate.real else 0.0
                 step = complex(down, match)
-            # a capped step that does not lower |h - w_sub| is halved once
-            # (below), the monotonicity test of damped Newton (Deuflhard,
-            # Newton Methods for Nonlinear Problems, 2004); uncapped steps
-            # near the noise floor are left alone
             capped = abs(step) > 1.0
             if capped:
                 step *= 1.0 / abs(step)
@@ -780,8 +772,10 @@ def _asymptotic_gap(model: LinearizationModel, w: complex):
 
     For alpha > 0 the root is xi = 1 - z0 with principal
     xi^-alpha = alpha (w - C)/mu; alpha <= 2, so the principal root
-    q^(-1/alpha) is the only candidate with Re xi > 0.  A gap below
-    e^-36 is clamped there, as Newton clamps it.
+    q^(-1/alpha) is the only candidate with Re xi > 0.  The disk test
+    is Newton's (see :func:`_continue`), for s in the strip
+    |Im s| < pi/2 and with Re s < 1, where e^(Re s) cannot overflow.  A
+    gap below e^-36 is clamped there, as Newton clamps it.
     """
     if model.mu == 0:
         return None
