@@ -697,10 +697,10 @@ def test_invert_h_rejects_infinite_target():
 def test_abel_flow_through_a_newton_two_cycle():
     # in the class by construction: p is a sum of two atoms
     # c (zeta - z)/(zeta + z), c > 0, |zeta| = 1, so Re p >= 0.  On the
-    # first level from 0.1 - 0.5i the capped Newton steps alternated
+    # first level from 0.1 - 0.5i, plain capped Newton steps alternate
     # between about 0.147 - 0.483i and 0.249 + 0.385i, each raising
-    # |h - w| in turn, until the level gave up; a capped step that does
-    # not lower |h - w| is now halved
+    # |h - w| in turn; the continuation halves a capped step that does
+    # not lower |h - w|
     f = parse("-(1-z)^2*(1.7993*(exp(0.4698*i)-z)/(exp(0.4698*i)+z)"
               " + 1.2305*(exp(5.6451*i)-z)/(exp(5.6451*i)+z))")
     u = abel_flow(linearize(f), 0.1 - 0.5j, 1.0)
@@ -775,12 +775,12 @@ SATURATING_FLOWS = [
     ("hyperbolic-auto(0.8,0.3)", 0.3 + 0.2j, (100.0, 1e3, 1e6)),
     # Newton steps past the deepest gap keep the imaginary part that
     # matches Im h; scaled down with the real part that the clamp drops,
-    # the imaginary residual fell about 2 % per iteration
+    # the imaginary residual falls only about 2 % per iteration
     ("hyperbolic-auto(40,0)", 0.3 + 0.4j, (1.0,)),
     ("hyperbolic-auto(40,0)", 0.1 + 0.1j, (1.0,)),
     # here dh/ds has an imaginary part of order 1e-8 at the deepest gap,
     # which the imaginary part of the full Newton step carries times
-    # Re(h - w), far past the floor; that step pushed Im h away
+    # Re(h - w), far past the floor; that step pushes Im h away
     ("bfid-hyp", 0.1 - 0.5j, (100.0,)),
 ]
 
