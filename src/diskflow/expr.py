@@ -7,7 +7,8 @@ arguments of sqrt/log in the right half-plane, so principal branches make
 every expression single-valued.
 
 The same tree is also written in the gap d = 1 - z (:func:`gap_form`),
-which the quadrature of h at the boundary point 1 evaluates.
+which the quadrature of h at the boundary point 1 and the flow's
+Dormand-Prince attempt, stepped in the chart w = (1 + z)/(1 - z), evaluate.
 
 Also provides the Berkson-Porta factor p(z) = -f(z)/(1-z)^2 of a vector
 field, a grid check that Re p >= 0 (the generator criterion), and the
@@ -473,10 +474,11 @@ def gap_form(fn):
     ``1 - z`` is d itself and its leading terms cancel in the tree, not
     in floating point; near 1 it is exact where f at the rounded point
     z = 1 - d carries a relative error of eps/|d|.  Like the callable it
-    carries ``source``, ``namespace`` and ``kernels``, for the templates
-    that evaluate f by ``v = f_gap(d)``.  Any other callable has the gap
-    form it carries as ``gap``, if any; an expression too deeply nested
-    for the gap code has none.
+    carries ``source``, ``namespace``, ``kernels`` and ``uses``, for the
+    templates that evaluate f by ``v = f_gap(d)``; a template that
+    :func:`kernel_by_use` gives as written calls it there.  Any other
+    callable has the gap form it carries as ``gap``, if any; an
+    expression too deeply nested for the gap code has none.
     """
     if not hasattr(fn, "gap") and hasattr(fn, "node"):
         try:
@@ -531,10 +533,10 @@ def kernel(fn, template: str):
     callable at every line that evaluates f.  The integrand template of
     :mod:`diskflow.abel`, one for its one path geometry (the log-gap
     segment) that evaluates f on one line, and the grid scan of
-    :func:`validate_generator` are inlined here, on their first use; the DOP853 attempt of
-    :mod:`diskflow.flow` comes through :func:`kernel_by_use`, which
-    inlines it only once its callable has made :data:`INLINE_AFTER`
-    attempts.
+    :func:`validate_generator` are inlined here, on their first use; the
+    DOP853 attempt of :mod:`diskflow.flow`, which evaluates f in the gap,
+    comes through :func:`kernel_by_use`, which inlines it only once its
+    callable has made :data:`INLINE_AFTER` attempts.
 
     Kernels do plain complex arithmetic.  On CPython 3.11 a float on
     the left of a complex operand (``0.5*x``, ``1.0 - x``) first fails
@@ -545,13 +547,13 @@ def kernel(fn, template: str):
     constant as a complex literal already, and its integer powers 2 to
     4 as products (see :func:`_constant_power`).
     """
-    line = _F_CALL
-    if _evaluates_gap(template):
-        gap = gap_form(fn)
-        if gap is None:
-            template = _at_rounded_point(template)
-        else:
-            fn, line = gap, _GAP_CALL
+    return _built(*_evaluated_by(fn, template))
+
+
+def _built(fn, template: str, line: str):
+    """The kernel of ``template`` evaluating f by ``line`` through
+    ``fn``: inlined and kept in its ``kernels`` for a compiled callable,
+    as written for any other."""
     kernels = getattr(fn, "kernels", None)
     if kernels is None:
         return _as_written(template, line, fn)
@@ -566,6 +568,19 @@ def kernel(fn, template: str):
     return built
 
 
+def _evaluated_by(fn, template: str):
+    """``(callable, template, line)``: the callable that evaluates f for
+    ``template`` and the line by which it does.  A template in the gap
+    is evaluated by the gap form of ``fn``, or, where ``fn`` has none,
+    rewritten to evaluate ``fn`` at the rounded point."""
+    if not _evaluates_gap(template):
+        return fn, template, _F_CALL
+    gap = gap_form(fn)
+    if gap is None:
+        return fn, _at_rounded_point(template), _F_CALL
+    return gap, template, _GAP_CALL
+
+
 def _as_written(template: str, line: str, fn):
     """The function of ``template`` as written, evaluating f by calling
     ``fn`` under the name that ``line`` calls."""
@@ -573,18 +588,21 @@ def _as_written(template: str, line: str, fn):
 
 
 # A kernel that kernel_by_use gives runs its template as written, with f
-# called through the scalar callable, until the callable has made
-# INLINE_AFTER calls of it; from then on it is the inlined kernel, compiled
-# once.  Sized for the DOP853 attempt of flow, the one template run this
-# way (2 cores, CPython 3.11.7): compiling the inlined attempt costs
-# 1.7-2.3 ms per generator (the template alone 0.77 ms), and inlining saves
-# about 0.22 us per evaluation, 2.6 us per attempt of twelve, so the
-# compile pays back after roughly 650-900 attempts.  classify's ODE leg
-# makes about 212 attempts per generator and the backward probes of one
-# bfid_report about 45 in all, so neither compiles it; a generator that is
-# integrated for longer (about 500 attempts per pass of the trajectories
-# benchmark workload) pays at most 256 x 2.6 us, about 0.7 ms, once before
-# the switch.
+# called through the scalar callable (of f, or of its gap form), until
+# that callable has made INLINE_AFTER calls of it; from then on it is the
+# inlined kernel, compiled once.  Sized for the DOP853 attempt of flow,
+# the one template run this way (2 cores, CPython 3.11.7, eight catalog
+# entries): compiling the inlined attempt, twelve stages of f in the gap,
+# costs 1.2-1.9 ms per generator (the template alone 0.74 ms), and
+# inlining saves 0.75-1.1 us per attempt, the twelve calls of the gap
+# form, so the compile pays back after roughly 1,300-2,500 attempts.
+# classify's ODE leg makes 56-165 attempts per catalog generator and the
+# backward probes of one bfid_report at most 48, so neither compiles it.
+# A generator that is integrated for longer makes many more: in the
+# trajectories benchmark workload a median of about 270 attempts per pass
+# and 2,100 over a run (seed 1), so it compiles once, in its first pass,
+# and repays it over the run; it pays at most 256 x 1.1 us, about
+# 0.3 ms, before the switch.
 INLINE_AFTER = 256
 
 
@@ -595,23 +613,26 @@ def kernel_by_use(fn, template: str, made: int):
     its first request), and the number of calls after which it asks
     again, or -1 when the kernel is final.
 
-    For a callable from :func:`compile_expr` the calls are counted in
-    its ``uses``, per template.  Until they reach :data:`INLINE_AFTER`,
-    the kernel is the template as written with ``f`` bound to the
-    scalar callable, the same code that every other callable runs, so a
-    kernel that is never called often enough to repay its compile is not
-    compiled; after that it is :func:`kernel`'s inlined one.  Both give
-    the same bits and the same exceptions, so the switch may come in the
-    middle of a run.  Any other callable gets :func:`kernel`'s at once.
-    ``template`` evaluates f by ``v = f(z)`` only.
+    A template in the gap is evaluated as :func:`kernel` evaluates it:
+    by the gap form of ``fn``, or at the rounded point where ``fn`` has
+    none.  For a callable from :func:`compile_expr` (or its gap form)
+    the calls are counted in its ``uses``, per template.  Until they
+    reach :data:`INLINE_AFTER`, the kernel is the template as written
+    with ``f`` (or ``f_gap``) bound to that scalar callable, the same
+    code that every other callable runs, so a kernel that is never
+    called often enough to repay its compile is not compiled; after that
+    it is :func:`kernel`'s inlined one.  Both give the same bits and the
+    same exceptions, so the switch may come in the middle of a run.  Any
+    other callable gets :func:`kernel`'s at once.
     """
+    fn, template, line = _evaluated_by(fn, template)
     uses = getattr(fn, "uses", None)
     if uses is None or template in fn.kernels:
-        return kernel(fn, template), -1
+        return _built(fn, template, line), -1
     count = uses[template] = uses.get(template, 0) + made
     if count >= INLINE_AFTER:
-        return kernel(fn, template), -1
-    return _as_written(template, _F_CALL, fn), INLINE_AFTER - count
+        return _built(fn, template, line), -1
+    return _as_written(template, line, fn), INLINE_AFTER - count
 
 
 @functools.lru_cache(maxsize=None)
@@ -620,6 +641,7 @@ def _evaluates_gap(template: str) -> bool:
     return _GAP_CALL in template
 
 
+@functools.lru_cache(maxsize=None)
 def _at_rounded_point(template: str) -> str:
     """``template`` with each ``v = f_gap(d)`` line evaluating f at the
     rounded point z = 1 - d."""

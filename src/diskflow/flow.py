@@ -2,12 +2,17 @@
 
 Integrates the Cauchy problem  u' = -f(u), u(0) = z0  with the embedded
 Dormand-Prince 8(5,3) pair (DOP853) on the complex scalar, forward or
-backward in time.  The pair is first same as last: its thirteenth stage
-is evaluated at the eighth-order point u8 and reused as the first stage
+backward in time.  The run carries the half-plane chart point
+w = (1 + u)/(1 - u), where w' = -2 f(u)/(1 - u)^2, the horocycle level
+of u is 1/Re w and a parabolic automorphism group is the translation
+w -> w - 2ibt; each stage evaluates f by its gap form at
+d = 1 - u = 2/(w + 1), and each accepted step gives its sample
+u = 1 - d once.  The pair is first same as last: its thirteenth stage
+is evaluated at the eighth-order point and reused as the first stage
 of the next step, so every attempted step costs twelve evaluations of f.
 The attempt is one kernel, the template _DP_STEP.  It runs as written,
-calling the generator's scalar callable at each stage, until that
-callable has made :data:`diskflow.expr.INLINE_AFTER` attempts; then
+calling the generator's gap form at each stage, until that callable has
+made :data:`diskflow.expr.INLINE_AFTER` attempts; then
 :func:`diskflow.expr.kernel_by_use` compiles it once, with the code of f
 in place of each stage's evaluation, and the run goes on with that
 kernel.  Both give the same bits, so a short run (such as the ODE leg
@@ -17,9 +22,10 @@ trajectories terminate when they reach the boundary margin or stagnate
 at a null point.
 Convergence diagnostics (horocycle distance limit, argument limit,
 approach regime) feed the classifier; they read the flow at geometric
-checkpoints from one run that lands on each of them, and past 1e4 from
-one walk along the Abel orbit of its last point.  That run and
-:func:`integrate` take their steps from the same loop, :func:`_steps`.
+checkpoints from one run that lands on each of them, in the chart, and
+past 1e4 from one walk along the Abel orbit of its last point.  That
+run and :func:`integrate` take their steps from the same loop,
+:func:`_steps`.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
     SingularEvaluationError,
     StiffFailureError,
 )
-from .expr import as_callable, kernel_by_use
+from .expr import as_callable, gap_form, kernel_by_use
 from .extrapolate import sequence_limit
 from .geometry import horocycle_distance
 
@@ -42,14 +48,18 @@ ATOL = 1e-10
 EXIT_MARGIN = 1e-9
 STAGNATION_SPEED = 1e-14
 MAX_GROWTH = 5.0
+MAX_SPACING = 0.08  # about the largest move of u in one step
 MAX_SAMPLES = 2_000_000  # accepted steps before a run counts as stalled
 BACKWARD_HORIZON = 50.0  # backward time probed by backward_extendability
 TIMES_PER_DECADE = 8  # geometric checkpoints of convergence_profile
 
-# One Dormand-Prince 8(5,3) attempt (DOP853) of u' = -f(u) from u with
-# step h and first stage k0; returns (u8, e5, e3, k12): the eighth-order
-# point, the fifth- and third-order error estimates per unit step, and
-# the thirteenth stage k12, taken at u8, first same as last.  The
+# One Dormand-Prince 8(5,3) attempt (DOP853) of w' = -2 f(z) / (1 - z)^2,
+# the flow in the half-plane chart w = (1 + z)/(1 - z), from the chart
+# point y with step h and first stage k0.  A stage evaluates f by its gap
+# form at d = 1 - z = 2/(w + 1): with b = w + 1, w' = -f b^2 / 2.  Returns
+# (y8, e5, e3, k12, d, v): the eighth-order point, the fifth- and
+# third-order error estimates per unit step, the thirteenth stage k12,
+# taken at y8, first same as last, and the gap d of y8 and f there.  The
 # coefficients are the decimal literals of Hairer's DOP853 table
 # (Hairer, Norsett & Wanner, Solving ODEs I, section II.10); e3 weighs
 # the stages by b_i less Hairer's bhh_i.  Each stage sum adds its terms
@@ -60,62 +70,81 @@ TIMES_PER_DECADE = 8  # geometric checkpoints of convergence_profile
 # 27 ns for (0.5+0j)*k, about 86 such products an attempt); the bits are
 # those of the float weights, which Python widens to (c, 0.0) anyway.
 # Run as written, or inlined per generator once it repays its compile
-# (expr.kernel_by_use).
+# (expr.kernel_by_use); a callable with no gap form evaluates f at the
+# rounded point z = 1 - d instead, the sample itself at the last stage.
 _DP_STEP = """
-def dop853_step(u, h, k0):
+def dop853_step(y, h, k0):
     h = complex(h)
-    z = u + h * ((5.26001519587677318785587544488e-2+0j) * k0)
-    v = f(z)
-    k1 = -v
-    z = u + h * ((1.97250569845378994544595329183e-2+0j) * k0
+    z = y + h * ((5.26001519587677318785587544488e-2+0j) * k0)
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k1 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((1.97250569845378994544595329183e-2+0j) * k0
                  + (5.91751709536136983633785987549e-2+0j) * k1)
-    v = f(z)
-    k2 = -v
-    z = u + h * ((2.95875854768068491816892993775e-2+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k2 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((2.95875854768068491816892993775e-2+0j) * k0
                  + (8.87627564304205475450678981324e-2+0j) * k2)
-    v = f(z)
-    k3 = -v
-    z = u + h * ((2.41365134159266685502369798665e-1+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k3 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((2.41365134159266685502369798665e-1+0j) * k0
                  - (8.84549479328286085344864962717e-1+0j) * k2
                  + (9.24834003261792003115737966543e-1+0j) * k3)
-    v = f(z)
-    k4 = -v
-    z = u + h * ((3.7037037037037037037037037037e-2+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k4 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((3.7037037037037037037037037037e-2+0j) * k0
                  + (1.70828608729473871279604482173e-1+0j) * k3
                  + (1.25467687566822425016691814123e-1+0j) * k4)
-    v = f(z)
-    k5 = -v
-    z = u + h * ((3.7109375e-2+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k5 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((3.7109375e-2+0j) * k0
                  + (1.70252211019544039314978060272e-1+0j) * k3
                  + (6.02165389804559606850219397283e-2+0j) * k4
                  - (1.7578125e-2+0j) * k5)
-    v = f(z)
-    k6 = -v
-    z = u + h * ((3.70920001185047927108779319836e-2+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k6 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((3.70920001185047927108779319836e-2+0j) * k0
                  + (1.70383925712239993810214054705e-1+0j) * k3
                  + (1.07262030446373284651809199168e-1+0j) * k4
                  - (1.53194377486244017527936158236e-2+0j) * k5
                  + (8.27378916381402288758473766002e-3+0j) * k6)
-    v = f(z)
-    k7 = -v
-    z = u + h * ((6.24110958716075717114429577812e-1+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k7 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((6.24110958716075717114429577812e-1+0j) * k0
                  - (3.36089262944694129406857109825+0j) * k3
                  - (8.68219346841726006818189891453e-1+0j) * k4
                  + (2.75920996994467083049415600797e1+0j) * k5
                  + (2.01540675504778934086186788979e1+0j) * k6
                  - (4.34898841810699588477366255144e1+0j) * k7)
-    v = f(z)
-    k8 = -v
-    z = u + h * ((4.77662536438264365890433908527e-1+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k8 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((4.77662536438264365890433908527e-1+0j) * k0
                  - (2.48811461997166764192642586468+0j) * k3
                  - (5.90290826836842996371446475743e-1+0j) * k4
                  + (2.12300514481811942347288949897e1+0j) * k5
                  + (1.52792336328824235832596922938e1+0j) * k6
                  - (3.32882109689848629194453265587e1+0j) * k7
                  - (2.03312017085086261358222928593e-2+0j) * k8)
-    v = f(z)
-    k9 = -v
-    z = u + h * ((-9.3714243008598732571704021658e-1+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k9 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((-9.3714243008598732571704021658e-1+0j) * k0
                  + (5.18637242884406370830023853209+0j) * k3
                  + (1.09143734899672957818500254654+0j) * k4
                  - (8.14978701074692612513997267357+0j) * k5
@@ -123,9 +152,11 @@ def dop853_step(u, h, k0):
                  + (2.27394870993505042818970056734e1+0j) * k7
                  + (2.49360555267965238987089396762+0j) * k8
                  - (3.0467644718982195003823669022+0j) * k9)
-    v = f(z)
-    k10 = -v
-    z = u + h * ((2.27331014751653820792359768449+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k10 = (-0.5+0j) * v * (b * b)
+    z = y + h * ((2.27331014751653820792359768449+0j) * k0
                  - (1.05344954667372501984066689879e1+0j) * k3
                  - (2.00087205822486249909675718444+0j) * k4
                  - (1.79589318631187989172765950534e1+0j) * k5
@@ -134,9 +165,11 @@ def dop853_step(u, h, k0):
                  - (8.87285693353062954433549289258+0j) * k8
                  + (1.23605671757943030647266201528e1+0j) * k9
                  + (6.43392746015763530355970484046e-1+0j) * k10)
-    v = f(z)
-    k11 = -v
-    u8 = u + h * ((5.42937341165687622380535766363e-2+0j) * k0
+    b = z + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k11 = (-0.5+0j) * v * (b * b)
+    y8 = y + h * ((5.42937341165687622380535766363e-2+0j) * k0
                   + (4.45031289275240888144113950566+0j) * k5
                   + (1.89151789931450038304281599044+0j) * k6
                   - (5.8012039600105847814672114227+0j) * k7
@@ -144,9 +177,10 @@ def dop853_step(u, h, k0):
                   - (1.52160949662516078556178806805e-1+0j) * k9
                   + (2.01365400804030348374776537501e-1+0j) * k10
                   + (4.47106157277725905176885569043e-2+0j) * k11)
-    z = u8
-    v = f(z)
-    k12 = -v
+    b = y8 + (1+0j)
+    d = (2+0j) / b
+    v = f_gap(d)
+    k12 = (-0.5+0j) * v * (b * b)
     e5 = ((0.1312004499419488073250102996e-1+0j) * k0
           - (0.1225156446376204440720569753e+1+0j) * k5
           - (0.4957589496572501915214079952+0j) * k6
@@ -166,7 +200,7 @@ def dop853_step(u, h, k0):
           + (2.01365400804030348374776537501e-1+0j) * k10
           + (4.47106157277725905176885569043e-2
              - 0.220588235294117647058823529412e-1+0j) * k11)
-    return u8, e5, e3, k12
+    return y8, e5, e3, k12, d, v
 """
 
 
@@ -224,7 +258,7 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
         return Trajectory(tuple(samples), "forward", "horizon-reached",
                           generator_id, atol)
     try:
-        for t, u, _, termination in _steps(fn, complex(z0), (t_end,), atol):
+        for t, u, _, _, termination in _steps(fn, complex(z0), (t_end,), atol):
             samples.append((t, u))
     except StiffFailureError as exc:
         exc.trajectory = Trajectory(tuple(samples), direction, "stagnation",
@@ -237,28 +271,41 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     """The accepted steps of one run of u' = -f(u) from u(0) = u through
     the times ``stops``, all of one sign and increasing in modulus.
 
-    Yields ``(t, u, reached, termination)`` after each accepted step:
-    ``reached`` counts the stops the run has landed on, and
-    ``termination`` is None until the last step, which carries
-    "horizon-reached" (the last stop), "boundary-exit" (a backward run
-    past |u| > 1 - EXIT_MARGIN) or "stagnation" (|f(u)| below
-    STAGNATION_SPEED); the last two win over the first.
+    Yields ``(t, u, w, reached, termination)`` after each accepted step:
+    the sample u and its chart point w = (1 + u)/(1 - u), ``reached``
+    the stops the run has landed on, and ``termination`` None until the
+    last step, which carries "horizon-reached" (the last stop),
+    "boundary-exit" (a backward run past |u| > 1 - EXIT_MARGIN) or
+    "stagnation" (|f(u)| below STAGNATION_SPEED); the last two win over
+    the first.
 
+    The run carries w, in which a parabolic orbit is a straight line
+    (w' = -2ib for i b (1 - z)^2), and converts each accepted step once,
+    u = 1 - d with d = 2/(w + 1); f is evaluated by its gap form at d,
+    so a callable with no gap form is evaluated at exactly the sample.
     Each attempt is one DOP853 step of twelve evaluations of f: its
-    thirteenth stage is evaluated at u8, and an accepted step reuses it
-    as the next step's first stage.  The error of an attempt is Hairer's
-    DOP853 norm of the fifth- and third-order estimates, and the step
-    after a rejected attempt does not grow.  A step that would pass the
-    next stop is cut to land on it; the step after it starts from the
-    uncut size, so the step size is carried across stops (Hairer,
-    Norsett & Wanner, Solving ODEs I, section II.4).  An attempt that
-    lands on or outside the circle is rejected and retried with half the
-    step, so a forward run that truly leaves (f is not a generator) ends
-    in step size underflow.  On a backward run, such a landing by an
-    attempt that passes the error test shows that the orbit reaches the
-    exit margin before the attempt's end; from then on no step goes more
-    than half way there, so the exit time is bisected at one attempt per
-    halving, not two.
+    thirteenth stage is evaluated at the new point, and an accepted step
+    reuses it as the next step's first stage.  The error of an attempt
+    is Hairer's DOP853 norm of the fifth- and third-order estimates
+    against the relative tolerance atol/20 (5e-12 at ATOL) of
+    max(1, |w|, |w_new|), and the step after a rejected attempt does not
+    grow.  For a callable with no gap form, f at the rounded point
+    carries a relative error of about eps |w + 1|, which the estimates
+    pick up times the step's move |h w'|; the norm's scale is floored at
+    64 ulps of that, or the step shrinks without end next to the
+    boundary point.  No step moves u by more than about MAX_SPACING: its
+    length is capped at MAX_SPACING/|f(u)|, so a trace keeps enough
+    samples to draw.  A step that would pass the next stop is cut to
+    land on it; the step after it starts from the uncut size, so the
+    step size is carried across stops (Hairer, Norsett & Wanner, Solving
+    ODEs I, section II.4).  An attempt whose u rounds onto or outside
+    the circle is rejected and retried with half the step, so a forward
+    run that truly leaves (f is not a generator) ends in step size
+    underflow.  On a backward run, such a landing by an attempt that
+    passes the error test shows that the orbit reaches the exit margin
+    before the attempt's end; from then on no step goes more than half
+    way there, so the exit time is bisected at one attempt per halving,
+    not two.
 
     The attempts are reported to :func:`diskflow.expr.kernel_by_use`,
     which gives _DP_STEP as written until the callable has made
@@ -268,10 +315,15 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     """
     sign = -1.0 if stops[0] < 0 else 1.0
     t = 0.0
-    k0 = -fn(u)
+    w = ((1+0j) + u) / ((1+0j) - u)
+    gap = gap_form(fn)
+    v = fn(u) if gap is None else gap((1+0j) - u)  # f at the start
+    b = w + (1+0j)
+    k0 = (-0.5+0j) * v * (b * b)
+    rtol = 0.05 * atol  # per step, relative to max(1, |w|, |w_new|)
     step, calls = kernel_by_use(fn, _DP_STEP, 0)
     made = 0  # attempts made with step
-    h = sign * min(1e-2, abs(stops[0]) / 10) / max(abs(k0), 1.0)
+    h = sign * min(1e-2, abs(stops[0]) / 10) / max(abs(v), 1.0)
     reached, accepted = 0, 0
     rejected = False  # the last attempt was rejected
     exit_by = None  # backward: the end of an accurate attempt that left the disk
@@ -287,57 +339,52 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
                 made = 0
             made += 1
             try:
-                u8, e5, e3, k12 = step(u, dt, k0)
-                # tighten near the attracting boundary point: errors there map to
-                # errors of size delta/(1-u)^2 in the linearizing coordinate
-                # the extra 0.05 keeps the accumulated error over a run well
-                # under the per-step budget; the complex operand goes left, so
-                # no float slot is tried first (the bits are the same)
-                scale = 0.05 * min(1.0, max(abs((1+0j) - u) ** 2, 1e-5))
+                w8, e5, e3, k12, d8, v8 = step(w, dt, k0)
+                scale = rtol * max(1.0, abs(w), abs(w8))
+                if gap is None:
+                    # f at rounded points: 64 ulps of the estimates' noise
+                    scale = max(scale, 64 * 2.3e-16 * abs(dt * k0) * abs(b))
                 err5 = abs(e5 * dt) / scale
                 err3 = abs(e3 * dt) / scale
                 # Hairer's DOP853 norm; a NaN denominator passes to the guard
                 deno = err5 * err5 + 0.01 * err3 * err3
                 err = err5 * err5 / math.sqrt(deno) if deno else 0.0
                 bad = not (err == err)  # NaN guard
+                u8 = (1+0j) - d8
             except (SingularEvaluationError, OverflowError):
                 bad = True
                 err = math.inf
-                u8 = u
             if not bad and abs(u8) >= 1.0:
                 # reject steps that land on or outside the circle: a forward
                 # run of a generator stays inside, so such a landing is an
                 # overshoot or the rounding of a point within half an ulp of 1
                 bad = True
-                if sign < 0 and err <= atol:
+                if sign < 0 and err <= 1.0:
                     # the orbit itself reaches the exit margin before t + dt
                     exit_by = t + dt
-            if bad or err > atol:
-                h = dt * (0.5 if bad else max(0.2, 0.9 * (atol / err) ** 0.125))
+            if bad or err > 1.0:
+                h = dt * (0.5 if bad else max(0.2, 0.9 * err ** -0.125))
                 rejected = True
                 continue
             t += dt
-            u = u8
+            w, u, v, k0 = w8, u8, v8, k12
+            b = w + (1+0j)
             if cut or sign * (stop - t) <= 0:
                 reached += 1
             termination = None
             if sign < 0 and abs(u) > 1.0 - EXIT_MARGIN:
                 termination = "boundary-exit"
-            elif abs(k12) < STAGNATION_SPEED:
+            elif abs(v) < STAGNATION_SPEED:
                 termination = "stagnation"
             elif reached == len(stops):
                 termination = "horizon-reached"
-            yield t, u, reached, termination
+            yield t, u, w, reached, termination
             accepted += 1
             if accepted >= MAX_SAMPLES:
                 raise StiffFailureError(f"sample budget exhausted at t = {t}")
             if termination is not None:
                 return
-            k0 = k12
-            if err > 0:
-                growth = min(MAX_GROWTH, 0.9 * (atol / err) ** 0.125)
-            else:
-                growth = MAX_GROWTH
+            growth = min(MAX_GROWTH, 0.9 * err ** -0.125) if err > 0 else MAX_GROWTH
             if rejected:
                 # Hairer's rule: no growth right after a rejection, so a step
                 # cut back at the disk edge is not regrown straight into it
@@ -345,6 +392,8 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
                 rejected = False
             if not cut:
                 h = dt * growth
+            if abs(h) * abs(v) > MAX_SPACING:  # |f(u)| is the speed of u
+                h = sign * MAX_SPACING / abs(v)
             if exit_by is not None and abs(h) > 0.5 * abs(exit_by - t):
                 # bisect the exit time: a step as long as the one just accepted
                 # would leave the disk again
@@ -376,25 +425,27 @@ def _geometric_times(horizon: float):
 
 
 def _checkpoints(fn, z0: complex, times: tuple, ode_cap: float, orbit=None):
-    """F_t(z0) at each of the increasing ``times``: one ODE run through
-    those up to ``ode_cap``, then one ``orbit(z, times)`` walk from the
-    run's last point through the rest, or nothing past ``ode_cap``
-    without it."""
+    """``(u, w)``, F_t(z0) and its chart point w = (1 + u)/(1 - u), at
+    each of the increasing ``times``: one ODE run through those up to
+    ``ode_cap``, which carries w, then one ``orbit(z, times)`` walk from
+    the run's last point through the rest, whose points give w by the
+    chart map, or nothing past ``ode_cap`` without it."""
     stops = tuple(t for t in times if t <= ode_cap)
-    u = z0
+    u, w = z0, ((1+0j) + z0) / ((1+0j) - z0)
     if stops:
         landed = 0
-        for _, u, reached, _ in _steps(fn, z0, stops, ATOL):
+        for _, u, w, reached, _ in _steps(fn, z0, stops, ATOL):
             if reached > landed:
                 landed = reached
-                yield u
+                yield u, w
         # a run that stagnates reads its last point at every later stop
         for _ in range(landed, len(stops)):
-            yield u
+            yield u, w
     if orbit is None or len(stops) == len(times):
         return
     t_prev = stops[-1] if stops else 0.0
-    yield from orbit(u, [t - t_prev for t in times[len(stops):]])
+    for u in orbit(u, [t - t_prev for t in times[len(stops):]]):
+        yield u, ((1+0j) + u) / ((1+0j) - u)
 
 
 def convergence_profile(f, z0: complex, horizon: float = 1e4,
@@ -421,15 +472,16 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     fn = as_callable(f)
     times = tuple(_geometric_times(horizon))
     d_vals, ratio_vals, arg_vals = [], [], []
-    for u in _checkpoints(fn, complex(z0), times, min(horizon, 1e4), orbit):
+    for u, w in _checkpoints(fn, complex(z0), times, min(horizon, 1e4), orbit):
         # once the gap reaches machine noise the quotients below are garbage
         if 1.0 - abs(u) < 1e-15:
             break
-        one_minus = 1.0 - u
-        ratio = (1.0 - abs(u)) / abs(one_minus)
-        d_vals.append(horocycle_distance(u))
-        ratio_vals.append(ratio)
-        arg_vals.append(cmath.phase(one_minus))
+        # read in the chart: d = 1/Re w, 1 - u = 2/(w + 1), and
+        # (1 - |u|)/|1 - u| = 2 Re w/(|w + 1| (1 + |u|))
+        b = w + (1+0j)
+        d_vals.append(1.0 / w.real)
+        ratio_vals.append(2.0 * w.real / (abs(b) * (1.0 + abs(u))))
+        arg_vals.append(cmath.phase((2+0j) / b))
     if not d_vals:
         return ConvergenceDiagnostics(0.0, 0.0, "undetermined", horizon)
 

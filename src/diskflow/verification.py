@@ -118,7 +118,7 @@ def criterion_3() -> dict:
         for z in _grid20():
             hz = model.h(z)
             # one ODE run from z, landing on each time
-            for t, u in zip(times, _checkpoints(fn, z, times, math.inf)):
+            for t, (u, _) in zip(times, _checkpoints(fn, z, times, math.inf)):
                 total += 1
                 # rounding u to the float grid already perturbs h by
                 # eps * |h'(u)| = eps / |f(u)|; once that approaches the
@@ -330,7 +330,7 @@ def criterion_11() -> dict:
         fn = compile_expr(_model(cid).f)
         for z0 in (0j, 0.3 + 0.4j):
             prev = horocycle_distance(z0)
-            for u in _checkpoints(fn, z0, times, math.inf):
+            for u, _ in _checkpoints(fn, z0, times, math.inf):
                 if 1.0 - abs(u) < 1e-14:
                     break
                 d = horocycle_distance(u)

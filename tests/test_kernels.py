@@ -335,15 +335,17 @@ def _run(f, z0, t):
 def test_dop853_switch_keeps_the_bits(text):
     # a callable that switches to the inlined attempt in the middle of a
     # run, one that had switched before it, and an opaque one agree; the
-    # fresh one is reported three attempts short of the threshold
+    # fresh one is reported three attempts short of the threshold.  The
+    # attempt evaluates f in the gap, so it is counted and kept on the
+    # gap form
     for z0, t in ((0.0, 20.0), (0.0, -5.0)):
         fresh = compile_expr(parse(text))
         expr.kernel_by_use(fresh, _DP_STEP, expr.INLINE_AFTER - 3)
         switched = compile_expr(parse(text))
         kernel(switched, _DP_STEP)
-        assert _DP_STEP not in fresh.kernels
+        assert _DP_STEP not in expr.gap_form(fresh).kernels
         outcome = _run(fresh, z0, t)
-        assert _DP_STEP in fresh.kernels  # the run crossed the threshold
+        assert _DP_STEP in expr.gap_form(fresh).kernels  # the run crossed the threshold
         assert outcome == _run(switched, z0, t) == _run(_opaque(fresh), z0, t)
 
 
@@ -357,11 +359,12 @@ def test_dop853_compiled_once_repaid(monkeypatch):
     f = parse(catalog.get("quadrant").f_text)
     classify(f)
     steps = sum("def dop853_step" in source for source in compiled)
-    assert steps == 0 and compile_expr(f).uses[_DP_STEP] < expr.INLINE_AFTER
+    gap = expr.gap_form(compile_expr(f))
+    assert steps == 0 and gap.uses[_DP_STEP] < expr.INLINE_AFTER
     for _ in range(2):
         integrate(f, -0.5 + 0.1j, 1000.0)
     steps = sum("def dop853_step" in source for source in compiled)
-    assert steps == 1 and _DP_STEP in compile_expr(f).kernels
+    assert steps == 1 and _DP_STEP in gap.kernels
 
 
 @pytest.mark.parametrize("entry_id", ["quadrant", "bfid-hyp"])
