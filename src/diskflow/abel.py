@@ -697,9 +697,12 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
     fz = _f_or_none(fn, z)
     tol = max(1e-12, 1e-15 * abs(w))
     budget = 2 * math.ceil(math.log(1.0 + abs(w) + abs(h_cur)) / math.log(1.5))
+    s = cmath.log(1.0 - z)
     for _ in range(budget):
         remaining = w - h_cur
-        if abs(remaining) <= max(tol, _machine_floor(fz, z)) or _saturated(z, remaining):
+        # saturation is read from the carried s, which a clamped step
+        # leaves at exactly -36, not from the rounded iterate
+        if abs(remaining) <= max(tol, _machine_floor(fz, z)) or _saturated(s, remaining):
             return z, h_cur
         cap = 0.5 * (1.0 + abs(h_cur))
         w_sub = h_cur + remaining / abs(remaining) * cap if abs(remaining) > cap else w
@@ -707,7 +710,7 @@ def _continue(model: LinearizationModel, z: complex, h_cur: complex, w: complex)
         d = _to_circle(s)
         for _ in range(50):
             residual = h_cur - w_sub
-            if _saturated(z, -residual):
+            if _saturated(s, -residual):
                 break
             if fz is None:
                 fz = fn(z)  # singular at the iterate: raises as f does
@@ -833,13 +836,14 @@ def _detour(model: LinearizationModel, w: complex) -> complex:
     )
 
 
-def _saturated(z: complex, left: complex) -> bool:
-    """Whether the exact solution rounds to the iterate z: z sits at the
-    smallest gap 1 - z that Newton resolves (it clamps Re log(1 - z) at
+def _saturated(s: complex, left: complex) -> bool:
+    """Whether the exact solution rounds to the iterate z = 1 - e^s: s
+    sits at the smallest gap that Newton resolves (it clamps Re s at
     -36, and e^-36 = 2.3e-16), and what is left of the target, ``left`` =
     w - h(z), is a pure forward time shift (positive real part, imaginary
-    part resolved)."""
-    return (abs(1.0 - z) <= 2.4e-16 and left.real > 0
+    part resolved).  The rounded z would not do: at Re s = -36 and
+    |Im s| about 0.43 it reads |1 - z| = 2.41e-16 to 2.43e-16."""
+    return (s.real <= -36.0 and left.real > 0
             and abs(left.imag) <= 1e-9 * (1.0 + left.real))
 
 
