@@ -343,7 +343,7 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
                 scale = rtol * max(1.0, abs(w), abs(w8))
                 if gap is None:
                     # f at rounded points: 64 ulps of the estimates' noise
-                    scale = max(scale, 64 * 2.3e-16 * abs(dt * k0) * abs(b))
+                    scale = max(scale, 64 * 2.3e-16 * abs(dt * k0) * abs(w + (1+0j)))
                 err5 = abs(e5 * dt) / scale
                 err3 = abs(e3 * dt) / scale
                 # Hairer's DOP853 norm; a NaN denominator passes to the guard
@@ -368,7 +368,6 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
                 continue
             t += dt
             w, u, v, k0 = w8, u8, v8, k12
-            b = w + (1+0j)
             if cut or sign * (stop - t) <= 0:
                 reached += 1
             termination = None
