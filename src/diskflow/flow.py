@@ -295,10 +295,14 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     64 ulps of that, or the step shrinks without end next to the
     boundary point.  No step moves u by more than about MAX_SPACING: its
     length is capped at MAX_SPACING/|f(u)|, so a trace keeps enough
-    samples to draw.  A step that would pass the next stop is cut to
-    land on it; the step after it starts from the uncut size, so the
-    step size is carried across stops (Hairer, Norsett & Wanner, Solving
-    ODEs I, section II.4).  An attempt whose u rounds onto or outside
+    samples to draw.  A step that would pass the next stop, or end short
+    of it by less than the shortest step taken, is cut to land on it;
+    the step after it starts from the uncut size, so the step size is
+    carried across stops (Hairer, Norsett & Wanner, Solving ODEs I,
+    section II.4).  Where the chart point is inside (Re w > 0) and only
+    the rounding of u = 1 - d lands on the circle, as on an orbit that
+    runs within an ulp of it long before it stagnates, the sample is
+    moved one ulp inward.  An attempt whose u still lands on or outside
     the circle is rejected and retried with half the step, so a forward
     run that truly leaves (f is not a generator) ends in step size
     underflow.  On a backward run, such a landing by an attempt that
@@ -330,9 +334,12 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     try:
         while True:
             stop = stops[reached]
-            cut = abs(h) > abs(stop - t)
+            least = 1e-13 * max(1.0, abs(t))  # the shortest step taken
+            # a step that would end short of the stop by less than that
+            # (such as the second half of a rejected cut step) lands on it
+            cut = abs(h) > abs(stop - t) - least
             dt = stop - t if cut else h
-            if abs(dt) < 1e-13 * max(1.0, abs(t)):
+            if abs(dt) < least:
                 raise StiffFailureError(f"step size underflow at t = {t}")
             if made == calls:
                 step, calls = kernel_by_use(fn, _DP_STEP, made)
@@ -351,13 +358,17 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
                 err = err5 * err5 / math.sqrt(deno) if deno else 0.0
                 bad = not (err == err)  # NaN guard
                 u8 = (1+0j) - d8
+                if abs(u8) >= 1.0 and w8.real > 0.0:
+                    # the chart point is inside and only its rounding is not:
+                    # the sample is the next double inward
+                    u8 *= 1.0 - 2.0 ** -52
             except (SingularEvaluationError, OverflowError):
                 bad = True
                 err = math.inf
             if not bad and abs(u8) >= 1.0:
                 # reject steps that land on or outside the circle: a forward
                 # run of a generator stays inside, so such a landing is an
-                # overshoot or the rounding of a point within half an ulp of 1
+                # overshoot
                 bad = True
                 if sign < 0 and err <= 1.0:
                     # the orbit itself reaches the exit margin before t + dt

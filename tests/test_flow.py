@@ -92,7 +92,7 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
     h = sign * min(1e-2, abs(t_end) / 10) / max(abs(v), 1.0)
     termination = "horizon-reached"
     while sign * (t_end - t) > 0:
-        if abs(h) > abs(t_end - t):
+        if abs(h) > abs(t_end - t) - 1e-13 * max(1.0, abs(t)):
             h = t_end - t
         if abs(h) < 1e-13 * max(1.0, abs(t)):
             raise StiffFailureError(f"step size underflow at t = {t}")
@@ -109,6 +109,8 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
             err = err5 * err5 / math.sqrt(deno) if deno else 0.0
             bad = not (err == err)
             u8 = (1+0j) - (2+0j) / (w8 + (1+0j))
+            if abs(u8) >= 1.0 and w8.real > 0.0:
+                u8 *= 1.0 - 2.0 ** -52
         except (SingularEvaluationError, OverflowError):
             bad, err = True, math.inf
         if not bad and abs(u8) >= 1.0:
@@ -303,6 +305,34 @@ def test_forward_run_reaching_one_within_rounding_stays_inside(entry_id, z0, t_e
     assert all(abs(z) < 1.0 for _, z in traj.samples)
 
 
+@pytest.mark.parametrize("entry_id, z0, t_end", [
+    ("hyperbolic-auto(0.8453,0.7105)", 0.5623367860659556 - 0.8269082968620093j,
+     17.922938661979106),
+    ("parabolic-auto(1)", 0.059287939619217585 + 0.99824092293176j, 0.17175676772419043),
+])
+def test_step_short_of_the_stop_by_rounding_lands_on_it(entry_id, z0, t_end):
+    # a cut step rejected and halved left two halves whose sum fell an
+    # ulp short of the horizon; the run then failed with a step size
+    # underflow there instead of reaching it
+    fn = _catalog_fn(entry_id)
+    for f in (fn, lambda z: fn(z)):
+        traj = integrate(f, z0, t_end)
+        assert traj.termination == "horizon-reached"
+        assert traj.end[0] == t_end
+
+
+def test_sample_rounding_onto_the_circle_moves_inward():
+    # this orbit runs within an ulp of the circle from t = 15.7 on, long
+    # before it stagnates: its chart point stays inside while u = 1 - d
+    # can round onto the circle, and rejecting such steps ended the run
+    # in a step size underflow; the sample is the next double inward
+    fn = _catalog_fn("hyperbolic-auto(0.5,0)")
+    for f in (fn, lambda z: fn(z)):
+        traj = integrate(f, -0.5177776935354605 + 0.855515201431167j, 48.6304687441961)
+        assert traj.termination == "stagnation"
+        assert all(abs(z) < 1.0 for _, z in traj.samples)
+
+
 def test_rounded_point_run_does_not_crawl():
     # f at the rounded point z = 1 - d is off by about eps |w + 1|
     # relative; the estimates pick that up, and without the norm's floor
@@ -331,9 +361,8 @@ def test_rounded_point_run_does_not_crawl():
 def test_rounded_point_samples_stay_inside(entry_id, z0, t_end):
     # on the rounded-point path these orbits end within a few ulps of the
     # circle, where a sample u = 1 - d can round to |u| = 1 and would have
-    # no horocycle level for its CSV row; such a step is rejected.  They
-    # took 93, 65 and 59 samples; without the norm's floor they crawled,
-    # 243,670 to 663,777
+    # no horocycle level for its CSV row.  They took 93, 65 and 59
+    # samples; without the norm's floor they crawled, 243,670 to 663,777
     fn = _catalog_fn(entry_id)
     traj = integrate(lambda z: fn(z), z0, t_end)
     assert traj.termination == "stagnation"
