@@ -282,7 +282,8 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     The run carries w, in which a parabolic orbit is a straight line
     (w' = -2ib for i b (1 - z)^2), and converts each accepted step once,
     u = 1 - d with d = 2/(w + 1); f is evaluated by its gap form at d,
-    so a callable with no gap form is evaluated at exactly the sample.
+    so a callable with no gap form is evaluated at exactly the sample
+    (unless the sample rounds onto the circle and is moved, below).
     Each attempt is one DOP853 step of twelve evaluations of f: its
     thirteenth stage is evaluated at the new point, and an accepted step
     reuses it as the next step's first stage.  The error of an attempt
