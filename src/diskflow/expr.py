@@ -7,8 +7,10 @@ arguments of sqrt/log in the right half-plane, so principal branches make
 every expression single-valued.
 
 The same tree is also written in the gap d = 1 - z (:func:`gap_form`),
-which the quadrature of h at the boundary point 1 and the flow's
-Dormand-Prince attempt, stepped in the chart w = (1 + z)/(1 - z), evaluate.
+which the quadrature of h at the boundary point 1 evaluates, and as the
+slope 2p(w) = -2 f(z)/(1 - z)^2 of the flow in the half-plane chart
+w = (1 + z)/(1 - z) (:func:`chart_form`), which the flow's Dormand-Prince
+attempt evaluates.
 
 Also provides the Berkson-Porta factor p(z) = -f(z)/(1-z)^2 of a vector
 field, a grid check that Re p >= 0 (the generator criterion), and the
@@ -373,21 +375,34 @@ _NAMESPACE = {
 }
 
 # A kernel template evaluates f only by one of these statements, each on
-# a line of its own: f at the point z, or f at 1 - d written in the gap d
-# (see gap_form), with the name the template calls and the point that an
-# error reports
+# a line of its own: f at the point z, f at 1 - d written in the gap d
+# (see gap_form), or the slope k = 2p(w) of the flow w' = 2p(w) at the
+# point w of the half-plane chart (see chart_form); with the name the
+# template calls, the point z that an error reports and the name assigned
 _F_CALL = "v = f(z)"
 _GAP_CALL = "v = f_gap(d)"
-_CALLS = {_F_CALL: ("f", "z"), _GAP_CALL: ("f_gap", "(1+0j)-d")}
+_CHART_CALL = "k = f_chart(w)"
+_CALLS = {
+    _F_CALL: ("f", "z", "v"),
+    _GAP_CALL: ("f_gap", "(1+0j)-d", "v"),
+    _CHART_CALL: ("f_chart", "(1+0j)-(2+0j)/(w+(1+0j))", "k"),
+}
+
+# A template in the chart may read f, and the gap d = 2/(w + 1), at its last
+# chart point by this line, after d = (2+0j) / (w + (1+0j)): f = -(1/2) k d^2.
+# Evaluated by the gap form instead, the chart line leaves d and f = v at w
+# behind (see _in_gap), and this line is dropped.
+_F_OF_SLOPE = "v = (-0.5+0j) * k * (d * d)"
 
 # ... which a compiled expression replaces by its generated code, checked as
-# the scalar callable checks it; <f> stands for the code, <z> for the point
+# the scalar callable checks it; <f> stands for the code, <z> for the point,
+# <v> for the name assigned
 _CHECKED = """\
 try:
-    v = <f>
+    <v> = <f>
 except (ZeroDivisionError, ValueError, OverflowError) as exc:
     _singular(<z>, exc)
-if v != v:
+if <v> != <v>:
     _singular(<z>, None)
 """
 
@@ -404,6 +419,16 @@ def call_gap(d):
     {_GAP_CALL}
     return v
 """
+
+_CHART_SCALAR = f"""
+def call_chart(w):
+    w = complex(w)
+    {_CHART_CALL}
+    return k
+"""
+
+# the scalar callable of each code mode: in z, in the gap d, in the chart w
+_SCALARS = {"z": _SCALAR, "d": _GAP_SCALAR, "w": _CHART_SCALAR}
 
 
 def evaluate(node: Expr, z: complex) -> complex:
@@ -446,14 +471,15 @@ def compile_expr(node: Expr):
 
     The callable carries the generated ``source``, the ``namespace`` it
     runs in, the ``kernels`` that :func:`kernel` has built from it and
-    its ``node``, from which :func:`gap_form` writes f in the gap.
+    its ``node``, from which :func:`gap_form` writes f in the gap and
+    :func:`chart_form` in the half-plane chart.
     """
     try:
         return node._compiled
     except AttributeError:
         pass
     try:
-        call = _callable(node, gap=False)
+        call = _callable(node, "z")
     except (SyntaxError, RecursionError, MemoryError) as exc:
         # Python limits the nesting of parentheses (200) and of the tree
         raise ExpressionSyntaxError(
@@ -482,18 +508,52 @@ def gap_form(fn):
     """
     if not hasattr(fn, "gap") and hasattr(fn, "node"):
         try:
-            fn.gap = _callable(fn.node, gap=True)
+            fn.gap = _callable(fn.node, "d")
         except (SyntaxError, RecursionError, MemoryError):
             fn.gap = None
     return getattr(fn, "gap", None)
 
 
-def _callable(node: Expr, gap: bool):
-    # the scalar callable of the generated code of node in z or in d
+def chart_form(fn):
+    """The callable ``w -> 2p(w)`` of ``fn`` in the half-plane chart
+    w = (1 + z)/(1 - z), where the flow z' = -f(z) is w' = 2p(w) with
+    p = -f/(1 - z)^2 (:func:`berkson_porta_p`), or None when ``fn`` has
+    none.
+
+    For a callable from :func:`compile_expr` it is generated from the
+    expression on first use and kept as ``fn.chart`` (see
+    :func:`diskflow.chart.chart_tree`): 1 - z is 2/(w + 1) and 1 + z is 2w/(w + 1),
+    each polynomial sum in z is an exact polynomial in w over a power
+    of w + 1, and those powers are gathered through the tree, so the
+    (1 - z)^2 of f cancels in it, not in floating point: parabolic-auto(b)
+    is the constant -2ib, hyperbolic-auto(a, b) is 2aw - 2ib.  Like the
+    callable it carries ``source``, ``namespace``, ``kernels`` and
+    ``uses``, for the templates that evaluate it by ``k = f_chart(w)``;
+    a singular evaluation reports the point z = 1 - 2/(w + 1).  Any other
+    callable has the chart form it carries as ``chart``, if any; an
+    expression whose chart code does not compile, or whose constants do
+    not fold in the chart (a division by a zero constant, say), has none.
+    """
+    if not hasattr(fn, "chart") and hasattr(fn, "node"):
+        try:
+            fn.chart = _callable(fn.node, "w")
+        except (SyntaxError, RecursionError, MemoryError, ArithmeticError, ValueError):
+            fn.chart = None
+    return getattr(fn, "chart", None)
+
+
+def _callable(node: Expr, var: str):
+    # the scalar callable of the generated code of node in z, in the gap d
+    # or, as the slope 2p of the flow, in the chart w
+    if var == "w":
+        # imported on its first use, so that import diskflow does not compile it
+        from .chart import chart_tree
+
+        node = chart_tree(node)
     consts: list = []
-    source = _codegen(node, consts, gap=gap)
+    source = _codegen(node, consts, var=var)
     namespace = {**_NAMESPACE, **_const_names(consts)}
-    call = _define(_compile(_inline(_GAP_SCALAR if gap else _SCALAR, source)), namespace)
+    call = _define(_compile(_inline(_SCALARS[var], source)), namespace)
     call.source = source
     call.namespace = namespace
     call.kernels = {}
@@ -511,7 +571,10 @@ def kernel(fn, template: str):
 
     ``template`` is the source of one function definition (it may
     return inner functions) that evaluates f only by the lines
-    ``v = f(z)``, or only by the lines ``v = f_gap(d)``, f at 1 - d.
+    ``v = f(z)``, or only by the lines ``v = f_gap(d)``, f at 1 - d, or
+    only by the lines ``k = f_chart(w)``, the slope 2p(w) of the flow in
+    the half-plane chart (then f at its last chart point may be read by
+    ``v = (-0.5+0j) * k * (d * d)`` after ``d = (2+0j) / (w + (1+0j))``).
     Besides its arguments it reads only cmath's ``sqrt``, ``exp`` and
     ``log``, ``SingularEvaluationError`` and the builtins: all its data,
     fixed tables such as a quadrature rule included, are arguments of
@@ -521,22 +584,25 @@ def kernel(fn, template: str):
 
     For a callable from :func:`compile_expr` each ``v = f(z)`` becomes
     the expression's generated code under the scalar callable's checks,
-    and each ``v = f_gap(d)`` the code of its :func:`gap_form`, so a
-    node evaluates f without a Python call.  That code is compiled on
-    first use and kept in the ``kernels`` of the callable or of its gap
-    form, once per template.  Any other callable, such as a counting
-    wrapper, runs the template as written with ``f`` bound to it, and
-    ``f_gap`` to the gap form it carries; one that carries none
-    evaluates ``v = f(z)`` at the rounded point ``z = (1+0j) - d``
-    instead.  Its own exceptions pass through.  Either way the kernel
-    gives the same floats and the same exceptions as calling the scalar
-    callable at every line that evaluates f.  The integrand template of
+    each ``v = f_gap(d)`` the code of its :func:`gap_form` and each
+    ``k = f_chart(w)`` that of its :func:`chart_form`, so a node
+    evaluates f without a Python call.  That code is compiled on first
+    use and kept in the ``kernels`` of the callable or of its form, once
+    per template.  Any other callable, such as a counting wrapper, runs
+    the template as written with ``f`` bound to it, and ``f_chart`` and
+    ``f_gap`` to the forms it carries.  A callable with no chart form
+    takes each slope from f in the gap, k = -(1/2) f(1 - d) (w + 1)^2 at
+    d = 2/(w + 1) (see :func:`_in_gap`); one with no gap form evaluates
+    ``v = f(z)`` at the rounded point ``z = (1+0j) - d`` instead.  Its
+    own exceptions pass through.  Either way the kernel gives the same
+    floats and the same exceptions as calling the scalar callable at
+    every line that evaluates f.  The integrand template of
     :mod:`diskflow.abel`, one for its one path geometry (the log-gap
     segment) that evaluates f on one line, and the grid scan of
     :func:`validate_generator` are inlined here, on their first use; the
-    DOP853 attempt of :mod:`diskflow.flow`, which evaluates f in the gap,
-    comes through :func:`kernel_by_use`, which inlines it only once its
-    callable has made :data:`INLINE_AFTER` attempts.
+    DOP853 attempt of :mod:`diskflow.flow`, which evaluates f in the
+    chart, comes through :func:`kernel_by_use`, which inlines it only
+    once its callable has made :data:`INLINE_AFTER` attempts.
 
     Kernels do plain complex arithmetic.  On CPython 3.11 a float on
     the left of a complex operand (``0.5*x``, ``1.0 - x``) first fails
@@ -570,10 +636,17 @@ def _built(fn, template: str, line: str):
 
 def _evaluated_by(fn, template: str):
     """``(callable, template, line)``: the callable that evaluates f for
-    ``template`` and the line by which it does.  A template in the gap
-    is evaluated by the gap form of ``fn``, or, where ``fn`` has none,
-    rewritten to evaluate ``fn`` at the rounded point."""
-    if not _evaluates_gap(template):
+    ``template`` and the line by which it does.  A template in the chart
+    is evaluated by the chart form of ``fn``, or, where ``fn`` has none,
+    rewritten to evaluate it in the gap; a template in the gap by the
+    gap form of ``fn``, or, where ``fn`` has none, rewritten to evaluate
+    ``fn`` at the rounded point."""
+    if _evaluates(template, _CHART_CALL):
+        chart = chart_form(fn)
+        if chart is not None:
+            return chart, template, _CHART_CALL
+        template = _in_gap(template)
+    if not _evaluates(template, _GAP_CALL):
         return fn, template, _F_CALL
     gap = gap_form(fn)
     if gap is None:
@@ -588,21 +661,21 @@ def _as_written(template: str, line: str, fn):
 
 
 # A kernel that kernel_by_use gives runs its template as written, with f
-# called through the scalar callable (of f, or of its gap form), until
-# that callable has made INLINE_AFTER calls of it; from then on it is the
-# inlined kernel, compiled once.  Sized for the DOP853 attempt of flow,
+# called through the scalar callable (of f, or of its gap or chart form),
+# until that callable has made INLINE_AFTER calls of it; from then on it is
+# the inlined kernel, compiled once.  Sized for the DOP853 attempt of flow,
 # the one template run this way (2 cores, CPython 3.11.7, eight catalog
-# entries): compiling the inlined attempt, twelve stages of f in the gap,
-# costs 1.2-1.9 ms per generator (the template alone 0.74 ms), and
-# inlining saves 0.75-1.1 us per attempt, the twelve calls of the gap
-# form, so the compile pays back after roughly 1,300-2,500 attempts.
-# classify's ODE leg makes 56-165 attempts per catalog generator and the
-# backward probes of one bfid_report at most 48, so neither compiles it.
-# A generator that is integrated for longer makes many more: in the
-# trajectories benchmark workload a median of about 270 attempts per pass
-# and 2,100 over a run (seed 1), so it compiles once, in its first pass,
-# and repays it over the run; it pays at most 256 x 1.1 us, about
-# 0.3 ms, before the switch.
+# and benchmark generators): compiling the inlined attempt, twelve stages
+# of f in the chart, costs 1.3-1.8 ms per generator, and inlining saves
+# 0.5-1.2 us per attempt, the twelve calls of the chart form (the attempt
+# itself takes 4.7-8.7 us inlined, 7.3-12.2 us with f in the gap), so the
+# compile pays back after roughly 1,300-3,600 attempts.  classify's ODE
+# leg makes 56-165 attempts per catalog generator and the backward probes
+# of one bfid_report at most 48, so neither compiles it.  A generator that
+# is integrated for longer makes many more: in the trajectories benchmark
+# workload a median of 267 attempts per pass and 2,109 over a run (seed
+# 1), so it compiles once, in its first pass, and repays it over the run;
+# it pays at most 256 x 1.2 us, about 0.3 ms, before the switch.
 INLINE_AFTER = 256
 
 
@@ -613,17 +686,18 @@ def kernel_by_use(fn, template: str, made: int):
     its first request), and the number of calls after which it asks
     again, or -1 when the kernel is final.
 
-    A template in the gap is evaluated as :func:`kernel` evaluates it:
-    by the gap form of ``fn``, or at the rounded point where ``fn`` has
-    none.  For a callable from :func:`compile_expr` (or its gap form)
-    the calls are counted in its ``uses``, per template.  Until they
-    reach :data:`INLINE_AFTER`, the kernel is the template as written
-    with ``f`` (or ``f_gap``) bound to that scalar callable, the same
-    code that every other callable runs, so a kernel that is never
-    called often enough to repay its compile is not compiled; after that
-    it is :func:`kernel`'s inlined one.  Both give the same bits and the
-    same exceptions, so the switch may come in the middle of a run.  Any
-    other callable gets :func:`kernel`'s at once.
+    A template in the chart or in the gap is evaluated as :func:`kernel`
+    evaluates it: by the chart form of ``fn``, else by its gap form,
+    else at the rounded point.  For a callable from :func:`compile_expr`
+    (or its chart or gap form) the calls are counted in its ``uses``,
+    per template.  Until they reach :data:`INLINE_AFTER`, the kernel is
+    the template as written with ``f`` (or ``f_gap``, ``f_chart``) bound
+    to that scalar callable, the same code that every other callable
+    runs, so a kernel that is never called often enough to repay its
+    compile is not compiled; after that it is :func:`kernel`'s inlined
+    one.  Both give the same bits and the same exceptions, so the switch
+    may come in the middle of a run.  Any other callable gets
+    :func:`kernel`'s at once.
     """
     fn, template, line = _evaluated_by(fn, template)
     uses = getattr(fn, "uses", None)
@@ -636,38 +710,54 @@ def kernel_by_use(fn, template: str, made: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _evaluates_gap(template: str) -> bool:
-    # whether the template evaluates f in the gap, read once per template
-    return _GAP_CALL in template
+def _evaluates(template: str, line: str) -> bool:
+    # whether the template evaluates f by line, read once per template
+    return line in template
+
+
+def _rewritten(template: str, lines: dict) -> str:
+    """``template`` with each line that ``lines`` names replaced by the
+    lines it maps to, at the same indent."""
+    out = []
+    for line in template.splitlines():
+        new = lines.get(line.strip())
+        if new is None:
+            out.append(line)
+        else:
+            indent = line[: len(line) - len(line.lstrip())]
+            out.extend(indent + part for part in new)
+    return "\n".join(out)
 
 
 @functools.lru_cache(maxsize=None)
 def _at_rounded_point(template: str) -> str:
     """``template`` with each ``v = f_gap(d)`` line evaluating f at the
     rounded point z = 1 - d."""
-    lines = []
-    for line in template.splitlines():
-        if line.strip() == _GAP_CALL:
-            indent = line[: len(line) - len(line.lstrip())]
-            lines += [indent + "z = (1+0j) - d", indent + _F_CALL]
-        else:
-            lines.append(line)
-    return "\n".join(lines)
+    return _rewritten(template, {_GAP_CALL: ("z = (1+0j) - d", _F_CALL)})
+
+
+@functools.lru_cache(maxsize=None)
+def _in_gap(template: str) -> str:
+    """``template`` with each ``k = f_chart(w)`` line evaluating the
+    slope by f in the gap, k = -(1/2) f(1 - d) (w + 1)^2 at d = 2/(w + 1),
+    which leaves d and f = v at w behind, so the line that reads f from
+    the slope is dropped."""
+    return _rewritten(template, {
+        _CHART_CALL: ("b = w + (1+0j)", "d = (2+0j) / b", _GAP_CALL,
+                      "k = (-0.5+0j) * v * (b * b)"),
+        _F_OF_SLOPE: (),
+    })
 
 
 def _inline(template: str, source: str) -> str:
     """``template`` with each line that evaluates f replaced by the
-    checked evaluation of ``source``, the code of f in z or in d."""
-    lines = []
-    for line in template.splitlines():
-        call = _CALLS.get(line.strip())
-        if call is None:
-            lines.append(line)
-            continue
-        checked = _CHECKED.replace("<f>", source).replace("<z>", call[1])
-        indent = line[: len(line) - len(line.lstrip())]
-        lines.extend(indent + part for part in checked.splitlines())
-    return "\n".join(lines)
+    checked evaluation of ``source``, the code of f in z or in d, or of
+    its slope in w."""
+    lines = {}
+    for line, (_, point, name) in _CALLS.items():
+        checked = _CHECKED.replace("<f>", source).replace("<z>", point)
+        lines[line] = checked.replace("<v>", name).splitlines()
+    return _rewritten(template, lines)
 
 
 def _define(code, namespace: dict):
@@ -693,10 +783,14 @@ def _const_names(consts: list) -> dict:
 
 
 def _literal(value: complex):
-    """``repr(value)`` if Python evaluates that text to exactly
-    ``value``, signs of zero included; else None."""
-    text = repr(value)  # distinct for distinct bits, signed zeros included
-    return text if _reads_back(text) else None
+    """``repr(value)``, or ``(re+imj)`` written out, if Python evaluates
+    that text to exactly ``value``, signs of zero included; else None.
+    (``repr(-2j)`` reads back with the real part -0.0, ``(0.0-2.0j)``
+    does not.)"""
+    for text in (repr(value), f"({value.real!r}{value.imag:+}j)"):
+        if _reads_back(text):  # each text is distinct for distinct bits
+            return text
+    return None
 
 
 @functools.lru_cache(maxsize=4096)
@@ -748,11 +842,12 @@ def _static_value(text: str, consts: list):
 # 0 (a guarded integer power), sum 1, product 2, unary minus 3, ** 4, atom
 # or call 5.  A child is wrapped in parentheses only where Python would
 # otherwise group it differently, so a long chain such as z+z+...+z
-# compiles without nesting.  With ``gap`` the code is written in the gap
-# d = 1 - z (see gap_form).
-def _codegen(node: Expr, consts: list, min_prec: int = 0, gap: bool = False) -> str:
+# compiles without nesting.  ``var`` names the point: "z", or "d" for the
+# code in the gap d = 1 - z (see gap_form), or "w" for a tree in the chart
+# point w (see diskflow.chart), whose Var stands for w.
+def _codegen(node: Expr, consts: list, min_prec: int = 0, var: str = "z") -> str:
     mark = len(consts)
-    text, prec = _codegen_prec(node, consts, gap)
+    text, prec = _codegen_prec(node, consts, var)
     if isinstance(node, (Func, Pow)) and _free_of_z(node):
         # a call free of z is made once, here; a finite value becomes a
         # constant, which Python folds into the constants around it
@@ -763,34 +858,34 @@ def _codegen(node: Expr, consts: list, min_prec: int = 0, gap: bool = False) -> 
     return f"({text})" if prec < min_prec else text
 
 
-def _codegen_prec(node: Expr, consts: list, gap: bool) -> tuple[str, int]:
-    if gap and isinstance(node, (Var, Add, Sub)) and not _free_of_z(node):
+def _codegen_prec(node: Expr, consts: list, var: str) -> tuple[str, int]:
+    if var == "d" and isinstance(node, (Var, Add, Sub)) and not _free_of_z(node):
         coefficients = _gap_coefficients(node)
         if coefficients is not None:
             return _horner(coefficients, consts)
     if isinstance(node, Const):
         return _constant(node.value, consts)
     if isinstance(node, Var):
-        return "z", 5
+        return var, 5
     if isinstance(node, Neg):
-        return "-" + _codegen(node.arg, consts, 3, gap), 3
+        return "-" + _codegen(node.arg, consts, 3, var), 3
     if type(node) in _BINARY:
         op, prec = _BINARY[type(node)]
-        left = _codegen(node.left, consts, prec, gap)
-        return left + op + _codegen(node.right, consts, prec + 1, gap), prec
+        left = _codegen(node.left, consts, prec, var)
+        return left + op + _codegen(node.right, consts, prec + 1, var), prec
     if isinstance(node, Pow):
         mark = len(consts)
-        exponent = _codegen(node.exponent, consts, gap=gap)
+        exponent = _codegen(node.exponent, consts, var=var)
         if isinstance(node.exponent, Const):
             value = node.exponent.value if cmath.isfinite(node.exponent.value) else None
         else:
             value = _static_value(exponent, consts) if _free_of_z(node.exponent) else None
         if value is None:
-            return f"_pow({_codegen(node.base, consts, gap=gap)},{exponent})", 5
+            return f"_pow({_codegen(node.base, consts, var=var)},{exponent})", 5
         del consts[mark:]
-        return _constant_power(node.base, value, consts, gap)
+        return _constant_power(node.base, value, consts, var)
     if isinstance(node, Func):
-        return f"{node.name}({_codegen(node.arg, consts, gap=gap)})", 5
+        return f"{node.name}({_codegen(node.arg, consts, var=var)})", 5
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -919,7 +1014,7 @@ _PRODUCTS = {
 
 
 def _constant_power(base: Expr, exponent: complex, consts: list,
-                    gap: bool) -> tuple[str, int]:
+                    var: str) -> tuple[str, int]:
     """base^exponent for a constant exponent, as _pow computes it, with
     no call but cmath's exp and log.  The base is bound to ``_b`` while
     the power reads it; a power inside the base is done with ``_b``
@@ -944,10 +1039,10 @@ def _constant_power(base: Expr, exponent: complex, consts: list,
             product, bound = _PRODUCTS[n]
             # unwrapped, so that a chain of powers nests one call deep
             # per power; an operator around it wraps it
-            return (f"{product} if abs(_b := {_codegen(base, consts, gap=gap)}) < {bound!r} "
+            return (f"{product} if abs(_b := {_codegen(base, consts, var=var)}) < {bound!r} "
                     f"else _b**{n}"), 0
         if n >= 0:
-            return f"{_codegen(base, consts, 5, gap)}**{n}", 4
+            return f"{_codegen(base, consts, 5, var)}**{n}", 4
         power, at_zero = f"_b**{n}", f"_zero_power({_NEGATIVE_POWER!r})"
     else:
         power = f"exp({_constant(exponent, consts)[0]}*log(_b))"
@@ -955,7 +1050,7 @@ def _constant_power(base: Expr, exponent: complex, consts: list,
             at_zero = "0j"
         else:
             at_zero = f"_zero_power({_NON_POSITIVE_POWER!r})"
-    return f"({power} if (_b := {_codegen(base, consts, gap=gap)}) else {at_zero})", 5
+    return f"({power} if (_b := {_codegen(base, consts, var=var)}) else {at_zero})", 5
 
 
 # --- generator structure -----------------------------------------------------

@@ -3,20 +3,25 @@
 Integrates the Cauchy problem  u' = -f(u), u(0) = z0  with the embedded
 Dormand-Prince 8(5,3) pair (DOP853) on the complex scalar, forward or
 backward in time.  The run carries the half-plane chart point
-w = (1 + u)/(1 - u), where w' = -2 f(u)/(1 - u)^2, the horocycle level
-of u is 1/Re w and a parabolic automorphism group is the translation
-w -> w - 2ibt; each stage evaluates f by its gap form at
-d = 1 - u = 2/(w + 1), and each accepted step gives its sample
-u = 1 - d once.  The pair is first same as last: its thirteenth stage
-is evaluated at the eighth-order point and reused as the first stage
-of the next step, so every attempted step costs twelve evaluations of f.
-The attempt is one kernel, the template _DP_STEP.  It runs as written,
-calling the generator's gap form at each stage, until that callable has
-made :data:`diskflow.expr.INLINE_AFTER` attempts; then
-:func:`diskflow.expr.kernel_by_use` compiles it once, with the code of f
-in place of each stage's evaluation, and the run goes on with that
-kernel.  Both give the same bits, so a short run (such as the ODE leg
-of classify) does not pay a compile that its attempts would not repay.
+w = (1 + u)/(1 - u), where the flow is w' = 2p(w) with the Berkson-Porta
+factor p = -f/(1 - u)^2 (:func:`diskflow.expr.berkson_porta_p`), the
+horocycle level of u is 1/Re w and a parabolic automorphism group is the
+translation w -> w - 2ibt; each stage evaluates 2p by f compiled in the
+chart (:func:`diskflow.expr.chart_form`), where the (1 - u)^2 of f
+cancels in the expression tree, and each accepted step gives its sample
+u = 1 - d, d = 2/(w + 1), and f there, -(1/2) 2p d^2, once.  The pair is
+first same as last: its thirteenth stage is evaluated at the
+eighth-order point and reused as the first stage of the next step, so
+every attempted step costs twelve evaluations of f.  The attempt is one
+kernel, the template _DP_STEP.  It runs as written, calling the
+generator's chart form at each stage, until that callable has made
+:data:`diskflow.expr.INLINE_AFTER` attempts; then
+:func:`diskflow.expr.kernel_by_use` compiles it once, with the code of
+2p in place of each stage's evaluation, and the run goes on with that
+kernel.  Both give the same bits, so a short run (such as the ODE leg of
+classify) does not pay a compile that its attempts would not repay.  A
+callable with no chart form steps with f by its gap form, or at the
+rounded point u = 1 - d where it has no gap form either.
 Forward trajectories of a generator must stay inside the disk; backward
 trajectories terminate when they reach the boundary margin or stagnate
 at a null point.
@@ -40,7 +45,7 @@ from .errors import (
     SingularEvaluationError,
     StiffFailureError,
 )
-from .expr import as_callable, gap_form, kernel_by_use
+from .expr import as_callable, chart_form, gap_form, kernel_by_use
 from .extrapolate import sequence_limit
 from .geometry import horocycle_distance
 
@@ -53,98 +58,84 @@ MAX_SAMPLES = 2_000_000  # accepted steps before a run counts as stalled
 BACKWARD_HORIZON = 50.0  # backward time probed by backward_extendability
 TIMES_PER_DECADE = 8  # geometric checkpoints of convergence_profile
 
-# One Dormand-Prince 8(5,3) attempt (DOP853) of w' = -2 f(z) / (1 - z)^2,
-# the flow in the half-plane chart w = (1 + z)/(1 - z), from the chart
-# point y with step h and first stage k0.  A stage evaluates f by its gap
-# form at d = 1 - z = 2/(w + 1): with b = w + 1, w' = -f b^2 / 2.  Returns
-# (y8, e5, e3, k12, d, v): the eighth-order point, the fifth- and
+# One Dormand-Prince 8(5,3) attempt (DOP853) of w' = 2p(w), the flow in the
+# half-plane chart w = (1 + z)/(1 - z) with p = -f/(1 - z)^2, from the chart
+# point y with step h and first stage k0.  Each stage point w takes its
+# slope k = 2p(w) in one line, from f compiled in the chart
+# (expr.chart_form), where the (1 - z)^2 of f has cancelled.  Returns
+# (w8, e5, e3, k12, d, v): the eighth-order point, the fifth- and
 # third-order error estimates per unit step, the thirteenth stage k12,
-# taken at y8, first same as last, and the gap d of y8 and f there.  The
-# coefficients are the decimal literals of Hairer's DOP853 table
-# (Hairer, Norsett & Wanner, Solving ODEs I, section II.10); e3 weighs
-# the stages by b_i less Hairer's bhh_i.  Each stage sum adds its terms
-# left to right.  The arithmetic is complex throughout: each weight is
-# written (c+0j), which the compiler folds to one complex constant, and h
-# is made complex once, because on CPython 3.11 a float on the left of a
-# complex operand first fails in the float slot (49 ns for 0.5*k against
-# 27 ns for (0.5+0j)*k, about 86 such products an attempt); the bits are
-# those of the float weights, which Python widens to (c, 0.0) anyway.
-# Run as written, or inlined per generator once it repays its compile
-# (expr.kernel_by_use); a callable with no gap form evaluates f at the
-# rounded point z = 1 - d instead, the sample itself at the last stage.
+# taken at w8, first same as last, and the gap d = 2/(w8 + 1) of w8 and f
+# there, -(1/2) k12 d^2, read once per attempt.  The coefficients are the
+# decimal literals of Hairer's DOP853 table (Hairer, Norsett & Wanner,
+# Solving ODEs I, section II.10); e3 weighs the stages by b_i less
+# Hairer's bhh_i.  Each stage sum adds its terms left to right.  The
+# arithmetic is complex throughout: each weight is written (c+0j), which
+# the compiler folds to one complex constant, and h is made complex once,
+# because on CPython 3.11 a float on the left of a complex operand first
+# fails in the float slot (49 ns for 0.5*k against 27 ns for (0.5+0j)*k,
+# about 86 such products an attempt); the bits are those of the float
+# weights, which Python widens to (c, 0.0) anyway.  Run as written, or
+# inlined per generator once it repays its compile (expr.kernel_by_use).
+# A callable with no chart form takes each slope by its gap form instead,
+# k = -f(1 - d) b^2/2 with b = w + 1 and d = 2/b, which leaves d and f at
+# w8 behind (expr._in_gap); one with no gap form either evaluates f at the
+# rounded point z = 1 - d, the sample itself at the last stage.
 _DP_STEP = """
 def dop853_step(y, h, k0):
     h = complex(h)
-    z = y + h * ((5.26001519587677318785587544488e-2+0j) * k0)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k1 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((1.97250569845378994544595329183e-2+0j) * k0
+    w = y + h * ((5.26001519587677318785587544488e-2+0j) * k0)
+    k = f_chart(w)
+    k1 = k
+    w = y + h * ((1.97250569845378994544595329183e-2+0j) * k0
                  + (5.91751709536136983633785987549e-2+0j) * k1)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k2 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((2.95875854768068491816892993775e-2+0j) * k0
+    k = f_chart(w)
+    k2 = k
+    w = y + h * ((2.95875854768068491816892993775e-2+0j) * k0
                  + (8.87627564304205475450678981324e-2+0j) * k2)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k3 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((2.41365134159266685502369798665e-1+0j) * k0
+    k = f_chart(w)
+    k3 = k
+    w = y + h * ((2.41365134159266685502369798665e-1+0j) * k0
                  - (8.84549479328286085344864962717e-1+0j) * k2
                  + (9.24834003261792003115737966543e-1+0j) * k3)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k4 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((3.7037037037037037037037037037e-2+0j) * k0
+    k = f_chart(w)
+    k4 = k
+    w = y + h * ((3.7037037037037037037037037037e-2+0j) * k0
                  + (1.70828608729473871279604482173e-1+0j) * k3
                  + (1.25467687566822425016691814123e-1+0j) * k4)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k5 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((3.7109375e-2+0j) * k0
+    k = f_chart(w)
+    k5 = k
+    w = y + h * ((3.7109375e-2+0j) * k0
                  + (1.70252211019544039314978060272e-1+0j) * k3
                  + (6.02165389804559606850219397283e-2+0j) * k4
                  - (1.7578125e-2+0j) * k5)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k6 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((3.70920001185047927108779319836e-2+0j) * k0
+    k = f_chart(w)
+    k6 = k
+    w = y + h * ((3.70920001185047927108779319836e-2+0j) * k0
                  + (1.70383925712239993810214054705e-1+0j) * k3
                  + (1.07262030446373284651809199168e-1+0j) * k4
                  - (1.53194377486244017527936158236e-2+0j) * k5
                  + (8.27378916381402288758473766002e-3+0j) * k6)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k7 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((6.24110958716075717114429577812e-1+0j) * k0
+    k = f_chart(w)
+    k7 = k
+    w = y + h * ((6.24110958716075717114429577812e-1+0j) * k0
                  - (3.36089262944694129406857109825+0j) * k3
                  - (8.68219346841726006818189891453e-1+0j) * k4
                  + (2.75920996994467083049415600797e1+0j) * k5
                  + (2.01540675504778934086186788979e1+0j) * k6
                  - (4.34898841810699588477366255144e1+0j) * k7)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k8 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((4.77662536438264365890433908527e-1+0j) * k0
+    k = f_chart(w)
+    k8 = k
+    w = y + h * ((4.77662536438264365890433908527e-1+0j) * k0
                  - (2.48811461997166764192642586468+0j) * k3
                  - (5.90290826836842996371446475743e-1+0j) * k4
                  + (2.12300514481811942347288949897e1+0j) * k5
                  + (1.52792336328824235832596922938e1+0j) * k6
                  - (3.32882109689848629194453265587e1+0j) * k7
                  - (2.03312017085086261358222928593e-2+0j) * k8)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k9 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((-9.3714243008598732571704021658e-1+0j) * k0
+    k = f_chart(w)
+    k9 = k
+    w = y + h * ((-9.3714243008598732571704021658e-1+0j) * k0
                  + (5.18637242884406370830023853209+0j) * k3
                  + (1.09143734899672957818500254654+0j) * k4
                  - (8.14978701074692612513997267357+0j) * k5
@@ -152,11 +143,9 @@ def dop853_step(y, h, k0):
                  + (2.27394870993505042818970056734e1+0j) * k7
                  + (2.49360555267965238987089396762+0j) * k8
                  - (3.0467644718982195003823669022+0j) * k9)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k10 = (-0.5+0j) * v * (b * b)
-    z = y + h * ((2.27331014751653820792359768449+0j) * k0
+    k = f_chart(w)
+    k10 = k
+    w = y + h * ((2.27331014751653820792359768449+0j) * k0
                  - (1.05344954667372501984066689879e1+0j) * k3
                  - (2.00087205822486249909675718444+0j) * k4
                  - (1.79589318631187989172765950534e1+0j) * k5
@@ -165,22 +154,19 @@ def dop853_step(y, h, k0):
                  - (8.87285693353062954433549289258+0j) * k8
                  + (1.23605671757943030647266201528e1+0j) * k9
                  + (6.43392746015763530355970484046e-1+0j) * k10)
-    b = z + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k11 = (-0.5+0j) * v * (b * b)
-    y8 = y + h * ((5.42937341165687622380535766363e-2+0j) * k0
-                  + (4.45031289275240888144113950566+0j) * k5
-                  + (1.89151789931450038304281599044+0j) * k6
-                  - (5.8012039600105847814672114227+0j) * k7
-                  + (3.1116436695781989440891606237e-1+0j) * k8
-                  - (1.52160949662516078556178806805e-1+0j) * k9
-                  + (2.01365400804030348374776537501e-1+0j) * k10
-                  + (4.47106157277725905176885569043e-2+0j) * k11)
-    b = y8 + (1+0j)
-    d = (2+0j) / b
-    v = f_gap(d)
-    k12 = (-0.5+0j) * v * (b * b)
+    k = f_chart(w)
+    k11 = k
+    w = y + h * ((5.42937341165687622380535766363e-2+0j) * k0
+                 + (4.45031289275240888144113950566+0j) * k5
+                 + (1.89151789931450038304281599044+0j) * k6
+                 - (5.8012039600105847814672114227+0j) * k7
+                 + (3.1116436695781989440891606237e-1+0j) * k8
+                 - (1.52160949662516078556178806805e-1+0j) * k9
+                 + (2.01365400804030348374776537501e-1+0j) * k10
+                 + (4.47106157277725905176885569043e-2+0j) * k11)
+    k = f_chart(w)
+    d = (2+0j) / (w + (1+0j))
+    v = (-0.5+0j) * k * (d * d)
     e5 = ((0.1312004499419488073250102996e-1+0j) * k0
           - (0.1225156446376204440720569753e+1+0j) * k5
           - (0.4957589496572501915214079952+0j) * k6
@@ -200,7 +186,7 @@ def dop853_step(y, h, k0):
           + (2.01365400804030348374776537501e-1+0j) * k10
           + (4.47106157277725905176885569043e-2
              - 0.220588235294117647058823529412e-1+0j) * k11)
-    return y8, e5, e3, k12, d, v
+    return w, e5, e3, k, d, v
 """
 
 
@@ -242,7 +228,8 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
     any evaluation.  The run keeps every accepted step of
     :func:`_steps`, which holds the step rules: forward runs stay inside
     the disk, and backward runs stop with termination "boundary-exit"
-    at |u| > 1 - 1e-9.
+    at |u| > 1 - 1e-9, at t = 0 with the one sample z0 if it is past
+    that margin already.
     """
     fn = as_callable(f)
     if not abs(z0) < 1.0:
@@ -256,6 +243,10 @@ def integrate(f, z0: complex, t_end: float, generator_id: str = "",
     samples = [(0.0, complex(z0))]
     if t_end == 0:
         return Trajectory(tuple(samples), "forward", "horizon-reached",
+                          generator_id, atol)
+    if t_end < 0 and abs(z0) > 1.0 - EXIT_MARGIN:
+        # already past the exit margin: every backward step would leave
+        return Trajectory(tuple(samples), direction, "boundary-exit",
                           generator_id, atol)
     try:
         for t, u, _, _, termination in _steps(fn, complex(z0), (t_end,), atol):
@@ -280,17 +271,20 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     the first.
 
     The run carries w, in which a parabolic orbit is a straight line
-    (w' = -2ib for i b (1 - z)^2), and converts each accepted step once,
-    u = 1 - d with d = 2/(w + 1); f is evaluated by its gap form at d,
-    so a callable with no gap form is evaluated at exactly the sample
-    (unless the sample rounds onto the circle and is moved, below).
-    Each attempt is one DOP853 step of twelve evaluations of f: its
-    thirteenth stage is evaluated at the new point, and an accepted step
-    reuses it as the next step's first stage.  The error of an attempt
-    is Hairer's DOP853 norm of the fifth- and third-order estimates
-    against the relative tolerance atol/20 (5e-12 at ATOL) of
-    max(1, |w|, |w_new|), and the step after a rejected attempt does not
-    grow.  For a callable with no gap form, f at the rounded point
+    (w' = 2p(w) = -2ib for i b (1 - z)^2), and converts each accepted
+    step once, u = 1 - d with d = 2/(w + 1).  Each stage takes the slope
+    2p(w) from the chart form of f (:func:`diskflow.expr.chart_form`),
+    and the new point's f is -(1/2) 2p d^2; a callable with no chart form
+    takes the slope -f (w + 1)^2/2 from f by its gap form at d, and one
+    with no gap form either from f at exactly the sample (unless the
+    sample rounds onto the circle and is moved, below).  Each attempt is
+    one DOP853 step of twelve evaluations of f: its thirteenth stage is
+    evaluated at the new point, and an accepted step reuses it as the
+    next step's first stage.  The error of an attempt is Hairer's DOP853
+    norm of the fifth- and third-order estimates against the relative
+    tolerance atol/20 (5e-12 at ATOL) of max(1, |w|, |w_new|), and the
+    step after a rejected attempt does not grow.  For a callable with
+    neither form, f at the rounded point
     carries a relative error of about eps |w + 1|, which the estimates
     pick up times the step's move |h w'|; the norm's scale is floored at
     64 ulps of that, or the step shrinks without end next to the
@@ -321,10 +315,17 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     sign = -1.0 if stops[0] < 0 else 1.0
     t = 0.0
     w = ((1+0j) + u) / ((1+0j) - u)
-    gap = gap_form(fn)
-    v = fn(u) if gap is None else gap((1+0j) - u)  # f at the start
-    b = w + (1+0j)
-    k0 = (-0.5+0j) * v * (b * b)
+    chart = chart_form(fn)
+    gap = None if chart is not None else gap_form(fn)
+    rounded = chart is None and gap is None  # f at rounded points
+    if chart is not None:  # the slope at the start, and f there
+        k0 = chart(w)
+        d = (2+0j) / (w + (1+0j))
+        v = (-0.5+0j) * k0 * (d * d)
+    else:
+        v = fn(u) if rounded else gap((1+0j) - u)
+        b = w + (1+0j)
+        k0 = (-0.5+0j) * v * (b * b)
     rtol = 0.05 * atol  # per step, relative to max(1, |w|, |w_new|)
     step, calls = kernel_by_use(fn, _DP_STEP, 0)
     made = 0  # attempts made with step
@@ -349,7 +350,7 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
             try:
                 w8, e5, e3, k12, d8, v8 = step(w, dt, k0)
                 scale = rtol * max(1.0, abs(w), abs(w8))
-                if gap is None:
+                if rounded:
                     # f at rounded points: 64 ulps of the estimates' noise
                     scale = max(scale, 64 * 2.3e-16 * abs(dt * k0) * abs(w + (1+0j)))
                 err5 = abs(e5 * dt) / scale

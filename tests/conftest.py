@@ -2,26 +2,27 @@ import dataclasses
 import re
 
 from diskflow.abel import linearize
-from diskflow.expr import compile_expr, gap_form
+from diskflow.expr import chart_form, compile_expr, gap_form
 
 
 def counted_callable(fn):
     """``fn`` with a counter of its f-evaluations, on the path the package
     takes with ``fn`` itself: the gap form it exposes, which the log-gap
-    panels evaluate in place of f, is wrapped and counted too."""
+    panels evaluate in place of f, and its chart form, which the flow's
+    steps evaluate, are wrapped and counted too."""
     evals = [0]
-    gap = gap_form(fn)
 
-    def counted(z):
-        evals[0] += 1
-        return fn(z)
-
-    if gap is not None:
-        def counted_gap(d):
+    def counting(form):
+        def counted(x):
             evals[0] += 1
-            return gap(d)
+            return form(x)
 
-        counted.gap = counted_gap
+        return counted
+
+    counted = counting(fn)
+    for name, form in (("gap", gap_form(fn)), ("chart", chart_form(fn))):
+        if form is not None:
+            setattr(counted, name, counting(form))
     return counted, evals
 
 

@@ -10,6 +10,7 @@ branch within that error of its cut, or that are singular or
 ill-conditioned at the point, are skipped.
 """
 
+import ast
 import math
 import re
 
@@ -35,6 +36,7 @@ from diskflow.expr import (  # noqa: E402
     Pow,
     Sub,
     Var,
+    chart_form,
     compile_expr,
     gap_form,
     parse,
@@ -230,3 +232,98 @@ def test_gap_form_matches_mpmath(text):
         assert err <= EPS * (8 + 4 * abs(math.log(abs(d)))), (d, float(err / EPS))
 
     check()
+
+
+def chart_points(low):
+    """Points of the right half-plane Re w > 0, the disk in the chart
+    w = (1 + z)/(1 - z), with |w| from 10^low up to 1e12."""
+    return st.builds(lambda k, phi: 10.0**k * complex(math.cos(phi), math.sin(phi)),
+                     st.floats(low, 12.0), st.floats(-0.499 * math.pi, 0.499 * math.pi))
+
+
+def _slope_mp(f_mp, w):
+    # mpmath's 2p(w) = -2 f(z)/(1 - z)^2 at the exact z = (w - 1)/(w + 1)
+    w = mpmath.mpc(w)
+    z = (w - 1) / (w + 1)
+    return -2 * f_mp(z) / (1 - z) ** 2
+
+
+@pytest.mark.parametrize("text", GAP_TEXTS)
+def test_chart_form_matches_mpmath(text):
+    # f compiled in the chart, at w with Re w > 0, against mpmath's
+    # -2 f(z)/(1 - z)^2 at 30 digits on the exact z of w: within 8 ulps,
+    # plus the ulps that exp(a log(w + 1)) takes from the rounding of
+    # a log(w + 1) in a power of w + 1 (about |a log|w + 1|| of them);
+    # and singular exactly where the scalar callable is at the rounded z.
+    # |w| >= 1 is the half Re z >= 0 of the disk (angular-only's
+    # 1 - exp(-w) cancels towards w = 0 in any form)
+    fn = compile_expr(parse(text))
+    chart, f_mp = chart_form(fn), mp_function(mpmath, text)
+    assert chart is not None
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(chart_points(0.0))
+    def check(w):
+        try:
+            fn((w - 1) / (w + 1))
+        except SingularEvaluationError:
+            with pytest.raises(SingularEvaluationError):
+                chart(w)
+            return
+        got = chart(w)
+        if text not in GAP_TEXTS[: len(catalog.DEFAULT_IDS)]:
+            return
+        with mpmath.workdps(30):
+            ref = _slope_mp(f_mp, w)
+            err = abs(mpmath.mpc(got) - ref) / abs(ref)
+        assert err <= EPS * (8 + 4 * abs(math.log(abs(w + 1)))), (w, float(err / EPS))
+
+    check()
+
+
+def test_chart_form_cancels_the_square():
+    # parabolic-auto(b) is w' = -2ib, a constant; hyperbolic-auto(a, b) is
+    # w' = 2aw - 2ib, each coefficient rounded once
+    fn = compile_expr(parse(catalog.get("parabolic-auto(0.7311)").f_text))
+    chart = chart_form(fn)
+    assert "w" not in {node.id for node in ast.walk(ast.parse(chart.source))
+                       if isinstance(node, ast.Name)}
+    assert chart(3.0 + 1e9j) == complex(0.0, -2 * 0.7311)
+    fn = compile_expr(parse(catalog.get("hyperbolic-auto(0.6,-0.4)").f_text))
+    tree = ast.parse(chart_form(fn).source, mode="eval").body
+    assert isinstance(tree, ast.BinOp) and isinstance(tree.op, ast.Add)
+    product, constant = tree.left, tree.right
+    assert isinstance(product.op, ast.Mult) and product.right.id == "w"
+    assert ast.literal_eval(product.left) == 2 * 0.6
+    assert ast.literal_eval(constant) == complex(0.0, 2 * 0.4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(TREES, chart_points(-3.0))
+def test_chart_form_of_trees_matches_mpmath(node, w):
+    # against mpmath's -2 f(z)/(1 - z)^2 at the exact z of w, within the
+    # rounding that the evaluation of the tree in z accumulates there
+    # (the first-order bound of mp_eval) and 64 ulps; singular where the
+    # scalar callable is at the rounded z.  A tree whose constants do not
+    # fold in the chart has no chart form
+    fn = compile_expr(node)
+    chart = chart_form(fn)
+    if chart is None:
+        return
+    try:
+        fn((w - 1) / (w + 1))
+    except SingularEvaluationError:
+        with pytest.raises(SingularEvaluationError):
+            chart(w)
+        return
+    got = chart(w)
+    with mpmath.workdps(30):
+        z = (mpmath.mpc(w) - 1) / (mpmath.mpc(w) + 1)
+        try:
+            ref = mp_eval(str(node), z)
+        except (_Skip, ZeroDivisionError):
+            assume(False)
+        scale = 2 / abs(1 - z) ** 2
+        value = -2 * ref.value / (1 - z) ** 2
+        tol = 4 * ref.err * scale + 64 * EPS * abs(value) + mpmath.mpf(10) ** -25
+        assert abs(mpmath.mpc(got) - value) <= tol, (str(node), w, got, value)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from conftest import counted_callable
 
-from diskflow import abel, catalog, flow
+from diskflow import abel, catalog, expr, flow
 from diskflow.abel import linearize
 from diskflow.errors import (
     DiskflowError,
@@ -13,7 +13,7 @@ from diskflow.errors import (
     SingularEvaluationError,
     StiffFailureError,
 )
-from diskflow.expr import compile_expr, gap_form, kernel, parse
+from diskflow.expr import chart_form, compile_expr, gap_form, kernel, parse
 from diskflow.geometry import horocycle_distance
 from diskflow.jsonio import trajectory_csv
 from diskflow.flow import (
@@ -63,17 +63,25 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
     half-plane chart w = (1 + z)/(1 - z): every stage from the tableau
     rows, and the first stage evaluated afresh after each accepted step.
 
-    Same step control and termination rules as ``integrate``: the
-    relative norm in w, its rounding floor for a callable with no gap
-    form, the spacing cap, and the bisection of a backward run's exit
-    time once an accurate attempt has left the disk; returns
-    ``(samples, termination, rejected steps)``.
+    A stage is the slope 2p(w) of w' = 2p(w) from the chart form of
+    ``fn``, f there being -(1/2) 2p(w) d^2 at d = 2/(w + 1); a callable
+    with no chart form takes it from f at d, by its gap form or at the
+    rounded point 1 - d.  Same step control and termination rules as
+    ``integrate``: the relative norm in w, its rounding floor for a
+    callable with neither form, the spacing cap, and the bisection of a
+    backward run's exit time once an accurate attempt has left the disk;
+    returns ``(samples, termination, rejected steps)``.
     """
     rows, b8, b5, b3 = _dop853_tableau()
-    gap = gap_form(fn)
+    chart, gap = chart_form(fn), gap_form(fn)
 
     def stage(w):
-        # w' = -f b^2 / 2 with b = w + 1, f read at the gap d = 2/b
+        # the slope k = 2p(w) and f at w
+        if chart is not None:
+            k = chart(w)
+            d = (2+0j) / (w + (1+0j))
+            return k, (-0.5+0j) * k * (d * d)
+        # 2p(w) = -f b^2 / 2 with b = w + 1, f read at the gap d = 2/b
         b = w + (1+0j)
         d = (2+0j) / b
         v = fn((1+0j) - d) if gap is None else gap(d)
@@ -87,8 +95,11 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
     last_rejected = False
     exit_by = None
     k = [0j] * len(rows)
-    v = fn(u) if gap is None else gap((1+0j) - u)
-    k[0] = (-0.5+0j) * v * ((w + (1+0j)) * (w + (1+0j)))
+    if chart is None:
+        v = fn(u) if gap is None else gap((1+0j) - u)
+        k[0] = (-0.5+0j) * v * ((w + (1+0j)) * (w + (1+0j)))
+    else:
+        k[0], v = stage(w)
     h = sign * min(1e-2, abs(t_end) / 10) / max(abs(v), 1.0)
     termination = "horizon-reached"
     while sign * (t_end - t) > 0:
@@ -101,7 +112,7 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
                 k[i] = stage(w + h * _weighted_sum(rows[i], k))[0]
             w8 = w + h * _weighted_sum(b8, k)
             scale = 0.05 * atol * max(1.0, abs(w), abs(w8))
-            if gap is None:
+            if chart is None and gap is None:
                 scale = max(scale, 64 * 2.3e-16 * abs(h * k[0]) * abs(w + 1))
             err5 = abs(h * _weighted_sum(b5, k)) / scale
             err3 = abs(h * _weighted_sum(b3, k)) / scale
@@ -183,7 +194,8 @@ def test_rounded_point_run_matches_reference_stepper(entry_id, z0, t_end, termin
 def _literal_tableau(mpmath):
     """The weights of each sum in flow._DP_STEP, read from its decimal
     literals at mpmath precision: ``{name: [{j: weight}, ...]}`` for the
-    stage points z, y8, e5 and e3, in the order they are written."""
+    points w (the eleven stage points, then the eighth-order point) and
+    the estimates e5 and e3, in the order they are written."""
     text = flow._DP_STEP
     (step,) = ast.parse(text).body
 
@@ -213,12 +225,12 @@ def _literal_tableau(mpmath):
             weights(node.right, -sign if isinstance(node.op, ast.Sub) else sign, out)
         return out
 
-    sums = {"z": [], "y8": [], "e5": [], "e3": []}
+    sums = {"w": [], "e5": [], "e3": []}
     for line in step.body:
         if not isinstance(line, ast.Assign) or line.targets[0].id not in sums:
             continue
         value = line.value
-        if line.targets[0].id in ("z", "y8"):  # y + h * (sum)
+        if line.targets[0].id == "w":  # y + h * (sum)
             value = value.right.right
         sums[line.targets[0].id].append(weights(value, 1, {}))
     return sums
@@ -228,17 +240,17 @@ def test_dop853_literals_satisfy_order_conditions():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         sums = _literal_tableau(mpmath)
-        assert [len(sums[name]) for name in ("z", "y8", "e5", "e3")] == [11, 1, 1, 1]
+        assert [len(sums[name]) for name in ("w", "e5", "e3")] == [12, 1, 1]
+        *stages, b = sums["w"]
         # nodes of DOP853: c4, c5 = (6 -+ sqrt 6)/30, c3 = 2 c4/3, c2 = 4 c4/9
         c4 = (6 - mpmath.sqrt(6)) / 30
         c = [0, 4 * c4 / 9, 2 * c4 / 3, c4, (6 + mpmath.sqrt(6)) / 30,
              mpmath.mpf(1) / 3, mpmath.mpf(1) / 4, mpmath.mpf(4) / 13,
              mpmath.mpf(127) / 195, mpmath.mpf(3) / 5, mpmath.mpf(6) / 7, 1]
         tol = mpmath.mpf("1e-25")
-        for i, row in enumerate(sums["z"], start=1):
+        for i, row in enumerate(stages, start=1):
             assert max(row) < i
             assert abs(sum(row.values()) - c[i]) < tol
-        (b,) = sums["y8"]
         for q in range(1, 9):
             moment = sum(w * c[j] ** (q - 1) for j, w in b.items())
             assert abs(moment - mpmath.mpf(1) / q) < tol
@@ -254,16 +266,18 @@ def test_dop853_step_has_order_eight():
     # 0.5 (z^2 - 1), whose flow in the chart is w' = w, w(t) = w0 e^t:
     # halving h shrinks the local error by about 2^9
     fn = _catalog_fn("hyperbolic-auto(0.5,0)")
-    gap = gap_form(fn)
+    chart = chart_form(fn)
     step = kernel(fn, flow._DP_STEP)
     w0 = 1 + 0j  # z0 = 0
     errors = []
     for h in (1.0, 0.5):
-        w8, _, _, k12, d, v = step(w0, h, (-0.5+0j) * fn(0j) * 4)
+        w8, _, _, k12, d, v = step(w0, h, chart(w0))
         errors.append(abs(w8 - w0 * math.exp(h)))
-        # first same as last: the thirteenth stage is taken at w8
-        assert d == 2 / (w8 + 1) and v == gap(d)
-        assert k12 == (-0.5+0j) * v * ((w8 + 1) * (w8 + 1))
+        # first same as last: the thirteenth stage is taken at w8, and f
+        # there is read from it
+        assert k12 == chart(w8) == w8  # 2p(w) = w
+        assert d == 2 / (w8 + 1) and v == (-0.5+0j) * k12 * (d * d)
+        assert abs(v - fn(1 - d)) <= 1e-15 * abs(v)
     assert abs(math.log2(errors[0] / errors[1]) - 9) < 0.5
 
 
@@ -373,8 +387,8 @@ def test_rounded_point_samples_stay_inside(entry_id, z0, t_end):
 
 def test_readme_trace_keeps_its_spacing():
     # a parabolic orbit is a straight line in the chart, which DOP853
-    # steps exactly: uncapped, the README trace took 7 samples, one of
-    # them a jump of 0.48 that showed in the SVG polyline
+    # steps exactly: uncapped, the README trace takes 7 samples, one of
+    # them a jump of 0.53 that shows in the SVG polyline
     traj = integrate(compile_expr(parse("-(1-z)^2*i")), 0j, 10.0)
     moves = [abs(b - a) for (_, a), (_, b) in zip(traj.samples, traj.samples[1:])]
     assert max(moves) <= MAX_SPACING
@@ -390,27 +404,28 @@ def test_forward_exit_of_a_non_generator_fails():
 
 
 def test_integrate_evaluates_each_sample_once():
-    # first same as last: the thirteenth stage of an accepted step is f at
-    # the gap d of the new sample u = 1 - d, and the next step starts from
-    # it; the first stage is f at the start.  (Steps too short to move a
-    # point by one ulp, as next to the exit margin, evaluate a sample
-    # again as a stage point; these runs take none.)
+    # first same as last: the thirteenth stage of an accepted step is the
+    # slope at the chart point w of the new sample u = 1 - 2/(w + 1), and
+    # the next step starts from it; the first stage is the slope at the
+    # start.  (Steps too short to move a point by one ulp, as next to the
+    # exit margin, evaluate a sample again as a stage point; these runs
+    # take none.)
     runs = (("quadrant", 0.6j, 1e4), ("perturbed-parabolic", -0.9 + 0j, 1e4))
     for entry_id, z0, t_end in runs:
         counted, evals = counted_callable(_catalog_fn(entry_id))
-        count_gap = counted.gap
-        gaps = []
+        count_chart = counted.chart
+        points = []
 
-        def recording(d):
-            gaps.append(d)
-            return count_gap(d)
+        def recording(w):
+            points.append(w)
+            return count_chart(w)
 
-        counted.gap = recording
+        counted.chart = recording
         traj = integrate(counted, z0, t_end)
         assert len(traj.samples) > 60
-        assert evals[0] == len(gaps)  # every stage in the gap
-        assert gaps[0] == (1+0j) - z0
-        calls = Counter((1+0j) - d for d in gaps)
+        assert evals[0] == len(points)  # every stage in the chart
+        assert points[0] == ((1+0j) + z0) / ((1+0j) - z0)
+        calls = Counter((1+0j) - (2+0j) / (w + (1+0j)) for w in points)
         assert all(calls[z] == 1 for _, z in traj.samples[1:])
 
 
@@ -529,6 +544,63 @@ def test_backward_extendability_fails_off_axis():
     fn = compile_expr(parse("-(1-z)^2"))
     report = backward_extendability(fn, 0.5 + 0j)
     assert not report["extendable"]
+
+
+def _near_circle(direction, gap):
+    # the point at 1 - |z| = gap (about) in the given direction
+    return (1.0 - gap) * direction / abs(direction)
+
+
+@pytest.mark.parametrize("entry_id, direction, t_end", [
+    ("power(-0.5,1)", -0.6668 + 0.7452j, -132.7),
+    ("perturbed-parabolic", -0.4855 + 0.8742j, -2.5),
+])
+def test_backward_run_from_past_the_exit_margin_ends_at_once(entry_id, direction, t_end):
+    # a start already past the exit margin ends the run at t = 0 with its
+    # one sample; each backward attempt from it left the disk, and the
+    # bisection of the exit time ended in a step size underflow at t = 0
+    fn = _catalog_fn(entry_id)
+    z0 = _near_circle(direction, 1e-13)
+    assert abs(z0) > 1.0 - EXIT_MARGIN
+    traj = integrate(fn, z0, t_end)
+    assert traj.termination == "boundary-exit"
+    assert traj.samples == ((0.0, z0),)
+    # |f| is of order one there: the orbit crosses the circle
+    report = backward_extendability(fn, z0)
+    assert report == {"extendable": False, "limit_point": None, "exit_time": 0.0}
+
+
+@pytest.mark.xfail(strict=True, raises=StiffFailureError, reason=(
+    "the orbit passes about sqrt(2 Re w0 Im(w0 - i)) = 2.4e-7 from w = i, a pole "
+    "of p on the boundary (z = i, where 1 + z^2 = 0): there |w'| = 2/|w - i| is "
+    "about 1e7 and DOP853 needs steps of about |w - i|^2/2, below the floor "
+    "1e-13 max(1, |t|) of the step size, at t = 0.01359"))
+def test_forward_run_past_a_boundary_pole_of_p():
+    fn = _catalog_fn("bfid-par")
+    traj = integrate(fn, _near_circle(0.2130 + 0.9770j, 9.1e-14), 80.2)
+    assert traj.termination == "horizon-reached"
+
+
+def test_expression_with_no_chart_form_takes_its_slopes_in_the_gap(monkeypatch):
+    # where the chart code does not compile, each stage is
+    # -f(1 - d) (w + 1)^2 / 2 by the gap form, f at the new point is the
+    # gap form's own value, and the samples are those of that stepper
+    compile_source = expr._compile
+
+    def no_chart_code(source):
+        if "def call_chart(" in source:
+            raise RecursionError("maximum recursion depth exceeded")
+        return compile_source(source)
+
+    monkeypatch.setattr(expr, "_compile", no_chart_code)
+    for entry_id, z0, t_end in (("quadrant", 0.3 + 0.2j, -5.0), ("bfid-par", 0j, 10.0),
+                                ("angular-only(0.5)", -0.9 + 0j, 100.0)):
+        fn = _catalog_fn(entry_id)
+        assert chart_form(fn) is None and gap_form(fn) is not None
+        samples, termination, _ = reference_integrate(fn, z0, t_end)
+        traj = integrate(fn, z0, t_end)
+        assert traj.termination == termination
+        assert list(traj.samples) == samples
 
 
 def test_convergence_profile_nontangential():

@@ -77,10 +77,12 @@ def _outcome(call, *args):
 
 
 def _opaque(fn):
-    # the same f, and its gap form, as callables the kernels cannot inline
-    gap = expr.gap_form(fn)
+    # the same f, and its gap and chart forms, as callables the kernels
+    # cannot inline
+    gap, chart = expr.gap_form(fn), expr.chart_form(fn)
     opaque = lambda z: fn(z)  # noqa: E731
     opaque.gap = lambda d: gap(d)
+    opaque.chart = lambda w: chart(w)
     return opaque
 
 
@@ -336,16 +338,16 @@ def test_dop853_switch_keeps_the_bits(text):
     # a callable that switches to the inlined attempt in the middle of a
     # run, one that had switched before it, and an opaque one agree; the
     # fresh one is reported three attempts short of the threshold.  The
-    # attempt evaluates f in the gap, so it is counted and kept on the
-    # gap form
+    # attempt evaluates f in the chart, so it is counted and kept on the
+    # chart form
     for z0, t in ((0.0, 20.0), (0.0, -5.0)):
         fresh = compile_expr(parse(text))
         expr.kernel_by_use(fresh, _DP_STEP, expr.INLINE_AFTER - 3)
         switched = compile_expr(parse(text))
         kernel(switched, _DP_STEP)
-        assert _DP_STEP not in expr.gap_form(fresh).kernels
+        assert _DP_STEP not in expr.chart_form(fresh).kernels
         outcome = _run(fresh, z0, t)
-        assert _DP_STEP in expr.gap_form(fresh).kernels  # the run crossed the threshold
+        assert _DP_STEP in expr.chart_form(fresh).kernels  # the run crossed the threshold
         assert outcome == _run(switched, z0, t) == _run(_opaque(fresh), z0, t)
 
 
@@ -359,12 +361,12 @@ def test_dop853_compiled_once_repaid(monkeypatch):
     f = parse(catalog.get("quadrant").f_text)
     classify(f)
     steps = sum("def dop853_step" in source for source in compiled)
-    gap = expr.gap_form(compile_expr(f))
-    assert steps == 0 and gap.uses[_DP_STEP] < expr.INLINE_AFTER
+    chart = expr.chart_form(compile_expr(f))
+    assert steps == 0 and chart.uses[_DP_STEP] < expr.INLINE_AFTER
     for _ in range(2):
         integrate(f, -0.5 + 0.1j, 1000.0)
     steps = sum("def dop853_step" in source for source in compiled)
-    assert steps == 1 and _DP_STEP in gap.kernels
+    assert steps == 1 and _DP_STEP in chart.kernels
 
 
 @pytest.mark.parametrize("entry_id", ["quadrant", "bfid-hyp"])
@@ -600,7 +602,7 @@ def test_dop853_weights_are_complex_constants():
     assert ast.unparse(step.body[0]) == "h = complex(h)"
     weights = [node.left for node in ast.walk(step)
                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-               and isinstance(node.right, ast.Name) and node.right.id.startswith("k")]
+               and isinstance(node.right, ast.Name) and re.fullmatch(r"k\d+", node.right.id)]
     assert len(weights) == 74  # 50 stage weights, 8 each of u8, e5 and e3
     assert all(type(_constant_value(w)) is complex for w in weights)
     # and none is left a float in the compiled step
