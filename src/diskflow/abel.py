@@ -618,8 +618,8 @@ def _step(model: LinearizationModel, z: complex, h_cur: complex, w: complex) -> 
     from a sweep of counted bfid_report f-evals on six catalog entries,
     taken with the scale 1 + |h_cur| (see the README): k = 1/2, which
     seeds every outward jump of more than one sub-target, costs bfid-par
-    more and moves the quadrant M statistic of halfplane_criterion_M off
-    its closed form, and k = 2 and 8 cost no less on every entry but
+    more and moves the quadrant M statistic of a walk of orbit off its
+    closed form, and k = 2 and 8 cost no less on every entry but
     bfid-par.  A seed costs one log-gap segment from its anchor and a
     few Newton steps, where a continuation takes up to 35 levels:
     abel_flow on quadrant from 0 to t = 1e6 takes 18 f-evals in place of

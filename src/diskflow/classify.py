@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass
 
 from .abel import LinearizationModel, linearize
-from .errors import InversionFailureError, SingularEvaluationError
+from .errors import SingularEvaluationError
 from .expr import Expr, as_callable, boundary_limit
 from .extrapolate import ladder_limit
-from .flow import ConvergenceDiagnostics, convergence_profile
+from .flow import ConvergenceDiagnostics, _checkpoints, convergence_profile
 
 BETA_THRESHOLD = 1e-8
 ANGLE_SLACK = 0.02
@@ -58,7 +58,7 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
     profile_horizon = horizon
     if kind == "hyperbolic":
         profile_horizon = min(horizon, max(50.0, 30.0 / beta))
-    diag = convergence_profile(f, 0j, horizon=profile_horizon, orbit=model.orbit)
+    diag = convergence_profile(f, 0j, horizon=profile_horizon)
 
     g = _quotient(fn, lambda z: (1.0 - z) * (1.0 - z))
     ta_est = boundary_limit(g, "radial", tol=1e-7)
@@ -131,13 +131,15 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
     z in M_GRID.
 
     The image h(Delta) lies in a horizontal half-plane exactly when the
-    statistic stays bounded.  Each start point's orbit is one walk
-    through the doubling times t = 1, 2, 4, ... <= horizon (see
-    :meth:`~diskflow.abel.LinearizationModel.orbit`),
-    ended by the first failed inversion.  :func:`ladder_limit` decides
-    each ladder: an infinite ladder is unbounded, a converged one
-    bounded, and any other is flagged inconclusive.
+    statistic stays bounded.  Each start point's orbit is one flow run
+    through the doubling times t = 1, 2, 4, ... <= horizon, read at its
+    chart point w: (1 - |u|)/|1 - u| = 2 Re w/(|w + 1| (1 + |u|)), which
+    keeps the digits that the gap 1 - u of the rounded u has lost; a run
+    that stagnates ends its ladder.  :func:`ladder_limit` decides each
+    ladder: an infinite ladder is unbounded, a converged one bounded,
+    and any other is flagged inconclusive.
     """
+    fn = as_callable(model.f)
     times, t = [], 1.0
     while t <= horizon * (1 + 1e-9):
         times.append(t)
@@ -146,15 +148,8 @@ def halfplane_criterion_M(model: LinearizationModel, horizon: float = 1e5) -> di
     inconclusive = False
     worst = 0.0
     for z0 in M_GRID:
-        stats = []
-        try:
-            for t, u in zip(times, model.orbit(z0, times)):
-                gap = abs(1.0 - u)
-                if gap < 1e-14:
-                    break
-                stats.append(t * (1.0 - abs(u)) / gap)
-        except InversionFailureError:
-            pass
+        stats = [t * 2.0 * w.real / (abs(w + (1+0j)) * (1.0 + abs(u)))
+                 for t, (u, w) in zip(times, _checkpoints(fn, z0, times))]
         if not stats:
             inconclusive = True
             continue

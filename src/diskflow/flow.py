@@ -25,12 +25,15 @@ rounded point u = 1 - d where it has no gap form either.
 Forward trajectories of a generator must stay inside the disk; backward
 trajectories terminate when they reach the boundary margin or stagnate
 at a null point.
+A run stagnates once its chart point has stopped: the gap d is below
+STAGNATION_SPEED, or the speed |2p(w)| of w is below STAGNATION_SPEED
+times |w|; a parabolic orbit, whose d decays only polynomially, goes on
+long after f at its rounded sample is below machine precision.
 Convergence diagnostics (horocycle distance limit, argument limit,
 approach regime) feed the classifier; they read the flow at geometric
-checkpoints from one run that lands on each of them, in the chart, and
-past 1e4 from one walk along the Abel orbit of its last point.  That
-run and :func:`integrate` take their steps from the same loop,
-:func:`_steps`.
+checkpoints from one run to the horizon that lands on each of them, in
+the chart.  That run and :func:`integrate` take their steps from the
+same loop, :func:`_steps`.
 """
 
 from __future__ import annotations
@@ -267,8 +270,8 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     the stops the run has landed on, and ``termination`` None until the
     last step, which carries "horizon-reached" (the last stop),
     "boundary-exit" (a backward run past |u| > 1 - EXIT_MARGIN) or
-    "stagnation" (|f(u)| below STAGNATION_SPEED); the last two win over
-    the first.
+    "stagnation" (the chart point has stopped: |d| or |2p(w)|/|w| below
+    STAGNATION_SPEED); the last two win over the first.
 
     The run carries w, in which a parabolic orbit is a straight line
     (w' = 2p(w) = -2ib for i b (1 - z)^2), and converts each accepted
@@ -386,7 +389,8 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
             termination = None
             if sign < 0 and abs(u) > 1.0 - EXIT_MARGIN:
                 termination = "boundary-exit"
-            elif abs(v) < STAGNATION_SPEED:
+            elif (abs(d8) < STAGNATION_SPEED
+                  or abs(k0) < STAGNATION_SPEED * abs(w)):
                 termination = "stagnation"
             elif reached == len(stops):
                 termination = "horizon-reached"
@@ -436,45 +440,27 @@ def _geometric_times(horizon: float):
         t *= ratio
 
 
-def _checkpoints(fn, z0: complex, times: tuple, ode_cap: float, orbit=None):
+def _checkpoints(fn, z0: complex, times: tuple):
     """``(u, w)``, F_t(z0) and its chart point w = (1 + u)/(1 - u), at
-    each of the increasing ``times``: one ODE run through those up to
-    ``ode_cap``, which carries w, then one ``orbit(z, times)`` walk from
-    the run's last point through the rest, whose points give w by the
-    chart map, or nothing past ``ode_cap`` without it."""
-    stops = tuple(t for t in times if t <= ode_cap)
-    u, w = z0, ((1+0j) + z0) / ((1+0j) - z0)
-    if stops:
-        landed = 0
-        for _, u, w, reached, _ in _steps(fn, z0, stops, ATOL):
-            if reached > landed:
-                landed = reached
-                yield u, w
-        # a run that stagnates reads its last point at every later stop
-        for _ in range(landed, len(stops)):
+    each of the increasing ``times`` that one run from z0 lands on; a
+    run that stagnates yields nothing at the later times."""
+    landed = 0
+    for _, u, w, reached, _ in _steps(fn, z0, times, ATOL):
+        if reached > landed:
+            landed = reached
             yield u, w
-    if orbit is None or len(stops) == len(times):
-        return
-    t_prev = stops[-1] if stops else 0.0
-    for u in orbit(u, [t - t_prev for t in times[len(stops):]]):
-        yield u, ((1+0j) + u) / ((1+0j) - u)
 
 
-def convergence_profile(f, z0: complex, horizon: float = 1e4,
-                        orbit=None) -> ConvergenceDiagnostics:
+def convergence_profile(f, z0: complex, horizon: float = 1e4) -> ConvergenceDiagnostics:
     """Diagnose how the trajectory from z0 approaches the boundary point 1.
 
-    Samples F_t at geometric times up to ``horizon``.  The times up to
-    1e4 are the stops of one ODE run from z0, which lands on each of them
-    and carries its step size across them; a run that stagnates reads
-    its last point at every later stop.  Beyond 1e4 an
-    ``orbit(z, times)`` callable must be supplied, yielding F_t(z) at
-    each of the increasing ``times`` (the exact flow through the Abel
-    function, such as :meth:`LinearizationModel.orbit`), since raw
-    stepping stalls once 1 - u decays polynomially; it is called once,
-    from the point at 1e4.  Sampling ends once 1 - |u| is within a few
-    ulps of 0.  A ``horizon`` that is not a positive finite number is
-    rejected before any evaluation.
+    Samples F_t at geometric times up to ``horizon``: the stops of one
+    run from z0, which lands on each of them and carries its step size
+    across them.  Each sample is read from the run's chart point w,
+    which keeps the horocycle level d = 1/Re w where u = 1 - d has
+    rounded it away; a run that stagnates ends the samples.  A
+    ``horizon`` that is not a positive finite number is rejected before
+    any evaluation.
     """
     if not 0 < horizon < math.inf:
         raise DiskflowError(f"horizon = {horizon} is not positive and finite",
@@ -484,10 +470,7 @@ def convergence_profile(f, z0: complex, horizon: float = 1e4,
     fn = as_callable(f)
     times = tuple(_geometric_times(horizon))
     d_vals, ratio_vals, arg_vals = [], [], []
-    for u, w in _checkpoints(fn, complex(z0), times, min(horizon, 1e4), orbit):
-        # once the gap reaches machine noise the quotients below are garbage
-        if 1.0 - abs(u) < 1e-15:
-            break
+    for u, w in _checkpoints(fn, complex(z0), times):
         # read in the chart: d = 1/Re w, 1 - u = 2/(w + 1), and
         # (1 - |u|)/|1 - u| = 2 Re w/(|w + 1| (1 + |u|))
         b = w + (1+0j)

@@ -114,7 +114,7 @@ def test_halfplane_M_quadrant_matches_closed_form():
                 gap = 2 / (q**2 + 1)
                 u = 1 - gap
                 worst = max(worst, t * (1 - abs(u)) / abs(gap))
-    assert report["max_statistic"] == pytest.approx(float(worst), rel=1e-3)
+    assert report["max_statistic"] == pytest.approx(float(worst), rel=1e-7)
 
 
 def test_halfplane_M_unbounded_for_bfid_par():

@@ -5,8 +5,7 @@ from collections import Counter
 import pytest
 from conftest import counted_callable
 
-from diskflow import abel, catalog, expr, flow
-from diskflow.abel import linearize
+from diskflow import catalog, expr, flow
 from diskflow.errors import (
     DiskflowError,
     NotInDiskError,
@@ -68,9 +67,11 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
     with no chart form takes it from f at d, by its gap form or at the
     rounded point 1 - d.  Same step control and termination rules as
     ``integrate``: the relative norm in w, its rounding floor for a
-    callable with neither form, the spacing cap, and the bisection of a
-    backward run's exit time once an accurate attempt has left the disk;
-    returns ``(samples, termination, rejected steps)``.
+    callable with neither form, the spacing cap, the bisection of a
+    backward run's exit time once an accurate attempt has left the disk,
+    and stagnation once the chart point has stopped (|d| or |2p(w)|/|w|
+    below STAGNATION_SPEED); returns ``(samples, termination, rejected
+    steps)``.
     """
     rows, b8, b5, b3 = _dop853_tableau()
     chart, gap = chart_form(fn), gap_form(fn)
@@ -140,7 +141,9 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
             termination = "boundary-exit"
             break
         k[0], v = stage(w)
-        if abs(v) < STAGNATION_SPEED:
+        # stagnation: the chart point has stopped
+        if (abs((2+0j) / (w + (1+0j))) < STAGNATION_SPEED
+                or abs(k[0]) < STAGNATION_SPEED * abs(w)):
             termination = "stagnation"
             break
         growth = min(MAX_GROWTH, 0.9 * err ** -0.125) if err > 0 else MAX_GROWTH
@@ -162,6 +165,8 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
     (None, "hyperbolic-auto(0.8,0.3)", 0j, -50.0, "boundary-exit", False),
     # forward, with steps rejected by the error test
     (None, "angular-only(0.5)", -0.9 + 0j, 100.0, "horizon-reached", True),
+    # |f(u)| falls below STAGNATION_SPEED at t = 9.562e4 while w still moves
+    (None, "power(-0.5,1)", 0j, 2e5, "horizon-reached", False),
 ])
 def test_integrate_matches_reference_stepper(f_text, entry_id, z0, t_end,
                                              termination, rejects):
@@ -648,6 +653,27 @@ def test_convergence_profile_keeps_the_horocycle_of_an_automorphism(b, z0):
         assert abs(d - d0) <= 1e-13 * d0
 
 
+@pytest.mark.parametrize("entry_id, closed_form", [
+    pytest.param(entry_id, closed_form, id=entry_id) for entry_id, closed_form in (
+        ("parabolic-auto(1)", lambda t: 1.0),
+        ("power(-0.5,1)", lambda t: 1.0 / (2.0 * (1.0 + t / 2.0) ** 2 - 1.0)),
+        ("quadrant", lambda t: 1.0 / (1.0 + math.sqrt(2.0) * t)),
+    )
+])
+def test_convergence_profile_keeps_the_horocycle_level_to_1e6(entry_id, closed_form):
+    # one chart run to the horizon lands on all 49 checkpoints: w moves on
+    # after |f(u)| falls below STAGNATION_SPEED (at t = 9.562e4 on
+    # power(-0.5,1) and 7.766e4 on quadrant), and d = 1/Re w keeps the
+    # level that u = 1 - d rounds away
+    fn = _catalog_fn(entry_id)
+    prof = convergence_profile(fn, 0j, horizon=1e6)
+    assert len(prof.samples) == 49
+    for t, d, _ in prof.samples:
+        assert d == pytest.approx(closed_form(t), rel=1e-9), t
+    if entry_id != "parabolic-auto(1)":
+        assert integrate(fn, 0j, 1e6).termination == "horizon-reached"
+
+
 @pytest.mark.parametrize("entry_id, cap", [
     # one run through the 33 checkpoints, counted on the production path
     # (f in the gap): 673, 1,981, 1,285 and 1,861 evaluations.  Stepped in
@@ -661,25 +687,10 @@ def test_convergence_profile_keeps_the_horocycle_of_an_automorphism(b, z0):
 def test_convergence_profile_cost(entry_id, cap):
     counted, evals = counted_callable(_catalog_fn(entry_id))
     prof = convergence_profile(counted, 0j, horizon=1e4)
-    assert len(prof.samples) == 33
+    # a sample for each stop the run lands on: the hyperbolic run
+    # stagnates at t = 33.02, after 13 of them
+    assert len(prof.samples) == (13 if entry_id == "hyperbolic-auto(0.5,0)" else 33)
     assert evals[0] <= cap
-
-
-def test_convergence_profile_abel_leg_is_one_walk(monkeypatch):
-    # past 1e4 the profile walks one orbit from its ODE point, so h is
-    # integrated once, at that point, not once per checkpoint
-    model = linearize(parse(catalog.get("quadrant").f_text))
-    calls = []
-    abel_h = abel.abel_h
-
-    def counted_abel_h(f, z):
-        calls.append(z)
-        return abel_h(f, z)
-
-    monkeypatch.setattr(abel, "abel_h", counted_abel_h)
-    prof = convergence_profile(model.f, 0j, horizon=1e6, orbit=model.orbit)
-    assert len(prof.samples) > 40
-    assert len(calls) == 1
 
 
 def test_convergence_profile_stops_at_the_rounding_floor():

@@ -164,12 +164,14 @@ def test_verification_is_imported_on_first_access():
 
 
 def test_import_leaves_the_command_line_out():
-    # only the diskflow command needs argparse and the cli module
+    # only the diskflow command needs argparse and the cli module, and
+    # only a generator's first chart form the chart module
     probe = (
         "import sys, diskflow\n"
-        "print('argparse' in sys.modules, 'diskflow.cli' in sys.modules)\n"
+        "print('argparse' in sys.modules, 'diskflow.cli' in sys.modules,\n"
+        "      'diskflow.chart' in sys.modules)\n"
     )
-    assert _run_fresh(probe) == ["False", "False"]
+    assert _run_fresh(probe) == ["False", "False", "False"]
 
 
 def test_command_line_leaves_verification_out():
