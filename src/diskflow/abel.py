@@ -12,9 +12,10 @@ Re s > -L, L = 4 log 2, is one straight segment from 0; h at a deeper
 point is h at its dyadic anchor a_j = -jL on the radius plus one segment
 from there, the anchors chained along the radius once per generator (see
 _h_at_gap), so every h value depends on f and the point alone.  f there
-is evaluated in the gap d = 1 - z (:func:`diskflow.expr.gap_form`),
-exact next to 1 where the rounded point z = 1 - d is not.  A segment
-whose root panel has settled, by the Legendre tail of its own 16 values,
+is evaluated in the half-plane chart w = (1 + z)/(1 - z) = 2e^(-s) - 1
+(:func:`diskflow.expr.chart_form`), exact next to 1 where the rounded
+point z = 1 - e^s is not.  A segment whose root panel has settled, by
+the Legendre tail of its own 16 values,
 stops there at 16 evaluations; any other is refined until two halves
 agree.  A segment that ends closer to the circle than its last node is
 probed there first, and graded toward its end where f changes unseen
@@ -22,7 +23,7 @@ probed there first, and graded toward its end where f changes unseen
 each node by its distance to the nearest singular boundary point of h'
 that the rounding of the node z = 1 - e^s reaches: every boundary null
 point of f other than 1 on a Newton step, and 1 too for a callable with
-no gap form.  The integrand is one kernel, _GAP_INTEGRAND below: a
+no chart form.  The integrand is one kernel, _GAP_INTEGRAND below: a
 single loop over the nodes of any rule, which
 :func:`diskflow.expr.kernel` compiles once per generator with the code
 of f in place of its one evaluation, so a node makes no Python call.  It
@@ -67,7 +68,7 @@ from .expr import (
     Expr,
     as_callable,
     boundary_limit,
-    gap_form,
+    chart_form,
     kernel,
 )
 from .extrapolate import golden_min, ladder_limit
@@ -171,16 +172,18 @@ _STEP_RULES = (
 )
 
 # The integrand of the one path geometry, the log-gap segment: dh/ds =
-# d / f(1 - d) at the gap d = e^s.  ``integrand(t0, t1, rule)``
-# evaluates it at the nodes of ``rule``, (node, weight) pairs on [-1, 1]
-# mapped onto [t0, t1], and returns the rule's integral, added up in node
-# order, with the value at each node.  f is evaluated on one line, so
-# expr.kernel inlines it once per generator; in the gap (expr.gap_form),
-# so a node is exact next to 1, or at the rounded point 1 - d by a
-# callable with no gap form.  No float stands on the left of a complex
-# operand, which on CPython 3.11 first fails in the float slot: v * w is
-# bit for bit w * v.  All else the adaptive engine reads of a panel is a
-# sum over the values, written once below.
+# d / f(1 - d) at the gap d = e^s.  At the half-plane chart point
+# w = 2/d - 1 = 2e - 1, e = e^(-s), f is -(1/2) k d^2 with the slope
+# k = 2p(w), so dh/ds = -2e/k.  ``integrand(t0, t1, rule)`` evaluates it
+# at the nodes of ``rule``, (node, weight) pairs on [-1, 1] mapped onto
+# [t0, t1], and returns the rule's integral, added up in node order, with
+# the value at each node.  f is evaluated on one line, so expr.kernel
+# inlines it once per generator; in the chart (expr.chart_form), so a
+# node is exact next to 1, or at the rounded point 1 - d by a callable
+# with no chart form.  No float stands on the left of a complex operand,
+# which on CPython 3.11 first fails in the float slot: v * c is bit for
+# bit c * v.  All else the adaptive engine reads of a panel is a sum over
+# the values, written once below.
 _GAP_INTEGRAND = """
 def gap_integrand(t0, t1, rule):
     half = 0.5 * (t1 - t0)
@@ -188,11 +191,12 @@ def gap_integrand(t0, t1, rule):
     acc = 0j
     values = []
     keep = values.append
-    for x, w in rule:
-        d = exp(mid + half * x)
-        v = f_gap(d)
-        v = d / v
-        acc += v * w
+    for x, c in rule:
+        e = exp(-(mid + half * x))
+        w = (2+0j) * e - (1+0j)
+        k = f_chart(w)
+        v = (-2+0j) * e / k
+        acc += v * c
         keep(v)
     return acc * half, values
 """
@@ -329,9 +333,12 @@ def abel_h(f, z: complex) -> complex:
     approaches alike.  The segment stays in the disk: the disk is the
     convex set Re s < log(2 cos(Im s)) in s.
     """
+    z = complex(z)
     if z == 0:
         return 0j
-    return _h_at_gap(as_callable(f), cmath.log(1.0 - complex(z)))
+    if not cmath.isfinite(z):  # the chart form need not see it: that of -(1 - z)^2 is 2
+        raise SingularEvaluationError(f"singular evaluation at z = {z}: not a finite point")
+    return _h_at_gap(as_callable(f), cmath.log(1.0 - z))
 
 
 # the spacing L = 4 log 2 of the anchors a_j = -j L of the log-gap
@@ -421,13 +428,13 @@ def _anchor(j: int) -> complex:
 def _log_gap(fn) -> tuple:
     """(path, anchors) of the log-gap segments of ``fn``: the kernel of
     _GAP_INTEGRAND with its noise scales (see :func:`_panel`), which are
-    None unless f is evaluated at rounded points (a callable with no gap
-    form), and h(a_0), h(a_1), ... at the anchors built so far.  Made on
-    first use and kept on ``fn`` beside its kernels; a callable that
-    takes no attributes keeps none and rebuilds them on each call."""
+    None unless f is evaluated at rounded points (a callable with no
+    chart form), and h(a_0), h(a_1), ... at the anchors built so far.
+    Made on first use and kept on ``fn`` beside its kernels; a callable
+    that takes no attributes keeps none and rebuilds them on each call."""
     state = getattr(fn, "log_gap", None)
     if state is None:
-        scales = _rounding_scales((1+0j,)) if gap_form(fn) is None else None
+        scales = _rounding_scales((1+0j,)) if chart_form(fn) is None else None
         state = (kernel(fn, _GAP_INTEGRAND), scales), [0j]
         try:
             fn.log_gap = state
@@ -458,7 +465,7 @@ class LinearizationModel:
     (:func:`find_boundary_null_points`); ``newton_path``, the path of the
     Newton steps of :func:`invert_h` (see :func:`_panel`): the log-gap
     kernel with the noise scales of the null points other than 1, and
-    of 1 itself for a callable with no gap form; and
+    of 1 itself for a callable with no chart form; and
     ``asymptote``, the constant C of its asymptotic seed.
     """
 

@@ -3,9 +3,11 @@
 The flow z' = -f(z) of a generator is w' = 2p(w) there, with the
 Berkson-Porta factor p = -f/(1 - z)^2 (:func:`diskflow.expr.berkson_porta_p`);
 :func:`chart_tree` rewrites the expression tree of f as the tree of 2p in
-w, whose code :func:`diskflow.expr.chart_form` generates.  The module is
-imported on the first chart form a process builds, so that
-``import diskflow`` does not compile it.
+w, whose code :func:`diskflow.expr.chart_form` generates: the one form of
+f, exact next to the boundary point 1, that both the flow's stages and
+the log-gap quadrature of h evaluate.  The module is imported on the
+first chart form a process builds, so that ``import diskflow`` does not
+compile it.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ def chart_tree(node: Expr) -> Expr:
 
     A polynomial sum in z (z itself included) of degree n is the
     polynomial sum a_j (w - 1)^j (w + 1)^(n - j) over B^n, expanded
-    exactly in integers over a power of 2 and rounded once per
-    coefficient, as :func:`diskflow.expr._gap_coefficients` does in d;
-    products and powers of sums stay factored.  f itself a sum takes the
-    -1/2 into its coefficients.  Products, quotients and integer powers
+    exactly in integers over a power of 2 (from
+    :func:`diskflow.expr._z_polynomial`) and rounded once per
+    coefficient, so a zero at z = 1 cancels exactly; products and powers
+    of sums stay factored.  f itself a sum takes the -1/2 into its
+    coefficients.  Products, quotients and integer powers
     multiply out their constants and add up their exponents of B.  A sum
     of parts with different exponents is written over the smaller one.
     sqrt and powers with a constant real exponent a of a part s B^e are
@@ -206,16 +209,16 @@ def _chart_polynomial(in_z: list, shift: int) -> tuple:
     q = [complex(re / scale, im / scale) for re, im in q]  # correctly rounded
     terms = [m for m, c in enumerate(q) if c != 0]
     if len(terms) > 1:  # up to the degree of Q, below n where P(1) = 0
-        return 1, _horner_tree(q[: terms[-1] + 1]), float(-n)
+        return 1, _w_polynomial_tree(q[: terms[-1] + 1]), float(-n)
     m = terms[0] if terms else 0
     power = None if m == 0 else Var() if m == 1 else Pow(Var(), Const(complex(m)))
     return _folded(q[m]), power, float(-n)
 
 
-def _horner_tree(coefficients: list) -> Expr:
+def _w_polynomial_tree(coefficients: list) -> Expr:
     """The tree of sum c_j w^j by Horner's rule from its leading
-    coefficient, w^m for its lowest degree m factored out, as
-    :func:`diskflow.expr._horner` writes it in d."""
+    coefficient, w^m for its lowest degree m factored out; a leading 1
+    or -1 is written as no product."""
     low = next(j for j, c in enumerate(coefficients) if c != 0)
     *rest, lead = coefficients[low:]
     node = None if lead in (1, -1) and (rest or low) else Const(lead)

@@ -6,11 +6,10 @@ exp, and log.  On the unit disk all formulas of interest keep the
 arguments of sqrt/log in the right half-plane, so principal branches make
 every expression single-valued.
 
-The same tree is also written in the gap d = 1 - z (:func:`gap_form`),
-which the quadrature of h at the boundary point 1 evaluates, and as the
-slope 2p(w) = -2 f(z)/(1 - z)^2 of the flow in the half-plane chart
-w = (1 + z)/(1 - z) (:func:`chart_form`), which the flow's Dormand-Prince
-attempt evaluates.
+The same tree is also written as the slope 2p(w) = -2 f(z)/(1 - z)^2 of
+the flow in the half-plane chart w = (1 + z)/(1 - z) (:func:`chart_form`),
+the one form of f that is exact next to the boundary point 1: the flow's
+Dormand-Prince attempt and the quadrature of h at 1 both evaluate it.
 
 Also provides the Berkson-Porta factor p(z) = -f(z)/(1-z)^2 of a vector
 field, a grid check that Re p >= 0 (the generator criterion), and the
@@ -375,23 +374,21 @@ _NAMESPACE = {
 }
 
 # A kernel template evaluates f only by one of these statements, each on
-# a line of its own: f at the point z, f at 1 - d written in the gap d
-# (see gap_form), or the slope k = 2p(w) of the flow w' = 2p(w) at the
-# point w of the half-plane chart (see chart_form); with the name the
-# template calls, the point z that an error reports and the name assigned
+# a line of its own: f at the point z, or the slope k = 2p(w) of the flow
+# w' = 2p(w) at the point w of the half-plane chart (see chart_form); with
+# the name the template calls, the point z that an error reports and the
+# name assigned
 _F_CALL = "v = f(z)"
-_GAP_CALL = "v = f_gap(d)"
 _CHART_CALL = "k = f_chart(w)"
 _CALLS = {
     _F_CALL: ("f", "z", "v"),
-    _GAP_CALL: ("f_gap", "(1+0j)-d", "v"),
     _CHART_CALL: ("f_chart", "(1+0j)-(2+0j)/(w+(1+0j))", "k"),
 }
 
 # A template in the chart may read f, and the gap d = 2/(w + 1), at its last
 # chart point by this line, after d = (2+0j) / (w + (1+0j)): f = -(1/2) k d^2.
-# Evaluated by the gap form instead, the chart line leaves d and f = v at w
-# behind (see _in_gap), and this line is dropped.
+# Evaluated at the rounded point instead, the chart line leaves d and f = v
+# at w behind (see _at_rounded_point), and this line is dropped.
 _F_OF_SLOPE = "v = (-0.5+0j) * k * (d * d)"
 
 # ... which a compiled expression replaces by its generated code, checked as
@@ -413,13 +410,6 @@ def call(z):
     return v
 """
 
-_GAP_SCALAR = f"""
-def call_gap(d):
-    d = complex(d)
-    {_GAP_CALL}
-    return v
-"""
-
 _CHART_SCALAR = f"""
 def call_chart(w):
     w = complex(w)
@@ -427,8 +417,8 @@ def call_chart(w):
     return k
 """
 
-# the scalar callable of each code mode: in z, in the gap d, in the chart w
-_SCALARS = {"z": _SCALAR, "d": _GAP_SCALAR, "w": _CHART_SCALAR}
+# the scalar callable of each code mode: in z, in the chart w
+_SCALARS = {"z": _SCALAR, "w": _CHART_SCALAR}
 
 
 def evaluate(node: Expr, z: complex) -> complex:
@@ -471,8 +461,8 @@ def compile_expr(node: Expr):
 
     The callable carries the generated ``source``, the ``namespace`` it
     runs in, the ``kernels`` that :func:`kernel` has built from it and
-    its ``node``, from which :func:`gap_form` writes f in the gap and
-    :func:`chart_form` in the half-plane chart.
+    its ``node``, from which :func:`chart_form` writes f in the
+    half-plane chart.
     """
     try:
         return node._compiled
@@ -488,30 +478,6 @@ def compile_expr(node: Expr):
     call.node = node
     object.__setattr__(node, "_compiled", call)  # nodes are frozen
     return call
-
-
-def gap_form(fn):
-    """The callable ``d -> f(1 - d)`` of ``fn`` written in the gap d, or
-    None when ``fn`` has none.
-
-    For a callable from :func:`compile_expr` it is generated from the
-    expression on first use and kept as ``fn.gap``: each polynomial sum
-    in z is a polynomial in d (see :func:`_gap_coefficients`), so
-    ``1 - z`` is d itself and its leading terms cancel in the tree, not
-    in floating point; near 1 it is exact where f at the rounded point
-    z = 1 - d carries a relative error of eps/|d|.  Like the callable it
-    carries ``source``, ``namespace``, ``kernels`` and ``uses``, for the
-    templates that evaluate f by ``v = f_gap(d)``; a template that
-    :func:`kernel_by_use` gives as written calls it there.  Any other
-    callable has the gap form it carries as ``gap``, if any; an
-    expression too deeply nested for the gap code has none.
-    """
-    if not hasattr(fn, "gap") and hasattr(fn, "node"):
-        try:
-            fn.gap = _callable(fn.node, "d")
-        except (SyntaxError, RecursionError, MemoryError):
-            fn.gap = None
-    return getattr(fn, "gap", None)
 
 
 def chart_form(fn):
@@ -543,8 +509,8 @@ def chart_form(fn):
 
 
 def _callable(node: Expr, var: str):
-    # the scalar callable of the generated code of node in z, in the gap d
-    # or, as the slope 2p of the flow, in the chart w
+    # the scalar callable of the generated code of node in z or, as the
+    # slope 2p of the flow, in the chart w
     if var == "w":
         # imported on its first use, so that import diskflow does not compile it
         from .chart import chart_tree
@@ -571,10 +537,10 @@ def kernel(fn, template: str):
 
     ``template`` is the source of one function definition (it may
     return inner functions) that evaluates f only by the lines
-    ``v = f(z)``, or only by the lines ``v = f_gap(d)``, f at 1 - d, or
-    only by the lines ``k = f_chart(w)``, the slope 2p(w) of the flow in
-    the half-plane chart (then f at its last chart point may be read by
-    ``v = (-0.5+0j) * k * (d * d)`` after ``d = (2+0j) / (w + (1+0j))``).
+    ``v = f(z)``, or only by the lines ``k = f_chart(w)``, the slope
+    2p(w) of the flow in the half-plane chart (then f at its last chart
+    point may be read by ``v = (-0.5+0j) * k * (d * d)`` after
+    ``d = (2+0j) / (w + (1+0j))``).
     Besides its arguments it reads only cmath's ``sqrt``, ``exp`` and
     ``log``, ``SingularEvaluationError`` and the builtins: all its data,
     fixed tables such as a quadrature rule included, are arguments of
@@ -584,25 +550,24 @@ def kernel(fn, template: str):
 
     For a callable from :func:`compile_expr` each ``v = f(z)`` becomes
     the expression's generated code under the scalar callable's checks,
-    each ``v = f_gap(d)`` the code of its :func:`gap_form` and each
-    ``k = f_chart(w)`` that of its :func:`chart_form`, so a node
-    evaluates f without a Python call.  That code is compiled on first
-    use and kept in the ``kernels`` of the callable or of its form, once
-    per template.  Any other callable, such as a counting wrapper, runs
-    the template as written with ``f`` bound to it, and ``f_chart`` and
-    ``f_gap`` to the forms it carries.  A callable with no chart form
-    takes each slope from f in the gap, k = -(1/2) f(1 - d) (w + 1)^2 at
-    d = 2/(w + 1) (see :func:`_in_gap`); one with no gap form evaluates
-    ``v = f(z)`` at the rounded point ``z = (1+0j) - d`` instead.  Its
-    own exceptions pass through.  Either way the kernel gives the same
-    floats and the same exceptions as calling the scalar callable at
-    every line that evaluates f.  The integrand template of
-    :mod:`diskflow.abel`, one for its one path geometry (the log-gap
-    segment) that evaluates f on one line, and the grid scan of
-    :func:`validate_generator` are inlined here, on their first use; the
-    DOP853 attempt of :mod:`diskflow.flow`, which evaluates f in the
-    chart, comes through :func:`kernel_by_use`, which inlines it only
-    once its callable has made :data:`INLINE_AFTER` attempts.
+    and each ``k = f_chart(w)`` that of its :func:`chart_form`, so a
+    node evaluates f without a Python call.  That code is compiled on
+    first use and kept in the ``kernels`` of the callable or of its
+    chart form, once per template.  Any other callable, such as a
+    counting wrapper, runs the template as written with ``f`` bound to
+    it and ``f_chart`` to the chart form it carries; its own exceptions
+    pass through.  A callable with no chart form takes each slope from
+    f at the rounded point z = 1 - d, k = -(1/2) f(z) (w + 1)^2 at
+    d = 2/(w + 1) (see :func:`_at_rounded_point`).  Either way the
+    kernel gives the same floats and the same exceptions as calling the
+    scalar callable at every line that evaluates f.  The integrand
+    template of :mod:`diskflow.abel`, one for its one path geometry (the
+    log-gap segment) that evaluates f in the chart on one line, and the
+    grid scan of :func:`validate_generator` are inlined here, on their
+    first use; the DOP853 attempt of :mod:`diskflow.flow`, which
+    evaluates f in the chart too, comes through :func:`kernel_by_use`,
+    which inlines it only once its callable has made
+    :data:`INLINE_AFTER` attempts.
 
     Kernels do plain complex arithmetic.  On CPython 3.11 a float on
     the left of a complex operand (``0.5*x``, ``1.0 - x``) first fails
@@ -638,20 +603,13 @@ def _evaluated_by(fn, template: str):
     """``(callable, template, line)``: the callable that evaluates f for
     ``template`` and the line by which it does.  A template in the chart
     is evaluated by the chart form of ``fn``, or, where ``fn`` has none,
-    rewritten to evaluate it in the gap; a template in the gap by the
-    gap form of ``fn``, or, where ``fn`` has none, rewritten to evaluate
-    ``fn`` at the rounded point."""
+    rewritten to evaluate ``fn`` at the rounded point."""
     if _evaluates(template, _CHART_CALL):
         chart = chart_form(fn)
         if chart is not None:
             return chart, template, _CHART_CALL
-        template = _in_gap(template)
-    if not _evaluates(template, _GAP_CALL):
-        return fn, template, _F_CALL
-    gap = gap_form(fn)
-    if gap is None:
-        return fn, _at_rounded_point(template), _F_CALL
-    return gap, template, _GAP_CALL
+        template = _at_rounded_point(template)
+    return fn, template, _F_CALL
 
 
 def _as_written(template: str, line: str, fn):
@@ -661,15 +619,15 @@ def _as_written(template: str, line: str, fn):
 
 
 # A kernel that kernel_by_use gives runs its template as written, with f
-# called through the scalar callable (of f, or of its gap or chart form),
+# called through the scalar callable (of f, or of its chart form),
 # until that callable has made INLINE_AFTER calls of it; from then on it is
 # the inlined kernel, compiled once.  Sized for the DOP853 attempt of flow,
 # the one template run this way (2 cores, CPython 3.11.7, eight catalog
 # and benchmark generators): compiling the inlined attempt, twelve stages
 # of f in the chart, costs 1.3-1.8 ms per generator, and inlining saves
 # 0.5-1.2 us per attempt, the twelve calls of the chart form (the attempt
-# itself takes 4.7-8.7 us inlined, 7.3-12.2 us with f in the gap), so the
-# compile pays back after roughly 1,300-3,600 attempts.  classify's ODE
+# itself takes 4.7-8.7 us inlined), so the compile pays back after roughly
+# 1,300-3,600 attempts.  classify's ODE
 # leg makes 56-165 attempts per catalog generator and the backward probes
 # of one bfid_report at most 48, so neither compiles it.  A generator that
 # is integrated for longer makes many more: in the trajectories benchmark
@@ -686,18 +644,17 @@ def kernel_by_use(fn, template: str, made: int):
     its first request), and the number of calls after which it asks
     again, or -1 when the kernel is final.
 
-    A template in the chart or in the gap is evaluated as :func:`kernel`
-    evaluates it: by the chart form of ``fn``, else by its gap form,
-    else at the rounded point.  For a callable from :func:`compile_expr`
-    (or its chart or gap form) the calls are counted in its ``uses``,
-    per template.  Until they reach :data:`INLINE_AFTER`, the kernel is
-    the template as written with ``f`` (or ``f_gap``, ``f_chart``) bound
-    to that scalar callable, the same code that every other callable
-    runs, so a kernel that is never called often enough to repay its
-    compile is not compiled; after that it is :func:`kernel`'s inlined
-    one.  Both give the same bits and the same exceptions, so the switch
-    may come in the middle of a run.  Any other callable gets
-    :func:`kernel`'s at once.
+    A template in the chart is evaluated as :func:`kernel` evaluates
+    it: by the chart form of ``fn``, else at the rounded point.  For a
+    callable from :func:`compile_expr` (or its chart form) the calls are
+    counted in its ``uses``, per template.  Until they reach
+    :data:`INLINE_AFTER`, the kernel is the template as written with
+    ``f`` (or ``f_chart``) bound to that scalar callable, the same code
+    that every other callable runs, so a kernel that is never called
+    often enough to repay its compile is not compiled; after that it is
+    :func:`kernel`'s inlined one.  Both give the same bits and the same
+    exceptions, so the switch may come in the middle of a run.  Any
+    other callable gets :func:`kernel`'s at once.
     """
     fn, template, line = _evaluated_by(fn, template)
     uses = getattr(fn, "uses", None)
@@ -731,19 +688,12 @@ def _rewritten(template: str, lines: dict) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _at_rounded_point(template: str) -> str:
-    """``template`` with each ``v = f_gap(d)`` line evaluating f at the
-    rounded point z = 1 - d."""
-    return _rewritten(template, {_GAP_CALL: ("z = (1+0j) - d", _F_CALL)})
-
-
-@functools.lru_cache(maxsize=None)
-def _in_gap(template: str) -> str:
     """``template`` with each ``k = f_chart(w)`` line evaluating the
-    slope by f in the gap, k = -(1/2) f(1 - d) (w + 1)^2 at d = 2/(w + 1),
-    which leaves d and f = v at w behind, so the line that reads f from
-    the slope is dropped."""
+    slope by f at the rounded point z = 1 - d, k = -(1/2) f(z) (w + 1)^2
+    at d = 2/(w + 1), which leaves d and f = v at w behind, so the line
+    that reads f from the slope is dropped."""
     return _rewritten(template, {
-        _CHART_CALL: ("b = w + (1+0j)", "d = (2+0j) / b", _GAP_CALL,
+        _CHART_CALL: ("b = w + (1+0j)", "d = (2+0j) / b", "z = (1+0j) - d", _F_CALL,
                       "k = (-0.5+0j) * v * (b * b)"),
         _F_OF_SLOPE: (),
     })
@@ -751,8 +701,8 @@ def _in_gap(template: str) -> str:
 
 def _inline(template: str, source: str) -> str:
     """``template`` with each line that evaluates f replaced by the
-    checked evaluation of ``source``, the code of f in z or in d, or of
-    its slope in w."""
+    checked evaluation of ``source``, the code of f in z or of its slope
+    in w."""
     lines = {}
     for line, (_, point, name) in _CALLS.items():
         checked = _CHECKED.replace("<f>", source).replace("<z>", point)
@@ -842,9 +792,8 @@ def _static_value(text: str, consts: list):
 # 0 (a guarded integer power), sum 1, product 2, unary minus 3, ** 4, atom
 # or call 5.  A child is wrapped in parentheses only where Python would
 # otherwise group it differently, so a long chain such as z+z+...+z
-# compiles without nesting.  ``var`` names the point: "z", or "d" for the
-# code in the gap d = 1 - z (see gap_form), or "w" for a tree in the chart
-# point w (see diskflow.chart), whose Var stands for w.
+# compiles without nesting.  ``var`` names the point: "z", or "w" for a
+# tree in the chart point w (see diskflow.chart), whose Var stands for w.
 def _codegen(node: Expr, consts: list, min_prec: int = 0, var: str = "z") -> str:
     mark = len(consts)
     text, prec = _codegen_prec(node, consts, var)
@@ -859,10 +808,6 @@ def _codegen(node: Expr, consts: list, min_prec: int = 0, var: str = "z") -> str
 
 
 def _codegen_prec(node: Expr, consts: list, var: str) -> tuple[str, int]:
-    if var == "d" and isinstance(node, (Var, Add, Sub)) and not _free_of_z(node):
-        coefficients = _gap_coefficients(node)
-        if coefficients is not None:
-            return _horner(coefficients, consts)
     if isinstance(node, Const):
         return _constant(node.value, consts)
     if isinstance(node, Var):
@@ -889,44 +834,18 @@ def _codegen_prec(node: Expr, consts: list, var: str) -> tuple[str, int]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# the largest degree of a polynomial sum that the gap code re-expands
-_GAP_DEGREE = 8
-
-
-def _gap_coefficients(node: Expr):
-    """The coefficients of a polynomial sum in z (or z itself) as a
-    polynomial in the gap d = 1 - z, lowest degree first, or None.
-
-    ``node`` qualifies when it is built from finite constants, z, +, -,
-    * and powers with constant exponents 0, 1, 2, ..., up to degree
-    _GAP_DEGREE.  The coefficients are expanded exactly, in integers over
-    a power of 2, and each is rounded once: z^2 - 1 becomes d^2 - 2d and
-    1 + z^2 becomes 2 - 2d + d^2, so a zero at z = 1 is the factor d
-    itself.  Products and powers of sums stay factored (their factors
-    are re-expanded one by one), which keeps (1 + z)^4 as (2 - d)^4.
-    """
-    expanded = _z_polynomial(node)
-    if expanded is None:
-        return None
-    in_z, shift = expanded
-    scale = 1 << shift
-    in_d = []
-    # z^k = (1 - d)^k = sum over j of C(k, j) (-d)^j
-    for j in range(len(in_z)):
-        weights = [(-1) ** j * math.comb(k, j) for k in range(j, len(in_z))]
-        re = sum(w * a for w, (a, _) in zip(weights, in_z[j:]))
-        im = sum(w * b for w, (_, b) in zip(weights, in_z[j:]))
-        try:
-            in_d.append(complex(re / scale, im / scale))  # correctly rounded
-        except OverflowError:
-            return None
-    return in_d
+# the largest degree of a polynomial sum that the chart code re-expands
+_MAX_DEGREE = 8
 
 
 def _z_polynomial(node: Expr):
     """``node`` as a polynomial in z, ``(coefficients, shift)``: the
     coefficient of z^k is (a_k + i b_k) / 2^shift for the integer pair
-    (a_k, b_k), lowest degree first; None where _gap_coefficients says."""
+    (a_k, b_k), lowest degree first, expanded exactly; or None.
+
+    ``node`` qualifies when it is built from finite constants, z, +, -,
+    * and powers with constant exponents 0, 1, 2, ..., up to degree
+    _MAX_DEGREE."""
     if isinstance(node, Const):
         if not cmath.isfinite(node.value):
             return None
@@ -940,7 +859,7 @@ def _z_polynomial(node: Expr):
         return None if p is None else ([(-a, -b) for a, b in p[0]], p[1])
     if isinstance(node, Pow):
         n = node.exponent.value if isinstance(node.exponent, Const) else None
-        if n is None or n.imag != 0 or not (n.real.is_integer() and 0 <= n.real <= _GAP_DEGREE):
+        if n is None or n.imag != 0 or not (n.real.is_integer() and 0 <= n.real <= _MAX_DEGREE):
             return None
         base = _z_polynomial(node.base)
         if base is None:
@@ -948,14 +867,14 @@ def _z_polynomial(node: Expr):
         power = [(1, 0)], 0
         for _ in range(int(n.real)):
             power = _times(power, base)
-        return power if len(power[0]) <= _GAP_DEGREE + 1 else None
+        return power if len(power[0]) <= _MAX_DEGREE + 1 else None
     if type(node) in (Add, Sub, Mul):
         p, q = _z_polynomial(node.left), _z_polynomial(node.right)
         if p is None or q is None:
             return None
         if isinstance(node, Mul):
             product = _times(p, q)
-            return product if len(product[0]) <= _GAP_DEGREE + 1 else None
+            return product if len(product[0]) <= _MAX_DEGREE + 1 else None
         shift = max(p[1], q[1])
         p, q = ([(a << (shift - s), b << (shift - s)) for a, b in c] for c, s in (p, q))
         p, q = p + [(0, 0)] * (len(q) - len(p)), q + [(0, 0)] * (len(p) - len(q))
@@ -973,33 +892,6 @@ def _times(p: tuple, q: tuple) -> tuple:
             re, im = out[i + j]
             out[i + j] = (re + a * c - b * e, im + a * e + b * c)
     return out, ps + qs
-
-
-def _horner(coefficients: list, consts: list) -> tuple[str, int]:
-    """The code of sum c_j d^j: d^m q(d), m the lowest degree, with q by
-    Horner's rule from its leading coefficient; a leading 1 or -1 is
-    written as no product."""
-    low = next((j for j, c in enumerate(coefficients) if c != 0), None)
-    if low is None:
-        return _constant(0j, consts)
-    *rest, lead = coefficients[low:]
-    if lead in (1, -1) and (rest or low):
-        text, prec = None, 5  # the product by d writes the sign
-    else:
-        text, prec = _constant(lead, consts)
-    for c in reversed(rest):
-        text, prec = _times_d(text, prec, lead)
-        if c != 0:
-            text, prec = f"{text}+{_constant(c, consts)[0]}", 1
-    for _ in range(low):
-        text, prec = _times_d(text, prec, lead)
-    return text, prec
-
-
-def _times_d(text, prec: int, lead: complex) -> tuple[str, int]:
-    if text is None:
-        return ("d", 5) if lead == 1 else ("-d", 3)
-    return (f"({text})" if prec < 2 else text) + "*d", 2
 
 
 # b**n for n = 2, 3 and 4 as the products that CPython's c_powu forms:

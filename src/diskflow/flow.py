@@ -20,8 +20,7 @@ generator's chart form at each stage, until that callable has made
 2p in place of each stage's evaluation, and the run goes on with that
 kernel.  Both give the same bits, so a short run (such as the ODE leg of
 classify) does not pay a compile that its attempts would not repay.  A
-callable with no chart form steps with f by its gap form, or at the
-rounded point u = 1 - d where it has no gap form either.
+callable with no chart form steps with f at the rounded point u = 1 - d.
 Forward trajectories of a generator must stay inside the disk; backward
 trajectories terminate when they reach the boundary margin or stagnate
 at a null point.
@@ -48,7 +47,7 @@ from .errors import (
     SingularEvaluationError,
     StiffFailureError,
 )
-from .expr import as_callable, chart_form, gap_form, kernel_by_use
+from .expr import as_callable, chart_form, kernel_by_use
 from .extrapolate import sequence_limit
 from .geometry import horocycle_distance
 
@@ -80,10 +79,10 @@ TIMES_PER_DECADE = 8  # geometric checkpoints of convergence_profile
 # about 86 such products an attempt); the bits are those of the float
 # weights, which Python widens to (c, 0.0) anyway.  Run as written, or
 # inlined per generator once it repays its compile (expr.kernel_by_use).
-# A callable with no chart form takes each slope by its gap form instead,
-# k = -f(1 - d) b^2/2 with b = w + 1 and d = 2/b, which leaves d and f at
-# w8 behind (expr._in_gap); one with no gap form either evaluates f at the
-# rounded point z = 1 - d, the sample itself at the last stage.
+# A callable with no chart form takes each slope from f at the rounded
+# point z = 1 - d instead, k = -f(z) b^2/2 with b = w + 1 and d = 2/b,
+# which leaves d and f at w8, the sample itself, behind
+# (expr._at_rounded_point).
 _DP_STEP = """
 def dop853_step(y, h, k0):
     h = complex(h)
@@ -277,17 +276,16 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     (w' = 2p(w) = -2ib for i b (1 - z)^2), and converts each accepted
     step once, u = 1 - d with d = 2/(w + 1).  Each stage takes the slope
     2p(w) from the chart form of f (:func:`diskflow.expr.chart_form`),
-    and the new point's f is -(1/2) 2p d^2; a callable with no chart form
-    takes the slope -f (w + 1)^2/2 from f by its gap form at d, and one
-    with no gap form either from f at exactly the sample (unless the
-    sample rounds onto the circle and is moved, below).  Each attempt is
-    one DOP853 step of twelve evaluations of f: its thirteenth stage is
-    evaluated at the new point, and an accepted step reuses it as the
-    next step's first stage.  The error of an attempt is Hairer's DOP853
-    norm of the fifth- and third-order estimates against the relative
-    tolerance atol/20 (5e-12 at ATOL) of max(1, |w|, |w_new|), and the
-    step after a rejected attempt does not grow.  For a callable with
-    neither form, f at the rounded point
+    and the new point's f is -(1/2) 2p d^2; a callable with no chart
+    form takes the slope -f (w + 1)^2/2 from f at exactly the sample
+    u = 1 - d (unless the sample rounds onto the circle and is moved,
+    below).  Each attempt is one DOP853 step of twelve evaluations of f:
+    its thirteenth stage is evaluated at the new point, and an accepted
+    step reuses it as the next step's first stage.  The error of an
+    attempt is Hairer's DOP853 norm of the fifth- and third-order
+    estimates against the relative tolerance atol/20 (5e-12 at ATOL) of
+    max(1, |w|, |w_new|), and the step after a rejected attempt does not
+    grow.  For a callable with no chart form, f at the rounded point
     carries a relative error of about eps |w + 1|, which the estimates
     pick up times the step's move |h w'|; the norm's scale is floored at
     64 ulps of that, or the step shrinks without end next to the
@@ -319,14 +317,13 @@ def _steps(fn, u: complex, stops: tuple, atol: float):
     t = 0.0
     w = ((1+0j) + u) / ((1+0j) - u)
     chart = chart_form(fn)
-    gap = None if chart is not None else gap_form(fn)
-    rounded = chart is None and gap is None  # f at rounded points
+    rounded = chart is None  # f at rounded points
     if chart is not None:  # the slope at the start, and f there
         k0 = chart(w)
         d = (2+0j) / (w + (1+0j))
         v = (-0.5+0j) * k0 * (d * d)
     else:
-        v = fn(u) if rounded else gap((1+0j) - u)
+        v = fn(u)
         b = w + (1+0j)
         k0 = (-0.5+0j) * v * (b * b)
     rtol = 0.05 * atol  # per step, relative to max(1, |w|, |w_new|)

@@ -2,14 +2,14 @@ import dataclasses
 import re
 
 from diskflow.abel import linearize
-from diskflow.expr import chart_form, compile_expr, gap_form
+from diskflow.expr import chart_form, compile_expr
 
 
 def counted_callable(fn):
     """``fn`` with a counter of its f-evaluations, on the path the package
-    takes with ``fn`` itself: the gap form it exposes, which the log-gap
-    panels evaluate in place of f, and its chart form, which the flow's
-    steps evaluate, are wrapped and counted too."""
+    takes with ``fn`` itself: the chart form it exposes, which the
+    log-gap panels and the flow's steps evaluate in place of f, is
+    wrapped and counted too."""
     evals = [0]
 
     def counting(form):
@@ -20,9 +20,9 @@ def counted_callable(fn):
         return counted
 
     counted = counting(fn)
-    for name, form in (("gap", gap_form(fn)), ("chart", chart_form(fn))):
-        if form is not None:
-            setattr(counted, name, counting(form))
+    chart = chart_form(fn)
+    if chart is not None:
+        counted.chart = counting(chart)
     return counted, evals
 
 

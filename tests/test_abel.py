@@ -105,7 +105,7 @@ EXACT_LADDER = [1.0 - g for k in range(4, 41) for g in _ladder(2.0**-k)]
 
 @pytest.mark.parametrize("entry_id", H_TEXT_IDS)
 def test_abel_h_closed_form_at_exact_ladder_points(entry_id):
-    # f is evaluated in the gap, so h at an exact gap carries no eps/|f|
+    # f is evaluated in the chart, so h at an exact gap carries no eps/|f|
     # rounding of the point: 1e-12 relative to the closed form, with no
     # floor (with f at the rounded nodes z = 1 - d, quadrant's radial
     # rung k = 40 was 1.8e-7 off)
@@ -144,6 +144,14 @@ def _bits(value):
 @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.5, math.nan)])
 def test_abel_h_at_nan_is_singular(z):
     # a NaN point picks no anchor: its segment from 0 evaluates f at NaN
+    with pytest.raises(SingularEvaluationError):
+        abel_h(parse("-(1-z)^2"), z)
+
+
+@pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(0.0, -math.inf)])
+def test_abel_h_at_infinity_is_singular(z):
+    # the chart form of -(1 - z)^2 is the constant 2, which no node at an
+    # infinite point makes singular
     with pytest.raises(SingularEvaluationError):
         abel_h(parse("-(1-z)^2"), z)
 

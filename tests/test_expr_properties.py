@@ -11,6 +11,7 @@ ill-conditioned at the point, are skipped.
 """
 
 import ast
+import cmath
 import math
 import re
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conftest import mp_function  # noqa: E402
 
-from diskflow import catalog  # noqa: E402
+from diskflow import abel, catalog  # noqa: E402
 from diskflow.errors import SingularEvaluationError  # noqa: E402
 from diskflow.expr import (  # noqa: E402
     Add,
@@ -38,7 +39,6 @@ from diskflow.expr import (  # noqa: E402
     Var,
     chart_form,
     compile_expr,
-    gap_form,
     parse,
 )
 
@@ -198,38 +198,44 @@ def test_print_parse_round_trip(node):
 
 
 # the catalog generators, and two expressions that overflow or give NaN
-# next to 1 (Re z > 0.89), whose gap form must raise where they do
+# next to 1 (Re z > 0.89), whose chart form must raise where they do
 GAP_TEXTS = [catalog.get(i).f_text for i in catalog.DEFAULT_IDS] + [
     "-(1-z)^2*exp(800*z)", "-(1-z)^2 + 0*(exp(400*z)*exp(400*z))"]
 
 
 @pytest.mark.parametrize("text", GAP_TEXTS)
 def test_gap_form_matches_mpmath(text):
-    # f written in the gap d = 1 - z, at small complex d with 1 - d in
-    # the disk, against mpmath's f(1 - d) at 30 digits on the exact d:
-    # within a few ulps, plus the ulps that exp(p log d) takes from the
-    # rounding of p log d in a power d^p (about |p log d| of them).  The
-    # z form at the rounded point 1 - d is up to eps/|d| off instead
+    # f next to 1 in the form the quadrature of h reads it: the log-gap
+    # integrand dh/ds = d/f(1 - d) at d = e^s, which is -2e/k from the
+    # chart form's slope k = 2p(w) at w = 2e - 1, e = e^-s.  At points s
+    # of the disk with Re s in (-36, 0.6), against mpmath's
+    # e^s/f(1 - e^s) at 40 digits on the exact s: within 16 ulps, where f
+    # at the rounded point 1 - e^s is up to eps/|e^s| off; and singular
+    # where the scalar callable is at that rounded point
     fn = compile_expr(parse(text))
-    gap, f_mp = gap_form(fn), mp_function(mpmath, text)
+    (integrand, _), _ = abel._log_gap(fn)
+    f_mp = mp_function(mpmath, text)
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(st.floats(0.0, 40.0), st.floats(-0.5 * math.pi, 0.5 * math.pi))
-    def check(k, phi):
-        d = 2.0**-k * complex(math.cos(phi), math.sin(phi))
-        assume(abs(1.0 - d) < 1.0)
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.floats(-36.0, 0.6, exclude_min=True, exclude_max=True),
+           st.floats(-0.5 * math.pi, 0.5 * math.pi))
+    def check(re_s, im_s):
+        s = complex(re_s, im_s)
+        assume(abel._to_circle(s) > 0)  # 1 - e^s inside the disk
         try:
-            fn(1.0 - d)
+            fn(1.0 - cmath.exp(s))
         except SingularEvaluationError:
             with pytest.raises(SingularEvaluationError):
-                gap(d)
+                integrand(s, s, ((0.0, 1.0),))
             return
+        _, (got,) = integrand(s, s, ((0.0, 1.0),))  # the one node s
         if text not in GAP_TEXTS[: len(catalog.DEFAULT_IDS)]:
             return
-        with mpmath.workdps(30):
-            ref = f_mp(1 - mpmath.mpc(d))
-            err = abs(mpmath.mpc(gap(d)) - ref) / abs(ref)
-        assert err <= EPS * (8 + 4 * abs(math.log(abs(d)))), (d, float(err / EPS))
+        with mpmath.workdps(40):
+            d = mpmath.exp(mpmath.mpc(s))
+            ref = d / f_mp(1 - d)
+            err = abs(mpmath.mpc(got) - ref) / abs(ref)
+        assert err <= 16 * EPS, (s, float(err / EPS))
 
     check()
 

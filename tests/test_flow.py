@@ -12,7 +12,7 @@ from diskflow.errors import (
     SingularEvaluationError,
     StiffFailureError,
 )
-from diskflow.expr import chart_form, compile_expr, gap_form, kernel, parse
+from diskflow.expr import chart_form, compile_expr, kernel, parse
 from diskflow.geometry import horocycle_distance
 from diskflow.jsonio import trajectory_csv
 from diskflow.flow import (
@@ -64,17 +64,17 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
 
     A stage is the slope 2p(w) of w' = 2p(w) from the chart form of
     ``fn``, f there being -(1/2) 2p(w) d^2 at d = 2/(w + 1); a callable
-    with no chart form takes it from f at d, by its gap form or at the
-    rounded point 1 - d.  Same step control and termination rules as
-    ``integrate``: the relative norm in w, its rounding floor for a
-    callable with neither form, the spacing cap, the bisection of a
+    with no chart form takes it from f at the rounded point 1 - d.  Same
+    step control and termination rules as ``integrate``: the relative
+    norm in w, its rounding floor for a callable with no chart form,
+    the spacing cap, the bisection of a
     backward run's exit time once an accurate attempt has left the disk,
     and stagnation once the chart point has stopped (|d| or |2p(w)|/|w|
     below STAGNATION_SPEED); returns ``(samples, termination, rejected
     steps)``.
     """
     rows, b8, b5, b3 = _dop853_tableau()
-    chart, gap = chart_form(fn), gap_form(fn)
+    chart = chart_form(fn)
 
     def stage(w):
         # the slope k = 2p(w) and f at w
@@ -82,10 +82,9 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
             k = chart(w)
             d = (2+0j) / (w + (1+0j))
             return k, (-0.5+0j) * k * (d * d)
-        # 2p(w) = -f b^2 / 2 with b = w + 1, f read at the gap d = 2/b
+        # 2p(w) = -f b^2 / 2 with b = w + 1, f read at z = 1 - 2/b
         b = w + (1+0j)
-        d = (2+0j) / b
-        v = fn((1+0j) - d) if gap is None else gap(d)
+        v = fn((1+0j) - (2+0j) / b)
         return (-0.5+0j) * v * (b * b), v
 
     sign = -1.0 if t_end < 0 else 1.0
@@ -97,7 +96,7 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
     exit_by = None
     k = [0j] * len(rows)
     if chart is None:
-        v = fn(u) if gap is None else gap((1+0j) - u)
+        v = fn(u)
         k[0] = (-0.5+0j) * v * ((w + (1+0j)) * (w + (1+0j)))
     else:
         k[0], v = stage(w)
@@ -113,7 +112,7 @@ def reference_integrate(fn, z0, t_end, atol=ATOL):
                 k[i] = stage(w + h * _weighted_sum(rows[i], k))[0]
             w8 = w + h * _weighted_sum(b8, k)
             scale = 0.05 * atol * max(1.0, abs(w), abs(w8))
-            if chart is None and gap is None:
+            if chart is None:
                 scale = max(scale, 64 * 2.3e-16 * abs(h * k[0]) * abs(w + 1))
             err5 = abs(h * _weighted_sum(b5, k)) / scale
             err3 = abs(h * _weighted_sum(b3, k)) / scale
@@ -186,7 +185,7 @@ def test_integrate_matches_reference_stepper(f_text, entry_id, z0, t_end,
     ("hyperbolic-auto(0.5,0.3)", 0.3j, 50.0, "stagnation"),
 ])
 def test_rounded_point_run_matches_reference_stepper(entry_id, z0, t_end, termination):
-    # a callable with no gap form is evaluated at z = 1 - d, under the
+    # a callable with no chart form is evaluated at z = 1 - d, under the
     # rounding floor of the norm
     fn = _catalog_fn(entry_id)
     rounded = lambda z: fn(z)  # noqa: E731
@@ -586,10 +585,10 @@ def test_forward_run_past_a_boundary_pole_of_p():
     assert traj.termination == "horizon-reached"
 
 
-def test_expression_with_no_chart_form_takes_its_slopes_in_the_gap(monkeypatch):
+def test_expression_with_no_chart_form_takes_its_slopes_at_rounded_points(monkeypatch):
     # where the chart code does not compile, each stage is
-    # -f(1 - d) (w + 1)^2 / 2 by the gap form, f at the new point is the
-    # gap form's own value, and the samples are those of that stepper
+    # -f(z) (w + 1)^2 / 2 at the rounded point z = 1 - d, f at the new
+    # point is that value, and the samples are those of that stepper
     compile_source = expr._compile
 
     def no_chart_code(source):
@@ -601,7 +600,7 @@ def test_expression_with_no_chart_form_takes_its_slopes_in_the_gap(monkeypatch):
     for entry_id, z0, t_end in (("quadrant", 0.3 + 0.2j, -5.0), ("bfid-par", 0j, 10.0),
                                 ("angular-only(0.5)", -0.9 + 0j, 100.0)):
         fn = _catalog_fn(entry_id)
-        assert chart_form(fn) is None and gap_form(fn) is not None
+        assert chart_form(fn) is None
         samples, termination, _ = reference_integrate(fn, z0, t_end)
         traj = integrate(fn, z0, t_end)
         assert traj.termination == termination

@@ -91,9 +91,9 @@ def test_tracer_counts_every_kernel_evaluation():
     # under the tracer, the models and callables built from an
     # expression evaluate f through its counting compile_expr.  That
     # returns a new counting callable on each call, which carries the
-    # expression's source but no gap form, so the log-gap panels evaluate
-    # it at the rounded points z = 1 - d, and what a callable keeps (its
-    # anchors of h) is kept per call: the reference counts through
+    # expression's source but no chart form, so the log-gap panels
+    # evaluate it at the rounded points z = 1 - d, and what a callable
+    # keeps (its anchors of h) is kept per call: the reference counts through
     # callables made the same way
     text = catalog.get("bfid-par").f_text
     f = parse(text)

@@ -77,18 +77,17 @@ def _outcome(call, *args):
 
 
 def _opaque(fn):
-    # the same f, and its gap and chart forms, as callables the kernels
-    # cannot inline
-    gap, chart = expr.gap_form(fn), expr.chart_form(fn)
+    # the same f, and its chart form, as callables the kernels cannot
+    # inline
+    chart = expr.chart_form(fn)
     opaque = lambda z: fn(z)  # noqa: E731
-    opaque.gap = lambda d: gap(d)
     opaque.chart = lambda w: chart(w)
     return opaque
 
 
 def _rounded(fn):
-    # the same f with no gap form: the log-gap panels evaluate it at the
-    # rounded point z = 1 - d
+    # the same f with no chart form: the log-gap panels evaluate it at
+    # the rounded point z = 1 - d
     return lambda z: fn(z)
 
 
@@ -185,22 +184,26 @@ def _nearest(z, zetas):
     return min((abs(z - zeta) for zeta in zetas), default=math.inf)
 
 
-def _gap_integrand(gap_fn, zetas=()):
-    # d / f(1 - d) with f written in the gap: exact next to 1, and noisy
-    # by the rounded node next to the singular points ``zetas``
+def _chart_integrand(chart_fn, zetas=()):
+    # d / f(1 - d) = -2e/k at the chart point w = 2e - 1, e = e^-t, from
+    # the slope k = 2p(w) of the scalar chart form: exact next to 1, and
+    # noisy by the rounded node next to the singular points ``zetas``
     def dh(t):
-        d = cmath.exp(t)
-        w = 1.0 - d
-        return d / gap_fn(d), _noise_scale(w, _nearest(w, zetas))
+        e = cmath.exp(-t)
+        z = 1.0 - cmath.exp(t)
+        return (-2+0j) * e / chart_fn((2+0j) * e - (1+0j)), _noise_scale(z, _nearest(z, zetas))
     return dh
 
 
-def _rounded_gap_integrand(fn, zetas=()):
-    # f at the rounded point, noisy next to 1 and to ``zetas``
+def _rounded_integrand(fn, zetas=()):
+    # the slope k = -(1/2) f(z) b^2 from f at the rounded point
+    # z = 1 - 2/b, b = w + 1, noisy next to 1 and to ``zetas``
     def dh(t):
-        d = cmath.exp(t)
-        w = 1.0 - d
-        return d / fn(w), _noise_scale(w, _nearest(w, (*zetas, 1.0)))
+        e = cmath.exp(-t)
+        b = ((2+0j) * e - (1+0j)) + (1+0j)
+        k = (-0.5+0j) * fn((1+0j) - (2+0j) / b) * (b * b)
+        z = 1.0 - cmath.exp(t)
+        return (-2+0j) * e / k, _noise_scale(z, _nearest(z, (*zetas, 1.0)))
     return dh
 
 
@@ -211,62 +214,64 @@ LOG_GAP = st.builds(complex, st.floats(-40.0, 0.7), st.floats(-1.5, 1.5))
 def test_panels_match_reference_loops(entry_id):
     # the integrand kernel, and the panel, root and probe sums over its
     # values, on the paths the package builds: the log-gap path of f, of
-    # an opaque f with a gap form and of one with none (_log_gap), and
+    # an opaque f with a chart form and of one with none (_log_gap), and
     # the same kernels with the noise scales of null points besides 1,
     # as the Newton steps of a model take them (LinearizationModel.newton_path)
     text = catalog.get(entry_id).f_text if entry_id in IDS else entry_id
     fn = compile_expr(parse(text))
     opaque, rounded = _opaque(fn), _rounded(fn)
     zetas = (1j, -1.0 + 0j)
-    gap_path, gap_opaque_path, rounded_path = (abel._log_gap(g)[0] for g in (fn, opaque, rounded))
-    assert [scales is None for _, scales in (gap_path, gap_opaque_path, rounded_path)] == [
+    chart_path, chart_opaque_path, rounded_path = (
+        abel._log_gap(g)[0] for g in (fn, opaque, rounded))
+    assert [scales is None for _, scales in (chart_path, chart_opaque_path, rounded_path)] == [
         True, True, False]
-    assert gap_path[0] is not gap_opaque_path[0]
-    gap, gap_opaque, gap_rounded = gap_path[0], gap_opaque_path[0], rounded_path[0]
-    null_path = (gap, abel._rounding_scales(zetas))
-    null_opaque_path = (gap_opaque, null_path[1])
-    null_rounded_path = (gap_rounded, abel._rounding_scales((*zetas, 1+0j)))
+    assert chart_path[0] is not chart_opaque_path[0]
+    chart, chart_opaque, chart_rounded = chart_path[0], chart_opaque_path[0], rounded_path[0]
+    null_path = (chart, abel._rounding_scales(zetas))
+    null_opaque_path = (chart_opaque, null_path[1])
+    null_rounded_path = (chart_rounded, abel._rounding_scales((*zetas, 1+0j)))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(LOG_GAP, LOG_GAP, st.floats(0.995, 0.9999))
     def check(s0, s1, xp):
-        dh = _gap_integrand(expr.gap_form(fn))
+        dh = _chart_integrand(expr.chart_form(fn))
         ref = _outcome(_reference_panel, dh, s0, s1)
-        assert _outcome(_panel(gap_path), s0, s1) == _outcome(_panel(gap_opaque_path), s0, s1) == ref
+        assert (_outcome(_panel(chart_path), s0, s1)
+                == _outcome(_panel(chart_opaque_path), s0, s1) == ref)
         # the roots are their panel's integral, bit for bit, and the
         # Legendre coefficients of their own values
         whole = _integral(ref)
         ref = _outcome(_reference_root, dh, s0, s1)
-        assert _outcome(_root(gap), s0, s1) == _outcome(_root(gap_opaque), s0, s1) == ref
+        assert _outcome(_root(chart), s0, s1) == _outcome(_root(chart_opaque), s0, s1) == ref
         assert _integral(ref) == whole
         # the probed root is the root, with the integrand at xp and the
         # interpolant of the root's values there
         ref = _outcome(_reference_probe, dh, s0, s1, xp)
-        assert (_outcome(_probed(gap), s0, s1, xp)
-                == _outcome(_probed(gap_opaque), s0, s1, xp) == ref)
-        assert ref[0] != "value" or ref[1][:2] == _outcome(_root(gap), s0, s1)[1]
+        assert (_outcome(_probed(chart), s0, s1, xp)
+                == _outcome(_probed(chart_opaque), s0, s1, xp) == ref)
+        assert ref[0] != "value" or ref[1][:2] == _outcome(_root(chart), s0, s1)[1]
         # each graded rule of the Newton steps, against its own loop
         for _, rule in _STEP_RULES:
             ref = _outcome(_reference_sum, dh, s0, s1, rule)
-            assert (_outcome(_sum(gap), s0, s1, rule)
-                    == _outcome(_sum(gap_opaque), s0, s1, rule) == ref)
-        # a callable with no gap form: f at the rounded point, and the
+            assert (_outcome(_sum(chart), s0, s1, rule)
+                    == _outcome(_sum(chart_opaque), s0, s1, rule) == ref)
+        # a callable with no chart form: f at the rounded point, and the
         # noise of its rounding
-        dh = _rounded_gap_integrand(fn)
+        dh = _rounded_integrand(fn)
         ref = _outcome(_reference_panel, dh, s0, s1)
         assert _outcome(_panel(rounded_path), s0, s1) == ref
         whole = _integral(ref)
         ref = _outcome(_reference_root, dh, s0, s1)
-        assert _outcome(_root(gap_rounded), s0, s1) == ref
+        assert _outcome(_root(chart_rounded), s0, s1) == ref
         assert _integral(ref) == whole
         ref = _outcome(_reference_probe, dh, s0, s1, xp)
-        assert _outcome(_probed(gap_rounded), s0, s1, xp) == ref
+        assert _outcome(_probed(chart_rounded), s0, s1, xp) == ref
         # the noise of rounded nodes next to the null points besides 1,
-        # and next to 1 too for a callable with no gap form
-        ref = _outcome(_reference_panel, _gap_integrand(expr.gap_form(fn), zetas), s0, s1)
+        # and next to 1 too for a callable with no chart form
+        ref = _outcome(_reference_panel, _chart_integrand(expr.chart_form(fn), zetas), s0, s1)
         assert (_outcome(_panel(null_path), s0, s1)
                 == _outcome(_panel(null_opaque_path), s0, s1) == ref)
-        ref = _outcome(_reference_panel, _rounded_gap_integrand(fn, zetas), s0, s1)
+        ref = _outcome(_reference_panel, _rounded_integrand(fn, zetas), s0, s1)
         assert _outcome(_panel(null_rounded_path), s0, s1) == ref
 
     check()
@@ -376,7 +381,7 @@ def test_classify_and_validate_compile_only_f(monkeypatch, entry_id):
     built = []
     build = expr._callable
     monkeypatch.setattr(expr, "_callable",
-                        lambda node, gap: built.append(node) or build(node, gap))
+                        lambda node, var: built.append(node) or build(node, var))
     f = parse(catalog.get(entry_id).f_text)
     expr.validate_generator(f)
     classify(f)
@@ -401,23 +406,23 @@ def test_kernels_built_lazily_once(monkeypatch):
     f = parse(catalog.get("bfid-par").f_text)
     fn = compile_expr(f)
     model = linearize(f)
-    # linearize compiles no kernel and writes no gap form
-    assert fn.kernels == {} and not hasattr(fn, "gap")
+    # linearize compiles no kernel and writes no chart form
+    assert fn.kernels == {} and not hasattr(fn, "chart")
     parts = ("newton_path", "null_points", "asymptote")
     assert not any(part in vars(model) for part in parts)
     invert_h(model, model.h(0.5 + 0.3j))
     assert all(part in vars(model) for part in parts)
-    gap = fn.gap
-    built, built_gap, path = dict(fn.kernels), dict(gap.kernels), model.newton_path
+    chart = fn.chart
+    built, built_chart, path = dict(fn.kernels), dict(chart.kernels), model.newton_path
     # the Newton steps take the kernel of the log-gap segments
-    assert built == {} and set(built_gap) == {_GAP_INTEGRAND}
-    assert path[0] is built_gap[_GAP_INTEGRAND] is fn.log_gap[0][0]
+    assert built == {} and set(built_chart) == {_GAP_INTEGRAND}
+    assert path[0] is built_chart[_GAP_INTEGRAND] is fn.log_gap[0][0]
     compiled = []
     monkeypatch.setattr(expr, "_compile", lambda source: compiled.append(source))
     invert_h(model, model.h(-0.2 + 0.6j))
     assert compiled == []
-    assert model.newton_path is path and fn.gap is gap
-    for callable_, kernels in ((fn, built), (gap, built_gap)):
+    assert model.newton_path is path and fn.chart is chart
+    for callable_, kernels in ((fn, built), (chart, built_chart)):
         assert callable_.kernels.keys() == kernels.keys()
         assert all(callable_.kernels[key] is kernels[key] for key in kernels)
 
@@ -426,23 +431,23 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
     # with a raised recursion limit, an expression can compile on its own
     # and still be nested too deeply for a kernel's extra levels
     fn = compile_expr(parse("-(1-z)^2*(1+z)"))
-    gap_fn = expr.gap_form(fn)
+    chart_fn = expr.chart_form(fn)
 
     def too_deep(source):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(expr, "_compile", too_deep)
     path, _ = abel._log_gap(fn)
-    assert gap_fn.kernels[_GAP_INTEGRAND] is path[0] and path[1] is None
-    ref = _outcome(_reference_panel, _gap_integrand(gap_fn), 0j, -1.0 + 0.2j)
+    assert chart_fn.kernels[_GAP_INTEGRAND] is path[0] and path[1] is None
+    ref = _outcome(_reference_panel, _chart_integrand(chart_fn), 0j, -1.0 + 0.2j)
     assert _outcome(_panel(path), 0j, -1.0 + 0.2j) == ref
-    ref = _outcome(_reference_probe, _gap_integrand(gap_fn), 0j, -1.0 + 0.2j, 0.999)
+    ref = _outcome(_reference_probe, _chart_integrand(chart_fn), 0j, -1.0 + 0.2j, 0.999)
     assert _outcome(_probed(path[0]), 0j, -1.0 + 0.2j, 0.999) == ref
     # with the noise scales of the null point -1, which the segment
     # nears, as a model's Newton steps take it
     zetas = (-1.0 + 0j,)
     path = (path[0], abel._rounding_scales(zetas))
-    dh = _gap_integrand(gap_fn, zetas)
+    dh = _chart_integrand(chart_fn, zetas)
     ref = _outcome(_reference_panel, dh, 0j, 0.6 + 0.1j)
     assert _outcome(_panel(path), 0j, 0.6 + 0.1j) == ref
     for _, rule in _STEP_RULES:
@@ -450,27 +455,21 @@ def test_kernel_too_deep_to_inline_calls_f(monkeypatch):
         assert _outcome(_sum(path[0]), 0j, 0.6 + 0.1j, rule) == ref
 
 
-def test_expression_too_deep_for_gap_code_is_evaluated_at_the_rounded_point(monkeypatch):
-    # where the gap code does not compile, the expression has no gap form
-    # and the log-gap panels evaluate f at z = 1 - d, as for any callable
-    # that carries none
-    fn = compile_expr(parse("-(1-z)^2*sqrt((1+z)/(1-z))"))
-    compile_source = expr._compile
-
-    def no_gap_code(source):
-        if "def call_gap(" in source:
-            raise RecursionError("maximum recursion depth exceeded")
-        return compile_source(source)
-
-    monkeypatch.setattr(expr, "_compile", no_gap_code)
-    assert expr.gap_form(fn) is None and fn.gap is None
+def test_expression_with_no_chart_form_is_evaluated_at_the_rounded_point():
+    # 1.5e308 (1 - z) is 3e308/(w + 1) in the chart, whose constant
+    # overflows, so the expression has no chart form and the log-gap
+    # panels evaluate f at z = 1 - d, as for any callable that carries none
+    fn = compile_expr(parse("-(1-z)*(1.5e308-1.5e308*z)/1.5e308"))
+    assert expr.chart_form(fn) is None and fn.chart is None
     path, _ = abel._log_gap(fn)
     assert path[1] is not None  # the noise scales of rounded points
-    dh = _rounded_gap_integrand(fn)
+    dh = _rounded_integrand(fn)
     t0, t1 = 0j, -3.0 + 1.2j
     assert _outcome(_panel(path), t0, t1) == _outcome(_reference_panel, dh, t0, t1)
     assert _outcome(_root(path[0]), t0, t1) == _outcome(_reference_root, dh, t0, t1)
-    assert _outcome(_probed(path[0]), t0, t1, 0.999) == _outcome(_reference_probe, dh, t0, t1, 0.999)
+    assert (_outcome(_probed(path[0]), t0, t1, 0.999)
+            == _outcome(_reference_probe, dh, t0, t1, 0.999))
+    assert path[0] is fn.kernels[expr._at_rounded_point(_GAP_INTEGRAND)]
 
 
 # --- plain complex arithmetic -------------------------------------------------
@@ -571,7 +570,7 @@ def _complex_operand(node) -> bool:
     # operation on one
     if isinstance(node, ast.BinOp):
         return _complex_operand(node.left) or _complex_operand(node.right)
-    return isinstance(node, ast.Name) and re.fullmatch(r"v|d|gap|k\d+", node.id) is not None
+    return isinstance(node, ast.Name) and re.fullmatch(r"v|d|e|k\d*", node.id) is not None
 
 
 # the sums over a panel's values that abel writes in plain Python
@@ -586,14 +585,14 @@ PYTHON_SUMS = (abel._panel, abel._legendre_tail, abel._probe, abel._rounding_sca
     + [sums.__name__ for sums in PYTHON_SUMS])
 def test_no_float_left_of_a_complex_operand(template):
     # a float on the left of a complex operand first fails in the float
-    # slot; constants are complex literals and the rule weights w and
-    # nodes x stand on the right, in the kernels and in the sums over
-    # their values alike
+    # slot; constants are complex literals and the rule weights (c in the
+    # integrand, w in the sums) and nodes x stand on the right, in the
+    # kernels and in the sums over their values alike
     for node in ast.walk(ast.parse(template)):
         if isinstance(node, ast.BinOp) and _complex_operand(node.right):
             value = _constant_value(node.left)
             assert value is None or type(value) is complex, ast.unparse(node)
-            assert not (isinstance(node.left, ast.Name) and node.left.id in ("w", "x")), \
+            assert not (isinstance(node.left, ast.Name) and node.left.id in ("c", "w", "x")), \
                 ast.unparse(node)
 
 
