@@ -18,8 +18,9 @@ point z = 1 - e^s is not.  A segment whose root panel has settled, by
 the Legendre tail of its own 16 values,
 stops there at 16 evaluations; any other is refined until two halves
 agree.  A segment that ends closer to the circle than its last node is
-probed there first, and graded toward its end where f changes unseen
-(_end_segment).  Panel roundoff is the roundoff of the sum, scaled at
+probed there first; where f changes unseen, its end is reached along the
+line Im w = const from a point of the chart instead (_h_at_gap).  Panel
+roundoff is the roundoff of the sum, scaled at
 each node by its distance to the nearest singular boundary point of h'
 that the rounding of the node z = 1 - e^s reaches: every boundary null
 point of f other than 1 on a Newton step, and 1 too for a callable with
@@ -62,13 +63,15 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InversionFailureError, NotInClassError, SingularEvaluationError
+from .errors import (InversionFailureError, NotInClassError, NotInDiskError,
+                     SingularEvaluationError)
 from .expr import (
     BoundaryLimitEstimate,
     Expr,
     as_callable,
     boundary_limit,
     chart_form,
+    halving_rungs,
     kernel,
 )
 from .extrapolate import golden_min, ladder_limit
@@ -331,13 +334,17 @@ def abel_h(f, z: complex) -> complex:
     boundary point 1, so dh/ds ~ -mu e^(-alpha s) is smooth at every
     scale and one segment resolves radial, Stolz and tangential
     approaches alike.  The segment stays in the disk: the disk is the
-    convex set Re s < log(2 cos(Im s)) in s.
+    convex set Re s < log(2 cos(Im s)) in s.  A point outside the closed
+    disk raises NotInDiskError, as :func:`~diskflow.flow.integrate` does,
+    rather than continuing h analytically past the circle.
     """
     z = complex(z)
     if z == 0:
         return 0j
     if not cmath.isfinite(z):  # the chart form need not see it: that of -(1 - z)^2 is 2
         raise SingularEvaluationError(f"singular evaluation at z = {z}: not a finite point")
+    if abs(z) > 1.0:
+        raise NotInDiskError(f"point |z| = {abs(z)} outside the closed disk")
     return _h_at_gap(as_callable(f), cmath.log(1.0 - z))
 
 
@@ -359,61 +366,52 @@ def _h_at_gap(fn, s: complex) -> complex:
     kept on it (see :func:`_log_gap`), so h at a point depends on f and
     the point alone, not on the calls before it.
 
-    s may lie on the boundary Re s = log(2 cos(Im s)) of the disk's
-    s-image, which is convex, so every segment stays inside; the
-    Gauss-Legendre nodes are interior, so the boundary value of h is
-    reached without evaluating f on the circle.
+    The segment to s is probed where it ends near the circle.  In its
+    parameter t in [0, 1], where |dz/dt| = |1 - z| |s - t0| at the end
+    z = 1 - e^s, z lies rho = (1 - |z|^2) / (2 |1 - z| |s - t0|) from the
+    circle.  Where rho is below the distance _END_NODE of the 16-point
+    rule's last node from the end, f between that node and the circle is
+    seen by no node, nor by any halving that keeps to the nodes' scale:
+    next to the level-1 horocycle the factor exp(-(1+z)/(1-z)) of
+    angular-only(0.5) is away from 0 only there, and a root from an
+    anchor reads settled 7.6e5 tolerances off at |1 - z| = 2^-12.  Such a
+    segment is probed at t = 1 - min(4 rho, _END_NODE/2): the integrand
+    there against the interpolant of the root's 16 values.  Where they
+    agree to 1e-8 relative (plus the rounding of f at rounded points),
+    the root stands as any other.  Else s is reached along the line
+    Im w = const of the chart w = 2e^(-s) - 1, from its point W at
+    Re W = max(80, 64 Re w): h(W), an h value like any other, plus the
+    segment from W to s, which crosses the horocycles rather than
+    running along them.  On the class generators the probe agrees to
+    3e-12 at every tangential ladder point, so it costs them one
+    evaluation.  A point on the circle (1 - |z|^2 at rounding level) is
+    a boundary value and keeps its one segment: the disk's s-image
+    Re s < log(2 cos(Im s)) is convex and the nodes are interior, so
+    that value is reached without evaluating f on the circle.
     """
     path, anchors = _log_gap(fn)
     j = _anchor_index(s)
-    if j == 0:
-        return _end_segment(path, 0j, s)
     while len(anchors) <= j:
         k = len(anchors)
         anchors.append(anchors[-1] + _segment_integral(path, _anchor(k - 1), _anchor(k)))
-    if s == _anchor(j):
+    t0 = _anchor(j)
+    if s == t0:
         return anchors[j]
-    return anchors[j] + _end_segment(path, _anchor(j), s)
-
-
-def _end_segment(path, t0: complex, s: complex) -> complex:
-    """The log-gap segment from t0 to s, graded toward s where f changes
-    between the segment's last node and the circle.
-
-    In the segment's parameter t in [0, 1], where |dz/dt| = |1 - z| |s - t0|
-    at the end z = 1 - e^s, z lies rho = (1 - |z|^2) / (2 |1 - z| |s - t0|)
-    from the circle.  Where rho is below the distance _END_NODE of the
-    16-point rule's last node from the end, f between that node and the
-    circle is seen by no node, nor by any halving that keeps to the
-    nodes' scale: next to the level-1 horocycle the factor
-    exp(-(1+z)/(1-z)) of angular-only(0.5) is away from 0 only there, and
-    a root from an anchor reads settled 7.6e5 tolerances off at
-    |1 - z| = 2^-12.  Such a segment is probed at t = 1 - min(4 rho,
-    _END_NODE/2): the integrand there against the interpolant of the
-    root's 16 values.  Where they agree to 1e-8 relative (plus the
-    rounding of f at rounded points), the root stands as any other;
-    else the segment is cut at t = 1 - 2^-m, m = 1 .. ceil(log2(1/rho)) + 1,
-    a mesh graded geometrically toward the end (as hp methods grade
-    toward a corner layer; Schwab, p- and hp-Finite Element Methods,
-    1998), and each piece is integrated adaptively.  On the class
-    generators the two agree to 3e-12 at every tangential ladder point,
-    so the probe costs them one evaluation.  A point on the circle
-    (1 - |z|^2 at rounding level) is a boundary value and keeps its one
-    segment.
-    """
     to_circle = _to_circle(s)
-    if not 5e-16 < to_circle < _END_NODE * abs(s - t0):
-        return _segment_integral(path, t0, s)
-    rho = to_circle / abs(s - t0)
-    integrand = path[0]
-    whole, values = integrand(t0, s, _GL_RULE)
-    value, near = _probe(integrand, t0, s, values, 1.0 - 2.0 * min(4.0 * rho, 0.5 * _END_NODE))
-    agree = 1e-8 + (64 * 2.3e-16 / math.exp(s.real) if path[1] else 0.0)
-    if abs(value - near) <= agree * abs(value):
-        return _settled(path, t0, s, whole, values)
-    cuts = [t0 + (1.0 - 2.0**-m) * (s - t0) for m in range(1, math.ceil(-math.log2(rho)) + 2)]
-    ends = [t0, *cuts, s]
-    return sum(_segment_integral(path, a, b) for a, b in zip(ends, ends[1:]))
+    if 5e-16 < to_circle < _END_NODE * abs(s - t0):
+        integrand = path[0]
+        whole, values = integrand(t0, s, _GL_RULE)
+        rho = to_circle / abs(s - t0)
+        value, near = _probe(integrand, t0, s, values, 1.0 - 2.0 * min(4.0 * rho, 0.5 * _END_NODE))
+        agree = 1e-8 + (64 * 2.3e-16 / math.exp(s.real) if path[1] else 0.0)
+        if abs(value - near) > agree * abs(value):
+            w = 2.0 * cmath.exp(-s) - 1.0
+            s_far = math.log(2.0) - cmath.log(complex(max(80.0, 64.0 * w.real), w.imag) + 1.0)
+            return _h_at_gap(fn, s_far) + _segment_integral(path, s_far, s)
+        segment = _settled(path, t0, s, whole, values)
+    else:
+        segment = _segment_integral(path, t0, s)
+    return anchors[j] + segment if j else segment
 
 
 def _anchor_index(s: complex) -> int:
@@ -909,7 +907,8 @@ def estimate_alpha_mu(f):
 
     |h'(z)| ~ |mu| |1-z|^-(1+alpha) at the boundary point, and
     1 - (1+z)/2 = (1-z)/2 exactly, so the pointwise slope
-    log2 |h'((1+z)/2) / h'(z)| tends to 1 + alpha; a slope that does not
+    log2 |h'((1+z)/2) / h'(z)| tends to 1 + alpha (on the radial ladder,
+    whose midpoints are its next rungs, each f value serves two rungs); a slope that does not
     converge is no power law and lies outside the class.  mu is the
     extrapolated value of (1-z)^(1+alpha) h'(z).  The class tag records
     whether the mu limit also exists along Stolz rays and a tangential
@@ -918,7 +917,7 @@ def estimate_alpha_mu(f):
     """
     fn = as_callable(f)
     growth = boundary_limit(
-        lambda z: math.log2(abs(fn(z) / fn(0.5 * (1.0 + z)))), "radial", tol=1e-4
+        halving_rungs(fn, lambda z, fz, f_mid: math.log2(abs(fz / f_mid))), "radial", tol=1e-4
     )
     if not growth.converged:
         raise NotInClassError(

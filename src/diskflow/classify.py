@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .abel import LinearizationModel, linearize
 from .errors import SingularEvaluationError
-from .expr import Expr, as_callable, boundary_limit
+from .expr import Expr, as_callable, boundary_limit, halving_rungs
 from .extrapolate import ladder_limit
 from .flow import ConvergenceDiagnostics, _checkpoints, convergence_profile
 
@@ -68,15 +68,7 @@ def classify(f: Expr, horizon: float = 1e6) -> AsymptoticProfile:
         # g = f/(1-z)^2 = a + b(1-z) + o(1-z), and 1 - (1+z)/2 = (1-z)/2, so
         # 2(g(z) - g((1+z)/2))/(1-z) tends to b; unlike (f - a(1-z)^2)/(1-z)^3
         # it carries no error of the estimate a, which (1-z)^-3 would grow
-        last = [None, None]  # the last midpoint (1+z)/2 and g there
-
-        def quotient(z):
-            # on the radial ladder (1+z_k)/2 is exactly z_{k+1}: reuse g there
-            gz = last[1] if z == last[0] else g(z)
-            mid = 0.5 * (1.0 + z)
-            last[:] = mid, g(mid)
-            return 2.0 * (gz - last[1]) / (1.0 - z)
-
+        quotient = halving_rungs(g, lambda z, gz, g_mid: 2.0 * (gz - g_mid) / (1.0 - z))
         tb_est = boundary_limit(quotient, "radial", tol=1e-7)
         if tb_est.converged:
             taylor_b = tb_est.value

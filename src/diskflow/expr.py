@@ -1062,6 +1062,21 @@ def _approach_points(approach: str):
         yield 1.0 - 2.0**-k * direction
 
 
+def halving_rungs(g, combine):
+    """``z -> combine(z, g(z), g((1 + z)/2))`` on the radial ladder of
+    :func:`boundary_limit`, where (1 + z_k)/2 is exactly z_(k+1): g at the
+    midpoint is kept and serves as g(z) at the next rung."""
+    last = [None, None]  # the last midpoint and g there
+
+    def rung(z):
+        gz = last[1] if z == last[0] else g(z)
+        mid = 0.5 * (1.0 + z)
+        last[:] = mid, g(mid)
+        return combine(z, gz, last[1])
+
+    return rung
+
+
 def boundary_limit(g, approach: str = "radial", tol: float = 1e-6) -> BoundaryLimitEstimate:
     """Estimate the limit of g along an approach to the boundary point 1.
 

@@ -35,7 +35,8 @@ from diskflow.abel import (
 )
 from diskflow.classify import classify
 from diskflow.conjugate import MobiusGroup, bfid_report
-from diskflow.errors import InversionFailureError, NotInClassError, SingularEvaluationError
+from diskflow.errors import (InversionFailureError, NotInClassError, NotInDiskError,
+                             SingularEvaluationError)
 from diskflow.expr import compile_expr, kernel, parse
 from diskflow.flow import flow_point
 
@@ -148,6 +149,18 @@ def test_abel_h_at_nan_is_singular(z):
         abel_h(parse("-(1-z)^2"), z)
 
 
+@pytest.mark.parametrize("text", ["-(1-z)^2", "0.5*(z^2-1)"])
+@pytest.mark.parametrize("z", [3.0, complex(-5.0, 1.0)])
+def test_abel_h_outside_the_disk_is_refused(text, z):
+    # the segment to a point past the circle would continue h off the
+    # disk (to -1.5 and to a branch of log((1 + z)/(1 - z)) at 3.0), so
+    # the point is refused before f is evaluated, as integrate refuses it
+    counted, evals = counted_callable(compile_expr(parse(text)))
+    with pytest.raises(NotInDiskError):
+        abel_h(counted, z)
+    assert evals[0] == 0
+
+
 @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(0.0, -math.inf)])
 def test_abel_h_at_infinity_is_singular(z):
     # the chart form of -(1 - z)^2 is the constant 2, which no node at an
@@ -162,6 +175,20 @@ def test_abel_h_at_infinity_is_singular(z):
 RUNGS = [z for k in range(3) for z in LADDER[5 * k : 5 * k + 3]]
 HOROCYCLE_RUNGS = [z for k in range(3) for z in LADDER[5 * k + 3 : 5 * k + 5]]
 DEEP_HOROCYCLE_RUNGS = [z for k in range(5) for z in LADDER[5 * k + 3 : 5 * k + 5]]
+
+
+def _horocycle_point(level, k):
+    # the point at |1 - z| = 2^-k above 1 on the horocycle Re w = level of
+    # the chart w = (1 + z)/(1 - z), where cos arg(1 - z) = (level + 1) 2^-(k+1)
+    gap, c = 2.0**-k, (level + 1.0) * 2.0 ** -(k + 1)
+    return 1.0 - gap * complex(c, -math.sqrt(1.0 - c * c))
+
+
+# angular-only points whose end probe fails, so that h is reached from a
+# point of the chart (see abel._h_at_gap): the level-1 rung 2^-24 and the
+# level-0.1 rung 2^-16, where a leg whose root settles wrongly is caught
+# (the test's tolerance there is about 6e-10 relative)
+MIRRORED_RUNGS = [_horocycle_point(1.0, 24), _horocycle_point(0.1, 16)]
 NO_H_TEXT_IDS = ["hyperbolic-auto(0.5,0)", "bfid-hyp", "angular-only(0.5)"]
 
 
@@ -199,24 +226,42 @@ def _w_path_oracle(mpmath, f_mp, z):
     return complex(value)
 
 
-@pytest.mark.parametrize("entry_id, points, oracle", [
-    *[pytest.param(i, GRID + RUNGS, _z_segment_oracle, id=f"{i}-grid") for i in NO_H_TEXT_IDS],
-    *[pytest.param(i, HOROCYCLE_RUNGS, _z_segment_oracle, id=f"{i}-horocycle")
+@pytest.mark.parametrize("entry_id, points, mirrored, oracle", [
+    *[pytest.param(i, GRID + RUNGS, [], _z_segment_oracle, id=f"{i}-grid")
+      for i in NO_H_TEXT_IDS],
+    *[pytest.param(i, HOROCYCLE_RUNGS, [], _z_segment_oracle, id=f"{i}-horocycle")
       for i in NO_H_TEXT_IDS[:2]],
-    pytest.param("angular-only(0.5)", DEEP_HOROCYCLE_RUNGS, _w_path_oracle,
+    pytest.param("angular-only(0.5)", DEEP_HOROCYCLE_RUNGS, MIRRORED_RUNGS, _w_path_oracle,
                  id="angular-only(0.5)-horocycle"),
 ])
-def test_abel_h_matches_quadrature_oracle(entry_id, points, oracle):
+def test_abel_h_matches_quadrature_oracle(entry_id, points, mirrored, oracle):
     # where the catalog has no closed form, an mpmath quadrature of -1/f
-    # along a path from 0 to z is the oracle
+    # along a path from 0 to z is the oracle; f has real coefficients, so
+    # h(conj z) = conj h(z), and the oracle of a mirrored point serves
+    # its conjugate too
     assert catalog.get(entry_id).h_text is None
     mpmath = pytest.importorskip("mpmath")
     text = catalog.get(entry_id).f_text
     fn, f_mp = compile_expr(parse(text)), mp_function(mpmath, text)
-    for z in points:
-        ref = oracle(mpmath, f_mp, z)
+    checks = [(z, oracle(mpmath, f_mp, z)) for z in points + mirrored]
+    checks += [(z.conjugate(), ref.conjugate()) for z, ref in checks[len(points):]]
+    for z, ref in checks:
         tol = 1e-12 * max(1.0, abs(ref)) + 32 * sys.float_info.epsilon / abs(fn(z))
         assert abs(abel_h(fn, z) - ref) <= tol, z
+
+
+@pytest.mark.parametrize("level, k, cap", [
+    (1.0, 16, 6200), (1.0, 20, 15000), (1.0, 24, 27000),
+    (0.1, 16, 12400), (0.1, 20, 16900), (0.1, 24, 28700),
+])
+def test_abel_h_past_a_failed_end_probe_cost(level, k, cap):
+    # one abel_h on angular-only(0.5) at horocycle points where the end
+    # probe fails (anchors included): h at the chart point W plus one
+    # segment from W cost 5,618, 13,570 and 24,594 f-evals at level 1 and
+    # 11,250, 15,298 and 26,066 at level 0.1
+    counted, evals = counted_callable(compile_expr(parse(catalog.get("angular-only(0.5)").f_text)))
+    abel_h(counted, _horocycle_point(level, k))
+    assert evals[0] <= cap
 
 
 def _outcome_bits(call, *args):
@@ -275,8 +320,8 @@ def test_root_falls_back_at_the_angular_end_layer(monkeypatch):
     # point's anchor reads settled 7.6e5 tolerances off).  So no root over
     # a whole segment that h at these points integrates may stand: it
     # falls back to the halves, or the end probe sees the layer and the
-    # segment is graded.  1 - 2^-8 is the anchor a_2, whose chain crosses
-    # the layer on its first link
+    # point is reached from a point of the chart instead.  1 - 2^-8 is
+    # the anchor a_2, whose chain crosses the layer on its first link
     fn = compile_expr(parse(catalog.get("angular-only(0.5)").f_text))
     accepted = []
     settled = abel._settled
@@ -404,6 +449,14 @@ def test_estimate_alpha_mu_keeps_measured_alpha_near_snap(entry_id):
     alpha, mu, _ = estimate_alpha_mu(parse(catalog.get(entry_id).f_text))
     assert alpha == pytest.approx(truth["alpha"], abs=0.01)
     assert abs(mu - truth["mu"]) <= 0.01 * abs(truth["mu"])
+
+
+def test_estimate_alpha_mu_cost():
+    # the growth ladder's midpoint (1 + z_k)/2 is its next rung z_(k+1),
+    # so f there serves both rungs
+    counted, evals = counted_callable(compile_expr(parse(catalog.get("parabolic-auto(1)").f_text)))
+    estimate_alpha_mu(counted)
+    assert evals[0] <= 186
 
 
 @pytest.mark.parametrize("entry_id, tag", [
