@@ -19,8 +19,9 @@ the Legendre tail of its own 16 values,
 stops there at 16 evaluations; any other is refined until two halves
 agree.  A segment that ends closer to the circle than its last node is
 probed there first; where f changes unseen, its end is reached along the
-line Im w = const from a point of the chart instead (_h_at_gap).  Panel
-roundoff is the roundoff of the sum, scaled at
+line Im w = const from a point of the chart next to 1, and graded toward
+its end elsewhere (_h_at_gap).  Panel roundoff is the roundoff of the
+sum, scaled at
 each node by its distance to the nearest singular boundary point of h'
 that the rounding of the node z = 1 - e^s reaches: every boundary null
 point of f other than 1 on a Newton step, and 1 too for a callable with
@@ -355,7 +356,7 @@ _ANCHOR_STEP = 4.0 * math.log(2.0)
 _SEED_ANCHOR = round(36.0 / _ANCHOR_STEP)
 
 
-def _h_at_gap(fn, s: complex) -> complex:
+def _h_at_gap(fn, s: complex, chart: bool = True) -> complex:
     """h at 1 - e^s, integrated in the log-gap coordinate.
 
     A point with Re s > -L, L = _ANCHOR_STEP, is the segment from 0 to s.
@@ -378,16 +379,27 @@ def _h_at_gap(fn, s: complex) -> complex:
     segment is probed at t = 1 - min(4 rho, _END_NODE/2): the integrand
     there against the interpolant of the root's 16 values.  Where they
     agree to 1e-8 relative (plus the rounding of f at rounded points),
-    the root stands as any other.  Else s is reached along the line
+    the root stands as any other.  On the class generators they agree to
+    3e-12 at every tangential ladder point, so the probe costs them one
+    evaluation.
+
+    Past a failed probe next to 1, s is reached along the line
     Im w = const of the chart w = 2e^(-s) - 1, from its point W at
-    Re W = max(80, 64 Re w): h(W), an h value like any other, plus the
-    segment from W to s, which crosses the horocycles rather than
-    running along them.  On the class generators the probe agrees to
-    3e-12 at every tangential ladder point, so it costs them one
-    evaluation.  A point on the circle (1 - |z|^2 at rounding level) is
-    a boundary value and keeps its one segment: the disk's s-image
-    Re s < log(2 cos(Im s)) is convex and the nodes are interior, so
-    that value is reached without evaluating f on the circle.
+    Re W = max(80, 64 Re w): h(W), with ``chart`` off, plus the segment
+    from W to s, which crosses the horocycles rather than running along
+    them.  That leg is taken where it is shorter than the segment it
+    replaces, as it is where |w| is large, about Re W / |w| long.  Next
+    to another null point of f, such as -1 where w is near 0, the leg
+    would be longer and end as close to the pole that failed the probe,
+    so there, and where W's own probe fails, the segment is cut at
+    t = 1 - 2^-m, m = 1 .. ceil(log2(1/rho)) + 1, a mesh graded
+    geometrically toward its end (as hp methods grade toward a corner
+    layer; Schwab, p- and hp-Finite Element Methods, 1998), each piece
+    integrated adaptively.  A point on the circle (1 - |z|^2 at rounding
+    level) is a boundary value and keeps its one segment: the disk's
+    s-image Re s < log(2 cos(Im s)) is convex and the nodes are
+    interior, so that value is reached without evaluating f on the
+    circle.
     """
     path, anchors = _log_gap(fn)
     j = _anchor_index(s)
@@ -404,11 +416,16 @@ def _h_at_gap(fn, s: complex) -> complex:
         rho = to_circle / abs(s - t0)
         value, near = _probe(integrand, t0, s, values, 1.0 - 2.0 * min(4.0 * rho, 0.5 * _END_NODE))
         agree = 1e-8 + (64 * 2.3e-16 / math.exp(s.real) if path[1] else 0.0)
-        if abs(value - near) > agree * abs(value):
+        if abs(value - near) <= agree * abs(value):
+            segment = _settled(path, t0, s, whole, values)
+        else:
             w = 2.0 * cmath.exp(-s) - 1.0
             s_far = math.log(2.0) - cmath.log(complex(max(80.0, 64.0 * w.real), w.imag) + 1.0)
-            return _h_at_gap(fn, s_far) + _segment_integral(path, s_far, s)
-        segment = _settled(path, t0, s, whole, values)
+            if chart and abs(s - s_far) < abs(s - t0):
+                return _h_at_gap(fn, s_far, False) + _segment_integral(path, s_far, s)
+            cuts = [t0 + (1.0 - 2.0**-m) * (s - t0) for m in range(1, math.ceil(-math.log2(rho)) + 2)]
+            ends = [t0, *cuts, s]
+            segment = sum(_segment_integral(path, a, b) for a, b in zip(ends, ends[1:]))
     else:
         segment = _segment_integral(path, t0, s)
     return anchors[j] + segment if j else segment
